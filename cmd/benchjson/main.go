@@ -84,6 +84,11 @@ func runGenerate(dir string, smoke bool) error {
 		return err
 	}
 	loop.Entries = append(loop.Entries, svcEntries...)
+	telEntries, err := bench.SvcTelemetryTrajectory(smoke)
+	if err != nil {
+		return err
+	}
+	loop.Entries = append(loop.Entries, telEntries...)
 	sloEntries, err := bench.SLOLoopTrajectory(smoke)
 	if err != nil {
 		return err

@@ -126,13 +126,21 @@ func ReadFile(path string) (*File, error) {
 }
 
 // GitRev identifies the source revision: CI's GITHUB_SHA, else git
-// itself, else the binary's embedded VCS stamp, else "unknown".
+// itself, else the binary's embedded VCS stamp, else "unknown". A
+// baseline is regenerated before the commit that carries it exists, so
+// what git can name then is the parent: the "-dirty" suffix says the
+// measured tree is that revision plus uncommitted changes, instead of
+// passing it off as the revision itself.
 func GitRev() string {
 	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
 		return sha
 	}
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		if rev := strings.TrimSpace(string(out)); rev != "" {
+			st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output()
+			if err == nil && len(st) > 0 {
+				rev += "-dirty"
+			}
 			return rev
 		}
 	}

@@ -229,20 +229,27 @@ func TestTrajectorySmoke(t *testing.T) {
 		t.Error("loop smoke never reached a multi-socket machine")
 	}
 
-	sents, err := SvcTrajectory(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sents) != len(svcTickSmokeCores) {
-		t.Fatalf("svc smoke entries = %d, want %d", len(sents), len(svcTickSmokeCores))
-	}
-	for i, e := range sents {
-		if e.NsPerOp <= 0 || e.Config["cores"] != svcTickSmokeCores[i] || e.Config["services"] == 0 {
-			t.Errorf("entry %+v", e)
+	for _, fam := range []struct {
+		family string
+		run    func(bool) ([]Entry, error)
+	}{{"svc_tick", SvcTrajectory}, {"svc_telemetry", SvcTelemetryTrajectory}} {
+		family := fam.family
+		sents, err := fam.run(true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The service tick shares the control loop's cadence: zero-alloc.
-		if e.AllocsPerOp != 0 {
-			t.Errorf("%s: allocs/op = %v, want 0", e.Name, e.AllocsPerOp)
+		if len(sents) != len(svcTickSmokeCores) {
+			t.Fatalf("%s smoke entries = %d, want %d", family, len(sents), len(svcTickSmokeCores))
+		}
+		for i, e := range sents {
+			if e.NsPerOp <= 0 || e.Config["cores"] != svcTickSmokeCores[i] || e.Config["services"] == 0 ||
+				!strings.HasPrefix(e.Name, family+"/") {
+				t.Errorf("entry %+v", e)
+			}
+			// The service model shares the control loop's cadence: zero-alloc.
+			if e.AllocsPerOp != 0 || !zeroAllocGated(e.Name) {
+				t.Errorf("%s: allocs/op = %v, gated %v; want 0 under the gate", e.Name, e.AllocsPerOp, zeroAllocGated(e.Name))
+			}
 		}
 	}
 

@@ -17,12 +17,12 @@ const allocSlack = 8
 
 // zeroAllocPrefixes names the benchmark families held to the
 // zero-allocation invariant: the steady-state control loop, the energy
-// ledger that rides on it, and the latency-service tick that shares its
-// cadence. Any entry under these prefixes with a nonzero allocs/op fails
+// ledger that rides on it, and the latency-service tick and telemetry
+// read that share its cadence. Any entry under these prefixes with a nonzero allocs/op fails
 // the gate outright — no threshold, no slack, no calibration — because a
 // single allocation per iteration is a GC-pressure regression the
 // threshold machinery exists to excuse everywhere else.
-var zeroAllocPrefixes = []string{"loop_iteration/", "ledger_append/", "svc_tick/"}
+var zeroAllocPrefixes = []string{"loop_iteration/", "ledger_append/", "svc_tick/", "svc_telemetry/"}
 
 // zeroAllocGated reports whether a benchmark entry is held to the hard
 // zero-allocation gate.

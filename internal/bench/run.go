@@ -37,14 +37,14 @@ var (
 	// leaves under rows reached over loopback-HTTP uplinks. The 1024-leaf
 	// flagship (32 rows × 32 leaves) is the thousand-node configuration
 	// the flat coordinator could never poll in one round.
-	hierSizes      = [][2]int{{64, 8}, {256, 16}, {1024, 32}}
-	hierSmokeSizes = [][2]int{{64, 8}}
-	loopCores             = []int{4, 10, 32, 128, 256, 512}
-	loopSmokeCores        = []int{4, 10, 32, 128}
-	ledgerApps            = []int{2, 8, 32, 128}
-	ledgerSmokeApps       = []int{2, 8, 32}
-	svcTickCores          = []int{8, 32, 128}
-	svcTickSmokeCores     = []int{8, 32}
+	hierSizes         = [][2]int{{64, 8}, {256, 16}, {1024, 32}}
+	hierSmokeSizes    = [][2]int{{64, 8}}
+	loopCores         = []int{4, 10, 32, 128, 256, 512}
+	loopSmokeCores    = []int{4, 10, 32, 128}
+	ledgerApps        = []int{2, 8, 32, 128}
+	ledgerSmokeApps   = []int{2, 8, 32}
+	svcTickCores      = []int{8, 32, 128}
+	svcTickSmokeCores = []int{8, 32}
 )
 
 func sizes(all, smokeSubset []int, smoke bool) []int {
@@ -423,50 +423,76 @@ func coreRange(lo, hi int) []int {
 	return out
 }
 
+// svcBenchTenants is how many open-loop services share the svc bench
+// machine, each on an equal slice of its cores.
+const svcBenchTenants = 4
+
+// buildSvcBench assembles the service-model bench: four co-located
+// open-loop services at 40 req/s per core on a machine held at nominal
+// frequency, advanced through one full default Window (10 s) so every
+// sliding window is at its steady-state occupancy — at 128 cores, full to
+// WindowCap. After that the model is driven directly, so entries price
+// the service model alone, not the simulator.
+func buildSvcBench(cores int) (*svc.Model, error) {
+	chip := benchChip(cores)
+	m, err := sim.New(chip)
+	if err != nil {
+		return nil, err
+	}
+	per := cores / svcBenchTenants
+	cfgs := make([]svc.Config, svcBenchTenants)
+	for i := range cfgs {
+		cfgs[i] = svc.Config{
+			Name:     fmt.Sprintf("svc%d", i),
+			Cores:    coreRange(i*per, (i+1)*per),
+			Seed:     int64(i + 1),
+			Arrivals: svc.OpenPoisson,
+			Rate:     svc.ConstantRate(40 * float64(per)),
+			SLO:      50 * time.Millisecond,
+		}
+	}
+	model, err := svc.NewModel(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	if err := model.Attach(m); err != nil {
+		return nil, err
+	}
+	for c := 0; c < cores; c++ {
+		if err := m.SetRequest(c, chip.Freq.Nom); err != nil {
+			return nil, err
+		}
+	}
+	// One simulated interval populates the effective frequencies.
+	m.Run(100 * time.Millisecond)
+	for i := 0; i < 10_000; i++ {
+		model.Advance(time.Millisecond)
+	}
+	return model, nil
+}
+
+func svcEntry(family string, cores int, r testing.BenchmarkResult) Entry {
+	return Entry{
+		Name:        fmt.Sprintf("%s/cores=%d", family, cores),
+		Config:      map[string]int{"cores": cores, "services": svcBenchTenants},
+		NsPerOp:     float64(r.NsPerOp()),
+		AllocsPerOp: float64(r.AllocsPerOp()),
+		BytesPerOp:  float64(r.AllocedBytesPerOp()),
+	}
+}
+
 // SvcTrajectory benchmarks one 1 ms advance of the multi-tenant
 // latency-service model — arrival admission, per-core cycle drain, and
-// sliding-window bookkeeping for four co-located open-loop services —
-// at increasing machine sizes. The tick rides the control loop's
-// cadence, so the family is held to the hard zero-allocation gate.
+// sliding-window bookkeeping (ring plus order statistics) for four
+// co-located open-loop services — at increasing machine sizes. The tick
+// rides the control loop's cadence, so the family is held to the hard
+// zero-allocation gate.
 func SvcTrajectory(smoke bool) ([]Entry, error) {
 	var entries []Entry
 	for _, cores := range sizes(svcTickCores, svcTickSmokeCores, smoke) {
-		chip := benchChip(cores)
-		m, err := sim.New(chip)
+		model, err := buildSvcBench(cores)
 		if err != nil {
 			return nil, err
-		}
-		const tenants = 4
-		per := cores / tenants
-		cfgs := make([]svc.Config, tenants)
-		for i := range cfgs {
-			cfgs[i] = svc.Config{
-				Name:     fmt.Sprintf("svc%d", i),
-				Cores:    coreRange(i*per, (i+1)*per),
-				Seed:     int64(i + 1),
-				Arrivals: svc.OpenPoisson,
-				Rate:     svc.ConstantRate(40 * float64(per)),
-				SLO:      50 * time.Millisecond,
-			}
-		}
-		model, err := svc.NewModel(cfgs...)
-		if err != nil {
-			return nil, err
-		}
-		if err := model.Attach(m); err != nil {
-			return nil, err
-		}
-		for c := 0; c < cores; c++ {
-			if err := m.SetRequest(c, chip.Freq.Nom); err != nil {
-				return nil, err
-			}
-		}
-		// One simulated interval populates the effective frequencies and
-		// warms the queues; after it the tick is driven directly so the
-		// entry prices the service model alone, not the simulator.
-		m.Run(100 * time.Millisecond)
-		for i := 0; i < 2000; i++ {
-			model.Advance(time.Millisecond)
 		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -474,13 +500,31 @@ func SvcTrajectory(smoke bool) ([]Entry, error) {
 				model.Advance(time.Millisecond)
 			}
 		})
-		entries = append(entries, Entry{
-			Name:        fmt.Sprintf("svc_tick/cores=%d", cores),
-			Config:      map[string]int{"cores": cores, "services": tenants},
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
+		entries = append(entries, svcEntry("svc_tick", cores, r))
+	}
+	return entries, nil
+}
+
+// SvcTelemetryTrajectory benchmarks one Model.FillServiceSLO — rate,
+// queue depth and the window's p50/p90/p99 for each of the four services
+// — on the same warmed machines. It is the read half of the sliding
+// window, which the daemon's sample phase pays once per interval; the
+// write half is in svc_tick. Zero-alloc gated like the loop it feeds.
+func SvcTelemetryTrajectory(smoke bool) ([]Entry, error) {
+	var entries []Entry
+	for _, cores := range sizes(svcTickCores, svcTickSmokeCores, smoke) {
+		model, err := buildSvcBench(cores)
+		if err != nil {
+			return nil, err
+		}
+		buf := make([]core.ServiceSLO, 0, svcBenchTenants)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = model.FillServiceSLO(buf[:0])
+			}
 		})
+		entries = append(entries, svcEntry("svc_telemetry", cores, r))
 	}
 	return entries, nil
 }

@@ -98,15 +98,15 @@ type SLOFeedback struct {
 	nBatch   int
 
 	// Controller state and per-interval scratch, all preallocated.
-	integ  []float64 // PI integral per service
-	svcU   []float64 // last controller output per service
-	svcE   []float64 // last relative error per service
-	svcTgt []float64 // effective target per service, seconds
-	svcP99 []float64
+	integ   []float64 // PI integral per service
+	svcU    []float64 // last controller output per service
+	svcE    []float64 // last relative error per service
+	svcTgt  []float64 // effective target per service, seconds
+	svcP99  []float64
 	svcSeen []bool
-	satHi  []int // serving cores clamped at ceiling this interval
-	satLo  []int // serving cores clamped at floor this interval
-	rbuf   [4]Reason
+	satHi   []int // serving cores clamped at ceiling this interval
+	satLo   []int // serving cores clamped at floor this interval
+	rbuf    [4]Reason
 }
 
 // NewSLOFeedback builds the policy. Specs need positive shares (the

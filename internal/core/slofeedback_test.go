@@ -36,11 +36,11 @@ func TestSLOFeedbackValidation(t *testing.T) {
 	specs := sloSpecs(10, 10)
 	target := []SLOTarget{{Service: "api", P99: 50 * time.Millisecond}}
 	cases := []SLOConfig{
-		{},                                      // no targets
-		{Targets: []SLOTarget{{Service: "", P99: time.Millisecond}}},       // empty name
-		{Targets: []SLOTarget{{Service: "api"}}},                           // zero p99
-		{Targets: append(append([]SLOTarget(nil), target...), target...)},  // duplicate
-		{Targets: []SLOTarget{{Service: "ghost", P99: time.Millisecond}}},  // matches nothing
+		{}, // no targets
+		{Targets: []SLOTarget{{Service: "", P99: time.Millisecond}}},      // empty name
+		{Targets: []SLOTarget{{Service: "api"}}},                          // zero p99
+		{Targets: append(append([]SLOTarget(nil), target...), target...)}, // duplicate
+		{Targets: []SLOTarget{{Service: "ghost", P99: time.Millisecond}}}, // matches nothing
 	}
 	for i, cfg := range cases {
 		if _, err := NewSLOFeedback(chip, specs, cfg); err == nil {

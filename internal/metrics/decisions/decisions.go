@@ -74,12 +74,15 @@ func Record(policy string, reasons []core.Reason, s core.Snapshot, actions []cor
 			Parked: a.Parked,
 		}
 	}
-	for _, a := range actions {
+	if len(actions) > 0 { // nil, not empty, in the deadband: what a JSON round trip gives back
+		e.Actions = make([]ActionTrace, len(actions))
+	}
+	for i, a := range actions {
 		at := ActionTrace{Core: a.Core, Park: a.Park}
 		if !a.Park {
 			at.MHz = a.Freq.MHzF()
 		}
-		e.Actions = append(e.Actions, at)
+		e.Actions[i] = at
 	}
 	return e
 }

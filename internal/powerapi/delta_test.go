@@ -322,11 +322,11 @@ func FuzzStatusDelta(f *testing.F) {
 	mk := func(body string) []byte {
 		return []byte(`{"v":1,"kind":"status_delta","body":` + body + `}`)
 	}
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`))  // stale
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":9,"power_watts":1}`))  // gap
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1}`))                  // foreign version
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"clear":["huh"]}`))  // unknown clear
-	f.Add(mk(`{"v":1,"node":"n0","epoch":8,"rev":2,"base":1,"iterations":3}`))   // wrong epoch
+	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`)) // stale
+	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":9,"power_watts":1}`)) // gap
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1}`))                 // foreign version
+	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"clear":["huh"]}`)) // unknown clear
+	f.Add(mk(`{"v":1,"node":"n0","epoch":8,"rev":2,"base":1,"iterations":3}`))  // wrong epoch
 	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":3,"base":2,"full":{"node":"n0"},"power_watts":4}`))
 	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{}}`))
 	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":1,"bogus":3}}`))

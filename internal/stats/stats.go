@@ -85,20 +85,34 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := closestRanks(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// closestRanks maps the p-th percentile of n > 0 sorted samples to the
+// two closest ranks and the weight of the upper one; lo == hi when the
+// percentile falls exactly on a sample. It and interpolate are the one
+// definition of a percentile in this package: PercentileSorted and
+// OrderWindow.Percentile both go through them, which is what keeps the
+// two bit-identical.
+func closestRanks(n int, p float64) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+func interpolate(lo, hi, frac float64) float64 {
+	return lo*(1-frac) + hi*frac
 }
 
 // Quantiles returns several percentiles in one pass over a single sort.

@@ -1,6 +1,10 @@
 package svc
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/stats"
+)
 
 // wakeHeap is a min-heap of closed-loop wake times. It reimplements
 // container/heap's sift algorithms over a concrete []time.Duration so
@@ -106,16 +110,23 @@ type latSample struct {
 // latWindow is a fixed-capacity time-sliding ring of completion
 // latencies: entries older than span are evicted, and when the ring is
 // full the oldest entry is overwritten, so memory stays constant under
-// any completion rate.
+// any completion rate. Every latency in the ring is mirrored in an
+// exact order-statistic multiset, kept in step on record, eviction and
+// overwrite, so a percentile read never sorts.
 type latWindow struct {
-	span time.Duration
-	buf  []latSample
-	head int
-	n    int
+	span  time.Duration
+	buf   []latSample
+	head  int
+	n     int
+	order *stats.OrderWindow
 }
 
 func newLatWindow(span time.Duration, capacity int) latWindow {
-	return latWindow{span: span, buf: make([]latSample, capacity)}
+	return latWindow{
+		span:  span,
+		buf:   make([]latSample, capacity),
+		order: stats.NewOrderWindow(capacity),
+	}
 }
 
 func (w *latWindow) count() int { return w.n }
@@ -123,28 +134,51 @@ func (w *latWindow) count() int { return w.n }
 func (w *latWindow) record(at time.Duration, lat float64) {
 	w.evict(at)
 	if w.n == len(w.buf) {
-		w.head = (w.head + 1) % len(w.buf)
-		w.n--
+		w.dropOldest()
 	}
 	w.buf[(w.head+w.n)%len(w.buf)] = latSample{at: at, lat: lat}
 	w.n++
+	w.order.Insert(lat)
 }
 
 // evict drops entries that fell out of the window ending at now.
 func (w *latWindow) evict(now time.Duration) {
 	cut := now - w.span
 	for w.n > 0 && w.buf[w.head].at < cut {
-		w.head = (w.head + 1) % len(w.buf)
-		w.n--
+		w.dropOldest()
 	}
 }
 
-// appendLatencies appends the live entries' latencies to dst.
-func (w *latWindow) appendLatencies(dst []float64) []float64 {
-	for i := 0; i < w.n; i++ {
-		dst = append(dst, w.buf[(w.head+i)%len(w.buf)].lat)
+func (w *latWindow) dropOldest() {
+	if !w.order.Remove(w.buf[w.head].lat) {
+		panic("svc: latency window out of step with its order statistics")
 	}
-	return dst
+	w.head = (w.head + 1) % len(w.buf)
+	w.n--
+}
+
+// covered reports the span the retained entries stand for at now: the
+// configured span (what has elapsed of it, early on), or, when the ring
+// is full and capacity rather than age is what pushed older entries
+// out, only the time back to the oldest one kept.
+func (w *latWindow) covered(now time.Duration) time.Duration {
+	span := w.span
+	if now < span {
+		span = now
+	}
+	if w.n == len(w.buf) {
+		if kept := now - w.buf[w.head].at; kept > 0 && kept < span {
+			span = kept
+		}
+	}
+	return span
+}
+
+// percentile returns the p-th percentile of the entries live at now, or
+// zero when there are none.
+func (w *latWindow) percentile(now time.Duration, p float64) float64 {
+	w.evict(now)
+	return w.order.Percentile(p)
 }
 
 func (w *latWindow) mean() float64 {

@@ -16,21 +16,26 @@
 // Every service keeps per-completion latency in a sliding window and
 // reports p50/p90/p99, rate, queue depth, and drop/timeout counts as
 // core.ServiceSLO telemetry the daemon attaches to policy snapshots.
+// The window is a time-stamped ring mirrored in an exact order-statistic
+// multiset (stats.OrderWindow), updated as completions enter and leave,
+// so the percentiles the daemon reads every interval are the same bits
+// a sort of the window would give, at the cost of a short walk, not a
+// sort.
 // Runs are deterministic for a given seed: the RNG consumption order is
 // fixed (documented on tick) so a replay with the same config and tick
 // sequence is bit-identical.
 //
-// The steady-state tick path is allocation-free: requests come from a
-// free list, the queue is a ring, the latency window is a fixed ring,
-// and the closed-loop wake heap stores raw durations (no interface
-// boxing). svc_tick/* entries in BENCH_loop.json sit under the CI
-// zero-alloc gate.
+// The steady-state tick and telemetry paths are allocation-free:
+// requests come from a free list, the queue is a ring, the latency
+// window is a fixed ring over preallocated order-statistic blocks, and
+// the closed-loop wake heap stores raw durations (no interface boxing).
+// svc_tick/* and svc_telemetry/* entries in BENCH_loop.json sit under
+// the CI zero-alloc gate.
 package svc
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -218,7 +223,6 @@ type Service struct {
 
 	latencies []float64 // RecordAll log, seconds, since last ResetStats
 	win       latWindow
-	scratch   []float64 // window percentile sort scratch
 }
 
 func newService(cfg Config) (*Service, error) {
@@ -231,7 +235,6 @@ func newService(cfg Config) (*Service, error) {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		inService: make([]*request, len(cfg.Cores)),
 		win:       newLatWindow(cfg.Window, cfg.WindowCap),
-		scratch:   make([]float64, 0, cfg.WindowCap),
 	}
 	switch cfg.Arrivals {
 	case Closed:
@@ -427,19 +430,7 @@ func (s *Service) LatencyPercentile(p float64) float64 {
 // WindowPercentile returns the p-th latency percentile in seconds over
 // the sliding window.
 func (s *Service) WindowPercentile(p float64) float64 {
-	xs := s.windowSorted()
-	if len(xs) == 0 {
-		return 0
-	}
-	return stats.PercentileSorted(xs, p)
-}
-
-// windowSorted refreshes the sort scratch from the live window entries.
-func (s *Service) windowSorted() []float64 {
-	s.win.evict(s.now)
-	s.scratch = s.win.appendLatencies(s.scratch[:0])
-	sort.Float64s(s.scratch)
-	return s.scratch
+	return s.win.percentile(s.now, p)
 }
 
 // MeanLatency returns the mean completed latency in seconds (RecordAll
@@ -462,13 +453,12 @@ func (s *Service) Throughput() float64 {
 	return float64(s.completed) / sec
 }
 
-// WindowRate returns completions per second over the sliding window.
+// WindowRate returns completions per second over the sliding window:
+// the retained samples divided by the time they cover, which is shorter
+// than Window once WindowCap is what evicts.
 func (s *Service) WindowRate() float64 {
 	s.win.evict(s.now)
-	span := s.cfg.Window
-	if s.now < span {
-		span = s.now
-	}
+	span := s.win.covered(s.now)
 	if span <= 0 {
 		return 0
 	}
@@ -490,11 +480,9 @@ func (s *Service) ServiceSLO() core.ServiceSLO {
 		Dropped:  s.dropped,
 		Timeouts: s.timedOut,
 	}
-	if xs := s.windowSorted(); len(xs) > 0 {
-		out.P50 = stats.PercentileSorted(xs, 50)
-		out.P90 = stats.PercentileSorted(xs, 90)
-		out.P99 = stats.PercentileSorted(xs, 99)
-	}
+	out.P50 = s.win.percentile(s.now, 50)
+	out.P90 = s.win.percentile(s.now, 90)
+	out.P99 = s.win.percentile(s.now, 99)
 	return out
 }
 

@@ -312,18 +312,18 @@ func TestSlidingWindowForgets(t *testing.T) {
 	if w.count() != 4 {
 		t.Fatalf("window holds %d entries, want 4", w.count())
 	}
-	xs := w.appendLatencies(nil)
-	for _, x := range xs {
-		if x == 5.0 {
-			t.Error("aged-out sample still in window")
-		}
+	if max := w.percentile(2*time.Second, 100); max != 0.01 {
+		t.Errorf("window max %g, want 0.01: aged-out sample still in the order statistics", max)
 	}
 	// Capacity overwrite: 20 more entries at the same time keep only 8.
 	for i := 0; i < 20; i++ {
 		w.record(2*time.Second, 1.0)
 	}
-	if w.count() != 8 {
-		t.Errorf("window grew to %d past its capacity 8", w.count())
+	if w.count() != 8 || w.order.Len() != 8 {
+		t.Errorf("window grew to %d (order statistics %d) past its capacity 8", w.count(), w.order.Len())
+	}
+	if min := w.percentile(2*time.Second, 0); min != 1.0 {
+		t.Errorf("window min %g, want 1: overwritten sample still in the order statistics", min)
 	}
 }
 

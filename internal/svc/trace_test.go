@@ -146,10 +146,10 @@ func TestRateScheduleAt(t *testing.T) {
 func TestRateScheduleValidate(t *testing.T) {
 	bad := []RateSchedule{
 		{Base: -5},
-		{Base: 10, Points: []RatePoint{{At: 0, Mul: 1}}},                                               // no period
-		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 2 * time.Second, Mul: 1}}},            // offset past period
-		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 0, Mul: 1}, {At: 0, Mul: 2}}},         // not ascending
-		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 0, Mul: 1}, {At: 1, Mul: -2}}},        // negative mul
+		{Base: 10, Points: []RatePoint{{At: 0, Mul: 1}}},                                        // no period
+		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 2 * time.Second, Mul: 1}}},     // offset past period
+		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 0, Mul: 1}, {At: 0, Mul: 2}}},  // not ascending
+		{Base: 10, Period: time.Second, Points: []RatePoint{{At: 0, Mul: 1}, {At: 1, Mul: -2}}}, // negative mul
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
