@@ -209,6 +209,7 @@ type Coordinator struct {
 	// parent's cascaded SetBudget never interleaves with this tier's
 	// own grant wave.
 	stepMu sync.Mutex
+	sc     roundScratch
 
 	mu         sync.Mutex
 	limits     []units.Watts // current target limit per node
@@ -229,6 +230,37 @@ type Coordinator struct {
 	mTotalPower *metrics.Gauge
 	mFailures   *metrics.CounterVec
 	mQuar       *metrics.GaugeVec
+}
+
+// roundScratch is the per-round working set, sized to the node count once
+// and reused by every Step (stepMu serialises them). Nothing in it outlives
+// the round that filled it.
+type roundScratch struct {
+	reports []Report
+	errs    []error
+	rpc     []time.Duration // filled only when a Fleet consumes it
+	healthy []bool
+	targets []units.Watts
+	bids    []float64
+	caps    []float64
+	idx     []int
+	grows   []int
+	renews  []int
+}
+
+func newRoundScratch(n int) roundScratch {
+	return roundScratch{
+		reports: make([]Report, n),
+		errs:    make([]error, n),
+		rpc:     make([]time.Duration, n),
+		healthy: make([]bool, n),
+		targets: make([]units.Watts, 0, n),
+		bids:    make([]float64, 0, n),
+		caps:    make([]float64, 0, n),
+		idx:     make([]int, 0, n),
+		grows:   make([]int, 0, n),
+		renews:  make([]int, 0, n),
+	}
 }
 
 // Node couples one simulated machine with its power-delivery daemon.
@@ -297,6 +329,7 @@ func newCoordinator(ts []Transport, cfg Config, strict bool) (*Coordinator, erro
 		cfg:        cfg,
 		ts:         append([]Transport(nil), ts...),
 		strict:     strict,
+		sc:         newRoundScratch(n),
 		limits:     make([]units.Watts, n),
 		granted:    make([]units.Watts, n),
 		fbGranted:  make([]units.Watts, n),
@@ -370,12 +403,14 @@ func (c *Coordinator) LeaseLedger() map[string]LedgerEntry {
 func (c *Coordinator) grantAll(ctx context.Context, limit units.Watts) error {
 	g := Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: c.floor()}
 	errs := make([]error, len(c.ts))
+	wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+	defer cancel()
 	var wg sync.WaitGroup
 	for i := range c.ts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = c.callGrant(ctx, i, g)
+			errs[i] = c.callGrant(ctx, wave, i, g)
 		}(i)
 	}
 	wg.Wait()
@@ -477,36 +512,15 @@ func (c *Coordinator) Run(d time.Duration) error {
 	return nil
 }
 
-// callReport fetches one node's report with per-attempt timeout and retry
-// with doubling backoff.
-func (c *Coordinator) callReport(ctx context.Context, i int) (Report, error) {
+// call runs one node call with retry and doubling backoff. The first
+// attempts of a concurrent wave all start together, so they share wave, the
+// one NodeTimeout deadline their caller derived from ctx; only a retry
+// derives its own.
+func (c *Coordinator) call(ctx, wave context.Context, do func(context.Context) error) error {
 	var lastErr error
 	backoff := c.cfg.RetryBackoff
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return Report{}, ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		r, err := c.ts[i].Report(actx)
-		cancel()
-		if err == nil {
-			return r, nil
-		}
-		lastErr = err
-	}
-	return Report{}, lastErr
-}
-
-// callGrant issues one grant with per-attempt timeout and retry.
-func (c *Coordinator) callGrant(ctx context.Context, i int, g Grant) error {
-	var lastErr error
-	backoff := c.cfg.RetryBackoff
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+		actx, cancel := wave, context.CancelFunc(func() {})
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -514,9 +528,9 @@ func (c *Coordinator) callGrant(ctx context.Context, i int, g Grant) error {
 			case <-time.After(backoff):
 			}
 			backoff *= 2
+			actx, cancel = context.WithTimeout(ctx, c.cfg.NodeTimeout)
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		err := c.ts[i].Grant(actx, g)
+		err := do(actx)
 		cancel()
 		if err == nil {
 			return nil
@@ -524,6 +538,11 @@ func (c *Coordinator) callGrant(ctx context.Context, i int, g Grant) error {
 		lastErr = err
 	}
 	return lastErr
+}
+
+// callGrant issues one grant through call.
+func (c *Coordinator) callGrant(ctx, wave context.Context, i int, g Grant) error {
+	return c.call(ctx, wave, func(actx context.Context) error { return c.ts[i].Grant(actx, g) })
 }
 
 // noteFailure bumps a node's consecutive-failure count and quarantines it
@@ -539,11 +558,47 @@ func (c *Coordinator) noteFailure(i int) {
 	c.mFailures.With(c.ts[i].Name()).Inc()
 }
 
-// Step performs one reallocation round: fan out report requests to all
-// nodes concurrently, water-fill the budget over the healthy bids, then
-// issue grants — shrinking grants first and growing ones only afterwards,
-// so the sum of outstanding grants (plus expired nodes' fallback floors)
-// never exceeds the budget even mid-step or under partial failure.
+// effective is the worst-case cap the ledger must assume node i holds: its
+// acknowledged grant while the lease lives, the fallback floor after.
+// Caller holds c.mu.
+func (c *Coordinator) effective(i int, now time.Time, floor units.Watts) units.Watts {
+	if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
+		return c.granted[i]
+	}
+	return floor
+}
+
+// pollReport is the round's one report path: it fills node i's slots of
+// the round scratch. Step calls it directly for a Local transport and
+// behind a go statement for the rest. The clock is read only for a Fleet,
+// the one consumer of per-node RPC latencies.
+func (c *Coordinator) pollReport(ctx, wave context.Context, rb *tracing.RoundBuilder, i int) {
+	sc := &c.sc
+	s0 := rb.Now()
+	var t0 time.Time
+	if c.cfg.Fleet != nil {
+		t0 = time.Now()
+	}
+	sc.errs[i] = c.call(ctx, wave, func(actx context.Context) (err error) {
+		sc.reports[i], err = c.ts[i].Report(actx)
+		return err
+	})
+	if sc.errs[i] != nil {
+		sc.reports[i] = Report{}
+	}
+	if c.cfg.Fleet != nil {
+		sc.rpc[i] = time.Since(t0)
+	}
+	rb.Span("report", c.ts[i].Name(), s0, rb.Now(), sc.errs[i])
+}
+
+// Step performs one reallocation round: collect every node's report — the
+// networked ones fanned out concurrently under one shared deadline, the
+// Local ones polled inline — water-fill the budget over the healthy bids,
+// then issue grants — shrinking grants first and growing ones only
+// afterwards, so the sum of outstanding grants (plus expired nodes'
+// fallback floors) never exceeds the budget even mid-step or under partial
+// failure.
 //
 // Each round gets a monotonic ID, stamped on every node RPC through the
 // powerapi envelope and recorded (with report/plan/grant spans) when a
@@ -556,27 +611,35 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	rb := c.cfg.Tracer.Begin(rid)
 	defer rb.End()
 	ctx = powerapi.WithRound(ctx, rid)
-	began := time.Now()
+	var began time.Time
+	if c.cfg.Fleet != nil {
+		began = time.Now()
+	}
 
 	n := len(c.ts)
-	reports := make([]Report, n)
-	errs := make([]error, n)
-	rpc := make([]time.Duration, n)
+	sc := &c.sc
+	reports, errs, healthy := sc.reports, sc.errs, sc.healthy
+	wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s0, t0 := rb.Now(), time.Now()
-			reports[i], errs[i] = c.callReport(ctx, i)
-			rpc[i] = time.Since(t0)
-			rb.Span("report", c.ts[i].Name(), s0, rb.Now(), errs[i])
-		}(i)
+	for i, t := range c.ts {
+		if !t.Local() {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c.pollReport(ctx, wave, rb, i)
+			}(i)
+		}
+	}
+	for i, t := range c.ts {
+		if t.Local() {
+			c.pollReport(ctx, wave, rb, i)
+		}
 	}
 	wg.Wait()
+	cancel()
 
-	healthy := make([]bool, n)
 	for i := 0; i < n; i++ {
+		healthy[i] = false
 		if errs[i] != nil {
 			if c.strict {
 				return fmt.Errorf("cluster: node %s: %w", c.ts[i].Name(), errs[i])
@@ -608,7 +671,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	if c.cfg.Fleet != nil {
 		obs := make([]NodeObservation, n)
 		for i := 0; i < n; i++ {
-			obs[i] = NodeObservation{Node: c.ts[i].Name(), Err: errs[i], RPC: rpc[i], Report: reports[i]}
+			obs[i] = NodeObservation{Node: c.ts[i].Name(), Err: errs[i], RPC: sc.rpc[i], Report: reports[i]}
 		}
 		c.cfg.Fleet.ObserveRound(rid, time.Since(began), obs)
 	}
@@ -640,7 +703,8 @@ func (c *Coordinator) Step(ctx context.Context) error {
 // plus a water-fill of the distributable budget over the bids. Unhealthy
 // nodes keep their reservation — the last grant while its lease lives, the
 // fallback floor after — so the room total stays within budget no matter
-// when they come back or expire.
+// when they come back or expire. The returned targets alias the round
+// scratch.
 func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Watts, moved bool, shifted float64) {
 	n := len(c.ts)
 	floor := float64(c.floor())
@@ -650,16 +714,10 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	defer c.mu.Unlock()
 
 	var reserved float64 // held by unhealthy nodes
-	bids := make([]float64, 0, n)
-	caps := make([]float64, 0, n)
-	idx := make([]int, 0, n)
+	bids, caps, idx := c.sc.bids[:0], c.sc.caps[:0], c.sc.idx[:0]
 	for i := 0; i < n; i++ {
 		if !healthy[i] {
-			r := floor
-			if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
-				r = float64(c.granted[i])
-			}
-			reserved += r
+			reserved += float64(c.effective(i, now, units.Watts(floor)))
 			continue
 		}
 		power := float64(reports[i].Power)
@@ -687,7 +745,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	}
 	alloc := core.WaterFill(distributable, bids, caps)
 
-	targets = append([]units.Watts(nil), c.limits...)
+	targets = append(c.sc.targets[:0], c.limits...)
 	for j, i := range idx {
 		newLimit := units.Watts(floor + alloc[j])
 		if diff := newLimit - c.limits[i]; diff > 0.5 || diff < -0.5 {
@@ -704,27 +762,18 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 }
 
 // issueGrants applies the planned targets: shrinking (or renewing equal)
-// grants fan out concurrently first; growing grants follow sequentially,
-// each capped by the headroom the acknowledged ledger still shows, so a
-// failed shrink can never combine with a successful grow to over-commit
-// the budget.
+// grants fan out concurrently first, under one shared deadline; growing
+// grants follow sequentially, each capped by the headroom the acknowledged
+// ledger still shows, so a failed shrink can never combine with a
+// successful grow to over-commit the budget.
 func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) error {
 	n := len(c.ts)
 	floor := c.floor()
 	now := c.cfg.now()
 
-	// effective is the worst-case cap the ledger must assume a node holds.
-	effective := func(i int) units.Watts {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
-			return c.granted[i]
-		}
-		return floor
-	}
-	grant := func(i int, limit units.Watts) error {
+	grant := func(wave context.Context, i int, limit units.Watts) error {
 		s0 := rb.Now()
-		err := c.callGrant(ctx, i, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
+		err := c.callGrant(ctx, wave, i, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
 		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
 		if err != nil {
 			if c.strict {
@@ -743,62 +792,76 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		return nil
 	}
 
-	// stable reports whether a node's lease already says exactly what
-	// this wave would tell it — same cap, same fallback floor, and more
-	// than half its TTL still to run. Renewing it would be a no-op RPC;
-	// in steady state that is every node, so skipping here is what lets
-	// a round over a quiet fleet cost only its status poll. The
-	// half-TTL guard keeps renewals flowing well before expiry when
-	// rounds are slow relative to the TTL.
-	stable := func(i int, limit units.Watts) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		d := limit - c.granted[i]
-		f := floor - c.fbGranted[i]
-		return c.granted[i] > 0 &&
-			d <= budgetSlack && d >= -budgetSlack &&
-			f <= budgetSlack && f >= -budgetSlack &&
-			c.cfg.now().Add(c.cfg.LeaseTTL/2).Before(c.leaseUntil[i])
-	}
-
-	// Phase 1: shrinks and renewals, concurrently.
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	grows := make([]int, 0, n)
+	// Classify every healthy node in one pass: it grows, it needs a shrink
+	// or renewal, or it is stable — its lease already says exactly what
+	// this wave would tell it: same cap, same fallback floor, and more
+	// than half its TTL still to run. Renewing a stable node would be a
+	// no-op RPC; in steady state that is every node, so skipping here is
+	// what lets a round over a quiet fleet cost only its status poll. The
+	// half-TTL guard keeps renewals flowing well before expiry when rounds
+	// are slow relative to the TTL.
+	grows, renews := c.sc.grows[:0], c.sc.renews[:0]
+	renewBy := now.Add(c.cfg.LeaseTTL / 2)
+	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		if !healthy[i] {
 			continue
 		}
-		if targets[i] > effective(i) {
+		if targets[i] > c.effective(i, now, floor) {
 			grows = append(grows, i)
 			continue
 		}
-		if stable(i, targets[i]) {
-			continue
+		d := targets[i] - c.granted[i]
+		f := floor - c.fbGranted[i]
+		stable := c.granted[i] > 0 &&
+			d <= budgetSlack && d >= -budgetSlack &&
+			f <= budgetSlack && f >= -budgetSlack &&
+			renewBy.Before(c.leaseUntil[i])
+		if !stable {
+			renews = append(renews, i)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = grant(i, targets[i])
-		}(i)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	c.mu.Unlock()
+
+	// Phase 1: shrinks and renewals, concurrently.
+	if len(renews) > 0 {
+		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+		errs := make([]error, len(renews))
+		var wg sync.WaitGroup
+		for j, i := range renews {
+			wg.Add(1)
+			go func(j, i int) {
+				defer wg.Done()
+				errs[j] = grant(wave, i, targets[i])
+			}(j, i)
 		}
+		wg.Wait()
+		cancel()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if len(grows) == 0 {
+		return nil
 	}
 
-	// Phase 2: grows, bounded by the headroom the acknowledged ledger
-	// leaves. A node whose shrink failed still occupies its old grant, so
-	// the grows squeeze rather than overshoot.
+	// Phase 2: grows, one at a time and each under its own timeout, bounded
+	// by the headroom the acknowledged ledger leaves. A node whose shrink
+	// failed still occupies its old grant, so the grows squeeze rather than
+	// overshoot.
 	var held units.Watts
+	c.mu.Lock()
 	for i := 0; i < n; i++ {
-		held += effective(i)
+		held += c.effective(i, now, floor)
 	}
+	c.mu.Unlock()
 	headroom := c.cfg.Budget - held
 	for _, i := range grows {
-		cur := effective(i)
+		c.mu.Lock()
+		cur := c.effective(i, now, floor)
+		c.mu.Unlock()
 		limit := targets[i]
 		delta := limit - cur
 		if delta > headroom {
@@ -808,7 +871,10 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		if delta <= 0 {
 			continue
 		}
-		if err := grant(i, limit); err != nil {
+		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+		err := grant(wave, i, limit)
+		cancel()
+		if err != nil {
 			return err
 		}
 		headroom -= delta
@@ -884,10 +950,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	eff := make([]units.Watts, n)
 	var held units.Watts
 	for i := 0; i < n; i++ {
-		eff[i] = floor
-		if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
-			eff[i] = c.granted[i]
-		}
+		eff[i] = c.effective(i, now, floor)
 		held += eff[i]
 	}
 	if b >= held-budgetSlack {
@@ -921,11 +984,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	defer c.mu.Unlock()
 	held = 0
 	for i := 0; i < n; i++ {
-		e := floor
-		if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
-			e = c.granted[i]
-		}
-		held += e
+		held += c.effective(i, now, floor)
 	}
 	if held > b+budgetSlack && !force {
 		c.cfg.Budget = old

@@ -231,6 +231,8 @@ type flakyTransport struct {
 
 func (f *flakyTransport) Name() string { return f.name }
 
+func (f *flakyTransport) Local() bool { return false }
+
 func (f *flakyTransport) setFail(v bool) {
 	f.mu.Lock()
 	f.fail = v

@@ -50,6 +50,27 @@ type faultTransport struct {
 
 func (f *faultTransport) Name() string { return f.inner.Name() }
 
+// Local is false whatever the inner transport says: an injected delay
+// blocks, and a blocked report must not hold up its siblings.
+func (f *faultTransport) Local() bool { return false }
+
+// TestFaultTransportNotLocal: the in-process transport it wraps is Local,
+// the fault injector in front of it must not be.
+func TestFaultTransportNotLocal(t *testing.T) {
+	leaf, err := NewLeaf(LeafConfig{Name: "n0", Max: 100, Fallback: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	inner := leaf.Transport("row")
+	if !inner.Local() {
+		t.Error("AgentTransport must be Local: its report is an in-process status snapshot")
+	}
+	if (&faultTransport{inner: inner}).Local() {
+		t.Error("faultTransport must not be Local: injected latency blocks")
+	}
+}
+
 func (f *faultTransport) active(class fault.Class) (fault.Entry, bool) {
 	now := f.clock()
 	for _, e := range f.sched {

@@ -142,3 +142,37 @@ func TestTreeShrinkCascades(t *testing.T) {
 		t.Error("shrink below the floor sum accepted")
 	}
 }
+
+// TestConvergedRoundAllocs gates what a quiet round costs in allocations.
+// Once every lease is granted and the plan has settled, a tree round is one
+// status poll per child and nothing else, so its allocations are bounded
+// per child. A context, timer or goroutine per child coming back roughly
+// doubles the figure.
+func TestConvergedRoundAllocs(t *testing.T) {
+	const leaves, rows = 256, 16
+	// Measured 2.93 (the status frame, its lease section, and each
+	// coordinator's plan spread over its children), plus 15 %. The parent
+	// of this gate, with a context, a timer and a goroutine per child,
+	// read 9.37.
+	const maxAllocsPerChild = 3.4
+	tree := newTestTree(t, SimTreeConfig{
+		Leaves: leaves, Rows: rows, Budget: leaves * 100,
+		LeaseTTL: time.Hour, Retries: -1,
+	})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := tree.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRound := testing.AllocsPerRun(50, func() {
+		if err := tree.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perChild := perRound / (leaves + rows)
+	t.Logf("%.0f allocs a converged round, %.2f per child", perRound, perChild)
+	if perChild > maxAllocsPerChild {
+		t.Errorf("converged round: %.2f allocs per child, want at most %v", perChild, maxAllocsPerChild)
+	}
+}

@@ -176,6 +176,10 @@ func NewAgentTransport(a *powerapi.Agent, coord string) *AgentTransport {
 
 func (t *AgentTransport) Name() string { return t.a.Name() }
 
+// Local is true: Report is the agent's Status call, a snapshot of state
+// held in this process.
+func (t *AgentTransport) Local() bool { return true }
+
 func (t *AgentTransport) Report(ctx context.Context) (cluster.Report, error) {
 	st := t.a.Status()
 	return cluster.Report{

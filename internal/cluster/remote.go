@@ -67,6 +67,9 @@ func (h *HTTPNode) DeltaStatus() *HTTPNode {
 
 func (h *HTTPNode) Name() string { return h.name }
 
+// Local is false: every report is an HTTP round trip.
+func (h *HTTPNode) Local() bool { return false }
+
 func (h *HTTPNode) Report(ctx context.Context) (Report, error) {
 	mode := powerapi.MetricsNone
 	full := false

@@ -50,6 +50,17 @@ type Transport interface {
 	Report(ctx context.Context) (Report, error)
 	// Grant leases part of the room budget to the node.
 	Grant(ctx context.Context, g Grant) error
+	// Local reports that Report reads state this process already holds
+	// and never waits on I/O. The coordinator polls a Local node on the
+	// stepping goroutine, one after another in index order, and spends a
+	// goroutine per node only on the rest, whose waits are worth
+	// overlapping. Every report still runs under the round's deadline
+	// context, so a transport that wrongly claims Local costs its
+	// siblings sequential timeouts, never a hang. A wrapper that embeds a
+	// Transport inherits the answer; one that adds blocking of its own
+	// must answer false. Grants are fanned out regardless: a tier's grant
+	// cascades to its own children and may wait on them.
+	Local() bool
 }
 
 // localTransport adapts an in-process Node: calls go straight into the
@@ -58,6 +69,8 @@ type Transport interface {
 type localTransport struct{ n *Node }
 
 func (t localTransport) Name() string { return t.n.Name }
+
+func (t localTransport) Local() bool { return true }
 
 func (t localTransport) Report(context.Context) (Report, error) {
 	return Report{
