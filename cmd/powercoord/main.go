@@ -354,7 +354,7 @@ func run(opts options) error {
 		} else if changed || t == nil {
 			ts := make([]cluster.Transport, len(ns))
 			for i := range ns {
-				ts[i] = cluster.NewHTTPNode(ns[i], addrs[i], name).CollectMetrics().DeltaStatus()
+				ts[i] = cluster.NewHTTPNode(ns[i], addrs[i], name).CollectMetrics()
 			}
 			if t == nil {
 				nt, err := hierarchy.NewTier(tcfg, ts)

@@ -41,8 +41,6 @@ type fleetNode struct {
 	power       units.Watts
 	limit       units.Watts
 	status      *powerapi.NodeStatus
-	metricsRev  uint64
-	vals        map[string]float64 // delta-merged metrics snapshot
 	rpcAcc      stats.Accumulator
 	rpcRes      *stats.Reservoir
 }
@@ -154,7 +152,6 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 		latNodes = append(latNodes, n)
 		if st := o.Report.Status; st != nil {
 			n.status = st
-			f.mergeMetricsLocked(n, st, o.Report.MetricsFull)
 		}
 	}
 	if at := tracing.StragglerIn(lats); at >= 0 {
@@ -223,22 +220,6 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 	f.mSLOAttain.Set(attain)
 }
 
-// mergeMetricsLocked folds a node's metrics snapshot into its merged
-// view: a full snapshot replaces the map (dropping stale series), a
-// delta overlays only the changed series. Caller holds f.mu.
-func (f *Fleet) mergeMetricsLocked(n *fleetNode, st *powerapi.NodeStatus, full bool) {
-	if st.Metrics == nil && st.MetricsRev == 0 {
-		return
-	}
-	n.metricsRev = st.MetricsRev
-	if full || n.vals == nil {
-		n.vals = make(map[string]float64, len(st.Metrics))
-	}
-	for k, v := range st.Metrics {
-		n.vals[k] = v
-	}
-}
-
 // LatencySummary condenses a latency distribution to what `top` shows.
 type LatencySummary struct {
 	P50MS   float64 `json:"p50_ms"`
@@ -268,7 +249,7 @@ type FleetNode struct {
 	MissedRounds int                 `json:"missed_rounds,omitempty"`
 	TotalMissed  int                 `json:"total_missed,omitempty"`
 	RPC          LatencySummary      `json:"rpc"`
-	MetricsRev   uint64              `json:"metrics_rev,omitempty"`
+	StatusRev    uint64              `json:"status_rev,omitempty"`
 	EnergyJoules float64             `json:"energy_joules,omitempty"`
 	CostUSD      float64             `json:"cost_usd,omitempty"`
 	Anomalies    uint64              `json:"anomalies,omitempty"`
@@ -376,9 +357,9 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 			MissedRounds: n.missed,
 			TotalMissed:  n.totalMissed,
 			RPC:          summarize(n.rpcAcc, n.rpcRes),
-			MetricsRev:   n.metricsRev,
 		}
 		if st := n.status; st != nil {
+			row.StatusRev = st.Rev
 			row.Policy = st.Policy
 			row.Draining = st.Draining
 			row.Lease = st.Lease
@@ -454,16 +435,16 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 					}
 				}
 			}
+			for k, v := range st.Metrics {
+				if ev, ok := leaseEvent(k); ok {
+					snap.LeaseEvents[ev] += v
+				}
+				if strings.HasPrefix(k, "padpd_build_info{") {
+					versions[k] = true
+				}
+			}
 		}
 		snap.TotalPowerWatts += float64(n.power)
-		for k, v := range n.vals {
-			if ev, ok := leaseEvent(k); ok {
-				snap.LeaseEvents[ev] += v
-			}
-			if strings.HasPrefix(k, "padpd_build_info{") {
-				versions[k] = true
-			}
-		}
 		snap.Nodes = append(snap.Nodes, row)
 		if n.straggles > 0 {
 			snap.Stragglers = append(snap.Stragglers, FleetStraggler{

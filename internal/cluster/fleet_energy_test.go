@@ -40,9 +40,9 @@ func TestFleetEnergyRollups(t *testing.T) {
 	}
 
 	f.ObserveRound(1, 10*time.Millisecond, []NodeObservation{
-		obsFor("a", 2*time.Millisecond, 30, 40, stA, true),
-		obsFor("b", 3*time.Millisecond, 25, 35, stB, true),
-		obsFor("c", 1*time.Millisecond, 10, 20, nil, false), // no ledger: silent
+		obsFor("a", 2*time.Millisecond, 30, 40, stA),
+		obsFor("b", 3*time.Millisecond, 25, 35, stB),
+		obsFor("c", 1*time.Millisecond, 10, 20, nil), // no ledger: silent
 	})
 
 	snap := f.Snapshot()
@@ -112,7 +112,7 @@ func TestFleetEnergyTopKTruncates(t *testing.T) {
 		Node:   "n",
 		Energy: &powerapi.EnergyStatus{ElapsedSeconds: 1, TotalJoules: 1000, Apps: apps},
 	}
-	f.ObserveRound(1, time.Millisecond, []NodeObservation{obsFor("n", time.Millisecond, 10, 20, st, true)})
+	f.ObserveRound(1, time.Millisecond, []NodeObservation{obsFor("n", time.Millisecond, 10, 20, st)})
 	snap := f.Snapshot()
 	if len(snap.TopEnergyApps) != EnergyTopK {
 		t.Fatalf("top apps = %d, want %d", len(snap.TopEnergyApps), EnergyTopK)

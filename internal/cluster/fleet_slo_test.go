@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"context"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/powerapi"
+	"repro/internal/units"
 )
 
 func TestFleetSLORollups(t *testing.T) {
@@ -27,9 +31,9 @@ func TestFleetSLORollups(t *testing.T) {
 	}
 
 	f.ObserveRound(1, 10*time.Millisecond, []NodeObservation{
-		obsFor("a", 2*time.Millisecond, 30, 40, stA, true),
-		obsFor("b", 3*time.Millisecond, 25, 35, stB, true),
-		obsFor("c", 1*time.Millisecond, 10, 20, nil, false), // no services: silent
+		obsFor("a", 2*time.Millisecond, 30, 40, stA),
+		obsFor("b", 3*time.Millisecond, 25, 35, stB),
+		obsFor("c", 1*time.Millisecond, 10, 20, nil), // no services: silent
 	})
 
 	snap := f.Snapshot()
@@ -78,7 +82,7 @@ func TestFleetSLOAttainmentDefaultsToOne(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := NewFleet(100, reg)
 	f.ObserveRound(1, time.Millisecond, []NodeObservation{
-		obsFor("a", time.Millisecond, 10, 20, &powerapi.NodeStatus{Node: "a"}, true),
+		obsFor("a", time.Millisecond, 10, 20, &powerapi.NodeStatus{Node: "a"}),
 	})
 	if v := reg.Values()["fleet_slo_attainment"]; v != 1 {
 		t.Errorf("attainment with no services = %v, want 1", v)
@@ -86,5 +90,65 @@ func TestFleetSLOAttainmentDefaultsToOne(t *testing.T) {
 	snap := f.Snapshot()
 	if snap.SLOTotal != 0 || len(snap.SLOServices) != 0 {
 		t.Errorf("phantom SLO rollup: %+v", snap)
+	}
+}
+
+// sloBackend is a node whose one latency service the test flips.
+type sloBackend struct {
+	mu    sync.Mutex
+	p99MS float64
+}
+
+func (b *sloBackend) FillStatus(st *powerapi.NodeStatus) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st.Policy, st.LimitWatts, st.PowerWatts, st.MaxWatts = "stub", 50, 40, 100
+	st.SLO = &powerapi.SLOStatus{Services: []powerapi.ServiceSLOStatus{
+		{Name: "websearch", P99MS: b.p99MS, TargetMS: 65, Met: b.p99MS <= 65},
+	}}
+}
+
+func (b *sloBackend) SetLimit(context.Context, units.Watts) error { return nil }
+
+// TestFleetSLOFollowsNodeOverHTTP is the end-to-end form of the SLO
+// rollup: a coordinator polls a live agent through an HTTPNode, and a
+// service that goes from meeting its objective to missing it must move
+// the fleet's attainment on the very next round. (It did not while the
+// delta frame had no SLO field: the first frame's view stuck.)
+func TestFleetSLOFollowsNodeOverHTTP(t *testing.T) {
+	be := &sloBackend{p99MS: 50}
+	agent, err := powerapi.NewAgent(powerapi.AgentConfig{Name: "n0", Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	srv := httptest.NewServer(agent.Handler())
+	defer srv.Close()
+
+	reg := metrics.NewRegistry()
+	fleet := NewFleet(100, reg)
+	c, err := NewOverTransports([]Transport{NewHTTPNode("n0", srv.URL, "coord")},
+		Config{Budget: 100, LeaseTTL: time.Hour, Retries: -1, Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for round, want := range []float64{1, 1, 0, 0, 1} {
+		be.mu.Lock()
+		be.p99MS = 50
+		if want == 0 {
+			be.p99MS = 90
+		}
+		be.mu.Unlock()
+		if err := c.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap := fleet.Snapshot()
+		if snap.SLOTotal != 1 || snap.SLOAttainment != want {
+			t.Fatalf("round %d: attainment %v over %d services, want %v over 1", round, snap.SLOAttainment, snap.SLOTotal, want)
+		}
+		if got := reg.Values()["fleet_slo_attainment"]; got != want {
+			t.Fatalf("round %d: fleet_slo_attainment = %v, want %v", round, got, want)
+		}
 	}
 }

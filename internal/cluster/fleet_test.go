@@ -10,13 +10,13 @@ import (
 	"repro/internal/units"
 )
 
-func obsFor(node string, rpc time.Duration, power, limit float64, st *powerapi.NodeStatus, full bool) NodeObservation {
+func obsFor(node string, rpc time.Duration, power, limit float64, st *powerapi.NodeStatus) NodeObservation {
 	return NodeObservation{
 		Node: node,
 		RPC:  rpc,
 		Report: Report{
 			Power: units.Watts(power), Limit: units.Watts(limit),
-			Status: st, MetricsFull: full,
+			Status: st,
 		},
 	}
 }
@@ -27,17 +27,15 @@ func TestFleetRollups(t *testing.T) {
 
 	stA := &powerapi.NodeStatus{
 		Node: "a", Policy: "frequency-shares",
-		Apps:       []powerapi.AppShare{{Name: "gcc", Watts: 10}, {Name: "cam4", Watts: 5}},
-		MetricsRev: 1,
+		Apps: []powerapi.AppShare{{Name: "gcc", Watts: 10}, {Name: "cam4", Watts: 5}},
 		Metrics: map[string]float64{
 			`powerapi_lease_events_total{event="grant"}`:                            1,
 			`padpd_build_info{component="powerd",go_version="go1.22",version="v1"}`: 1,
 		},
 	}
 	stB := &powerapi.NodeStatus{
-		Node:       "b",
-		Apps:       []powerapi.AppShare{{Name: "gcc", Watts: 20}},
-		MetricsRev: 1,
+		Node: "b",
+		Apps: []powerapi.AppShare{{Name: "gcc", Watts: 20}},
 		Metrics: map[string]float64{
 			`powerapi_lease_events_total{event="grant"}`:                            2,
 			`padpd_build_info{component="powerd",go_version="go1.22",version="v2"}`: 1,
@@ -45,8 +43,8 @@ func TestFleetRollups(t *testing.T) {
 	}
 
 	f.ObserveRound(1, 10*time.Millisecond, []NodeObservation{
-		obsFor("a", 2*time.Millisecond, 30, 40, stA, true),
-		obsFor("b", 3*time.Millisecond, 25, 35, stB, true),
+		obsFor("a", 2*time.Millisecond, 30, 40, stA),
+		obsFor("b", 3*time.Millisecond, 25, 35, stB),
 		{Node: "c", Err: fmt.Errorf("connection refused")},
 	})
 
@@ -91,51 +89,56 @@ func TestFleetRollups(t *testing.T) {
 	}
 }
 
+// TestFleetDeltaMergeAndStragglers feeds the fleet what an HTTPNode
+// does — the view of a follower applying a full frame, then a delta —
+// and checks the rollups read the merged view: a series the delta left
+// off the wire still counts, one it moved counts at its new value, and
+// a later full frame drops what it no longer carries.
 func TestFleetDeltaMergeAndStragglers(t *testing.T) {
 	f := NewFleet(100, nil)
-
-	full := &powerapi.NodeStatus{Node: "a", MetricsRev: 1,
-		Metrics: map[string]float64{"x": 1, "y": 2}}
-	delta := &powerapi.NodeStatus{Node: "a", MetricsRev: 2,
-		Metrics: map[string]float64{"y": 5}}
-
-	mk := func(rpcA time.Duration, st *powerapi.NodeStatus, isFull bool) []NodeObservation {
+	const grant, renew = `powerapi_lease_events_total{event="grant"}`, `powerapi_lease_events_total{event="renew"}`
+	var follower powerapi.StatusFollower
+	view := func(fr *powerapi.NodeStatus) *powerapi.NodeStatus {
+		t.Helper()
+		st, err := follower.Apply(fr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	mk := func(rpcA time.Duration, st *powerapi.NodeStatus) []NodeObservation {
 		return []NodeObservation{
-			obsFor("a", rpcA, 10, 20, st, isFull),
-			obsFor("b", 1*time.Millisecond, 10, 20, nil, false),
-			obsFor("c", 1*time.Millisecond, 10, 20, nil, false),
+			obsFor("a", rpcA, 10, 20, st),
+			obsFor("b", 1*time.Millisecond, 10, 20, nil),
+			obsFor("c", 1*time.Millisecond, 10, 20, nil),
 		}
 	}
-	// Round 1: full snapshot, node a slow enough to be the straggler
+	// Round 1: full frame, node a slow enough to be the straggler
 	// (2× the 1 ms median and over the 5 ms absolute floor).
-	f.ObserveRound(1, 50*time.Millisecond, mk(40*time.Millisecond, full, true))
-	// Round 2: delta overlays y, keeps x; everyone fast, no straggler.
-	f.ObserveRound(2, 5*time.Millisecond, mk(1*time.Millisecond, delta, false))
+	f.ObserveRound(1, 50*time.Millisecond, mk(40*time.Millisecond, view(&powerapi.NodeStatus{
+		Node: "a", Epoch: 9, Rev: 1, Metrics: map[string]float64{grant: 1, renew: 2}})))
+	// Round 2: the delta moves renew, keeps grant; everyone fast, no
+	// straggler.
+	f.ObserveRound(2, 5*time.Millisecond, mk(1*time.Millisecond, view(&powerapi.NodeStatus{
+		Node: "a", Epoch: 9, Rev: 2, Base: 1, Metrics: map[string]float64{renew: 5}})))
 
 	snap := f.Snapshot()
 	if len(snap.Stragglers) != 1 || snap.Stragglers[0].Node != "a" || snap.Stragglers[0].Rounds != 1 {
 		t.Fatalf("stragglers = %+v", snap.Stragglers)
 	}
-	if snap.Nodes[0].MetricsRev != 2 {
-		t.Errorf("metrics rev = %d, want 2", snap.Nodes[0].MetricsRev)
+	if snap.Nodes[0].StatusRev != 2 {
+		t.Errorf("status rev = %d, want 2", snap.Nodes[0].StatusRev)
 	}
-	// The delta must have overlaid y without dropping x: x still counts
-	// toward lease/version scans. Check via the internal merged map.
-	f.mu.Lock()
-	vals := f.nodes["a"].vals
-	f.mu.Unlock()
-	if vals["x"] != 1 || vals["y"] != 5 {
-		t.Errorf("merged metrics = %v, want x=1 y=5", vals)
+	if snap.LeaseEvents["grant"] != 1 || snap.LeaseEvents["renew"] != 5 {
+		t.Errorf("lease events = %v, want grant 1 renew 5", snap.LeaseEvents)
 	}
 
-	// A later full snapshot replaces: stale series disappear.
-	f.ObserveRound(3, 5*time.Millisecond, mk(1*time.Millisecond,
-		&powerapi.NodeStatus{Node: "a", MetricsRev: 3, Metrics: map[string]float64{"y": 7}}, true))
-	f.mu.Lock()
-	vals = f.nodes["a"].vals
-	f.mu.Unlock()
-	if _, ok := vals["x"]; ok || vals["y"] != 7 {
-		t.Errorf("post-full metrics = %v, want only y=7", vals)
+	// A later full frame replaces: stale series disappear.
+	f.ObserveRound(3, 5*time.Millisecond, mk(1*time.Millisecond, view(&powerapi.NodeStatus{
+		Node: "a", Epoch: 10, Rev: 1, Metrics: map[string]float64{renew: 7}})))
+	snap = f.Snapshot()
+	if _, ok := snap.LeaseEvents["grant"]; ok || snap.LeaseEvents["renew"] != 7 {
+		t.Errorf("post-full lease events = %v, want only renew 7", snap.LeaseEvents)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 		srv := &http.Server{Handler: fu}
 		go srv.Serve(ln)
 		t.Cleanup(func() { srv.Close() })
-		uplinks = append(uplinks, cluster.NewHTTPNode(rowName, ln.Addr().String(), "building").DeltaStatus())
+		uplinks = append(uplinks, cluster.NewHTTPNode(rowName, ln.Addr().String(), "building"))
 	}
 
 	root, err := NewTier(TierConfig{

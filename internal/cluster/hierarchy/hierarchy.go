@@ -233,18 +233,6 @@ func (t *Tier) Children() []string {
 // Close stops the tier agent's lease-expiry timer.
 func (t *Tier) Close() { t.agent.Close() }
 
-// child finds a direct child transport by name, nil if unknown.
-func (t *Tier) child(name string) cluster.Transport {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, c := range t.children {
-		if c.Name() == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // tierBackend adapts the tier to the agent's Backend: the subtree
 // aggregate is the status, a granted limit is a cascaded budget.
 type tierBackend struct{ t *Tier }
@@ -299,24 +287,4 @@ func (b tierBackend) EnforceFallback(ctx context.Context, limit units.Watts) {
 	// sum, and construction pins the floors to fractions of this same
 	// fallback figure — so the clamp cannot fail.
 	_ = b.t.Coordinator().ForceBudget(ctx, limit)
-}
-
-// ForwardGrant routes a batched grant wave entry to a direct child —
-// how one lease_batch POST to the tier fans a wave across its subtree's
-// front rank.
-func (b tierBackend) ForwardGrant(ctx context.Context, node string, g *powerapi.LeaseGrant) (*powerapi.LeaseAck, error) {
-	tr := b.t.child(node)
-	if tr == nil {
-		return nil, &powerapi.ErrorReply{Code: powerapi.CodeUnknownNode,
-			Message: fmt.Sprintf("tier %s has no child %q", b.t.cfg.Name, node)}
-	}
-	err := tr.Grant(ctx, cluster.Grant{
-		Limit:    units.Watts(g.LimitWatts),
-		TTL:      grantTTL(g.TTLMS),
-		Fallback: units.Watts(g.FallbackWatts),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &powerapi.LeaseAck{ID: g.ID, Applied: true, LimitWatts: g.LimitWatts}, nil
 }

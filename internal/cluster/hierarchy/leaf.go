@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/flight"
@@ -208,6 +207,3 @@ func (t *AgentTransport) Grant(ctx context.Context, g cluster.Grant) error {
 }
 
 var _ cluster.Transport = (*AgentTransport)(nil)
-
-// grantTTL converts a wire TTL back to a duration for forwarding.
-func grantTTL(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }

@@ -186,7 +186,7 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 		srv := &http.Server{Handler: row.Agent().Handler()}
 		go srv.Serve(ln)
 		t.servers = append(t.servers, srv)
-		uplinks[r] = cluster.NewHTTPNode(row.Name(), ln.Addr().String(), cfg.Name).DeltaStatus()
+		uplinks[r] = cluster.NewHTTPNode(row.Name(), ln.Addr().String(), cfg.Name)
 	}
 
 	root, err := NewTier(TierConfig{

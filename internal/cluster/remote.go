@@ -19,18 +19,15 @@ type HTTPNode struct {
 	client  *powerapi.Client
 	leaseID atomic.Uint64
 
-	// collect enables piggybacked metrics snapshots on report RPCs.
-	// synced tracks whether the node has a baseline for delta encoding:
-	// the first report (and the first after any error) requests a full
-	// snapshot, steady state requests deltas.
+	// collect asks every status poll for the node's metrics field.
 	collect bool
-	synced  atomic.Bool
 
-	// follower, when non-nil, switches status RPCs to the delta-encoded
-	// stream: steady-state reports carry only changed fields, and any
-	// inapplicable delta or transport error forces a full resync. The
-	// coordinator serialises rounds, so the follower needs no lock here.
-	follower *powerapi.StatusFollower
+	// follower holds this transport's view of the node: steady-state
+	// polls fetch a delta frame on top of it, and whenever the node
+	// cannot produce one the reply is a full frame (see
+	// powerapi.StatusFollower). The coordinator never has two reports
+	// to one node in flight, and the follower locks itself.
+	follower powerapi.StatusFollower
 }
 
 // NewHTTPNode builds a transport for a remote node reachable at addr
@@ -46,62 +43,37 @@ func (h *HTTPNode) WithHTTPClient(c *http.Client) *HTTPNode {
 	return h
 }
 
-// CollectMetrics makes every report RPC piggyback the node's metrics
-// snapshot for fleet aggregation: full on first contact and after any
-// transport error, delta-encoded once a baseline exists.
+// CollectMetrics makes every report carry the node's metrics registry
+// for fleet aggregation, as one more field of the status frame.
 func (h *HTTPNode) CollectMetrics() *HTTPNode {
 	h.collect = true
 	return h
 }
 
-// DeltaStatus switches report RPCs to the delta-encoded status stream
-// (see powerapi.StatusFollower): after the first full snapshot the node
-// replies with only the fields that changed since the last report,
-// which is what keeps a thousand-leaf tier tree's uplink traffic flat.
-// Deltas are stateful on the server side, so enable this only when this
-// transport is the node's sole status poller.
-func (h *HTTPNode) DeltaStatus() *HTTPNode {
-	h.follower = &powerapi.StatusFollower{}
-	return h
-}
+// DeltaStatus does nothing: every HTTPNode follows the status frame
+// chain.
+//
+// Deprecated: kept only until benchmark/, which may not change in the
+// same PR as the code it measures, drops its call.
+func (h *HTTPNode) DeltaStatus() *HTTPNode { return h }
 
 func (h *HTTPNode) Name() string { return h.name }
 
 // Local is false: every report is an HTTP round trip.
 func (h *HTTPNode) Local() bool { return false }
 
+// Report polls the node's status. The Status it returns is the
+// follower's view, shared with later views: read it, never modify it.
 func (h *HTTPNode) Report(ctx context.Context) (Report, error) {
-	mode := powerapi.MetricsNone
-	full := false
-	if h.collect {
-		if full = !h.synced.Load(); full {
-			mode = powerapi.MetricsFull
-		} else {
-			mode = powerapi.MetricsDelta
-		}
-	}
-	var st *powerapi.NodeStatus
-	var err error
-	if h.follower != nil {
-		st, err = h.client.FollowStatus(ctx, h.follower, mode)
-	} else {
-		st, err = h.client.StatusWithMetrics(ctx, mode)
-	}
+	st, err := h.client.FollowStatus(ctx, &h.follower, h.collect)
 	if err != nil {
-		// The reply (and any delta it carried) is lost; resync with a
-		// full snapshot on the next report.
-		h.synced.Store(false)
 		return Report{}, err
 	}
-	if h.collect {
-		h.synced.Store(true)
-	}
 	return Report{
-		Power:       units.Watts(st.PowerWatts),
-		Limit:       units.Watts(st.LimitWatts),
-		Max:         units.Watts(st.MaxWatts),
-		Status:      st,
-		MetricsFull: full,
+		Power:  units.Watts(st.PowerWatts),
+		Limit:  units.Watts(st.LimitWatts),
+		Max:    units.Watts(st.MaxWatts),
+		Status: st,
 	}, nil
 }
 

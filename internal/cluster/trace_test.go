@@ -165,10 +165,15 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	if snap.RoundLatency.Samples != rounds {
 		t.Errorf("fleet observed %d rounds, want %d", snap.RoundLatency.Samples, rounds)
 	}
-	// Piggybacked metrics reached the fleet (delta protocol engaged).
+	// Every node was followed through the frame chain, and the metrics
+	// it carried reached the rollups: each node was granted an
+	// initial lease, and nothing but its registry says so.
 	for _, row := range snap.Nodes {
-		if row.MetricsRev == 0 {
-			t.Errorf("node %s has no metrics snapshot", row.Name)
+		if row.StatusRev < rounds {
+			t.Errorf("node %s at status rev %d after %d rounds", row.Name, row.StatusRev, rounds)
 		}
+	}
+	if snap.LeaseEvents["grant"] != n {
+		t.Errorf("lease events = %v, want %d grants", snap.LeaseEvents, n)
 	}
 }

@@ -21,11 +21,10 @@ type Report struct {
 	// Status carries the node's full status frame when the transport has
 	// one (networked transports piggyback it on the report RPC). Fleet
 	// aggregation reads app shares and metrics from it; the water-fill
-	// never does. Nil for transports that only know power numbers.
+	// never does. It is complete — a transport that fetches deltas
+	// merges them first — and read-only: transports may share it between
+	// reports. Nil for transports that only know power numbers.
 	Status *powerapi.NodeStatus
-	// MetricsFull marks Status.Metrics as a complete snapshot rather
-	// than a delta against the previous report.
-	MetricsFull bool
 }
 
 // Grant is one budget lease the coordinator extends to a node: the cap to

@@ -7,6 +7,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -66,14 +67,6 @@ type Reconfigurer interface {
 // breakdown of their last control interval for round tracing.
 type PhaseReporter interface {
 	LastPhases() daemon.PhaseLatencies
-}
-
-// GrantForwarder is implemented by backends that can route a lease
-// grant to a named descendant — mid-tier coordinators that know their
-// children. Batched grant waves use it to multiplex one wave through a
-// single endpoint.
-type GrantForwarder interface {
-	ForwardGrant(ctx context.Context, node string, g *LeaseGrant) (*LeaseAck, error)
 }
 
 // AgentConfig configures a node-side control-plane agent.
@@ -168,23 +161,15 @@ type Agent struct {
 	mReconfig *metrics.Counter
 	mLeaseW   *metrics.Gauge
 
-	// Metrics-snapshot state for fleet aggregation: lastSent is the
-	// previous snapshot served, against which deltas are computed.
-	// Guarded by its own mutex so a slow registry walk never holds the
-	// lease lock.
-	metricsMu  sync.Mutex
-	metricsRev uint64
-	lastSent   map[string]float64
-
-	// Delta-status encoder state: the last full frame served in delta
-	// mode, the revision counter, and this incarnation's epoch. Like the
-	// metrics piggyback, deltas are relative to the last frame served to
-	// anyone — with several delta pollers, all but one must resync every
-	// time, so point exactly one follower at each agent.
-	deltaMu    sync.Mutex
-	deltaEpoch uint64
-	deltaRev   uint64
-	deltaLast  *NodeStatus
+	// The follower baseline: the last frame served to a follower, whole,
+	// metrics included. There is one for everyone: a follower that names
+	// it gets a delta, any other gets the full frame, and either way the
+	// frame just served becomes the baseline. Its own mutex, so a diff
+	// never holds the lease lock.
+	frameMu    sync.Mutex
+	frameEpoch uint64 // this incarnation, fixed at construction
+	frameRev   uint64
+	frameBase  *NodeStatus
 }
 
 // NewAgent validates the configuration and builds an agent.
@@ -232,8 +217,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		fallback:   cfg.Fallback,
 		// The wall clock at construction distinguishes agent
 		// incarnations, so a follower that was tracking a restarted
-		// agent sees the epoch change and resyncs.
-		deltaEpoch: uint64(cfg.now().UnixNano()),
+		// agent names an epoch this one never served.
+		frameEpoch: uint64(cfg.now().UnixNano()),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		a.mRequests = reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
@@ -267,7 +252,6 @@ func (a *Agent) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathPrefix+"status", a.serveStatus)
 	mux.HandleFunc(PathPrefix+"lease", a.serveLease)
-	mux.HandleFunc(PathPrefix+"lease_batch", a.serveLeaseBatch)
 	mux.HandleFunc(PathPrefix+"reconfigure", a.serveReconfigure)
 	mux.HandleFunc(PathPrefix+"drain", a.serveDrain)
 	return mux
@@ -468,31 +452,6 @@ func energyStatus(l *ledger.Ledger) *EnergyStatus {
 	return es
 }
 
-// metricsSnapshot builds the snapshot a ?metrics= status request asked
-// for and advances the delta baseline. Deltas are relative to the last
-// snapshot served to anyone: with several pollers, have all but one use
-// MetricsFull.
-func (a *Agent) metricsSnapshot(mode string) (uint64, map[string]float64) {
-	vals := a.cfg.Metrics.Values()
-	if vals == nil {
-		return 0, nil
-	}
-	a.metricsMu.Lock()
-	defer a.metricsMu.Unlock()
-	a.metricsRev++
-	out := vals
-	if mode == MetricsDelta {
-		out = make(map[string]float64)
-		for k, v := range vals {
-			if old, ok := a.lastSent[k]; !ok || old != v {
-				out[k] = v
-			}
-		}
-	}
-	a.lastSent = vals
-	return a.metricsRev, out
-}
-
 // traceRound records this agent's span tree for one coordinator round:
 // the request handling span plus the daemon's last completed
 // sample→decide→actuate breakdown, anchored after it and linked to the
@@ -532,113 +491,51 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, CodeBadRequest, "status requires GET")
 		return
 	}
-	mode := r.URL.Query().Get("metrics")
-	switch mode {
-	case MetricsNone, MetricsFull, MetricsDelta:
-	default:
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics mode %q, want full or delta", mode)
+	q := r.URL.Query()
+	if m := q.Get("metrics"); m != "" && m != "1" {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics=%q, want 1 or unset", m)
 		return
 	}
-	enc := r.URL.Query().Get("status")
-	switch enc {
-	case "", StatusEncDelta:
-	default:
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "status encoding %q, want delta or unset", enc)
-		return
+	var epoch, rev uint64
+	if q.Has("follow") {
+		e, v, _ := strings.Cut(q.Get("follow"), ".")
+		var errE, errV error
+		epoch, errE = strconv.ParseUint(e, 10, 64)
+		rev, errV = strconv.ParseUint(v, 10, 64)
+		if errE != nil || errV != nil {
+			writeErr(w, http.StatusBadRequest, CodeBadRequest, "follow=%q, want <epoch>.<rev>", q.Get("follow"))
+			return
+		}
 	}
 	round := queryRound(r)
 	start := a.cfg.Tracer.Now()
 	st := a.Status()
-	if mode != MetricsNone {
-		st.MetricsRev, st.Metrics = a.metricsSnapshot(mode)
+	if q.Get("metrics") != "" {
+		st.Metrics = a.cfg.Metrics.Values()
+	}
+	if q.Has("follow") {
+		st = a.frame(st, epoch, rev)
 	}
 	a.traceRound(round, "receive", start)
-	if enc == StatusEncDelta {
-		resync := r.URL.Query().Get("resync") != ""
-		writeMsgRound(w, http.StatusOK, a.statusDelta(st, resync), round)
-		return
-	}
 	writeMsgRound(w, http.StatusOK, st, round)
 }
 
-// statusDelta encodes one delta-mode status frame: a full resync frame
-// when asked for (or when there is nothing to diff against), a
-// changed-fields delta otherwise.
-func (a *Agent) statusDelta(st *NodeStatus, resync bool) *StatusDelta {
-	a.deltaMu.Lock()
-	defer a.deltaMu.Unlock()
-	a.deltaRev++
-	var d *StatusDelta
-	if resync || a.deltaLast == nil {
-		d = &StatusDelta{V: DeltaVersion, Node: st.Node, Full: st}
-	} else {
-		d = DiffStatus(a.deltaLast, st)
-		d.Base = a.deltaRev - 1
-		d.MetricsRev, d.Metrics = st.MetricsRev, st.Metrics
+// frame makes st the next frame of the agent's chain and encodes it for
+// a follower that holds frame epoch.rev: a delta when that is exactly
+// the baseline, the full frame otherwise — which is all of resync, so
+// neither a lost reply nor a second follower needs another request. st
+// becomes the baseline and must not be modified afterwards.
+func (a *Agent) frame(st *NodeStatus, epoch, rev uint64) *NodeStatus {
+	a.frameMu.Lock()
+	defer a.frameMu.Unlock()
+	base := a.frameBase
+	a.frameRev++
+	st.Epoch, st.Rev = a.frameEpoch, a.frameRev
+	a.frameBase = st
+	if base == nil || epoch != base.Epoch || rev != base.Rev {
+		return st
 	}
-	d.Epoch = a.deltaEpoch
-	d.Rev = a.deltaRev
-	// The stored baseline never holds metrics: they are their own delta
-	// stream and must not be diffed again.
-	a.deltaLast = cloneStatus(st)
-	a.deltaLast.MetricsRev, a.deltaLast.Metrics = 0, nil
-	return d
-}
-
-// ApplyBatch applies one grant wave: entries addressed to this agent
-// apply locally; entries addressed to other nodes are routed through
-// the backend when it can forward (a mid-tier coordinator), and fail
-// with unknown_node otherwise. Entry failures ride inside the ack.
-func (a *Agent) ApplyBatch(ctx context.Context, b *GrantBatch) *GrantBatchAck {
-	fwd, _ := a.backend.(GrantForwarder)
-	ack := &GrantBatchAck{Acks: make([]NamedAck, 0, len(b.Grants))}
-	for i := range b.Grants {
-		ng := &b.Grants[i]
-		g := ng.Grant
-		if g.Coordinator == "" {
-			g.Coordinator = b.Coordinator
-		}
-		var (
-			la  *LeaseAck
-			err error
-		)
-		switch {
-		case ng.Node == "" || ng.Node == a.cfg.Name:
-			la, err = a.GrantCtx(ctx, &g)
-		case fwd != nil:
-			la, err = fwd.ForwardGrant(ctx, ng.Node, &g)
-		default:
-			err = &ErrorReply{Code: CodeUnknownNode,
-				Message: fmt.Sprintf("node %s cannot route grants to %q", a.cfg.Name, ng.Node)}
-		}
-		na := NamedAck{Node: ng.Node, Ack: la}
-		if err != nil {
-			na.Ack = nil
-			if er, ok := err.(*ErrorReply); ok {
-				na.Err = er
-			} else {
-				na.Err = &ErrorReply{Code: CodeInternal, Message: err.Error()}
-			}
-		}
-		ack.Acks = append(ack.Acks, na)
-	}
-	return ack
-}
-
-func (a *Agent) serveLeaseBatch(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("lease_batch").Inc()
-	msg, round, ok := readMsg(w, r, KindGrantBatch)
-	if !ok {
-		return
-	}
-	start := a.cfg.Tracer.Now()
-	ctx := r.Context()
-	if round != 0 {
-		ctx = WithRound(ctx, round)
-	}
-	ack := a.ApplyBatch(ctx, msg.(*GrantBatch))
-	a.traceRound(round, "grant", start)
-	writeMsgRound(w, http.StatusOK, ack, round)
+	return diffStatus(base, st)
 }
 
 // Grant applies a budget lease: enforce the granted cap now, fall back to

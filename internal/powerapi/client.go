@@ -69,9 +69,12 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, msg any, wa
 		return nil, fmt.Errorf("powerapi: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil {
 		return nil, fmt.Errorf("powerapi: %s %s: reading reply: %w", method, path, err)
+	}
+	if len(data) > maxBody {
+		return nil, fmt.Errorf("powerapi: %s %s: reply over %d bytes", method, path, maxBody)
 	}
 	reply, err := UnmarshalAs(data, want)
 	if err != nil {
@@ -94,92 +97,34 @@ func firstLine(data []byte) string {
 	return s
 }
 
-// Status fetches the node's control-plane status.
+// Status fetches the node's control-plane status: a stateless full read
+// that leaves the agent's follower baseline alone.
 func (c *Client) Status(ctx context.Context) (*NodeStatus, error) {
-	return c.StatusWithMetrics(ctx, MetricsNone)
-}
-
-// Metrics snapshot modes for StatusWithMetrics.
-const (
-	MetricsNone  = ""      // no snapshot (plain status)
-	MetricsFull  = "full"  // every series
-	MetricsDelta = "delta" // only series changed since the agent's last snapshot
-)
-
-// StatusWithMetrics fetches the node's status with a piggybacked
-// metrics snapshot: MetricsFull for every series, MetricsDelta for only
-// what changed since the agent's previous snapshot. Use MetricsFull on
-// first contact and after any transport failure (a lost response also
-// loses the delta it carried), MetricsDelta on the steady path.
-func (c *Client) StatusWithMetrics(ctx context.Context, mode string) (*NodeStatus, error) {
-	path := PathPrefix + "status"
-	if mode != MetricsNone {
-		path += "?metrics=" + mode
-	}
-	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatus)
+	reply, err := c.roundTrip(ctx, http.MethodGet, PathPrefix+"status", nil, KindStatus)
 	if err != nil {
 		return nil, err
 	}
 	return reply.(*NodeStatus), nil
 }
 
-// StatusEncDelta asks the status endpoint for a delta-encoded frame.
-const StatusEncDelta = "delta"
-
-// StatusDelta fetches one delta-encoded status frame. resync forces a
-// full frame; use it on first contact and whenever the follower lost
-// sync. Most callers want FollowStatus instead.
-func (c *Client) StatusDelta(ctx context.Context, metricsMode string, resync bool) (*StatusDelta, error) {
-	path := PathPrefix + "status?status=" + StatusEncDelta
-	if metricsMode != MetricsNone {
-		path += "&metrics=" + metricsMode
+// FollowStatus advances f by one poll and returns its view: the request
+// names the frame f holds (0.0 on first contact and after a refused
+// frame), and the agent answers with a delta on top of it or, when it
+// cannot, a full frame. metrics asks for the metrics field. An error
+// costs this poll only: a lost reply leaves f naming a frame the agent
+// has moved past, a refused frame leaves it naming none, and either
+// way the next poll's reply is a full frame.
+func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metrics bool) (*NodeStatus, error) {
+	epoch, rev := f.held()
+	path := fmt.Sprintf("%sstatus?follow=%d.%d", PathPrefix, epoch, rev)
+	if metrics {
+		path += "&metrics=1"
 	}
-	if resync {
-		path += "&resync=1"
-	}
-	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatusDelta)
+	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatus)
 	if err != nil {
 		return nil, err
 	}
-	return reply.(*StatusDelta), nil
-}
-
-// FollowStatus fetches the node's status through a delta follower: a
-// delta frame on the steady path, a full resync frame when the
-// follower is unsynchronized, and one automatic resync retry when a
-// delta frame turns out inapplicable (missed revision, restarted
-// agent, foreign delta version). Transport failures reset the follower
-// — the lost response also lost the delta it carried.
-func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metricsMode string) (*NodeStatus, error) {
-	resync := !f.Synced()
-	d, err := c.StatusDelta(ctx, metricsMode, resync)
-	if err != nil {
-		f.Reset()
-		return nil, err
-	}
-	st, err := f.Apply(d)
-	if err == nil {
-		return st, nil
-	}
-	if resync {
-		return nil, err
-	}
-	// The delta chain broke; one full frame re-anchors it.
-	d, err = c.StatusDelta(ctx, metricsMode, true)
-	if err != nil {
-		f.Reset()
-		return nil, err
-	}
-	return f.Apply(d)
-}
-
-// LeaseBatch applies one grant wave through the node's batch endpoint.
-func (c *Client) LeaseBatch(ctx context.Context, b *GrantBatch) (*GrantBatchAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"lease_batch", b, KindGrantBatchAck)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*GrantBatchAck), nil
+	return f.Apply(reply.(*NodeStatus))
 }
 
 // Lease extends a budget grant to the node.

@@ -5,338 +5,173 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 )
 
-// DeltaVersion is the version of the delta-encoded status format. A
-// receiver that sees any other value treats the frame as undecodable
-// and resynchronizes with a full frame.
-const DeltaVersion = 1
-
-// TierStatus rides a NodeStatus when the "node" is really a mid-tier
-// coordinator (a row or building) presenting its subtree as one
-// synthetic node. It is what lets a parent — and powerctl tree — tell
-// a 64-leaf row from a single machine.
-type TierStatus struct {
-	// Tier is the level label, e.g. "row" or "building".
-	Tier string `json:"tier,omitempty"`
-	// Children is the number of direct children this tier coordinates.
-	Children int `json:"children"`
-	// Nodes is the number of leaf nodes in the whole subtree.
-	Nodes int `json:"nodes"`
-	// Depth is the number of coordinator levels at or below this tier
-	// (a row over leaves is 1, a building over rows is 2).
-	Depth int `json:"depth"`
-	// Quarantined counts direct children currently quarantined.
-	Quarantined int `json:"quarantined,omitempty"`
-	// BudgetWatts is the budget the tier currently cascades downward —
-	// its own granted lease, or its configured budget when standalone.
-	BudgetWatts float64 `json:"budget_watts,omitempty"`
+// field is one payload field of NodeStatus.
+type field struct {
+	name  string // wire name, as Clear spells it
+	index int    // field index in NodeStatus
 }
 
-// StatusDelta is a delta-encoded NodeStatus: only the fields that
-// changed since the revision named by Base travel. It exists because a
-// thousand-node fleet polls status every round, and most of a frame
-// (policy, max watts, app specs, fallback) is static round to round.
-//
-// The encoding is stateful per server: Rev increments on every frame
-// served and Epoch identifies the server incarnation, so a receiver
-// can always tell a frame it must not apply (missed revision, restarted
-// server, foreign version) from one it can. A frame with Full set is a
-// resynchronization point carrying the complete status.
-type StatusDelta struct {
-	// V is the delta-format version (DeltaVersion).
-	V    int    `json:"v"`
-	Node string `json:"node"`
+// metricsField is Metrics' wire name. Metrics is the one field that
+// merges per key instead of being replaced whole, so diffStatus and
+// Apply handle it by name.
+const metricsField = "metrics"
 
-	// Epoch identifies the encoder incarnation; it changes when the
-	// agent restarts, which invalidates any delta chain built against
-	// the previous incarnation.
-	Epoch uint64 `json:"epoch"`
-	// Rev is this frame's revision. Base is the revision this delta
-	// applies on top of; a receiver whose current revision is not Base
-	// must discard the frame and resync.
-	Rev  uint64 `json:"rev"`
-	Base uint64 `json:"base,omitempty"`
+// payload lists the replaced-whole fields of NodeStatus. It is read off
+// the type, so a field added to NodeStatus is diffed, cleared and
+// carried over without anyone remembering to.
+var payload = func() []field {
+	var out []field
+	t := reflect.TypeOf(NodeStatus{})
+	for i := 0; i < t.NumField(); i++ {
+		switch f := t.Field(i); f.Name {
+		case "Node", "Epoch", "Rev", "Base", "Clear": // the frame's identity and chain
+		case "Metrics": // merged per series, by name
+		default:
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			out = append(out, field{name, i})
+		}
+	}
+	return out
+}()
 
-	// Full, when set, is a complete status frame (a resync point); all
-	// the delta fields below are empty.
-	Full *NodeStatus `json:"full,omitempty"`
-
-	// Changed scalar fields; nil means unchanged.
-	Policy        *string  `json:"policy,omitempty"`
-	LimitWatts    *float64 `json:"limit_watts,omitempty"`
-	PowerWatts    *float64 `json:"power_watts,omitempty"`
-	MaxWatts      *float64 `json:"max_watts,omitempty"`
-	FallbackWatts *float64 `json:"fallback_watts,omitempty"`
-	Iterations    *int     `json:"iterations,omitempty"`
-	Draining      *bool    `json:"draining,omitempty"`
-
-	// Composite fields are replaced wholesale when present; a field
-	// that became empty is named in Clear instead.
-	Lease  *LeaseInfo    `json:"lease,omitempty"`
-	Apps   []AppShare    `json:"apps,omitempty"`
-	Energy *EnergyStatus `json:"energy,omitempty"`
-	Tier   *TierStatus   `json:"tier,omitempty"`
-
-	// Clear names composite fields ("lease", "apps", "energy", "tier")
-	// that were present at Base and are gone at Rev. An unrecognized
-	// name is a decode error (and so a resync), not a silent skip.
-	Clear []string `json:"clear,omitempty"`
-
-	// Metrics snapshots are already delta-encoded by the metrics
-	// piggyback (MetricsRev); they pass through per-frame, not
-	// accumulated into the follower's state.
-	MetricsRev uint64             `json:"metrics_rev,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+// absent reports whether a field is at its zero value (an empty slice
+// or map counts), which is also when omitempty keeps it off the wire.
+func absent(v reflect.Value) bool {
+	if k := v.Kind(); k == reflect.Slice || k == reflect.Map {
+		return v.Len() == 0
+	}
+	return v.IsZero()
 }
 
-// cloneStatus deep-copies a status frame so follower state can never
-// alias caller-visible memory.
-func cloneStatus(st *NodeStatus) *NodeStatus {
-	if st == nil {
-		return nil
+// unchanged compares one field between two frames: a scalar itself,
+// anything else by what it holds.
+func unchanged(old, now reflect.Value) bool {
+	if now.Comparable() && now.Kind() != reflect.Pointer {
+		return old.Equal(now)
 	}
-	out := *st
-	out.Apps = slices.Clone(st.Apps)
-	if st.Lease != nil {
-		l := *st.Lease
-		out.Lease = &l
-	}
-	if st.Energy != nil {
-		e := *st.Energy
-		e.Apps = slices.Clone(st.Energy.Apps)
-		e.Anomalies = maps.Clone(st.Energy.Anomalies)
-		out.Energy = &e
-	}
-	if st.Tier != nil {
-		t := *st.Tier
-		out.Tier = &t
-	}
-	out.Metrics = maps.Clone(st.Metrics)
-	return &out
+	return reflect.DeepEqual(old.Interface(), now.Interface())
 }
 
-// DiffStatus computes the delta that turns old into new. Identity
-// (Node), revision bookkeeping, and metrics passthrough are the
-// caller's to fill in; only the changed-field payload is produced here.
-func DiffStatus(old, new *NodeStatus) *StatusDelta {
-	d := &StatusDelta{V: DeltaVersion, Node: new.Node}
-	if new.Policy != old.Policy {
-		d.Policy = &new.Policy
+// diffStatus encodes cur as a delta frame on top of base: each field
+// only if it changed, and in Clear each field that went back to zero.
+func diffStatus(base, cur *NodeStatus) *NodeStatus {
+	d := *cur
+	d.Base, d.Clear = base.Rev, nil
+	bv, dv := reflect.ValueOf(base).Elem(), reflect.ValueOf(&d).Elem()
+	for _, f := range payload {
+		old, now := bv.Field(f.index), dv.Field(f.index)
+		switch {
+		case absent(now):
+			if !absent(old) {
+				d.Clear = append(d.Clear, f.name)
+			}
+		case unchanged(old, now):
+			now.SetZero()
+		}
 	}
-	if new.LimitWatts != old.LimitWatts {
-		d.LimitWatts = &new.LimitWatts
+	var changed map[string]float64
+	kept := 0
+	for k, v := range cur.Metrics {
+		old, ok := base.Metrics[k]
+		if ok {
+			kept++
+		}
+		if !ok || old != v {
+			if changed == nil {
+				changed = make(map[string]float64)
+			}
+			changed[k] = v
+		}
 	}
-	if new.PowerWatts != old.PowerWatts {
-		d.PowerWatts = &new.PowerWatts
+	if kept < len(base.Metrics) {
+		// A series is gone, and a merge cannot say so: clear the
+		// field and send what remains of it whole.
+		d.Clear = append(d.Clear, metricsField)
+	} else {
+		d.Metrics = changed
 	}
-	if new.MaxWatts != old.MaxWatts {
-		d.MaxWatts = &new.MaxWatts
-	}
-	if new.FallbackWatts != old.FallbackWatts {
-		d.FallbackWatts = &new.FallbackWatts
-	}
-	if new.Iterations != old.Iterations {
-		d.Iterations = &new.Iterations
-	}
-	if new.Draining != old.Draining {
-		d.Draining = &new.Draining
-	}
-	switch {
-	case new.Lease == nil && old.Lease != nil:
-		d.Clear = append(d.Clear, "lease")
-	case new.Lease != nil && (old.Lease == nil || *new.Lease != *old.Lease):
-		d.Lease = new.Lease
-	}
-	switch {
-	case len(new.Apps) == 0 && len(old.Apps) != 0:
-		d.Clear = append(d.Clear, "apps")
-	case len(new.Apps) != 0 && !slices.Equal(new.Apps, old.Apps):
-		d.Apps = new.Apps
-	}
-	switch {
-	case new.Energy == nil && old.Energy != nil:
-		d.Clear = append(d.Clear, "energy")
-	case new.Energy != nil && (old.Energy == nil || !reflect.DeepEqual(new.Energy, old.Energy)):
-		d.Energy = new.Energy
-	}
-	switch {
-	case new.Tier == nil && old.Tier != nil:
-		d.Clear = append(d.Clear, "tier")
-	case new.Tier != nil && (old.Tier == nil || *new.Tier != *old.Tier):
-		d.Tier = new.Tier
-	}
-	return d
+	return &d
 }
 
-// ResyncError reports a delta frame that must not be applied; the
-// receiver discards its state and requests a full frame.
-type ResyncError struct {
-	Reason string
-}
-
-func (e *ResyncError) Error() string {
-	return fmt.Sprintf("powerapi: status delta needs resync: %s", e.Reason)
-}
-
-// StatusFollower reconstructs full status frames from a delta stream.
-// It refuses — with a *ResyncError — any frame it cannot prove
-// contiguous: wrong delta version, unknown epoch, a Base that is not
-// the follower's current revision, or a revision that does not move
-// forward (a replayed or stale delta). After any refusal the follower
-// is unsynchronized and only a Full frame restores it, so one lost
-// response can never smear a stale field into later frames.
+// StatusFollower holds one poller's view of a node and advances it one
+// status frame at a time. A full frame (Base zero) replaces the view; a
+// delta is applied only if it is provably the next frame after the one
+// held — same epoch, Base equal to the held revision, Rev beyond it,
+// same node, every Clear name known. Anything else is refused and
+// leaves the follower unsynchronized, so one lost or foreign reply can
+// never smear a stale field into later views; the next request then
+// names nothing held and the agent answers with a full frame. The zero
+// value is an unsynchronized follower.
 type StatusFollower struct {
-	mu     sync.Mutex
-	synced bool
-	epoch  uint64
-	rev    uint64
-	cur    *NodeStatus
+	mu  sync.Mutex
+	cur *NodeStatus // the view; nil while unsynchronized
 }
 
-// Synced reports whether the follower can apply incremental frames;
-// when false the next request must ask for a resync (full) frame.
-func (f *StatusFollower) Synced() bool {
+// held names the frame the follower holds, 0.0 while unsynchronized.
+func (f *StatusFollower) held() (epoch, rev uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.synced
-}
-
-// Reset forgets all state, forcing the next frame to be a full resync.
-func (f *StatusFollower) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.synced = false
-	f.cur = nil
+	if f.cur == nil {
+		return 0, 0
+	}
+	return f.cur.Epoch, f.cur.Rev
 }
 
 // Apply folds one frame into the follower and returns the resulting
-// complete status (a copy the caller owns). Metrics fields on the
-// returned status come from this frame alone — they are the metrics
-// piggyback's own delta stream, not follower state.
-func (f *StatusFollower) Apply(d *StatusDelta) (*NodeStatus, error) {
+// view: a complete status, itself a valid full frame. The follower
+// takes ownership of fr, and views share what did not change between
+// them, so neither fr nor a returned view may be modified afterwards.
+func (f *StatusFollower) Apply(fr *NodeStatus) (*NodeStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fail := func(reason string) (*NodeStatus, error) {
-		f.synced = false
-		f.cur = nil
-		return nil, &ResyncError{Reason: reason}
+	cur := f.cur
+	f.cur = nil // unsynchronized unless fr proves applicable
+	if fr == nil {
+		return nil, fmt.Errorf("powerapi: status frame refused: nil frame")
 	}
-	if d == nil {
-		return fail("nil frame")
-	}
-	if d.V != DeltaVersion {
-		return fail(fmt.Sprintf("delta version %d, want %d", d.V, DeltaVersion))
-	}
-	if d.Full != nil {
-		f.synced = true
-		f.epoch = d.Epoch
-		f.rev = d.Rev
-		f.cur = cloneStatus(d.Full)
-		f.cur.Metrics, f.cur.MetricsRev = nil, 0
-		out := cloneStatus(d.Full)
-		return out, nil
-	}
-	if !f.synced {
-		return fail("delta frame while unsynchronized")
-	}
-	if d.Epoch != f.epoch {
-		return fail(fmt.Sprintf("epoch %d, following %d (server restarted)", d.Epoch, f.epoch))
-	}
-	if d.Base != f.rev {
-		return fail(fmt.Sprintf("base rev %d, following %d (missed a frame)", d.Base, f.rev))
-	}
-	if d.Rev <= d.Base {
-		return fail(fmt.Sprintf("rev %d does not advance base %d (stale delta)", d.Rev, d.Base))
-	}
-	if d.Node != "" && d.Node != f.cur.Node {
-		return fail(fmt.Sprintf("node %q, following %q", d.Node, f.cur.Node))
-	}
-	st := f.cur
-	if d.Policy != nil {
-		st.Policy = *d.Policy
-	}
-	if d.LimitWatts != nil {
-		st.LimitWatts = *d.LimitWatts
-	}
-	if d.PowerWatts != nil {
-		st.PowerWatts = *d.PowerWatts
-	}
-	if d.MaxWatts != nil {
-		st.MaxWatts = *d.MaxWatts
-	}
-	if d.FallbackWatts != nil {
-		st.FallbackWatts = *d.FallbackWatts
-	}
-	if d.Iterations != nil {
-		st.Iterations = *d.Iterations
-	}
-	if d.Draining != nil {
-		st.Draining = *d.Draining
-	}
-	for _, name := range d.Clear {
-		switch name {
-		case "lease":
-			st.Lease = nil
-		case "apps":
-			st.Apps = nil
-		case "energy":
-			st.Energy = nil
-		case "tier":
-			st.Tier = nil
-		default:
-			return fail(fmt.Sprintf("unknown clear field %q", name))
+	for _, name := range fr.Clear {
+		if name != metricsField && !slices.ContainsFunc(payload, func(f field) bool { return f.name == name }) {
+			return nil, fmt.Errorf("powerapi: status frame refused: unknown clear field %q", name)
 		}
 	}
-	if d.Lease != nil {
-		l := *d.Lease
-		st.Lease = &l
+	next := *fr
+	next.Base, next.Clear = 0, nil
+	if fr.Base != 0 {
+		var reason string
+		switch {
+		case cur == nil:
+			reason = "delta frame while unsynchronized"
+		case fr.Epoch != cur.Epoch:
+			reason = fmt.Sprintf("epoch %d, following %d (agent restarted)", fr.Epoch, cur.Epoch)
+		case fr.Base != cur.Rev:
+			reason = fmt.Sprintf("base rev %d, holding %d (missed a frame)", fr.Base, cur.Rev)
+		case fr.Rev <= fr.Base:
+			reason = fmt.Sprintf("rev %d does not advance base %d (stale frame)", fr.Rev, fr.Base)
+		case fr.Node != cur.Node:
+			reason = fmt.Sprintf("node %q, following %q", fr.Node, cur.Node)
+		}
+		if reason != "" {
+			return nil, fmt.Errorf("powerapi: status frame refused: %s", reason)
+		}
+		cv, nv := reflect.ValueOf(cur).Elem(), reflect.ValueOf(&next).Elem()
+		for _, f := range payload {
+			if v := nv.Field(f.index); absent(v) && !slices.Contains(fr.Clear, f.name) {
+				v.Set(cv.Field(f.index))
+			}
+		}
+		if len(cur.Metrics) > 0 && !slices.Contains(fr.Clear, metricsField) {
+			if len(fr.Metrics) == 0 {
+				next.Metrics = cur.Metrics
+			} else {
+				next.Metrics = maps.Clone(cur.Metrics)
+				maps.Copy(next.Metrics, fr.Metrics)
+			}
+		}
 	}
-	if d.Apps != nil {
-		st.Apps = slices.Clone(d.Apps)
-	}
-	if d.Energy != nil {
-		e := *d.Energy
-		e.Apps = slices.Clone(d.Energy.Apps)
-		e.Anomalies = maps.Clone(d.Energy.Anomalies)
-		st.Energy = &e
-	}
-	if d.Tier != nil {
-		t := *d.Tier
-		st.Tier = &t
-	}
-	f.rev = d.Rev
-	out := cloneStatus(st)
-	out.MetricsRev = d.MetricsRev
-	out.Metrics = maps.Clone(d.Metrics)
-	return out, nil
-}
-
-// GrantBatch carries one grant wave — many leases in one message — so
-// a tier cascading budget to children multiplexed behind one endpoint
-// pays one round trip, not one per child.
-type GrantBatch struct {
-	Coordinator string       `json:"coordinator,omitempty"`
-	Grants      []NamedGrant `json:"grants"`
-}
-
-// NamedGrant addresses one lease inside a batch to a node by name.
-type NamedGrant struct {
-	Node  string     `json:"node"`
-	Grant LeaseGrant `json:"grant"`
-}
-
-// GrantBatchAck answers a batch with one result per entry, in order.
-// Per-entry failures (a draining child, a stale ID) ride inside the
-// ack; only transport-level problems fail the whole batch.
-type GrantBatchAck struct {
-	Acks []NamedAck `json:"acks"`
-}
-
-// NamedAck is one entry's outcome: exactly one of Ack and Err is set.
-type NamedAck struct {
-	Node string      `json:"node"`
-	Ack  *LeaseAck   `json:"ack,omitempty"`
-	Err  *ErrorReply `json:"error,omitempty"`
+	f.cur = &next
+	return f.cur, nil
 }

@@ -1,12 +1,19 @@
 package powerapi
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -20,11 +27,8 @@ type stubBackend struct {
 	apps   []AppShare
 	tier   *TierStatus
 	energy *EnergyStatus
+	slo    *SLOStatus
 	fail   error
-
-	// forwarded records ForwardGrant calls when forwarding is enabled.
-	forward   bool
-	forwarded []string
 }
 
 func (b *stubBackend) FillStatus(st *NodeStatus) {
@@ -41,6 +45,7 @@ func (b *stubBackend) FillStatus(st *NodeStatus) {
 		st.Tier = &t
 	}
 	st.Energy = b.energy
+	st.SLO = b.slo
 }
 
 func (b *stubBackend) SetLimit(_ context.Context, w units.Watts) error {
@@ -53,26 +58,16 @@ func (b *stubBackend) SetLimit(_ context.Context, w units.Watts) error {
 	return nil
 }
 
-func (b *stubBackend) ForwardGrant(_ context.Context, node string, g *LeaseGrant) (*LeaseAck, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.forward {
-		return nil, &ErrorReply{Code: CodeUnknownNode, Message: "no such child " + node}
-	}
-	b.forwarded = append(b.forwarded, node)
-	return &LeaseAck{ID: g.ID, Applied: true, LimitWatts: g.LimitWatts}, nil
-}
-
 func (b *stubBackend) set(power float64, iters int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.power, b.iters = power, iters
 }
 
-func newStubAgent(t *testing.T, name string) (*Agent, *stubBackend) {
+func newStubAgent(t testing.TB, name string, reg *metrics.Registry) (*Agent, *stubBackend) {
 	t.Helper()
 	be := &stubBackend{limit: 50, power: 42, iters: 1}
-	a, err := NewAgent(AgentConfig{Name: name, Backend: be})
+	a, err := NewAgent(AgentConfig{Name: name, Backend: be, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +79,7 @@ func newStubAgent(t *testing.T, name string) (*Agent, *stubBackend) {
 // explicit fallback the agent adopts whatever limit the backend
 // enforces at construction.
 func TestBackendAgentDefaults(t *testing.T) {
-	a, _ := newStubAgent(t, "n0")
+	a, _ := newStubAgent(t, "n0", nil)
 	st := a.Status()
 	if st.FallbackWatts != 50 {
 		t.Fatalf("fallback = %v, want the backend's construction-time limit 50", st.FallbackWatts)
@@ -100,288 +95,451 @@ func TestBackendAgentDefaults(t *testing.T) {
 	}
 }
 
-// TestDiffStatusApplyRoundTrip drives the encoder and follower through
-// a sequence of status mutations: every diff applied on top of the
-// previous frame must reproduce the new frame exactly.
+// fill sets v to a non-zero value derived from seed, recursing through
+// pointers, structs, slices and maps, so two seeds give values that
+// differ in every leaf.
+func fill(v reflect.Value, seed int) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(v.Elem(), seed)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i), seed+i)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fill(v.Index(0), seed)
+		fill(v.Index(1), seed+1)
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(k, i) // the same keys under every seed, with different values
+			fill(e, seed+i)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", seed))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(seed))
+	case reflect.Uint64:
+		v.SetUint(uint64(seed))
+	case reflect.Float64:
+		v.SetFloat(float64(seed) + 0.5)
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestDiffStatusApplyRoundTrip walks every exported field of NodeStatus
+// — so a field added later is covered without anyone remembering to —
+// and modifies, clears and sets it between polls while every other
+// field holds steady at a non-zero value. Each time the frame the agent
+// encodes, once through the wire codec and applied by the follower,
+// must reproduce the agent's status exactly: the walked field as it now
+// is, and nothing else dropped for having been left off the wire.
 func TestDiffStatusApplyRoundTrip(t *testing.T) {
-	frames := []*NodeStatus{
-		{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 40, MaxWatts: 100, Iterations: 1},
-		{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 44, MaxWatts: 100, Iterations: 2,
-			Lease: &LeaseInfo{ID: 1, LimitWatts: 50, TTLMS: 1000, RemainingMS: 900},
-			Apps:  []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 11}}},
-		{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 29, MaxWatts: 100, Iterations: 3,
-			Apps:   []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 8}},
-			Energy: &EnergyStatus{TotalUJ: 12345, TotalJoules: 0.012, Apps: []AppEnergy{{Name: "gcc", TotalUJ: 12000}}}},
-		{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 28, MaxWatts: 100, Iterations: 4, Draining: true,
-			Tier: &TierStatus{Tier: "row", Children: 4, Nodes: 4, Depth: 1, BudgetWatts: 120}},
-	}
+	// The frame's identity and chain fields are not payload: the agent
+	// stamps them, and the refusal tests cover them.
+	chain := map[string]bool{"Node": true, "Epoch": true, "Rev": true, "Base": true, "Clear": true}
+	a, _ := newStubAgent(t, "n0", nil)
 	var f StatusFollower
-	rev := uint64(1)
-	if _, err := f.Apply(&StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: rev, Full: frames[0]}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(frames); i++ {
-		d := DiffStatus(frames[i-1], frames[i])
-		d.Epoch, d.Base, d.Rev = 9, rev, rev+1
-		rev++
-		got, err := f.Apply(d)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	typ := reflect.TypeOf(NodeStatus{})
+	polls := 0
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if chain[name] {
+			continue
 		}
-		if !reflect.DeepEqual(got, frames[i]) {
-			t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, frames[i])
+		for step, mutate := range []func(reflect.Value){
+			func(v reflect.Value) { fill(v, 40) }, // modify
+			func(v reflect.Value) { v.SetZero() }, // clear
+			func(v reflect.Value) { fill(v, 3) },  // set
+		} {
+			st := &NodeStatus{}
+			fill(reflect.ValueOf(st).Elem(), 7)
+			st.Node, st.Epoch, st.Rev, st.Base, st.Clear = "n0", 0, 0, 0, nil
+			mutate(reflect.ValueOf(st).Elem().Field(i))
+			want := *st
+			epoch, rev := f.held()
+			data, err := Marshal(a.frame(st, epoch, rev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if polls++; polls > 1 && !bytes.Contains(data, []byte(`"base":`)) {
+				t.Fatalf("%s step %d: agent sent a full frame to a follower holding its baseline: %s", name, step, data)
+			}
+			msg, err := UnmarshalAs(data, KindStatus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.Apply(msg.(*NodeStatus))
+			if err != nil {
+				t.Fatalf("%s step %d: %v", name, step, err)
+			}
+			want.Epoch, want.Rev = got.Epoch, got.Rev
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("%s step %d:\n got %+v\nwant %+v\nwire %s", name, step, got, &want, data)
+			}
 		}
 	}
+}
+
+// tamperTripper sits under a Client: it counts requests, and while
+// armed rewrites the status frame in one reply.
+type tamperTripper struct {
+	requests atomic.Int64
+	tamper   func(*NodeStatus) // applied to the next reply, then disarmed
+	drop     bool              // fail the next exchange after the agent served it
+}
+
+func (tt *tamperTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	tt.requests.Add(1)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	if tt.drop {
+		tt.drop = false
+		resp.Body.Close()
+		return nil, fmt.Errorf("reply lost")
+	}
+	if tt.tamper == nil {
+		return resp, nil
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	env, msg, err := UnmarshalEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
+	tt.tamper(msg.(*NodeStatus))
+	tt.tamper = nil
+	if data, err = MarshalRound(msg, env.Round); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(data))
+	resp.ContentLength = int64(len(data))
+	return resp, nil
 }
 
 // TestStatusFollowerRefusals enumerates the frames a follower must
-// refuse — and checks that after each refusal only a full frame
-// restores it.
+// refuse, as they would arrive off the wire: each is an error, leaves
+// the follower unsynchronized, and is healed by the very next poll —
+// one request, whose reply the agent makes a full frame because the
+// follower names nothing held.
 func TestStatusFollowerRefusals(t *testing.T) {
-	base := &NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50}
-	full := func(rev uint64) *StatusDelta {
-		return &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: rev, Full: base}
-	}
-	w := 51.0
 	cases := []struct {
-		name  string
-		frame *StatusDelta
+		name   string
+		tamper func(*NodeStatus)
 	}{
-		{"foreign delta version", &StatusDelta{V: DeltaVersion + 1, Node: "n0", Epoch: 9, Rev: 2, Base: 1, LimitWatts: &w}},
-		{"epoch change", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 10, Rev: 2, Base: 1, LimitWatts: &w}},
-		{"missed frame", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 5, Base: 3, LimitWatts: &w}},
-		{"stale replay", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 1, Base: 1, LimitWatts: &w}},
-		{"unknown clear field", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 2, Base: 1, Clear: []string{"future"}}},
-		{"wrong node", &StatusDelta{V: DeltaVersion, Node: "n1", Epoch: 9, Rev: 2, Base: 1, LimitWatts: &w}},
+		{"epoch change", func(fr *NodeStatus) { fr.Epoch++ }},
+		{"missed frame", func(fr *NodeStatus) { fr.Base++; fr.Rev++ }},
+		{"stale replay", func(fr *NodeStatus) { fr.Rev = fr.Base }},
+		{"unknown clear field", func(fr *NodeStatus) { fr.Clear = []string{"future"} }},
+		{"wrong node", func(fr *NodeStatus) { fr.Node = "n1" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			a, be := newStubAgent(t, "n0", nil)
+			srv := httptest.NewServer(a.Handler())
+			defer srv.Close()
+			tt := &tamperTripper{}
+			c := NewClient(srv.URL).WithHTTPClient(&http.Client{Transport: tt})
+			ctx := context.Background()
+
 			var f StatusFollower
-			if _, err := f.Apply(full(1)); err != nil {
+			if _, err := c.FollowStatus(ctx, &f, false); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Apply(tc.frame); err == nil {
-				t.Fatal("frame was applied")
-			} else if _, ok := err.(*ResyncError); !ok {
-				t.Fatalf("error %T, want *ResyncError", err)
+			be.set(44, 2)
+			tt.tamper = func(fr *NodeStatus) {
+				if fr.Base == 0 {
+					t.Errorf("second poll was not a delta: %+v", fr)
+				}
+				tc.tamper(fr)
 			}
-			if f.Synced() {
+			if _, err := c.FollowStatus(ctx, &f, false); err == nil {
+				t.Fatal("frame was applied")
+			}
+			if f.cur != nil {
 				t.Fatal("follower still synced after refusal")
 			}
-			if _, err := f.Apply(&StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 7, Base: 6, LimitWatts: &w}); err == nil {
-				t.Fatal("delta applied while unsynchronized")
+			be.set(45, 3)
+			st, err := c.FollowStatus(ctx, &f, false)
+			if err != nil {
+				t.Fatalf("next poll did not heal: %v", err)
 			}
-			if _, err := f.Apply(full(8)); err != nil {
-				t.Fatalf("full frame did not resync: %v", err)
+			want := a.Status()
+			want.Epoch, want.Rev = st.Epoch, st.Rev
+			if !reflect.DeepEqual(st, want) {
+				t.Fatalf("healed view:\n got %+v\nwant %+v", st, want)
+			}
+			if n := tt.requests.Load(); n != 3 {
+				t.Fatalf("%d requests for 3 polls", n)
 			}
 		})
 	}
+	// Never on the wire, but Apply is exported: a delta with nothing to
+	// apply it to.
+	var f StatusFollower
+	if _, err := f.Apply(&NodeStatus{Node: "n0", Epoch: 9, Rev: 2, Base: 1}); err == nil || f.cur != nil {
+		t.Fatalf("delta applied while unsynchronized (err %v)", err)
+	}
 }
 
-// TestFollowStatusOverHTTP runs the whole loop against a live agent:
-// full resync on first contact, deltas on the steady path, and a
-// transparent re-resync when a second follower steals the server-side
-// baseline (the single-poller caveat, exercised deliberately).
+// TestFollowStatusOverHTTP runs the loop against a live agent: a full
+// frame on first contact, deltas that leave unchanged fields off the
+// wire on the steady path, and a full frame again — without being asked
+// — after a reply is lost on the way back.
 func TestFollowStatusOverHTTP(t *testing.T) {
-	a, be := newStubAgent(t, "n0")
+	a, be := newStubAgent(t, "n0", nil)
+	be.apps = []AppShare{{Name: "gcc", Core: 0, Shares: 90}}
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	var last *NodeStatus // the frame of the latest reply, as sent
+	tt := &tamperTripper{}
+	observe := func() { tt.tamper = func(fr *NodeStatus) { cp := *fr; last = &cp } }
+	c := NewClient(srv.URL).WithHTTPClient(&http.Client{Transport: tt})
+	ctx := context.Background()
 
 	var f StatusFollower
-	st, err := c.FollowStatus(context.Background(), &f, MetricsNone)
+	observe()
+	st, err := c.FollowStatus(ctx, &f, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PowerWatts != 42 || st.Iterations != 1 {
-		t.Fatalf("first frame = %+v", st)
+	if st.PowerWatts != 42 || st.Iterations != 1 || len(st.Apps) != 1 || last.Base != 0 {
+		t.Fatalf("first view = %+v, frame %+v", st, last)
 	}
 	be.set(47.5, 2)
-	if st, err = c.FollowStatus(context.Background(), &f, MetricsNone); err != nil {
+	observe()
+	if st, err = c.FollowStatus(ctx, &f, false); err != nil {
 		t.Fatal(err)
 	}
-	if st.PowerWatts != 47.5 || st.Iterations != 2 {
-		t.Fatalf("delta frame = %+v", st)
+	if st.PowerWatts != 47.5 || st.Iterations != 2 || len(st.Apps) != 1 {
+		t.Fatalf("delta view = %+v", st)
+	}
+	if last.Base == 0 || last.Apps != nil {
+		t.Fatalf("steady-path frame is not a delta without apps: %+v", last)
 	}
 
-	// A second follower advances the agent's revision chain; the first
-	// follower's next delta no longer applies and must resync.
-	var thief StatusFollower
-	if _, err := c.FollowStatus(context.Background(), &thief, MetricsNone); err != nil {
-		t.Fatal(err)
-	}
+	// The agent serves a frame the follower never sees: the follower
+	// still names the one before, the agent's baseline has moved on,
+	// and the reply to the next poll is whole.
 	be.set(33, 3)
-	if st, err = c.FollowStatus(context.Background(), &f, MetricsNone); err != nil {
-		t.Fatalf("resync after stolen baseline: %v", err)
+	tt.drop = true
+	if _, err = c.FollowStatus(ctx, &f, false); err == nil {
+		t.Fatal("lost reply went unnoticed")
 	}
-	if st.PowerWatts != 33 || st.Iterations != 3 {
-		t.Fatalf("post-resync frame = %+v", st)
+	be.set(34, 4)
+	observe()
+	if st, err = c.FollowStatus(ctx, &f, false); err != nil {
+		t.Fatalf("poll after a lost reply: %v", err)
+	}
+	if st.PowerWatts != 34 || st.Iterations != 4 || len(st.Apps) != 1 || last.Base != 0 {
+		t.Fatalf("view after a lost reply = %+v, frame %+v", st, last)
+	}
+	if n := tt.requests.Load(); n != 4 {
+		t.Fatalf("%d requests for 4 polls", n)
 	}
 }
 
-// TestApplyBatchRouting checks a grant wave splits correctly: entries
-// for the agent apply locally, entries for descendants go through the
-// forwarding backend, and unroutable entries fail inside the ack
-// without failing the wave.
-func TestApplyBatchRouting(t *testing.T) {
-	a, be := newStubAgent(t, "row0")
-	be.forward = true
+// TestPollersCannotHurtEachOther interleaves two followers (one asking
+// for metrics) and stateless reads against one agent while everything
+// a status carries changes underneath. The agent keeps one baseline for
+// all of them, so they keep stealing it from each other; what must hold
+// is that after every call each caller's view is the agent's status at
+// that instant (plus the registry, for the one that asked), at exactly
+// one HTTP request per call.
+func TestPollersCannotHurtEachOther(t *testing.T) {
+	reg := metrics.NewRegistry()
+	series := reg.Gauge("test_series", "Moves every step.")
+	a, be := newStubAgent(t, "n0", reg)
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	tt := &tamperTripper{}
+	c := NewClient(srv.URL).WithHTTPClient(&http.Client{Transport: tt})
+	ctx := context.Background()
 
-	ack, err := c.LeaseBatch(context.Background(), &GrantBatch{
-		Coordinator: "building",
-		Grants: []NamedGrant{
-			{Node: "row0", Grant: LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60000}},
-			{Node: "leaf3", Grant: LeaseGrant{ID: 2, LimitWatts: 10, TTLMS: 60000}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var plain, withMetrics StatusFollower
+	callers := []struct {
+		name string
+		poll func() (*NodeStatus, error)
+		reg  bool
+	}{
+		{"follower", func() (*NodeStatus, error) { return c.FollowStatus(ctx, &plain, false) }, false},
+		{"metrics follower", func() (*NodeStatus, error) { return c.FollowStatus(ctx, &withMetrics, true) }, true},
+		{"stateless read", func() (*NodeStatus, error) { return c.Status(ctx) }, false},
 	}
-	if len(ack.Acks) != 2 {
-		t.Fatalf("acks = %+v", ack.Acks)
-	}
-	if ack.Acks[0].Ack == nil || !ack.Acks[0].Ack.Applied {
-		t.Fatalf("local entry not applied: %+v", ack.Acks[0])
-	}
-	if be.limit != 40 {
-		t.Fatalf("local limit = %v, want 40", be.limit)
-	}
-	if ack.Acks[1].Ack == nil || len(be.forwarded) != 1 || be.forwarded[0] != "leaf3" {
-		t.Fatalf("forwarded entry: ack %+v, forwarded %v", ack.Acks[1], be.forwarded)
-	}
-	st := a.Status()
-	if st.Lease == nil || st.Lease.Coordinator != "building" {
-		t.Fatalf("batch coordinator not adopted: %+v", st.Lease)
-	}
+	// A fixed schedule that has every caller follow every other, and
+	// itself, at least once.
+	schedule := []int{0, 1, 2, 0, 0, 1, 1, 2, 2, 1, 0, 2, 0, 1, 0, 0, 2, 1, 1}
+	for step, who := range schedule {
+		be.mu.Lock()
+		be.power, be.iters = float64(40+step), step
+		be.apps = []AppShare{{Name: "gcc", Watts: float64(step)}}[:step%2]
+		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: float64(50 + step), Met: step%3 != 0}}}
+		be.mu.Unlock()
+		if step%4 == 0 {
+			if _, err := a.Grant(&LeaseGrant{ID: uint64(step + 1), LimitWatts: float64(30 + step), TTLMS: 3_600_000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		series.Set(float64(step))
 
-	// Forwarding off: descendant entries fail per-entry, the wave and
-	// its local entries still succeed.
-	be.forward = false
-	ack, err = c.LeaseBatch(context.Background(), &GrantBatch{Grants: []NamedGrant{
-		{Node: "row0", Grant: LeaseGrant{ID: 3, LimitWatts: 35, TTLMS: 60000}},
-		{Node: "leaf9", Grant: LeaseGrant{ID: 4, LimitWatts: 10, TTLMS: 60000}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Acks[0].Ack == nil || !ack.Acks[0].Ack.Applied {
-		t.Fatalf("local entry: %+v", ack.Acks[0])
-	}
-	if ack.Acks[1].Err == nil {
-		t.Fatalf("unroutable entry did not fail: %+v", ack.Acks[1])
+		before := tt.requests.Load()
+		got, err := callers[who].poll()
+		if err != nil {
+			t.Fatalf("step %d, %s: %v", step, callers[who].name, err)
+		}
+		if n := tt.requests.Load() - before; n != 1 {
+			t.Fatalf("step %d, %s: %d requests for one call", step, callers[who].name, n)
+		}
+		want := a.Status()
+		want.Epoch, want.Rev = got.Epoch, got.Rev
+		if callers[who].reg {
+			want.Metrics = reg.Values()
+		}
+		// The lease's remaining time is read off the wall clock.
+		if got.Lease != nil && want.Lease != nil {
+			want.Lease.RemainingMS = got.Lease.RemainingMS
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d, %s:\n got %+v\nwant %+v", step, callers[who].name, got, want)
+		}
 	}
 }
 
-// captureDeltaEnvelopes records real frames an agent serves in delta
-// mode — the fuzz corpus the issue asks for.
-func captureDeltaEnvelopes(f *testing.F) [][]byte {
-	f.Helper()
-	be := &stubBackend{limit: 50, power: 42, iters: 1}
-	a, err := NewAgent(AgentConfig{Name: "n0", Backend: be})
-	if err != nil {
-		f.Fatal(err)
+// TestClientRefusesOversizeReply: a reply over the body bound is an
+// error that says so, not a truncated body that fails to parse.
+func TestClientRefusesOversizeReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeMsg(w, http.StatusOK, &NodeStatus{Node: "n0", Policy: strings.Repeat("x", maxBody)})
+	}))
+	defer srv.Close()
+	_, err := NewClient(srv.URL).Status(context.Background())
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("reply over %d bytes", maxBody)) {
+		t.Fatalf("oversize reply: %v", err)
 	}
-	defer a.Close()
+}
+
+// captureFrames records real frames an agent serves a follower — the
+// fuzz corpus.
+func captureFrames(f *testing.F) [][]byte {
+	f.Helper()
+	reg := metrics.NewRegistry()
+	a, be := newStubAgent(f, "n0", reg)
+	var fl StatusFollower
 	var out [][]byte
-	add := func(d *StatusDelta) {
-		data, err := MarshalRound(d, 7)
+	poll := func() {
+		st := a.Status()
+		st.Metrics = reg.Values()
+		epoch, rev := fl.held()
+		fr := a.frame(st, epoch, rev)
+		data, err := MarshalRound(fr, 7)
 		if err != nil {
 			f.Fatal(err)
 		}
 		out = append(out, data)
+		cp := *fr
+		if _, err := fl.Apply(&cp); err != nil {
+			f.Fatal(err)
+		}
 	}
-	add(a.statusDelta(a.Status(), true)) // full resync frame
+	poll() // full frame
 	be.set(44, 2)
-	add(a.statusDelta(a.Status(), false)) // scalar delta
+	poll() // scalars only
 	if _, err := a.Grant(&LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60_000}); err != nil {
 		f.Fatal(err)
 	}
-	add(a.statusDelta(a.Status(), false)) // lease appears
+	poll() // lease appears, lease counters move
 	be.mu.Lock()
 	be.tier = &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400}
+	be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, TargetMS: 80, Met: true}}}
 	be.mu.Unlock()
-	add(a.statusDelta(a.Status(), false)) // tier appears
+	poll() // tier and slo appear
 	if _, err := a.SetDrain(true); err != nil {
 		f.Fatal(err)
 	}
-	add(a.statusDelta(a.Status(), false)) // lease cleared, draining set
+	poll() // lease cleared, draining set
 	return out
 }
 
-// FuzzStatusDelta hammers the delta-status decoder: any envelope, however
-// mangled, must either be refused (after which only a full frame
-// resyncs the follower) or be provably contiguous with the follower's
-// state. It must never panic and never apply a stale or foreign frame.
-func FuzzStatusDelta(f *testing.F) {
-	for _, data := range captureDeltaEnvelopes(f) {
+// FuzzStatusFrame hammers the status frame decoder and the follower:
+// any envelope, however mangled, either fails to decode or is applied
+// or refused without a panic, and leaves the follower unsynchronized
+// or holding a view that is a canonical full frame — encoded, decoded
+// and applied afresh it reproduces itself.
+func FuzzStatusFrame(f *testing.F) {
+	for _, data := range captureFrames(f) {
 		f.Add(data)
 	}
 	mk := func(body string) []byte {
-		return []byte(`{"v":1,"kind":"status_delta","body":` + body + `}`)
+		return []byte(`{"v":1,"kind":"status","body":` + body + `}`)
 	}
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`)) // stale
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":9,"power_watts":1}`)) // gap
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1}`))                 // foreign version
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"clear":["huh"]}`)) // unknown clear
-	f.Add(mk(`{"v":1,"node":"n0","epoch":8,"rev":2,"base":1,"iterations":3}`))  // wrong epoch
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":3,"base":2,"full":{"node":"n0"},"power_watts":4}`))
-	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{}}`))
-	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":1,"bogus":3}}`))
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`))                  // stale
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":12,"base":9,"power_watts":1}`))                 // gap
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["huh"]}`))                  // unknown clear
+	f.Add(mk(`{"node":"n0","epoch":8,"rev":6,"base":5,"iterations":3}`))                   // wrong epoch
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["apps"],"apps":[]}`))       // clear and empty
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["metrics","lease"]}`))      // clears only
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"metrics":{"a":2,"c":3}}`))          // series merge
+	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"slo":{"services":[{"name":""}]}}`)) // field swap
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, msg, err := UnmarshalEnvelope(data)
 		if err != nil {
 			return
 		}
-		d, ok := msg.(*StatusDelta)
+		fr, ok := msg.(*NodeStatus)
 		if !ok {
 			return
 		}
-		// Seed a follower that is, by construction, contiguous with the
-		// frame's own (epoch, base) claim — the hardest state to fool.
-		base := &NodeStatus{Node: d.Node, Policy: "p", LimitWatts: 10,
-			Lease: &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
-			Apps:  []AppShare{{Name: "a", Core: 0}}}
+		// A follower holding epoch 9, rev 5: the frames above that are
+		// deltas on top of exactly that are the ones hardest to refuse.
 		var fl StatusFollower
-		if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Base, Full: base}); err != nil {
+		if _, err := fl.Apply(&NodeStatus{Node: "n0", Epoch: 9, Rev: 5, Policy: "p", LimitWatts: 10,
+			Lease:   &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
+			Apps:    []AppShare{{Name: "a", Core: 0}},
+			Metrics: map[string]float64{"a": 1, "b": 1}}); err != nil {
 			t.Fatalf("seeding follower: %v", err)
 		}
-		st, err := fl.Apply(d)
+		sent := *fr
+		view, err := fl.Apply(fr)
 		if err != nil {
-			if _, ok := err.(*ResyncError); !ok {
-				t.Fatalf("refusal error %T, want *ResyncError", err)
-			}
-			if fl.Synced() {
+			if fl.cur != nil {
 				t.Fatal("follower stayed synced after refusing a frame")
-			}
-			// A delta must now be refused, and a full frame accepted.
-			w := 1.0
-			if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Rev + 1, Base: d.Rev, PowerWatts: &w}); err == nil {
-				t.Fatal("delta applied while unsynchronized")
-			}
-			if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Rev + 2, Full: base}); err != nil {
-				t.Fatalf("full frame did not resync: %v", err)
 			}
 			return
 		}
-		// The frame applied: it must have been provably contiguous.
-		if d.V != DeltaVersion {
-			t.Fatalf("applied foreign delta version %d", d.V)
+		if sent.Base != 0 && (sent.Epoch != 9 || sent.Base != 5 || sent.Rev <= 5 || sent.Node != "n0") {
+			t.Fatalf("applied a delta that is not the next frame: %+v", sent)
 		}
-		if d.Full == nil && d.Rev <= d.Base {
-			t.Fatalf("applied stale delta rev %d over base %d", d.Rev, d.Base)
+		if epoch, rev := fl.held(); epoch != sent.Epoch || rev != sent.Rev {
+			t.Fatalf("holding %d.%d after applying %d.%d", epoch, rev, sent.Epoch, sent.Rev)
 		}
-		if st == nil {
-			t.Fatal("applied frame returned nil status")
+		enc, err := Marshal(view)
+		if err != nil {
+			t.Fatalf("view does not marshal: %v", err)
 		}
-		// And a replay of the very same frame must now be refused.
-		if d.Full == nil {
-			if _, err := fl.Apply(d); err == nil {
-				t.Fatal("replayed delta applied twice")
-			}
+		msg2, err := UnmarshalAs(enc, KindStatus)
+		if err != nil {
+			t.Fatalf("encoded view does not decode: %v", err)
+		}
+		var fresh StatusFollower
+		view2, err := fresh.Apply(msg2.(*NodeStatus))
+		if err != nil {
+			t.Fatalf("a view is not a full frame: %v", err)
+		}
+		if enc2, err := Marshal(view2); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("view is not a fixed point (%v):\n first %s\nsecond %s", err, enc, enc2)
 		}
 	})
 }

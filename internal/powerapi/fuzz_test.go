@@ -29,7 +29,10 @@ func FuzzUnmarshalMessage(f *testing.F) {
 	f.Add([]byte(`{"v":1,"kind":"bogus","body":{}}`))
 	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","apps":[]}}`))
 	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"round":12345}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","metrics_rev":3,"metrics":{"x":1}},"round":9}`))
+	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","epoch":3,"rev":2,"metrics":{"x":1}},"round":9}`))
+	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"row0","epoch":7,"rev":12,"base":11,"power_watts":38.5,"iterations":18,"clear":["lease"],"tier":{"tier":"row","children":8,"nodes":64,"depth":1,"budget_watts":400}}}`))
+	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","clear":[],"apps":[],"metrics":{}}}`))
+	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","metrics_rev":3}}`))
 	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"future_field":{"deep":[1,2]}}`))
 	f.Add([]byte(`{"v":1,"kind":"heartbeat","body":{"node":"n"},"round":-1}`))
 	f.Add([]byte(`{`))

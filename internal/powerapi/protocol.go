@@ -14,6 +14,14 @@
 // /v1/power/ on the daemon's existing observability server; the
 // coordinator side mounts under /v1/cluster/.
 //
+// Status is one exchange with one body: GET status returns a NodeStatus
+// carrying lease, apps, energy, SLO, tier and (on request) metrics. A
+// poller that names the frame it holds (?follow=<epoch>.<rev>) gets only
+// the fields changed since that frame when the agent still has it as
+// its baseline, and the whole status otherwise, so there is no separate
+// resync request; StatusFollower applies either. A request that names
+// nothing is a plain full read.
+//
 // The budget-safety contract is the lease: every grant carries a TTL and a
 // fallback cap, and a node that stops hearing renewals reverts to the
 // fallback on its own — so a partitioned node can never hold a stale,
@@ -56,11 +64,8 @@ type Envelope struct {
 // Message kinds. The registry below maps each to its body type.
 const (
 	KindStatus         = "status"
-	KindStatusDelta    = "status_delta"
 	KindLeaseGrant     = "lease_grant"
 	KindLeaseAck       = "lease_ack"
-	KindGrantBatch     = "grant_batch"
-	KindGrantBatchAck  = "grant_batch_ack"
 	KindReconfigure    = "reconfigure"
 	KindReconfigureAck = "reconfigure_ack"
 	KindDrain          = "drain"
@@ -73,26 +78,36 @@ const (
 )
 
 // NodeStatus reports one daemon's control-plane view: what it enforces,
-// what it measures, and the lease it holds, if any.
+// what it measures, and the lease it holds, if any. It is also the one
+// frame of the status exchange (see StatusFollower).
 type NodeStatus struct {
-	Node          string     `json:"node"`
-	Policy        string     `json:"policy"`
-	LimitWatts    float64    `json:"limit_watts"`
-	PowerWatts    float64    `json:"power_watts"`
-	MaxWatts      float64    `json:"max_watts"`
-	FallbackWatts float64    `json:"fallback_watts"`
-	Iterations    int        `json:"iterations"`
-	Draining      bool       `json:"draining,omitempty"`
-	Lease         *LeaseInfo `json:"lease,omitempty"`
-	Apps          []AppShare `json:"apps,omitempty"`
+	Node string `json:"node"`
 
-	// MetricsRev and Metrics carry an optional metrics snapshot for
-	// fleet aggregation, requested via ?metrics=full|delta on the
-	// status endpoint. A delta holds only series whose value changed
-	// since the previous snapshot this agent served; MetricsRev
-	// increments per snapshot so a receiver can spot missed deltas.
-	MetricsRev uint64             `json:"metrics_rev,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Epoch and Rev place the frame in the serving agent's chain: Epoch
+	// names the agent incarnation, Rev increments per frame served to a
+	// follower. Both are zero on a stateless read. Base is zero on a
+	// full frame, which is the whole truth; on a delta it is the
+	// revision the frame applies on top of.
+	//
+	// Every field below is payload under one rule. A field at its zero
+	// value (an empty slice or map counts) stays off the wire. In a
+	// delta, a field left off is unchanged since Base, unless Clear
+	// names it: then it went back to zero.
+	Epoch uint64   `json:"epoch,omitempty"`
+	Rev   uint64   `json:"rev,omitempty"`
+	Base  uint64   `json:"base,omitempty"`
+	Clear []string `json:"clear,omitempty"`
+
+	Policy        string  `json:"policy,omitempty"`
+	LimitWatts    float64 `json:"limit_watts,omitempty"`
+	PowerWatts    float64 `json:"power_watts,omitempty"`
+	MaxWatts      float64 `json:"max_watts,omitempty"`
+	FallbackWatts float64 `json:"fallback_watts,omitempty"`
+	Iterations    int     `json:"iterations,omitempty"`
+	Draining      bool    `json:"draining,omitempty"`
+
+	Lease *LeaseInfo `json:"lease,omitempty"`
+	Apps  []AppShare `json:"apps,omitempty"`
 
 	// Energy carries the node's energy-ledger summary when the daemon
 	// runs one, so the coordinator can roll up fleet-wide joules, cost,
@@ -107,6 +122,33 @@ type NodeStatus struct {
 	// Tier is set when this "node" is a mid-tier coordinator (a row or
 	// building) reporting its whole subtree as one synthetic node.
 	Tier *TierStatus `json:"tier,omitempty"`
+
+	// Metrics is the node's metrics registry, flattened, sent when the
+	// request asks for it (?metrics=1) for fleet aggregation. Unlike
+	// the other fields it merges per series: a delta frame carries
+	// only the series whose value changed since Base.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// TierStatus rides a NodeStatus when the "node" is really a mid-tier
+// coordinator (a row or building) presenting its subtree as one
+// synthetic node. It is what lets a parent — and powerctl tree — tell
+// a 64-leaf row from a single machine.
+type TierStatus struct {
+	// Tier is the level label, e.g. "row" or "building".
+	Tier string `json:"tier,omitempty"`
+	// Children is the number of direct children this tier coordinates.
+	Children int `json:"children"`
+	// Nodes is the number of leaf nodes in the whole subtree.
+	Nodes int `json:"nodes"`
+	// Depth is the number of coordinator levels at or below this tier
+	// (a row over leaves is 1, a building over rows is 2).
+	Depth int `json:"depth"`
+	// Quarantined counts direct children currently quarantined.
+	Quarantined int `json:"quarantined,omitempty"`
+	// BudgetWatts is the budget the tier currently cascades downward —
+	// its own granted lease, or its configured budget when standalone.
+	BudgetWatts float64 `json:"budget_watts,omitempty"`
 }
 
 // SLOStatus is a node's per-service latency and SLO-attainment view.
@@ -257,12 +299,11 @@ type ErrorReply struct {
 
 // Error codes used in ErrorReply.
 const (
-	CodeBadRequest  = "bad_request"
-	CodeDraining    = "draining"
-	CodeStaleLease  = "stale_lease"
-	CodeInvalid     = "invalid"
-	CodeUnknownNode = "unknown_node"
-	CodeInternal    = "internal"
+	CodeBadRequest = "bad_request"
+	CodeDraining   = "draining"
+	CodeStaleLease = "stale_lease"
+	CodeInvalid    = "invalid"
+	CodeInternal   = "internal"
 )
 
 func (e *ErrorReply) Error() string {
@@ -273,11 +314,8 @@ func (e *ErrorReply) Error() string {
 // single registry Marshal, Unmarshal, and the fuzz target all share.
 var kinds = map[string]func() any{
 	KindStatus:         func() any { return &NodeStatus{} },
-	KindStatusDelta:    func() any { return &StatusDelta{} },
 	KindLeaseGrant:     func() any { return &LeaseGrant{} },
 	KindLeaseAck:       func() any { return &LeaseAck{} },
-	KindGrantBatch:     func() any { return &GrantBatch{} },
-	KindGrantBatchAck:  func() any { return &GrantBatchAck{} },
 	KindReconfigure:    func() any { return &Reconfigure{} },
 	KindReconfigureAck: func() any { return &ReconfigureAck{} },
 	KindDrain:          func() any { return &Drain{} },
@@ -295,16 +333,10 @@ func KindOf(msg any) string {
 	switch msg.(type) {
 	case *NodeStatus:
 		return KindStatus
-	case *StatusDelta:
-		return KindStatusDelta
 	case *LeaseGrant:
 		return KindLeaseGrant
 	case *LeaseAck:
 		return KindLeaseAck
-	case *GrantBatch:
-		return KindGrantBatch
-	case *GrantBatchAck:
-		return KindGrantBatchAck
 	case *Reconfigure:
 		return KindReconfigure
 	case *ReconfigureAck:

@@ -9,34 +9,19 @@ import (
 
 // one populated instance of every message kind — shared with the fuzz
 // corpus so the codec is seeded with realistic traffic.
-func ptr[T any](v T) *T { return &v }
-
 func sampleMessages() []any {
 	return []any{
 		&NodeStatus{
 			Node: "n0", Policy: "frequency-shares", LimitWatts: 42.5, PowerWatts: 39.1,
 			MaxWatts: 85, FallbackWatts: 25, Iterations: 17, Draining: true,
-			Lease:      &LeaseInfo{ID: 9, Coordinator: "coord", LimitWatts: 42.5, TTLMS: 1500, RemainingMS: 900},
-			Apps:       []AppShare{{Name: "gcc", Core: 0, Shares: 90, Priority: "hp", Watts: 3.25}, {Name: "cam4", Core: 1, Shares: 10, Priority: "lp"}},
-			MetricsRev: 4,
-			Metrics:    map[string]float64{"powerd_iterations_total": 17, `powerapi_lease_events_total{event="grant"}`: 2},
-		},
-		&StatusDelta{
-			V: DeltaVersion, Node: "row0", Epoch: 7, Rev: 12, Base: 11,
-			PowerWatts: ptr(38.5), Iterations: ptr(18), Clear: []string{"lease"},
-			Tier:       &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400},
-			MetricsRev: 5, Metrics: map[string]float64{"powerd_iterations_total": 18},
+			Epoch: 7, Rev: 12,
+			Lease:   &LeaseInfo{ID: 9, Coordinator: "coord", LimitWatts: 42.5, TTLMS: 1500, RemainingMS: 900},
+			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Priority: "hp", Watts: 3.25}, {Name: "cam4", Core: 1, Shares: 10, Priority: "lp"}},
+			SLO:     &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P50MS: 12, P90MS: 31, P99MS: 54, TargetMS: 65, Rate: 300, QueueLen: 2, Met: true}}},
+			Metrics: map[string]float64{"powerd_iterations_total": 17, `powerapi_lease_events_total{event="grant"}`: 2},
 		},
 		&LeaseGrant{ID: 10, Coordinator: "coord", LimitWatts: 40, TTLMS: 1500, FallbackWatts: 25},
 		&LeaseAck{ID: 10, Applied: true, LimitWatts: 40},
-		&GrantBatch{Coordinator: "building", Grants: []NamedGrant{
-			{Node: "row0", Grant: LeaseGrant{ID: 3, LimitWatts: 400, TTLMS: 2000, FallbackWatts: 200}},
-			{Node: "row1", Grant: LeaseGrant{ID: 4, LimitWatts: 350, TTLMS: 2000}},
-		}},
-		&GrantBatchAck{Acks: []NamedAck{
-			{Node: "row0", Ack: &LeaseAck{ID: 3, Applied: true, LimitWatts: 400}},
-			{Node: "row1", Err: &ErrorReply{Code: CodeDraining, Message: "node row1 is draining"}},
-		}},
 		&Reconfigure{Policy: "priority-shares", LimitWatts: 30,
 			Shares: map[string]int{"gcc": 70}, Priorities: map[string]string{"gcc": "hp"}},
 		&ReconfigureAck{Policy: "priority-shares", LimitWatts: 30},

@@ -131,11 +131,12 @@ func TestClientPropagatesRound(t *testing.T) {
 	if gotQuery != 11 {
 		t.Fatalf("status round = %d, want 11", gotQuery)
 	}
-	if _, err := c.StatusWithMetrics(ctx, MetricsDelta); err != nil {
+	gotQuery = 0
+	if _, err := c.FollowStatus(ctx, &StatusFollower{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if gotQuery != 11 {
-		t.Fatalf("status-with-metrics round = %d, want 11", gotQuery)
+		t.Fatalf("follow-status round = %d, want 11", gotQuery)
 	}
 	if _, err := c.Lease(ctx, &LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 1000}); err != nil {
 		t.Fatal(err)
