@@ -34,13 +34,14 @@ func scenario(kind string) float64 {
 		log.Fatal(err)
 	}
 	cores := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	ws, err := padpd.NewWebsearch(padpd.WebsearchConfig{Users: 300, Cores: cores, Seed: 7})
+	model, err := padpd.NewWebsearch(padpd.WebsearchConfig(300, cores, 7))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := ws.Attach(m); err != nil {
+	if err := model.Attach(m); err != nil {
 		log.Fatal(err)
 	}
+	ws := model.Service("websearch")
 	if kind != "alone" {
 		if err := m.Pin(padpd.NewInstance(padpd.CPUBurn), 9); err != nil {
 			log.Fatal(err)

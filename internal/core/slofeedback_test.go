@@ -275,7 +275,8 @@ func TestSLOTargetFromSnapshotWins(t *testing.T) {
 }
 
 // TestSLOFeedbackUpdateZeroAlloc: the decide path allocates nothing in
-// steady state — the property loop_iteration/slo/* gates in CI.
+// steady state — the property daemon.TestAllocProbeSLO holds for the
+// whole loop.
 func TestSLOFeedbackUpdateZeroAlloc(t *testing.T) {
 	chip := platform.Skylake()
 	p, err := NewSLOFeedback(chip, sloSpecs(20, 10), SLOConfig{Targets: []SLOTarget{{Service: "api", P99: 50 * time.Millisecond}}})

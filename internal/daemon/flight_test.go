@@ -179,77 +179,3 @@ func TestIterationSLOTriggerHoldsOff(t *testing.T) {
 		t.Errorf("SLO trigger fired %d times over %d breaching iterations, want 1 (holdoff)", fired, iters)
 	}
 }
-
-// TestRecorderOverhead bounds the cost of always-on recording: the same
-// virtual run with the recorder attached must finish within 5% of the run
-// without it (plus a fixed slack floor so scheduler noise on tiny
-// absolute times cannot flake the test).
-func TestRecorderOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation inflates synchronisation cost; overhead bound only meaningful on normal builds")
-	}
-	run := func(withRec bool) time.Duration {
-		chip := platform.Skylake()
-		var opts []sim.Option
-		var rec *flight.Recorder
-		if withRec {
-			rec = flight.New(0)
-			opts = append(opts, sim.WithFlightRecorder(rec))
-		}
-		m, err := sim.New(chip, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		names := []string{"gcc", "cam4"}
-		for i, n := range names {
-			if err := m.Pin(workload.NewInstance(workload.MustByName(n)), i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		specs := specsFor(names, []units.Shares{90, 10}, nil)
-		pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dmn, err := New(Config{
-			Chip: chip, Policy: pol, Apps: specs, Limit: 50,
-			Interval: 100 * time.Millisecond, Flight: rec,
-		}, m.Device(), MachineActuator{M: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dmn.AttachVirtual(m); err != nil {
-			t.Fatal(err)
-		}
-		began := time.Now()
-		m.Run(60 * time.Second) // 600 control iterations, 60k ticks
-		took := time.Since(began)
-		if err := dmn.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return took
-	}
-	// Interleave and keep per-variant minima: the min filters out one-off
-	// scheduler hiccups better than the mean.
-	const rounds = 3
-	min := func(cur, v time.Duration) time.Duration {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	var bare, rec time.Duration
-	for i := 0; i < rounds; i++ {
-		bare = min(bare, run(false))
-		rec = min(rec, run(true))
-	}
-	const slack = 50 * time.Millisecond
-	budget := bare + bare/20 + slack
-	t.Logf("bare %v, recorded %v, budget %v", bare, rec, budget)
-	if rec > budget {
-		t.Errorf("recording overhead too high: %v vs %v bare (budget %v)", rec, bare, budget)
-	}
-}

@@ -7,9 +7,9 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/websearch"
 	"repro/internal/workload"
 )
 
@@ -47,13 +47,14 @@ func latencyRun(limit units.Watts, scenario string) (LatencyCell, error) {
 		return LatencyCell{}, err
 	}
 	wcfg := websearchConfig(2)
-	ws, err := websearch.New(wcfg)
+	model, err := svc.NewModel(wcfg)
 	if err != nil {
 		return LatencyCell{}, err
 	}
-	if err := ws.Attach(m); err != nil {
+	if err := model.Attach(m); err != nil {
 		return LatencyCell{}, err
 	}
+	ws := model.Service(wcfg.Name)
 	withBurn := scenario != "alone"
 	if withBurn {
 		if err := m.Pin(workload.NewInstance(workload.CPUBurn), 9); err != nil {
@@ -80,7 +81,7 @@ func latencyRun(limit units.Watts, scenario string) (LatencyCell, error) {
 		for _, c := range wcfg.Cores {
 			specs = append(specs, core.AppSpec{
 				Name: "websearch", Core: c, Shares: 90, HighPriority: true,
-				BaselineIPS: websearch.Profile.IPS(chip.Freq.Ceiling(1, false)),
+				BaselineIPS: wcfg.Profile.IPS(chip.Freq.Ceiling(1, false)),
 			})
 		}
 		specs = append(specs, core.AppSpec{

@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/websearch"
 	"repro/internal/workload"
 )
 
@@ -38,12 +38,8 @@ type Figure5Result struct {
 var Figure5Limits = []units.Watts{85, 55, 50, 45, 40, 35}
 
 // websearchConfig is the shared websearch setup for Figures 5, 12 and 13.
-func websearchConfig(seed int64) websearch.Config {
-	return websearch.Config{
-		Users: 300,
-		Cores: []int{0, 1, 2, 3, 4, 5, 6, 7, 8},
-		Seed:  seed,
-	}
+func websearchConfig(seed int64) svc.Config {
+	return svc.Websearch(300, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, seed)
 }
 
 // websearchP90 runs websearch under a RAPL limit, optionally with cpuburn
@@ -54,14 +50,16 @@ func websearchP90(limit units.Watts, withBurn bool) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ws, err := websearch.New(websearchConfig(1))
+	wcfg := websearchConfig(1)
+	model, err := svc.NewModel(wcfg)
 	if err != nil {
 		return 0, err
 	}
-	if err := ws.Attach(m); err != nil {
+	if err := model.Attach(m); err != nil {
 		return 0, err
 	}
-	for _, c := range websearchConfig(1).Cores {
+	ws := model.Service(wcfg.Name)
+	for _, c := range wcfg.Cores {
 		if err := m.SetRequest(c, chip.Freq.Max()); err != nil {
 			return 0, err
 		}

@@ -51,14 +51,9 @@ func (r *Reservoir) Values() []float64 {
 	return append([]float64(nil), r.xs...)
 }
 
-// Percentile estimates the p-th percentile from the retained sample.
-func (r *Reservoir) Percentile(p float64) float64 {
-	return Percentile(r.xs, p)
-}
-
 // Quantiles estimates several percentiles from the retained sample over
 // a single sort — the latency views ask for p50/p90/p99 together, and
-// three Percentile calls would sort the reservoir three times.
+// one Percentile call each would sort the reservoir three times.
 func (r *Reservoir) Quantiles(ps ...float64) []float64 {
 	return Quantiles(r.xs, ps...)
 }

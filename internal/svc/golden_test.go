@@ -1,4 +1,4 @@
-package websearch
+package svc
 
 import (
 	"testing"
@@ -11,9 +11,9 @@ import (
 )
 
 // goldenCell pins the exact p50/p90/p99 series produced by the original
-// standalone websearch implementation (captured before the port to
-// internal/svc). The adapter must reproduce these bit-for-bit: the
-// closed-loop svc engine consumes randomness in the same order and
+// standalone websearch implementation (captured before it became this
+// package's closed loop). Websearch must reproduce these bit-for-bit: the
+// closed-loop engine consumes randomness in the same order and
 // schedules the same FIFO/core-slot drain, so any divergence here means
 // Figures 5/12/13 no longer reproduce.
 type goldenCell struct {
@@ -44,13 +44,14 @@ func TestGoldenSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := New(Config{Users: 120, Cores: []int{0, 1, 2, 3, 4, 5, 6, 7}, Seed: g.seed})
+		md, err := NewModel(Websearch(120, []int{0, 1, 2, 3, 4, 5, 6, 7}, g.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Attach(m); err != nil {
+		if err := md.Attach(m); err != nil {
 			t.Fatal(err)
 		}
+		a := md.Service("websearch")
 		if err := m.Pin(workload.NewInstance(workload.CPUBurn), 9); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestGoldenSeries(t *testing.T) {
 		m.Run(3 * time.Second)
 		a.ResetStats()
 		m.Run(5 * time.Second)
-		if got := a.Completed(); got != g.completed {
+		if got := int(a.Completed()); got != g.completed {
 			t.Errorf("seed=%d limit=%v: completed=%d, golden %d", g.seed, g.limit, got, g.completed)
 		}
 		for _, pc := range []struct {

@@ -7,7 +7,7 @@
 // 12, 13) into an open-loop latency-service subsystem:
 //
 //   - Closed arrivals reproduce the paper's N-user think/submit loop
-//     bit-for-bit (internal/websearch is now a thin adapter over it);
+//     bit-for-bit (Websearch builds that service; see TestGoldenSeries);
 //   - OpenPoisson draws arrivals from a Poisson process whose rate can
 //     follow a diurnal RateSchedule;
 //   - OpenTrace replays arrival offsets parsed from a trace file
@@ -28,9 +28,8 @@
 // The steady-state tick and telemetry paths are allocation-free:
 // requests come from a free list, the queue is a ring, the latency
 // window is a fixed ring over preallocated order-statistic blocks, and
-// the closed-loop wake heap stores raw durations (no interface boxing).
-// svc_tick/* and svc_telemetry/* entries in BENCH_loop.json sit under
-// the CI zero-alloc gate.
+// the closed-loop wake heap stores raw durations (no interface boxing);
+// TestAdvanceZeroAlloc holds both to zero allocations.
 package svc
 
 import (
@@ -54,6 +53,25 @@ var InteractiveProfile = workload.Profile{
 	MemStall:          0.15e-9,
 	Activity:          0.95,
 	TotalInstructions: 1e15,
+}
+
+// Websearch returns the paper's latency-sensitive workload (CloudSuite
+// websearch, Figures 5, 12 and 13; the paper runs 300 users): a closed
+// loop of users who alternate between thinking (mean 600 ms) and
+// submitting a search request (mean 25e6 cycles) to the serving cores,
+// with every latency since the last ResetStats kept for the percentiles.
+func Websearch(users int, cores []int, seed int64) Config {
+	profile := InteractiveProfile
+	profile.Name = "websearch"
+	return Config{
+		Name:      "websearch",
+		Cores:     cores,
+		Seed:      seed,
+		Arrivals:  Closed,
+		Users:     users,
+		RecordAll: true,
+		Profile:   profile,
+	}
 }
 
 // ArrivalKind selects a service's arrival process.

@@ -1,13 +1,14 @@
 package svc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 func newMachine(t *testing.T) *sim.Machine {
@@ -72,6 +73,60 @@ func TestModelValidation(t *testing.T) {
 	}
 	if md.Service("a") == nil || md.Service("b") == nil || md.Service("zzz") != nil {
 		t.Error("Service lookup broken")
+	}
+
+	occupied := newMachine(t)
+	if err := occupied.Pin(workload.NewInstance(workload.MustByName("gcc")), 0); err != nil {
+		t.Fatal(err)
+	}
+	if md, err = NewModel(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := md.Attach(occupied); err == nil {
+		t.Error("attach over an occupied core accepted")
+	}
+}
+
+func TestWebsearchConfig(t *testing.T) {
+	cfg := Websearch(300, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 1)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Arrivals != Closed || !cfg.RecordAll {
+		t.Errorf("websearch must be a closed loop keeping every latency: %+v", cfg)
+	}
+	if err := cfg.Profile.Validate(); err != nil {
+		t.Error(err)
+	}
+	if cfg.Profile.Name != "websearch" || cfg.Profile.AVX {
+		t.Errorf("profile %+v, want non-AVX \"websearch\"", cfg.Profile)
+	}
+	if lo, hi := cfg.OfferedLoad(2500*units.MHz), cfg.OfferedLoad(1000*units.MHz); lo <= 0 || hi <= lo {
+		t.Errorf("offered load must rise as frequency falls: %g at 2.5 GHz, %g at 1 GHz", lo, hi)
+	}
+}
+
+func TestInFlightBounded(t *testing.T) {
+	cfg := Websearch(30, []int{0, 1}, 9)
+	md, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(t)
+	if err := md.Attach(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cfg.Cores {
+		if err := m.SetRequest(c, m.Chip().Freq.Max()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := md.Service("websearch")
+	for i := 0; i < 5000; i++ {
+		m.Step()
+		if n := s.InFlight(); n > cfg.Users {
+			t.Fatalf("in-flight %d exceeds closed-loop population %d", n, cfg.Users)
+		}
 	}
 }
 
@@ -392,30 +447,56 @@ func TestThrottlingRaisesTail(t *testing.T) {
 }
 
 // TestAdvanceZeroAlloc proves the steady-state tick and telemetry path
-// never allocates — the property the svc_tick bench entries gate in CI.
+// never allocates. The mixed row covers every arrival kind's bookkeeping
+// (drops, timeouts, the closed-loop wake heap); the 32-core row is four
+// co-located open-loop tenants at 40 req/s per core, advanced through one
+// whole Window first so every sliding window is at its steady occupancy
+// and completions evict as fast as they record.
 func TestAdvanceZeroAlloc(t *testing.T) {
-	md, err := NewModel(
-		Config{Name: "api", Cores: []int{0, 1, 2, 3}, Seed: 2,
-			Arrivals: OpenPoisson, Rate: Diurnal(900, 2*time.Second), MaxQueue: 256, SLO: 50 * time.Millisecond},
-		Config{Name: "ws", Cores: []int{4, 5, 6}, Seed: 3,
-			Arrivals: Closed, Users: 120, Timeout: 500 * time.Millisecond},
-	)
-	if err != nil {
-		t.Fatal(err)
+	tenants := make([]Config, 4)
+	for i := range tenants {
+		cores := make([]int, 8)
+		for j := range cores {
+			cores[j] = i*len(cores) + j
+		}
+		tenants[i] = Config{Name: fmt.Sprintf("svc%d", i), Cores: cores, Seed: int64(i + 1),
+			Arrivals: OpenPoisson, Rate: ConstantRate(40 * float64(len(cores))), SLO: 50 * time.Millisecond}
 	}
-	m := newMachine(t)
-	if err := md.Attach(m); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		chip platform.Chip
+		warm time.Duration
+		cfgs []Config
+	}{
+		{"mixed/cores=10", platform.Skylake(), 3 * time.Second, []Config{
+			{Name: "api", Cores: []int{0, 1, 2, 3}, Seed: 2,
+				Arrivals: OpenPoisson, Rate: Diurnal(900, 2*time.Second), MaxQueue: 256, SLO: 50 * time.Millisecond},
+			{Name: "ws", Cores: []int{4, 5, 6}, Seed: 3,
+				Arrivals: Closed, Users: 120, Timeout: 500 * time.Millisecond},
+		}},
+		{"open/cores=32", platform.ScaleSocket(platform.Skylake(), 32), 10 * time.Second, tenants},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			md, err := NewModel(tc.cfgs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := sim.New(tc.chip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := md.Attach(m); err != nil {
+				t.Fatal(err)
+			}
+			m.Run(tc.warm) // warm rings, free lists, and windows
+			buf := md.FillServiceSLO(nil)
+			n := testing.AllocsPerRun(200, func() {
+				md.Advance(time.Millisecond)
+				buf = md.FillServiceSLO(buf[:0])
+			})
+			if n != 0 {
+				t.Errorf("allocs per tick = %v, want 0", n)
+			}
+		})
 	}
-	m.Run(3 * time.Second) // warm rings, free lists, and windows
-	buf := md.FillServiceSLO(nil)
-	n := testing.AllocsPerRun(200, func() {
-		md.Advance(time.Millisecond)
-		buf = md.FillServiceSLO(buf[:0])
-	})
-	if n != 0 {
-		t.Errorf("allocs per tick = %v, want 0", n)
-	}
-	var slo []core.ServiceSLO = buf
-	_ = slo
 }

@@ -18,10 +18,9 @@
 //     paper's evaluation, plus quantified studies of the paper's
 //     discussion points (stability, useful frequency, game-ability,
 //     consolidation) and ablations;
-//   - the surrounding mechanism stack: cpufreq-style governors, HWP,
-//     a thermald-style trip controller, a Linux-powercap sysfs zone,
-//     single-core time sharing with throttle compensation, trace
-//     record/replay, and a Dynamo-style cluster budget coordinator.
+//   - the surrounding mechanism stack: single-core time sharing with
+//     throttle compensation, trace record/replay, and a Dynamo-style
+//     cluster budget coordinator.
 //
 // # Quickstart
 //
@@ -50,17 +49,13 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/daemon"
 	"repro/internal/experiments"
-	"repro/internal/governor"
-	"repro/internal/hwp"
 	"repro/internal/msr"
 	"repro/internal/platform"
-	"repro/internal/powercap"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/svc"
 	"repro/internal/telemetry"
-	"repro/internal/thermal"
 	"repro/internal/units"
-	"repro/internal/websearch"
 	"repro/internal/workload"
 )
 
@@ -247,15 +242,18 @@ var (
 
 // Latency-sensitive workload.
 type (
-	// Websearch is the closed-loop latency model.
-	Websearch = websearch.App
-	// WebsearchConfig parameterises it.
-	WebsearchConfig = websearch.Config
+	// ServiceModel is a set of latency services attached to one machine.
+	ServiceModel = svc.Model
+	// Service is one latency service's queue and latency record.
+	Service = svc.Service
 )
 
 var (
-	// NewWebsearch builds the websearch model.
-	NewWebsearch = websearch.New
+	// WebsearchConfig returns the paper's closed-loop websearch service:
+	// users thinking and submitting requests to a pool of serving cores.
+	WebsearchConfig = svc.Websearch
+	// NewWebsearch builds a service model from service configurations.
+	NewWebsearch = svc.NewModel
 )
 
 // Single-core time sharing (the paper's Section 4.3).
@@ -334,25 +332,10 @@ var (
 	// UsefulFrequency fits the two-point latency model and returns the
 	// highest useful frequency (Section 4.4).
 	UsefulFrequency = core.UsefulFrequency
-	// AttachGovernor installs a cpufreq-style OS governor on machine cores.
-	AttachGovernor = governor.Attach
-	// NewThermalModel builds an RC package thermal model.
-	NewThermalModel = thermal.NewModel
-	// AttachThermalDaemon installs a thermald-style trip controller.
-	AttachThermalDaemon = thermal.Attach
-	// EnableHWP turns on hardware-managed P-states (CPPC/HWP) on machine
-	// cores.
-	EnableHWP = hwp.Enable
-	// AttachPowercap creates a Linux-powercap-style sysfs tree bound to a
-	// machine's RAPL limiter.
-	AttachPowercap = powercap.Attach
 	// RandomRobustness sweeps random synthetic mixes checking share-policy
 	// invariants.
 	RandomRobustness = experiments.RandomRobustness
 )
-
-// PowercapZone is the sysfs-style package power-capping zone.
-type PowercapZone = powercap.Zone
 
 // Cluster-level coordination (the Dynamo-style layer above node daemons).
 type (
@@ -367,32 +350,4 @@ type (
 var (
 	// NewCluster builds a room-level power coordinator over node daemons.
 	NewCluster = cluster.New
-)
-
-// HWPController is the hardware-managed P-state engine.
-type HWPController = hwp.Controller
-
-// Governor and thermal types.
-type (
-	// GovernorKind selects a cpufreq governor heuristic.
-	GovernorKind = governor.Kind
-	// GovernorConfig parameterises a governor.
-	GovernorConfig = governor.Config
-	// Governor is a running per-core governor manager.
-	Governor = governor.Manager
-	// ThermalModel is the RC package thermal model.
-	ThermalModel = thermal.Model
-	// ThermalConfig parameterises the thermal daemon.
-	ThermalConfig = thermal.Config
-	// ThermalDaemon is the thermald-style controller.
-	ThermalDaemon = thermal.Daemon
-)
-
-// Governor kinds.
-const (
-	GovPerformance  = governor.Performance
-	GovPowersave    = governor.Powersave
-	GovUserspace    = governor.Userspace
-	GovOndemand     = governor.Ondemand
-	GovConservative = governor.Conservative
 )

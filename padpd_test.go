@@ -86,15 +86,15 @@ func TestFacadeWebsearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWebsearch(WebsearchConfig{Users: 20, Cores: []int{0, 1}, Seed: 1})
+	model, err := NewWebsearch(WebsearchConfig(20, []int{0, 1}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ws.Attach(m); err != nil {
+	if err := model.Attach(m); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(5 * time.Second)
-	if ws.Completed() == 0 {
+	if model.Service("websearch").Completed() == 0 {
 		t.Error("websearch served nothing")
 	}
 }
