@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
+	"repro/internal/ledger"
 	"repro/internal/metrics"
+	"repro/internal/metrics/decisions"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/svc"
@@ -14,10 +17,9 @@ import (
 	"repro/internal/workload"
 )
 
-// buildLoop daemonises one app per core of chip under the policy mkpol
-// builds, metrics on.
-func buildLoop(t *testing.T, chip platform.Chip, mkpol func(platform.Chip, []core.AppSpec) (core.Policy, error)) (*sim.Machine, *Daemon) {
-	t.Helper()
+// loopApps is one app per core of chip: four workloads in rotation, shares
+// 10..16, every other app high priority.
+func loopApps(chip platform.Chip) ([]string, []core.AppSpec) {
 	pool := []string{"gcc", "cam4", "leela", "cactusBSSN"}
 	names := make([]string, chip.NumCores)
 	shares := make([]units.Shares, chip.NumCores)
@@ -25,8 +27,15 @@ func buildLoop(t *testing.T, chip platform.Chip, mkpol func(platform.Chip, []cor
 	for i := range names {
 		names[i], shares[i], hp[i] = pool[i%len(pool)], units.Shares(10+i%7), i%2 == 0
 	}
+	return names, specsFor(names, shares, hp)
+}
+
+// buildLoop daemonises one app per core of chip under the policy mkpol
+// builds, metrics on.
+func buildLoop(t *testing.T, chip platform.Chip, mkpol func(platform.Chip, []core.AppSpec) (core.Policy, error)) (*sim.Machine, *Daemon) {
+	t.Helper()
+	names, specs := loopApps(chip)
 	m := buildMachine(t, chip, names)
-	specs := specsFor(names, shares, hp)
 	pol, err := mkpol(chip, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +189,43 @@ func TestAllocProbeSLO(t *testing.T) {
 				t.Errorf("allocs per SLO iteration = %v, want 0", n)
 			}
 		})
+	}
+}
+
+// The production-shaped node — cmd/powerd's default recorders all on
+// (registry, decision journal, flight recorder on the machine and the
+// daemon, energy ledger) over the two-socket 128-core package — holds the
+// same zero once the journal's ring has lapped: the journal refills its
+// slots in place, the ledger and the MSR sweeps commit flight events from
+// preallocated scratch, and nothing else on the path allocates.
+func TestAllocProbeAllRecorders(t *testing.T) {
+	chip := platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 64), 2)
+	names, specs := loopApps(chip)
+	reg, rec, journal := metrics.NewRegistry(), flight.New(0), decisions.NewJournal(0)
+	m := buildMachine(t, chip, names, sim.WithMetrics(reg), sim.WithFlightRecorder(rec))
+	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := ledger.New(ledger.Config{Chip: chip, Apps: specs, Metrics: reg, Flight: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{
+		Chip: chip, Policy: pol, Apps: specs, Limit: chip.RAPLMax * 6 / 10,
+		Metrics: reg, Journal: journal, Flight: rec, Ledger: led,
+	}, m.Device(), MachineActuator{M: m, Dev: m.Device()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := allocsPerIteration(t, m, d, decisions.DefaultCapacity+50); n != 0 {
+		t.Errorf("allocs per iteration with every recorder on = %v, want 0", n)
+	}
+	if journal.Total() == 0 || led.Summarize().Intervals == 0 || rec.Total() == 0 {
+		t.Fatal("a recorder saw nothing: the gate measured a loop with it off")
 	}
 }
 

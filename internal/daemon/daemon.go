@@ -616,7 +616,7 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		})
 	}
 	if d.cfg.Journal != nil {
-		d.cfg.Journal.Append(decisions.Record(polName, reasons, snap, actions))
+		d.cfg.Journal.Record(polName, reasons, snap, actions)
 	}
 	d.m.iterations.Inc()
 	d.m.pkgWatts.Set(float64(snap.PackagePower))

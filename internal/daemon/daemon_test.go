@@ -16,9 +16,9 @@ import (
 )
 
 // buildMachine pins the named profiles on consecutive cores at max request.
-func buildMachine(t *testing.T, chip platform.Chip, names []string) *sim.Machine {
+func buildMachine(t *testing.T, chip platform.Chip, names []string, opts ...sim.Option) *sim.Machine {
 	t.Helper()
-	m, err := sim.New(chip)
+	m, err := sim.New(chip, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/metrics/decisions"
 	"repro/internal/units"
 )
 
@@ -158,8 +157,7 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 		d.m.limitChanges.Inc()
 	}
 	if d.cfg.Journal != nil {
-		d.cfg.Journal.Append(decisions.Record(polName,
-			[]core.Reason{core.ReasonReconfigure}, snap, actions))
+		d.cfg.Journal.Record(polName, []core.Reason{core.ReasonReconfigure}, snap, actions)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -178,6 +179,30 @@ func TestOfflineBlocksReadsAndWrites(t *testing.T) {
 	}
 	if err := dev.Write(1, msr.IA32PerfCtl, 1); err != nil {
 		t.Fatalf("other cpu write affected: %v", err)
+	}
+}
+
+// batchTrap is a countingDevice whose own batch path must never be taken.
+type batchTrap struct {
+	countingDevice
+	t *testing.T
+}
+
+func (d *batchTrap) ReadBatch(uint32, []uint64, []bool) error {
+	d.t.Error("the injector handed a sweep to the wrapped device's batch path, past its per-access windows")
+	return nil
+}
+
+// A sweep through the injector is one faulting Read per cpu: the offline
+// cpu's hole appears in it and the wrapped device's batch path is not used.
+func TestSweepDelegatesPerAccess(t *testing.T) {
+	inner := &batchTrap{t: t}
+	in := New(window(ClassOffline, func(e *Entry) { e.CPU = 2 }), 1)
+	in.AdvanceTo(0)
+	vals, ok := make([]uint64, 4), make([]bool, 4)
+	err := msr.ReadBatch(in.WrapDevice(inner), msr.IA32Aperf, vals, ok)
+	if want := []bool{true, true, false, true}; !errors.Is(err, ErrInjected) || !reflect.DeepEqual(ok, want) || inner.reads != 3 {
+		t.Fatalf("err %v, ok %v (want %v), %d inner reads (want 3)", err, ok, want, inner.reads)
 	}
 }
 

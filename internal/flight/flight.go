@@ -221,15 +221,16 @@ type ring struct {
 	filled bool
 }
 
-func (r *ring) append(e Event) {
-	r.mu.Lock()
-	r.buf[r.next] = e
+// slot claims the next write position, overwriting the oldest event once
+// the ring is full. Caller holds r.mu.
+func (r *ring) slot() *Event {
+	e := &r.buf[r.next]
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.filled = true
 	}
-	r.mu.Unlock()
+	return e
 }
 
 // snapshot copies the retained events in append order.
@@ -318,31 +319,83 @@ func (r *Recorder) now() time.Duration {
 	return time.Since(r.start)
 }
 
-// Record stamps the event with the next global sequence number, the run and
-// wall clocks, and the current interval id, then appends it to its source's
-// ring. It is allocation-free.
-func (r *Recorder) Record(e Event) {
-	if r == nil || e.Source >= numSources {
+// begin opens the one commit path: it reserves n consecutive sequence
+// numbers, reads the run clock, the wall clock and the interval id once, and
+// locks src's ring. The caller writes n slots, each the returned stamp under
+// the next Seq, and unlocks: events committed together share Time, Wall and
+// Interval, and a snapshot sees the batch whole or not at all.
+func (r *Recorder) begin(src Source, n int) (Event, *ring) {
+	st := Event{
+		Seq:      r.seq.Add(uint64(n)) - uint64(n),
+		Time:     r.now(),
+		Wall:     time.Since(r.start),
+		Source:   src,
+		Interval: r.interval.Load(),
+	}
+	rg := &r.rings[src]
+	rg.mu.Lock()
+	return st, rg
+}
+
+// RecordBatch commits events, all of source src, as one batch in slice
+// order: only Kind, Core, Arg, Value and Aux are taken from them. It is
+// allocation-free and does not retain events.
+func (r *Recorder) RecordBatch(src Source, events []Event) {
+	if r == nil || src >= numSources || len(events) == 0 {
 		return
 	}
-	e.Seq = r.seq.Add(1)
-	e.Time = r.now()
-	e.Wall = time.Since(r.start)
-	e.Interval = r.interval.Load()
-	r.rings[e.Source].append(e)
+	st, rg := r.begin(src, len(events))
+	for i := range events {
+		e := &events[i]
+		st.Seq++
+		st.Kind, st.Core, st.Arg, st.Value, st.Aux = e.Kind, e.Core, e.Arg, e.Value, e.Aux
+		*rg.slot() = st
+	}
+	rg.mu.Unlock()
+}
+
+// Record stamps the event with the next global sequence number, the run and
+// wall clocks, and the current interval id, then appends it to its source's
+// ring: a batch of one. It is allocation-free.
+func (r *Recorder) Record(e Event) {
+	one := [1]Event{e}
+	r.RecordBatch(e.Source, one[:])
 }
 
 // RecordMSR implements the msr package's Recorder interface: one event per
 // successful register access.
 func (r *Recorder) RecordMSR(write bool, cpu int, reg uint32, val uint64) {
-	if r == nil {
-		return
-	}
 	k := KindMSRRead
 	if write {
 		k = KindMSRWrite
 	}
 	r.Record(Event{Kind: k, Source: SourceMSR, Core: int16(cpu), Arg: reg, Value: val})
+}
+
+// RecordMSRSweep implements the msr package's SweepRecorder interface: the
+// successful reads of one batched sweep of reg over cpus [0, len(vals)) —
+// every cpu when ok is nil, those with ok[cpu] otherwise — as one batch,
+// event for event what a RecordMSR per read would leave.
+func (r *Recorder) RecordMSRSweep(reg uint32, vals []uint64, ok []bool) {
+	n := len(vals)
+	for _, good := range ok {
+		if !good {
+			n--
+		}
+	}
+	if r == nil || n == 0 {
+		return
+	}
+	st, rg := r.begin(SourceMSR, n)
+	st.Kind, st.Arg = KindMSRRead, reg
+	for cpu, v := range vals {
+		if ok == nil || ok[cpu] {
+			st.Seq++
+			st.Core, st.Value = int16(cpu), v
+			*rg.slot() = st
+		}
+	}
+	rg.mu.Unlock()
 }
 
 // Total reports how many events have ever been recorded (retained or

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -126,6 +127,37 @@ func TestReplayBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The sampler's sweeps reach the recorder as batches — every read of a sweep
+// under one stamp — and a dump of them replays as a per-access dump does:
+// no mismatch, the derived series equal float for float.
+func TestReplayBatchedSweepDump(t *testing.T) {
+	d := record(t, "frequency", 0, 10*time.Second)
+	sweeps := 0
+	for i := 1; i < len(d.Events); i++ {
+		a, b := d.Events[i-1], d.Events[i]
+		if a.Kind == flight.KindMSRRead && b.Kind == flight.KindMSRRead && a.Arg == b.Arg &&
+			b.Core == a.Core+1 && (b.Seq != a.Seq+1 || b.Wall != a.Wall || b.Time != a.Time) {
+			t.Fatalf("neighbours of one sweep stamped apart: %+v then %+v", a, b)
+		}
+		if b.Kind == flight.KindMSRRead && b.Core == 1 && a.Core == 0 && a.Arg == b.Arg {
+			sweeps++
+		}
+	}
+	if sweeps == 0 {
+		t.Fatal("dump holds no batched sweep")
+	}
+	res, err := Replay(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || res.Reads == 0 || len(res.Mismatches) != 0 {
+		t.Fatalf("truncated %v, %d reads, mismatches %v", res.Truncated, res.Reads, res.Mismatches)
+	}
+	if !reflect.DeepEqual(res.RecordedFreq, res.ReplayedFreq) || !reflect.DeepEqual(res.RecordedPower, res.ReplayedPower) {
+		t.Fatal("replayed series differ from the recorded ones")
 	}
 }
 

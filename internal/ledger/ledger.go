@@ -139,6 +139,8 @@ type Ledger struct {
 	weights []float64
 	baseUJ  []uint64
 	rem     []float64
+	order   []int          // remainder selection, sized to the largest socket
+	events  []flight.Event // one interval's KindEnergy batch: every app, then the package accounts
 }
 
 // New builds a ledger. The configuration is validated like daemon
@@ -195,6 +197,8 @@ func (l *Ledger) sizeApps(apps []core.AppSpec) {
 	l.weights = make([]float64, len(apps))
 	l.baseUJ = make([]uint64, len(apps))
 	l.rem = make([]float64, len(apps))
+	l.order = make([]int, 0, len(apps))
+	l.events = make([]flight.Event, 0, len(apps)+5)
 }
 
 // initMetrics registers the ledger's metric families and caches every
@@ -359,21 +363,60 @@ func (l *Ledger) attributeSocket(s int, uj uint64, cores []telemetry.CoreSample)
 		l.baseUJ[maxAt]--
 		sumBase--
 	}
-	for left := uj - sumBase; left > 0; left-- {
-		maxAt := -1
+	left := uj - sumBase
+	for n := uint64(len(idx)); left >= n; left -= n {
+		// More leftover than apps: a whole lap, every app taking one.
 		for _, ai := range idx {
-			if maxAt < 0 || l.rem[ai] > l.rem[maxAt] {
-				maxAt = ai
-			}
+			l.baseUJ[ai]++
+			l.rem[ai]--
 		}
-		l.baseUJ[maxAt]++
-		l.rem[maxAt]-- // keeps the walk well-defined even if left > len(idx)
+	}
+	order := append(l.order[:0], idx...)
+	l.selectLargest(order, int(left))
+	for _, ai := range order[:left] {
+		l.baseUJ[ai]++
 	}
 	for _, ai := range idx {
 		l.apps[ai].lastUJ += l.baseUJ[ai]
 		l.apps[ai].totalUJ += l.baseUJ[ai]
 	}
 	return uj
+}
+
+// selectLargest rearranges order so that its first k entries are the k apps
+// with the largest remainders, the lower index winning a tie: a strict total
+// order, so the set is the one k rounds of pick-the-maximum would choose.
+// Hoare's selection: a partition pass per step, not a scan per microjoule.
+func (l *Ledger) selectLargest(order []int, k int) {
+	ahead := func(a, b int) bool {
+		return l.rem[a] > l.rem[b] || (l.rem[a] == l.rem[b] && a < b)
+	}
+	for lo, hi := 0, len(order)-1; lo < hi && 0 < k && k < len(order); {
+		pivot := order[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for ahead(order[i], pivot) {
+				i++
+			}
+			for ahead(pivot, order[j]) {
+				j--
+			}
+			if i <= j {
+				order[i], order[j] = order[j], order[i]
+				i++
+				j--
+			}
+		}
+		// order[lo..j] are ahead of order[i..hi]; between them sits the pivot.
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // publishLocked pushes the cumulative accounts to the cached metric
@@ -401,11 +444,11 @@ func (l *Ledger) recordEnergyEvents() {
 	if l.flight == nil {
 		return
 	}
+	ev := l.events[:0]
 	for i := range l.apps {
 		a := &l.apps[i]
-		l.flight.Record(flight.Event{
-			Kind: flight.KindEnergy, Source: flight.SourceLedger,
-			Core: int16(a.spec.Core), Arg: uint32(i),
+		ev = append(ev, flight.Event{
+			Kind: flight.KindEnergy, Core: int16(a.spec.Core), Arg: uint32(i),
 			Value: a.lastUJ, Aux: a.totalUJ,
 		})
 	}
@@ -420,11 +463,9 @@ func (l *Ledger) recordEnergyEvents() {
 		{flight.EnergyArgOvershoot, l.overshootUJ},
 	}
 	for _, p := range pkg {
-		l.flight.Record(flight.Event{
-			Kind: flight.KindEnergy, Source: flight.SourceLedger,
-			Core: -1, Arg: p.arg, Aux: p.cum,
-		})
+		ev = append(ev, flight.Event{Kind: flight.KindEnergy, Core: -1, Arg: p.arg, Aux: p.cum})
 	}
+	l.flight.RecordBatch(flight.SourceLedger, ev)
 }
 
 // Reconfigure rebinds the ledger to a new app set after a live daemon

@@ -10,6 +10,7 @@
 package decisions
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -51,44 +52,50 @@ type Entry struct {
 	Actions []ActionTrace `json:"actions,omitempty"`
 }
 
-// Record builds an entry from a policy update. Seq is assigned by Append.
-func Record(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action) Entry {
-	e := Entry{
-		TimeSeconds:       s.Time.Seconds(),
-		Policy:            policy,
-		Reasons:           make([]string, len(reasons)),
-		LimitWatts:        float64(s.Limit),
-		PackagePowerWatts: float64(s.PackagePower),
-		Apps:              make([]AppTrace, len(s.Apps)),
+// fill overwrites e with a policy update, reusing the capacity of its
+// slices: a ring slot stops allocating once it has held its largest entry.
+func (e *Entry) fill(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action) {
+	e.TimeSeconds = s.Time.Seconds()
+	e.Policy = policy
+	e.LimitWatts = float64(s.Limit)
+	e.PackagePowerWatts = float64(s.PackagePower)
+	e.Reasons = slices.Grow(e.Reasons[:0], len(reasons))
+	for _, r := range reasons {
+		e.Reasons = append(e.Reasons, string(r))
 	}
-	for i, r := range reasons {
-		e.Reasons[i] = string(r)
-	}
-	for i, a := range s.Apps {
-		e.Apps[i] = AppTrace{
+	e.Apps = slices.Grow(e.Apps[:0], len(s.Apps))
+	for _, a := range s.Apps {
+		e.Apps = append(e.Apps, AppTrace{
 			Name:   a.Spec.Name,
 			Core:   a.Spec.Core,
 			MHz:    a.Freq.MHzF(),
 			IPS:    a.IPS,
 			Watts:  float64(a.Power),
 			Parked: a.Parked,
-		}
+		})
 	}
-	if len(actions) > 0 { // nil, not empty, in the deadband: what a JSON round trip gives back
-		e.Actions = make([]ActionTrace, len(actions))
-	}
-	for i, a := range actions {
+	e.Actions = slices.Grow(e.Actions[:0], len(actions))
+	for _, a := range actions {
 		at := ActionTrace{Core: a.Core, Park: a.Park}
 		if !a.Park {
 			at.MHz = a.Freq.MHzF()
 		}
-		e.Actions[i] = at
+		e.Actions = append(e.Actions, at)
 	}
-	return e
+}
+
+// clone deep-copies e, so a reader never aliases a ring slot the journal
+// refills in place a lap later.
+func (e *Entry) clone() Entry {
+	c := *e
+	c.Reasons = append(make([]string, 0, len(e.Reasons)), e.Reasons...)
+	c.Apps = append(make([]AppTrace, 0, len(e.Apps)), e.Apps...)
+	c.Actions = append([]ActionTrace(nil), e.Actions...) // nil, not empty, in the deadband: what a JSON round trip gives back
+	return c
 }
 
 // Journal is a bounded, concurrency-safe ring of decision entries. A nil
-// *Journal is a valid disabled journal: Append no-ops and readers see
+// *Journal is a valid disabled journal: Record no-ops and readers see
 // nothing.
 type Journal struct {
 	mu      sync.Mutex
@@ -113,17 +120,20 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{entries: make([]Entry, capacity), started: time.Now()}
 }
 
-// Append stamps the entry with the next sequence number and stores it,
-// evicting the oldest entry once the ring is full.
-func (j *Journal) Append(e Entry) {
+// Record journals one policy update — the observed snapshot, the reasons
+// the policy gave and the actions it emitted — under the next sequence
+// number, evicting the oldest entry once the ring is full: its slot is
+// refilled in place, so a warm journal records without allocating.
+func (j *Journal) Record(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq++
+	e := &j.entries[j.next]
+	e.fill(policy, reasons, s, actions)
 	e.Seq = j.seq
-	j.entries[j.next] = e
 	j.next++
 	if j.next == len(j.entries) {
 		j.next = 0
@@ -131,7 +141,7 @@ func (j *Journal) Append(e Entry) {
 	}
 }
 
-// Total reports how many entries have ever been appended.
+// Total reports how many entries have ever been recorded.
 func (j *Journal) Total() uint64 {
 	if j == nil {
 		return 0
@@ -158,8 +168,8 @@ func (j *Journal) lenLocked() int {
 	return j.next
 }
 
-// Tail returns the most recent n entries, oldest first. Non-positive or
-// oversized n returns everything retained.
+// Tail returns deep copies of the most recent n entries, oldest first.
+// Non-positive or oversized n returns everything retained.
 func (j *Journal) Tail(n int) []Entry {
 	if j == nil {
 		return nil
@@ -171,16 +181,12 @@ func (j *Journal) Tail(n int) []Entry {
 		n = have
 	}
 	out := make([]Entry, 0, n)
-	start := j.next - n
-	if !j.filled {
-		start = j.next - n // same: next == have here
-	}
 	for i := 0; i < n; i++ {
-		idx := start + i
+		idx := j.next - n + i
 		if idx < 0 {
 			idx += len(j.entries)
 		}
-		out = append(out, j.entries[idx])
+		out = append(out, j.entries[idx].clone())
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package decisions
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -8,8 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-func entry(t float64) Entry {
-	return Entry{TimeSeconds: t, Policy: "test"}
+// record journals a bare entry stamped t seconds.
+func record(j *Journal, t float64) {
+	j.Record("test", nil, core.Snapshot{Time: time.Duration(t * float64(time.Second))}, nil)
 }
 
 func TestRecord(t *testing.T) {
@@ -26,7 +28,9 @@ func TestRecord(t *testing.T) {
 		}},
 	}
 	actions := []core.Action{{Core: 0, Freq: 2_800_000_000}, {Core: 1, Park: true}}
-	e := Record("frequency-shares", []core.Reason{core.ReasonPowerOverLimit, core.ReasonShareRebalance}, snap, actions)
+	j := NewJournal(2)
+	j.Record("frequency-shares", []core.Reason{core.ReasonPowerOverLimit, core.ReasonShareRebalance}, snap, actions)
+	e, _ := j.Last()
 	if e.Policy != "frequency-shares" || e.TimeSeconds != 90 {
 		t.Fatalf("header: %+v", e)
 	}
@@ -50,7 +54,7 @@ func TestRecord(t *testing.T) {
 func TestJournalRing(t *testing.T) {
 	j := NewJournal(4)
 	for i := 1; i <= 6; i++ {
-		j.Append(entry(float64(i)))
+		record(j, float64(i))
 	}
 	if j.Total() != 6 {
 		t.Fatalf("total = %d, want 6", j.Total())
@@ -80,8 +84,8 @@ func TestJournalRing(t *testing.T) {
 
 func TestJournalPartiallyFilled(t *testing.T) {
 	j := NewJournal(8)
-	j.Append(entry(1))
-	j.Append(entry(2))
+	record(j, 1)
+	record(j, 2)
 	if j.Len() != 2 || j.Total() != 2 {
 		t.Fatalf("len=%d total=%d", j.Len(), j.Total())
 	}
@@ -93,7 +97,7 @@ func TestJournalPartiallyFilled(t *testing.T) {
 
 func TestJournalNil(t *testing.T) {
 	var j *Journal
-	j.Append(entry(1)) // must not panic
+	record(j, 1) // must not panic
 	if j.Len() != 0 || j.Total() != 0 {
 		t.Fatalf("nil journal reported state")
 	}
@@ -113,7 +117,7 @@ func TestJournalConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 500; k++ {
-				j.Append(entry(float64(k)))
+				record(j, float64(k))
 			}
 		}()
 	}
@@ -138,5 +142,48 @@ func TestJournalConcurrent(t *testing.T) {
 		if tail[i].Seq != tail[i-1].Seq+1 {
 			t.Fatalf("tail not sequential: %d then %d", tail[i-1].Seq, tail[i].Seq)
 		}
+	}
+}
+
+// The journal refills the evicted slot in place, so what Tail and Last hand
+// out must be deep copies: an entry read before the ring laps keeps its
+// contents, shorter updates do not show the longer one's leftovers, a
+// deadband entry's Actions reads back nil, and a warm ring records without
+// allocating.
+func TestJournalSlotReuse(t *testing.T) {
+	big := core.Snapshot{Time: time.Second, Apps: make([]core.AppState, 8)}
+	for i := range big.Apps {
+		big.Apps[i].Spec = core.AppSpec{Name: "big", Core: i}
+	}
+	small := core.Snapshot{Time: 2 * time.Second, Apps: []core.AppState{{Spec: core.AppSpec{Name: "small"}}}}
+	acts := []core.Action{{Core: 1, Freq: 2_000_000_000}, {Core: 2, Park: true}}
+
+	j := NewJournal(2)
+	j.Record("p", []core.Reason{core.ReasonPowerOverLimit, core.ReasonShareRebalance}, big, acts)
+	first, _ := j.Last()
+	held := j.Tail(1)
+	j.Record("p", nil, small, nil)
+	j.Record("p", []core.Reason{core.ReasonWithinDeadband}, small, nil) // laps onto first's slot
+
+	if !reflect.DeepEqual(held[0], first) || len(first.Apps) != 8 || first.Apps[7].Core != 7 ||
+		len(first.Reasons) != 2 || len(first.Actions) != 2 || !first.Actions[1].Park {
+		t.Fatalf("entry read before the lap changed under its reader: %+v", first)
+	}
+	last, _ := j.Last()
+	if last.Seq != 3 || len(last.Apps) != 1 || last.Apps[0].Name != "small" ||
+		len(last.Reasons) != 1 || last.Reasons[0] != string(core.ReasonWithinDeadband) {
+		t.Fatalf("refilled slot shows leftovers: %+v", last)
+	}
+	if last.Actions != nil || last.Reasons == nil || last.Apps == nil {
+		t.Fatalf("deadband entry: actions %v (want nil), reasons %v, apps %v", last.Actions, last.Reasons, last.Apps)
+	}
+	last.Apps[0].Name = "scribbled"
+	if again, _ := j.Last(); again.Apps[0].Name != "small" {
+		t.Fatal("Last handed out the ring slot itself")
+	}
+
+	reasons := []core.Reason{core.ReasonShareRebalance}
+	if n := testing.AllocsPerRun(50, func() { j.Record("p", reasons, big, acts) }); n != 0 {
+		t.Fatalf("warm journal allocates %v per Record, want 0", n)
 	}
 }

@@ -108,12 +108,20 @@ func ReadBatch(dev Device, reg uint32, vals []uint64, ok []bool) error {
 // function; device implementations and wrappers (e.g. the fault
 // injector) share it for their own sweeps.
 func ReadBatchFunc(read func(cpu int, reg uint32) (uint64, error), reg uint32, vals []uint64, ok []bool) error {
+	_, err := sweep(func(cpu int) (uint64, error) { return read(cpu, reg) }, vals, ok)
+	return err
+}
+
+// sweep runs read over cpus [0, len(vals)) under BatchReader semantics and
+// also reports how many leading cpus were visited: len(vals), or the failing
+// cpu's index when a strict sweep aborts.
+func sweep(read func(cpu int) (uint64, error), vals []uint64, ok []bool) (int, error) {
 	var first error
 	for cpu := range vals {
-		v, err := read(cpu, reg)
+		v, err := read(cpu)
 		if err != nil {
 			if ok == nil {
-				return err
+				return cpu, err
 			}
 			if first == nil {
 				first = err
@@ -127,7 +135,7 @@ func ReadBatchFunc(read func(cpu int, reg uint32) (uint64, error), reg uint32, v
 			ok[cpu] = true
 		}
 	}
-	return first
+	return len(vals), first
 }
 
 // Recorder observes every successful register access on a device — the
@@ -136,6 +144,29 @@ func ReadBatchFunc(read func(cpu int, reg uint32) (uint64, error), reg uint32, v
 // stream.
 type Recorder interface {
 	RecordMSR(write bool, cpu int, reg uint32, val uint64)
+}
+
+// SweepRecorder is the optional bulk extension of Recorder (the flight
+// recorder implements it): the successful reads of one finished ReadBatch
+// sweep of reg over cpus [0, len(vals)) — all when ok is nil, those with
+// ok[cpu] otherwise — in one call. Implementations must not retain vals or ok.
+type SweepRecorder interface {
+	Recorder
+	RecordMSRSweep(reg uint32, vals []uint64, ok []bool)
+}
+
+// recordSweep reports a finished sweep's successful reads to rec: at once
+// when it is a SweepRecorder, one RecordMSR per read otherwise.
+func recordSweep(rec Recorder, reg uint32, vals []uint64, ok []bool) {
+	if sr, isSweep := rec.(SweepRecorder); isSweep {
+		sr.RecordMSRSweep(reg, vals, ok)
+	} else if rec != nil {
+		for cpu, v := range vals {
+			if ok == nil || ok[cpu] {
+				rec.RecordMSR(false, cpu, reg, v)
+			}
+		}
+	}
 }
 
 // RegName names the architectural registers this package defines, for
@@ -323,8 +354,9 @@ func (d *SimDevice) Read(cpu int, reg uint32) (uint64, error) {
 }
 
 // ReadBatch implements BatchReader: the handler and recorder are resolved
-// once under a single lock acquisition and the sweep runs handler calls
-// back to back, so sampling n cores costs one dispatch, not n.
+// once under a single lock acquisition, the sweep runs handler calls back to
+// back, and the recorder sees the successful reads once the sweep is done —
+// sampling n cores costs one dispatch and one record commit, not n.
 func (d *SimDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	creg := Canonical(reg)
 	d.mu.RLock()
@@ -342,29 +374,9 @@ func (d *SimDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 		}
 		return err
 	}
-	var first error
-	for cpu := range vals {
-		v, err := fn(cpu)
-		if err != nil {
-			if ok == nil {
-				return err
-			}
-			if first == nil {
-				first = err
-			}
-			vals[cpu] = 0
-			ok[cpu] = false
-			continue
-		}
-		if rec != nil {
-			rec.RecordMSR(false, cpu, creg, v)
-		}
-		vals[cpu] = v
-		if ok != nil {
-			ok[cpu] = true
-		}
-	}
-	return first
+	n, err := sweep(fn, vals, ok)
+	recordSweep(rec, creg, vals[:n], ok)
+	return err
 }
 
 // Write implements Device.
@@ -419,23 +431,28 @@ func (d *FileDevice) path(cpu int, reg uint32) string {
 func (d *FileDevice) Read(cpu int, reg uint32) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readLocked(cpu, reg)
+	v, err := d.readFile(cpu, reg)
+	if err == nil && d.rec != nil {
+		d.rec.RecordMSR(false, cpu, Canonical(reg), v)
+	}
+	return v, err
 }
 
-// ReadBatch implements BatchReader under a single lock acquisition.
+// ReadBatch implements BatchReader under a single lock acquisition, the
+// recorder seeing the successful reads once the sweep is done.
 func (d *FileDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return ReadBatchFunc(d.readLocked, reg, vals, ok)
+	n, err := sweep(func(cpu int) (uint64, error) { return d.readFile(cpu, reg) }, vals, ok)
+	recordSweep(d.rec, Canonical(reg), vals[:n], ok)
+	return err
 }
 
-func (d *FileDevice) readLocked(cpu int, reg uint32) (uint64, error) {
+// readFile reads one register file, unrecorded. A missing register reads as
+// zero and is still a successful observation.
+func (d *FileDevice) readFile(cpu int, reg uint32) (uint64, error) {
 	b, err := os.ReadFile(d.path(cpu, reg))
 	if os.IsNotExist(err) {
-		// RAZ reads are still observations; record them.
-		if d.rec != nil {
-			d.rec.RecordMSR(false, cpu, Canonical(reg), 0)
-		}
 		return 0, nil
 	}
 	if err != nil {
@@ -444,11 +461,7 @@ func (d *FileDevice) readLocked(cpu int, reg uint32) (uint64, error) {
 	if len(b) < 8 {
 		return 0, fmt.Errorf("msr: short register file for cpu%d reg 0x%X: %d bytes", cpu, reg, len(b))
 	}
-	v := binary.LittleEndian.Uint64(b)
-	if d.rec != nil {
-		d.rec.RecordMSR(false, cpu, Canonical(reg), v)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // Write implements Device.

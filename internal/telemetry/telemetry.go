@@ -207,6 +207,7 @@ type Sampler struct {
 	mReadErrors *metrics.Counter
 	mRetries    *metrics.Counter
 	mStatusBy   [len(statusNames)]*metrics.Counter
+	tally       [len(statusNames)]int // statuses classified by the Sample in progress
 }
 
 // Instrument registers the sampler's metrics on reg: samples taken, raw
@@ -492,10 +493,13 @@ func (s *Sampler) batchResilient(reg uint32, dst []uint64) {
 	}
 }
 
-// noteStatus counts a classification.
-func (s *Sampler) noteStatus(st CoreStatus) {
-	if int(st) < len(s.mStatusBy) {
-		s.mStatusBy[st].Inc()
+// flushStatus publishes the sample's status tally, one Add per status seen.
+func (s *Sampler) flushStatus() {
+	for st, n := range s.tally {
+		if n > 0 {
+			s.mStatusBy[st].Add(float64(n))
+			s.tally[st] = 0
+		}
 	}
 }
 
@@ -534,7 +538,10 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 		if s.curOK[i] && s.baseOK[i] && s.curMperf[i] != s.prevMperf[i] {
 			s.anyExecSock[i/s.cps] = true
 		}
-		out.Cores[i] = s.classify(i, dt)
+		cs := s.classify(i, dt)
+		s.lastStatus[i] = cs.Status
+		s.tally[cs.Status]++
+		out.Cores[i] = cs
 	}
 	s.swapBaselines()
 
@@ -544,9 +551,11 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 		pkg, err := s.readMSR(sck*s.cps, msr.PkgEnergyStatus)
 		pkgOK := err == nil
 		if err != nil && !s.resilient {
+			s.flushStatus()
 			return Sample{}, fmt.Errorf("telemetry: package energy socket %d: %w", sck, err)
 		}
 		w, st := s.pkgPower(sck, pkg, pkgOK, s.anyExecSock[sck], dt)
+		s.tally[st]++
 		out.SocketPower[sck] = w
 		out.SocketStatus[sck] = st
 		out.PackagePower += w
@@ -555,20 +564,16 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 		}
 	}
 	out.PkgStatus = worst
+	s.flushStatus()
 	s.mSamples.Inc()
 	return *out, nil
 }
 
 // classify derives core i's sample and its status from the current sweep
 // against the baseline. The baseline slices are committed by the caller's
-// swap; classify only maintains the per-core status state machine.
+// swap, and the caller records the status in lastStatus and the tally.
 func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
 	cs := CoreSample{CPU: i}
-	defer func() {
-		s.lastStatus[i] = cs.Status
-		s.noteStatus(cs.Status)
-	}()
-
 	if !s.curOK[i] {
 		// Reads failed after retries: the core is dark. The baseline is
 		// held (prev copied into cur before the swap) so a later recovery
@@ -623,7 +628,6 @@ func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
 // advanced), which makes a frozen energy counter implausible rather than
 // idle.
 func (s *Sampler) pkgPower(sck int, cur uint64, ok, anyExec bool, dt time.Duration) (units.Watts, CoreStatus) {
-	defer func() { s.noteStatus(s.pkgLast[sck]) }()
 	if !ok {
 		// Unreadable: carry the last trustworthy power forward so the
 		// control plane keeps a conservative estimate instead of seeing

@@ -250,3 +250,83 @@ func TestInstrumentCountsFailedReads(t *testing.T) {
 		t.Errorf("read errors = %v, want 1", v)
 	}
 }
+
+// telemetry_core_status_total counts one per classified core and one per
+// socket, per status, however the sampler batches the additions: over a
+// mixed sample — an executing core, an idle one, a torn one, a dark one —
+// and the recovery after it, each status's counter equals the number of
+// times that status appears in the returned Samples.
+func TestInstrumentCountsStatusesOfMixedSample(t *testing.T) {
+	const cores = 4
+	aperf, mperf, instr := make([]uint64, cores), make([]uint64, cores), make([]uint64, cores)
+	var energy uint64
+	dark := -1
+	at := func(vals []uint64) func(int) (uint64, error) {
+		return func(cpu int) (uint64, error) {
+			if cpu == dark {
+				return 0, fmt.Errorf("cpu%d unreadable", cpu)
+			}
+			return vals[cpu], nil
+		}
+	}
+	dev := msr.NewSimDevice()
+	dev.OnRead(msr.IA32Aperf, at(aperf))
+	dev.OnRead(msr.IA32Mperf, at(mperf))
+	dev.OnRead(msr.IA32FixedCtr0, at(instr))
+	dev.OnRead(msr.RAPLPowerUnit, func(int) (uint64, error) { return msr.EncodePowerUnit(msr.EnergyUnit{ESU: 14}), nil })
+	dev.OnRead(msr.PkgEnergyStatus, func(int) (uint64, error) { return energy, nil })
+
+	reg := metrics.NewRegistry()
+	s, err := NewSampler(dev, cores, 2_000_000_000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Instrument(reg)
+	s.SetResilient(RetryPolicy{Attempts: 1})
+	if err := s.Prime(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[CoreStatus]float64{}
+	sample := func(expect [cores]CoreStatus) {
+		t.Helper()
+		out, err := s.Sample(10 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range out.Cores {
+			if c.Status != expect[i] {
+				t.Errorf("core %d classified %v, want %v", i, c.Status, expect[i])
+			}
+			want[c.Status]++
+		}
+		for _, st := range out.SocketStatus {
+			want[st]++
+		}
+	}
+	// Core 0 executes, core 1 sleeps, core 2's MPERF is frozen under a
+	// moving APERF, core 3 cannot be read.
+	aperf[0], mperf[0], instr[0] = 1000, 1000, 5000
+	aperf[2], instr[2] = 700, 100
+	energy, dark = 4096, 3
+	sample([cores]CoreStatus{StatusOK, StatusIdle, StatusStale, StatusDark})
+	// Everything reads and advances again: the two outage cores re-baseline.
+	dark = -1
+	for i := range aperf {
+		aperf[i] += 500
+		mperf[i] += 500
+		instr[i] += 900
+	}
+	energy += 4096
+	sample([cores]CoreStatus{StatusOK, StatusOK, StatusRecovering, StatusRecovering})
+
+	vec := reg.CounterVec("telemetry_core_status_total", "", "status")
+	for st, name := range statusNames {
+		if got := vec.With(name).Value(); got != want[CoreStatus(st)] {
+			t.Errorf("telemetry_core_status_total{status=%q} = %v, want %v", name, got, want[CoreStatus(st)])
+		}
+	}
+	if want[StatusOK] != 5 || want[StatusDark] != 1 || want[StatusStale] != 1 || want[StatusIdle] != 1 || want[StatusRecovering] != 2 {
+		t.Errorf("samples held %v", want)
+	}
+}
