@@ -15,6 +15,12 @@ package core
 //
 // The total is monotone non-decreasing in λ, so bisection is exact. Bases
 // must be positive; bounds must satisfy 0 <= lo_i <= hi_i.
+//
+// The bisection is the 64-sweep one cut short at its fixed point: once the
+// midpoint rounds onto an endpoint (mid == a || mid == b, after ~53 halvings
+// of a float64 interval) the sweep either leaves [a, b] as it is or collapses
+// it onto mid, so every later midpoint — and the (a+b)/2 the 64th sweep
+// would return — is that same mid. Returning it there is bit-identical.
 func solveLevel(bases, lo, hi []float64, want float64) float64 {
 	total := func(level float64) float64 {
 		var t float64
@@ -54,6 +60,9 @@ func solveLevel(bases, lo, hi []float64, want float64) float64 {
 	a, b := 0.0, lmax
 	for i := 0; i < 64; i++ {
 		mid := (a + b) / 2
+		if mid == a || mid == b {
+			return mid
+		}
 		if total(mid) < want {
 			a = mid
 		} else {

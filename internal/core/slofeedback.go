@@ -95,7 +95,7 @@ type SLOFeedback struct {
 	svcGoal  []float64 // constructor-time p99 objective, seconds
 	svcCores []int     // serving cores per service
 	svcOf    []int     // spec index -> service index, -1 = batch
-	nBatch   int
+	batch    []int     // spec indices of the batch apps
 
 	// Controller state and per-interval scratch, all preallocated.
 	integ   []float64 // PI integral per service
@@ -167,7 +167,7 @@ func NewSLOFeedback(chip platform.Chip, specs []AppSpec, cfg SLOConfig) (*SLOFee
 			}
 		}
 		if p.svcOf[i] < 0 {
-			p.nBatch++
+			p.batch = append(p.batch, i)
 		}
 	}
 	for j, name := range p.svcNames {
@@ -409,31 +409,28 @@ func (p *SLOFeedback) Update(s Snapshot) []Action {
 	// interactive pool just took, through the shares water-level.
 	freqBudget := p.alpha(s) * maxF * float64(len(p.specs))
 	residual := freqBudget - deltaInteractive
-	if p.nBatch > 0 {
-		bases, lo, hi := p.bounds()
+	// Only the batch apps can move, so the level is solved over them alone.
+	if nb := len(p.batch); nb > 0 {
+		maxShare := p.maxShare()
+		bases, lo, hi, lvl := p.scrBases[:nb], p.scrLo[:nb], p.scrHi[:nb], p.scrLvl[:nb]
 		var batchCur float64
-		for i := range p.specs {
-			if p.svcOf[i] >= 0 {
-				bases[i], lo[i], hi[i] = 0, 0, 0
-				continue
-			}
+		for k, i := range p.batch {
+			bases[k] = maxF * p.specs[i].Shares.Fraction(maxShare)
+			lo[k], hi[k] = minF, float64(p.ceiling(i))
 			batchCur += p.targets[i]
 		}
 		want := batchCur + residual
-		lvl := solveLevel(bases, lo, hi, want)
-		applyLevelInto(p.scrLvl, lvl, bases, lo, hi)
+		applyLevelInto(lvl, solveLevel(bases, lo, hi, want), bases, lo, hi)
 		var batchGot float64
-		for i := range p.specs {
-			if p.svcOf[i] < 0 {
-				p.targets[i] = p.scrLvl[i]
-				batchGot += p.scrLvl[i]
-			}
+		for k, i := range p.batch {
+			p.targets[i] = lvl[k]
+			batchGot += lvl[k]
 		}
 		residual = want - batchGot
 	}
 	// Shortfall the batch pool could not shed lands on the interactive
 	// pool: the cap beats the SLO.
-	nInteractive := len(p.specs) - p.nBatch
+	nInteractive := len(p.specs) - len(p.batch)
 	if residual < 0 && s.PackagePower > s.Limit && nInteractive > 0 {
 		per := residual / float64(nInteractive)
 		for i := range p.specs {

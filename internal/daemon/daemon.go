@@ -215,6 +215,7 @@ type daemonMetrics struct {
 	actPark      *metrics.Counter
 	actWake      *metrics.Counter
 	actSetFreq   *metrics.Counter
+	actUnchanged *metrics.Counter
 	phaseSample  *metrics.Histogram
 	phaseDecide  *metrics.Histogram
 	phaseActuate *metrics.Histogram
@@ -236,7 +237,7 @@ func newDaemonMetrics(reg *metrics.Registry) daemonMetrics {
 		iterations:   reg.Counter("powerd_iterations_total", "Completed control-loop iterations."),
 		iterSeconds:  reg.Histogram("powerd_iteration_seconds", "Wall-clock time spent in one control iteration (sample + policy + actuate).", metrics.DefBuckets),
 		jitterSec:    reg.Histogram("powerd_jitter_seconds", "Real-time loop lateness per iteration (actual minus nominal interval).", metrics.DefBuckets),
-		actuations:   reg.CounterVec("powerd_actuations_total", "Actuations applied, by kind.", "kind"),
+		actuations:   reg.CounterVec("powerd_actuations_total", "Actuations by kind: park, wake, setfreq (P-state registers written), unchanged (requests elided because the register already held the value).", "kind"),
 		sampleErrors: reg.Counter("powerd_sample_errors_total", "Control iterations aborted by a telemetry sampling error."),
 		limitWatts:   reg.Gauge("powerd_limit_watts", "Package power limit currently enforced."),
 		limitChanges: reg.Counter("powerd_limit_changes_total", "Times the enforced power limit was changed via SetLimit."),
@@ -255,6 +256,7 @@ func newDaemonMetrics(reg *metrics.Registry) daemonMetrics {
 	m.actPark = m.actuations.With("park")
 	m.actWake = m.actuations.With("wake")
 	m.actSetFreq = m.actuations.With("setfreq")
+	m.actUnchanged = m.actuations.With("unchanged")
 	m.phaseSample = m.phaseSeconds.With("sample")
 	m.phaseDecide = m.phaseSeconds.With("decide")
 	m.phaseActuate = m.phaseSeconds.With("actuate")
@@ -272,7 +274,8 @@ type Daemon struct {
 	// mu guards all mutable state below so HTTP status readers (the obs
 	// server's /debug/status) can observe a live loop without racing it.
 	mu         sync.RWMutex
-	parked     []bool // indexed by core id
+	parked     []bool        // indexed by core id
+	written    []units.Hertz // per core, the request last programmed; 0 = unknown (see apply)
 	iterations int
 	last       core.Snapshot
 	started    bool
@@ -353,6 +356,7 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 		sampler:    sampler,
 		m:          newDaemonMetrics(cfg.Metrics),
 		parked:     make([]bool, cfg.Chip.NumCores),
+		written:    make([]units.Hertz, cfg.Chip.NumCores),
 		degraded:   make([]bool, cfg.Chip.NumCores),
 		scrHandled: make([]bool, cfg.Chip.NumCores),
 		jitterRes:  stats.NewReservoir(0),
@@ -436,10 +440,17 @@ func (d *Daemon) tolerate(err error) bool {
 	return true
 }
 
-// apply actuates a batch of policy actions. Caller holds d.mu.
+// apply actuates a batch of policy actions, eliding every SetFreq that
+// would rewrite the request d.written still vouches for (tallied once per
+// call as kind="unchanged"). An entry is forgotten by a failed write, a park
+// or wake, an interval the core's sample is untrustworthy, and Reconfigure.
+// Caller holds d.mu.
 func (d *Daemon) apply(actions []core.Action) error {
+	unchanged := 0
+	defer func() { d.m.actUnchanged.Add(float64(unchanged)) }()
 	for _, a := range actions {
 		if a.Park {
+			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, true); err != nil {
 				if d.tolerate(err) {
 					continue
@@ -455,6 +466,7 @@ func (d *Daemon) apply(actions []core.Action) error {
 			continue
 		}
 		if d.parked[a.Core] {
+			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, false); err != nil {
 				if d.tolerate(err) {
 					continue
@@ -468,12 +480,18 @@ func (d *Daemon) apply(actions []core.Action) error {
 				Core: int16(a.Core), Arg: flight.ActWake,
 			})
 		}
+		if d.written[a.Core] == a.Freq {
+			unchanged++
+			continue
+		}
+		d.written[a.Core] = 0 // a failed write leaves the register unknown
 		if err := d.act.SetFreq(a.Core, a.Freq); err != nil {
 			if d.tolerate(err) {
 				continue
 			}
 			return fmt.Errorf("daemon: setting core %d to %v: %w", a.Core, a.Freq, err)
 		}
+		d.written[a.Core] = a.Freq
 		d.m.actSetFreq.Inc()
 		d.cfg.Flight.Record(flight.Event{
 			Kind: flight.KindActuate, Source: flight.SourceDaemon,
@@ -516,6 +534,9 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 	}
 	for i, spec := range d.cfg.Apps {
 		cs := sample.Cores[spec.Core]
+		if !cs.Status.Trustworthy() {
+			d.written[spec.Core] = 0 // cannot vouch for a core we cannot read
+		}
 		st := core.AppState{
 			Spec:   spec,
 			Freq:   cs.ActiveFreq,

@@ -84,6 +84,7 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 	}
 
 	d.mu.Lock()
+	clear(d.written)
 	prevLimit := d.cfg.Limit
 	var codes []uint32
 	if rc.Policy != nil {

@@ -9,8 +9,10 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/flight"
 	"repro/internal/flight/flighttest"
+	"repro/internal/msr"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/svc"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -34,8 +36,36 @@ func record(t *testing.T, policy string, capacity int, d time.Duration) flight.D
 		{Name: "cam4", Core: 1, Shares: 10, AVX: true},
 	}
 	limit := units.Watts(50)
+	interval := time.Second
 	var pol core.Policy
+	var slo daemon.SLOSource
+	var targets []core.SLOTarget
 	switch policy {
+	case "slo":
+		// Two serving cores and two batch apps under SLOFeedback, which
+		// restates every core's frequency each interval. The service is
+		// named after the SPEC profile its cores draw power like, because
+		// replay re-pins apps by name.
+		limit, interval = 30, 50*time.Millisecond
+		targets = []core.SLOTarget{{Service: "leela", P99: 40 * time.Millisecond}}
+		specs = []core.AppSpec{
+			{Name: "leela", Core: 0, Shares: 50},
+			{Name: "leela", Core: 1, Shares: 50},
+			{Name: "gcc", Core: 2, Shares: 50},
+			{Name: "cam4", Core: 3, Shares: 20, AVX: true},
+		}
+		model, merr := svc.NewModel(svc.Config{
+			Name: "leela", Cores: []int{0, 1}, Seed: 3, Profile: workload.MustByName("leela"),
+			Arrivals: svc.OpenPoisson, Rate: svc.ConstantRate(80), SLO: targets[0].P99, Window: time.Second,
+		})
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if err := model.Attach(m); err != nil { // pins the serving cores
+			t.Fatal(err)
+		}
+		slo = model
+		pol, err = core.NewSLOFeedback(chip, specs, core.SLOConfig{Targets: targets})
 	case "frequency":
 		pol, err = core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	case "priority":
@@ -52,6 +82,9 @@ func record(t *testing.T, policy string, capacity int, d time.Duration) flight.D
 		t.Fatal(err)
 	}
 	for _, s := range specs {
+		if m.App(s.Core) != nil {
+			continue
+		}
 		p := workload.MustByName(s.Name)
 		if err := m.Pin(workload.NewInstance(p), s.Core); err != nil {
 			t.Fatal(err)
@@ -59,7 +92,7 @@ func record(t *testing.T, policy string, capacity int, d time.Duration) flight.D
 	}
 	dmn, err := daemon.New(daemon.Config{
 		Chip: chip, Policy: pol, Apps: specs,
-		Limit: limit, Interval: time.Second, Flight: rec,
+		Limit: limit, Interval: interval, Flight: rec, SLO: slo, SLOTargets: targets,
 	}, m.Device(), daemon.MachineActuator{M: m})
 	if err != nil {
 		t.Fatal(err)
@@ -215,5 +248,40 @@ func TestMachineRejectsForeignMeta(t *testing.T) {
 	}
 	if _, err := Machine(flight.Meta{Chip: "skylake", Apps: []flight.MetaApp{{Name: "no-such-app"}}}); err == nil {
 		t.Error("unknown app: want error")
+	}
+}
+
+// TestReplayElidedDump: under SLOFeedback the policy restates every core's
+// frequency each interval and the daemon writes only the requests that
+// changed, so a PERF_CTL write in the dump means "the request moved". The
+// writes that remain are still every input the machine had: the dump
+// replays without a mismatch.
+func TestReplayElidedDump(t *testing.T) {
+	const apps, intervals = 4, 400 // 20 s at the slo run's 50 ms
+	d := record(t, "slo", 1<<16, 20*time.Second)
+	writes, setfreqs := 0, 0
+	for _, ev := range d.Events {
+		switch {
+		case ev.Kind == flight.KindMSRWrite && ev.Arg == msr.IA32PerfCtl:
+			writes++
+		case ev.Kind == flight.KindActuate && ev.Arg == flight.ActSetFreq:
+			setfreqs++
+		}
+	}
+	asked := apps * intervals // an upper bound: deadband intervals ask for nothing
+	if writes != setfreqs || writes <= apps || writes >= asked/2 {
+		t.Fatalf("%d PERF_CTL writes, %d setfreq actuations, at most %d asked for: want equal, and most of them elided",
+			writes, setfreqs, asked)
+	}
+	res, err := Replay(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || res.Writes != writes || res.Reads == 0 || len(res.Mismatches) != 0 {
+		t.Fatalf("truncated %v, %d of %d writes replayed, %d reads, mismatches %v",
+			res.Truncated, res.Writes, writes, res.Reads, res.Mismatches)
+	}
+	if !reflect.DeepEqual(res.RecordedFreq, res.ReplayedFreq) || !reflect.DeepEqual(res.RecordedPower, res.ReplayedPower) {
+		t.Fatal("replayed series differ from the recorded ones")
 	}
 }

@@ -79,10 +79,10 @@ type Profile struct {
 
 // dutyCycled reports whether the profile alternates between running and
 // sleeping.
-func (p Profile) dutyCycled() bool { return p.DutyCycle > 0 && p.DutyCycle < 1 }
+func (p *Profile) dutyCycled() bool { return p.DutyCycle > 0 && p.DutyCycle < 1 }
 
 // dutyPeriod returns the effective duty window.
-func (p Profile) dutyPeriod() time.Duration {
+func (p *Profile) dutyPeriod() time.Duration {
 	if p.DutyPeriod > 0 {
 		return p.DutyPeriod
 	}
