@@ -94,7 +94,7 @@ func main() {
 		fltDir   = flag.String("flight-dump-dir", ".", "directory flight dumps are written to")
 		fltOver  = flag.Duration("flight-overlimit", 0, "dump when power exceeds the limit continuously for this long (0 = off)")
 		fltSLO   = flag.Duration("flight-slo", 0, "dump when one control iteration exceeds this wall-clock latency (0 = off)")
-		faults   = flag.String("faults", "", "fault schedule, inline (';'-separated entries) or @file; enables the resilient daemon")
+		faults   = flag.String("faults", "", "fault schedule, inline (';'-separated entries) or @file")
 		faultSd  = flag.Int64("fault-seed", 1, "seed for probabilistic fault decisions (same seed = same fault pattern)")
 		rates    = flag.String("energy-rates", "", `energy rate schedule "start=usd_per_kwh:gco2_per_kwh,..." (e.g. "0=0.12:420,8h=0.08:250"); empty = defaults`)
 	)
@@ -282,9 +282,7 @@ func drive(chip platform.Chip, specs []core.AppSpec, pol core.Policy, policy str
 	}
 
 	// With a fault schedule the injector wraps the device (so the daemon
-	// reads through it) and drives window transitions off virtual time;
-	// resilient mode is implied — a fault run with a fail-fast daemon would
-	// just exit on the first EIO.
+	// reads through it) and drives window transitions off virtual time.
 	dev := msr.Device(m.Device())
 	var inj *fault.Injector
 	if len(opts.faults) > 0 {
@@ -313,9 +311,6 @@ func drive(chip platform.Chip, specs []core.AppSpec, pol core.Policy, policy str
 	if svcModel != nil {
 		dcfg.SLO = svcModel
 		dcfg.SLOTargets = opts.sloTargets
-	}
-	if inj != nil {
-		dcfg.Resilience = &daemon.Resilience{}
 	}
 	dcfg.Triggers.OnDump = func(path, reason string, derr error) {
 		if derr != nil {

@@ -199,11 +199,10 @@ type LedgerEntry struct {
 // Coordinator redistributes a power budget across nodes reached through
 // Transports.
 type Coordinator struct {
-	cfg    Config
-	ts     []Transport
-	nodes  []*Node // in-process set when built via New; drives Run
-	strict bool    // in-process mode: any transport error aborts the step
-	round  atomic.Uint64
+	cfg   Config
+	ts    []Transport
+	nodes []*Node // in-process set when built via New; drives Run
+	round atomic.Uint64
 
 	// stepMu serializes whole rounds against budget changes, so a
 	// parent's cascaded SetBudget never interleaves with this tier's
@@ -270,10 +269,9 @@ type Node struct {
 	Daemon *daemon.Daemon
 }
 
-// New builds an in-process coordinator over simulated nodes and programs
-// the initial equal split. Transport errors (including the initial grants)
-// are strict: they abort construction and steps, preserving the
-// deterministic lockstep semantics experiments rely on.
+// New builds an in-process coordinator over simulated nodes and attempts
+// the initial equal split, exactly as NewOverTransports does over the
+// nodes' in-process transports; Run then drives the machines in lockstep.
 func New(nodes []*Node, cfg Config) (*Coordinator, error) {
 	if err := cfg.fill(len(nodes)); err != nil {
 		return nil, err
@@ -287,7 +285,7 @@ func New(nodes []*Node, cfg Config) (*Coordinator, error) {
 	for i, n := range nodes {
 		ts[i] = localTransport{n}
 	}
-	c, err := newCoordinator(ts, cfg, true)
+	c, err := newCoordinator(ts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -309,10 +307,10 @@ func NewOverTransports(ts []Transport, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: transport %d is nil", i)
 		}
 	}
-	return newCoordinator(ts, cfg, false)
+	return newCoordinator(ts, cfg)
 }
 
-func newCoordinator(ts []Transport, cfg Config, strict bool) (*Coordinator, error) {
+func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 	n := len(ts)
 	floorBase := cfg.Budget
 	if cfg.FloorBudget > 0 {
@@ -328,7 +326,6 @@ func newCoordinator(ts []Transport, cfg Config, strict bool) (*Coordinator, erro
 	c := &Coordinator{
 		cfg:        cfg,
 		ts:         append([]Transport(nil), ts...),
-		strict:     strict,
 		sc:         newRoundScratch(n),
 		limits:     make([]units.Watts, n),
 		granted:    make([]units.Watts, n),
@@ -361,25 +358,17 @@ func newCoordinator(ts []Transport, cfg Config, strict bool) (*Coordinator, erro
 			}
 		}
 	}
-	if strict {
-		if err := c.grantAll(context.Background(), equal); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	// Lenient construction phases the initial wave like any other round:
-	// survivors seeded from a prior ledger shrink to the new equal split
-	// before newcomers grow into it, so rebuilding a coordinator over
-	// changed membership never transiently over-commits the budget.
+	// Construction phases the initial wave like any other round: survivors
+	// seeded from a prior ledger shrink to the new equal split before
+	// newcomers grow into it, so rebuilding a coordinator over changed
+	// membership never transiently over-commits the budget.
 	targets := make([]units.Watts, n)
 	healthy := make([]bool, n)
 	for i := range targets {
 		targets[i] = equal
 		healthy[i] = true
 	}
-	if err := c.issueGrants(context.Background(), targets, healthy, nil); err != nil {
-		return nil, err
-	}
+	c.issueGrants(context.Background(), targets, healthy, nil)
 	return c, nil
 }
 
@@ -396,38 +385,6 @@ func (c *Coordinator) LeaseLedger() map[string]LedgerEntry {
 		}
 	}
 	return out
-}
-
-// grantAll extends the same grant to every node; strict mode propagates the
-// first error, lenient mode records failures.
-func (c *Coordinator) grantAll(ctx context.Context, limit units.Watts) error {
-	g := Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: c.floor()}
-	errs := make([]error, len(c.ts))
-	wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range c.ts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.callGrant(ctx, wave, i, g)
-		}(i)
-	}
-	wg.Wait()
-	now := c.cfg.now()
-	for i, err := range errs {
-		if err != nil {
-			if c.strict {
-				return fmt.Errorf("cluster: node %s: %w", c.ts[i].Name(), err)
-			}
-			c.noteFailure(i)
-			continue
-		}
-		c.granted[i] = limit
-		c.leaseUntil[i] = now.Add(c.cfg.LeaseTTL)
-		c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
-	}
-	return nil
 }
 
 // floor is the per-node guaranteed share, which doubles as the lease
@@ -604,6 +561,10 @@ func (c *Coordinator) pollReport(ctx, wave context.Context, rb *tracing.RoundBui
 // powerapi envelope and recorded (with report/plan/grant spans) when a
 // Tracer is configured; a Fleet, when configured, observes every round's
 // reports and RPC latencies.
+//
+// A node that cannot be reached or refuses its grant is counted, keeps its
+// reservation and is quarantined past QuarantineAfter; it never fails the
+// round, so the returned error is always nil.
 func (c *Coordinator) Step(ctx context.Context) error {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
@@ -641,9 +602,6 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	for i := 0; i < n; i++ {
 		healthy[i] = false
 		if errs[i] != nil {
-			if c.strict {
-				return fmt.Errorf("cluster: node %s: %w", c.ts[i].Name(), errs[i])
-			}
 			c.noteFailure(i)
 			continue
 		}
@@ -666,7 +624,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	planStart := rb.Now()
 	targets, moved, shifted := c.plan(reports, healthy)
 	rb.Span("plan", "", planStart, rb.Now(), nil)
-	grantErr := c.issueGrants(ctx, targets, healthy, rb)
+	c.issueGrants(ctx, targets, healthy, rb)
 
 	if c.cfg.Fleet != nil {
 		obs := make([]NodeObservation, n)
@@ -674,9 +632,6 @@ func (c *Coordinator) Step(ctx context.Context) error {
 			obs[i] = NodeObservation{Node: c.ts[i].Name(), Err: errs[i], RPC: sc.rpc[i], Report: reports[i]}
 		}
 		c.cfg.Fleet.ObserveRound(rid, time.Since(began), obs)
-	}
-	if grantErr != nil {
-		return grantErr
 	}
 
 	c.mu.Lock()
@@ -765,22 +720,20 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 // grants fan out concurrently first, under one shared deadline; growing
 // grants follow sequentially, each capped by the headroom the acknowledged
 // ledger still shows, so a failed shrink can never combine with a
-// successful grow to over-commit the budget.
-func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) error {
+// successful grow to over-commit the budget. A grant that fails counts
+// against its node (noteFailure) and leaves the ledger as it was.
+func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) {
 	n := len(c.ts)
 	floor := c.floor()
 	now := c.cfg.now()
 
-	grant := func(wave context.Context, i int, limit units.Watts) error {
+	grant := func(wave context.Context, i int, limit units.Watts) {
 		s0 := rb.Now()
 		err := c.callGrant(ctx, wave, i, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
 		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
 		if err != nil {
-			if c.strict {
-				return fmt.Errorf("cluster: node %s: %w", c.ts[i].Name(), err)
-			}
 			c.noteFailure(i)
-			return nil
+			return
 		}
 		c.mu.Lock()
 		c.granted[i] = limit
@@ -789,7 +742,6 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		c.leaseUntil[i] = c.cfg.now().Add(c.cfg.LeaseTTL)
 		c.mu.Unlock()
 		c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
-		return nil
 	}
 
 	// Classify every healthy node in one pass: it grows, it needs a shrink
@@ -826,25 +778,19 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	// Phase 1: shrinks and renewals, concurrently.
 	if len(renews) > 0 {
 		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		errs := make([]error, len(renews))
 		var wg sync.WaitGroup
-		for j, i := range renews {
+		for _, i := range renews {
 			wg.Add(1)
-			go func(j, i int) {
+			go func(i int) {
 				defer wg.Done()
-				errs[j] = grant(wave, i, targets[i])
-			}(j, i)
+				grant(wave, i, targets[i])
+			}(i)
 		}
 		wg.Wait()
 		cancel()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
 	}
 	if len(grows) == 0 {
-		return nil
+		return
 	}
 
 	// Phase 2: grows, one at a time and each under its own timeout, bounded
@@ -872,14 +818,10 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 			continue
 		}
 		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		err := grant(wave, i, limit)
+		grant(wave, i, limit)
 		cancel()
-		if err != nil {
-			return err
-		}
 		headroom -= delta
 	}
-	return nil
 }
 
 // totalMachinePower sums instantaneous power over in-process machines.
@@ -973,9 +915,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	}
 	c.mu.Unlock()
 
-	if err := c.issueGrants(ctx, targets, healthy, rb); err != nil {
-		return err // strict mode only
-	}
+	c.issueGrants(ctx, targets, healthy, rb)
 
 	// Commit only what the ledger proves: children that refused or were
 	// unreachable still hold their old caps until TTL.

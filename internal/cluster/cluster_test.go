@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -228,5 +230,53 @@ func TestCoordinatorMetrics(t *testing.T) {
 	}
 	if v := reg.Gauge("cluster_total_power_watts", "").Value(); v <= 0 {
 		t.Errorf("cluster_total_power_watts = %v", v)
+	}
+}
+
+// refusingNode is an in-process node whose cap cannot be set: Grant — the
+// daemon's SetLimit — fails, while its reports keep flowing.
+type refusingNode struct{ Transport }
+
+func (n refusingNode) Grant(context.Context, Grant) error {
+	return fmt.Errorf("%s: SetLimit failed", n.Name())
+}
+
+// A coordinator built by New degrades like one built over the wire: when
+// the light node stops accepting caps, no round fails, the node is
+// quarantined once it has failed QuarantineAfter steps, and — its shrink
+// never acknowledged — the hungry node is not grown into budget the light
+// one may still be holding.
+func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
+	const budget = units.Watts(80)
+	nodes := []*Node{hungry(t, "hungry"), light(t, "light")}
+	reg := metrics.NewRegistry()
+	// A good report re-admits, so a node that reports but refuses grants
+	// never strings two failed steps together: quarantine it on the first.
+	c, err := New(nodes, Config{Budget: budget, QuarantineAfter: 1, Retries: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ts[1] = refusingNode{c.ts[1]}
+	for step := 1; step <= 6; step++ {
+		if err := c.Run(5 * time.Second); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if !c.Quarantined(1) || c.Quarantined(0) {
+			t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/true", step, c.Quarantined(0), c.Quarantined(1))
+		}
+		var planned, enforced units.Watts
+		for i, l := range c.Limits() {
+			planned += l
+			enforced += nodes[i].Daemon.Limit()
+		}
+		if planned > budget+budgetSlack || enforced > budget+budgetSlack {
+			t.Errorf("step %d: Σ limits planned %v, enforced %v, over the %v budget", step, planned, enforced, budget)
+		}
+		if got := nodes[1].Daemon.Limit(); got != budget/2 {
+			t.Errorf("step %d: refusing node enforces %v, want the %v it last accepted", step, got, budget/2)
+		}
+	}
+	if v := reg.CounterVec("cluster_transport_failures_total", "", "node").With("light").Value(); v != 6 {
+		t.Errorf("transport failures = %v, want one per step", v)
 	}
 }

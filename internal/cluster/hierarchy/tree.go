@@ -213,8 +213,7 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 // StepRows runs one reallocation round on every row concurrently —
 // rows are independent coordinators (separate processes in deployment),
 // so a tree round's row phase costs one row, not the sum of all of
-// them. Returns the first error (lenient coordinators rarely return
-// any).
+// them. Returns the first error.
 func (t *SimTree) StepRows(ctx context.Context) error {
 	errs := make([]error, len(t.Rows))
 	var wg sync.WaitGroup

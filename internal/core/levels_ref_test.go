@@ -92,7 +92,7 @@ func (p *SLOFeedback) updateRef(s Snapshot) []Action {
 
 	maxF := float64(p.chip.Freq.Max())
 	minF := float64(p.chip.Freq.Min)
-	step := float64(p.cfg.MaxStep)
+	step := float64(p.maxStep)
 
 	// Per-service PI on the relative p99 error.
 	allMet, anyActive := true, false
@@ -106,11 +106,11 @@ func (p *SLOFeedback) updateRef(s Snapshot) []Action {
 		if e > 0 {
 			allMet = false
 		}
-		if e >= -p.cfg.SLODeadband && e <= p.cfg.SLODeadband {
+		if e >= -sloDeadband && e <= sloDeadband {
 			e = 0
 		}
 		p.svcE[j] = e
-		u := p.cfg.KP*e + p.cfg.KI*p.integ[j]
+		u := sloKP*e + sloKI*p.integ[j]
 		if u > 1 {
 			u = 1
 		} else if u < -1 {
@@ -186,10 +186,10 @@ func (p *SLOFeedback) updateRef(s Snapshot) []Action {
 			// pinned at the floor; hold
 		default:
 			p.integ[j] += e
-			if p.integ[j] > p.cfg.IntegralClamp {
-				p.integ[j] = p.cfg.IntegralClamp
-			} else if p.integ[j] < -p.cfg.IntegralClamp {
-				p.integ[j] = -p.cfg.IntegralClamp
+			if p.integ[j] > sloIntegralClamp {
+				p.integ[j] = sloIntegralClamp
+			} else if p.integ[j] < -sloIntegralClamp {
+				p.integ[j] = -sloIntegralClamp
 			}
 		}
 	}

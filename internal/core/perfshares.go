@@ -32,8 +32,8 @@ const minNormPerf = 0.02
 
 // NewPerformanceShares builds the policy. Every spec must carry a
 // standalone baseline.
-func NewPerformanceShares(chip platform.Chip, specs []AppSpec, cfg ShareConfig) (*PerformanceShares, error) {
-	b, err := newShareBase(chip, specs, cfg)
+func NewPerformanceShares(chip platform.Chip, specs []AppSpec, _ ShareConfig) (*PerformanceShares, error) {
+	b, err := newShareBase(chip, specs)
 	if err != nil {
 		return nil, err
 	}

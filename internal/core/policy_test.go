@@ -126,7 +126,7 @@ func TestFrequencySharesUnderLimitGrowsAndSaturates(t *testing.T) {
 }
 
 func TestFrequencySharesDeadband(t *testing.T) {
-	p, err := NewFrequencyShares(platform.Skylake(), skySpecs2(), ShareConfig{Deadband: 0.02})
+	p, err := NewFrequencyShares(platform.Skylake(), skySpecs2(), ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

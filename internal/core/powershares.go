@@ -35,8 +35,8 @@ const powerFreqExponent = 2.5
 
 // NewPowerShares builds the policy; it fails on chips without per-core
 // power measurement (the paper runs power shares only on Ryzen).
-func NewPowerShares(chip platform.Chip, specs []AppSpec, cfg ShareConfig) (*PowerShares, error) {
-	b, err := newShareBase(chip, specs, cfg)
+func NewPowerShares(chip platform.Chip, specs []AppSpec, _ ShareConfig) (*PowerShares, error) {
+	b, err := newShareBase(chip, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func (p *PowerShares) Update(s Snapshot) []Action {
 	bases, lo, hi := p.bounds(s.Limit)
 	if !p.withinDeadband(s) {
 		p.setReasons(gapReason(s), ReasonShareRebalance)
-		delta := p.cfg.Gain * float64(s.Limit-s.PackagePower)
+		delta := float64(s.Limit - s.PackagePower)
 		var cur float64
 		for _, t := range p.targets {
 			cur += float64(t)

@@ -27,7 +27,7 @@ func hasReason(rs []Reason, want Reason) bool {
 }
 
 func TestFrequencySharesReasons(t *testing.T) {
-	p, err := NewFrequencyShares(platform.Skylake(), skySpecs2(), ShareConfig{Deadband: 0.02})
+	p, err := NewFrequencyShares(platform.Skylake(), skySpecs2(), ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFrequencySharesReasons(t *testing.T) {
 }
 
 func TestPerformanceSharesReasons(t *testing.T) {
-	p, err := NewPerformanceShares(platform.Skylake(), skySpecs2(), ShareConfig{Deadband: 0.02})
+	p, err := NewPerformanceShares(platform.Skylake(), skySpecs2(), ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,18 @@ import (
 	"repro/internal/units"
 )
 
-// ShareConfig tunes the proportional-share control loops.
-type ShareConfig struct {
-	// Deadband is the fraction of the power limit within which the loop
-	// holds still rather than redistributing (default 2%). Without it the
-	// α-model's residual error causes ceaseless one-step churn.
-	Deadband float64
+// ShareConfig has no fields: the share loops have nothing to tune.
+//
+// Deprecated: kept, with the parameter of the three share constructors and
+// the SLOConfig wrapper around Targets, only until benchmark/, which may not
+// change in the same PR as the code it measures, stops naming
+// core.ShareConfig{} and core.SLOConfig{Targets: …}.
+type ShareConfig struct{}
 
-	// Gain scales the α-model's step (default 1.0, the paper's naïve
-	// model).
-	Gain float64
-}
-
-func (c *ShareConfig) fill() {
-	if c.Deadband <= 0 {
-		c.Deadband = 0.02
-	}
-	if c.Gain <= 0 {
-		c.Gain = 1.0
-	}
-}
+// shareDeadband is the fraction of the power limit within which the share
+// loops hold still rather than redistributing. Without it the α-model's
+// residual error causes ceaseless one-step churn.
+const shareDeadband = 0.02
 
 // shareBase carries the state common to the three share policies,
 // including the preallocated per-interval scratch (water-level inputs,
@@ -37,7 +29,6 @@ func (c *ShareConfig) fill() {
 type shareBase struct {
 	chip  platform.Chip
 	specs []AppSpec
-	cfg   ShareConfig
 
 	scrBases []float64
 	scrLo    []float64
@@ -48,7 +39,7 @@ type shareBase struct {
 	cluster  *pstateClusterer
 }
 
-func newShareBase(chip platform.Chip, specs []AppSpec, cfg ShareConfig) (shareBase, error) {
+func newShareBase(chip platform.Chip, specs []AppSpec) (shareBase, error) {
 	if err := chip.Validate(); err != nil {
 		return shareBase{}, fmt.Errorf("core: %w", err)
 	}
@@ -61,12 +52,10 @@ func newShareBase(chip platform.Chip, specs []AppSpec, cfg ShareConfig) (shareBa
 				s.Name, s.Core, chip.NumCores)
 		}
 	}
-	cfg.fill()
 	n := len(specs)
 	return shareBase{
 		chip:     chip,
 		specs:    append([]AppSpec(nil), specs...),
-		cfg:      cfg,
 		scrBases: make([]float64, n),
 		scrLo:    make([]float64, n),
 		scrHi:    make([]float64, n),
@@ -109,12 +98,12 @@ func (b *shareBase) withinDeadband(s Snapshot) bool {
 	if gap < 0 {
 		gap = -gap
 	}
-	return gap <= b.cfg.Deadband*float64(s.Limit)
+	return gap <= shareDeadband*float64(s.Limit)
 }
 
 // alpha computes the paper's conversion factor α = PowerDelta/MaxPower.
 func (b *shareBase) alpha(s Snapshot) float64 {
-	return b.cfg.Gain * float64(s.Limit-s.PackagePower) / float64(b.chip.RAPLMax)
+	return float64(s.Limit-s.PackagePower) / float64(b.chip.RAPLMax)
 }
 
 // translate converts per-app frequency targets into actions, quantising and
@@ -171,8 +160,8 @@ type FrequencyShares struct {
 }
 
 // NewFrequencyShares builds the policy for the chip and application set.
-func NewFrequencyShares(chip platform.Chip, specs []AppSpec, cfg ShareConfig) (*FrequencyShares, error) {
-	b, err := newShareBase(chip, specs, cfg)
+func NewFrequencyShares(chip platform.Chip, specs []AppSpec, _ ShareConfig) (*FrequencyShares, error) {
+	b, err := newShareBase(chip, specs)
 	if err != nil {
 		return nil, err
 	}

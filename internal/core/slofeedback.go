@@ -7,10 +7,9 @@ import (
 	"repro/internal/units"
 )
 
-// SLOConfig tunes the SLO-feedback policy.
+// SLOConfig declares what the SLO-feedback policy manages; see ShareConfig
+// for why Targets still travels inside a struct.
 type SLOConfig struct {
-	ShareConfig
-
 	// Targets declares the managed latency services and their p99
 	// objectives. Specs whose Name matches a target are that service's
 	// serving cores; every other spec is batch. At least one target is
@@ -18,45 +17,20 @@ type SLOConfig struct {
 	// daemon) overrides the constructor-time objective, so Reconfigure
 	// can move goals mid-run.
 	Targets []SLOTarget
-
-	// KP and KI are the proportional and integral gains applied to the
-	// relative p99 error (P99-Target)/Target per control interval
-	// (defaults 0.6 and 0.08).
-	KP, KI float64
-
-	// IntegralClamp bounds the magnitude of each service's integral
-	// term — the anti-windup backstop (default 2).
-	IntegralClamp float64
-
-	// SLODeadband is the relative error band within which a service is
-	// considered on-objective and contributes no control action
-	// (default 0.1, i.e. ±10% of the target).
-	SLODeadband float64
-
-	// MaxStep is the largest per-interval frequency move a full-scale
-	// controller output applies to one serving core (default 10% of the
-	// chip's maximum frequency).
-	MaxStep units.Hertz
 }
 
-func (c *SLOConfig) fill(chip platform.Chip) {
-	c.ShareConfig.fill()
-	if c.KP <= 0 {
-		c.KP = 0.6
-	}
-	if c.KI <= 0 {
-		c.KI = 0.08
-	}
-	if c.IntegralClamp <= 0 {
-		c.IntegralClamp = 2
-	}
-	if c.SLODeadband <= 0 {
-		c.SLODeadband = 0.1
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = chip.Freq.Max() / 10
-	}
-}
+// The PI loop's gains.
+const (
+	// sloKP and sloKI are the proportional and integral gains applied to
+	// the relative p99 error (P99-Target)/Target per control interval.
+	sloKP, sloKI = 0.6, 0.08
+	// sloIntegralClamp bounds the magnitude of each service's integral
+	// term — the anti-windup backstop.
+	sloIntegralClamp = 2.0
+	// sloDeadband is the relative error band within which a service is
+	// on-objective and contributes no control action (±10% of the target).
+	sloDeadband = 0.1
+)
 
 const (
 	sloModeFeedback = iota
@@ -82,11 +56,11 @@ const (
 type SLOFeedback struct {
 	shareBase
 	explain
-	cfg SLOConfig
 
 	fb      *FrequencyShares // fallback controller (own scratch/state)
 	mode    int
 	started bool
+	maxStep units.Hertz // one serving core's move at full-scale controller output: Freq.Max()/10
 
 	targets []float64 // continuous per-spec frequency targets (Hz)
 
@@ -113,22 +87,21 @@ type SLOFeedback struct {
 // fallback path and the batch water-level distribute by them); every
 // target must name at least one spec.
 func NewSLOFeedback(chip platform.Chip, specs []AppSpec, cfg SLOConfig) (*SLOFeedback, error) {
-	b, err := newShareBase(chip, specs, cfg.ShareConfig)
+	b, err := newShareBase(chip, specs)
 	if err != nil {
 		return nil, err
 	}
 	if len(cfg.Targets) == 0 {
 		return nil, fmt.Errorf("core: slo-feedback needs at least one SLO target")
 	}
-	fb, err := NewFrequencyShares(chip, specs, cfg.ShareConfig)
+	fb, err := NewFrequencyShares(chip, specs, ShareConfig{})
 	if err != nil {
 		return nil, err
 	}
-	cfg.fill(chip)
 	p := &SLOFeedback{
 		shareBase: b,
-		cfg:       cfg,
 		fb:        fb,
+		maxStep:   chip.Freq.Max() / 10,
 		targets:   make([]float64, len(b.specs)),
 		svcOf:     make([]int, len(b.specs)),
 	}
@@ -303,7 +276,7 @@ func (p *SLOFeedback) Update(s Snapshot) []Action {
 
 	maxF := float64(p.chip.Freq.Max())
 	minF := float64(p.chip.Freq.Min)
-	step := float64(p.cfg.MaxStep)
+	step := float64(p.maxStep)
 
 	// Per-service PI on the relative p99 error.
 	allMet, anyActive := true, false
@@ -317,11 +290,11 @@ func (p *SLOFeedback) Update(s Snapshot) []Action {
 		if e > 0 {
 			allMet = false
 		}
-		if e >= -p.cfg.SLODeadband && e <= p.cfg.SLODeadband {
+		if e >= -sloDeadband && e <= sloDeadband {
 			e = 0
 		}
 		p.svcE[j] = e
-		u := p.cfg.KP*e + p.cfg.KI*p.integ[j]
+		u := sloKP*e + sloKI*p.integ[j]
 		if u > 1 {
 			u = 1
 		} else if u < -1 {
@@ -397,10 +370,10 @@ func (p *SLOFeedback) Update(s Snapshot) []Action {
 			// pinned at the floor; hold
 		default:
 			p.integ[j] += e
-			if p.integ[j] > p.cfg.IntegralClamp {
-				p.integ[j] = p.cfg.IntegralClamp
-			} else if p.integ[j] < -p.cfg.IntegralClamp {
-				p.integ[j] = -p.cfg.IntegralClamp
+			if p.integ[j] > sloIntegralClamp {
+				p.integ[j] = sloIntegralClamp
+			} else if p.integ[j] < -sloIntegralClamp {
+				p.integ[j] = -sloIntegralClamp
 			}
 		}
 	}

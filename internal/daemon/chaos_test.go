@@ -147,7 +147,7 @@ func runChaos(t *testing.T, pc chaosPolicy, schedText string, degrades bool) {
 				dumps = append(dumps, reason)
 			},
 		},
-		Resilience: &Resilience{StormIters: 5},
+		StormIters: 5,
 		OnSnapshot: func(core.Snapshot) {
 			powers = append(powers, m.PackagePower())
 		},
@@ -295,7 +295,7 @@ at 480ms for 60ms offline cpu=1
 		Metrics:    reg,
 		Flight:     rec,
 		Triggers:   FlightTriggers{Dir: t.TempDir()},
-		Resilience: &Resilience{StormIters: 20},
+		StormIters: 20,
 		// Advance virtual time in lockstep on the loop goroutine so the
 		// machine (not thread-safe by design) is only ever touched there.
 		OnSnapshot: func(core.Snapshot) { m.Run(interval) },

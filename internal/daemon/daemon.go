@@ -11,6 +11,13 @@
 // msr.Device (including the file-backed one) and records per-iteration
 // scheduling jitter, making control-loop disturbances (GC pauses, scheduler
 // noise — the known risk for a Go control loop) observable.
+//
+// Faults degrade the loop; they do not stop it. A core whose counters lie
+// or cannot be read is isolated — the policy keeps seeing its last good
+// state, actuation drops to the chip's safe floor — and is readmitted after
+// readmitAfter clean intervals; a failed write is counted and the request
+// re-issued. Only a start-up at which not one action can be applied or not
+// one core read fails (see Start).
 package daemon
 
 import (
@@ -131,12 +138,10 @@ type Config struct {
 	// them. Triggers require Flight to be set.
 	Triggers FlightTriggers
 
-	// Resilience, when set, arms degraded mode: telemetry reads retry with
-	// backoff, cores with lying or unreadable counters are isolated (policy
-	// sees their last good state, actuation drops to a safe P-state floor),
-	// actuation errors are tolerated, and a fault-storm watchdog dumps
-	// flight state. Nil keeps the historical fail-fast behaviour.
-	Resilience *Resilience
+	// StormIters, when positive, arms the fault-storm watchdog: after this
+	// many consecutive unhealthy intervals the daemon dumps flight state
+	// (reason "fault-storm") and re-arms once the storm clears.
+	StormIters int
 
 	// Ledger, when set, receives every control interval's telemetry for
 	// per-app energy attribution, time-series history, anomaly detection,
@@ -248,7 +253,7 @@ func newDaemonMetrics(reg *metrics.Registry) daemonMetrics {
 		degradedCores:     reg.Gauge("powerd_degraded_cores", "Cores currently isolated from policy control by untrustworthy telemetry."),
 		degradedIntervals: reg.Counter("powerd_degraded_intervals_total", "Control intervals that ran with at least one degraded core or a blind package counter."),
 		readmissions:      reg.Counter("powerd_readmissions_total", "Cores re-admitted to policy control after sustained healthy telemetry."),
-		actuationErrors:   reg.Counter("powerd_actuation_errors_total", "Actuations that failed and were tolerated in resilient mode."),
+		actuationErrors:   reg.Counter("powerd_actuation_errors_total", "Actuations that failed and were tolerated."),
 		safeFloorActions:  reg.Counter("powerd_safe_floor_actions_total", "Actions overridden to the safe P-state floor."),
 
 		reconfigures: reg.Counter("powerd_reconfigures_total", "Live reconfigurations applied to the running daemon."),
@@ -287,13 +292,12 @@ type Daemon struct {
 	// RunIteration flips between the two, so the snapshot it returns (and
 	// hands to OnSnapshot) stays intact for one further interval while
 	// readers that go through the lock (StatusView, LastSnapshot) always
-	// copy. degraded and scrHandled are per-core flag scratch; scrOverride
-	// is the action buffer overrideDegraded rewrites into.
+	// copy. scrHandled is per-core flag scratch; scrOverride is the action
+	// buffer overrideDegraded rewrites into.
 	appsBuf     [2][]core.AppState
 	appsFlip    int
 	svcBuf      [2][]core.ServiceSLO
 	svcFlip     int
-	degraded    []bool
 	scrHandled  []bool
 	scrOverride []core.Action
 
@@ -307,13 +311,11 @@ type Daemon struct {
 	overFired  bool          // over-limit dump already taken this excursion
 	sloHoldoff int           // iterations until the latency trigger re-arms
 
-	// Degraded-mode state (guarded by mu); res is nil outside resilient
-	// mode and never changes after New.
-	res        *Resilience
-	health     []coreHealth    // per-app health state machine
-	lastGood   []core.AppState // per-app last trustworthy policy input
-	stormRun   int             // consecutive unhealthy intervals
-	stormFired bool            // watchdog dump already taken this storm
+	// Degraded-mode state (guarded by mu), per core id.
+	health     []coreHealth // health state machine of the app on the core
+	lastGood   []goodState  // last trustworthy policy input from the core
+	stormRun   int          // consecutive unhealthy intervals
+	stormFired bool         // watchdog dump already taken this storm
 
 	// Jitter is summarised by a streaming accumulator (mean/max) plus a
 	// fixed-size reservoir (percentiles), so real-time loops of any length
@@ -357,19 +359,13 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 		m:          newDaemonMetrics(cfg.Metrics),
 		parked:     make([]bool, cfg.Chip.NumCores),
 		written:    make([]units.Hertz, cfg.Chip.NumCores),
-		degraded:   make([]bool, cfg.Chip.NumCores),
 		scrHandled: make([]bool, cfg.Chip.NumCores),
+		health:     make([]coreHealth, cfg.Chip.NumCores),
+		lastGood:   make([]goodState, cfg.Chip.NumCores),
 		jitterRes:  stats.NewReservoir(0),
 		overSince:  -1,
 	}
 	d.sizeAppBuffers()
-	if cfg.Resilience != nil {
-		res := cfg.Resilience.withDefaults(cfg.Chip.SafeFloor())
-		d.res = &res
-		d.health = make([]coreHealth, len(cfg.Apps))
-		d.lastGood = make([]core.AppState, len(cfg.Apps))
-		sampler.SetResilient(res.Retry)
-	}
 	d.m.limitWatts.Set(float64(cfg.Limit))
 	d.mergeFlightMeta()
 	return d, nil
@@ -413,14 +409,18 @@ func (d *Daemon) mergeFlightMeta() {
 func microwatts(w units.Watts) uint64 { return uint64(float64(w) * 1e6) }
 
 // Start applies the policy's initial distribution and primes the sampler.
+// A start-up at which not one initial action can be applied, or not one core
+// primed, is a wrong device rather than a degraded one and fails with the
+// first error; anything less degrades like any later interval.
 func (d *Daemon) Start() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.started {
 		return fmt.Errorf("daemon: already started")
 	}
-	if err := d.apply(d.cfg.Policy.Initial()); err != nil {
-		return err
+	initial := d.cfg.Policy.Initial()
+	if failed, err := d.apply(initial); err != nil && failed == len(initial) {
+		return fmt.Errorf("daemon: initial distribution: %w", err)
 	}
 	if err := d.sampler.Prime(); err != nil {
 		return err
@@ -429,33 +429,27 @@ func (d *Daemon) Start() error {
 	return nil
 }
 
-// tolerate reports whether an actuation error should be absorbed instead
-// of aborting the iteration: in resilient mode a failed write (a core gone
-// dark mid-actuation) costs a metric tick, not the control loop.
-func (d *Daemon) tolerate(err error) bool {
-	if d.res == nil || err == nil {
-		return false
-	}
-	d.m.actuationErrors.Inc()
-	return true
-}
-
 // apply actuates a batch of policy actions, eliding every SetFreq that
 // would rewrite the request d.written still vouches for (tallied once per
 // call as kind="unchanged"). An entry is forgotten by a failed write, a park
 // or wake, an interval the core's sample is untrustworthy, and Reconfigure.
-// Caller holds d.mu.
-func (d *Daemon) apply(actions []core.Action) error {
+// A failed actuation (a core gone dark mid-write) costs a metric tick and
+// its action, not the control loop: apply reports how many actions failed
+// and the first error, for Start to judge. Caller holds d.mu.
+func (d *Daemon) apply(actions []core.Action) (failed int, first error) {
 	unchanged := 0
-	defer func() { d.m.actUnchanged.Add(float64(unchanged)) }()
+	fail := func(err error) {
+		d.m.actuationErrors.Inc()
+		if failed++; first == nil {
+			first = err
+		}
+	}
 	for _, a := range actions {
 		if a.Park {
 			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, true); err != nil {
-				if d.tolerate(err) {
-					continue
-				}
-				return fmt.Errorf("daemon: parking core %d: %w", a.Core, err)
+				fail(err)
+				continue
 			}
 			d.parked[a.Core] = true
 			d.m.actPark.Inc()
@@ -468,10 +462,8 @@ func (d *Daemon) apply(actions []core.Action) error {
 		if d.parked[a.Core] {
 			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, false); err != nil {
-				if d.tolerate(err) {
-					continue
-				}
-				return fmt.Errorf("daemon: waking core %d: %w", a.Core, err)
+				fail(err)
+				continue
 			}
 			d.parked[a.Core] = false
 			d.m.actWake.Inc()
@@ -486,10 +478,8 @@ func (d *Daemon) apply(actions []core.Action) error {
 		}
 		d.written[a.Core] = 0 // a failed write leaves the register unknown
 		if err := d.act.SetFreq(a.Core, a.Freq); err != nil {
-			if d.tolerate(err) {
-				continue
-			}
-			return fmt.Errorf("daemon: setting core %d to %v: %w", a.Core, a.Freq, err)
+			fail(err)
+			continue
 		}
 		d.written[a.Core] = a.Freq
 		d.m.actSetFreq.Inc()
@@ -498,7 +488,8 @@ func (d *Daemon) apply(actions []core.Action) error {
 			Core: int16(a.Core), Arg: flight.ActSetFreq, Value: uint64(a.Freq),
 		})
 	}
-	return nil
+	d.m.actUnchanged.Add(float64(unchanged))
+	return failed, first
 }
 
 // RunIteration performs one control interval of length dt: sample,
@@ -527,14 +518,10 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		Apps:         d.appsBuf[d.appsFlip],
 	}
 	nDegraded := 0
-	if d.res != nil {
-		for i := range d.degraded {
-			d.degraded[i] = false
-		}
-	}
 	for i, spec := range d.cfg.Apps {
 		cs := sample.Cores[spec.Core]
-		if !cs.Status.Trustworthy() {
+		trusty := cs.Status.Trustworthy()
+		if !trusty {
 			d.written[spec.Core] = 0 // cannot vouch for a core we cannot read
 		}
 		st := core.AppState{
@@ -544,16 +531,16 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 			Power:  cs.Power,
 			Parked: d.parked[spec.Core],
 		}
-		if d.res != nil {
-			if d.updateHealthLocked(i, spec.Core, cs.Status) {
-				// Untrusted core: the policy keeps seeing the last state we
-				// could vouch for instead of zeros or garbage.
-				d.degraded[spec.Core] = true
-				nDegraded++
-				st.Freq, st.IPS, st.Power = d.lastGood[i].Freq, d.lastGood[i].IPS, d.lastGood[i].Power
-			} else {
-				d.lastGood[i] = st
-			}
+		// A trustworthy sample from a core in good standing, the common case,
+		// touches no health state.
+		if (!trusty || d.health[spec.Core].degraded) && d.updateHealthLocked(spec.Core, cs.Status) {
+			// Untrusted core: the policy keeps seeing the last state we
+			// could vouch for instead of zeros or garbage.
+			nDegraded++
+			g := d.lastGood[spec.Core]
+			st.Freq, st.IPS, st.Power = g.freq, g.ips, g.power
+		} else {
+			d.lastGood[spec.Core] = goodState{st.Freq, st.IPS, st.Power}
 		}
 		snap.Apps[i] = st
 	}
@@ -567,13 +554,11 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 	sampleDone := time.Now()
 	actions := d.cfg.Policy.Update(snap)
 	polName := d.cfg.Policy.Name()
-	if d.res != nil {
-		if nDegraded > 0 || !sample.PkgStatus.Trustworthy() {
-			d.m.degradedIntervals.Inc()
-			actions = d.overrideDegraded(actions, sample, d.degraded)
-		}
-		d.m.degradedCores.Set(float64(nDegraded))
+	if nDegraded > 0 || !sample.PkgStatus.Trustworthy() {
+		d.m.degradedIntervals.Inc()
+		actions = d.overrideDegraded(actions, sample)
 	}
+	d.m.degradedCores.Set(float64(nDegraded))
 	var reasons []core.Reason
 	if ex, ok := d.cfg.Policy.(core.Explainer); ok {
 		reasons = ex.LastReasons()
@@ -595,10 +580,7 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		}
 	}
 	decideDone := time.Now()
-	if err := d.apply(actions); err != nil {
-		d.mu.Unlock()
-		return snap, err
-	}
+	_, _ = d.apply(actions) // failures are counted and retried by the next interval's actions
 	actuateDone := time.Now()
 	d.iterations++
 	d.last = snap

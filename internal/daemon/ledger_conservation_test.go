@@ -65,7 +65,7 @@ func TestLedgerConservationUnderChaos(t *testing.T) {
 				Flight:     rec,
 				Ledger:     led,
 				Triggers:   FlightTriggers{Dir: t.TempDir()},
-				Resilience: &Resilience{StormIters: 5},
+				StormIters: 5,
 			}, dev, MachineActuator{M: m, Dev: dev})
 			if err != nil {
 				t.Fatal(err)

@@ -96,11 +96,10 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 		d.sizeAppBuffers()
 		d.cfg.Ledger.Reconfigure(d.cfg.Apps)
 		codes = append(codes, flight.ReconfigShares)
-		if d.res != nil {
-			// Health state is per-app; a new app set starts trusted.
-			d.health = make([]coreHealth, len(d.cfg.Apps))
-			d.lastGood = make([]core.AppState, len(d.cfg.Apps))
-		}
+		// Health state belongs to the app on the core; a new app set starts
+		// trusted.
+		clear(d.health)
+		clear(d.lastGood)
 	}
 	if rc.Limit > 0 && rc.Limit != prevLimit {
 		d.cfg.Limit = rc.Limit
@@ -127,10 +126,7 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 				continue
 			}
 			if err := d.act.Park(c, false); err != nil {
-				if !d.tolerate(err) {
-					d.mu.Unlock()
-					return fmt.Errorf("daemon: reconfigure waking core %d: %w", c, err)
-				}
+				d.m.actuationErrors.Inc()
 				continue
 			}
 			d.parked[c] = false
@@ -141,10 +137,7 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 			})
 		}
 		actions = d.cfg.Policy.Initial()
-		if err := d.apply(actions); err != nil {
-			d.mu.Unlock()
-			return fmt.Errorf("daemon: reconfigure initial distribution: %w", err)
-		}
+		_, _ = d.apply(actions) // as in RunIteration: counted, not fatal
 	}
 	polName := d.cfg.Policy.Name()
 	snap := d.last

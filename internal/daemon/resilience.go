@@ -7,59 +7,35 @@ import (
 	"repro/internal/units"
 )
 
-// Resilience configures the daemon's degraded mode: what it does when
-// telemetry lies, reads fail, or cores go dark. Nil (the default) keeps the
-// historical fail-fast semantics — any sampling or actuation error aborts
-// the iteration and, in virtual mode, stops the loop.
-type Resilience struct {
-	// SafeFloor is the P-state programmed on a core whose telemetry can no
-	// longer be trusted: slow enough that a core running blind cannot blow
-	// the package budget. Zero takes the chip's SafeFloor().
-	SafeFloor units.Hertz
+// readmitAfter is how many consecutive trustworthy intervals a degraded core
+// must produce before the daemon hands it back to the policy.
+const readmitAfter = 2
 
-	// Retry bounds the sampler's per-read retry. The zero value takes
-	// telemetry.DefaultRetry.
-	Retry telemetry.RetryPolicy
-
-	// ReadmitAfter is how many consecutive trustworthy intervals a degraded
-	// core must produce before the daemon hands it back to the policy.
-	// Values below 1 take the default of 2.
-	ReadmitAfter int
-
-	// StormIters, when positive, arms the fault-storm watchdog: after this
-	// many consecutive unhealthy intervals the daemon dumps flight state
-	// (reason "fault-storm") and re-arms once the storm clears.
-	StormIters int
+// goodState is what the policy keeps seeing of a core the daemon has stopped
+// trusting: the derived values of its last trustworthy sample.
+type goodState struct {
+	freq  units.Hertz
+	ips   float64
+	power units.Watts
 }
 
-// withDefaults normalises the configuration against the chip.
-func (r Resilience) withDefaults(floor units.Hertz) Resilience {
-	if r.SafeFloor <= 0 {
-		r.SafeFloor = floor
-	}
-	if r.ReadmitAfter < 1 {
-		r.ReadmitAfter = 2
-	}
-	return r
-}
-
-// coreHealth is the daemon's per-app health state machine.
+// coreHealth is the health state machine of the app pinned to one core.
 type coreHealth struct {
 	degraded   bool
 	healthyRun int // consecutive trustworthy intervals while degraded
 }
 
-// updateHealth advances one app's health state from its core's sample
-// status and reports whether the app is currently degraded (policy input
-// frozen, actuation forced to the safe floor). Caller holds d.mu.
-func (d *Daemon) updateHealthLocked(app int, coreID int, st telemetry.CoreStatus) bool {
-	h := &d.health[app]
+// updateHealthLocked advances a core's health state from its sample status
+// and reports whether its app is currently degraded (policy input frozen,
+// actuation forced to the safe floor). Caller holds d.mu.
+func (d *Daemon) updateHealthLocked(coreID int, st telemetry.CoreStatus) bool {
+	h := &d.health[coreID]
 	if st.Trustworthy() {
 		if !h.degraded {
 			return false
 		}
 		h.healthyRun++
-		if h.healthyRun >= d.res.ReadmitAfter {
+		if h.healthyRun >= readmitAfter {
 			h.degraded = false
 			h.healthyRun = 0
 			d.m.readmissions.Inc()
@@ -89,8 +65,9 @@ func (d *Daemon) updateHealthLocked(app int, coreID int, st telemetry.CoreStatus
 // When the package reading itself is untrustworthy every core is forced to
 // the floor — with the energy counter lying, no frequency above the floor
 // can be proven within budget. Caller holds d.mu.
-func (d *Daemon) overrideDegraded(actions []core.Action, sample telemetry.Sample, degraded []bool) []core.Action {
+func (d *Daemon) overrideDegraded(actions []core.Action, sample telemetry.Sample) []core.Action {
 	pkgBlind := !sample.PkgStatus.Trustworthy()
+	floor := d.cfg.Chip.SafeFloor()
 	dark := func(c int) bool { return sample.Cores[c].Status == telemetry.StatusDark }
 	out := d.scrOverride[:0]
 	handled := d.scrHandled
@@ -107,9 +84,9 @@ func (d *Daemon) overrideDegraded(actions []core.Action, sample telemetry.Sample
 		case a.Park:
 			// Parking is always safe: a parked core draws C-state power.
 			out = append(out, a)
-		case degraded[a.Core] || pkgBlind:
+		case d.health[a.Core].degraded || pkgBlind:
 			d.m.safeFloorActions.Inc()
-			out = append(out, core.Action{Core: a.Core, Freq: d.res.SafeFloor})
+			out = append(out, core.Action{Core: a.Core, Freq: floor})
 		default:
 			out = append(out, a)
 		}
@@ -121,9 +98,9 @@ func (d *Daemon) overrideDegraded(actions []core.Action, sample telemetry.Sample
 		if handled[c] || dark(c) || d.parked[c] {
 			continue
 		}
-		if degraded[c] || pkgBlind {
+		if d.health[c].degraded || pkgBlind {
 			d.m.safeFloorActions.Inc()
-			out = append(out, core.Action{Core: c, Freq: d.res.SafeFloor})
+			out = append(out, core.Action{Core: c, Freq: floor})
 		}
 	}
 	return out
@@ -138,7 +115,7 @@ func (d *Daemon) watchdogLocked(healthy bool) bool {
 		return false
 	}
 	d.stormRun++
-	if d.res == nil || d.res.StormIters <= 0 || d.stormFired || d.stormRun < d.res.StormIters {
+	if d.cfg.StormIters <= 0 || d.stormFired || d.stormRun < d.cfg.StormIters {
 		return false
 	}
 	d.stormFired = true

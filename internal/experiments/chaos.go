@@ -106,8 +106,7 @@ func chaosRun(chip platform.Chip, class fault.Class, schedText string, limit uni
 	interval := 20 * time.Millisecond
 	d, err := daemon.New(daemon.Config{
 		Chip: chip, Policy: pol, Apps: specs, Limit: limit, Interval: interval,
-		Flight:     rec,
-		Resilience: &daemon.Resilience{},
+		Flight: rec,
 		OnSnapshot: func(core.Snapshot) {
 			iter++
 			// Machine truth, safe here: snapshots fire on the loop

@@ -73,7 +73,6 @@ func sloChaosRun(t *testing.T, class fault.Class, schedText string, limit units.
 		Chip: chip, Policy: pol, Apps: specs, Limit: limit,
 		Interval:   20 * time.Millisecond,
 		Flight:     rec,
-		Resilience: &daemon.Resilience{},
 		SLO:        model,
 		SLOTargets: targets,
 		OnSnapshot: func(s core.Snapshot) {

@@ -57,9 +57,8 @@ at 1s for 100ms offline cpu=1
 	dev := inj.WrapDevice(m.Device())
 	dmn, err := daemon.New(daemon.Config{
 		Chip: chip, Policy: pol, Apps: specs, Limit: 35,
-		Interval:   20 * time.Millisecond,
-		Flight:     rec,
-		Resilience: &daemon.Resilience{},
+		Interval: 20 * time.Millisecond,
+		Flight:   rec,
 	}, dev, daemon.MachineActuator{M: m, Dev: dev})
 	if err != nil {
 		t.Fatal(err)

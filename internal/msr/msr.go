@@ -156,8 +156,13 @@ type SweepRecorder interface {
 }
 
 // recordSweep reports a finished sweep's successful reads to rec: at once
-// when it is a SweepRecorder, one RecordMSR per read otherwise.
-func recordSweep(rec Recorder, reg uint32, vals []uint64, ok []bool) {
+// when it is a SweepRecorder, one RecordMSR per read otherwise. err is the
+// sweep's: a sweep that met none has no holes, so the recorder is handed
+// ok == nil and skips the per-cpu check.
+func recordSweep(rec Recorder, reg uint32, vals []uint64, ok []bool, err error) {
+	if err == nil {
+		ok = nil
+	}
 	if sr, isSweep := rec.(SweepRecorder); isSweep {
 		sr.RecordMSRSweep(reg, vals, ok)
 	} else if rec != nil {
@@ -375,7 +380,7 @@ func (d *SimDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 		return err
 	}
 	n, err := sweep(fn, vals, ok)
-	recordSweep(rec, creg, vals[:n], ok)
+	recordSweep(rec, creg, vals[:n], ok, err)
 	return err
 }
 
@@ -444,7 +449,7 @@ func (d *FileDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n, err := sweep(func(cpu int) (uint64, error) { return d.readFile(cpu, reg) }, vals, ok)
-	recordSweep(d.rec, Canonical(reg), vals[:n], ok)
+	recordSweep(d.rec, Canonical(reg), vals[:n], ok, err)
 	return err
 }
 

@@ -8,10 +8,10 @@ import (
 	"repro/internal/platform"
 )
 
-// resilientSampler builds a primed resilient sampler over the machine's
-// device wrapped by the fault injector, with the injector's clock driven
-// by the machine so windows open and close as virtual time advances.
-func resilientSampler(t *testing.T, chip platform.Chip, apps map[int]string, sched string, seed int64) (*fault.Injector, *Sampler, func(time.Duration) (Sample, error)) {
+// faultedSampler builds a primed sampler over the machine's device wrapped
+// by the fault injector, with the injector's clock driven by the machine so
+// windows open and close as virtual time advances.
+func faultedSampler(t *testing.T, chip platform.Chip, apps map[int]string, sched string, seed int64) (*fault.Injector, *Sampler, func(time.Duration) (Sample, error)) {
 	t.Helper()
 	m := machineWith(t, chip, apps)
 	ss, err := fault.ParseSchedule(sched)
@@ -27,7 +27,6 @@ func resilientSampler(t *testing.T, chip platform.Chip, apps map[int]string, sch
 	if err := s.SetSockets(chip.Sockets()); err != nil {
 		t.Fatal(err)
 	}
-	s.SetResilient(RetryPolicy{})
 	if err := s.Prime(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func resilientSampler(t *testing.T, chip platform.Chip, apps map[int]string, sch
 }
 
 // TestRecycledBuffersClassifyStuckCounter runs a stuck-MPERF fault
-// against the batched resilient sampler and checks, interval by
+// against the batched sampler and checks, interval by
 // interval, that the recycled sample buffers never leak one core's (or
 // one interval's) state into another: the healthy core classifies OK
 // throughout, and the faulted core walks the exact status sequence the
@@ -52,7 +51,7 @@ func TestRecycledBuffersClassifyStuckCounter(t *testing.T) {
 	// 3 is clean; intervals 4 and 6 see a frozen MPERF under an advancing
 	// APERF (torn → Stale); interval 5 and 7 are the first good-looking
 	// read after a Stale verdict (→ Recovering); interval 8 on is clean.
-	_, _, step := resilientSampler(t, platform.Skylake(),
+	_, _, step := faultedSampler(t, platform.Skylake(),
 		map[int]string{0: "gcc", 1: "cam4"},
 		"at 30ms for 40ms stuck cpu=1 regs=MPERF", 1)
 
@@ -91,7 +90,7 @@ func TestRecycledBuffersClassifyStuckCounter(t *testing.T) {
 // values — while the healthy core's classification is untouched across
 // the recycled buffers, and that the core recovers once the window ends.
 func TestRecycledBuffersClassifyTornRegisters(t *testing.T) {
-	inj, _, step := resilientSampler(t, platform.Skylake(),
+	inj, _, step := faultedSampler(t, platform.Skylake(),
 		map[int]string{0: "gcc", 1: "cam4"},
 		// The seed is chosen so the per-register coin freezes at least one
 		// of the counters the classifier cross-checks; the Effects assert
@@ -136,7 +135,7 @@ func TestRecycledBuffersClassifyTornRegisters(t *testing.T) {
 func TestRecycledBuffersIsolatePackageFault(t *testing.T) {
 	chip := platform.MultiSocket(platform.Skylake(), 2)
 	// Socket 0's energy counter is read on cpu 0; socket 1's on cpu 10.
-	_, _, step := resilientSampler(t, chip,
+	_, _, step := faultedSampler(t, chip,
 		map[int]string{0: "gcc", 10: "cam4"},
 		"at 30ms for 40ms stuck cpu=0 regs=PKG_ENERGY_STATUS", 1)
 
@@ -173,7 +172,7 @@ func TestRecycledBuffersIsolatePackageFault(t *testing.T) {
 // Sample call (the two calls fill alternating buffers) and is only
 // overwritten by the one after that.
 func TestSampleDoubleBufferContract(t *testing.T) {
-	_, _, step := resilientSampler(t, platform.Skylake(),
+	_, _, step := faultedSampler(t, platform.Skylake(),
 		map[int]string{0: "gcc", 1: "cam4"},
 		// A mid-run fault makes consecutive samples differ, so reuse of
 		// the wrong buffer cannot hide behind identical contents.

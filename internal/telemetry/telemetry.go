@@ -11,9 +11,9 @@
 // core sample with a typed Status instead of conflating "zero delta" with
 // "garbage": an idle core legitimately reports 0 IPS with StatusIdle, while
 // internally inconsistent counters report StatusStale and a core whose
-// reads keep failing reports StatusDark. In resilient mode (SetResilient)
-// reads are retried with bounded backoff and a failing core is isolated
-// rather than aborting the whole sample.
+// reads keep failing reports StatusDark. A failed read is retried at once,
+// readAttempts tries in all, and a core that still fails is isolated rather
+// than aborting the whole sample.
 //
 // The sampler is built for the steady-state control loop of large
 // machines: counters are read with one batched sweep per register
@@ -52,7 +52,7 @@ const (
 	// values are zeroed; do not trust this core's telemetry.
 	StatusStale
 	// StatusDark: the core's MSRs could not be read at all this interval,
-	// even after retries. Only reported in resilient mode.
+	// even after retries.
 	StatusDark
 	// StatusRecovering: first successful read after a non-OK interval. The
 	// baseline was re-established; derived values are zeroed because the
@@ -139,23 +139,9 @@ func (s Sample) Healthy() bool {
 	return true
 }
 
-// RetryPolicy bounds how hard a resilient sampler tries to read one MSR.
-type RetryPolicy struct {
-	// Attempts is the total number of tries per read; values below 1 are
-	// treated as 1 (no retry).
-	Attempts int
-	// Backoff is the wait before the second attempt; it doubles per
-	// further attempt. Zero means retry immediately.
-	Backoff time.Duration
-	// Sleep realises the backoff. Nil means no actual waiting, which is
-	// what virtual-time runs want: the retries still happen, the wall
-	// clock does not move.
-	Sleep func(time.Duration)
-}
-
-// DefaultRetry is the retry policy resilient samplers get when the caller
-// does not specify one: three attempts, 50µs then 100µs apart.
-var DefaultRetry = RetryPolicy{Attempts: 3, Backoff: 50 * time.Microsecond}
+// readAttempts is the total number of tries one MSR read gets before its
+// core (or socket) is reported dark for the interval.
+const readAttempts = 3
 
 // Sampler derives telemetry from successive MSR reads.
 type Sampler struct {
@@ -166,9 +152,6 @@ type Sampler struct {
 	nom     units.Hertz
 	perCore bool
 	unit    msr.EnergyUnit
-
-	resilient bool
-	retry     RetryPolicy
 
 	primed bool
 	at     time.Duration
@@ -181,7 +164,7 @@ type Sampler struct {
 	prevMperf, curMperf []uint64
 	prevInstr, curInstr []uint64
 	prevCore, curCore   []uint64
-	okScratch           []bool // per-register read success, resilient mode
+	okScratch           []bool // per-register read success of the sweep in progress
 	curOK               []bool // all of a core's registers read this sweep
 
 	prevPkg []uint64 // per-socket package energy baseline
@@ -304,55 +287,24 @@ func (s *Sampler) sizeSockets(n int) {
 // Sockets reports how many RAPL domains the sampler reads.
 func (s *Sampler) Sockets() int { return s.sockets }
 
-// SetResilient switches the sampler into resilient mode: reads are retried
-// per rp, and a core whose reads still fail is reported StatusDark (its
-// baseline held for re-admission) instead of failing the whole Sample. A
-// zero rp takes DefaultRetry.
-func (s *Sampler) SetResilient(rp RetryPolicy) {
-	if rp.Attempts < 1 {
-		rp = DefaultRetry
-	}
-	s.resilient = true
-	s.retry = rp
-}
-
 // Prime records a baseline without producing a sample. It must be called
-// once before the first Sample. In resilient mode unreadable cores are
-// tolerated: they start dark and baseline on their first good read.
+// once before the first Sample. Unreadable cores and sockets are tolerated:
+// they start dark and baseline on their first good read. Only a device on
+// which not one core reads — the wrong device, not a degraded one — fails,
+// with the first read error.
 func (s *Sampler) Prime() error {
-	if s.resilient {
-		s.readResilient()
-		for i, ok := range s.curOK {
-			if !ok {
-				continue
-			}
-			s.prevAperf[i], s.prevMperf[i], s.prevInstr[i] = s.curAperf[i], s.curMperf[i], s.curInstr[i]
-			s.prevCore[i] = s.curCore[i]
-			s.baseOK[i] = true
-		}
-		for sck := 0; sck < s.sockets; sck++ {
-			if pkg, err := s.readMSR(sck*s.cps, msr.PkgEnergyStatus); err == nil {
-				s.prevPkg[sck] = pkg
-				s.pkgBaseOK[sck] = true
-			}
-		}
-		s.primed = true
-		return nil
+	err := s.readCores()
+	primed := false
+	for i, ok := range s.curOK {
+		s.baseOK[i] = ok
+		primed = primed || ok
 	}
-	if err := s.readStrict(); err != nil {
-		return err
-	}
-	for sck := 0; sck < s.sockets; sck++ {
-		pkg, err := s.readMSR(sck*s.cps, msr.PkgEnergyStatus)
-		if err != nil {
-			return fmt.Errorf("telemetry: package energy socket %d: %w", sck, err)
-		}
-		s.prevPkg[sck] = pkg
-		s.pkgBaseOK[sck] = true
+	if !primed {
+		return fmt.Errorf("telemetry: no core could be primed: %w", err)
 	}
 	s.swapBaselines()
-	for i := range s.baseOK {
-		s.baseOK[i] = true
+	for sck := 0; sck < s.sockets; sck++ {
+		s.prevPkg[sck], s.pkgBaseOK[sck] = s.readMSR(sck*s.cps, msr.PkgEnergyStatus, 0)
 	}
 	s.primed = true
 	return nil
@@ -367,45 +319,15 @@ func (s *Sampler) swapBaselines() {
 	s.prevCore, s.curCore = s.curCore, s.prevCore
 }
 
-// readMSR wraps a single device read with instrumentation and, in
-// resilient mode, bounded retry with backoff. Used for the per-socket
-// package counter and as the retry path behind failed batch entries.
-func (s *Sampler) readMSR(cpu int, reg uint32) (uint64, error) {
-	attempts := 1
-	if s.resilient {
-		attempts = s.retry.Attempts
-	}
-	backoff := s.retry.Backoff
-	var v uint64
-	var err error
-	for try := 0; try < attempts; try++ {
+// readMSR is the sampler's one retry loop: a single instrumented device
+// read, tried until it succeeds or readAttempts are spent. failed is how
+// many attempts the caller already made — 0 for the per-socket package
+// counter, 1 for a core whose entry in a batched sweep failed.
+func (s *Sampler) readMSR(cpu int, reg uint32, failed int) (uint64, bool) {
+	for try := failed; try < readAttempts; try++ {
 		if try > 0 {
 			s.mRetries.Inc()
-			if s.retry.Sleep != nil && backoff > 0 {
-				s.retry.Sleep(backoff)
-			}
-			backoff *= 2
 		}
-		s.mMSRReads.Inc()
-		v, err = s.dev.Read(cpu, reg)
-		if err == nil {
-			return v, nil
-		}
-		s.mReadErrors.Inc()
-	}
-	return v, err
-}
-
-// retryRead runs the retry tail (attempts after the first) for one cpu
-// whose batch read failed. Reports success and the value.
-func (s *Sampler) retryRead(cpu int, reg uint32) (uint64, bool) {
-	backoff := s.retry.Backoff
-	for try := 1; try < s.retry.Attempts; try++ {
-		s.mRetries.Inc()
-		if s.retry.Sleep != nil && backoff > 0 {
-			s.retry.Sleep(backoff)
-		}
-		backoff *= 2
 		s.mMSRReads.Inc()
 		if v, err := s.dev.Read(cpu, reg); err == nil {
 			return v, true
@@ -415,82 +337,63 @@ func (s *Sampler) retryRead(cpu int, reg uint32) (uint64, bool) {
 	return 0, false
 }
 
-// readStrict is the fail-fast read path: one batched sweep per register;
-// the first error aborts with the baseline untouched (the whole sample is
-// lost, nothing partial is committed).
-func (s *Sampler) readStrict() error {
-	regs := [3]struct {
-		reg  uint32
-		dst  []uint64
-		name string
-	}{
-		{msr.IA32Aperf, s.curAperf, "aperf"},
-		{msr.IA32Mperf, s.curMperf, "mperf"},
-		{msr.IA32FixedCtr0, s.curInstr, "instr"},
-	}
-	for _, r := range regs {
-		s.mMSRReads.Add(float64(len(r.dst)))
-		if err := msr.ReadBatch(s.dev, r.reg, r.dst, nil); err != nil {
-			s.mReadErrors.Inc()
-			return fmt.Errorf("telemetry: %s: %w", r.name, err)
-		}
-	}
-	if s.perCore {
-		s.mMSRReads.Add(float64(s.nCores))
-		if err := msr.ReadBatch(s.dev, msr.PP0EnergyStatus, s.curCore, nil); err != nil {
-			s.mReadErrors.Inc()
-			return fmt.Errorf("telemetry: core energy: %w", err)
-		}
-	}
+// readCores reads every core with one batched sweep per register. A core
+// whose reads still fail after the retries comes back curOK=false with prev
+// copied into cur, so the swap holds its baseline. The returned error is the
+// first one a sweep met, retried away or not; nil means every read was clean.
+func (s *Sampler) readCores() error {
 	for i := range s.curOK {
 		s.curOK[i] = true
 	}
-	return nil
-}
-
-// readResilient reads every core with one batched sweep per register,
-// retrying individual failures with backoff; a core whose reads still
-// fail comes back curOK=false with prev copied into cur so the swap holds
-// its baseline.
-func (s *Sampler) readResilient() {
-	for i := range s.curOK {
-		s.curOK[i] = true
+	errs := [4]error{
+		s.sweep(msr.IA32Aperf, s.curAperf),
+		s.sweep(msr.IA32Mperf, s.curMperf),
+		s.sweep(msr.IA32FixedCtr0, s.curInstr),
 	}
-	s.batchResilient(msr.IA32Aperf, s.curAperf)
-	s.batchResilient(msr.IA32Mperf, s.curMperf)
-	s.batchResilient(msr.IA32FixedCtr0, s.curInstr)
 	if s.perCore {
-		s.batchResilient(msr.PP0EnergyStatus, s.curCore)
+		errs[3] = s.sweep(msr.PP0EnergyStatus, s.curCore)
+	}
+	var first error
+	for _, err := range errs {
+		if err != nil {
+			first = err
+			break
+		}
+	}
+	if first == nil {
+		return nil
 	}
 	for i, ok := range s.curOK {
-		if ok {
-			continue
+		if !ok {
+			// Hold the failed core's baseline across the swap.
+			s.curAperf[i] = s.prevAperf[i]
+			s.curMperf[i] = s.prevMperf[i]
+			s.curInstr[i] = s.prevInstr[i]
+			s.curCore[i] = s.prevCore[i]
 		}
-		// Hold the failed core's baseline across the swap.
-		s.curAperf[i] = s.prevAperf[i]
-		s.curMperf[i] = s.prevMperf[i]
-		s.curInstr[i] = s.prevInstr[i]
-		s.curCore[i] = s.prevCore[i]
 	}
+	return first
 }
 
-// batchResilient sweeps one register across all cores, then walks the
-// retry tail for cores whose batch entry failed, folding the outcome into
-// curOK.
-func (s *Sampler) batchResilient(reg uint32, dst []uint64) {
+// sweep reads one register across all cores and, only when the batch
+// reports a failure (which it returns), walks the retries for the cores
+// whose entry failed, folding the outcome into curOK.
+func (s *Sampler) sweep(reg uint32, dst []uint64) error {
 	s.mMSRReads.Add(float64(len(dst)))
-	_ = msr.ReadBatch(s.dev, reg, dst, s.okScratch)
+	err := msr.ReadBatch(s.dev, reg, dst, s.okScratch)
+	if err == nil {
+		return nil
+	}
 	for i, ok := range s.okScratch {
 		if ok {
 			continue
 		}
 		s.mReadErrors.Inc()
-		if v, recovered := s.retryRead(i, reg); recovered {
-			dst[i] = v
-			continue
+		if dst[i], ok = s.readMSR(i, reg, 1); !ok {
+			s.curOK[i] = false
 		}
-		s.curOK[i] = false
 	}
+	return err
 }
 
 // flushStatus publishes the sample's status tally, one Add per status seen.
@@ -508,10 +411,8 @@ func (s *Sampler) flushStatus() {
 // Sample's slices point into the sampler's double buffer — see the Sample
 // type for the ownership rule. Steady state performs no heap allocation.
 //
-// In the default (fail-fast) mode any read error aborts the sample, exactly
-// as before resilient mode existed. In resilient mode the error return is
-// reserved for misuse (Sample before Prime, bad dt): read failures degrade
-// the affected core to StatusDark instead.
+// The error return is reserved for misuse (Sample before Prime, bad dt):
+// read failures degrade the affected core or socket to StatusDark instead.
 func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	if !s.primed {
 		return Sample{}, fmt.Errorf("telemetry: Sample before Prime")
@@ -519,11 +420,7 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	if dt <= 0 {
 		return Sample{}, fmt.Errorf("telemetry: non-positive interval %v", dt)
 	}
-	if s.resilient {
-		s.readResilient()
-	} else if err := s.readStrict(); err != nil {
-		return Sample{}, err
-	}
+	_ = s.readCores() // failures are already in curOK
 
 	s.at += dt
 	s.flip ^= 1
@@ -548,12 +445,7 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	out.PackagePower = 0
 	worst := StatusOK
 	for sck := 0; sck < s.sockets; sck++ {
-		pkg, err := s.readMSR(sck*s.cps, msr.PkgEnergyStatus)
-		pkgOK := err == nil
-		if err != nil && !s.resilient {
-			s.flushStatus()
-			return Sample{}, fmt.Errorf("telemetry: package energy socket %d: %w", sck, err)
-		}
+		pkg, pkgOK := s.readMSR(sck*s.cps, msr.PkgEnergyStatus, 0)
 		w, st := s.pkgPower(sck, pkg, pkgOK, s.anyExecSock[sck], dt)
 		s.tally[st]++
 		out.SocketPower[sck] = w

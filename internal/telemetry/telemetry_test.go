@@ -244,10 +244,15 @@ func TestInstrumentCountsFailedReads(t *testing.T) {
 	s.Instrument(reg)
 	fd.n = fd.reads // every further read fails
 	if err := s.Prime(); err == nil {
-		t.Fatal("failing device primed successfully")
+		t.Fatal("device on which no core reads primed successfully")
 	}
-	if v := reg.Counter("telemetry_read_errors_total", "").Value(); v != 1 {
-		t.Errorf("read errors = %v, want 1", v)
+	// One error per attempt: every core's three registers, readAttempts each.
+	want := float64(3 * chip.NumCores * readAttempts)
+	if v := reg.Counter("telemetry_read_errors_total", "").Value(); v != want {
+		t.Errorf("read errors = %v, want %v", v, want)
+	}
+	if v := reg.Counter("telemetry_msr_reads_total", "").Value(); v != want {
+		t.Errorf("msr reads = %v, want %v", v, want)
 	}
 }
 
@@ -282,7 +287,6 @@ func TestInstrumentCountsStatusesOfMixedSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Instrument(reg)
-	s.SetResilient(RetryPolicy{Attempts: 1})
 	if err := s.Prime(); err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +333,57 @@ func TestInstrumentCountsStatusesOfMixedSample(t *testing.T) {
 	if want[StatusOK] != 5 || want[StatusDark] != 1 || want[StatusStale] != 1 || want[StatusIdle] != 1 || want[StatusRecovering] != 2 {
 		t.Errorf("samples held %v", want)
 	}
+}
+
+// Prime over a device with one dead cpu succeeds with no mode selected: the
+// dead core samples StatusDark while the others derive normally, and the
+// core re-baselines through StatusRecovering once it reads again.
+func TestPrimeDegradesDeadCoreAndRebaselines(t *testing.T) {
+	const cores, dead = 4, 2
+	var ticks uint64 // every counter of every cpu reads ticks*1000
+	alive := false
+	dev := msr.NewSimDevice()
+	counter := func(cpu int) (uint64, error) {
+		if cpu == dead && !alive {
+			return 0, fmt.Errorf("cpu%d unreadable", cpu)
+		}
+		return ticks * 1000, nil
+	}
+	for _, reg := range []uint32{msr.IA32Aperf, msr.IA32Mperf, msr.IA32FixedCtr0, msr.PkgEnergyStatus} {
+		dev.OnRead(reg, counter)
+	}
+	dev.OnRead(msr.RAPLPowerUnit, func(int) (uint64, error) { return msr.EncodePowerUnit(msr.EnergyUnit{ESU: 14}), nil })
+
+	s, err := NewSampler(dev, cores, 2_000_000_000, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prime(); err != nil {
+		t.Fatalf("Prime over one dead cpu of %d: %v", cores, err)
+	}
+	sample := func(want CoreStatus) {
+		t.Helper()
+		ticks++
+		out, err := s.Sample(10 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range out.Cores {
+			wantSt, wantIPS := StatusOK, 1000/0.01 // one interval's delta, not the outage's
+			if i == dead && want != StatusOK {
+				wantSt, wantIPS = want, 0
+			}
+			if c.Status != wantSt || c.IPS != wantIPS {
+				t.Errorf("tick %d: core %d = %v at %v IPS, want %v at %v", ticks, i, c.Status, c.IPS, wantSt, wantIPS)
+			}
+		}
+		if out.PkgStatus != StatusOK {
+			t.Errorf("tick %d: package status %v", ticks, out.PkgStatus)
+		}
+	}
+	sample(StatusDark)
+	sample(StatusDark)
+	alive = true
+	sample(StatusRecovering) // first good read: baseline only
+	sample(StatusOK)
 }

@@ -39,6 +39,12 @@
 //	d.AttachVirtual(m)
 //	m.Run(60 * time.Second)
 //
+// The same daemon runs in real time over a file-backed MSR tree
+// (NewFileMSRDevice, Daemon.RunRealtime). There a read or write can fail;
+// the daemon degrades the affected core — last good state to the policy,
+// safe P-state floor, readmission after two clean intervals — rather than
+// exit. Only a start-up at which nothing can be read or written fails.
+//
 // See the examples directory for complete programs and DESIGN.md for the
 // per-experiment index.
 package padpd
