@@ -6,13 +6,19 @@
 //	experiments [-figure all|1|2|...|13|tables] [-csv]
 //
 // Each figure is produced by the corresponding harness in
-// internal/experiments; DESIGN.md maps figures to modules.
+// internal/experiments; DESIGN.md maps figures to modules. The figures are
+// independent and seed-deterministic, so they are generated on as many
+// workers as there are processors and printed in declaration order.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/experiments"
 	"repro/internal/trace"
@@ -31,7 +37,13 @@ func main() {
 		}
 		experiments.SetTraceDir(*traceDir)
 	}
-	if err := run(*figure, *csv); err != nil {
+	workers := runtime.GOMAXPROCS(0)
+	if *traceDir != "" {
+		// Trace files are numbered by one global run sequence: only a
+		// serial pass gives a run the same file name every time.
+		workers = 1
+	}
+	if err := run(*figure, *csv, workers, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -42,46 +54,97 @@ type tabler interface {
 	Tables() []trace.Table
 }
 
-func run(figure string, csv bool) error {
-	type gen struct {
-		name string
-		fn   func() (tabler, error)
-	}
-	wrap := func(fn func() (tabler, error)) func() (tabler, error) { return fn }
-	gens := []gen{
-		{"1", wrap(func() (tabler, error) { r, err := experiments.Figure1(); return r, err })},
-		{"2", wrap(func() (tabler, error) { r, err := experiments.Figure2(); return r, err })},
-		{"3", wrap(func() (tabler, error) { r, err := experiments.Figure3(); return r, err })},
-		{"4", wrap(func() (tabler, error) { r, err := experiments.Figure4(); return r, err })},
-		{"5", wrap(func() (tabler, error) { r, err := experiments.Figure5(); return r, err })},
-		{"6", wrap(func() (tabler, error) { r, err := experiments.Figure6(); return r, err })},
-		{"7", wrap(func() (tabler, error) { r, err := experiments.Figure7(); return r, err })},
-		{"8", wrap(func() (tabler, error) { r, err := experiments.Figure8(); return r, err })},
-		{"9", wrap(func() (tabler, error) { r, err := experiments.Figure9(); return r, err })},
-		{"10", wrap(func() (tabler, error) { r, err := experiments.Figure10(); return r, err })},
-		{"11", wrap(func() (tabler, error) { r, err := experiments.Figure11(); return r, err })},
-		{"12", wrap(func() (tabler, error) { r, err := experiments.Figure12(); return r, err })},
-		{"13", wrap(func() (tabler, error) { r, err := experiments.Figure13(); return r, err })},
-		{"stability", wrap(func() (tabler, error) { r, err := experiments.StabilityStudy(); return r, err })},
-		{"useful", wrap(func() (tabler, error) { r, err := experiments.UsefulFreqStudy(); return r, err })},
-		{"gaming-perf", wrap(func() (tabler, error) { r, err := experiments.GamingStudy(experiments.PerfShares); return r, err })},
-		{"gaming-freq", wrap(func() (tabler, error) { r, err := experiments.GamingStudy(experiments.FreqShares); return r, err })},
-		{"clustering", wrap(func() (tabler, error) { r, err := experiments.AblationClustering(); return r, err })},
-		{"interval", wrap(func() (tabler, error) { r, err := experiments.AblationInterval(); return r, err })},
-		{"consolidation", wrap(func() (tabler, error) { r, err := experiments.ConsolidationStudy(); return r, err })},
-		{"slo", wrap(func() (tabler, error) { r, err := experiments.SLOStudy(); return r, err })},
-		{"chaos", wrap(func() (tabler, error) { r, err := experiments.ChaosStudy(); return r, err })},
-	}
+// gen is one figure's generator.
+type gen struct {
+	name string
+	fn   func() (tabler, error)
+}
 
-	emit := func(tables []trace.Table) error {
+// generate runs the generators on up to workers goroutines and hands each
+// result to emit in declaration order, announcing each figure on progress
+// before it waits for it. It returns the error of the first figure in that
+// order to fail (or of emit), starts no further figure once it has, and
+// returns only when its goroutines have.
+func generate(gens []gen, workers int, progress io.Writer, emit func([]trace.Table) error) error {
+	type outcome struct {
+		res tabler
+		err error
+	}
+	results := make([]chan outcome, len(gens))
+	for i := range results {
+		results[i] = make(chan outcome, 1)
+	}
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	defer wg.Wait()
+	defer stop.Store(true)
+	for w := 0; w < min(workers, len(gens)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(gens) {
+					return
+				}
+				res, err := gens[i].fn()
+				results[i] <- outcome{res, err}
+			}
+		}()
+	}
+	for i, g := range gens {
+		fmt.Fprintf(progress, "regenerating figure %s...\n", g.name)
+		o := <-results[i]
+		if o.err != nil {
+			return fmt.Errorf("figure %s: %w", g.name, o.err)
+		}
+		if err := emit(o.res.Tables()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gens are the figure generators in the order -figure all prints them.
+var gens = []gen{
+	{"1", func() (tabler, error) { r, err := experiments.Figure1(); return r, err }},
+	{"2", func() (tabler, error) { r, err := experiments.Figure2(); return r, err }},
+	{"3", func() (tabler, error) { r, err := experiments.Figure3(); return r, err }},
+	{"4", func() (tabler, error) { r, err := experiments.Figure4(); return r, err }},
+	{"5", func() (tabler, error) { r, err := experiments.Figure5(); return r, err }},
+	{"6", func() (tabler, error) { r, err := experiments.Figure6(); return r, err }},
+	{"7", func() (tabler, error) { r, err := experiments.Figure7(); return r, err }},
+	{"8", func() (tabler, error) { r, err := experiments.Figure8(); return r, err }},
+	{"9", func() (tabler, error) { r, err := experiments.Figure9(); return r, err }},
+	{"10", func() (tabler, error) { r, err := experiments.Figure10(); return r, err }},
+	{"11", func() (tabler, error) { r, err := experiments.Figure11(); return r, err }},
+	{"12", func() (tabler, error) { r, err := experiments.Figure12(); return r, err }},
+	{"13", func() (tabler, error) { r, err := experiments.Figure13(); return r, err }},
+	{"stability", func() (tabler, error) { r, err := experiments.StabilityStudy(); return r, err }},
+	{"useful", func() (tabler, error) { r, err := experiments.UsefulFreqStudy(); return r, err }},
+	{"gaming-perf", func() (tabler, error) { r, err := experiments.GamingStudy(experiments.PerfShares); return r, err }},
+	{"gaming-freq", func() (tabler, error) { r, err := experiments.GamingStudy(experiments.FreqShares); return r, err }},
+	{"clustering", func() (tabler, error) { r, err := experiments.AblationClustering(); return r, err }},
+	{"interval", func() (tabler, error) { r, err := experiments.AblationInterval(); return r, err }},
+	{"consolidation", func() (tabler, error) { r, err := experiments.ConsolidationStudy(); return r, err }},
+	{"slo", func() (tabler, error) { r, err := experiments.SLOStudy(); return r, err }},
+	{"chaos", func() (tabler, error) { r, err := experiments.ChaosStudy(); return r, err }},
+}
+
+// emitTo returns the function that renders tables on w, aligned or as CSV.
+func emitTo(w io.Writer, csv bool) func([]trace.Table) error {
+	return func(tables []trace.Table) error {
 		for _, tb := range tables {
 			var err error
 			if csv {
-				fmt.Printf("# %s\n", tb.Title)
-				err = tb.RenderCSV(os.Stdout)
-				fmt.Println()
+				fmt.Fprintf(w, "# %s\n", tb.Title)
+				err = tb.RenderCSV(w)
+				fmt.Fprintln(w)
 			} else {
-				err = tb.Render(os.Stdout)
+				err = tb.Render(w)
 			}
 			if err != nil {
 				return err
@@ -89,7 +152,10 @@ func run(figure string, csv bool) error {
 		}
 		return nil
 	}
+}
 
+func run(figure string, csv bool, workers int, stdout, progress io.Writer) error {
+	emit := emitTo(stdout, csv)
 	if figure == "tables" || figure == "all" {
 		if err := emit([]trace.Table{experiments.Table1(), experiments.Table2(), experiments.Table3()}); err != nil {
 			return err
@@ -98,23 +164,17 @@ func run(figure string, csv bool) error {
 			return nil
 		}
 	}
-	matched := figure == "all"
-	for _, g := range gens {
-		if figure != "all" && figure != g.name {
-			continue
+	todo := gens
+	if figure != "all" {
+		todo = nil
+		for _, g := range gens {
+			if g.name == figure {
+				todo = []gen{g}
+			}
 		}
-		matched = true
-		fmt.Fprintf(os.Stderr, "regenerating figure %s...\n", g.name)
-		res, err := g.fn()
-		if err != nil {
-			return fmt.Errorf("figure %s: %w", g.name, err)
-		}
-		if err := emit(res.Tables()); err != nil {
-			return err
+		if todo == nil {
+			return fmt.Errorf("unknown figure %q (want all, tables, 1-13, or a study name)", figure)
 		}
 	}
-	if !matched {
-		return fmt.Errorf("unknown figure %q (want all, tables, 1-13, or a study name)", figure)
-	}
-	return nil
+	return generate(todo, workers, progress, emit)
 }

@@ -6,9 +6,11 @@
 // that supervisory software samples.
 //
 // A Core holds only *requests* and *counters*; the effective frequency each
-// instant is resolved by FreqSpec.Effective from the request, the power
-// limiter's clamp, the AVX licence, and the turbo grant — mirroring how real
-// hardware arbitrates between the OS's P-state request and its own limits.
+// instant follows FreqSpec.Effective's arbitration between the request, the
+// power limiter's clamp, the AVX licence, and the turbo grant — mirroring how
+// real hardware arbitrates between the OS's P-state request and its own
+// limits. (The simulator evaluates that arbitration folded into its per-core
+// memo; its reference test holds the two together.)
 package cpu
 
 import (
@@ -153,15 +155,17 @@ func NewCore(id int, f units.Hertz) *Core {
 }
 
 // Account charges one simulation step to the core's counters: the core ran
-// at eff (0 if idle) for dt at nominal frequency nom, retiring instr
-// instructions and consuming energy.
-func (c *Core) Account(eff, nom units.Hertz, dt time.Duration, instr float64, energy units.Joules) {
+// at eff (0 if idle) for dt, retiring instr instructions and consuming
+// energy. The caller steps every core by the same dt and multiplies it out
+// once: sec is dt.Seconds() and nomCycles the nominal frequency's
+// Cycles(dt).
+func (c *Core) Account(eff units.Hertz, nomCycles float64, dt time.Duration, sec float64, instr float64, energy units.Joules) {
 	if dt <= 0 {
 		return
 	}
 	if !c.Idle && eff > 0 {
-		c.aperf += eff.Cycles(dt)
-		c.mperf += nom.Cycles(dt)
+		c.aperf += float64(eff) * sec
+		c.mperf += nomCycles
 		c.c0Time += dt
 	}
 	c.instr += instr

@@ -172,11 +172,17 @@ func TestEffectiveProperties(t *testing.T) {
 	}
 }
 
+// account charges c one step of dt the way the simulator does, with the
+// tick multiplied out by the caller.
+func account(c *Core, eff, nom units.Hertz, dt time.Duration, instr float64, energy units.Joules) {
+	c.Account(eff, nom.Cycles(dt), dt, dt.Seconds(), instr, energy)
+}
+
 func TestCoreAccounting(t *testing.T) {
 	s := testSpec()
 	c := NewCore(3, 2*units.GHz)
 	eff := 2 * units.GHz
-	c.Account(eff, s.Nom, time.Second, 1.5e9, 4.2)
+	account(c, eff, s.Nom, time.Second, 1.5e9, 4.2)
 	cnt := c.Counters()
 	if cnt.APERF != 2e9 {
 		t.Errorf("APERF = %g", cnt.APERF)
@@ -192,7 +198,7 @@ func TestCoreAccounting(t *testing.T) {
 func TestIdleCoreAccumulatesOnlyEnergy(t *testing.T) {
 	c := NewCore(0, 2*units.GHz)
 	c.Idle = true
-	c.Account(2*units.GHz, 2200*units.MHz, time.Second, 0, 0.05)
+	account(c, 2*units.GHz, 2200*units.MHz, time.Second, 0, 0.05)
 	cnt := c.Counters()
 	if cnt.APERF != 0 || cnt.MPERF != 0 || cnt.C0Time != 0 {
 		t.Errorf("idle core accumulated C0 counters: %+v", cnt)
@@ -204,7 +210,7 @@ func TestIdleCoreAccumulatesOnlyEnergy(t *testing.T) {
 
 func TestAccountIgnoresNonPositiveDt(t *testing.T) {
 	c := NewCore(0, 2*units.GHz)
-	c.Account(2*units.GHz, 2200*units.MHz, 0, 1e9, 1)
+	account(c, 2*units.GHz, 2200*units.MHz, 0, 1e9, 1)
 	if cnt := c.Counters(); cnt.Instr != 0 || cnt.Energy != 0 {
 		t.Errorf("zero-dt step charged: %+v", cnt)
 	}
@@ -215,7 +221,7 @@ func TestActiveFreqDerivation(t *testing.T) {
 	c := NewCore(0, 0)
 	prev := c.Counters()
 	// Run 1s at 1.1 GHz: APERF/MPERF = 0.5 -> derived 1.1 GHz.
-	c.Account(1100*units.MHz, nom, time.Second, 5e8, 2)
+	account(c, 1100*units.MHz, nom, time.Second, 5e8, 2)
 	cur := c.Counters()
 	if got := ActiveFreq(prev, cur, nom); math.Abs(float64(got-1100*units.MHz)) > 1 {
 		t.Errorf("ActiveFreq = %v, want 1.1 GHz", got)
@@ -247,7 +253,7 @@ func TestActiveFreqRecoversFixed(t *testing.T) {
 		dt := time.Duration(int(msRaw)%5000+1) * time.Millisecond
 		c := NewCore(0, f)
 		prev := c.Counters()
-		c.Account(f, nom, dt, 0, 0)
+		account(c, f, nom, dt, 0, 0)
 		got := ActiveFreq(prev, c.Counters(), nom)
 		return math.Abs(float64(got-f)) < 1e3
 	}

@@ -65,7 +65,7 @@ func (a MachineActuator) SetFreq(core int, f units.Hertz) error {
 	if dev == nil {
 		dev = a.M.Device()
 	}
-	return dev.Write(core, msr.IA32PerfCtl, msr.EncodePerfCtl(f, a.M.Chip().Freq.Step))
+	return dev.Write(core, msr.IA32PerfCtl, msr.EncodePerfCtl(f, a.M.FreqStep()))
 }
 
 // Park implements Actuator via C-state control.

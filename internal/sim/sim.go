@@ -90,6 +90,9 @@ type Machine struct {
 	dev        *msr.SimDevice
 	hooks      []func(dt time.Duration)
 	idles      []coreIdle
+	memo       []coreMemo
+	// misses counts memo recomputations, for the count gates in the tests.
+	misses struct{ freq, power int }
 
 	// Optional instrumentation; nil handles no-op.
 	reg            *metrics.Registry
@@ -98,6 +101,29 @@ type Machine struct {
 	mCStateTrans   *metrics.CounterVec
 	mFreqConstr    *metrics.CounterVec
 	lastConstraint []string // per core, last binding constraint observed
+}
+
+// freqKey is every input to a core's frequency resolution.
+type freqKey struct {
+	request, cap, thermal units.Hertz
+	active                int // C0 cores on the core's socket
+	avx                   bool
+}
+
+// coreMemo remembers what a core's last tick derived from inputs that move
+// on an actuation, a limiter step or a phase change, not on a tick. It is
+// compared by key on every use and never invalidated by a setter, so no
+// path that changes an input can forget to: a new input to resolve or to
+// power.Model.CorePower joins the key, and TestStepMatchesReference fails
+// if it does not.
+type coreMemo struct {
+	key    freqKey
+	eff    units.Hertz // resolve(key)
+	constr string
+
+	powerF   units.Hertz // power == chip.Power.CorePower(powerF, activity)
+	activity float64
+	power    units.Watts
 }
 
 // coreIdle tracks one core's C-state machinery: the menu-style state chosen
@@ -138,7 +164,9 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		return nil, fmt.Errorf("sim: tick must be positive, got %v", m.dt)
 	}
 	m.idles = make([]coreIdle, chip.NumCores)
+	m.memo = make([]coreMemo, chip.NumCores)
 	for i := range m.cores {
+		m.memo[i].key.active = -1 // no occupancy: the first lookup misses
 		m.cores[i] = cpu.NewCore(i, chip.Freq.Nom)
 		m.cores[i].Idle = true
 		// Cores start idle-since-boot: deepest state, like real firmware
@@ -183,6 +211,10 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 
 // Chip returns the machine's platform configuration.
 func (m *Machine) Chip() platform.Chip { return m.chip }
+
+// FreqStep returns the chip's P-state quantisation step, what a PERF_CTL
+// value is encoded against.
+func (m *Machine) FreqStep() units.Hertz { return m.chip.Freq.Step }
 
 // Now returns the virtual time elapsed.
 func (m *Machine) Now() time.Duration { return m.clock }
@@ -338,18 +370,19 @@ func (m *Machine) ActiveCores() int {
 // scratch and returns it. Turbo occupancy is socket-local: the grant for
 // core i is computed against its own socket's count only.
 func (m *Machine) fillActiveSock() []int {
-	for s := range m.activeSock {
-		m.activeSock[s] = 0
-	}
 	cps := m.chip.CoresPerSocket()
-	for i, c := range m.cores {
-		if c.Idle || m.offline[i] {
-			continue
+	for s := range m.activeSock {
+		n := 0
+		for i := s * cps; i < (s+1)*cps; i++ {
+			if m.cores[i].Idle || m.offline[i] {
+				continue
+			}
+			if a := m.apps[i]; a != nil && !a.DutyOn() {
+				continue
+			}
+			n++
 		}
-		if a := m.apps[i]; a != nil && !a.DutyOn() {
-			continue
-		}
-		m.activeSock[i/cps]++
+		m.activeSock[s] = n
 	}
 	return m.activeSock
 }
@@ -385,9 +418,11 @@ func (m *Machine) CoreEnergy(core int) units.Joules { return m.energyCore[core] 
 func (m *Machine) PackagePower() units.Watts {
 	act := m.fillActiveSock()
 	cps := m.chip.CoresPerSocket()
+	cap := m.limiter.Cap()
 	var total units.Watts
 	for i := range m.cores {
-		total += m.corePowerAt(i, m.effective(i, act[i/cps]))
+		eff, _ := m.frequency(i, act[i/cps], cap)
+		total += m.corePowerAt(i, eff)
 	}
 	return total + m.chip.Power.UncorePower*units.Watts(m.chip.Sockets())
 }
@@ -397,28 +432,74 @@ func (m *Machine) PackagePower() units.Watts {
 // model and the policy daemon both attach here).
 func (m *Machine) OnTick(fn func(dt time.Duration)) { m.hooks = append(m.hooks, fn) }
 
-// effective resolves the frequency core i would run at now given active
-// C0 core count.
-func (m *Machine) effective(i int, active int) units.Hertz {
+// frequency resolves the frequency core i would run at now, and the
+// constraint binding it ("idle" for a parked, offline or off-duty core),
+// given its socket's C0 core count and the limiter's cap.
+func (m *Machine) frequency(i, active int, cap units.Hertz) (units.Hertz, string) {
 	c := m.cores[i]
 	if c.Idle || m.offline[i] {
-		return 0
+		return 0, "idle"
 	}
-	avx := false
-	if a := m.apps[i]; a != nil {
-		if !a.DutyOn() {
-			// Off-duty interactive workload: the core sits in a C-state.
-			return 0
+	a := m.apps[i]
+	if a != nil && !a.DutyOn() {
+		// Off-duty interactive workload: the core sits in a C-state.
+		return 0, "idle"
+	}
+	k := freqKey{c.Request, cap, m.thermalCap, active, a != nil && a.Profile.AVX}
+	mm := &m.memo[i]
+	if mm.key != k {
+		m.misses.freq++
+		mm.key = k
+		mm.eff, mm.constr = m.resolve(k)
+	}
+	return mm.eff, mm.constr
+}
+
+// resolve is the pure function behind the frequency memo: what a core with
+// these inputs runs at, and which of them bound it. One ceiling lookup and
+// one quantisation of the request serve both answers.
+func (m *Machine) resolve(k freqKey) (units.Hertz, string) {
+	spec := m.chip.Freq
+	ceil := spec.Ceiling(k.active, k.avx)
+	quant := spec.Quantize(k.request)
+
+	// The constraint: the OS request, the RAPL cap, the AVX licence, the
+	// turbo grant or a thermal excursion, judged level by level against
+	// the quantised request.
+	bound, constr := quant, "request"
+	if k.cap > 0 && k.cap < bound {
+		bound, constr = k.cap, "rapl-cap"
+	}
+	if ceil < bound {
+		bound, constr = ceil, "turbo"
+		if k.avx && ceil < spec.Ceiling(k.active, false) {
+			constr = "avx-licence"
 		}
-		avx = a.Profile.AVX
 	}
-	f := m.chip.Freq.Effective(c.Request, m.limiter.Cap(), active, avx)
-	if m.thermalCap > 0 && f > m.thermalCap {
+	if k.thermal > 0 && k.thermal < bound {
+		constr = "thermal"
+	}
+
+	// The frequency: cpu.FreqSpec.Effective's arbitration — the minimum of
+	// the raw request, the cap and the ceiling, quantised, which is the
+	// quantised request when neither came in under it.
+	f := k.request
+	if k.cap > 0 && k.cap < f {
+		f = k.cap
+	}
+	if ceil < f {
+		f = ceil
+	}
+	eff := quant
+	if f != k.request {
+		eff = spec.Quantize(f)
+	}
+	if k.thermal > 0 && eff > k.thermal {
 		// A thermal clamp is not bound to P-state steps: the hardware
 		// drops to whatever frequency the excursion dictates.
-		f = m.thermalCap
+		eff = k.thermal
 	}
-	return f
+	return eff, constr
 }
 
 // corePowerAt returns the instantaneous draw of core i at frequency f.
@@ -431,7 +512,13 @@ func (m *Machine) corePowerAt(i int, f units.Hertz) units.Watts {
 	if a := m.apps[i]; a != nil {
 		activity = a.CurrentActivity()
 	}
-	return m.chip.Power.CorePower(f, activity)
+	mm := &m.memo[i]
+	if mm.powerF != f || mm.activity != activity {
+		m.misses.power++
+		mm.powerF, mm.activity = f, activity
+		mm.power = m.chip.Power.CorePower(f, activity)
+	}
+	return mm.power
 }
 
 // idlePower returns the residual draw of an idle core: the resident
@@ -502,61 +589,25 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 	return debt
 }
 
-// constraintFor classifies what bound core i's effective frequency at the
-// given occupancy: the OS request, the RAPL cap, the AVX licence, or the
-// turbo grant. Idle (or off-duty) cores report "idle".
-func (m *Machine) constraintFor(i, active int) string {
-	c := m.cores[i]
-	if c.Idle || m.offline[i] {
-		return "idle"
-	}
-	a := m.apps[i]
-	if a != nil && !a.DutyOn() {
-		return "idle"
-	}
-	avx := a != nil && a.Profile.AVX
-	f := m.chip.Freq.Quantize(c.Request)
-	constraint := "request"
-	if cap := m.limiter.Cap(); cap > 0 && cap < f {
-		f = cap
-		constraint = "rapl-cap"
-	}
-	if ceil := m.chip.Freq.Ceiling(active, avx); ceil < f {
-		f = ceil
-		if avx && ceil < m.chip.Freq.Ceiling(active, false) {
-			constraint = "avx-licence"
-		} else {
-			constraint = "turbo"
-		}
-	}
-	if m.thermalCap > 0 && m.thermalCap < f {
-		constraint = "thermal"
-	}
-	return constraint
-}
-
-// Step advances the machine one tick.
+// Step advances the machine one tick. What is the same for every core —
+// the tick in seconds, nominal cycles a tick, the limiter's cap — is read
+// once; what a core derives from slow-moving inputs comes from its memo.
 func (m *Machine) Step() {
 	dt := m.dt
+	sec := dt.Seconds()
+	nomCycles := float64(m.chip.Freq.Nom) * sec
+	cap := m.limiter.Cap()
+	uncore := m.chip.Power.UncorePower
 	act := m.fillActiveSock()
 	cps := m.chip.CoresPerSocket()
 	m.mTicks.Inc()
 	var pkg units.Watts
-	var sockPower units.Watts
-	sock := 0
-	for i, c := range m.cores {
-		if i/cps != sock {
-			// Socket boundary: close out the previous socket's domain.
-			sockPower += m.chip.Power.UncorePower
-			m.energySocket[sock] += sockPower.Energy(dt)
-			pkg += sockPower
-			sockPower = 0
-			sock = i / cps
-		}
-		active := act[sock]
-		eff := m.effective(i, active)
-		if m.lastConstraint != nil {
-			if constr := m.constraintFor(i, active); constr != m.lastConstraint[i] {
+	for sock, active := range act {
+		var sockPower units.Watts
+		for i := sock * cps; i < (sock+1)*cps; i++ {
+			c := m.cores[i]
+			eff, constr := m.frequency(i, active, cap)
+			if m.lastConstraint != nil && constr != m.lastConstraint[i] {
 				m.lastConstraint[i] = constr
 				if constr != "idle" {
 					m.mFreqConstr.With(constr).Inc()
@@ -566,28 +617,29 @@ func (m *Machine) Step() {
 					})
 				}
 			}
+			debt := m.stepIdle(i, eff > 0, dt)
+			if debt > 0 && eff > 0 {
+				// The wake exit latency eats into this tick's execution:
+				// model it as a proportionally slower tick (zero if the
+				// whole tick is consumed by the exit).
+				eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
+			}
+			m.lastEff[i] = eff
+			p := m.corePowerAt(i, eff)
+			sockPower += p
+			e := units.Joules(float64(p) * sec)
+			var instr float64
+			if a := m.apps[i]; a != nil && !c.Idle {
+				instr = a.AdvanceSec(eff, dt, sec)
+			}
+			c.Account(eff, nomCycles, dt, sec, instr, e)
+			m.energyCore[i] += e
 		}
-		debt := m.stepIdle(i, eff > 0, dt)
-		if debt > 0 && eff > 0 {
-			// The wake exit latency eats into this tick's execution: model
-			// it as a proportionally slower tick (zero if the whole tick is
-			// consumed by the exit).
-			eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
-		}
-		m.lastEff[i] = eff
-		p := m.corePowerAt(i, eff)
-		sockPower += p
-		e := p.Energy(dt)
-		var instr float64
-		if a := m.apps[i]; a != nil && !c.Idle {
-			instr = a.Advance(eff, dt)
-		}
-		c.Account(eff, m.chip.Freq.Nom, dt, instr, e)
-		m.energyCore[i] += e
+		// Close out the socket's energy domain.
+		sockPower += uncore
+		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
+		pkg += sockPower
 	}
-	sockPower += m.chip.Power.UncorePower
-	m.energySocket[sock] += sockPower.Energy(dt)
-	pkg += sockPower
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
 	for _, h := range m.hooks {

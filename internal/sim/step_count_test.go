@@ -1,0 +1,90 @@
+package sim
+
+import (
+	"testing"
+
+	"repro/internal/flight"
+	"repro/internal/metrics"
+	"repro/internal/platform"
+	"repro/internal/workload"
+)
+
+// warmNode is the 2×64-core node with registry and flight recorder
+// attached: four cores left empty, the rest running unphased profiles (so
+// that no input to a memo moves by itself) at requests spread over the
+// P-state range, stepped until every C-state and memo has settled.
+func warmNode(t *testing.T) (m *Machine, awake int) {
+	t.Helper()
+	chip := platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 64), 2)
+	m, err := New(chip, WithMetrics(metrics.NewRegistry()), WithFlightRecorder(flight.New(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"povray", "imagick", "lbm", "exchange2"}
+	levels := chip.Freq.Levels()
+	for c := 4; c < chip.NumCores; c++ {
+		if err := m.Pin(workload.NewInstance(workload.MustByName(names[c%len(names)])), c); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetRequest(c, levels[c%len(levels)]); err != nil {
+			t.Fatal(err)
+		}
+		awake++
+	}
+	for i := 0; i < 2000; i++ {
+		m.Step()
+	}
+	return m, awake
+}
+
+// The counts below repeat exactly: they are the memo's whole claim, stated
+// where a change to Step that starts recomputing per tick turns them red.
+func TestQuiescentStepRecomputesNothing(t *testing.T) {
+	m, awake := warmNode(t)
+	expect := func(when string, freq, power int) {
+		t.Helper()
+		if m.misses.freq != freq || m.misses.power != power {
+			t.Fatalf("%s: %d frequency and %d power recomputations, want %d and %d",
+				when, m.misses.freq, m.misses.power, freq, power)
+		}
+	}
+
+	m.misses.freq, m.misses.power = 0, 0
+	for i := 0; i < 1000; i++ {
+		m.Step()
+	}
+	m.PackagePower()
+	expect("1000 ticks with no input change", 0, 0)
+
+	if err := m.SetRequest(9, m.chip.Freq.Min); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		m.Step()
+	}
+	expect("one SetRequest", 1, 1)
+
+	// A limit far below the draw walks the limiter's cap down a step an
+	// interval. The cap moves at the end of a tick; every awake core sees
+	// it in its key on the next one, and the empty cores never look.
+	m.SetPowerLimit(m.chip.RAPLMin)
+	m.misses.freq, m.misses.power = 0, 0
+	for before, n := m.limiter.Cap(), 0; m.limiter.Cap() == before; n++ {
+		if n == 100 {
+			t.Fatal("the limiter's cap never moved")
+		}
+		m.Step()
+	}
+	expect("until the cap moves", 0, 0)
+	m.Step()
+	if m.misses.freq != awake {
+		t.Fatalf("a cap move recomputed %d cores' frequency, want the %d awake ones", m.misses.freq, awake)
+	}
+}
+
+func TestStepZeroAlloc(t *testing.T) {
+	m, _ := warmNode(t)
+	if n := testing.AllocsPerRun(1000, m.Step); n != 0 {
+		t.Fatalf("Step allocates %v times a tick on the warmed node, want 0", n)
+	}
+}

@@ -1,0 +1,143 @@
+package workload
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/units"
+)
+
+// Test-only reference for the memoised execute: advanceRef and executeRef
+// are Advance and execute as they stood before the IPS memo, dividing out
+// IPS(f) on every pass of the loop. A change that moves Advance's results on
+// purpose moves them with it; a new input to ipsAt that does not join
+// memoIPS's key fails TestAdvanceMatchesReference.
+
+func advanceRef(in *Instance, f units.Hertz, dt time.Duration) float64 {
+	if dt <= 0 {
+		return 0
+	}
+	if !in.Profile.dutyCycled() {
+		in.active += dt
+		return executeRef(in, f, dt.Seconds())
+	}
+	period := in.Profile.dutyPeriod()
+	on := time.Duration(in.Profile.DutyCycle * float64(period))
+	var retired float64
+	remaining := dt
+	for remaining > 0 {
+		if in.dutyPos < on {
+			seg := on - in.dutyPos
+			if seg > remaining {
+				seg = remaining
+			}
+			in.active += seg
+			retired += executeRef(in, f, seg.Seconds())
+			in.dutyPos += seg
+			remaining -= seg
+		} else {
+			seg := period - in.dutyPos
+			if seg > remaining {
+				seg = remaining
+			}
+			in.dutyPos += seg
+			remaining -= seg
+		}
+		if in.dutyPos >= period {
+			in.dutyPos = 0
+		}
+	}
+	return retired
+}
+
+func executeRef(in *Instance, f units.Hertz, sec float64) float64 {
+	remaining := sec
+	var retired float64
+	for remaining > 1e-15 {
+		ips := in.IPS(f)
+		if ips <= 0 {
+			break
+		}
+		untilRun := in.Profile.TotalInstructions - in.done
+		bound := untilRun
+		if n := len(in.Profile.Phases); n > 0 {
+			untilPhase := in.Profile.Phases[in.phaseIdx].Instructions - in.phaseDone
+			if untilPhase < bound {
+				bound = untilPhase
+			}
+		}
+		step := ips * remaining
+		if step >= bound {
+			step = bound
+			remaining -= bound / ips
+		} else {
+			remaining = 0
+		}
+		retired += step
+		in.done += step
+		in.totalInst += step
+		in.phaseDone += step
+		if n := len(in.Profile.Phases); n > 0 {
+			phaseLen := in.Profile.Phases[in.phaseIdx].Instructions
+			if in.phaseDone >= phaseLen*(1-1e-12) {
+				in.phaseIdx = (in.phaseIdx + 1) % n
+				in.phaseDone = 0
+			}
+		}
+		if in.done >= in.Profile.TotalInstructions*(1-1e-12) {
+			in.done = 0
+			in.restarts++
+		}
+	}
+	return retired
+}
+
+func TestAdvanceMatchesReference(t *testing.T) {
+	short := MustByName("gcc")
+	short.Name = "short"
+	short.TotalInstructions = 3e8
+	short.Phases = []Phase{
+		{Instructions: 7e6, CPIMult: 1.00, ActivityMult: 1.00},
+		{Instructions: 3e6, CPIMult: 1.20, ActivityMult: 1.10},
+	}
+	duty := MustByName("leela")
+	duty.DutyCycle, duty.DutyPeriod = 0.3, 7*time.Millisecond
+	profiles := append(SPEC2017(), CPUBurn, short, duty)
+	for pi, p := range profiles {
+		got, want := NewInstance(p), NewInstance(p)
+		rng := rand.New(rand.NewSource(int64(pi)))
+		f := 2 * units.GHz
+		for step := 0; step < 20000; step++ {
+			// The frequency holds for a stretch, then moves — to zero and
+			// below now and then, as a parked core's does.
+			switch rng.Intn(16) {
+			case 0:
+				f = units.Hertz(rng.Float64()) * 4 * units.GHz
+			case 1:
+				f = units.Hertz(rng.Intn(2)-1) * units.GHz
+			}
+			dt := time.Millisecond
+			if rng.Intn(50) == 0 {
+				dt = time.Duration(rng.Intn(3000)) * time.Millisecond
+			}
+			if step == 10000 {
+				// The stall is part of the key although nothing in the
+				// repository moves it under a running instance.
+				got.Profile.MemStall *= 2
+				want.Profile.MemStall *= 2
+				got.Reset()
+				want.Reset()
+			}
+			g, w := got.AdvanceSec(f, dt, dt.Seconds()), advanceRef(want, f, dt)
+			if g != w || got.TotalInstructions() != want.TotalInstructions() ||
+				got.Progress() != want.Progress() || got.RunsCompleted() != want.RunsCompleted() ||
+				got.ActiveTime() != want.ActiveTime() || got.DutyOn() != want.DutyOn() ||
+				got.CurrentActivity() != want.CurrentActivity() {
+				t.Fatalf("%s step %d at %v for %v: retired %v (total %v, %d runs), reference %v (total %v, %d runs)",
+					p.Name, step, f, dt, g, got.TotalInstructions(), got.RunsCompleted(),
+					w, want.TotalInstructions(), want.RunsCompleted())
+			}
+		}
+	}
+}

@@ -173,6 +173,11 @@ type Instance struct {
 	totalInst float64       // instructions across all runs
 	active    time.Duration // time spent executing
 	dutyPos   time.Duration // position within the current duty period
+
+	// ips is ipsAt(ipsF, ipsCPI, ipsStall), remembered by memoIPS.
+	ipsF             units.Hertz
+	ipsCPI, ipsStall float64
+	ips              float64
 }
 
 // NewInstance returns a fresh instance of p.
@@ -203,6 +208,19 @@ func (in *Instance) IPS(f units.Hertz) float64 {
 	return ipsAt(f, in.CurrentCPI(), in.Profile.MemStall)
 }
 
+// memoIPS is IPS(f), recomputed only when f, the phase's CPI or the stall
+// differ from what it last saw: execute asks every tick, and they move a
+// few times a second. It compares its whole key on every call, so nothing
+// has to remember to invalidate it.
+func (in *Instance) memoIPS(f units.Hertz) float64 {
+	cpi, stall := in.CurrentCPI(), in.Profile.MemStall
+	if f != in.ipsF || cpi != in.ipsCPI || stall != in.ipsStall {
+		in.ipsF, in.ipsCPI, in.ipsStall = f, cpi, stall
+		in.ips = ipsAt(f, cpi, stall)
+	}
+	return in.ips
+}
+
 // DutyOn reports whether the instance is currently in the executing window
 // of its duty period (always true for non-duty-cycled profiles). The
 // simulator treats off-duty cores as C-state idle.
@@ -221,12 +239,18 @@ func (in *Instance) DutyOn() bool {
 // experiments keep every core loaded); RunsCompleted counts the
 // wrap-arounds.
 func (in *Instance) Advance(f units.Hertz, dt time.Duration) float64 {
+	return in.AdvanceSec(f, dt, dt.Seconds())
+}
+
+// AdvanceSec is Advance for a caller that has already converted dt: sec must
+// be dt.Seconds(). The simulator converts its tick once for all cores.
+func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) float64 {
 	if dt <= 0 {
 		return 0
 	}
 	if !in.Profile.dutyCycled() {
 		in.active += dt
-		return in.execute(f, dt.Seconds())
+		return in.execute(f, sec)
 	}
 	period := in.Profile.dutyPeriod()
 	on := time.Duration(in.Profile.DutyCycle * float64(period))
@@ -263,7 +287,7 @@ func (in *Instance) execute(f units.Hertz, sec float64) float64 {
 	remaining := sec
 	var retired float64
 	for remaining > 1e-15 {
-		ips := in.IPS(f)
+		ips := in.memoIPS(f)
 		if ips <= 0 {
 			break
 		}
