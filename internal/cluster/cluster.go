@@ -210,6 +210,15 @@ type Coordinator struct {
 	stepMu sync.Mutex
 	sc     roundScratch
 
+	// The pollers: one goroutine per non-Local transport, kept across
+	// rounds so the stack a poll grows on its way down the HTTP client is
+	// grown once. Guarded by stepMu. Nobody has to stop them: they retire
+	// once no round has run for pollerIdle, and the next Step starts new ones.
+	polls      chan pollJob
+	pollWG     sync.WaitGroup
+	pollerIdle time.Duration // pollerIdleTimeouts × NodeTimeout; tests shorten it
+	seenRound  uint64        // rounds run when retirePollers last looked
+
 	mu         sync.Mutex
 	limits     []units.Watts // current target limit per node
 	granted    []units.Watts // last acknowledged grant per node
@@ -229,6 +238,18 @@ type Coordinator struct {
 	mTotalPower *metrics.Gauge
 	mFailures   *metrics.CounterVec
 	mQuar       *metrics.GaugeVec
+}
+
+// pollerIdleTimeouts is how many NodeTimeouts without a round retire the
+// pollers: long against any cadence at which a stack is worth keeping, short
+// enough that a coordinator nobody steps any more is soon garbage.
+const pollerIdleTimeouts = 2
+
+// pollJob is one report of one round, handed to a poller.
+type pollJob struct {
+	ctx, wave context.Context
+	rb        *tracing.RoundBuilder
+	i         int
 }
 
 // roundScratch is the per-round working set, sized to the node count once
@@ -327,6 +348,7 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		ts:         append([]Transport(nil), ts...),
 		sc:         newRoundScratch(n),
+		pollerIdle: pollerIdleTimeouts * cfg.NodeTimeout,
 		limits:     make([]units.Watts, n),
 		granted:    make([]units.Watts, n),
 		fbGranted:  make([]units.Watts, n),
@@ -527,7 +549,7 @@ func (c *Coordinator) effective(i int, now time.Time, floor units.Watts) units.W
 
 // pollReport is the round's one report path: it fills node i's slots of
 // the round scratch. Step calls it directly for a Local transport and
-// behind a go statement for the rest. The clock is read only for a Fleet,
+// hands the rest to the pollers. The clock is read only for a Fleet,
 // the one consumer of per-node RPC latencies.
 func (c *Coordinator) pollReport(ctx, wave context.Context, rb *tracing.RoundBuilder, i int) {
 	sc := &c.sc
@@ -547,6 +569,39 @@ func (c *Coordinator) pollReport(ctx, wave context.Context, rb *tracing.RoundBui
 		sc.rpc[i] = time.Since(t0)
 	}
 	rb.Span("report", c.ts[i].Name(), s0, rb.Now(), sc.errs[i])
+}
+
+// startPollers starts one poller per non-Local transport, fed from one
+// channel, and the timer that retires them. Caller holds stepMu.
+func (c *Coordinator) startPollers() {
+	polls := make(chan pollJob)
+	c.polls, c.seenRound = polls, c.round.Load()
+	for _, t := range c.ts {
+		if !t.Local() {
+			go func() {
+				for j := range polls {
+					c.pollReport(j.ctx, j.wave, j.rb, j.i)
+					c.pollWG.Done()
+				}
+			}()
+		}
+	}
+	time.AfterFunc(c.pollerIdle, c.retirePollers)
+}
+
+// retirePollers runs every pollerIdle while there are pollers and lets them
+// go if no round has run since it last looked. It takes stepMu, so it never
+// meets a round half way.
+func (c *Coordinator) retirePollers() {
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
+	if n := c.round.Load(); n != c.seenRound {
+		c.seenRound = n
+		time.AfterFunc(c.pollerIdle, c.retirePollers)
+		return
+	}
+	close(c.polls)
+	c.polls = nil
 }
 
 // Step performs one reallocation round: collect every node's report — the
@@ -581,14 +636,13 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	sc := &c.sc
 	reports, errs, healthy := sc.reports, sc.errs, sc.healthy
 	wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-	var wg sync.WaitGroup
 	for i, t := range c.ts {
 		if !t.Local() {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c.pollReport(ctx, wave, rb, i)
-			}(i)
+			if c.polls == nil {
+				c.startPollers()
+			}
+			c.pollWG.Add(1)
+			c.polls <- pollJob{ctx, wave, rb, i}
 		}
 	}
 	for i, t := range c.ts {
@@ -596,7 +650,9 @@ func (c *Coordinator) Step(ctx context.Context) error {
 			c.pollReport(ctx, wave, rb, i)
 		}
 	}
-	wg.Wait()
+	// A report that outlives the wave's deadline still holds up its round,
+	// and stepMu the next: this round's scratch gets this round's reports.
+	c.pollWG.Wait()
 	cancel()
 
 	for i := 0; i < n; i++ {

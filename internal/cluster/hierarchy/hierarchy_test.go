@@ -176,3 +176,36 @@ func TestConvergedRoundAllocs(t *testing.T) {
 		t.Errorf("converged round: %.2f allocs per child, want at most %v", perChild, maxAllocsPerChild)
 	}
 }
+
+// TestConvergedUplinkAllocs gates what a quiet building round costs per
+// HTTP uplink: one keep-alive GET, a status frame encoded into a pooled
+// buffer on the row's side and decoded in one pass on the building's, and
+// a poller whose goroutine already exists. A bare net/http GET of the
+// same size is 71 allocations on this toolchain; the rest is ours.
+func TestConvergedUplinkAllocs(t *testing.T) {
+	const leaves, rows = 256, 16
+	// Measured 86. With the status frame back on encoding/json in both
+	// directions it reads 109; with a goroutine, a parsed URL and an
+	// io.ReadAll per poll as well, 124.
+	const maxAllocsPerUplink = 100
+	tree := newTestTree(t, SimTreeConfig{
+		Leaves: leaves, Rows: rows, Budget: leaves * 100,
+		LeaseTTL: time.Hour, Retries: -1, HTTPUplinks: true,
+	})
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := tree.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRound := testing.AllocsPerRun(50, func() {
+		if err := tree.StepRoot(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perUplink := perRound / rows
+	t.Logf("%.0f allocs a converged building round, %.1f per uplink", perRound, perUplink)
+	if perUplink > maxAllocsPerUplink {
+		t.Errorf("converged building round: %.1f allocs per uplink, want at most %v", perUplink, maxAllocsPerUplink)
+	}
+}

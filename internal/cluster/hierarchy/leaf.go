@@ -190,17 +190,11 @@ func (t *AgentTransport) Report(ctx context.Context) (cluster.Report, error) {
 }
 
 func (t *AgentTransport) Grant(ctx context.Context, g cluster.Grant) error {
-	// Sub-millisecond TTLs truncate to an invalid zero-ms grant; round up
-	// so in-process simulations can run on aggressive clocks.
-	ttl := g.TTL.Milliseconds()
-	if ttl == 0 && g.TTL > 0 {
-		ttl = 1
-	}
 	_, err := t.a.GrantCtx(ctx, &powerapi.LeaseGrant{
 		ID:            t.leaseID.Add(1),
 		Coordinator:   t.coord,
 		LimitWatts:    float64(g.Limit),
-		TTLMS:         ttl,
+		TTLMS:         g.TTLMillis(),
 		FallbackWatts: float64(g.Fallback),
 	})
 	return err

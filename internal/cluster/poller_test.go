@@ -1,0 +1,217 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/powerapi"
+	"repro/internal/units"
+)
+
+// newPollerCoordinator builds a coordinator over n non-Local probe
+// transports that all run report, with the pollers' idle period shortened
+// to idle.
+func newPollerCoordinator(t *testing.T, n int, idle time.Duration, report func(ctx context.Context, i int) (Report, error)) *Coordinator {
+	t.Helper()
+	ts := make([]Transport, n)
+	for i := range ts {
+		i := i
+		ts[i] = &probeTransport{name: fmt.Sprintf("n%d", i), report: func(ctx context.Context) (Report, error) { return report(ctx, i) }}
+	}
+	c, err := NewOverTransports(ts, Config{Budget: units.Watts(n) * 50, NodeTimeout: 2 * time.Second, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.pollerIdle = idle
+	return c
+}
+
+// pollers counts the poller goroutines alive in this process.
+func pollers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Coordinator).startPollers.func1")
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestPollerLifetime: the pollers of a stepped coordinator keep both
+// children's reports in flight at once, retire on their own once the
+// coordinator has been idle for the period — nobody calls a Close — and
+// a Step after that starts new ones and polls every child again.
+func TestPollerLifetime(t *testing.T) {
+	var polled [2]atomic.Int32
+	var inflight sync.WaitGroup
+	c := newPollerCoordinator(t, 2, 50*time.Millisecond, func(ctx context.Context, i int) (Report, error) {
+		// Blocks until its sibling is in flight too: the fan-out overlaps.
+		inflight.Done()
+		inflight.Wait()
+		polled[i].Add(1)
+		return okReport, nil
+	})
+	retired := func() bool {
+		c.stepMu.Lock()
+		defer c.stepMu.Unlock()
+		return c.polls == nil
+	}
+	// Other tests' coordinators may still have pollers, and those can only
+	// go away: every count below is taken against one just before it.
+	baseline := runtime.NumGoroutine()
+	for round, started := range []int{2, 0, 2} { // the pollers each round has to start
+		before := pollers()
+		inflight.Add(2)
+		if err := c.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := polled[0].Load(), polled[1].Load(); int(a) != round+1 || int(b) != round+1 {
+			t.Fatalf("round %d: children polled %d and %d times", round+1, a, b)
+		}
+		if got := pollers(); got != before+started {
+			t.Errorf("round %d: %d pollers, want %d", round+1, got, before+started)
+		}
+		if round == 1 {
+			// Idle: the pollers go, and round 3 has to start new ones.
+			waitFor(t, "the pollers to retire", func() bool { return retired() && pollers() <= before-2 })
+		}
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool {
+		return retired() && runtime.NumGoroutine() <= baseline
+	})
+}
+
+// TestPollerRetirementRace steps a coordinator at about the pollers' idle
+// period, so rounds keep meeting the retirement: every round must still
+// poll every child exactly once, and return.
+func TestPollerRetirementRace(t *testing.T) {
+	const n, idle = 3, 200 * time.Microsecond
+	var polled atomic.Int32
+	c := newPollerCoordinator(t, n, idle, func(context.Context, int) (Report, error) {
+		polled.Add(1)
+		return okReport, nil
+	})
+	restarts := 0
+	for round := 1; round <= 300; round++ {
+		c.stepMu.Lock()
+		if c.polls == nil {
+			restarts++
+		}
+		c.stepMu.Unlock()
+		if err := c.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := polled.Load(); got != int32(round*n) {
+			t.Fatalf("round %d: %d reports so far, want %d", round, got, round*n)
+		}
+		for i := 0; i < n; i++ {
+			if c.fails[i] != 0 {
+				t.Fatalf("round %d: child %d lost its report", round, i)
+			}
+		}
+		// Sleeps spread over one to two idle periods, which is when
+		// retirePollers fires for a coordinator that has gone quiet.
+		time.Sleep(idle + time.Duration(round%8)*idle/8)
+	}
+	t.Logf("300 rounds, %d of them after a retirement", restarts)
+}
+
+// TestPollerLateReportStaysInItsRound: a report that outlives its wave's
+// deadline is still that round's report. The round waits for it, the next
+// round — already asked for — does not start until it has, and each
+// round's scratch holds its own report.
+func TestPollerLateReportStaysInItsRound(t *testing.T) {
+	var (
+		c       *Coordinator
+		calls   atomic.Int32
+		release = make(chan struct{})
+		held    units.Watts // what round 1 delivered, read as round 2 polls
+	)
+	c = newPollerCoordinator(t, 2, 100*time.Millisecond, func(ctx context.Context, i int) (Report, error) {
+		if i == 1 {
+			return okReport, nil
+		}
+		call := calls.Add(1)
+		if call == 1 {
+			<-ctx.Done() // the wave's deadline passes...
+			<-release    // ...and the report still takes its time
+		} else {
+			c.mu.Lock()
+			held = c.lastPower[0]
+			c.mu.Unlock()
+		}
+		return Report{Power: units.Watts(10 * call), Limit: 50, Max: 85}, nil
+	})
+	c.cfg.NodeTimeout = 5 * time.Millisecond
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- c.Step(context.Background()) }()
+	waitFor(t, "round 1's report", func() bool { return calls.Load() == 1 })
+	go func() { second <- c.Step(context.Background()) }()
+	time.Sleep(4 * c.cfg.NodeTimeout) // well past the wave's deadline
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("round 2 polled (%d calls) while round 1's report was still out", got)
+	}
+	select {
+	case <-first:
+		t.Fatal("round 1 returned without its report")
+	default:
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("%d reports from the slow child over two rounds", got)
+	}
+	if held != 10 {
+		t.Fatalf("round 2 began holding %v from the slow child, want round 1's late 10 W", held)
+	}
+	if c.fails[0] != 0 || c.lastPower[0] != 20 {
+		t.Fatalf("after round 2: %d failed steps, last power %v, want round 2's 20 W", c.fails[0], c.lastPower[0])
+	}
+	if c.Rounds() != 2 {
+		t.Fatalf("%d rounds ran", c.Rounds())
+	}
+}
+
+// TestSubMillisecondLeaseTTLOverHTTP: a positive lease TTL under a
+// millisecond goes out as 1 ms — over HTTP as in process — not as the
+// zero an agent refuses as an invalid grant.
+func TestSubMillisecondLeaseTTLOverHTTP(t *testing.T) {
+	for ttl, want := range map[time.Duration]int64{
+		0: 0, -time.Second: -1000, time.Nanosecond: 1, 500 * time.Microsecond: 1,
+		time.Millisecond: 1, 1500 * time.Microsecond: 1, time.Hour: 3_600_000,
+	} {
+		if got := (Grant{TTL: ttl}).TTLMillis(); got != want {
+			t.Errorf("Grant{TTL: %v}.TTLMillis() = %d, want %d", ttl, got, want)
+		}
+	}
+	node := newWireNode(t, "n0", 40, nil, 1, nil)
+	c, err := NewOverTransports([]Transport{NewHTTPNode("n0", node.srv.URL, "room")},
+		Config{Budget: 40, LeaseTTL: 500 * time.Microsecond, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.fails[0] != 0 || c.granted[0] != 40 {
+		t.Fatalf("initial grant refused: %d failures, %v W acknowledged", c.fails[0], c.granted[0])
+	}
+	if ack, err := powerapi.NewClient(node.srv.URL).Lease(context.Background(),
+		&powerapi.LeaseGrant{ID: 99, LimitWatts: 40, TTLMS: 0}); err == nil {
+		t.Fatalf("the agent took a zero-millisecond grant (%+v): the rounding no longer matters", ack)
+	}
+}

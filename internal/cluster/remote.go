@@ -82,7 +82,7 @@ func (h *HTTPNode) Grant(ctx context.Context, g Grant) error {
 		ID:            h.leaseID.Add(1),
 		Coordinator:   h.coord,
 		LimitWatts:    float64(g.Limit),
-		TTLMS:         g.TTL.Milliseconds(),
+		TTLMS:         g.TTLMillis(),
 		FallbackWatts: float64(g.Fallback),
 	})
 	if err != nil {

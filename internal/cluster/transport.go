@@ -38,6 +38,15 @@ type Grant struct {
 	Fallback units.Watts
 }
 
+// TTLMillis is the TTL as a lease grant carries it. A positive TTL under a
+// millisecond rounds up to one: zero is a grant every agent refuses.
+func (g Grant) TTLMillis() int64 {
+	if ms := g.TTL.Milliseconds(); ms != 0 || g.TTL <= 0 {
+		return ms
+	}
+	return 1
+}
+
 // Transport is the coordinator's view of one node. The in-process
 // implementation wraps a Node directly; the networked one speaks the
 // powerapi wire protocol to a remote powerd. Both are exercised by the same

@@ -156,7 +156,9 @@ type Agent struct {
 	epoch        uint64
 	timer        *time.Timer
 
-	mRequests *metrics.CounterVec // by endpoint
+	// powerapi_requests_total by endpoint, resolved once at construction.
+	mStatusReq, mLeaseReq, mReconfigReq, mDrainReq *metrics.Counter
+
 	mLease    *metrics.CounterVec // by event: grant, renew, expire, fallback, refuse
 	mReconfig *metrics.Counter
 	mLeaseW   *metrics.Gauge
@@ -221,7 +223,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		frameEpoch: uint64(cfg.now().UnixNano()),
 	}
 	if reg := cfg.Metrics; reg != nil {
-		a.mRequests = reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
+		requests := reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
+		a.mStatusReq, a.mLeaseReq = requests.With("status"), requests.With("lease")
+		a.mReconfigReq, a.mDrainReq = requests.With("reconfigure"), requests.With("drain")
 		a.mLease = reg.CounterVec("powerapi_lease_events_total", "Lease state-machine transitions, by event.", "event")
 		a.mReconfig = reg.Counter("powerapi_reconfigures_total", "Live reconfigurations applied through the control plane.")
 		a.mLeaseW = reg.Gauge("powerapi_lease_limit_watts", "Power cap of the currently-held lease (0 when none).")
@@ -320,13 +324,6 @@ func readMsg(w http.ResponseWriter, r *http.Request, want string) (any, uint64, 
 		return nil, 0, false
 	}
 	return msg, env.Round, true
-}
-
-// queryRound parses the ?round= query parameter body-less requests
-// carry their round ID in.
-func queryRound(r *http.Request) uint64 {
-	round, _ := strconv.ParseUint(r.URL.Query().Get("round"), 10, 64)
-	return round
 }
 
 // daemonBackend is the standard leaf backend: a local power-delivery
@@ -485,7 +482,7 @@ func (a *Agent) traceRound(round uint64, name string, start time.Duration) {
 }
 
 func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("status").Inc()
+	a.mStatusReq.Inc()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeErr(w, http.StatusMethodNotAllowed, CodeBadRequest, "status requires GET")
@@ -507,7 +504,8 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	round := queryRound(r)
+	// Body-less requests carry their round ID as a query parameter.
+	round, _ := strconv.ParseUint(q.Get("round"), 10, 64)
 	start := a.cfg.Tracer.Now()
 	st := a.Status()
 	if q.Get("metrics") != "" {
@@ -517,7 +515,18 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 		st = a.frame(st, epoch, rev)
 	}
 	a.traceRound(round, "receive", start)
-	writeMsgRound(w, http.StatusOK, st, round)
+	// The hot reply: encoded into one pooled buffer and written once.
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	data, ok := appendStatus((*buf)[:0], st, round)
+	if !ok {
+		writeMsgRound(w, http.StatusOK, st, round)
+		return
+	}
+	*buf = append(data, '\n')
+	w.Header()["Content-Type"] = jsonHeader
+	w.WriteHeader(http.StatusOK)
+	w.Write(*buf)
 }
 
 // frame makes st the next frame of the agent's chain and encodes it for
@@ -650,7 +659,7 @@ func (a *Agent) expire(epoch uint64) {
 }
 
 func (a *Agent) serveLease(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("lease").Inc()
+	a.mLeaseReq.Inc()
 	msg, round, ok := readMsg(w, r, KindLeaseGrant)
 	if !ok {
 		return
@@ -770,7 +779,7 @@ func (b daemonBackend) Reconfigure(rc *Reconfigure, polName string) (*Reconfigur
 }
 
 func (a *Agent) serveReconfigure(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("reconfigure").Inc()
+	a.mReconfigReq.Inc()
 	msg, round, ok := readMsg(w, r, KindReconfigure)
 	if !ok {
 		return
@@ -820,7 +829,7 @@ func (a *Agent) SetDrain(on bool) (*DrainAck, error) {
 }
 
 func (a *Agent) serveDrain(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("drain").Inc()
+	a.mDrainReq.Inc()
 	msg, round, ok := readMsg(w, r, KindDrain)
 	if !ok {
 		return

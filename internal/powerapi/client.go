@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -13,14 +14,19 @@ import (
 // Client speaks the node side of the protocol to one powerd daemon —
 // the coordinator's and powerctl's view of a remote node.
 type Client struct {
-	base string
+	base *url.URL // the address, parsed once; every request's URL is a copy
+	err  error    // why the address did not parse, reported by every call
 	http *http.Client
 }
 
 // NewClient builds a client for a node's observability address
 // (e.g. "127.0.0.1:9090" or "http://node7:9090").
 func NewClient(addr string) *Client {
-	return &Client{base: normalize(addr), http: http.DefaultClient}
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	base, err := url.Parse(strings.TrimRight(addr, "/"))
+	return &Client{base: base, err: err, http: http.DefaultClient}
 }
 
 // WithHTTPClient swaps the underlying HTTP client (tests, timeouts).
@@ -29,57 +35,75 @@ func (c *Client) WithHTTPClient(h *http.Client) *Client {
 	return c
 }
 
-func normalize(addr string) string {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
+// readReply reads r to its end into b, or to one byte past limit.
+func readReply(r io.Reader, b []byte, limit int) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):min(cap(b), limit+1)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil || len(b) > limit {
+			return b, err
+		}
 	}
-	return strings.TrimRight(addr, "/")
 }
 
 // roundTrip performs one request and decodes the expected reply kind;
 // ErrorReply envelopes surface as *ErrorReply errors. A control-round
-// ID on the context (WithRound) is propagated: bodied requests carry it
-// in the envelope, body-less ones as a ?round= query parameter.
-func (c *Client) roundTrip(ctx context.Context, method, path string, msg any, want string) (any, error) {
-	round := RoundFrom(ctx)
-	var body io.Reader
-	if msg != nil {
+// ID on the context (WithRound) is propagated: bodied requests carry it in
+// the envelope, body-less ones as round= appended to the caller's query.
+func (c *Client) roundTrip(ctx context.Context, method, path string, query []byte, msg any, want string) (any, error) {
+	if c.err != nil {
+		return nil, fmt.Errorf("powerapi: %w", c.err)
+	}
+	u := *c.base
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	req := &http.Request{Method: method, URL: &u, Host: u.Host, Header: http.Header{"Accept": jsonHeader},
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}
+	if round := RoundFrom(ctx); msg != nil {
 		data, err := MarshalRound(msg, round)
 		if err != nil {
 			return nil, err
 		}
-		body = bytes.NewReader(data)
+		req.Header["Content-Type"] = jsonHeader
+		req.ContentLength = int64(len(data))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
+		req.Body, _ = req.GetBody()
 	} else if round != 0 {
-		sep := "?"
-		if strings.Contains(path, "?") {
-			sep = "&"
+		if len(query) > 0 {
+			query = append(query, '&')
 		}
-		path += sep + "round=" + strconv.FormatUint(round, 10)
+		query = strconv.AppendUint(append(query, "round="...), round, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	u.RawQuery = string(query)
+	resp, err := c.http.Do(req.WithContext(ctx))
 	if err != nil {
-		return nil, fmt.Errorf("powerapi: %w", err)
-	}
-	if msg != nil {
-		req.Header.Set("Content-Type", ContentType)
-	}
-	req.Header.Set("Accept", ContentType)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("powerapi: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("powerapi: %s %s: %w", method, u.RequestURI(), err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
+	// The reply is read into a pooled buffer; every decoder copies what
+	// it keeps, so nothing returned below aliases it.
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	data, err := readReply(resp.Body, (*buf)[:0], maxBody)
+	*buf = data
 	if err != nil {
-		return nil, fmt.Errorf("powerapi: %s %s: reading reply: %w", method, path, err)
+		return nil, fmt.Errorf("powerapi: %s %s: reading reply: %w", method, u.RequestURI(), err)
 	}
 	if len(data) > maxBody {
-		return nil, fmt.Errorf("powerapi: %s %s: reply over %d bytes", method, path, maxBody)
+		return nil, fmt.Errorf("powerapi: %s %s: reply over %d bytes", method, u.RequestURI(), maxBody)
 	}
 	reply, err := UnmarshalAs(data, want)
 	if err != nil {
 		if _, ok := err.(*ErrorReply); !ok && resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("powerapi: %s %s: HTTP %d: %s", method, path, resp.StatusCode, firstLine(data))
+			return nil, fmt.Errorf("powerapi: %s %s: HTTP %d: %s", method, u.RequestURI(), resp.StatusCode, firstLine(data))
 		}
 		return nil, err
 	}
@@ -100,7 +124,7 @@ func firstLine(data []byte) string {
 // Status fetches the node's control-plane status: a stateless full read
 // that leaves the agent's follower baseline alone.
 func (c *Client) Status(ctx context.Context) (*NodeStatus, error) {
-	reply, err := c.roundTrip(ctx, http.MethodGet, PathPrefix+"status", nil, KindStatus)
+	reply, err := c.roundTrip(ctx, http.MethodGet, PathPrefix+"status", nil, nil, KindStatus)
 	if err != nil {
 		return nil, err
 	}
@@ -116,11 +140,13 @@ func (c *Client) Status(ctx context.Context) (*NodeStatus, error) {
 // way the next poll's reply is a full frame.
 func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metrics bool) (*NodeStatus, error) {
 	epoch, rev := f.held()
-	path := fmt.Sprintf("%sstatus?follow=%d.%d", PathPrefix, epoch, rev)
+	var scratch [96]byte // follow=<20>.<20>&metrics=1&round=<20>
+	q := strconv.AppendUint(append(scratch[:0], "follow="...), epoch, 10)
+	q = strconv.AppendUint(append(q, '.'), rev, 10)
 	if metrics {
-		path += "&metrics=1"
+		q = append(q, "&metrics=1"...)
 	}
-	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatus)
+	reply, err := c.roundTrip(ctx, http.MethodGet, PathPrefix+"status", q, nil, KindStatus)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +155,7 @@ func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metrics bo
 
 // Lease extends a budget grant to the node.
 func (c *Client) Lease(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"lease", g, KindLeaseAck)
+	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"lease", nil, g, KindLeaseAck)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +164,7 @@ func (c *Client) Lease(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) {
 
 // Reconfigure applies a live configuration change to the node's daemon.
 func (c *Client) Reconfigure(ctx context.Context, rc *Reconfigure) (*ReconfigureAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"reconfigure", rc, KindReconfigureAck)
+	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"reconfigure", nil, rc, KindReconfigureAck)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +173,7 @@ func (c *Client) Reconfigure(ctx context.Context, rc *Reconfigure) (*Reconfigure
 
 // Drain toggles the node's drain mode.
 func (c *Client) Drain(ctx context.Context, on bool) (*DrainAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"drain", &Drain{On: on}, KindDrainAck)
+	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"drain", nil, &Drain{On: on}, KindDrainAck)
 	if err != nil {
 		return nil, err
 	}
@@ -156,24 +182,16 @@ func (c *Client) Drain(ctx context.Context, on bool) (*DrainAck, error) {
 
 // CoordClient speaks the coordinator side of the protocol — how nodes
 // register themselves and operators inspect the room.
-type CoordClient struct {
-	base string
-	http *http.Client
-}
+type CoordClient struct{ c *Client }
 
 // NewCoordClient builds a client for a coordinator's address.
 func NewCoordClient(addr string) *CoordClient {
-	return &CoordClient{base: normalize(addr), http: http.DefaultClient}
-}
-
-func (c *CoordClient) roundTrip(ctx context.Context, method, path string, msg any, want string) (any, error) {
-	nc := Client{base: c.base, http: c.http}
-	return nc.roundTrip(ctx, method, path, msg, want)
+	return &CoordClient{c: NewClient(addr)}
 }
 
 // Register announces a node to the coordinator.
 func (c *CoordClient) Register(ctx context.Context, node, addr string) (*RegisterAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"register", &Register{Node: node, Addr: addr}, KindRegisterAck)
+	reply, err := c.c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"register", nil, &Register{Node: node, Addr: addr}, KindRegisterAck)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +200,7 @@ func (c *CoordClient) Register(ctx context.Context, node, addr string) (*Registe
 
 // Heartbeat keeps a node's registration alive.
 func (c *CoordClient) Heartbeat(ctx context.Context, node string) (*HeartbeatAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"heartbeat", &Heartbeat{Node: node}, KindHeartbeatAck)
+	reply, err := c.c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"heartbeat", nil, &Heartbeat{Node: node}, KindHeartbeatAck)
 	if err != nil {
 		return nil, err
 	}

@@ -472,26 +472,34 @@ func captureFrames(f *testing.F) [][]byte {
 	return out
 }
 
+// statusFrameSeeds is the status frame fuzz corpus: real frames an agent
+// served, and deltas that are hard to refuse.
+func statusFrameSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	out := captureFrames(f)
+	mk := func(body string) []byte {
+		return []byte(`{"v":1,"kind":"status","body":` + body + `}`)
+	}
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`))                  // stale
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":12,"base":9,"power_watts":1}`))                 // gap
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["huh"]}`))                  // unknown clear
+	out = append(out, mk(`{"node":"n0","epoch":8,"rev":6,"base":5,"iterations":3}`))                   // wrong epoch
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["apps"],"apps":[]}`))       // clear and empty
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["metrics","lease"]}`))      // clears only
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"metrics":{"a":2,"c":3}}`))          // series merge
+	out = append(out, mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"slo":{"services":[{"name":""}]}}`)) // field swap
+	return out
+}
+
 // FuzzStatusFrame hammers the status frame decoder and the follower:
 // any envelope, however mangled, either fails to decode or is applied
 // or refused without a panic, and leaves the follower unsynchronized
 // or holding a view that is a canonical full frame — encoded, decoded
 // and applied afresh it reproduces itself.
 func FuzzStatusFrame(f *testing.F) {
-	for _, data := range captureFrames(f) {
+	for _, data := range statusFrameSeeds(f) {
 		f.Add(data)
 	}
-	mk := func(body string) []byte {
-		return []byte(`{"v":1,"kind":"status","body":` + body + `}`)
-	}
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`))                  // stale
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":12,"base":9,"power_watts":1}`))                 // gap
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["huh"]}`))                  // unknown clear
-	f.Add(mk(`{"node":"n0","epoch":8,"rev":6,"base":5,"iterations":3}`))                   // wrong epoch
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["apps"],"apps":[]}`))       // clear and empty
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"clear":["metrics","lease"]}`))      // clears only
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"metrics":{"a":2,"c":3}}`))          // series merge
-	f.Add(mk(`{"node":"n0","epoch":9,"rev":6,"base":5,"slo":{"services":[{"name":""}]}}`)) // field swap
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, msg, err := UnmarshalEnvelope(data)

@@ -5,39 +5,50 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalMessage hammers the wire codec: any input must either be
-// rejected with an error or decode into a message that survives a
-// Marshal/Unmarshal round trip unchanged. Seeded with one envelope of
-// every registered kind plus assorted malformed frames.
-func FuzzUnmarshalMessage(f *testing.F) {
+// messageSeeds is the codec fuzz corpus: one envelope of every registered
+// kind plus assorted malformed frames.
+func messageSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
 	for _, msg := range sampleMessages() {
 		data, err := Marshal(msg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		out = append(out, data)
 	}
 	for _, msg := range sampleMessages()[:3] {
 		data, err := MarshalRound(msg, 77)
 		if err != nil {
 			f.Fatal(err)
 		}
+		out = append(out, data)
+	}
+	out = append(out, []byte(`{"v":1,"kind":"drain","body":{}}`))
+	out = append(out, []byte(`{"v":2,"kind":"drain","body":{"on":true}}`))
+	out = append(out, []byte(`{"v":1,"kind":"bogus","body":{}}`))
+	out = append(out, []byte(`{"v":1,"kind":"status","body":{"node":"n","apps":[]}}`))
+	out = append(out, []byte(`{"v":1,"kind":"drain","body":{"on":true},"round":12345}`))
+	out = append(out, []byte(`{"v":1,"kind":"status","body":{"node":"n","epoch":3,"rev":2,"metrics":{"x":1}},"round":9}`))
+	out = append(out, []byte(`{"v":1,"kind":"status","body":{"node":"row0","epoch":7,"rev":12,"base":11,"power_watts":38.5,"iterations":18,"clear":["lease"],"tier":{"tier":"row","children":8,"nodes":64,"depth":1,"budget_watts":400}}}`))
+	out = append(out, []byte(`{"v":1,"kind":"status","body":{"node":"n","clear":[],"apps":[],"metrics":{}}}`))
+	out = append(out, []byte(`{"v":1,"kind":"status","body":{"node":"n","metrics_rev":3}}`))
+	out = append(out, []byte(`{"v":1,"kind":"drain","body":{"on":true},"future_field":{"deep":[1,2]}}`))
+	out = append(out, []byte(`{"v":1,"kind":"heartbeat","body":{"node":"n"},"round":-1}`))
+	out = append(out, []byte(`{`))
+	out = append(out, []byte(``))
+	out = append(out, []byte(`[1,2,3]`))
+	return out
+}
+
+// FuzzUnmarshalMessage hammers the wire codec: any input must either be
+// rejected with an error or decode into a message that survives a
+// Marshal/Unmarshal round trip unchanged. Seeded with one envelope of
+// every registered kind plus assorted malformed frames.
+func FuzzUnmarshalMessage(f *testing.F) {
+	for _, data := range messageSeeds(f) {
 		f.Add(data)
 	}
-	f.Add([]byte(`{"v":1,"kind":"drain","body":{}}`))
-	f.Add([]byte(`{"v":2,"kind":"drain","body":{"on":true}}`))
-	f.Add([]byte(`{"v":1,"kind":"bogus","body":{}}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","apps":[]}}`))
-	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"round":12345}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","epoch":3,"rev":2,"metrics":{"x":1}},"round":9}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"row0","epoch":7,"rev":12,"base":11,"power_watts":38.5,"iterations":18,"clear":["lease"],"tier":{"tier":"row","children":8,"nodes":64,"depth":1,"budget_watts":400}}}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","clear":[],"apps":[],"metrics":{}}}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","metrics_rev":3}}`))
-	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"future_field":{"deep":[1,2]}}`))
-	f.Add([]byte(`{"v":1,"kind":"heartbeat","body":{"node":"n"},"round":-1}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(``))
-	f.Add([]byte(`[1,2,3]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, msg, err := UnmarshalEnvelope(data)

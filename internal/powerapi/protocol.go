@@ -367,6 +367,17 @@ func Marshal(msg any) ([]byte, error) {
 // MarshalRound frames a message body in a versioned envelope stamped
 // with a control-round ID (zero omits the stamp).
 func MarshalRound(msg any, round uint64) ([]byte, error) {
+	if st, ok := msg.(*NodeStatus); ok {
+		if data, ok := appendStatus(make([]byte, 0, 512), st, round); ok {
+			return data, nil
+		}
+	}
+	return marshalGeneric(msg, round)
+}
+
+// marshalGeneric is MarshalRound through encoding/json: the only encoder
+// of every kind but status, and the specification of that one.
+func marshalGeneric(msg any, round uint64) ([]byte, error) {
 	kind := KindOf(msg)
 	if kind == "" {
 		return nil, fmt.Errorf("powerapi: %T is not a protocol message", msg)
@@ -383,13 +394,25 @@ func MarshalRound(msg any, round uint64) ([]byte, error) {
 // fields are tolerated (the envelope is the forward-compatible
 // extension point).
 func Unmarshal(data []byte) (string, any, error) {
-	env, msg, err := UnmarshalEnvelope(data)
+	if st, _, _, ok := decodeStatus(data); ok {
+		return KindStatus, st, nil
+	}
+	env, msg, err := unmarshalGeneric(data)
 	return env.Kind, msg, err
 }
 
 // UnmarshalEnvelope is Unmarshal exposing the decoded envelope, for
 // callers that need its metadata (the round ID) as well as the body.
 func UnmarshalEnvelope(data []byte) (Envelope, any, error) {
+	if st, body, round, ok := decodeStatus(data); ok {
+		return Envelope{V: Version, Kind: KindStatus, Body: append(json.RawMessage(nil), body...), Round: round}, st, nil
+	}
+	return unmarshalGeneric(data)
+}
+
+// unmarshalGeneric is UnmarshalEnvelope through encoding/json: the only
+// decoder of every other kind and of every frame decodeStatus declines.
+func unmarshalGeneric(data []byte) (Envelope, any, error) {
 	var env Envelope
 	// The envelope decodes leniently so additive fields from newer
 	// peers pass through old decoders; bodies stay strict below.

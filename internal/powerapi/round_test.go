@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,7 +109,7 @@ func TestClientPropagatesRound(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case strings.HasSuffix(r.URL.Path, "status"):
-			gotQuery = queryRound(r)
+			gotQuery, _ = strconv.ParseUint(r.URL.Query().Get("round"), 10, 64)
 			writeMsgRound(w, http.StatusOK, &NodeStatus{Node: "n"}, gotQuery)
 		case strings.HasSuffix(r.URL.Path, "lease"):
 			_, round, ok := readMsg(w, r, KindLeaseGrant)
