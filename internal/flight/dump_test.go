@@ -122,3 +122,23 @@ func TestWriteDumpFile(t *testing.T) {
 		t.Errorf("dump dir has %d files", len(entries))
 	}
 }
+
+// BenchmarkDump snapshots a recorder of the default capacity with every
+// ring full: an MSR ring of 128-cpu sweeps, the others of 133-event
+// batches.
+func BenchmarkDump(b *testing.B) {
+	r := New(0)
+	vals := make([]uint64, 128)
+	evs := energyBatch(133, 1)
+	for r.Len() < int(numSources)*DefaultCapacity {
+		r.RecordMSRSweep(0xE8, vals, nil)
+		for src := SourceDaemon; src < numSources; src++ {
+			r.RecordBatch(src, evs)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		_ = r.Dump("bench")
+	}
+}

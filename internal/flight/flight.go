@@ -20,7 +20,8 @@
 package flight
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,55 +206,200 @@ type Event struct {
 	Aux   uint64
 }
 
-// DefaultCapacity is the per-source ring capacity when the caller passes a
-// non-positive one. A ring retains capacity / events-per-interval control
-// intervals of its source: the MSR ring, the busiest, takes 386 events an
-// interval on a 128-core node (three sweeps of 128 plus two package reads),
-// so it holds ~42 intervals — 42 s at the paper's 1 s interval, 42 ms at 1 ms.
+// DefaultCapacity is the per-source ring capacity, in events, when the
+// caller passes a non-positive one. A ring costs 56 B per event of capacity
+// (the size of an Event), however full it is. It retains capacity /
+// events-per-interval control intervals of its source: the MSR ring, the
+// busiest, takes 386 events an interval on a 128-core node (three sweeps of
+// 128 plus two package reads), so it holds ~42 intervals — 42 s at the
+// paper's 1 s interval, 42 ms at 1 ms.
 const DefaultCapacity = 1 << 14
 
-// ring is one source's fixed-capacity event buffer. The single writer only
-// ever contends with snapshotters, so the mutex is uncontended on the
-// record fast path.
+// ring is one source's event log: one record per commit, oldest first, in a
+// fixed arena of words that wraps at its end. A record is a header holding
+// the commit's stamp once, then only what differs per event, in one of three
+// forms:
+//
+//	header     Seq of the first event, Time, Wall, Interval|count<<32,
+//	           ident(Kind, Core, Arg)|form<<56
+//	formSweep  Value             Core counts up from the header's; Aux is 0
+//	formFixed  Value, Aux        Kind, Core and Arg are the header's
+//	formBatch  ident, Value, Aux
+//
+// Seq counts up from the header's. The ring retains exactly the newest cap
+// events: to make room, the oldest record gives up events from its front and
+// its header slides forward over them. A record costs at most 7 words an
+// event (one event alone is always stored fixed), so 7·cap words — the bytes
+// of cap Events — hold any cap events. The single writer only ever contends
+// with snapshotters, so the mutex is uncontended on the record fast path.
 type ring struct {
-	mu     sync.Mutex
-	buf    []Event
-	next   int
-	filled bool
+	mu    sync.Mutex
+	arena []uint64
+	cap   int // events retained at most
+	tail  int // arena index of the oldest record's header
+	used  int // words the records occupy
+	n     int // events the records hold
 }
 
-// slot claims the next write position, overwriting the oldest event once
-// the ring is full. Caller holds r.mu.
-func (r *ring) slot() *Event {
-	e := &r.buf[r.next]
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.filled = true
+// hdrWords is a record header's length in words, eventWords an Event's.
+const hdrWords, eventWords = 5, 7
+
+// The record forms; a form stores form+1 words an event.
+const (
+	formSweep = iota
+	formFixed
+	formBatch
+)
+
+// ident packs an event's Kind, Core and Arg into one word.
+func ident(k Kind, core int16, arg uint32) uint64 {
+	return uint64(arg) | uint64(uint16(core))<<32 | uint64(k)<<48
+}
+
+// setIdent unpacks an ident word into e.
+func (e *Event) setIdent(w uint64) {
+	e.Kind, e.Core, e.Arg = Kind(w>>48), int16(w>>32), uint32(w)
+}
+
+// at wraps an arena index that ran less than one lap past the end.
+func (r *ring) at(i int) int {
+	if i >= len(r.arena) {
+		i -= len(r.arena)
 	}
-	return e
+	return i
 }
 
-// snapshot copies the retained events in append order.
-func (r *ring) snapshot() []Event {
+// put stores v at index i (unwrapped) and returns the index after it.
+func (r *ring) put(i int, v uint64) int {
+	i = r.at(i)
+	r.arena[i] = v
+	return i + 1
+}
+
+// putHeader writes at index i the header of a record of count events in
+// form, its first stamped st, and returns the wrapped index after it.
+func (r *ring) putHeader(i int, st *Event, count, form int) int {
+	i = r.put(i, st.Seq)
+	i = r.put(i, uint64(st.Time))
+	i = r.put(i, uint64(st.Wall))
+	i = r.put(i, uint64(st.Interval)|uint64(count)<<32)
+	return r.at(r.put(i, ident(st.Kind, st.Core, st.Arg)|uint64(form)<<56))
+}
+
+// shape reads the event count and form of the record at index i.
+func (r *ring) shape(i int) (count, form int) {
+	return int(r.arena[r.at(i+3)] >> 32), int(r.arena[r.at(i+4)] >> 56)
+}
+
+// stamp decodes the first event of the record at index i, Source unset and
+// Value and Aux zero.
+func (r *ring) stamp(i int) Event {
+	a := r.arena
+	st := Event{Seq: a[i], Time: time.Duration(a[r.at(i+1)]), Wall: time.Duration(a[r.at(i+2)]), Interval: uint32(a[r.at(i+3)])}
+	st.setIdent(a[r.at(i+4)])
+	return st
+}
+
+// room makes room for a commit of n events, keeping exactly the newest cap:
+// it evicts the oldest retained events the commit displaces and returns how
+// many of the commit's own first events do not fit (a commit larger than
+// the ring keeps its tail). Caller holds r.mu.
+func (r *ring) room(n int) (skip int) {
+	skip = max(0, n-r.cap)
+	for drop := r.n + n - skip - r.cap; drop > 0; {
+		count, form := r.shape(r.tail)
+		if drop >= count {
+			w := hdrWords + (form+1)*count
+			r.tail, r.used, r.n, drop = r.at(r.tail+w), r.used-w, r.n-count, drop-count
+			continue
+		}
+		// The record keeps its newest count-drop events; its header slides
+		// forward over the dropped ones.
+		w, st := (form+1)*drop, r.stamp(r.tail)
+		st.Seq += uint64(drop)
+		if form == formSweep {
+			st.Core += int16(drop)
+		}
+		if form == formBatch && count-drop == 1 {
+			// A lone event is stored fixed: 7 words, not 8.
+			st.setIdent(r.arena[r.at(r.tail+hdrWords+w)])
+			w, form = w+1, formFixed
+		}
+		r.tail, r.used, r.n = r.at(r.tail+w), r.used-w, r.n-drop
+		r.putHeader(r.tail, &st, count-drop, form)
+		break
+	}
+	return skip
+}
+
+// appendSweep appends vals, read from consecutive cpus starting at st.Core,
+// as one record stamped st. Caller holds r.mu and made room.
+func (r *ring) appendSweep(st *Event, vals []uint64) {
+	i := r.putHeader(r.tail+r.used, st, len(vals), formSweep)
+	copy(r.arena, vals[copy(r.arena[i:], vals):])
+	r.used += hdrWords + len(vals)
+	r.n += len(vals)
+}
+
+// appendFixed appends one event stamped st carrying value and aux.
+func (r *ring) appendFixed(st *Event, value, aux uint64) {
+	i := r.putHeader(r.tail+r.used, st, 1, formFixed)
+	r.put(r.put(i, value), aux)
+	r.used += hdrWords + 2
+	r.n++
+}
+
+// appendBatch appends events, two or more, as one record stamped st.
+func (r *ring) appendBatch(st *Event, events []Event) {
+	i := r.putHeader(r.tail+r.used, st, len(events), formBatch)
+	for k := range events {
+		e := &events[k]
+		if w := r.arena[i:]; len(w) >= 3 { // not wrapping
+			w[0], w[1], w[2] = ident(e.Kind, e.Core, e.Arg), e.Value, e.Aux
+			i = r.at(i + 3)
+			continue
+		}
+		i = r.put(r.put(r.put(i, ident(e.Kind, e.Core, e.Arg)), e.Value), e.Aux)
+	}
+	r.used += hdrWords + 3*len(events)
+	r.n += len(events)
+}
+
+// appendTo appends the retained events of source src to out, oldest first.
+func (r *ring) appendTo(out []Event, src Source) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.filled {
-		return append([]Event(nil), r.buf[:r.next]...)
+	out = slices.Grow(out, r.n)
+	for i, left := r.tail, r.n; left > 0; {
+		count, form := r.shape(i)
+		st := r.stamp(i)
+		st.Source = src
+		i = r.at(i + hdrWords)
+		for k := range count {
+			e := st
+			e.Seq += uint64(k)
+			switch form {
+			case formSweep:
+				e.Core += int16(k)
+				e.Value = r.arena[i]
+			case formFixed:
+				e.Value, e.Aux = r.arena[i], r.arena[r.at(i+1)]
+			case formBatch:
+				e.setIdent(r.arena[i])
+				e.Value, e.Aux = r.arena[r.at(i+1)], r.arena[r.at(i+2)]
+			}
+			i = r.at(i + form + 1)
+			out = append(out, e)
+		}
+		left -= count
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
 	return out
 }
 
 func (r *ring) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.filled {
-		return len(r.buf)
-	}
-	return r.next
+	return r.n
 }
 
 // Recorder is the flight recorder. A nil *Recorder is a valid disabled
@@ -278,7 +424,8 @@ func New(capacity int) *Recorder {
 	}
 	r := &Recorder{start: time.Now()}
 	for i := range r.rings {
-		r.rings[i].buf = make([]Event, capacity)
+		r.rings[i].arena = make([]uint64, eventWords*capacity)
+		r.rings[i].cap = capacity
 	}
 	return r
 }
@@ -321,21 +468,24 @@ func (r *Recorder) now() time.Duration {
 }
 
 // begin opens the one commit path: it reserves n consecutive sequence
-// numbers, reads the run clock, the wall clock and the interval id once, and
-// locks src's ring. The caller writes n slots, each the returned stamp under
-// the next Seq, and unlocks: events committed together share Time, Wall and
-// Interval, and a snapshot sees the batch whole or not at all.
-func (r *Recorder) begin(src Source, n int) (Event, *ring) {
+// numbers, reads the run clock, the wall clock and the interval id once,
+// locks src's ring and makes room there for n events. It returns the stamp
+// of the first event to be stored and how many of the n do not fit. The
+// caller appends the rest as records under that stamp and unlocks: events
+// committed together share Time, Wall and Interval, and a snapshot sees the
+// commit whole or not at all.
+func (r *Recorder) begin(src Source, n int) (Event, *ring, int) {
 	st := Event{
-		Seq:      r.seq.Add(uint64(n)) - uint64(n),
+		Seq:      r.seq.Add(uint64(n)) - uint64(n) + 1,
 		Time:     r.now(),
 		Wall:     time.Since(r.start),
-		Source:   src,
 		Interval: r.interval.Load(),
 	}
 	rg := &r.rings[src]
 	rg.mu.Lock()
-	return st, rg
+	skip := rg.room(n)
+	st.Seq += uint64(skip)
+	return st, rg, skip
 }
 
 // RecordBatch commits events, all of source src, as one batch in slice
@@ -345,12 +495,13 @@ func (r *Recorder) RecordBatch(src Source, events []Event) {
 	if r == nil || src >= numSources || len(events) == 0 {
 		return
 	}
-	st, rg := r.begin(src, len(events))
-	for i := range events {
-		e := &events[i]
-		st.Seq++
-		st.Kind, st.Core, st.Arg, st.Value, st.Aux = e.Kind, e.Core, e.Arg, e.Value, e.Aux
-		*rg.slot() = st
+	st, rg, skip := r.begin(src, len(events))
+	if events = events[skip:]; len(events) == 1 {
+		e := &events[0]
+		st.Kind, st.Core, st.Arg = e.Kind, e.Core, e.Arg
+		rg.appendFixed(&st, e.Value, e.Aux)
+	} else {
+		rg.appendBatch(&st, events)
 	}
 	rg.mu.Unlock()
 }
@@ -376,7 +527,8 @@ func (r *Recorder) RecordMSR(write bool, cpu int, reg uint32, val uint64) {
 // RecordMSRSweep implements the msr package's SweepRecorder interface: the
 // successful reads of one batched sweep of reg over cpus [0, len(vals)) —
 // every cpu when ok is nil, those with ok[cpu] otherwise — as one batch,
-// event for event what a RecordMSR per read would leave.
+// event for event what a RecordMSR per read would leave. Each run of
+// consecutive successful cpus is one record.
 func (r *Recorder) RecordMSRSweep(reg uint32, vals []uint64, ok []bool) {
 	n := len(vals)
 	for _, good := range ok {
@@ -387,14 +539,25 @@ func (r *Recorder) RecordMSRSweep(reg uint32, vals []uint64, ok []bool) {
 	if r == nil || n == 0 {
 		return
 	}
-	st, rg := r.begin(SourceMSR, n)
+	st, rg, skip := r.begin(SourceMSR, n)
 	st.Kind, st.Arg = KindMSRRead, reg
-	for cpu, v := range vals {
-		if ok == nil || ok[cpu] {
-			st.Seq++
-			st.Core, st.Value = int16(cpu), v
-			*rg.slot() = st
+	for cpu := 0; cpu < len(vals); {
+		end := len(vals)
+		if ok != nil {
+			for cpu < end && !ok[cpu] {
+				cpu++
+			}
+			for end = cpu; end < len(vals) && ok[end]; end++ {
+			}
 		}
+		from := cpu + min(skip, end-cpu) // begin counted the skipped reads in st.Seq
+		skip -= from - cpu
+		if from < end {
+			st.Core = int16(from)
+			rg.appendSweep(&st, vals[from:end])
+			st.Seq += uint64(end - from)
+		}
+		cpu = end
 	}
 	rg.mu.Unlock()
 }
@@ -427,11 +590,11 @@ func (r *Recorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
+	out := slices.Grow([]Event(nil), r.Len())
 	for i := range r.rings {
-		out = append(out, r.rings[i].snapshot()...)
+		out = r.rings[i].appendTo(out, Source(i))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 

@@ -198,7 +198,22 @@ func (l *Ledger) sizeApps(apps []core.AppSpec) {
 	l.baseUJ = make([]uint64, len(apps))
 	l.rem = make([]float64, len(apps))
 	l.order = make([]int, 0, len(apps))
-	l.events = make([]flight.Event, 0, len(apps)+5)
+	// The KindEnergy batch's identities are fixed by the spec set; an
+	// interval writes only the accounts' Value and Aux.
+	l.events = make([]flight.Event, len(apps), len(apps)+len(pkgAccounts))
+	for i, a := range apps {
+		l.events[i] = flight.Event{Kind: flight.KindEnergy, Core: int16(a.Core), Arg: uint32(i)}
+	}
+	for _, arg := range pkgAccounts {
+		l.events = append(l.events, flight.Event{Kind: flight.KindEnergy, Core: -1, Arg: arg})
+	}
+}
+
+// pkgAccounts are the package accounts' Energy* sentinels in the order the
+// KindEnergy batch carries them, after every app.
+var pkgAccounts = [...]uint32{
+	flight.EnergyArgUnattributed, flight.EnergyArgExcluded, flight.EnergyArgTotal,
+	flight.EnergyArgLimit, flight.EnergyArgOvershoot,
 }
 
 // initMetrics registers the ledger's metric families and caches every
@@ -444,27 +459,13 @@ func (l *Ledger) recordEnergyEvents() {
 	if l.flight == nil {
 		return
 	}
-	ev := l.events[:0]
+	ev := l.events
 	for i := range l.apps {
-		a := &l.apps[i]
-		ev = append(ev, flight.Event{
-			Kind: flight.KindEnergy, Core: int16(a.spec.Core), Arg: uint32(i),
-			Value: a.lastUJ, Aux: a.totalUJ,
-		})
+		ev[i].Value, ev[i].Aux = l.apps[i].lastUJ, l.apps[i].totalUJ
 	}
-	pkg := [...]struct {
-		arg uint32
-		cum uint64
-	}{
-		{flight.EnergyArgUnattributed, l.unattribUJ},
-		{flight.EnergyArgExcluded, l.excludedUJ},
-		{flight.EnergyArgTotal, l.totalUJ},
-		{flight.EnergyArgLimit, l.limitUJ},
-		{flight.EnergyArgOvershoot, l.overshootUJ},
-	}
-	for _, p := range pkg {
-		ev = append(ev, flight.Event{Kind: flight.KindEnergy, Core: -1, Arg: p.arg, Aux: p.cum})
-	}
+	pkg := ev[len(l.apps):] // in pkgAccounts order
+	pkg[0].Aux, pkg[1].Aux, pkg[2].Aux, pkg[3].Aux, pkg[4].Aux =
+		l.unattribUJ, l.excludedUJ, l.totalUJ, l.limitUJ, l.overshootUJ
 	l.flight.RecordBatch(flight.SourceLedger, ev)
 }
 

@@ -289,6 +289,69 @@ func TestReconfigureCarriesTotalsByName(t *testing.T) {
 	}
 }
 
+// The KindEnergy batch's identities are built once per app set. After a
+// reconfiguration to fewer apps, on other cores, in another order, the next
+// interval's events carry the new cores and indices, and a dump spanning the
+// change still rebuilds the live accounts to the microjoule.
+func TestReconfigureRebuildsEnergyBatch(t *testing.T) {
+	chip := twoSocketChip()
+	cps := chip.CoresPerSocket()
+	rec := flight.New(0)
+	l := newTestLedger(t, chip, []core.AppSpec{
+		{Name: "gcc", Core: 0, Shares: 50},
+		{Name: "cam4", Core: 1, Shares: 30},
+		{Name: "leela", Core: cps, Shares: 20},
+	}, Config{Flight: rec})
+	at := time.Duration(0)
+	step := func(n int) {
+		for range n {
+			at += time.Millisecond
+			l.Append(okInput(chip, at, time.Millisecond, 70, []units.Watts{31.13, 27.77}, nil))
+		}
+	}
+	step(20)
+	next := []core.AppSpec{
+		{Name: "leela", Core: cps + 3, Shares: 60},
+		{Name: "gcc", Core: 5, Shares: 40},
+	}
+	l.Reconfigure(next)
+	mark := rec.Total()
+	step(1)
+
+	live := l.Summarize()
+	var apps []flight.Event
+	for _, e := range rec.Snapshot() {
+		if e.Seq > mark && e.Kind == flight.KindEnergy && e.Core != -1 {
+			apps = append(apps, e)
+		}
+	}
+	if len(apps) != len(next) {
+		t.Fatalf("interval after reconfigure carries %d app accounts, want %d: %+v", len(apps), len(next), apps)
+	}
+	for i, e := range apps {
+		if int(e.Core) != next[i].Core || e.Arg != uint32(i) || e.Aux != live.Apps[i].TotalUJ {
+			t.Errorf("account %d = core %d arg %d aux %d, want core %d arg %d aux %d",
+				i, e.Core, e.Arg, e.Aux, next[i].Core, i, live.Apps[i].TotalUJ)
+		}
+	}
+
+	step(10)
+	s := l.Summarize() // cam4's joules stay in the package accounts only
+	r := Rebuild(rec.Dump("reconfigure").Events)
+	if r.TotalUJ != s.TotalUJ || r.UnattributedUJ != s.UnattributedUJ ||
+		r.ExcludedUJ != s.ExcludedUJ || r.LimitUJ != s.LimitUJ || r.OvershootUJ != s.OvershootUJ {
+		t.Fatalf("package accounts diverge:\nrebuilt %+v\nlive    %+v", r, s)
+	}
+	if len(r.AppUJ) != len(s.Apps) {
+		t.Fatalf("rebuilt %d apps, want %d", len(r.AppUJ), len(s.Apps))
+	}
+	for i := range s.Apps {
+		if r.AppUJ[i] != s.Apps[i].TotalUJ {
+			t.Errorf("app %d: rebuilt %d uJ, live %d uJ", i, r.AppUJ[i], s.Apps[i].TotalUJ)
+		}
+	}
+}
+
 // The hot path must not allocate, with metrics and flight events on: the
 // control loop's zero-alloc gate rides on it. The second row is the
 // largest node the loop is gated at — one app per core of a 2×64-core

@@ -29,8 +29,9 @@ type Rebuilt struct {
 }
 
 // Rebuild folds a dump's events into account totals, taking the
-// latest-sequenced KindEnergy event per account. Events must be sorted by
-// sequence number, which flight.Dump guarantees.
+// latest-sequenced KindEnergy event per account and the latest interval's
+// app set. Events must be sorted by sequence number, which flight.Dump
+// guarantees.
 func Rebuild(events []flight.Event) Rebuilt {
 	r := Rebuilt{}
 	for _, e := range events {
@@ -56,6 +57,11 @@ func Rebuild(events []flight.Event) Rebuilt {
 					continue // corrupt index, not a plausible app count
 				}
 				i := int(e.Arg)
+				if i == 0 {
+					// Each interval's batch opens with app 0 and lists the
+					// whole app set, which a reconfiguration may have shrunk.
+					r.AppUJ = r.AppUJ[:0]
+				}
 				for len(r.AppUJ) <= i {
 					r.AppUJ = append(r.AppUJ, 0)
 				}

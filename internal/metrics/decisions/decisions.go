@@ -64,7 +64,8 @@ func (e *Entry) fill(policy string, reasons []core.Reason, s core.Snapshot, acti
 		e.Reasons = append(e.Reasons, string(r))
 	}
 	e.Apps = slices.Grow(e.Apps[:0], len(s.Apps))
-	for _, a := range s.Apps {
+	for i := range s.Apps {
+		a := &s.Apps[i]
 		e.Apps = append(e.Apps, AppTrace{
 			Name:   a.Spec.Name,
 			Core:   a.Spec.Core,
