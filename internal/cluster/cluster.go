@@ -226,7 +226,11 @@ type Coordinator struct {
 	leaseUntil []time.Time   // coordinator-side lease deadline per node
 	lastPower  []units.Watts // power from each node's last good report
 	lastMax    []units.Watts // max watts from each node's last good report
-	lastStatus []*powerapi.NodeStatus
+	// What Aggregate reads of each node's last status frame, copied out of
+	// the borrowed Report.Status. Without a Tier both counts stay 0.
+	lastExtra  []int // leaves under the node beyond its own one: Tier.Nodes-1
+	lastDepth  []int // Tier.Depth+1
+	lastEnergy []*powerapi.EnergyStatus
 	moves      int
 	fails      []int  // consecutive failed steps per node
 	quar       []bool // quarantined nodes
@@ -263,6 +267,7 @@ type roundScratch struct {
 	targets []units.Watts
 	bids    []float64
 	caps    []float64
+	alloc   []float64
 	idx     []int
 	grows   []int
 	renews  []int
@@ -277,6 +282,7 @@ func newRoundScratch(n int) roundScratch {
 		targets: make([]units.Watts, 0, n),
 		bids:    make([]float64, 0, n),
 		caps:    make([]float64, 0, n),
+		alloc:   make([]float64, 0, n),
 		idx:     make([]int, 0, n),
 		grows:   make([]int, 0, n),
 		renews:  make([]int, 0, n),
@@ -355,7 +361,9 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		leaseUntil: make([]time.Time, n),
 		lastPower:  make([]units.Watts, n),
 		lastMax:    make([]units.Watts, n),
-		lastStatus: make([]*powerapi.NodeStatus, n),
+		lastExtra:  make([]int, n),
+		lastDepth:  make([]int, n),
+		lastEnergy: make([]*powerapi.EnergyStatus, n),
 		fails:      make([]int, n),
 		quar:       make([]bool, n),
 	}
@@ -525,15 +533,13 @@ func (c *Coordinator) callGrant(ctx, wave context.Context, i int, g Grant) error
 }
 
 // noteFailure bumps a node's consecutive-failure count and quarantines it
-// past the threshold. Caller must not hold c.mu.
+// past the threshold. Caller holds c.mu.
 func (c *Coordinator) noteFailure(i int) {
-	c.mu.Lock()
 	c.fails[i]++
 	if c.fails[i] >= c.cfg.QuarantineAfter && !c.quar[i] {
 		c.quar[i] = true
 		c.mQuar.With(c.ts[i].Name()).Set(1)
 	}
-	c.mu.Unlock()
 	c.mFailures.With(c.ts[i].Name()).Inc()
 }
 
@@ -655,13 +661,15 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	c.pollWG.Wait()
 	cancel()
 
+	// A report's Status is borrowed: what Aggregate reads of it is copied
+	// out here, before the transport's next Report may overwrite it.
+	c.mu.Lock()
 	for i := 0; i < n; i++ {
-		healthy[i] = false
-		if errs[i] != nil {
+		healthy[i] = errs[i] == nil
+		if !healthy[i] {
 			c.noteFailure(i)
 			continue
 		}
-		c.mu.Lock()
 		c.fails[i] = 0
 		if c.quar[i] {
 			// First good report re-admits the node.
@@ -670,12 +678,14 @@ func (c *Coordinator) Step(ctx context.Context) error {
 		}
 		c.lastPower[i] = reports[i].Power
 		c.lastMax[i] = reports[i].Max
-		if reports[i].Status != nil {
-			c.lastStatus[i] = reports[i].Status
+		if st := reports[i].Status; st != nil {
+			c.lastExtra[i], c.lastDepth[i], c.lastEnergy[i] = 0, 0, st.Energy
+			if st.Tier != nil {
+				c.lastExtra[i], c.lastDepth[i] = st.Tier.Nodes-1, st.Tier.Depth+1
+			}
 		}
-		c.mu.Unlock()
-		healthy[i] = true
 	}
+	c.mu.Unlock()
 
 	planStart := rb.Now()
 	targets, moved, shifted := c.plan(reports, healthy)
@@ -754,7 +764,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	if distributable < 0 {
 		distributable = 0
 	}
-	alloc := core.WaterFill(distributable, bids, caps)
+	alloc := core.WaterFill(c.sc.alloc, distributable, bids, caps)
 
 	targets = append(c.sc.targets[:0], c.limits...)
 	for j, i := range idx {
@@ -787,11 +797,12 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		s0 := rb.Now()
 		err := c.callGrant(ctx, wave, i, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
 		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
+		c.mu.Lock()
 		if err != nil {
 			c.noteFailure(i)
+			c.mu.Unlock()
 			return
 		}
-		c.mu.Lock()
 		c.granted[i] = limit
 		c.fbGranted[i] = floor
 		c.limits[i] = limit // what the node actually enforces, headroom cap included
@@ -1020,32 +1031,18 @@ func (c *Coordinator) Aggregate() Aggregate {
 		if c.lastMax[i] > 0 {
 			agg.Reporting++
 		}
-		leaves := 1
-		if st := c.lastStatus[i]; st != nil {
-			if st.Tier != nil {
-				leaves = st.Tier.Nodes
-				if d := st.Tier.Depth + 1; d > agg.Depth {
-					agg.Depth = d
-				}
-			}
-			if st.Energy != nil {
-				if agg.Energy == nil {
-					agg.Energy = &powerapi.EnergyStatus{}
-				}
-				agg.Energy.Accumulate(st.Energy)
-			}
+		agg.Leaves += 1 + c.lastExtra[i]
+		if c.lastDepth[i] > agg.Depth {
+			agg.Depth = c.lastDepth[i]
 		}
-		agg.Leaves += leaves
+		if e := c.lastEnergy[i]; e != nil {
+			if agg.Energy == nil {
+				agg.Energy = &powerapi.EnergyStatus{}
+			}
+			agg.Energy.Accumulate(e)
+		}
 	}
 	return agg
-}
-
-// Statuses returns the last piggybacked status per node (nil entries
-// for nodes that never carried one), index-aligned with the transports.
-func (c *Coordinator) Statuses() []*powerapi.NodeStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*powerapi.NodeStatus(nil), c.lastStatus...)
 }
 
 // TotalPower reports the instantaneous power across all nodes: measured

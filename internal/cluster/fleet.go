@@ -40,9 +40,12 @@ type fleetNode struct {
 	worstRPC    time.Duration
 	power       units.Watts
 	limit       units.Watts
-	status      *powerapi.NodeStatus
-	rpcAcc      stats.Accumulator
-	rpcRes      *stats.Reservoir
+	// status points at frame, a copy of the last borrowed frame, and lease.
+	status *powerapi.NodeStatus
+	frame  powerapi.NodeStatus
+	lease  powerapi.LeaseInfo
+	rpcAcc stats.Accumulator
+	rpcRes *stats.Reservoir
 }
 
 // Fleet aggregates per-node status reports and metrics snapshots into
@@ -151,7 +154,10 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 		lats = append(lats, o.RPC)
 		latNodes = append(latNodes, n)
 		if st := o.Report.Status; st != nil {
-			n.status = st
+			n.frame, n.status = *st, &n.frame
+			if st.Lease != nil {
+				n.lease, n.frame.Lease = *st.Lease, &n.lease
+			}
 		}
 	}
 	if at := tracing.StragglerIn(lats); at >= 0 {
@@ -363,7 +369,10 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 			row.StatusRev = st.Rev
 			row.Policy = st.Policy
 			row.Draining = st.Draining
-			row.Lease = st.Lease
+			if st.Lease != nil {
+				lease := *st.Lease
+				row.Lease = &lease
+			}
 			for _, app := range st.Apps {
 				a := apps[app.Name]
 				if a == nil {

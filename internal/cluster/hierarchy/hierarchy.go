@@ -97,7 +97,8 @@ type Tier struct {
 	coord    *cluster.Coordinator
 	children []cluster.Transport
 
-	agent *powerapi.Agent
+	agent  *powerapi.Agent
+	policy string // "tier-" + Level, the policy the agent's status names
 }
 
 // NewTier builds a tier over its child transports and issues the
@@ -140,6 +141,7 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		base:     base,
 		coord:    coord,
 		children: append([]cluster.Transport(nil), children...),
+		policy:   "tier-" + cfg.Level,
 	}
 	a, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name:     cfg.Name,
@@ -241,7 +243,7 @@ func (b tierBackend) FillStatus(st *powerapi.NodeStatus) {
 	c := b.t.Coordinator()
 	agg := c.Aggregate()
 	budget := c.Budget()
-	st.Policy = "tier-" + b.t.cfg.Level
+	st.Policy = b.t.policy
 	st.LimitWatts = float64(budget)
 	st.PowerWatts = float64(agg.Power)
 	st.MaxWatts = float64(agg.Max)

@@ -157,14 +157,18 @@ func (b *leafBackend) SetLimit(_ context.Context, limit units.Watts) error {
 
 // AgentTransport drives a powerapi agent in-process: the coordinator's
 // Transport without a network between. Reports come from the agent's
-// own Status (so lease state, tier rollups, and energy summaries ride
+// own status (so lease state, tier rollups, and energy summaries ride
 // along exactly as they would over HTTP); grants run the agent's full
 // lease state machine with monotonic IDs. It is how a SimTree wires
 // leaves to rows without paying a loopback round-trip per leaf.
+// It owns one status frame, refilled by every Report: the Status a Report
+// returns is borrowed until the next, and a quiet report allocates nothing.
 type AgentTransport struct {
 	a       *powerapi.Agent
 	coord   string
 	leaseID atomic.Uint64
+	st      powerapi.NodeStatus
+	lease   powerapi.LeaseInfo
 }
 
 // NewAgentTransport wraps an agent; coord names the granting
@@ -175,12 +179,13 @@ func NewAgentTransport(a *powerapi.Agent, coord string) *AgentTransport {
 
 func (t *AgentTransport) Name() string { return t.a.Name() }
 
-// Local is true: Report is the agent's Status call, a snapshot of state
-// held in this process.
+// Local is true: Report is a snapshot of the agent's status, state held
+// in this process.
 func (t *AgentTransport) Local() bool { return true }
 
 func (t *AgentTransport) Report(ctx context.Context) (cluster.Report, error) {
-	st := t.a.Status()
+	st := &t.st
+	t.a.StatusInto(st, &t.lease)
 	return cluster.Report{
 		Power:  units.Watts(st.PowerWatts),
 		Limit:  units.Watts(st.LimitWatts),

@@ -22,8 +22,10 @@ type Report struct {
 	// one (networked transports piggyback it on the report RPC). Fleet
 	// aggregation reads app shares and metrics from it; the water-fill
 	// never does. It is complete — a transport that fetches deltas
-	// merges them first — and read-only: transports may share it between
-	// reports. Nil for transports that only know power numbers.
+	// merges them first — and read-only. Nil for transports that only
+	// know power numbers. It is borrowed: valid until the transport's next
+	// Report, which may overwrite it, so whoever keeps part of it past the
+	// round copies that part. What it points to is never written again.
 	Status *powerapi.NodeStatus
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 func TestWaterFillProportional(t *testing.T) {
-	alloc := WaterFill(100, []float64{3, 1}, []float64{1000, 1000})
+	alloc := WaterFill(nil, 100, []float64{3, 1}, []float64{1000, 1000})
 	if math.Abs(alloc[0]-75) > 1e-9 || math.Abs(alloc[1]-25) > 1e-9 {
 		t.Errorf("alloc = %v, want [75 25]", alloc)
 	}
@@ -18,7 +18,7 @@ func TestWaterFillProportional(t *testing.T) {
 
 func TestWaterFillRespectsCapsAndRevokes(t *testing.T) {
 	// First recipient caps at 10; its residual 65 flows to the second.
-	alloc := WaterFill(100, []float64{3, 1}, []float64{10, 1000})
+	alloc := WaterFill(nil, 100, []float64{3, 1}, []float64{10, 1000})
 	if alloc[0] != 10 {
 		t.Errorf("alloc[0] = %v, want cap 10", alloc[0])
 	}
@@ -28,25 +28,42 @@ func TestWaterFillRespectsCapsAndRevokes(t *testing.T) {
 }
 
 func TestWaterFillInsufficientCaps(t *testing.T) {
-	alloc := WaterFill(100, []float64{1, 1}, []float64{10, 20})
+	alloc := WaterFill(nil, 100, []float64{1, 1}, []float64{10, 20})
 	if alloc[0] != 10 || alloc[1] != 20 {
 		t.Errorf("alloc = %v, want caps [10 20]", alloc)
 	}
 }
 
 func TestWaterFillZeroAmountAndWeights(t *testing.T) {
-	alloc := WaterFill(0, []float64{1, 2}, []float64{10, 10})
+	alloc := WaterFill(nil, 0, []float64{1, 2}, []float64{10, 10})
 	if alloc[0] != 0 || alloc[1] != 0 {
 		t.Errorf("zero amount alloc = %v", alloc)
 	}
-	alloc = WaterFill(-5, []float64{1}, []float64{10})
+	alloc = WaterFill(nil, -5, []float64{1}, []float64{10})
 	if alloc[0] != 0 {
 		t.Errorf("negative amount alloc = %v", alloc)
 	}
 	// Zero-weight recipients get nothing even with cap room.
-	alloc = WaterFill(10, []float64{0, 1}, []float64{10, 10})
+	alloc = WaterFill(nil, 10, []float64{0, 1}, []float64{10, 10})
 	if alloc[0] != 0 || math.Abs(alloc[1]-10) > 1e-9 {
 		t.Errorf("zero-weight alloc = %v", alloc)
+	}
+}
+
+// A destination with room is reused whatever it held, and the result is
+// what a fresh one gets.
+func TestWaterFillReusesDestination(t *testing.T) {
+	weights, caps := []float64{3, 0, 1, 2}, []float64{10, 5, 1000, 0}
+	want := WaterFill(nil, 100, weights, caps)
+	dst := []float64{-7, 42, math.NaN(), 1, 9}
+	got := WaterFill(dst, 100, weights, caps)
+	if &got[0] != &dst[0] {
+		t.Error("destination with room not reused")
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("alloc[%d] = %v into a used destination, %v into a fresh one", i, got[i], want[i])
+		}
 	}
 }
 
@@ -56,7 +73,7 @@ func TestWaterFillPanicsOnLengthMismatch(t *testing.T) {
 			t.Error("no panic on mismatched lengths")
 		}
 	}()
-	WaterFill(1, []float64{1}, []float64{1, 2})
+	WaterFill(nil, 1, []float64{1}, []float64{1, 2})
 }
 
 // Properties: conservation (sum == min(amount, sum caps)), cap respect, and
@@ -74,7 +91,7 @@ func TestWaterFillProperties(t *testing.T) {
 			capSum += caps[i]
 		}
 		amount := rng.Float64() * 50
-		alloc := WaterFill(amount, weights, caps)
+		alloc := WaterFill(nil, amount, weights, caps)
 		var sum float64
 		for i, a := range alloc {
 			if a < -1e-12 || a > caps[i]+1e-9 {
@@ -95,7 +112,7 @@ func TestWaterFillExactProportionality(t *testing.T) {
 	prop := func(a, b, c uint8) bool {
 		w := []float64{float64(a%50) + 1, float64(b%50) + 1, float64(c%50) + 1}
 		caps := []float64{1e12, 1e12, 1e12}
-		alloc := WaterFill(1000, w, caps)
+		alloc := WaterFill(nil, 1000, w, caps)
 		total := w[0] + w[1] + w[2]
 		for i := range w {
 			if math.Abs(alloc[i]-1000*w[i]/total) > 1e-6 {

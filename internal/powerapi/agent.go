@@ -394,10 +394,19 @@ func (b daemonBackend) LastPhases() daemon.PhaseLatencies {
 	return b.d.LastPhases()
 }
 
-// Status snapshots the node's control-plane state: the backend view
-// plus the agent's own lease state.
+// Status snapshots the node's control-plane state into a fresh frame:
+// the backend view plus the agent's own lease state.
 func (a *Agent) Status() *NodeStatus {
-	st := &NodeStatus{Node: a.cfg.Name}
+	st := new(NodeStatus)
+	a.StatusInto(st, new(LeaseInfo))
+	return st
+}
+
+// StatusInto is Status into a frame the caller owns: it overwrites *st
+// whole and, while a lease is held, fills *lease and points st.Lease at it.
+// What the backend hangs off the frame is fresh on every fill.
+func (a *Agent) StatusInto(st *NodeStatus, lease *LeaseInfo) {
+	*st = NodeStatus{Node: a.cfg.Name}
 	a.backend.FillStatus(st)
 	a.mu.Lock()
 	st.FallbackWatts = float64(a.fallback)
@@ -407,16 +416,16 @@ func (a *Agent) Status() *NodeStatus {
 		if rem < 0 {
 			rem = 0
 		}
-		st.Lease = &LeaseInfo{
+		*lease = LeaseInfo{
 			ID:          a.leaseID,
 			Coordinator: a.leaseCoord,
 			LimitWatts:  float64(a.leaseLimit),
 			TTLMS:       a.leaseTTL.Milliseconds(),
 			RemainingMS: rem.Milliseconds(),
 		}
+		st.Lease = lease
 	}
 	a.mu.Unlock()
-	return st
 }
 
 // energyStatus converts a ledger summary into its wire form.
