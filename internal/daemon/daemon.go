@@ -518,14 +518,18 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		Apps:         d.appsBuf[d.appsFlip],
 	}
 	nDegraded := 0
-	for i, spec := range d.cfg.Apps {
-		cs := sample.Cores[spec.Core]
+	for i := range d.cfg.Apps {
+		spec := &d.cfg.Apps[i]
+		cs := &sample.Cores[spec.Core]
 		trusty := cs.Status.Trustworthy()
 		if !trusty {
 			d.written[spec.Core] = 0 // cannot vouch for a core we cannot read
 		}
-		st := core.AppState{
-			Spec:   spec,
+		// The record is stored whole, in place, not staged on the stack; a
+		// field-by-field fill measured slower on the 2×64-core node.
+		st := &snap.Apps[i]
+		*st = core.AppState{
+			Spec:   *spec,
 			Freq:   cs.ActiveFreq,
 			IPS:    cs.IPS,
 			Power:  cs.Power,
@@ -542,7 +546,6 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		} else {
 			d.lastGood[spec.Core] = goodState{st.Freq, st.IPS, st.Power}
 		}
-		snap.Apps[i] = st
 	}
 	if d.cfg.SLO != nil {
 		d.svcFlip ^= 1

@@ -91,8 +91,10 @@ type Machine struct {
 	hooks      []func(dt time.Duration)
 	idles      []coreIdle
 	memo       []coreMemo
-	// misses counts memo recomputations, for the count gates in the tests.
+	// misses counts memo recomputations and steady the core-ticks that took
+	// the steady path; both are for the count gates in the tests.
 	misses struct{ freq, power int }
+	steady int
 
 	// Optional instrumentation; nil handles no-op.
 	reg            *metrics.Registry
@@ -114,8 +116,8 @@ type freqKey struct {
 // on an actuation, a limiter step or a phase change, not on a tick. It is
 // compared by key on every use and never invalidated by a setter, so no
 // path that changes an input can forget to: a new input to resolve or to
-// power.Model.CorePower joins the key, and TestStepMatchesReference fails
-// if it does not.
+// power.Model.CorePower joins the key and Step's steady check, and
+// TestStepMatchesReference fails if it does not.
 type coreMemo struct {
 	key    freqKey
 	eff    units.Hertz // resolve(key)
@@ -605,7 +607,28 @@ func (m *Machine) Step() {
 	for sock, active := range act {
 		var sockPower units.Watts
 		for i := sock * cps; i < (sock+1)*cps; i++ {
-			c := m.cores[i]
+			c, a, mm, id := m.cores[i], m.apps[i], &m.memo[i], &m.idles[i]
+			// A steady core would derive exactly what its memo holds, with
+			// nothing for stepIdle to do: pinned, awake, online and not
+			// duty-cycled, the frequency key and the recorded constraint
+			// unchanged, active last tick with no wake debt, and the power
+			// memo taken at the memo's frequency and the phase's activity.
+			// This is the memo's own compare, made before the calls
+			// instead of inside them; what it skips, only the adds remain.
+			if a != nil && !c.Idle && !m.offline[i] && !a.Profile.DutyCycled() &&
+				mm.key.request == c.Request && mm.key.cap == cap && mm.key.thermal == m.thermalCap &&
+				mm.key.active == active && mm.key.avx == a.Profile.AVX &&
+				(m.lastConstraint == nil || m.lastConstraint[i] == mm.constr) &&
+				id.wasActive && id.wakePending == 0 &&
+				mm.powerF == mm.eff && mm.activity == a.CurrentActivity() {
+				m.steady++
+				m.lastEff[i] = mm.eff
+				sockPower += mm.power
+				e := units.Joules(float64(mm.power) * sec)
+				c.Account(mm.eff, nomCycles, dt, sec, a.AdvanceSec(mm.eff, dt, sec), e)
+				m.energyCore[i] += e
+				continue
+			}
 			eff, constr := m.frequency(i, active, cap)
 			if m.lastConstraint != nil && constr != m.lastConstraint[i] {
 				m.lastConstraint[i] = constr
@@ -629,7 +652,7 @@ func (m *Machine) Step() {
 			sockPower += p
 			e := units.Joules(float64(p) * sec)
 			var instr float64
-			if a := m.apps[i]; a != nil && !c.Idle {
+			if a != nil && !c.Idle {
 				instr = a.AdvanceSec(eff, dt, sec)
 			}
 			c.Account(eff, nomCycles, dt, sec, instr, e)

@@ -82,6 +82,47 @@ func TestQuiescentStepRecomputesNothing(t *testing.T) {
 	}
 }
 
+// The steady path's own count: on the quiet node every awake core takes it
+// every tick, and an input that moves sends exactly the cores it reaches
+// down the full path, for exactly the one tick that re-derives their memo.
+func TestSteadyStepCounts(t *testing.T) {
+	m, awake := warmNode(t)
+	steadyOver := func(ticks int) int {
+		before := m.steady
+		for i := 0; i < ticks; i++ {
+			m.Step()
+		}
+		return m.steady - before
+	}
+	expect := func(when string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s: %d steady core-ticks, want %d", when, got, want)
+		}
+	}
+
+	expect("1000 ticks with no input change", steadyOver(1000), awake*1000)
+
+	if err := m.SetRequest(9, m.chip.Freq.Min); err != nil {
+		t.Fatal(err)
+	}
+	expect("the tick after one SetRequest", steadyOver(1), awake-1)
+	expect("the ten after that", steadyOver(10), awake*10)
+
+	// The cap moves at the end of a tick, at most once a limiter interval
+	// (two ticks): every awake core leaves the steady path on the tick
+	// after a move and takes it again on the next.
+	m.SetPowerLimit(m.chip.RAPLMin)
+	for before, n := m.limiter.Cap(), 0; m.limiter.Cap() == before; n++ {
+		if n == 100 {
+			t.Fatal("the limiter's cap never moved")
+		}
+		expect("until the cap moves", steadyOver(1), awake)
+	}
+	expect("the tick after a cap move", steadyOver(1), 0)
+	expect("the tick after that", steadyOver(1), awake)
+}
+
 func TestStepZeroAlloc(t *testing.T) {
 	m, _ := warmNode(t)
 	if n := testing.AllocsPerRun(1000, m.Step); n != 0 {

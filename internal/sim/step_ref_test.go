@@ -202,14 +202,14 @@ type namedCounter struct {
 	*metrics.Counter
 }
 
-func newRefRig(t *testing.T, chip platform.Chip, observed bool) *refRig {
+func newRefRig(t *testing.T, chip platform.Chip, observed bool, tick time.Duration) *refRig {
 	t.Helper()
 	r := &refRig{}
-	var opts []Option
+	opts := []Option{WithTick(tick)}
 	if observed {
 		reg := metrics.NewRegistry()
 		r.rec = flight.New(0)
-		opts = []Option{WithMetrics(reg), WithFlightRecorder(r.rec)}
+		opts = append(opts, WithMetrics(reg), WithFlightRecorder(r.rec))
 		for _, name := range []string{"sim_ticks_total", "rapl_throttle_events_total", "rapl_release_events_total"} {
 			r.counters = append(r.counters, namedCounter{name, reg.Counter(name, "")})
 		}
@@ -355,53 +355,76 @@ func TestStepMatchesReference(t *testing.T) {
 		platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 64), 2),
 	}
 	const ticks = 20000
-	for ci, chip := range chips {
-		for _, observed := range []bool{true, false} {
-			chip, observed, seed := chip, observed, int64(23+ci)
-			t.Run(fmt.Sprintf("%s/observed=%v", chip.Name, observed), func(t *testing.T) {
-				got, want := newRefRig(t, chip, observed), newRefRig(t, chip, observed)
-				grng, wrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-				profiles := refProfiles()
-				// Start three quarters full, so the churn has something
-				// to throttle, park and unplug from the first tick.
-				for c := 0; c < chip.NumCores*3/4; c++ {
-					p := profiles[c%len(profiles)]
-					if err := got.m.Pin(workload.NewInstance(p), c); err != nil {
-						t.Fatal(err)
-					}
-					if err := want.m.Pin(workload.NewInstance(p), c); err != nil {
-						t.Fatal(err)
-					}
+	// One action every eighth tick on average reaches every mechanism the
+	// memo stands in front of. One every 500th leaves cores on the steady
+	// path for long stretches across phase ends, run restarts, duty
+	// windows and limiter walks, at a tick shorter than the deep C-states'
+	// exit latencies, so that a wake's debt spans several ticks.
+	for _, every := range []int{8, 500} {
+		tick := time.Millisecond
+		if every != 8 {
+			tick = 100 * time.Microsecond
+		}
+		for ci, chip := range chips {
+			for _, observed := range []bool{true, false} {
+				chip, observed, seed := chip, observed, int64(23+ci)
+				name := fmt.Sprintf("%s/observed=%v", chip.Name, observed)
+				if every != 8 {
+					name += "/quiet"
 				}
-				for tick := 0; tick < ticks; tick++ {
-					// Quiet stretches between actions are where a stale
-					// memo would be served: one action every eighth tick
-					// on average, sometimes several at once.
-					for grng.Intn(8) == 0 {
-						churn(got.m, grng, profiles)
+				t.Run(name, func(t *testing.T) {
+					got, want := newRefRig(t, chip, observed, tick), newRefRig(t, chip, observed, tick)
+					grng, wrng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					profiles := refProfiles()
+					// Start three quarters full, so the churn has something
+					// to throttle, park and unplug from the first tick.
+					for c := 0; c < chip.NumCores*3/4; c++ {
+						p := profiles[c%len(profiles)]
+						if err := got.m.Pin(workload.NewInstance(p), c); err != nil {
+							t.Fatal(err)
+						}
+						if err := want.m.Pin(workload.NewInstance(p), c); err != nil {
+							t.Fatal(err)
+						}
 					}
-					for wrng.Intn(8) == 0 {
-						churn(want.m, wrng, profiles)
+					for tick := 0; tick < ticks; tick++ {
+						// Quiet stretches between actions are where a stale
+						// memo would be served; sometimes several actions
+						// land at once.
+						for grng.Intn(every) == 0 {
+							churn(got.m, grng, profiles)
+						}
+						for wrng.Intn(every) == 0 {
+							churn(want.m, wrng, profiles)
+						}
+						got.m.Step()
+						want.m.stepRef()
+						if d := got.diff(want, tick == ticks-1); d != "" {
+							t.Fatalf("tick %d: %s", tick, d)
+						}
 					}
-					got.m.Step()
-					want.m.stepRef()
-					if d := got.diff(want, tick == ticks-1); d != "" {
-						t.Fatalf("tick %d: %s", tick, d)
+					if every != 8 {
+						// The quiet run is there for the steady path: it must
+						// have carried a good part of the core-ticks.
+						if n := ticks * chip.NumCores; got.m.steady < n/4 {
+							t.Errorf("%d of %d core-ticks steady, want at least a quarter", got.m.steady, n)
+						}
+						return
 					}
-				}
-				// The churn must have reached every mechanism the memo
-				// stands in front of: limiter moves both ways, sleeps and
-				// wakes, and each binding constraint.
-				licence := false // Zen 1 has no AVX licence to bind on
-				for _, b := range chip.Freq.Turbo {
-					licence = licence || b.AVX < b.Normal
-				}
-				for _, c := range got.counters {
-					if c.Value() == 0 && (licence || c.name != "avx-licence") {
-						t.Errorf("%s never moved: the churn does not cover it", c.name)
+					// The churn must have reached every mechanism the memo
+					// stands in front of: limiter moves both ways, sleeps
+					// and wakes, and each binding constraint.
+					licence := false // Zen 1 has no AVX licence to bind on
+					for _, b := range chip.Freq.Turbo {
+						licence = licence || b.AVX < b.Normal
 					}
-				}
-			})
+					for _, c := range got.counters {
+						if c.Value() == 0 && (licence || c.name != "avx-licence") {
+							t.Errorf("%s never moved: the churn does not cover it", c.name)
+						}
+					}
+				})
+			}
 		}
 	}
 }

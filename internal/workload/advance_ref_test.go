@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func advanceRef(in *Instance, f units.Hertz, dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	if !in.Profile.dutyCycled() {
+	if !in.Profile.DutyCycled() {
 		in.active += dt
 		return executeRef(in, f, dt.Seconds())
 	}
@@ -138,6 +139,53 @@ func TestAdvanceMatchesReference(t *testing.T) {
 					p.Name, step, f, dt, g, got.TotalInstructions(), got.RunsCompleted(),
 					w, want.TotalInstructions(), want.RunsCompleted())
 			}
+		}
+	}
+	// The one-segment advance at its edges: a tick that ends exactly at a
+	// phase end or a run end goes through execute's loop, and one a float's
+	// width short of either takes the segment and crosses on the threshold.
+	for _, c := range []struct {
+		name  string
+		run   bool // put the run end, not the phase end, first
+		exact bool
+	}{
+		{"exactly at a phase end", false, true},
+		{"a float's width short of a phase end", false, false},
+		{"exactly at a run end", true, true},
+		{"a float's width short of a run end", true, false},
+	} {
+		got := NewInstance(short)
+		if c.run {
+			got.done = short.TotalInstructions - 1e6 // 7e6 left in the phase
+		} else {
+			got.phaseDone = 1e6
+		}
+		bound := min(short.TotalInstructions-got.done, short.Phases[0].Instructions-got.phaseDone)
+		f := 2 * units.GHz
+		ips := got.IPS(f)
+		sec := bound / ips
+		for ips*sec < bound {
+			sec = math.Nextafter(sec, 1)
+		}
+		for ips*sec > bound {
+			sec = math.Nextafter(sec, 0)
+		}
+		if ips*sec != bound {
+			t.Fatalf("%s: no tick lands exactly on %v instructions", c.name, bound)
+		}
+		for !c.exact && ips*sec >= bound {
+			sec = math.Nextafter(sec, 0)
+		}
+		want := *got
+		want.active += time.Millisecond
+		g, w := got.AdvanceSec(f, time.Millisecond, sec), executeRef(&want, f, sec)
+		if g != w || got.done != want.done || got.totalInst != want.totalInst ||
+			got.phaseIdx != want.phaseIdx || got.phaseDone != want.phaseDone ||
+			got.restarts != want.restarts || got.active != want.active {
+			t.Fatalf("%s: retired %v, state %+v; reference %v, state %+v", c.name, g, *got, w, want)
+		}
+		if c.run && got.restarts != 1 || !c.run && got.phaseIdx != 1 {
+			t.Fatalf("%s: the tick did not cross (phase %d, %d runs)", c.name, got.phaseIdx, got.restarts)
 		}
 	}
 }

@@ -77,9 +77,9 @@ type Profile struct {
 	DutyPeriod time.Duration
 }
 
-// dutyCycled reports whether the profile alternates between running and
+// DutyCycled reports whether the profile alternates between running and
 // sleeping.
-func (p *Profile) dutyCycled() bool { return p.DutyCycle > 0 && p.DutyCycle < 1 }
+func (p *Profile) DutyCycled() bool { return p.DutyCycle > 0 && p.DutyCycle < 1 }
 
 // dutyPeriod returns the effective duty window.
 func (p *Profile) dutyPeriod() time.Duration {
@@ -225,7 +225,7 @@ func (in *Instance) memoIPS(f units.Hertz) float64 {
 // of its duty period (always true for non-duty-cycled profiles). The
 // simulator treats off-duty cores as C-state idle.
 func (in *Instance) DutyOn() bool {
-	if !in.Profile.dutyCycled() {
+	if !in.Profile.DutyCycled() {
 		return true
 	}
 	on := time.Duration(in.Profile.DutyCycle * float64(in.Profile.dutyPeriod()))
@@ -248,8 +248,19 @@ func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) flo
 	if dt <= 0 {
 		return 0
 	}
-	if !in.Profile.dutyCycled() {
+	if p := &in.Profile; !p.DutyCycled() {
 		in.active += dt
+		// A tick that ends no phase and no run, the common one, is one
+		// segment: execute's single pass without its loop. One that
+		// reaches either boundary goes through execute before anything is
+		// added.
+		ips := in.memoIPS(f)
+		step := ips * sec
+		if sec > 1e-15 && ips > 0 && step < p.TotalInstructions-in.done &&
+			(len(p.Phases) == 0 || step < p.Phases[in.phaseIdx].Instructions-in.phaseDone) {
+			in.retire(step)
+			return step
+		}
 		return in.execute(f, sec)
 	}
 	period := in.Profile.dutyPeriod()
@@ -308,22 +319,28 @@ func (in *Instance) execute(f units.Hertz, sec float64) float64 {
 			remaining = 0
 		}
 		retired += step
-		in.done += step
-		in.totalInst += step
-		in.phaseDone += step
-		if n := len(in.Profile.Phases); n > 0 {
-			phaseLen := in.Profile.Phases[in.phaseIdx].Instructions
-			if in.phaseDone >= phaseLen*(1-1e-12) {
-				in.phaseIdx = (in.phaseIdx + 1) % n
-				in.phaseDone = 0
-			}
-		}
-		if in.done >= in.Profile.TotalInstructions*(1-1e-12) {
-			in.done = 0
-			in.restarts++
-		}
+		in.retire(step)
 	}
 	return retired
+}
+
+// retire counts step instructions into the run and the phase, and turns
+// either over once it is complete to within rounding.
+func (in *Instance) retire(step float64) {
+	in.done += step
+	in.totalInst += step
+	in.phaseDone += step
+	if n := len(in.Profile.Phases); n > 0 {
+		phaseLen := in.Profile.Phases[in.phaseIdx].Instructions
+		if in.phaseDone >= phaseLen*(1-1e-12) {
+			in.phaseIdx = (in.phaseIdx + 1) % n
+			in.phaseDone = 0
+		}
+	}
+	if in.done >= in.Profile.TotalInstructions*(1-1e-12) {
+		in.done = 0
+		in.restarts++
+	}
 }
 
 // RunsCompleted reports how many full runs the instance has finished.
