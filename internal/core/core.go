@@ -76,6 +76,14 @@ type Snapshot struct {
 	PackagePower units.Watts
 	Apps         []AppState
 
+	// AppSet names the app set whose Specs Apps carries. The daemon draws
+	// a fresh nonzero value each time it lays a set down, so snapshots
+	// with the same nonzero AppSet carry the same Specs in the same order
+	// and a consumer that keeps something per set (the decision journal
+	// keeps the apps' names) need not compare them. Zero means unknown:
+	// compare the Specs.
+	AppSet uint64
+
 	// Services carries per-service tail-latency telemetry when a
 	// latency-service model is wired into the daemon (Config.SLO). It
 	// is empty on daemons without one; policies that consume it must

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -292,9 +293,12 @@ type Daemon struct {
 	// RunIteration flips between the two, so the snapshot it returns (and
 	// hands to OnSnapshot) stays intact for one further interval while
 	// readers that go through the lock (StatusView, LastSnapshot) always
-	// copy. scrHandled is per-core flag scratch; scrOverride is the action
-	// buffer overrideDegraded rewrites into.
+	// copy. Each entry's Spec is laid down once per app set, by
+	// sizeAppBuffers; an interval writes only the numbers. scrHandled is
+	// per-core flag scratch; scrOverride is the action buffer
+	// overrideDegraded rewrites into.
 	appsBuf     [2][]core.AppState
+	appSet      uint64 // the snapshots' AppSet: drawn from appSets per app set
 	appsFlip    int
 	svcBuf      [2][]core.ServiceSLO
 	svcFlip     int
@@ -372,16 +376,26 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 }
 
 // sizeAppBuffers (re)allocates the per-app reuse buffers for the current
-// spec set; called at construction and when Reconfigure changes the apps.
-// Caller holds d.mu after construction.
+// spec set and lays each app's Spec into both snapshot buffers; called at
+// construction and when Reconfigure changes the apps. Caller holds d.mu
+// after construction.
 func (d *Daemon) sizeAppBuffers() {
 	n := len(d.cfg.Apps)
-	d.appsBuf[0] = make([]core.AppState, n)
-	d.appsBuf[1] = make([]core.AppState, n)
+	for k := range d.appsBuf {
+		d.appsBuf[k] = make([]core.AppState, n)
+		for i, spec := range d.cfg.Apps {
+			d.appsBuf[k][i].Spec = spec
+		}
+	}
+	d.appSet = appSets.Add(1)
 	// overrideDegraded may emit one action per policy action plus one
 	// safe-floor action per untouched app.
 	d.scrOverride = make([]core.Action, 0, 2*n)
 }
+
+// appSets numbers app sets across every daemon in the process, so no two
+// sets laid down anywhere share a core.Snapshot.AppSet.
+var appSets atomic.Uint64
 
 // mergeFlightMeta contributes the current control-plane description to the
 // flight recorder's dump metadata; called at construction and again after a
@@ -516,35 +530,31 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		Limit:        d.cfg.Limit,
 		PackagePower: sample.PackagePower,
 		Apps:         d.appsBuf[d.appsFlip],
+		AppSet:       d.appSet,
 	}
 	nDegraded := 0
 	for i := range d.cfg.Apps {
-		spec := &d.cfg.Apps[i]
-		cs := &sample.Cores[spec.Core]
+		// st.Spec was laid down with the app set: an interval writes the
+		// numbers only. The core index comes from the daemon's own specs,
+		// never from the snapshot a consumer may have written to.
+		st := &snap.Apps[i]
+		c := d.cfg.Apps[i].Core
+		cs := &sample.Cores[c]
 		trusty := cs.Status.Trustworthy()
 		if !trusty {
-			d.written[spec.Core] = 0 // cannot vouch for a core we cannot read
+			d.written[c] = 0 // cannot vouch for a core we cannot read
 		}
-		// The record is stored whole, in place, not staged on the stack; a
-		// field-by-field fill measured slower on the 2×64-core node.
-		st := &snap.Apps[i]
-		*st = core.AppState{
-			Spec:   *spec,
-			Freq:   cs.ActiveFreq,
-			IPS:    cs.IPS,
-			Power:  cs.Power,
-			Parked: d.parked[spec.Core],
-		}
+		st.Freq, st.IPS, st.Power, st.Parked = cs.ActiveFreq, cs.IPS, cs.Power, d.parked[c]
 		// A trustworthy sample from a core in good standing, the common case,
 		// touches no health state.
-		if (!trusty || d.health[spec.Core].degraded) && d.updateHealthLocked(spec.Core, cs.Status) {
+		if (!trusty || d.health[c].degraded) && d.updateHealthLocked(c, cs.Status) {
 			// Untrusted core: the policy keeps seeing the last state we
 			// could vouch for instead of zeros or garbage.
 			nDegraded++
-			g := d.lastGood[spec.Core]
+			g := d.lastGood[c]
 			st.Freq, st.IPS, st.Power = g.freq, g.ips, g.power
 		} else {
-			d.lastGood[spec.Core] = goodState{st.Freq, st.IPS, st.Power}
+			d.lastGood[c] = goodState{st.Freq, st.IPS, st.Power}
 		}
 	}
 	if d.cfg.SLO != nil {

@@ -187,3 +187,114 @@ func TestReconfigureLimitOnly(t *testing.T) {
 		t.Error("no reconfigure flight event recorded")
 	}
 }
+
+// A snapshot's Specs are laid down once per app set, in both halves of the
+// double buffer, and an interval writes only the numbers: every snapshot
+// before a reconfiguration carries the first set and its AppSet, every
+// snapshot after it the second set and a new AppSet, and the journal names
+// apps the same way.
+func TestSnapshotIdentityFollowsAppSet(t *testing.T) {
+	chip := platform.Skylake()
+	names := []string{"gcc", "cam4", "leela"}
+	m := buildMachine(t, chip, names)
+	specs := specsFor(names, []units.Shares{50, 30, 20}, nil)
+	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := decisions.NewJournal(0)
+	d, err := New(Config{Chip: chip, Policy: pol, Apps: specs, Limit: 50, Journal: journal},
+		m.Device(), MachineActuator{M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(want []core.AppSpec) (set uint64) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			m.Run(100 * time.Millisecond)
+			snap, err := d.RunIteration(100 * time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				set = snap.AppSet
+			}
+			if snap.AppSet == 0 || snap.AppSet != set {
+				t.Fatalf("interval %d: AppSet %d, want the set's nonzero %d", i, snap.AppSet, set)
+			}
+			if len(snap.Apps) != len(want) {
+				t.Fatalf("snapshot has %d apps, want %d", len(snap.Apps), len(want))
+			}
+			for k, a := range snap.Apps {
+				if a.Spec != want[k] {
+					t.Fatalf("interval %d app %d: spec %+v, want %+v", i, k, a.Spec, want[k])
+				}
+				if a.Freq <= 0 && !a.Parked {
+					t.Fatalf("interval %d app %d: no numbers written: %+v", i, k, a)
+				}
+			}
+			e, _ := journal.Last()
+			for k, a := range e.Apps {
+				if a.Name != want[k].Name || a.Core != want[k].Core {
+					t.Fatalf("journal app %d: %s@%d, want %s@%d", k, a.Name, a.Core, want[k].Name, want[k].Core)
+				}
+			}
+		}
+		return set
+	}
+	first := run(specs)
+
+	// Same cores, names moved, shares changed, one app fewer.
+	next := []core.AppSpec{specs[2], specs[0]}
+	next[0].Core, next[1].Core = 0, 2
+	next[0].Shares, next[1].Shares = 70, 30
+	newPol, err := core.NewFrequencyShares(chip, next, core.ShareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Reconfigure(Reconfig{Policy: newPol, Apps: next}); err != nil {
+		t.Fatal(err)
+	}
+	if run(next) == first {
+		t.Fatal("a reconfigured app set kept its AppSet")
+	}
+}
+
+// A consumer owns the snapshot it is handed and may write to it; the
+// daemon's core indices never come from it. Overwriting every Spec.Core in
+// both halves of the double buffer with an out-of-range core must not
+// steer (or crash) later intervals.
+func TestSnapshotWritesDoNotSteerDaemon(t *testing.T) {
+	chip := platform.Skylake()
+	names := []string{"gcc", "cam4"}
+	m := buildMachine(t, chip, names)
+	specs := specsFor(names, []units.Shares{50, 50}, nil)
+	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{Chip: chip, Policy: pol, Apps: specs, Limit: 50},
+		m.Device(), MachineActuator{M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		m.Run(100 * time.Millisecond)
+		snap, err := d.RunIteration(100 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range snap.Apps {
+			if i > 0 && snap.Apps[k].Freq <= 0 {
+				t.Fatalf("interval %d app %d: no frequency: %+v", i, k, snap.Apps[k])
+			}
+			snap.Apps[k].Spec.Core = 1 << 20
+		}
+	}
+}

@@ -93,16 +93,8 @@ type appAccount struct {
 	driftFired bool
 }
 
-// ledgerMetrics holds the ledger's cached metric handles (nil-safe).
+// ledgerMetrics holds the ledger's cached counter handles (nil-safe).
 type ledgerMetrics struct {
-	totalJ     *metrics.Gauge
-	unattribJ  *metrics.Gauge
-	excludedJ  *metrics.Gauge
-	overshootJ *metrics.Gauge
-	costUSD    *metrics.Gauge
-	carbonG    *metrics.Gauge
-	appJ       []*metrics.Gauge // cached per-app children, spec order
-
 	anomalies [numAnomalyKinds]*metrics.Counter
 }
 
@@ -119,6 +111,13 @@ type Ledger struct {
 	flight      *flight.Recorder
 	reg         *metrics.Registry
 	m           ledgerMetrics
+
+	// byName is the app whose account padpd_app_energy_joules shows for a
+	// name: the last so named in spec order. retired holds, for names a
+	// reconfiguration took out of the set, the account as it stood then.
+	// Both change only with the app set; the gauge reads them at scrape.
+	byName  map[string]int
+	retired map[string]uint64
 
 	// Cumulative integer accounts (µJ) and counters.
 	totalUJ     uint64
@@ -183,10 +182,12 @@ func New(cfg Config) (*Ledger, error) {
 func (l *Ledger) sizeApps(apps []core.AppSpec) {
 	l.apps = make([]appAccount, len(apps))
 	l.sockApps = make([][]int, l.chip.Sockets())
+	l.byName = make(map[string]int, len(apps))
 	l.totalShares = 0
 	for i, a := range apps {
 		s := l.chip.SocketOf(a.Core)
 		l.apps[i] = appAccount{spec: a, socket: s}
+		l.byName[a.Name] = i
 		l.sockApps[s] = append(l.sockApps[s], i)
 		if a.Shares > 0 {
 			l.totalShares += int(a.Shares)
@@ -217,22 +218,32 @@ var pkgAccounts = [...]uint32{
 }
 
 // initMetrics registers the ledger's metric families and caches every
-// child handle the hot path touches. Caller holds no lock (construction
-// and reconfiguration only).
+// counter the hot path touches. The energy gauges are views: each reads
+// its account under the ledger's lock at scrape time, and the per-app
+// family is laid down once per app set, one child per name, so an interval
+// writes no gauge. Caller holds no lock (construction and reconfiguration
+// only).
 func (l *Ledger) initMetrics() {
 	if l.reg == nil {
 		return
 	}
-	l.m.totalJ = l.reg.Gauge("padpd_energy_total_joules", "Total socket energy integrated by the ledger.")
-	l.m.unattribJ = l.reg.Gauge("padpd_energy_unattributed_joules", "Trustworthy energy no app activity claimed (idle/static power).")
-	l.m.excludedJ = l.reg.Gauge("padpd_energy_excluded_joules", "Energy excluded from attribution because a counter was untrustworthy.")
-	l.m.overshootJ = l.reg.Gauge("padpd_energy_overshoot_joules", "Integral of package power above the enforced limit.")
-	l.m.costUSD = l.reg.Gauge("padpd_energy_cost_usd", "Cumulative energy cost under the configured rate schedule.")
-	l.m.carbonG = l.reg.Gauge("padpd_energy_carbon_grams", "Cumulative carbon under the configured rate schedule.")
+	gauge := func(name, help string, v func() float64) {
+		l.reg.GaugeFunc(name, help, func() float64 {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return v()
+		})
+	}
+	gauge("padpd_energy_total_joules", "Total socket energy integrated by the ledger.", func() float64 { return float64(l.totalUJ) / 1e6 })
+	gauge("padpd_energy_unattributed_joules", "Trustworthy energy no app activity claimed (idle/static power).", func() float64 { return float64(l.unattribUJ) / 1e6 })
+	gauge("padpd_energy_excluded_joules", "Energy excluded from attribution because a counter was untrustworthy.", func() float64 { return float64(l.excludedUJ) / 1e6 })
+	gauge("padpd_energy_overshoot_joules", "Integral of package power above the enforced limit.", func() float64 { return float64(l.overshootUJ) / 1e6 })
+	gauge("padpd_energy_cost_usd", "Cumulative energy cost under the configured rate schedule.", func() float64 { return l.costUSD })
+	gauge("padpd_energy_carbon_grams", "Cumulative carbon under the configured rate schedule.", func() float64 { return l.carbonG })
 	appVec := l.reg.GaugeVec("padpd_app_energy_joules", "Cumulative energy attributed to one application.", "app")
-	l.m.appJ = make([]*metrics.Gauge, len(l.apps))
 	for i := range l.apps {
-		l.m.appJ[i] = appVec.With(l.apps[i].spec.Name)
+		name := l.apps[i].spec.Name
+		appVec.WithFunc(func() float64 { return l.appJoules(name) }, name)
 	}
 	vec := l.reg.CounterVec("padpd_anomalies_total", "Energy-ledger anomaly detector firings, by kind.", "kind")
 	for k := uint32(0); k < numAnomalyKinds; k++ {
@@ -329,7 +340,6 @@ func (l *Ledger) Append(in Input) {
 
 	l.store.append(in.At, in.Dt, l.apps, intervalTotal, intervalUnattrib, intervalExcluded, limitUJ, overUJ)
 	l.runDetectors(in)
-	l.publishLocked()
 	l.recordEnergyEvents()
 	l.mu.Unlock()
 }
@@ -434,20 +444,15 @@ func (l *Ledger) selectLargest(order []int, k int) {
 	}
 }
 
-// publishLocked pushes the cumulative accounts to the cached metric
-// handles. Caller holds l.mu.
-func (l *Ledger) publishLocked() {
-	l.m.totalJ.Set(float64(l.totalUJ) / 1e6)
-	l.m.unattribJ.Set(float64(l.unattribUJ) / 1e6)
-	l.m.excludedJ.Set(float64(l.excludedUJ) / 1e6)
-	l.m.overshootJ.Set(float64(l.overshootUJ) / 1e6)
-	l.m.costUSD.Set(l.costUSD)
-	l.m.carbonG.Set(l.carbonG)
-	for i := range l.apps {
-		if i < len(l.m.appJ) {
-			l.m.appJ[i].Set(float64(l.apps[i].totalUJ) / 1e6)
-		}
+// appJoules is padpd_app_energy_joules{app=name}: the byName account, or
+// a retired name's last account.
+func (l *Ledger) appJoules(name string) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i, ok := l.byName[name]; ok {
+		return float64(l.apps[i].totalUJ) / 1e6
 	}
+	return float64(l.retired[name]) / 1e6
 }
 
 // recordEnergyEvents emits one KindEnergy event per account: every app
@@ -484,9 +489,16 @@ func (l *Ledger) Reconfigure(apps []core.AppSpec) {
 	for i := range l.apps {
 		carried[l.apps[i].spec.Name] += l.apps[i].totalUJ
 	}
+	if l.retired == nil {
+		l.retired = make(map[string]uint64)
+	}
+	for name, i := range l.byName {
+		l.retired[name] = l.apps[i].totalUJ
+	}
 	l.sizeApps(apps)
 	for i := range l.apps {
 		l.apps[i].totalUJ = carried[l.apps[i].spec.Name]
+		delete(l.retired, l.apps[i].spec.Name)
 	}
 	l.store.reset(len(apps))
 	l.mu.Unlock()

@@ -7,6 +7,10 @@
 // daemon runs, and the paper's Section 5 control loop ("sample, decide,
 // actuate, once per second") becomes inspectable while it runs instead of
 // only in post-hoc CSVs.
+//
+// An interval writes each app's numbers, not its name: the apps' identity
+// (name and core, in snapshot order) is laid down once per app set and
+// shared by every entry recorded under it. Readers get whole entries back.
 package decisions
 
 import (
@@ -15,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/units"
 )
 
 // AppTrace is one application's telemetry inside a journal entry.
@@ -52,59 +57,112 @@ type Entry struct {
 	Actions []ActionTrace `json:"actions,omitempty"`
 }
 
-// fill overwrites e with a policy update, reusing the capacity of its
-// slices: a ring slot stops allocating once it has held its largest entry.
-func (e *Entry) fill(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action) {
-	e.TimeSeconds = s.Time.Seconds()
-	e.Policy = policy
-	e.LimitWatts = float64(s.Limit)
-	e.PackagePowerWatts = float64(s.PackagePower)
-	e.Reasons = slices.Grow(e.Reasons[:0], len(reasons))
-	for _, r := range reasons {
-		e.Reasons = append(e.Reasons, string(r))
-	}
-	e.Apps = slices.Grow(e.Apps[:0], len(s.Apps))
-	for i := range s.Apps {
-		a := &s.Apps[i]
-		e.Apps = append(e.Apps, AppTrace{
-			Name:   a.Spec.Name,
-			Core:   a.Spec.Core,
-			MHz:    a.Freq.MHzF(),
-			IPS:    a.IPS,
-			Watts:  float64(a.Power),
-			Parked: a.Parked,
-		})
-	}
-	e.Actions = slices.Grow(e.Actions[:0], len(actions))
-	for _, a := range actions {
-		at := ActionTrace{Core: a.Core, Park: a.Park}
-		if !a.Park {
-			at.MHz = a.Freq.MHzF()
-		}
-		e.Actions = append(e.Actions, at)
-	}
+// appSet is one app set's identity, in snapshot order. It is immutable
+// once built: every slot recorded under the set points at it.
+type appSet struct {
+	names []string
+	cores []int
 }
 
-// clone deep-copies e, so a reader never aliases a ring slot the journal
-// refills in place a lap later.
-func (e *Entry) clone() Entry {
-	c := *e
-	c.Reasons = append(make([]string, 0, len(e.Reasons)), e.Reasons...)
-	c.Apps = append(make([]AppTrace, 0, len(e.Apps)), e.Apps...)
-	c.Actions = append([]ActionTrace(nil), e.Actions...) // nil, not empty, in the deadband: what a JSON round trip gives back
-	return c
+// matches reports whether apps carry exactly the set's identities.
+func (s *appSet) matches(apps []core.AppState) bool {
+	if s == nil || len(apps) != len(s.names) {
+		return false
+	}
+	for i := range apps {
+		if apps[i].Spec.Core != s.cores[i] || apps[i].Spec.Name != s.names[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func newAppSet(apps []core.AppState) *appSet {
+	s := &appSet{names: make([]string, len(apps)), cores: make([]int, len(apps))}
+	for i := range apps {
+		s.names[i], s.cores[i] = apps[i].Spec.Name, apps[i].Spec.Core
+	}
+	return s
+}
+
+// appNums is what one interval adds to the journal for one app.
+type appNums struct {
+	freq   units.Hertz
+	ips    float64
+	power  units.Watts
+	parked bool
+}
+
+// slot is one ring position: a policy update as recorded, in the
+// snapshot's own units. Entry is built from it only when read.
+type slot struct {
+	seq     uint64
+	at      time.Duration
+	policy  string
+	reasons []core.Reason
+	limit   units.Watts
+	pkg     units.Watts
+	set     *appSet
+	apps    []appNums
+	actions []core.Action
+}
+
+// fill overwrites sl with a policy update, reusing the capacity of its
+// slices: a ring slot stops allocating once it has held its largest entry.
+func (sl *slot) fill(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action, set *appSet) {
+	sl.at, sl.policy, sl.limit, sl.pkg, sl.set = s.Time, policy, s.Limit, s.PackagePower, set
+	sl.reasons = append(sl.reasons[:0], reasons...)
+	sl.apps = slices.Grow(sl.apps[:0], len(s.Apps))[:len(s.Apps)]
+	for i := range s.Apps {
+		a := &s.Apps[i]
+		sl.apps[i] = appNums{a.Freq, a.IPS, a.Power, a.Parked}
+	}
+	sl.actions = append(sl.actions[:0], actions...)
+}
+
+// entry builds the reader's copy of sl, sharing nothing with the ring.
+func (sl *slot) entry() Entry {
+	e := Entry{
+		Seq:               sl.seq,
+		TimeSeconds:       sl.at.Seconds(),
+		Policy:            sl.policy,
+		Reasons:           make([]string, len(sl.reasons)),
+		LimitWatts:        float64(sl.limit),
+		PackagePowerWatts: float64(sl.pkg),
+		Apps:              make([]AppTrace, len(sl.apps)),
+	}
+	for i, r := range sl.reasons {
+		e.Reasons[i] = string(r)
+	}
+	for i, a := range sl.apps {
+		e.Apps[i] = AppTrace{
+			Name: sl.set.names[i], Core: sl.set.cores[i],
+			MHz: a.freq.MHzF(), IPS: a.ips, Watts: float64(a.power), Parked: a.parked,
+		}
+	}
+	if len(sl.actions) > 0 { // nil, not empty, in the deadband: what a JSON round trip gives back
+		e.Actions = make([]ActionTrace, len(sl.actions))
+		for i, a := range sl.actions {
+			e.Actions[i] = ActionTrace{Core: a.Core, Park: a.Park}
+			if !a.Park {
+				e.Actions[i].MHz = a.Freq.MHzF()
+			}
+		}
+	}
+	return e
 }
 
 // Journal is a bounded, concurrency-safe ring of decision entries. A nil
 // *Journal is a valid disabled journal: Record no-ops and readers see
 // nothing.
 type Journal struct {
-	mu      sync.Mutex
-	entries []Entry // ring storage
-	next    int     // ring write position
-	filled  bool
-	seq     uint64
-	started time.Time
+	mu     sync.Mutex
+	slots  []slot  // ring storage
+	set    *appSet // identity of the app set recorded last
+	setID  uint64  // the core.Snapshot.AppSet set was recorded under; 0 = unknown
+	next   int     // ring write position
+	filled bool
+	seq    uint64
 }
 
 // DefaultCapacity bounds the journal when callers pass a non-positive
@@ -118,25 +176,34 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{entries: make([]Entry, capacity), started: time.Now()}
+	return &Journal{slots: make([]slot, capacity)}
 }
 
 // Record journals one policy update — the observed snapshot, the reasons
 // the policy gave and the actions it emitted — under the next sequence
 // number, evicting the oldest entry once the ring is full: its slot is
-// refilled in place, so a warm journal records without allocating.
+// refilled in place, so a warm journal records without allocating. A
+// snapshot whose nonzero AppSet is the last one recorded reuses that set's
+// identities unread; any other has its names and cores compared against
+// them, and a new set is laid down only when they differ.
 func (j *Journal) Record(policy string, reasons []core.Reason, s core.Snapshot, actions []core.Action) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if s.AppSet == 0 || s.AppSet != j.setID {
+		if !j.set.matches(s.Apps) {
+			j.set = newAppSet(s.Apps)
+		}
+		j.setID = s.AppSet
+	}
 	j.seq++
-	e := &j.entries[j.next]
-	e.fill(policy, reasons, s, actions)
-	e.Seq = j.seq
+	sl := &j.slots[j.next]
+	sl.fill(policy, reasons, s, actions, j.set)
+	sl.seq = j.seq
 	j.next++
-	if j.next == len(j.entries) {
+	if j.next == len(j.slots) {
 		j.next = 0
 		j.filled = true
 	}
@@ -164,13 +231,14 @@ func (j *Journal) Len() int {
 
 func (j *Journal) lenLocked() int {
 	if j.filled {
-		return len(j.entries)
+		return len(j.slots)
 	}
 	return j.next
 }
 
-// Tail returns deep copies of the most recent n entries, oldest first.
-// Non-positive or oversized n returns everything retained.
+// Tail returns the most recent n entries, oldest first, each a copy that
+// shares nothing with the ring. Non-positive or oversized n returns
+// everything retained.
 func (j *Journal) Tail(n int) []Entry {
 	if j == nil {
 		return nil
@@ -185,9 +253,9 @@ func (j *Journal) Tail(n int) []Entry {
 	for i := 0; i < n; i++ {
 		idx := j.next - n + i
 		if idx < 0 {
-			idx += len(j.entries)
+			idx += len(j.slots)
 		}
-		out = append(out, j.entries[idx].clone())
+		out = append(out, j.slots[idx].entry())
 	}
 	return out
 }

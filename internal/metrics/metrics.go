@@ -214,6 +214,22 @@ func (f *family) child(values []string) any {
 	return m
 }
 
+// childFunc adds a *GaugeFunc child for values unless one exists.
+func (f *family) childFunc(values []string, fn func() float64) {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	key := labelKey(values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.children[key]; ok {
+		return
+	}
+	f.children[key] = &GaugeFunc{fn: fn}
+	f.keys = append(f.keys, key)
+	f.lvals[key] = append([]string(nil), values...)
+}
+
 func newHistogram(buckets []float64) *Histogram {
 	uppers := append([]float64(nil), buckets...)
 	sort.Float64s(uppers)
@@ -251,6 +267,18 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 		return nil
 	}
 	return v.f.child(values).(*Gauge)
+}
+
+// WithFunc registers, under the given label values, a child whose value
+// fn computes at scrape time, so a writer that already keeps the number
+// pays nothing per update. Like Registry.GaugeFunc it is idempotent: if
+// the label values already have a child, that child wins and fn is
+// dropped. fn must be safe for concurrent use.
+func (v *GaugeVec) WithFunc(fn func() float64, values ...string) {
+	if v == nil {
+		return
+	}
+	v.f.childFunc(values, fn)
 }
 
 // HistogramVec is a labelled histogram family.
@@ -333,15 +361,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	f := r.family(name, help, kindGauge, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.children[""]; ok {
-		return
-	}
-	f.children[""] = &GaugeFunc{fn: fn}
-	f.keys = append(f.keys, "")
-	f.lvals[""] = nil
+	r.family(name, help, kindGauge, nil, nil).childFunc(nil, fn)
 }
 
 // Histogram registers (or fetches) an unlabelled histogram with the given

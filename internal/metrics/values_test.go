@@ -96,3 +96,31 @@ func TestRegisterBuildInfo(t *testing.T) {
 
 	RegisterBuildInfo(nil, "powerd") // must not panic
 }
+
+// A labelled child read at scrape time exposes like a set gauge, keeps its
+// place among the family's children, and, like GaugeFunc, keeps the first
+// registration: an existing child is never replaced.
+func TestGaugeVecWithFunc(t *testing.T) {
+	r := NewRegistry()
+	v := r.GaugeVec("app_joules", "per app", "app")
+	v.With("gcc").Set(2)
+	v.WithFunc(func() float64 { return 3.5 }, "mcf")
+	v.WithFunc(func() float64 { return -1 }, "gcc") // gcc already has a child
+	v.WithFunc(func() float64 { return -1 }, "mcf") // and so does mcf now
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP app_joules per app\n# TYPE app_joules gauge\n" +
+		"app_joules{app=\"gcc\"} 2\napp_joules{app=\"mcf\"} 3.5\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if got := r.Values()[`app_joules{app="mcf"}`]; got != 3.5 {
+		t.Fatalf("Values: mcf = %v, want 3.5", got)
+	}
+
+	var nilVec *GaugeVec
+	nilVec.WithFunc(func() float64 { return 1 }, "x") // must not panic
+}

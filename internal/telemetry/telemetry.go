@@ -245,8 +245,12 @@ func NewSampler(dev msr.Device, nCores int, nom units.Hertz, perCorePower bool) 
 		baseOK:     make([]bool, nCores),
 		lastStatus: make([]CoreStatus, nCores),
 	}
+	// A core's CPU is laid down once; a sample writes its numbers only.
 	for b := range s.out {
 		s.out[b].Cores = make([]CoreSample, nCores)
+		for i := range s.out[b].Cores {
+			s.out[b].Cores[i].CPU = i
+		}
 	}
 	s.sizeSockets(1)
 	return s, nil
@@ -435,10 +439,10 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 		if s.curOK[i] && s.baseOK[i] && s.curMperf[i] != s.prevMperf[i] {
 			s.anyExecSock[i/s.cps] = true
 		}
-		cs := s.classify(i, dt)
+		cs := &out.Cores[i]
+		s.classify(i, cs, dt)
 		s.lastStatus[i] = cs.Status
 		s.tally[cs.Status]++
-		out.Cores[i] = cs
 	}
 	s.swapBaselines()
 
@@ -461,17 +465,19 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	return *out, nil
 }
 
-// classify derives core i's sample and its status from the current sweep
-// against the baseline. The baseline slices are committed by the caller's
-// swap, and the caller records the status in lastStatus and the tally.
-func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
-	cs := CoreSample{CPU: i}
+// classify derives core i's values and status into cs, in place, from the
+// current sweep against the baseline. i is the sampler's own index, not
+// cs.CPU, which a caller holding the sample may have written to. The
+// baseline slices are committed by the caller's swap, and the caller
+// records the status in lastStatus and the tally.
+func (s *Sampler) classify(i int, cs *CoreSample, dt time.Duration) {
+	cs.ActiveFreq, cs.IPS, cs.Power = 0, 0, 0
 	if !s.curOK[i] {
 		// Reads failed after retries: the core is dark. The baseline is
 		// held (prev copied into cur before the swap) so a later recovery
 		// can re-baseline cleanly.
 		cs.Status = StatusDark
-		return cs
+		return
 	}
 	hadBase := s.baseOK[i]
 	s.baseOK[i] = true
@@ -482,7 +488,7 @@ func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
 		// derived values for one interval and resume from here — the
 		// baseline committed by this sweep makes the next interval clean.
 		cs.Status = StatusRecovering
-		return cs
+		return
 	}
 	curA, curM, curI := s.curAperf[i], s.curMperf[i], s.curInstr[i]
 	prevA, prevM, prevI := s.prevAperf[i], s.prevMperf[i], s.prevInstr[i]
@@ -490,21 +496,21 @@ func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
 		// A monotonic 64-bit counter went backwards: the register file is
 		// lying (or the device was swapped underneath us).
 		cs.Status = StatusStale
-		return cs
+		return
 	}
 	da, dm, di := curA-prevA, curM-prevM, curI-prevI
 	if da == 0 && dm == 0 && di == 0 {
 		// Nothing advanced: the core spent the whole interval out of C0.
 		// That is an idle core, not garbage — 0 IPS with a reason.
 		cs.Status = StatusIdle
-		return cs
+		return
 	}
 	if dm == 0 || da == 0 {
 		// Torn sample: C0 residency and work done must advance together.
 		// APERF moving while MPERF is frozen (or either frozen while
 		// instructions retire) is internally inconsistent.
 		cs.Status = StatusStale
-		return cs
+		return
 	}
 	cs.Status = StatusOK
 	cs.ActiveFreq = s.nom * units.Hertz(float64(da)/float64(dm))
@@ -512,7 +518,6 @@ func (s *Sampler) classify(i int, dt time.Duration) CoreSample {
 	if s.perCore {
 		cs.Power = s.unit.FromCounts(msr.DeltaCounts(s.prevCore[i], s.curCore[i])).Power(dt)
 	}
-	return cs
 }
 
 // pkgPower derives one socket's power and status. anyExec reports whether

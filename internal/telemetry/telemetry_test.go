@@ -180,6 +180,28 @@ func TestSuccessiveSamplesAreIndependent(t *testing.T) {
 	if s2.At != 2*time.Second {
 		t.Errorf("At = %v", s2.At)
 	}
+
+	// The third sample refills the first one's buffer in place: a core's
+	// CPU is laid down once, and a core that went idle reads zeros, not the
+	// numbers the slot held two intervals ago.
+	if err := m.SetIdle(0, true); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(time.Second)
+	s3, err := s.Sample(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s3.Cores[0]; c.Status != StatusIdle || c.ActiveFreq != 0 || c.IPS != 0 || c.Power != 0 {
+		t.Errorf("idled core reads %+v, want an idle sample of zeros", c)
+	}
+	for _, smp := range []Sample{s2, s3} {
+		for i, c := range smp.Cores {
+			if c.CPU != i {
+				t.Fatalf("Cores[%d].CPU = %d", i, c.CPU)
+			}
+		}
+	}
 }
 
 // failAfterDevice passes through to the machine's device until n reads have
@@ -386,4 +408,34 @@ func TestPrimeDegradesDeadCoreAndRebaselines(t *testing.T) {
 	alive = true
 	sample(StatusRecovering) // first good read: baseline only
 	sample(StatusOK)
+}
+
+// A caller owns the sample it holds and may write to it; the sampler's own
+// indices never come from it. Overwriting every CPU in both buffers with an
+// out-of-range value must not steer (or crash) later samples.
+func TestCallerWritesDoNotSteerSampler(t *testing.T) {
+	m := machineWith(t, platform.Skylake(), map[int]string{0: "gcc"})
+	if err := m.SetRequest(0, 2000*units.MHz); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(m.Device(), m.Chip().NumCores, m.Chip().Freq.Nom, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prime(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		m.Run(time.Second)
+		smp, err := s.Sample(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := smp.Cores[0]; c.Status != StatusOK || math.Abs(float64(c.ActiveFreq-2000*units.MHz)) > 1e6 {
+			t.Fatalf("sample %d: core 0 reads %+v, want 2 GHz OK", i, c)
+		}
+		for k := range smp.Cores {
+			smp.Cores[k].CPU = -1
+		}
+	}
 }
