@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/trace"
 )
 
@@ -53,6 +57,41 @@ func TestGenerateOrdersOutput(t *testing.T) {
 	}
 	if !strings.Contains(got, "Figure 1") || !strings.Contains(got, "Figure 6") {
 		t.Errorf("output names neither figure:\n%s", got)
+	}
+}
+
+// -tracedir writes one CSV per daemon-driven run — here the interval
+// ablation's three control intervals — and leaves stdout as it was.
+func TestTraceDirWritesEveryDaemonRun(t *testing.T) {
+	var plain, traced bytes.Buffer
+	if err := run("interval", false, 1, &plain, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	experiments.SetTraceDir(dir)
+	defer experiments.SetTraceDir("")
+	if err := run("interval", false, 1, &traced, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if traced.String() != plain.String() {
+		t.Errorf("stdout with -tracedir:\n%s\nwithout:\n%s", traced.String(), plain.String())
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "run-*-frequency-shares.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 3 {
+		t.Fatalf("trace files %v, want one per control interval (3)", files)
+	}
+	// 60 s at 1 s, 250 ms and 100 ms: a header plus one row an interval.
+	for i, want := range []int{60, 240, 600} {
+		data, err := os.ReadFile(files[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := strings.Count(string(data), "\n") - 1; rows != want {
+			t.Errorf("%s: %d rows, want %d", files[i], rows, want)
+		}
 	}
 }
 

@@ -10,12 +10,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // ClusteringAblationResult compares frequency shares on Ryzen with the
@@ -154,26 +152,19 @@ func AblationInterval() (IntervalAblationResult, error) {
 
 func intervalRun(interval time.Duration) (IntervalAblationRow, error) {
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		return IntervalAblationRow{}, err
-	}
 	specs := make([]core.AppSpec, 10)
-	for i := 0; i < 10; i++ {
-		if err := m.Pin(workload.NewInstance(workload.MustByName("cactusBSSN")), i); err != nil {
-			return IntervalAblationRow{}, err
-		}
+	for i := range specs {
 		specs[i] = core.AppSpec{Name: "cactusBSSN", Core: i, Shares: 50}
 	}
-	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
+	const limit = 40
+	pol, err := policyFor(string(FreqShares), chip, specs, limit)
 	if err != nil {
 		return IntervalAblationRow{}, err
 	}
 	row := IntervalAblationRow{Interval: interval}
-	const limit = 40
 	settled := time.Duration(0)
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit, Interval: interval,
+	err = withNode(node.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: limit, Interval: interval,
 		OnSnapshot: func(s core.Snapshot) {
 			row.Iterations++
 			gap := float64(s.PackagePower - limit)
@@ -185,15 +176,8 @@ func intervalRun(interval time.Duration) (IntervalAblationRow, error) {
 			}
 			row.FinalPower = s.PackagePower
 		},
-	}, m.Device(), daemon.MachineActuator{M: m})
+	}, func(n *node.Node) error { return n.Run(60 * time.Second) })
 	if err != nil {
-		return IntervalAblationRow{}, err
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		return IntervalAblationRow{}, err
-	}
-	m.Run(60 * time.Second)
-	if err := d.Err(); err != nil {
 		return IntervalAblationRow{}, err
 	}
 	row.SettleTime = settled

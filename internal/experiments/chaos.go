@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/node"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // ChaosCell summarises one fault class's run: what was injected, how the
@@ -74,39 +73,22 @@ func chaosRun(chip platform.Chip, class fault.Class, schedText string, limit uni
 	if err != nil {
 		return ChaosCell{}, err
 	}
-	rec := flight.New(flight.DefaultCapacity)
-	m, err := sim.New(chip, sim.WithFlightRecorder(rec))
-	if err != nil {
-		return ChaosCell{}, err
-	}
 	specs := []core.AppSpec{
 		{Name: "gcc", Core: 0, Shares: 60},
 		{Name: "gcc", Core: 1, Shares: 30},
 		{Name: "gcc", Core: 2, Shares: 10},
 	}
-	for _, s := range specs {
-		if err := m.Pin(workload.NewInstance(workload.MustByName(s.Name)), s.Core); err != nil {
-			return ChaosCell{}, err
-		}
-	}
-	if chip.HardwareRAPLLimit {
-		m.SetPowerLimit(limit)
-	}
-	inj := fault.New(sched, 11)
-	inj.Flight(rec)
-	inj.Drive(m)
-
-	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
+	pol, err := policyFor(string(FreqShares), chip, specs, limit)
 	if err != nil {
 		return ChaosCell{}, err
 	}
-	dev := inj.WrapDevice(m.Device())
+	rec := flight.New(flight.DefaultCapacity)
 	cell := ChaosCell{Class: class}
 	iter := 0
-	interval := 20 * time.Millisecond
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit, Interval: interval,
-		Flight: rec,
+	var m *sim.Machine
+	err = withNode(node.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: limit, Interval: 20 * time.Millisecond,
+		Faults: sched, FaultSeed: 11, Flight: rec,
 		OnSnapshot: func(core.Snapshot) {
 			iter++
 			// Machine truth, safe here: snapshots fire on the loop
@@ -115,15 +97,14 @@ func chaosRun(chip platform.Chip, class fault.Class, schedText string, limit uni
 				cell.MaxPower = p
 			}
 		},
-	}, dev, daemon.MachineActuator{M: m, Dev: dev})
+	}, func(n *node.Node) error {
+		m = n.M
+		if chip.HardwareRAPLLimit {
+			m.SetPowerLimit(limit)
+		}
+		return n.Run(1500 * time.Millisecond)
+	})
 	if err != nil {
-		return ChaosCell{}, err
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		return ChaosCell{}, err
-	}
-	m.Run(1500 * time.Millisecond)
-	if err := d.Err(); err != nil {
 		return ChaosCell{}, err
 	}
 

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,7 +15,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
+	"repro/internal/node"
+	"repro/internal/opconfig"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -39,24 +41,42 @@ func SetTraceDir(dir string) {
 	traceDir = dir
 }
 
-// newRunTrace opens the next trace file for a run, or returns nils when
-// tracing is disabled. The returned closer flushes and closes the file; its
-// error must be checked — a failed flush silently truncates the trace.
-func newRunTrace(policy string, specs []core.AppSpec) (*trace.SnapshotWriter, func() error, error) {
-	traceMu.Lock()
-	dir := traceDir
-	traceSeq++
-	seq := traceSeq
-	traceMu.Unlock()
-	if dir == "" {
-		return nil, func() error { return nil }, nil
+// withNode assembles a study's node and hands it to run. A policy-driven
+// node writes its control-interval trace when a trace directory is set,
+// ahead of the study's own OnSnapshot hook. A failed flush fails the run:
+// it would silently truncate the trace.
+func withNode(s node.Spec, run func(*node.Node) error) (err error) {
+	if s.Policy != nil {
+		traceMu.Lock()
+		dir := traceDir
+		traceSeq++
+		seq := traceSeq
+		traceMu.Unlock()
+		if dir != "" {
+			f, ferr := os.Create(filepath.Join(dir, fmt.Sprintf("run-%03d-%s.csv", seq, s.Policy.Name())))
+			if ferr != nil {
+				return fmt.Errorf("experiments: trace file: %w", ferr)
+			}
+			sw := trace.NewSnapshotWriter(f, s.Apps)
+			defer func() {
+				if cerr := sw.Close(); cerr != nil && err == nil {
+					err = cerr
+				}
+			}()
+			own := s.OnSnapshot
+			s.OnSnapshot = func(snap core.Snapshot) {
+				sw.Observe(snap)
+				if own != nil {
+					own(snap)
+				}
+			}
+		}
 	}
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("run-%03d-%s.csv", seq, policy)))
+	n, err := node.New(s)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: trace file: %w", err)
+		return err
 	}
-	sw := trace.NewSnapshotWriter(f, specs)
-	return sw, sw.Close, nil
+	return run(n)
 }
 
 // CoreMeasure is one core's averages over a measurement window.
@@ -164,6 +184,27 @@ const (
 	PriorityPol PolicyKind = "priority"
 )
 
+// opconfigNames maps the studies' policy names onto the names
+// opconfig.PolicyFor builds by.
+var opconfigNames = map[string]string{
+	string(FreqShares):  "frequency",
+	"freq-shares":       "frequency",
+	string(PerfShares):  "performance",
+	"perf-shares":       "performance",
+	string(PowerShares): "power",
+	string(PriorityPol): "priority",
+	"slo-feedback":      "slo-feedback",
+}
+
+// policyFor builds a study's policy by its display name.
+func policyFor(name string, chip platform.Chip, specs []core.AppSpec, limit units.Watts, slos ...core.SLOTarget) (core.Policy, error) {
+	n, ok := opconfigNames[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown policy %q", name)
+	}
+	return opconfig.PolicyFor(n, chip, specs, limit, slos...)
+}
+
 // RunConfig describes one co-location run.
 type RunConfig struct {
 	Chip      platform.Chip
@@ -177,7 +218,6 @@ type RunConfig struct {
 	Limit     units.Watts
 	Warmup    time.Duration // default 40 s
 	Window    time.Duration // default 20 s
-	Tick      time.Duration // default 1 ms
 }
 
 // profiles resolves the run's workload profiles, preferring the explicit
@@ -200,130 +240,53 @@ func (c RunConfig) profiles() ([]workload.Profile, error) {
 	return out, nil
 }
 
-func (c *RunConfig) fill() {
-	if c.Warmup <= 0 {
-		c.Warmup = 40 * time.Second
-	}
-	if c.Window <= 0 {
-		c.Window = 20 * time.Second
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
-	}
-}
-
 // RunResult is one run's measurements.
 type RunResult struct {
 	Measure
-	Parked []bool               // per occupied core: starved at the end of the run
-	Apps   []*workload.Instance // the pinned instances, in core order
+	Parked []bool // per occupied core: starved at the end of the run
 }
 
 // Run executes one co-location run and measures the steady-state window.
 func Run(cfg RunConfig) (RunResult, error) {
-	cfg.fill()
-	if cfg.Policy == RAPL {
-		m, apps, err := buildPinned(cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		for i := range cfg.Names {
-			if err := m.SetRequest(i, cfg.Chip.Freq.Max()); err != nil {
-				return RunResult{}, err
-			}
-		}
-		m.SetPowerLimit(cfg.Limit)
-		return measureSteady(cfg, m, apps, nil)
-	}
 	specs, err := buildSpecs(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	pol, err := buildPolicy(cfg, specs)
-	if err != nil {
-		return RunResult{}, err
+	var pol core.Policy
+	if cfg.Policy != RAPL {
+		if pol, err = policyFor(string(cfg.Policy), cfg.Chip, specs, cfg.Limit); err != nil {
+			return RunResult{}, err
+		}
 	}
 	return runWithPolicy(cfg, specs, pol)
 }
 
-// runWithPolicy executes a run under an explicitly constructed policy —
-// used by Run and by studies that need policy options the generic builder
-// does not expose (e.g. partial LP starvation).
+// runWithPolicy executes a run under an explicitly constructed policy (nil
+// for the RAPL baseline) — used by Run and by studies that need policy
+// options the by-name builder does not expose (e.g. partial LP
+// starvation). It runs the warmup, then measures the window. The specs
+// come from buildSpecs, which has resolved the config's profiles.
 func runWithPolicy(cfg RunConfig, specs []core.AppSpec, pol core.Policy) (res RunResult, err error) {
-	cfg.fill()
-	m, apps, err := buildPinned(cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sw, closeTrace, err := newRunTrace(pol.Name(), specs)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer func() {
-		if cerr := closeTrace(); cerr != nil && err == nil {
-			res, err = RunResult{}, cerr
-		}
-	}()
-	dcfg := daemon.Config{
-		Chip: cfg.Chip, Policy: pol, Apps: specs, Limit: cfg.Limit,
-	}
-	if sw != nil {
-		dcfg.OnSnapshot = sw.Observe
-	}
-	dmn, err := daemon.New(dcfg, m.Device(), daemon.MachineActuator{M: m})
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := dmn.AttachVirtual(m); err != nil {
-		return RunResult{}, err
-	}
-	return measureSteady(cfg, m, apps, dmn)
-}
-
-// buildPinned constructs the machine and pins the configured workloads.
-func buildPinned(cfg RunConfig) (*sim.Machine, []*workload.Instance, error) {
 	if len(cfg.Names) == 0 || len(cfg.Names) > cfg.Chip.NumCores {
-		return nil, nil, fmt.Errorf("experiments: %d apps on a %d-core chip", len(cfg.Names), cfg.Chip.NumCores)
+		return RunResult{}, fmt.Errorf("experiments: %d apps on a %d-core chip", len(cfg.Names), cfg.Chip.NumCores)
 	}
-	m, err := sim.New(cfg.Chip, sim.WithTick(cfg.Tick))
-	if err != nil {
-		return nil, nil, err
-	}
-	profiles, err := cfg.profiles()
-	if err != nil {
-		return nil, nil, err
-	}
-	apps := make([]*workload.Instance, len(cfg.Names))
-	for i := range cfg.Names {
-		apps[i] = workload.NewInstance(profiles[i])
-		if err := m.Pin(apps[i], i); err != nil {
-			return nil, nil, err
+	warmup, window := cmp.Or(cfg.Warmup, 40*time.Second), cmp.Or(cfg.Window, 20*time.Second)
+	err = withNode(node.Spec{Chip: cfg.Chip, Apps: specs, Profiles: cfg.Profiles, Policy: pol, Limit: cfg.Limit}, func(n *node.Node) error {
+		meter := NewMeter(n.M)
+		if err := n.Run(warmup); err != nil {
+			return err
 		}
-	}
-	return m, apps, nil
-}
-
-// measureSteady runs the warmup and measurement window and packages the
-// result.
-func measureSteady(cfg RunConfig, m *sim.Machine, apps []*workload.Instance, dmn *daemon.Daemon) (RunResult, error) {
-	meter := NewMeter(m)
-	m.Run(cfg.Warmup)
-	meter.Begin()
-	m.Run(cfg.Window)
-	if dmn != nil {
-		if err := dmn.Err(); err != nil {
-			return RunResult{}, err
+		meter.Begin()
+		if err := n.Run(window); err != nil {
+			return err
 		}
-	}
-	res := RunResult{
-		Measure: meter.Measure(),
-		Parked:  make([]bool, len(cfg.Names)),
-		Apps:    apps,
-	}
-	for i := range cfg.Names {
-		res.Parked[i] = m.Idle(i)
-	}
-	return res, nil
+		res = RunResult{Measure: meter.Measure(), Parked: make([]bool, len(cfg.Names))}
+		for i := range res.Parked {
+			res.Parked[i] = n.M.Idle(i)
+		}
+		return nil
+	})
+	return res, err
 }
 
 // buildSpecs assembles policy app specs from a run config.
@@ -358,21 +321,6 @@ func buildSpecs(cfg RunConfig) ([]core.AppSpec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// buildPolicy constructs the requested policy.
-func buildPolicy(cfg RunConfig, specs []core.AppSpec) (core.Policy, error) {
-	switch cfg.Policy {
-	case FreqShares:
-		return core.NewFrequencyShares(cfg.Chip, specs, core.ShareConfig{})
-	case PerfShares:
-		return core.NewPerformanceShares(cfg.Chip, specs, core.ShareConfig{})
-	case PowerShares:
-		return core.NewPowerShares(cfg.Chip, specs, core.ShareConfig{})
-	case PriorityPol:
-		return core.NewPriority(cfg.Chip, specs, core.PriorityConfig{Limit: cfg.Limit})
-	}
-	return nil, fmt.Errorf("experiments: unknown policy %q", cfg.Policy)
 }
 
 // baselineKey caches standalone measurements per chip and profile.
@@ -429,7 +377,7 @@ func StandaloneIPS(chip platform.Chip, name string) float64 {
 
 // classMeans averages a measurement over the cores for which sel is true.
 func classMeans(res RunResult, sel func(i int) bool) (freq units.Hertz, ips float64, power units.Watts, n int) {
-	for i := range res.Apps {
+	for i := range res.Parked {
 		if !sel(i) {
 			continue
 		}

@@ -48,8 +48,7 @@ func ConsolidationStudy() (ConsolidationResult, error) {
 			variant = "partial"
 		}
 		// Build through the generic runner but with a custom policy: the
-		// runner's buildPolicy doesn't know about PartialLP, so construct
-		// the pieces here.
+		// by-name builder doesn't know about PartialLP.
 		cfg := RunConfig{
 			Chip: chip, Names: names, HP: hp,
 			Policy: PriorityPol, Limit: 40,

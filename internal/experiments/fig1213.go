@@ -4,9 +4,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -38,92 +37,58 @@ type LatencyResult struct {
 // Figure12Limits are the sweep points.
 var Figure12Limits = []units.Watts{55, 50, 45, 40, 35}
 
-// latencyRun performs one scenario run and reports p90 plus mean
-// frequencies of the two classes.
-func latencyRun(limit units.Watts, scenario string) (LatencyCell, error) {
+// latencyRun performs one scenario run — websearch seeded by seed, after
+// warmup — and reports p90 plus mean frequencies of the two classes.
+// "alone" and "rapl" run the RAPL baseline, without and with cpuburn.
+func latencyRun(limit units.Watts, scenario string, seed int64, warmup time.Duration) (LatencyCell, error) {
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		return LatencyCell{}, err
+	wcfg := websearchConfig(seed)
+	specs := make([]core.AppSpec, 0, 10)
+	for _, c := range wcfg.Cores {
+		specs = append(specs, core.AppSpec{
+			Name: "websearch", Core: c, Shares: 90, HighPriority: true,
+			BaselineIPS: wcfg.Profile.IPS(chip.Freq.Ceiling(1, false)),
+		})
 	}
-	wcfg := websearchConfig(2)
-	model, err := svc.NewModel(wcfg)
-	if err != nil {
-		return LatencyCell{}, err
-	}
-	if err := model.Attach(m); err != nil {
-		return LatencyCell{}, err
-	}
-	ws := model.Service(wcfg.Name)
 	withBurn := scenario != "alone"
 	if withBurn {
-		if err := m.Pin(workload.NewInstance(workload.CPUBurn), 9); err != nil {
-			return LatencyCell{}, err
-		}
-	}
-	meter := NewMeter(m)
-
-	switch scenario {
-	case "alone", "rapl":
-		for _, c := range wcfg.Cores {
-			if err := m.SetRequest(c, chip.Freq.Max()); err != nil {
-				return LatencyCell{}, err
-			}
-		}
-		if withBurn {
-			if err := m.SetRequest(9, chip.Freq.Max()); err != nil {
-				return LatencyCell{}, err
-			}
-		}
-		m.SetPowerLimit(limit)
-	case "freq-shares", "perf-shares":
-		specs := make([]core.AppSpec, 0, 10)
-		for _, c := range wcfg.Cores {
-			specs = append(specs, core.AppSpec{
-				Name: "websearch", Core: c, Shares: 90, HighPriority: true,
-				BaselineIPS: wcfg.Profile.IPS(chip.Freq.Ceiling(1, false)),
-			})
-		}
 		specs = append(specs, core.AppSpec{
 			Name: "cpuburn", Core: 9, Shares: 10, AVX: true,
 			BaselineIPS: workload.CPUBurn.IPS(chip.Freq.Ceiling(1, true)),
 		})
-		var pol core.Policy
+	}
+	var pol core.Policy
+	if scenario != "alone" && scenario != "rapl" {
 		var err error
-		if scenario == "freq-shares" {
-			pol, err = core.NewFrequencyShares(chip, specs, core.ShareConfig{})
-		} else {
-			pol, err = core.NewPerformanceShares(chip, specs, core.ShareConfig{})
-		}
-		if err != nil {
-			return LatencyCell{}, err
-		}
-		d, err := daemon.New(daemon.Config{
-			Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-		}, m.Device(), daemon.MachineActuator{M: m})
-		if err != nil {
-			return LatencyCell{}, err
-		}
-		if err := d.AttachVirtual(m); err != nil {
+		if pol, err = policyFor(scenario, chip, specs, limit); err != nil {
 			return LatencyCell{}, err
 		}
 	}
-
-	m.Run(15 * time.Second)
-	ws.ResetStats()
-	meter.Begin()
-	m.Run(30 * time.Second)
-	ms := meter.Measure()
-	cell := LatencyCell{Limit: limit, Scenario: scenario, P90: ws.LatencyPercentile(90)}
-	var wf units.Hertz
-	for _, c := range wcfg.Cores {
-		wf += ms.Cores[c].MeanFreq
-	}
-	cell.WebsearchFreq = wf / units.Hertz(len(wcfg.Cores))
-	if withBurn {
-		cell.CpuburnFreq = ms.Cores[9].MeanFreq
-	}
-	return cell, nil
+	cell := LatencyCell{Limit: limit, Scenario: scenario}
+	err := withNode(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: limit, Services: []svc.Config{wcfg}}, func(n *node.Node) error {
+		ws := n.Services.Service(wcfg.Name)
+		meter := NewMeter(n.M)
+		if err := n.Run(warmup); err != nil {
+			return err
+		}
+		ws.ResetStats()
+		meter.Begin()
+		if err := n.Run(30 * time.Second); err != nil {
+			return err
+		}
+		ms := meter.Measure()
+		cell.P90 = ws.LatencyPercentile(90)
+		var wf units.Hertz
+		for _, c := range wcfg.Cores {
+			wf += ms.Cores[c].MeanFreq
+		}
+		cell.WebsearchFreq = wf / units.Hertz(len(wcfg.Cores))
+		if withBurn {
+			cell.CpuburnFreq = ms.Cores[9].MeanFreq
+		}
+		return nil
+	})
+	return cell, err
 }
 
 // Figure12 runs the latency-sensitive comparison (Figure 13's frequency
@@ -131,14 +96,14 @@ func latencyRun(limit units.Watts, scenario string) (LatencyCell, error) {
 func Figure12() (LatencyResult, error) {
 	var out LatencyResult
 	for _, limit := range Figure12Limits {
-		alone, err := latencyRun(limit, "alone")
+		alone, err := latencyRun(limit, "alone", 2, 15*time.Second)
 		if err != nil {
 			return LatencyResult{}, err
 		}
 		alone.Relative = 1
 		out.Cells = append(out.Cells, alone)
 		for _, scenario := range []string{"rapl", "freq-shares", "perf-shares"} {
-			cell, err := latencyRun(limit, scenario)
+			cell, err := latencyRun(limit, scenario, 2, 15*time.Second)
 			if err != nil {
 				return LatencyResult{}, err
 			}

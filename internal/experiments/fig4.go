@@ -3,11 +3,11 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Figure4Row is one (limit, throttle frequency) cell of the RAPL × per-core
@@ -39,29 +39,27 @@ var (
 func Figure4() (Figure4Result, error) {
 	chip := platform.Skylake()
 
-	run := func(limit units.Watts, throttle units.Hertz) (Measure, error) {
-		m, err := sim.New(chip)
-		if err != nil {
-			return Measure{}, err
-		}
-		for i := 0; i < chip.NumCores; i++ {
-			if err := m.Pin(workload.NewInstance(workload.MustByName("gcc")), i); err != nil {
-				return Measure{}, err
+	specs := make([]core.AppSpec, chip.NumCores)
+	for i := range specs {
+		specs[i] = core.AppSpec{Name: "gcc", Core: i}
+	}
+	run := func(limit units.Watts, throttle units.Hertz) (ms Measure, err error) {
+		// The RAPL baseline requests the maximum everywhere; the upper
+		// half is then throttled.
+		err = withNode(node.Spec{Chip: chip, Apps: specs, Limit: limit}, func(n *node.Node) error {
+			for i := chip.NumCores / 2; i < chip.NumCores; i++ {
+				if err := n.M.SetRequest(i, throttle); err != nil {
+					return err
+				}
 			}
-			req := chip.Freq.Max()
-			if i >= chip.NumCores/2 {
-				req = throttle
-			}
-			if err := m.SetRequest(i, req); err != nil {
-				return Measure{}, err
-			}
-		}
-		m.SetPowerLimit(limit)
-		meter := NewMeter(m)
-		m.Run(5 * time.Second)
-		meter.Begin()
-		m.Run(10 * time.Second)
-		return meter.Measure(), nil
+			meter := NewMeter(n.M)
+			n.M.Run(5 * time.Second)
+			meter.Begin()
+			n.M.Run(10 * time.Second)
+			ms = meter.Measure()
+			return nil
+		})
+		return ms, err
 	}
 
 	// Baseline: all cores unconstrained at 85 W.

@@ -3,12 +3,9 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // Figure5Row is one power limit's latency outcome.
@@ -42,56 +39,21 @@ func websearchConfig(seed int64) svc.Config {
 	return svc.Websearch(300, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, seed)
 }
 
-// websearchP90 runs websearch under a RAPL limit, optionally with cpuburn
-// on the remaining core, and returns the p90 latency of the steady window.
-func websearchP90(limit units.Watts, withBurn bool) (float64, error) {
-	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		return 0, err
-	}
-	wcfg := websearchConfig(1)
-	model, err := svc.NewModel(wcfg)
-	if err != nil {
-		return 0, err
-	}
-	if err := model.Attach(m); err != nil {
-		return 0, err
-	}
-	ws := model.Service(wcfg.Name)
-	for _, c := range wcfg.Cores {
-		if err := m.SetRequest(c, chip.Freq.Max()); err != nil {
-			return 0, err
-		}
-	}
-	if withBurn {
-		if err := m.Pin(workload.NewInstance(workload.CPUBurn), 9); err != nil {
-			return 0, err
-		}
-		if err := m.SetRequest(9, chip.Freq.Max()); err != nil {
-			return 0, err
-		}
-	}
-	m.SetPowerLimit(limit)
-	m.Run(10 * time.Second)
-	ws.ResetStats()
-	m.Run(30 * time.Second)
-	return ws.LatencyPercentile(90), nil
-}
-
 // Figure5 runs the unfair-throttling experiment.
 func Figure5() (Figure5Result, error) {
 	out := Figure5Result{Users: 300}
 	for _, limit := range Figure5Limits {
-		alone, err := websearchP90(limit, false)
+		// Websearch seeded 1, 10 s of warmup, under RAPL without and with
+		// cpuburn on the tenth core.
+		alone, err := latencyRun(limit, "alone", 1, 10*time.Second)
 		if err != nil {
 			return Figure5Result{}, err
 		}
-		coloc, err := websearchP90(limit, true)
+		coloc, err := latencyRun(limit, "rapl", 1, 10*time.Second)
 		if err != nil {
 			return Figure5Result{}, err
 		}
-		out.Rows = append(out.Rows, Figure5Row{Limit: limit, AloneP90: alone, ColocatedP90: coloc})
+		out.Rows = append(out.Rows, Figure5Row{Limit: limit, AloneP90: alone.P90, ColocatedP90: coloc.P90})
 	}
 	return out, nil
 }

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -127,90 +126,44 @@ func sloSpecsFor(chip platform.Chip) []core.AppSpec {
 	return specs
 }
 
-// sloPolicyFor constructs one of the compared policies.
-func sloPolicyFor(name string, chip platform.Chip, specs []core.AppSpec, limit units.Watts) (core.Policy, error) {
-	switch name {
-	case "slo-feedback":
-		return core.NewSLOFeedback(chip, specs, core.SLOConfig{
-			Targets: []core.SLOTarget{{Service: "websearch", P99: sloSetpoint()}},
-		})
-	case "frequency-shares":
-		return core.NewFrequencyShares(chip, specs, core.ShareConfig{})
-	case "performance-shares":
-		return core.NewPerformanceShares(chip, specs, core.ShareConfig{})
-	case "power-shares":
-		return core.NewPowerShares(chip, specs, core.ShareConfig{})
-	case "priority":
-		return core.NewPriority(chip, specs, core.PriorityConfig{Limit: limit})
-	}
-	return nil, fmt.Errorf("experiments: unknown SLO study policy %q", name)
-}
-
 // sloRun executes one policy for one warmup period plus two measured
 // diurnal periods and reports the window's latency distribution.
 func sloRun(policy string, limit units.Watts) (SLOCell, error) {
 	chip := platform.Ryzen()
-	m, err := sim.New(chip)
-	if err != nil {
-		return SLOCell{}, err
-	}
 	scfg, err := sloServiceConfig()
 	if err != nil {
 		return SLOCell{}, err
 	}
-	model, err := svc.NewModel(scfg)
-	if err != nil {
-		return SLOCell{}, err
-	}
-	if err := model.Attach(m); err != nil {
-		return SLOCell{}, err
-	}
-	for _, c := range sloBatchCores {
-		if err := m.Pin(workload.NewInstance(workload.CPUBurn), c); err != nil {
-			return SLOCell{}, err
-		}
-	}
 	specs := sloSpecsFor(chip)
-	pol, err := sloPolicyFor(policy, chip, specs, limit)
+	targets := []core.SLOTarget{{Service: "websearch", P99: sloSetpoint()}}
+	pol, err := policyFor(policy, chip, specs, limit, targets...)
 	if err != nil {
 		return SLOCell{}, err
 	}
-	sw, closeTrace, err := newRunTrace(pol.Name(), specs)
-	if err != nil {
-		return SLOCell{}, err
-	}
-	defer func() {
-		if cerr := closeTrace(); cerr != nil && err == nil {
-			err = cerr
+	var s *svc.Service
+	var ms Measure
+	var done0 uint64
+	err = withNode(node.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: limit,
+		Services: []svc.Config{scfg}, SLOTargets: targets,
+	}, func(n *node.Node) error {
+		s = n.Services.Service("websearch")
+		meter := NewMeter(n.M)
+		if err := n.Run(SLOStudyPeriod); err != nil { // one warmup period
+			return err
 		}
-	}()
-	dcfg := daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-		SLO:        model,
-		SLOTargets: []core.SLOTarget{{Service: "websearch", P99: sloSetpoint()}},
-	}
-	if sw != nil {
-		dcfg.OnSnapshot = sw.Observe
-	}
-	dmn, err := daemon.New(dcfg, m.Device(), daemon.MachineActuator{M: m})
+		s.ResetStats()
+		done0 = s.Completed()
+		meter.Begin()
+		if err := n.Run(2 * SLOStudyPeriod); err != nil { // two measured periods
+			return err
+		}
+		ms = meter.Measure()
+		return nil
+	})
 	if err != nil {
 		return SLOCell{}, err
 	}
-	if err := dmn.AttachVirtual(m); err != nil {
-		return SLOCell{}, err
-	}
-
-	s := model.Service("websearch")
-	meter := NewMeter(m)
-	m.Run(SLOStudyPeriod) // one warmup period
-	s.ResetStats()
-	done0 := s.Completed()
-	meter.Begin()
-	m.Run(2 * SLOStudyPeriod) // two measured periods
-	if err := dmn.Err(); err != nil {
-		return SLOCell{}, err
-	}
-	ms := meter.Measure()
 
 	cell := SLOCell{
 		Policy:  policy,

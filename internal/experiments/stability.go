@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -70,22 +69,14 @@ func stabilityRun(chip platform.Chip, names []string, kind PolicyKind) (Stabilit
 		totalIters = 150
 		warmIters  = 30
 	)
-	m, err := sim.New(chip)
-	if err != nil {
-		return StabilityCell{}, err
-	}
 	specs := make([]core.AppSpec, len(names))
 	for i, n := range names {
-		p := workload.MustByName(n)
-		if err := m.Pin(workload.NewInstance(p), i); err != nil {
-			return StabilityCell{}, err
-		}
 		specs[i] = core.AppSpec{
-			Name: n, Core: i, Shares: 50, AVX: p.AVX,
+			Name: n, Core: i, Shares: 50, AVX: workload.MustByName(n).AVX,
 			BaselineIPS: StandaloneIPS(chip, n),
 		}
 	}
-	pol, err := buildPolicy(RunConfig{Chip: chip, Policy: kind, Limit: 40}, specs)
+	pol, err := policyFor(string(kind), chip, specs, 40)
 	if err != nil {
 		return StabilityCell{}, err
 	}
@@ -98,8 +89,8 @@ func stabilityRun(chip platform.Chip, names []string, kind PolicyKind) (Stabilit
 	iter := 0
 	moves := 0
 	prevFreqs := make([]units.Hertz, len(specs))
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: 40,
+	err = withNode(node.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: 40,
 		OnSnapshot: func(s core.Snapshot) {
 			iter++
 			if iter <= warmIters {
@@ -122,15 +113,8 @@ func stabilityRun(chip platform.Chip, names []string, kind PolicyKind) (Stabilit
 			}
 			pkg.Add(float64(s.PackagePower))
 		},
-	}, m.Device(), daemon.MachineActuator{M: m})
+	}, func(n *node.Node) error { return n.Run(time.Duration(totalIters+1) * time.Second) })
 	if err != nil {
-		return StabilityCell{}, err
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		return StabilityCell{}, err
-	}
-	m.Run(time.Duration(totalIters+1) * time.Second)
-	if err := d.Err(); err != nil {
 		return StabilityCell{}, err
 	}
 

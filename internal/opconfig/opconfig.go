@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/platform"
 	"repro/internal/svc"
 	"repro/internal/units"
@@ -153,22 +155,12 @@ func (c Config) Validate() error {
 				return fmt.Errorf("opconfig: app %d: %w", i, err)
 			}
 		}
-		switch c.Policy {
-		case "priority":
-			if a.Priority != "hp" && a.Priority != "lp" {
-				return fmt.Errorf("opconfig: app %q needs priority hp or lp", a.Name)
-			}
-		case "priority-shares":
-			if a.Priority != "hp" && a.Priority != "lp" {
-				return fmt.Errorf("opconfig: app %q needs priority hp or lp", a.Name)
-			}
-			if a.Shares <= 0 {
-				return fmt.Errorf("opconfig: app %q needs positive shares for the %s policy", a.Name, c.Policy)
-			}
-		default:
-			if a.Shares > 0 {
-				break
-			}
+		// Both priority policies need a class; every policy but the
+		// plain priority one needs shares.
+		if strings.HasPrefix(c.Policy, "priority") && a.Priority != "hp" && a.Priority != "lp" {
+			return fmt.Errorf("opconfig: app %q needs priority hp or lp", a.Name)
+		}
+		if c.Policy != "priority" && a.Shares <= 0 {
 			return fmt.Errorf("opconfig: app %q needs positive shares for the %s policy", a.Name, c.Policy)
 		}
 		if a.MaxFreqMHz < 0 {
@@ -199,85 +191,21 @@ func (c Config) hasSLO(service string) bool {
 	return false
 }
 
-// SLOTargets converts the configured objectives to the daemon's typed
-// form.
-func (c Config) SLOTargets() []core.SLOTarget {
-	if len(c.SLOs) == 0 {
-		return nil
-	}
-	ts := make([]core.SLOTarget, len(c.SLOs))
-	for i, s := range c.SLOs {
-		ts[i] = core.SLOTarget{
-			Service: s.Service,
-			P99:     time.Duration(s.TargetP99MS * float64(time.Millisecond)),
-		}
-	}
-	return ts
-}
-
-// BuildServices materialises one latency service per declared SLO,
-// serving on the cores of the app entries that name it. Trace files are
-// read here so a bad path fails at load time, not mid-run; seeds are
-// positional so a run is reproducible from its config alone.
-func (c Config) BuildServices() ([]svc.Config, error) {
-	if len(c.SLOs) == 0 {
-		return nil, nil
-	}
-	out := make([]svc.Config, 0, len(c.SLOs))
-	for i, s := range c.SLOs {
-		var cores []int
-		for _, a := range c.Apps {
-			if a.Name == s.Service {
-				cores = append(cores, a.Core)
-			}
-		}
-		if len(cores) == 0 {
-			return nil, fmt.Errorf("opconfig: slo service %q has no app entries to serve on", s.Service)
-		}
-		sc := svc.Config{
-			Name:  s.Service,
-			Cores: cores,
-			Seed:  int64(i + 1),
-			SLO:   time.Duration(s.TargetP99MS * float64(time.Millisecond)),
-		}
-		switch {
-		case s.RatePerSec > 0:
-			sc.Arrivals = svc.OpenPoisson
-			sc.Rate = svc.ConstantRate(s.RatePerSec)
-		case s.Trace != "":
-			f, err := os.Open(s.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("opconfig: slo service %q: %w", s.Service, err)
-			}
-			arrivals, perr := svc.ParseTrace(f)
-			f.Close()
-			if perr != nil {
-				return nil, fmt.Errorf("opconfig: slo service %q trace %s: %w", s.Service, s.Trace, perr)
-			}
-			sc.Arrivals = svc.OpenTrace
-			sc.Trace = arrivals
-		case s.Users > 0:
-			sc.Arrivals = svc.Closed
-			sc.Users = s.Users
-		default:
-			sc.Arrivals = svc.Closed
-			sc.Users = 300
-		}
-		out = append(out, sc)
-	}
-	return out, nil
-}
-
-// Build materialises the chip, app specs (with analytic standalone
-// baselines for the performance policy), and the policy itself.
-func (c Config) Build() (platform.Chip, []core.AppSpec, core.Policy, error) {
+// Spec materialises the configuration as a node: the chip, the app specs
+// (with analytic standalone baselines for the performance policy), the
+// policy, and one latency service per declared SLO with its objective. A
+// service serves on the cores of the app entries that name it. Trace files
+// are read here so a bad path fails at load time, not mid-run; service
+// seeds are positional so a run is reproducible from its config alone.
+// Recorders, faults and hooks are the caller's to add.
+func (c Config) Spec() (node.Spec, error) {
 	chip, err := platform.ByName(c.Platform)
 	if err != nil {
-		return platform.Chip{}, nil, nil, err
+		return node.Spec{}, err
 	}
-	specs := make([]core.AppSpec, len(c.Apps))
+	s := node.Spec{Chip: chip, Apps: make([]core.AppSpec, len(c.Apps)), Limit: c.Limit(), Interval: c.Interval()}
 	for i, a := range c.Apps {
-		specs[i] = core.AppSpec{
+		s.Apps[i] = core.AppSpec{
 			Name:         a.Name,
 			Core:         a.Core,
 			Shares:       units.Shares(a.Shares),
@@ -292,24 +220,61 @@ func (c Config) Build() (platform.Chip, []core.AppSpec, core.Policy, error) {
 		}
 		p, err := workload.ByName(a.Name)
 		if err != nil {
-			return platform.Chip{}, nil, nil, err
+			return node.Spec{}, err
 		}
-		specs[i].Name = p.Name
-		specs[i].AVX = p.AVX
+		s.Apps[i].Name = p.Name
+		s.Apps[i].AVX = p.AVX
 		if c.Policy == "performance" {
-			specs[i].BaselineIPS = p.IPS(chip.Freq.Ceiling(1, p.AVX))
+			s.Apps[i].BaselineIPS = p.IPS(chip.Freq.Ceiling(1, p.AVX))
 		}
 	}
-	pol, err := PolicyFor(c.Policy, chip, specs, c.Limit(), c.SLOTargets()...)
-	if err != nil {
-		return platform.Chip{}, nil, nil, err
+	for i, o := range c.SLOs {
+		target := time.Duration(o.TargetP99MS * float64(time.Millisecond))
+		s.SLOTargets = append(s.SLOTargets, core.SLOTarget{Service: o.Service, P99: target})
+		sc := svc.Config{Name: o.Service, Seed: int64(i + 1), SLO: target}
+		for _, a := range c.Apps {
+			if a.Name == o.Service {
+				sc.Cores = append(sc.Cores, a.Core)
+			}
+		}
+		if len(sc.Cores) == 0 {
+			return node.Spec{}, fmt.Errorf("opconfig: slo service %q has no app entries to serve on", o.Service)
+		}
+		switch {
+		case o.RatePerSec > 0:
+			sc.Arrivals = svc.OpenPoisson
+			sc.Rate = svc.ConstantRate(o.RatePerSec)
+		case o.Trace != "":
+			f, err := os.Open(o.Trace)
+			if err != nil {
+				return node.Spec{}, fmt.Errorf("opconfig: slo service %q: %w", o.Service, err)
+			}
+			arrivals, perr := svc.ParseTrace(f)
+			f.Close()
+			if perr != nil {
+				return node.Spec{}, fmt.Errorf("opconfig: slo service %q trace %s: %w", o.Service, o.Trace, perr)
+			}
+			sc.Arrivals = svc.OpenTrace
+			sc.Trace = arrivals
+		case o.Users > 0:
+			sc.Arrivals = svc.Closed
+			sc.Users = o.Users
+		default:
+			sc.Arrivals = svc.Closed
+			sc.Users = 300
+		}
+		s.Services = append(s.Services, sc)
 	}
-	return chip, specs, pol, nil
+	if s.Policy, err = PolicyFor(c.Policy, chip, s.Apps, s.Limit, s.SLOTargets...); err != nil {
+		return node.Spec{}, err
+	}
+	return s, nil
 }
 
 // PolicyFor builds the named policy over chip and specs — the single
-// by-name constructor shared by config loading, cmd/powerd's flags, and the
-// control plane's live-reconfigure path. For the performance policy, specs
+// by-name constructor shared by config loading (and so cmd/powerd), the
+// studies in internal/experiments, and the control plane's
+// live-reconfigure path. For the performance policy, specs
 // missing a standalone baseline get the analytic one when their workload
 // profile is known. The optional trailing SLO targets parameterise the
 // slo-feedback policy (which requires at least one) and are ignored by the

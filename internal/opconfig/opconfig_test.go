@@ -33,16 +33,20 @@ func TestParseGood(t *testing.T) {
 	if c.Limit() != 50 {
 		t.Errorf("Limit = %v", c.Limit())
 	}
-	chip, specs, pol, err := c.Build()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chip.Vendor != "Intel" {
-		t.Errorf("chip = %s", chip.Name)
+	if ns.Chip.Vendor != "Intel" {
+		t.Errorf("chip = %s", ns.Chip.Name)
 	}
-	if pol.Name() != "frequency-shares" {
-		t.Errorf("policy = %s", pol.Name())
+	if ns.Policy.Name() != "frequency-shares" {
+		t.Errorf("policy = %s", ns.Policy.Name())
 	}
+	if ns.Interval != 500*time.Millisecond || ns.Limit != 50 || ns.Services != nil {
+		t.Errorf("spec interval %v, limit %v, services %v", ns.Interval, ns.Limit, ns.Services)
+	}
+	specs := ns.Apps
 	if specs[1].MaxFreq != 1700*units.MHz {
 		t.Errorf("MaxFreq = %v", specs[1].MaxFreq)
 	}
@@ -88,14 +92,14 @@ func TestPriorityPolicyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, specs, pol, err := c.Build()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Name() != "priority" {
-		t.Errorf("policy = %s", pol.Name())
+	if ns.Policy.Name() != "priority" {
+		t.Errorf("policy = %s", ns.Policy.Name())
 	}
-	if !specs[0].HighPriority || specs[1].HighPriority {
+	if specs := ns.Apps; !specs[0].HighPriority || specs[1].HighPriority {
 		t.Error("priority flags wrong")
 	}
 }
@@ -114,12 +118,12 @@ func TestPrioritySharesPolicyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, pol, err := c.Build()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Name() != "priority+shares" {
-		t.Errorf("policy = %s", pol.Name())
+	if ns.Policy.Name() != "priority+shares" {
+		t.Errorf("policy = %s", ns.Policy.Name())
 	}
 	// Missing shares is rejected for this policy.
 	bad := strings.Replace(doc, `, "shares": 90`, "", 1)
@@ -134,11 +138,11 @@ func TestPerformancePolicyGetsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, specs, _, err := c.Build()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range specs {
+	for _, s := range ns.Apps {
 		if s.BaselineIPS <= 0 {
 			t.Errorf("%s missing baseline", s.Name)
 		}
@@ -151,7 +155,7 @@ func TestPowerPolicyRejectedOnSkylakeAtBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Build(); err == nil {
+	if _, err := c.Spec(); err == nil {
 		t.Error("power shares on Skylake accepted at build")
 	}
 }
@@ -175,21 +179,20 @@ func TestSLOFeedbackPolicyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, specs, pol, err := c.Build()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Name() != "slo-feedback" {
-		t.Errorf("policy = %s", pol.Name())
+	if ns.Policy.Name() != "slo-feedback" {
+		t.Errorf("policy = %s", ns.Policy.Name())
 	}
 	// Service entries keep their service name; batch apps resolve
 	// through the workload registry as before.
-	if specs[0].Name != "websearch" || specs[2].Name != "gcc" {
+	if specs := ns.Apps; specs[0].Name != "websearch" || specs[2].Name != "gcc" {
 		t.Errorf("spec names = %s, %s", specs[0].Name, specs[2].Name)
 	}
-	ts := c.SLOTargets()
-	if len(ts) != 1 || ts[0].Service != "websearch" || ts[0].P99 != 80*time.Millisecond {
-		t.Errorf("SLOTargets = %+v", ts)
+	if ts := ns.SLOTargets; len(ts) != 1 || ts[0].Service != "websearch" || ts[0].P99 != 80*time.Millisecond {
+		t.Errorf("SLOTargets = %+v", ns.SLOTargets)
 	}
 }
 
@@ -224,10 +227,11 @@ func TestBuildServices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcs, err := c.BuildServices()
+	ns, err := c.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	svcs := ns.Services
 	if len(svcs) != 1 {
 		t.Fatalf("services = %d, want 1", len(svcs))
 	}
@@ -251,16 +255,17 @@ func TestBuildServices(t *testing.T) {
 }
 
 func TestBuildServicesLoadKnobs(t *testing.T) {
-	withKnob := func(knob string) Config {
+	withKnob := func(knob string) ([]svc.Config, error) {
 		doc := strings.Replace(sloDoc, `"target_p99_ms": 80`, `"target_p99_ms": 80, `+knob, 1)
 		c, err := Parse(strings.NewReader(doc))
 		if err != nil {
 			t.Fatalf("%s: %v", knob, err)
 		}
-		return c
+		ns, err := c.Spec()
+		return ns.Services, err
 	}
 
-	svcs, err := withKnob(`"rate_per_sec": 120`).BuildServices()
+	svcs, err := withKnob(`"rate_per_sec": 120`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +273,7 @@ func TestBuildServicesLoadKnobs(t *testing.T) {
 		t.Errorf("rate knob: arrivals %v rate %v", svcs[0].Arrivals, svcs[0].Rate.Base)
 	}
 
-	svcs, err = withKnob(`"users": 40`).BuildServices()
+	svcs, err = withKnob(`"users": 40`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +285,7 @@ func TestBuildServicesLoadKnobs(t *testing.T) {
 	if err := os.WriteFile(path, []byte("padtrace/1\n10ms x3\n50ms\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	svcs, err = withKnob(`"trace": "` + path + `"`).BuildServices()
+	svcs, err = withKnob(`"trace": "` + path + `"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +293,7 @@ func TestBuildServicesLoadKnobs(t *testing.T) {
 		t.Errorf("trace knob: arrivals %v len %d, want trace/4", svcs[0].Arrivals, len(svcs[0].Trace))
 	}
 
-	if _, err := withKnob(`"trace": "` + filepath.Join(t.TempDir(), "missing.pt") + `"`).BuildServices(); err == nil {
+	if _, err := withKnob(`"trace": "` + filepath.Join(t.TempDir(), "missing.pt") + `"`); err == nil {
 		t.Error("missing trace file accepted")
 	}
 
