@@ -7,10 +7,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -20,32 +19,19 @@ import (
 func newNode(t *testing.T, name string, apps []string) *Node {
 	t.Helper()
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
 	specs := make([]core.AppSpec, len(apps))
 	for i, a := range apps {
-		p := workload.MustByName(a)
-		if err := m.Pin(workload.NewInstance(p), i); err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50, AVX: p.AVX}
+		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50, AVX: workload.MustByName(a).AVX}
 	}
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: chip.RAPLMax,
-	}, m.Device(), daemon.MachineActuator{M: m})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: chip.RAPLMax})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
-	return &Node{Name: name, M: m, Daemon: d}
+	return &Node{Name: name, M: n.M, Daemon: n.Daemon}
 }
 
 func hungry(t *testing.T, name string) *Node {

@@ -13,14 +13,13 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/flight"
 	"repro/internal/metrics"
-	"repro/internal/metrics/decisions"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/powerapi"
 	"repro/internal/sim"
 	"repro/internal/tracing"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // wireNode is one loopback-HTTP node: machine, daemon, control-plane
@@ -40,48 +39,28 @@ type wireNode struct {
 func newWireNode(tb testing.TB, name string, limit units.Watts, rec *flight.Recorder, id int16, tr *tracing.Tracer) *wireNode {
 	tb.Helper()
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	apps := []string{"gcc", "cam4"}
-	specs := make([]core.AppSpec, len(apps))
-	for i, a := range apps {
-		p := workload.MustByName(a)
-		if err := m.Pin(workload.NewInstance(p), i); err != nil {
-			tb.Fatal(err)
-		}
-		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50, AVX: p.AVX}
-	}
+	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}, {Name: "cam4", Core: 1, Shares: 50, AVX: true}}
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	journal := decisions.NewJournal(0)
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-		Metrics: reg, Journal: journal,
-	}, m.Device(), daemon.MachineActuator{M: m})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: limit, Recorders: &node.Recorders{}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		tb.Fatal(err)
-	}
 	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
-		Name: name, NodeID: id, Daemon: d, Fallback: limit,
-		PolicyName: "frequency", Metrics: reg, Flight: rec, Tracer: tr,
+		Name: name, NodeID: id, Daemon: n.Daemon, Fallback: limit,
+		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec, Tracer: tr,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	osrv := obs.New(reg, journal, obs.DaemonStatusFunc(d),
+	osrv := obs.New(n.Metrics, n.Journal, obs.DaemonStatusFunc(n.Daemon),
 		obs.WithHandler(powerapi.PathPrefix, agent.Handler()))
 	srv := httptest.NewServer(osrv.Handler())
 	tb.Cleanup(srv.Close)
 	tb.Cleanup(agent.Close)
-	return &wireNode{name: name, m: m, d: d, srv: srv, tr: tr}
+	return &wireNode{name: name, m: n.M, d: n.Daemon, srv: srv, tr: tr}
 }
 
 // TestPartitionFallsBackWithinTTL is the acceptance check for lease

@@ -11,11 +11,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/tracing"
-	"repro/internal/workload"
 )
 
 // TestStatusCoherentUnderReconfigure scrapes /debug/status while live
@@ -26,16 +24,7 @@ import (
 // CI does) this also proves the snapshot path is data-race free.
 func TestStatusCoherentUnderReconfigure(t *testing.T) {
 	chip := platform.Skylake()
-	reg := metrics.NewRegistry()
-	m, err := sim.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := workload.MustByName("gcc")
-	if err := m.Pin(workload.NewInstance(p), 0); err != nil {
-		t.Fatal(err)
-	}
-	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 100, AVX: p.AVX, HighPriority: true}}
+	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 100, HighPriority: true}}
 	freq, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -44,16 +33,12 @@ func TestStatusCoherentUnderReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: freq, Apps: specs, Limit: 40, Metrics: reg,
-	}, m.Device(), daemon.MachineActuator{M: m})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: freq, Limit: 40, Recorders: &node.Recorders{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(reg, nil, DaemonStatusFunc(d)).Handler())
+	m, d := n.M, n.Daemon
+	srv := httptest.NewServer(New(n.Metrics, nil, DaemonStatusFunc(d)).Handler())
 	defer srv.Close()
 
 	// The two legal states the daemon ever occupies.

@@ -8,13 +8,11 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/flight"
 	"repro/internal/ledger"
+	"repro/internal/node"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // TestEnergyEndpointReplayBitIdentical is the PR's acceptance run: a
@@ -25,40 +23,22 @@ import (
 func TestEnergyEndpointReplayBitIdentical(t *testing.T) {
 	chip := platform.Skylake()
 	rec := flight.New(flight.DefaultCapacity)
-	m, err := sim.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := []string{"gcc", "cam4", "leela"}
 	specs := make([]core.AppSpec, len(names))
 	for i, n := range names {
-		if err := m.Pin(workload.NewInstance(workload.MustByName(n)), i); err != nil {
-			t.Fatal(err)
-		}
 		specs[i] = core.AppSpec{Name: n, Core: i, Shares: units.Shares(60 - 20*i)}
 	}
-	m.SetPowerLimit(40)
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	led, err := ledger.New(ledger.Config{Chip: chip, Apps: specs, Flight: rec})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: 40, Recorders: &node.Recorders{}, Flight: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: 40,
-		Interval: time.Second, // the paper's control interval
-		Ledger:   led,
-	}, m.Device(), daemon.MachineActuator{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
-	m.Run(10 * time.Minute)
-	if err := d.Err(); err != nil {
+	d, led := n.Daemon, n.Ledger
+	n.M.SetPowerLimit(40)
+	if err := n.Run(10 * time.Minute); err != nil { // the paper's 1 s interval
 		t.Fatal(err)
 	}
 	if got := d.Iterations(); got != 600 {

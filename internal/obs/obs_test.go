@@ -16,10 +16,9 @@ import (
 	"repro/internal/flight"
 	"repro/internal/flight/flighttest"
 	"repro/internal/metrics"
-	"repro/internal/metrics/decisions"
+	"repro/internal/node"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -28,38 +27,18 @@ import (
 func liveRun(t *testing.T) (*sim.Machine, *daemon.Daemon, *httptest.Server) {
 	t.Helper()
 	chip := platform.Skylake()
-	reg := metrics.NewRegistry()
-	journal := decisions.NewJournal(64)
-	m, err := sim.New(chip, sim.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"leela", "cactusBSSN"}
-	specs := make([]core.AppSpec, len(names))
-	for i, n := range names {
-		p := workload.MustByName(n)
-		if err := m.Pin(workload.NewInstance(p), i); err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = core.AppSpec{Name: n, Core: i, AVX: p.AVX, Shares: units.Shares(90 - 80*i)}
-	}
+	specs := []core.AppSpec{{Name: "leela", Core: 0, Shares: 90}, {Name: "cactusBSSN", Core: 1, Shares: 10}}
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: 50,
-		Metrics: reg, Journal: journal,
-	}, m.Device(), daemon.MachineActuator{M: m})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: 50, Recorders: &node.Recorders{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(reg, journal, DaemonStatusFunc(d)).Handler())
+	srv := httptest.NewServer(New(n.Metrics, n.Journal, DaemonStatusFunc(n.Daemon)).Handler())
 	t.Cleanup(srv.Close)
-	return m, d, srv
+	return n.M, n.Daemon, srv
 }
 
 func get(t *testing.T, url string) string {

@@ -12,14 +12,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flight"
-	"repro/internal/metrics"
 	"repro/internal/metrics/decisions"
+	nodepkg "repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/powerapi"
 	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // node is one loopback control-plane node: a simulated machine, its
@@ -38,48 +37,30 @@ type node struct {
 func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts, rec *flight.Recorder, id int16) *node {
 	t.Helper()
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apps := []string{"gcc", "cam4"}
-	specs := make([]core.AppSpec, len(apps))
-	for i, a := range apps {
-		p := workload.MustByName(a)
-		if err := m.Pin(workload.NewInstance(p), i); err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50, AVX: p.AVX}
-	}
+	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}, {Name: "cam4", Core: 1, Shares: 50, AVX: true}}
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry()
-	journal := decisions.NewJournal(0)
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-		Metrics: reg, Journal: journal, Flight: rec,
-	}, m.Device(), daemon.MachineActuator{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
-	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
-		Name: name, NodeID: id, Daemon: d, Fallback: fallback,
-		PolicyName: "frequency", Metrics: reg, Flight: rec,
+	n, err := nodepkg.New(nodepkg.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: limit, Recorders: &nodepkg.Recorders{}, Flight: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	osrv := obs.New(reg, journal, obs.DaemonStatusFunc(d),
+	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
+		Name: name, NodeID: id, Daemon: n.Daemon, Fallback: fallback,
+		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := obs.New(n.Metrics, n.Journal, obs.DaemonStatusFunc(n.Daemon),
 		obs.WithHandler(powerapi.PathPrefix, agent.Handler()))
 	srv := httptest.NewServer(osrv.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(agent.Close)
-	return &node{m: m, d: d, agent: agent, journal: journal, srv: srv}
+	return &node{m: n.M, d: n.Daemon, agent: agent, journal: n.Journal, srv: srv}
 }
 
 func TestStatusOverTheWire(t *testing.T) {

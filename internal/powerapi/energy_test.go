@@ -6,13 +6,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
-	"repro/internal/ledger"
+	nodepkg "repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/powerapi"
-	"repro/internal/sim"
-	"repro/internal/workload"
 
 	"net/http/httptest"
 )
@@ -23,35 +20,16 @@ import (
 // wire numbers equal the ledger's own, microjoule for microjoule.
 func TestStatusCarriesEnergy(t *testing.T) {
 	chip := platform.Skylake()
-	m, err := sim.New(chip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apps := []string{"gcc", "cam4"}
-	specs := make([]core.AppSpec, len(apps))
-	for i, a := range apps {
-		if err := m.Pin(workload.NewInstance(workload.MustByName(a)), i); err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50}
-	}
+	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}, {Name: "cam4", Core: 1, Shares: 50}}
 	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	led, err := ledger.New(ledger.Config{Chip: chip, Apps: specs})
+	n, err := nodepkg.New(nodepkg.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: 50, Recorders: &nodepkg.Recorders{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: 50, Ledger: led,
-	}, m.Device(), daemon.MachineActuator{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
-	}
+	m, d, led := n.M, n.Daemon, n.Ledger
 	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name: "n0", Daemon: d, PolicyName: "frequency", Ledger: led,
 	})
