@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/node"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 // sloChaosRun mirrors chaosRun with the SLO-feedback policy driving an
@@ -25,56 +24,28 @@ func sloChaosRun(t *testing.T, class fault.Class, schedText string, limit units.
 	}
 	rec := flight.New(flight.DefaultCapacity)
 	chip := platform.Skylake()
-	m, err := sim.New(chip, sim.WithFlightRecorder(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
 	target := 100 * time.Millisecond
-	model, err := svc.NewModel(svc.Config{
-		Name:     "websearch",
-		Cores:    []int{0, 1, 2},
-		Seed:     7,
-		Arrivals: svc.OpenPoisson,
-		Rate:     svc.ConstantRate(120),
-		SLO:      target,
-		Window:   time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := model.Attach(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Pin(workload.NewInstance(workload.CPUBurn), 3); err != nil {
-		t.Fatal(err)
-	}
 	specs := []core.AppSpec{
 		{Name: "websearch", Core: 0, Shares: 50},
 		{Name: "websearch", Core: 1, Shares: 50},
 		{Name: "websearch", Core: 2, Shares: 50},
 		{Name: "cpuburn", Core: 3, Shares: 50, AVX: true},
 	}
-	if chip.HardwareRAPLLimit {
-		m.SetPowerLimit(limit)
-	}
-	inj := fault.New(sched, 11)
-	inj.Flight(rec)
-	inj.Drive(m)
-
 	targets := []core.SLOTarget{{Service: "websearch", P99: target}}
 	pol, err := core.NewSLOFeedback(chip, specs, core.SLOConfig{Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := inj.WrapDevice(m.Device())
 	cell := ChaosCell{Class: class}
 	iter, withSLO := 0, 0
-	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-		Interval:   20 * time.Millisecond,
-		Flight:     rec,
-		SLO:        model,
-		SLOTargets: targets,
+	var m *sim.Machine
+	n, err := node.New(node.Spec{
+		Chip: chip, Apps: specs, Policy: pol, Limit: limit, Interval: 20 * time.Millisecond,
+		Services: []svc.Config{{
+			Name: "websearch", Cores: []int{0, 1, 2}, Seed: 7, Arrivals: svc.OpenPoisson,
+			Rate: svc.ConstantRate(120), SLO: target, Window: time.Second,
+		}},
+		SLOTargets: targets, Faults: sched, FaultSeed: 11, Flight: rec,
 		OnSnapshot: func(s core.Snapshot) {
 			iter++
 			if len(s.Services) > 0 {
@@ -86,15 +57,15 @@ func sloChaosRun(t *testing.T, class fault.Class, schedText string, limit units.
 				cell.MaxPower = p
 			}
 		},
-	}, dev, daemon.MachineActuator{M: m, Dev: dev})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		t.Fatal(err)
+	m = n.M
+	if chip.HardwareRAPLLimit {
+		m.SetPowerLimit(limit)
 	}
-	m.Run(1500 * time.Millisecond)
-	if err := d.Err(); err != nil {
+	if err := n.Run(1500 * time.Millisecond); err != nil {
 		t.Fatalf("%s: daemon error: %v", class, err)
 	}
 
