@@ -1,0 +1,116 @@
+package padpd
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The documents whose test, fuzz, benchmark and metric names are checked
+// against the tree.
+var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// docTestRef is a test, fuzz or benchmark function named in prose,
+	// with an optional trailing * for a family (TestPoller*).
+	docTestRef = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+	// docMetricRef is a metric name; one ending in _ names a family
+	// (padpd_energy_).
+	docMetricRef = regexp.MustCompile(`\bpadpd_\w+`)
+
+	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	goMetricLit = regexp.MustCompile(`"(padpd_\w+)`)
+)
+
+// Every test, fuzz or benchmark function and every padpd_ metric that
+// README.md, DESIGN.md or EXPERIMENTS.md names exists in the tree: a
+// function is declared in some _test.go file, a metric is a string literal
+// in some Go file. A trailing * or _ makes the name a prefix, and FigureN
+// stands for any figure number (TestFigureNShape).
+func TestDocsNameWhatExists(t *testing.T) {
+	var funcs, metrics []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range goTestFunc.FindAllSubmatch(src, -1) {
+				funcs = append(funcs, string(m[1]))
+			}
+		}
+		for _, m := range goMetricLit.FindAllSubmatch(src, -1) {
+			metrics = append(metrics, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(funcs) == 0 || len(metrics) == 0 {
+		t.Fatalf("found %d test functions and %d metrics in the tree", len(funcs), len(metrics))
+	}
+	for _, doc := range checkedDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range uniqueMatches(docTestRef, text) {
+			if !anyMatch(docNamePattern(ref, strings.HasSuffix(ref, "*")), funcs) {
+				t.Errorf("%s names %s, which no _test.go file declares", doc, ref)
+			}
+		}
+		for _, ref := range uniqueMatches(docMetricRef, text) {
+			if !anyMatch(docNamePattern(ref, strings.HasSuffix(ref, "_")), metrics) {
+				t.Errorf("%s names metric %s, which no Go file registers", doc, ref)
+			}
+		}
+	}
+}
+
+// docNamePattern is the pattern a name from the docs stands for: itself,
+// FigureN as any figure number, and as a prefix when family is set.
+func docNamePattern(ref string, family bool) *regexp.Regexp {
+	quoted := regexp.QuoteMeta(strings.TrimSuffix(ref, "*"))
+	quoted = strings.ReplaceAll(quoted, "FigureN", `Figure\d+`)
+	if family {
+		return regexp.MustCompile(`^` + quoted)
+	}
+	return regexp.MustCompile(`^` + quoted + `$`)
+}
+
+func anyMatch(re *regexp.Regexp, names []string) bool {
+	for _, n := range names {
+		if re.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}
+
+func uniqueMatches(re *regexp.Regexp, text []byte) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, m := range re.FindAll(text, -1) {
+		if s := string(m); !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
