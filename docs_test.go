@@ -23,13 +23,20 @@ var (
 
 	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	goMetricLit = regexp.MustCompile(`"(padpd_\w+)`)
+
+	// docCommandFlag is a repo command's name or a -flag; goFlagDef is a
+	// flag a main.go defines.
+	docCommandFlag = regexp.MustCompile(`\b(powerd|powercoord|powerctl|powerdump|experiments|psweep|turbostat)\b|(?:^|[\s\x60(\[])-([a-z][\w-]*)`)
+	goFlagDef      = regexp.MustCompile(`\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\("([^"]+)"`)
 )
 
 // Every test, fuzz or benchmark function and every padpd_ metric that
 // README.md, DESIGN.md or EXPERIMENTS.md names exists in the tree: a
 // function is declared in some _test.go file, a metric is a string literal
 // in some Go file. A trailing * or _ makes the name a prefix, and FigureN
-// stands for any figure number (TestFigureNShape).
+// stands for any figure number (TestFigureNShape). A -flag that follows one
+// of the repo's command names on the same line is defined in that command's
+// main.go (powerd -listen, powerdump -view).
 func TestDocsNameWhatExists(t *testing.T) {
 	var funcs, metrics []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -65,10 +72,26 @@ func TestDocsNameWhatExists(t *testing.T) {
 	if len(funcs) == 0 || len(metrics) == 0 {
 		t.Fatalf("found %d test functions and %d metrics in the tree", len(funcs), len(metrics))
 	}
+	flags := map[string]map[string]bool{} // by command, read on first mention
 	for _, doc := range checkedDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(text), "\n") {
+			cmd := ""
+			for _, m := range docCommandFlag.FindAllStringSubmatch(line, -1) {
+				if m[1] != "" || cmd == "" {
+					cmd = m[1]
+					continue
+				}
+				if flags[cmd] == nil {
+					flags[cmd] = commandFlags(t, cmd)
+				}
+				if !flags[cmd][m[2]] {
+					t.Errorf("%s:%d names %s -%s, which cmd/%s/main.go does not define", doc, n+1, cmd, m[2], cmd)
+				}
+			}
 		}
 		for _, ref := range uniqueMatches(docTestRef, text) {
 			if !anyMatch(docNamePattern(ref, strings.HasSuffix(ref, "*")), funcs) {
@@ -81,6 +104,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commandFlags is the set of flags cmd/<cmd>/main.go defines.
+func commandFlags(t *testing.T, cmd string) map[string]bool {
+	src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range goFlagDef.FindAllStringSubmatch(string(src), -1) {
+		defined[m[1]] = true
+	}
+	return defined
 }
 
 // docNamePattern is the pattern a name from the docs stands for: itself,

@@ -78,12 +78,6 @@ type Config struct {
 	// (default 0.05).
 	BindMargin float64
 
-	// Weights optionally biases the distribution across nodes (a node
-	// with weight 2 outbids a weight-1 node at equal demand) — the
-	// room-level analogue of the paper's application shares. Nil means
-	// equal weights; otherwise one positive entry per node.
-	Weights []float64
-
 	// LeaseTTL is how long a budget grant stays valid without renewal;
 	// a node that stops hearing from the coordinator reverts to its floor
 	// when it elapses. Default 3×Interval. In-process transports cannot be
@@ -148,16 +142,6 @@ func (c *Config) fill(n int) error {
 	if n == 0 {
 		return fmt.Errorf("cluster: no nodes")
 	}
-	if c.Weights != nil {
-		if len(c.Weights) != n {
-			return fmt.Errorf("cluster: %d weights for %d nodes", len(c.Weights), n)
-		}
-		for i, w := range c.Weights {
-			if w <= 0 {
-				return fmt.Errorf("cluster: node %d weight %g not positive", i, w)
-			}
-		}
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 3 * c.Interval
 	}
@@ -179,14 +163,6 @@ func (c *Config) fill(n int) error {
 		c.now = time.Now
 	}
 	return nil
-}
-
-// weight returns node i's bid multiplier.
-func (c Config) weight(i int) float64 {
-	if c.Weights == nil {
-		return 1
-	}
-	return c.Weights[i]
 }
 
 // LedgerEntry is one node's acknowledged grant: the cap the
@@ -440,16 +416,6 @@ func (c *Coordinator) Reallocations() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.moves
-}
-
-// Round reports the ID of the latest reallocation round (zero before
-// the first Step), RoundBase offset included.
-func (c *Coordinator) Round() uint64 {
-	r := c.round.Load()
-	if r == 0 {
-		return 0
-	}
-	return c.cfg.RoundBase + r
 }
 
 // Rounds reports how many reallocation rounds have run.
@@ -751,7 +717,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 		if bid < floor {
 			bid = floor
 		}
-		bids = append(bids, bid*c.cfg.weight(i))
+		bids = append(bids, bid)
 		cap := float64(reports[i].Max) - floor
 		if cap < 0 {
 			cap = 0

@@ -266,3 +266,33 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 		t.Errorf("transport failures = %v, want one per step", v)
 	}
 }
+
+// Three nodes with mixed demand: budget concentrates on the two hungry
+// nodes while the idle one keeps only its floor-ish share.
+func TestThreeNodeMixedDemand(t *testing.T) {
+	nodes := []*Node{hungry(t, "a"), hungry(t, "b"), light(t, "c")}
+	c, err := New(nodes, Config{Budget: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(90 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	limits := c.Limits()
+	if limits[0] <= 40 || limits[1] <= 40 {
+		t.Errorf("hungry nodes did not grow past the equal split: %v", limits)
+	}
+	if limits[2] >= 40 {
+		t.Errorf("light node kept %v, expected to shrink below the equal split", limits[2])
+	}
+	var sum float64
+	for _, l := range limits {
+		sum += float64(l)
+	}
+	if sum > 120.5 {
+		t.Errorf("limits sum %.1f over budget", sum)
+	}
+	if c.TotalPower() > 120*1.05 {
+		t.Errorf("total power %v over budget", c.TotalPower())
+	}
+}

@@ -221,17 +221,6 @@ func (t *Tier) SetChildren(children []cluster.Transport) error {
 	return nil
 }
 
-// Children reports the current child names.
-func (t *Tier) Children() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.children))
-	for i, c := range t.children {
-		out[i] = c.Name()
-	}
-	return out
-}
-
 // Close stops the tier agent's lease-expiry timer.
 func (t *Tier) Close() { t.agent.Close() }
 

@@ -80,10 +80,6 @@ func NewLeaf(cfg LeafConfig) (*Leaf, error) {
 	return &Leaf{be: be, agent: a}, nil
 }
 
-// Agent exposes the leaf's control-plane agent (for HTTP mounting or
-// direct inspection).
-func (l *Leaf) Agent() *powerapi.Agent { return l.agent }
-
 // Name reports the leaf's node name.
 func (l *Leaf) Name() string { return l.agent.Name() }
 
@@ -99,13 +95,6 @@ func (l *Leaf) Limit() units.Watts {
 	l.be.mu.Lock()
 	defer l.be.mu.Unlock()
 	return l.be.limit
-}
-
-// Power reports the leaf's measured power: demand clipped to the limit.
-func (l *Leaf) Power() units.Watts {
-	l.be.mu.Lock()
-	defer l.be.mu.Unlock()
-	return l.be.power()
 }
 
 // Transport returns an in-process coordinator transport for the leaf,

@@ -118,7 +118,7 @@ func TestMidTierSoak(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
 		for !done.Load() {
 			i := rng.Intn(nLeaves)
-			if _, err := leaves[i].Agent().SetDrain(true); err != nil {
+			if _, err := leaves[i].agent.SetDrain(true); err != nil {
 				t.Errorf("soak drain: %v", err)
 				return
 			}
@@ -137,7 +137,7 @@ func TestMidTierSoak(t *testing.T) {
 				t.Errorf("soak: drained leaf %d holds %v > fallback %v", i, got, fallback)
 				return
 			}
-			if _, err := leaves[i].Agent().SetDrain(false); err != nil {
+			if _, err := leaves[i].agent.SetDrain(false); err != nil {
 				t.Errorf("soak undrain: %v", err)
 				return
 			}

@@ -78,7 +78,7 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Round(); got != rounds {
+	if got := c.round.Load(); got != rounds {
 		t.Fatalf("coordinator round = %d, want %d", got, rounds)
 	}
 

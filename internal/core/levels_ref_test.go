@@ -376,7 +376,7 @@ func TestSLOFeedbackMatchesReference(t *testing.T) {
 				t.Fatalf("interval %d target %d: %v, reference %v", iv, i, gt[i], rt[i])
 			}
 		}
-		gi, ri := got.Integrals(), ref.Integrals()
+		gi, ri := got.integ, ref.integ
 		for j := range gi {
 			if math.Float64bits(gi[j]) != math.Float64bits(ri[j]) {
 				t.Fatalf("interval %d integral %d: %v, reference %v", iv, j, gi[j], ri[j])

@@ -369,7 +369,7 @@ func TestPriorityInitialParksLP(t *testing.T) {
 			t.Errorf("LP core %d not parked initially", core)
 		}
 	}
-	if p.LPRunning() {
+	if p.lpActive > 0 {
 		t.Error("LPRunning true initially")
 	}
 }
@@ -395,7 +395,7 @@ func TestPriorityOverLimitThrottlesLPBeforeHP(t *testing.T) {
 	// Drive LP to the floor, then one more over-limit parks the class.
 	p.lpFreq = sky.Freq.Min
 	p.Update(Snapshot{Limit: 50, PackagePower: 60})
-	if p.LPRunning() {
+	if p.lpActive > 0 {
 		t.Error("LP not starved at floor under over-limit")
 	}
 	// With LP starved, HP finally throttles.
@@ -417,13 +417,13 @@ func TestPriorityUnderLimitRaisesHPThenStartsLP(t *testing.T) {
 	if p.hpFreq <= 2*units.GHz || p.hpFreq > p.hpCeiling() {
 		t.Errorf("HP freq = %v, want an upward move toward the ceiling", p.hpFreq)
 	}
-	if p.LPRunning() {
+	if p.lpActive > 0 {
 		t.Error("LP started before HP reached ceiling")
 	}
 	// HP at ceiling with huge residual: LP class wakes at the floor.
 	p.hpFreq = p.hpCeiling()
 	p.Update(Snapshot{Limit: 85, PackagePower: 30})
-	if !p.LPRunning() {
+	if p.lpActive == 0 {
 		t.Fatal("LP not started despite residual")
 	}
 	if p.lpFreq != sky.Freq.Min {
@@ -446,7 +446,7 @@ func TestPriorityDoesNotStartLPWithoutHeadroom(t *testing.T) {
 	p.hpFreq = p.hpCeiling()
 	// Residual of 4 W cannot cover 7 LP cores plus the HP turbo-bin loss.
 	p.Update(Snapshot{Limit: 40, PackagePower: 36})
-	if p.LPRunning() {
+	if p.lpActive > 0 {
 		t.Error("LP started without sufficient residual")
 	}
 }

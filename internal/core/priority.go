@@ -82,12 +82,6 @@ func NewPriority(chip platform.Chip, specs []AppSpec, cfg PriorityConfig) (*Prio
 // Name implements Policy.
 func (p *Priority) Name() string { return "priority" }
 
-// LPRunning reports whether any low-priority application is unparked.
-func (p *Priority) LPRunning() bool { return p.lpActive > 0 }
-
-// LPActive reports how many low-priority applications are unparked.
-func (p *Priority) LPActive() int { return p.lpActive }
-
 // hpCeiling is the HP class's frequency ceiling at the current occupancy.
 func (p *Priority) hpCeiling() units.Hertz {
 	active := len(p.hp) + p.lpActive

@@ -18,8 +18,8 @@ func TestPartialLPStarvesOneAtATime(t *testing.T) {
 	p.lpFreq = sky.Freq.Min
 	// Over the limit with LP at the floor: exactly one LP app parks.
 	p.Update(Snapshot{Limit: 50, PackagePower: 55})
-	if p.LPActive() != 3 {
-		t.Errorf("LPActive = %d, want 3", p.LPActive())
+	if p.lpActive != 3 {
+		t.Errorf("LPActive = %d, want 3", p.lpActive)
 	}
 	// The classic policy would have parked the whole class.
 	classic, err := NewPriority(sky, prioritySpecs(2, 4), PriorityConfig{Limit: 50})
@@ -30,8 +30,8 @@ func TestPartialLPStarvesOneAtATime(t *testing.T) {
 	classic.lpActive = 4
 	classic.lpFreq = sky.Freq.Min
 	classic.Update(Snapshot{Limit: 50, PackagePower: 55})
-	if classic.LPActive() != 0 {
-		t.Errorf("classic LPActive = %d, want 0", classic.LPActive())
+	if classic.lpActive != 0 {
+		t.Errorf("classic LPActive = %d, want 0", classic.lpActive)
 	}
 }
 
@@ -44,13 +44,13 @@ func TestPartialLPGrowsOneAtATime(t *testing.T) {
 	p.Initial()
 	p.hpFreq = p.hpCeiling()
 	p.Update(Snapshot{Limit: 85, PackagePower: 30})
-	if p.LPActive() != 1 {
-		t.Errorf("LPActive after first grow = %d, want 1", p.LPActive())
+	if p.lpActive != 1 {
+		t.Errorf("LPActive after first grow = %d, want 1", p.lpActive)
 	}
 	p.hpFreq = p.hpCeiling() // occupancy changed the ceiling
 	p.Update(Snapshot{Limit: 85, PackagePower: 35})
-	if p.LPActive() != 2 {
-		t.Errorf("LPActive after second grow = %d, want 2", p.LPActive())
+	if p.lpActive != 2 {
+		t.Errorf("LPActive after second grow = %d, want 2", p.lpActive)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestPartialVsClassicTradeoff(t *testing.T) {
 	powers := []units.Watts{60, 55, 45, 38, 35, 42, 39, 36, 41, 37, 44, 33, 38, 40, 39}
 	for i := 0; i < 100; i++ {
 		p.Update(Snapshot{Limit: 40, PackagePower: powers[i%len(powers)]})
-		if p.LPActive() < 0 || p.LPActive() > 7 {
-			t.Fatalf("LPActive out of range: %d", p.LPActive())
+		if p.lpActive < 0 || p.lpActive > 7 {
+			t.Fatalf("LPActive out of range: %d", p.lpActive)
 		}
 	}
 }

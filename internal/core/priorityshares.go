@@ -85,9 +85,6 @@ func NewPriorityShares(chip platform.Chip, specs []AppSpec, cfg PriorityConfig) 
 // Name implements Policy.
 func (p *PriorityShares) Name() string { return "priority+shares" }
 
-// LPActive reports how many low-priority applications are unparked.
-func (p *PriorityShares) LPActive() int { return p.lpActive }
-
 // occupancy is the number of cores currently executing.
 func (p *PriorityShares) occupancy() int { return len(p.hp) + p.lpActive }
 

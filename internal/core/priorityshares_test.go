@@ -85,8 +85,8 @@ func TestPrioritySharesLPPaysFirst(t *testing.T) {
 	// At the LP floor, the class starves before HP pays.
 	p.lpLevel = 0
 	p.Update(Snapshot{Limit: 50, PackagePower: 60})
-	if p.LPActive() != 0 {
-		t.Errorf("LPActive = %d, want starved", p.LPActive())
+	if p.lpActive != 0 {
+		t.Errorf("LPActive = %d, want starved", p.lpActive)
 	}
 	// Then HP pays.
 	p.Update(Snapshot{Limit: 50, PackagePower: 60})
@@ -111,7 +111,7 @@ func TestPrioritySharesWithinClassOrdering(t *testing.T) {
 		if freqOf(actions, 0) < freqOf(actions, 1) {
 			t.Fatalf("HP ordering inverted: %v < %v", freqOf(actions, 0), freqOf(actions, 1))
 		}
-		if p.LPActive() == 2 && !parked(actions, 2) && !parked(actions, 3) {
+		if p.lpActive == 2 && !parked(actions, 2) && !parked(actions, 3) {
 			if freqOf(actions, 2) < freqOf(actions, 3) {
 				t.Fatalf("LP ordering inverted: %v < %v", freqOf(actions, 2), freqOf(actions, 3))
 			}
@@ -139,7 +139,7 @@ func TestPrioritySharesEqualSharesDevolves(t *testing.T) {
 	p.Update(Snapshot{Limit: 85, PackagePower: 20})
 	p.Update(Snapshot{Limit: 85, PackagePower: 25})
 	actions = p.Update(Snapshot{Limit: 85, PackagePower: 35})
-	if p.LPActive() == 2 {
+	if p.lpActive == 2 {
 		if freqOf(actions, 2) != freqOf(actions, 3) {
 			t.Errorf("equal-share LP apps diverged: %v vs %v", freqOf(actions, 2), freqOf(actions, 3))
 		}

@@ -164,11 +164,6 @@ func (p *SLOFeedback) Targets() []units.Hertz {
 	return out
 }
 
-// Integrals exposes the per-service integral terms (for tests).
-func (p *SLOFeedback) Integrals() []float64 {
-	return append([]float64(nil), p.integ...)
-}
-
 func (p *SLOFeedback) bounds() (bases, lo, hi []float64) {
 	maxShare := p.maxShare()
 	bases, lo, hi = p.scrBases, p.scrLo, p.scrHi

@@ -187,9 +187,9 @@ func TestSLOAntiWindup(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		p.Update(snap)
 	}
-	for _, ig := range p.Integrals() {
+	for _, ig := range p.integ {
 		if ig > 2 || ig < -2 {
-			t.Errorf("integral escaped its clamp: %v", p.Integrals())
+			t.Errorf("integral escaped its clamp: %v", p.integ)
 		}
 	}
 	found := false

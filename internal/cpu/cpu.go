@@ -108,23 +108,6 @@ func (s FreqSpec) Levels() []units.Hertz {
 	return out
 }
 
-// Effective resolves the frequency a core actually runs at: the minimum of
-// its P-state request, the power limiter's clamp, the AVX licence, and the
-// turbo grant for the current occupancy — floored at Min and quantised.
-// This is the paper's observation stack: RAPL clamps, AVX licences cap
-// (cam4's 1667 MHz vs gcc's 2360 MHz in Figure 1), and turbo headroom
-// appears only at low occupancy.
-func (s FreqSpec) Effective(request, clamp units.Hertz, activeCores int, avx bool) units.Hertz {
-	f := request
-	if clamp > 0 && clamp < f {
-		f = clamp
-	}
-	if c := s.Ceiling(activeCores, avx); c < f {
-		f = c
-	}
-	return s.Quantize(f)
-}
-
 // Core is one hardware thread's control state and counters. The zero value
 // is not ready to use; call NewCore.
 type Core struct {
@@ -184,29 +167,4 @@ type Counters struct {
 // Counters returns the core's current counter snapshot.
 func (c *Core) Counters() Counters {
 	return Counters{APERF: c.aperf, MPERF: c.mperf, Instr: c.instr, Energy: c.energy, C0Time: c.c0Time}
-}
-
-// ActiveFreq derives the average active (C0) frequency between two counter
-// snapshots, the way turbostat does: nom * ΔAPERF/ΔMPERF. It reports zero
-// if the core never entered C0 in the interval.
-func ActiveFreq(prev, cur Counters, nom units.Hertz) units.Hertz {
-	dm := cur.MPERF - prev.MPERF
-	if dm <= 0 {
-		return 0
-	}
-	return nom * units.Hertz((cur.APERF-prev.APERF)/dm)
-}
-
-// IPSBetween derives instructions per second between two snapshots over dt.
-func IPSBetween(prev, cur Counters, dt time.Duration) float64 {
-	s := dt.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return (cur.Instr - prev.Instr) / s
-}
-
-// PowerBetween derives average power between two snapshots over dt.
-func PowerBetween(prev, cur Counters, dt time.Duration) units.Watts {
-	return (cur.Energy - prev.Energy).Power(dt)
 }

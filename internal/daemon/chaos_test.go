@@ -351,7 +351,6 @@ at 480ms for 60ms offline cpu=1
 			case <-stop:
 				return
 			default:
-				_ = inj.ActiveWindows()
 				_ = inj.Effects(fault.ClassEIO)
 				_ = reg.WritePrometheus(io.Discard)
 				time.Sleep(3 * time.Millisecond)

@@ -726,9 +726,6 @@ func (d *Daemon) PolicyName() string {
 // Chip reports the platform the daemon controls.
 func (d *Daemon) Chip() platform.Chip { return d.cfg.Chip }
 
-// Interval reports the control interval.
-func (d *Daemon) Interval() time.Duration { return d.cfg.Interval }
-
 // Apps returns a copy of the currently managed application specs.
 func (d *Daemon) Apps() []core.AppSpec {
 	d.mu.RLock()
@@ -923,9 +920,6 @@ type PhaseLatencies struct {
 	Decide   time.Duration
 	Actuate  time.Duration
 }
-
-// Total is the summed phase time.
-func (p PhaseLatencies) Total() time.Duration { return p.Sample + p.Decide + p.Actuate }
 
 // LastPhases reports the phase breakdown of the most recent completed
 // iteration (zero before the first).

@@ -46,9 +46,8 @@ type Injector struct {
 	prevCap map[int]units.Hertz       // thermal restore value, by entry
 	prevLim map[int]units.Watts       // rapl restore value, by entry
 
-	m     *sim.Machine
-	rec   *flight.Recorder
-	sleep func(time.Duration) // realises latency faults; nil = account only
+	m   *sim.Machine
+	rec *flight.Recorder
 
 	injections *metrics.CounterVec // windows opened, by class
 	effects    *metrics.CounterVec // per-access perturbations, by class
@@ -92,15 +91,6 @@ func (in *Injector) Flight(rec *flight.Recorder) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rec = rec
-}
-
-// WithSleep sets the function that realises latency faults (wall-clock runs
-// pass time.Sleep). Without it delays are accounted but not imposed, which
-// is what virtual-time runs want.
-func (in *Injector) WithSleep(fn func(time.Duration)) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.sleep = fn
 }
 
 // Drive binds the injector to a simulated machine: platform faults
@@ -207,19 +197,6 @@ func (in *Injector) closeLocked(i int) {
 	})
 }
 
-// ActiveWindows reports how many windows are currently open.
-func (in *Injector) ActiveWindows() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	n := 0
-	for _, a := range in.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // Effects reports how many per-access perturbations the class has caused.
 func (in *Injector) Effects(c Class) uint64 {
 	in.mu.Lock()
@@ -259,11 +236,11 @@ type faultDevice struct {
 }
 
 // Read applies every open matching window, in schedule order: offline and
-// EIO fail the read, latency delays it, stuck serves the value cached at
-// first faulted access, torn does the same for a seed-chosen half of the
-// registers. The injector lock is held across the inner read so stale
-// caches populate atomically; the inner device never calls back into the
-// injector, so this cannot deadlock.
+// EIO fail the read, latency adds its delay to TotalLatency, stuck serves
+// the value cached at first faulted access, torn does the same for a
+// seed-chosen half of the registers. The injector lock is held across the
+// inner read so stale caches populate atomically; the inner device never
+// calls back into the injector, so this cannot deadlock.
 func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 	in := d.in
 	creg := msr.Canonical(reg)
@@ -313,9 +290,6 @@ func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 	}
 	if delay > 0 {
 		in.totalLatency += delay
-		if in.sleep != nil {
-			in.sleep(delay)
-		}
 	}
 	if freeze >= 0 {
 		k := regKey{cpu, creg}

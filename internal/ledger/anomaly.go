@@ -1,8 +1,6 @@
 package ledger
 
 import (
-	"time"
-
 	"repro/internal/flight"
 	"repro/internal/units"
 )
@@ -41,9 +39,6 @@ type DetectorConfig struct {
 	// StragglerN is how many consecutive untrustworthy intervals flag a
 	// socket as straggling (default 50).
 	StragglerN int
-
-	// FeedCapacity bounds the retained anomaly feed (default 256).
-	FeedCapacity int
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
@@ -71,20 +66,7 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.StragglerN <= 0 {
 		c.StragglerN = 50
 	}
-	if c.FeedCapacity <= 0 {
-		c.FeedCapacity = 256
-	}
 	return c
-}
-
-// Anomaly is one detector firing, as served in feeds.
-type Anomaly struct {
-	Kind      string  `json:"kind"`
-	AtSeconds float64 `json:"at_seconds"`
-	App       string  `json:"app,omitempty"`
-	Core      int     `json:"core"`
-	Value     float64 `json:"value"`
-	Aux       float64 `json:"aux"`
 }
 
 // detectors is the ledger's streaming detector state: fixed-size, updated
@@ -105,10 +87,7 @@ type detectors struct {
 	sockRun   []int
 	sockFired []bool
 
-	ring   []Anomaly
-	next   int
-	filled bool
-	total  [numAnomalyKinds]uint64
+	total [numAnomalyKinds]uint64
 }
 
 func newDetectors(cfg DetectorConfig, sockets int) detectors {
@@ -118,7 +97,6 @@ func newDetectors(cfg DetectorConfig, sockets int) detectors {
 		flipRing:  make([]bool, cfg.OscillationWindow),
 		sockRun:   make([]int, sockets),
 		sockFired: make([]bool, sockets),
-		ring:      make([]Anomaly, cfg.FeedCapacity),
 	}
 }
 
@@ -137,21 +115,10 @@ func (d *detectors) counts() map[string]uint64 {
 	return out
 }
 
-// feed copies the retained anomalies, oldest first (cold path).
-func (d *detectors) feed() []Anomaly {
-	if !d.filled {
-		return append([]Anomaly(nil), d.ring[:d.next]...)
-	}
-	out := make([]Anomaly, 0, len(d.ring))
-	out = append(out, d.ring[d.next:]...)
-	out = append(out, d.ring[:d.next]...)
-	return out
-}
-
-// fire records one anomaly everywhere it surfaces: the metric family, the
-// flight recorder, and the retained feed. Caller holds l.mu; fire is
-// allocation-free.
-func (l *Ledger) fire(code uint32, at time.Duration, coreID int, app string, value, aux uint64) {
+// fire records one anomaly everywhere it surfaces: the per-kind total that
+// Summarize reports, the metric family, and the flight recorder. Caller
+// holds l.mu; fire is allocation-free.
+func (l *Ledger) fire(code uint32, coreID int, value, aux uint64) {
 	d := &l.det
 	if code < numAnomalyKinds {
 		d.total[code]++
@@ -161,19 +128,6 @@ func (l *Ledger) fire(code uint32, at time.Duration, coreID int, app string, val
 		Kind: flight.KindAnomaly, Source: flight.SourceLedger,
 		Core: int16(coreID), Arg: code, Value: value, Aux: aux,
 	})
-	d.ring[d.next] = Anomaly{
-		Kind:      flight.AnomalyName(code),
-		AtSeconds: at.Seconds(),
-		App:       app,
-		Core:      coreID,
-		Value:     float64(value),
-		Aux:       float64(aux),
-	}
-	d.next++
-	if d.next == len(d.ring) {
-		d.next = 0
-		d.filled = true
-	}
 }
 
 // runDetectors advances every streaming detector by one interval. Caller
@@ -187,7 +141,7 @@ func (l *Ledger) runDetectors(in Input) {
 		d.overRun++
 		if d.overRun >= d.cfg.OvershootN && !d.overFired {
 			d.overFired = true
-			l.fire(flight.AnomalyOvershoot, in.At, -1, "",
+			l.fire(flight.AnomalyOvershoot, -1,
 				uint64(float64(in.PackagePower-in.Limit)*1e6), uint64(d.overRun))
 		}
 	} else {
@@ -226,7 +180,7 @@ func (l *Ledger) runDetectors(in Input) {
 	if d.flipCount >= d.cfg.OscillationFlips {
 		if !d.oscFired {
 			d.oscFired = true
-			l.fire(flight.AnomalyOscillation, in.At, -1, "", uw, uint64(d.flipCount))
+			l.fire(flight.AnomalyOscillation, -1, uw, uint64(d.flipCount))
 		}
 	} else if d.flipCount == 0 {
 		d.oscFired = false
@@ -263,7 +217,7 @@ func (l *Ledger) runDetectors(in Input) {
 				a.driftRun++
 				if a.driftRun >= d.cfg.DriftN && !a.driftFired {
 					a.driftFired = true
-					l.fire(flight.AnomalyShareDrift, in.At, a.spec.Core, a.spec.Name,
+					l.fire(flight.AnomalyShareDrift, a.spec.Core,
 						uint64(a.ewmaFrac*1e6), uint64(shareFrac*1e6))
 				}
 			} else {
@@ -281,7 +235,7 @@ func (l *Ledger) runDetectors(in Input) {
 			d.sockRun[s]++
 			if d.sockRun[s] >= d.cfg.StragglerN && !d.sockFired[s] {
 				d.sockFired[s] = true
-				l.fire(flight.AnomalyStraggler, in.At, s, "", 0, uint64(d.sockRun[s]))
+				l.fire(flight.AnomalyStraggler, s, 0, uint64(d.sockRun[s]))
 			}
 		} else {
 			d.sockRun[s] = 0

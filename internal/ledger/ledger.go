@@ -24,9 +24,9 @@
 // trustworthy energy no app weight claims (idle/static power) lands in the
 // unattributed account.
 //
-// Append is allocation-free: every tier bin, scratch slice, anomaly-ring
-// slot, and metric child is preallocated at construction, so the ledger
-// rides the 1 ms control loop without disturbing the zero-alloc gate.
+// Append is allocation-free: every tier bin, scratch slice and metric child
+// is preallocated at construction, so the ledger rides the 1 ms control
+// loop without disturbing the zero-alloc gate.
 package ledger
 
 import (
@@ -611,14 +611,4 @@ func (l *Ledger) AttributedUJ() uint64 {
 		sum += l.apps[i].totalUJ
 	}
 	return sum
-}
-
-// Anomalies returns the retained anomaly feed, oldest first.
-func (l *Ledger) Anomalies() []Anomaly {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.det.feed()
 }

@@ -400,7 +400,9 @@ func TestAppendAllocs(t *testing.T) {
 func TestDetectorSustainedOvershoot(t *testing.T) {
 	chip := platform.Skylake()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
+	rec := flight.New(0)
 	l := newTestLedger(t, chip, apps, Config{
+		Flight: rec,
 		Detect: DetectorConfig{OvershootN: 5},
 	})
 	over := func(i int) Input {
@@ -414,7 +416,7 @@ func TestDetectorSustainedOvershoot(t *testing.T) {
 		at++
 		l.Append(over(at))
 	}
-	if n := len(l.Anomalies()); n != 0 {
+	if n := len(anomalies(rec)); n != 0 {
 		t.Fatalf("fired after 4 intervals, want >=5: %d anomalies", n)
 	}
 	at++
@@ -440,16 +442,35 @@ func TestDetectorSustainedOvershoot(t *testing.T) {
 	if got := l.Summarize().Anomalies["overshoot"]; got != 2 {
 		t.Fatalf("second excursion count = %d, want 2", got)
 	}
-	a := l.Anomalies()
-	if len(a) != 2 || a[0].Kind != "overshoot" {
-		t.Fatalf("feed = %+v", a)
+	// Each firing: no core, the excess over the limit in µW, the run length.
+	a := anomalies(rec)
+	if len(a) != 2 {
+		t.Fatalf("anomaly events = %+v", a)
 	}
+	for _, e := range a {
+		if e.Arg != flight.AnomalyOvershoot || e.Core != -1 || e.Value != 10e6 || e.Aux != 5 {
+			t.Fatalf("overshoot event = %+v, want core -1, value 10e6 µW, aux 5", e)
+		}
+	}
+}
+
+// anomalies returns the KindAnomaly events rec holds, oldest first.
+func anomalies(rec *flight.Recorder) []flight.Event {
+	var out []flight.Event
+	for _, e := range rec.Snapshot() {
+		if e.Kind == flight.KindAnomaly {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestDetectorCapOscillation(t *testing.T) {
 	chip := platform.Skylake()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
+	rec := flight.New(0)
 	l := newTestLedger(t, chip, apps, Config{
+		Flight: rec,
 		Detect: DetectorConfig{OscillationWindow: 20, OscillationFlips: 4},
 	})
 	limits := []units.Watts{50, 60, 50, 60, 50, 60, 50, 60}
@@ -458,6 +479,11 @@ func TestDetectorCapOscillation(t *testing.T) {
 	}
 	if got := l.Summarize().Anomalies["oscillation"]; got != 1 {
 		t.Fatalf("oscillation count = %d, want 1", got)
+	}
+	// The fourth flip fires it, at the fifth limit (60 W, in µW).
+	if a := anomalies(rec); len(a) != 1 || a[0].Arg != flight.AnomalyOscillation ||
+		a[0].Core != -1 || a[0].Value != 60e6 || a[0].Aux != 4 {
+		t.Fatalf("oscillation events = %+v, want one at core -1, value 60e6 µW, aux 4", a)
 	}
 	// A steady limit never flips.
 	l2 := newTestLedger(t, chip, apps, Config{
@@ -477,7 +503,9 @@ func TestDetectorShareDrift(t *testing.T) {
 		{Name: "gcc", Core: 0, Shares: 50},
 		{Name: "cam4", Core: 1, Shares: 50},
 	}
+	rec := flight.New(0)
 	l := newTestLedger(t, chip, apps, Config{
+		Flight: rec,
 		Detect: DetectorConfig{DriftAlpha: 0.5, DriftN: 5, DriftMargin: 0.15},
 	})
 	// Equal shares but gcc's core runs 10× the frequency: its energy
@@ -490,21 +518,25 @@ func TestDetectorShareDrift(t *testing.T) {
 	if got := s.Anomalies["share-drift"]; got == 0 {
 		t.Fatalf("skewed run never fired share-drift: %+v", s.Anomalies)
 	}
+	// The event names gcc's core, its energy fraction (near 0.9) and its
+	// share fraction (0.5), both in millionths.
 	found := false
-	for _, a := range l.Anomalies() {
-		if a.Kind == "share-drift" && a.App == "gcc" {
+	for _, e := range anomalies(rec) {
+		if e.Arg == flight.AnomalyShareDrift && e.Core == 0 && e.Value > 800000 && e.Aux == 500000 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("share-drift feed entry names wrong app: %+v", l.Anomalies())
+		t.Fatalf("no share-drift event for gcc on core 0: %+v", anomalies(rec))
 	}
 }
 
 func TestDetectorStragglerSocket(t *testing.T) {
 	chip := twoSocketChip()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
+	rec := flight.New(0)
 	l := newTestLedger(t, chip, apps, Config{
+		Flight: rec,
 		Detect: DetectorConfig{StragglerN: 5},
 	})
 	for i := 0; i < 6; i++ {
@@ -515,14 +547,9 @@ func TestDetectorStragglerSocket(t *testing.T) {
 	if got := l.Summarize().Anomalies["straggler"]; got != 1 {
 		t.Fatalf("straggler count = %d, want 1", got)
 	}
-	var hit *Anomaly
-	for i, a := range l.Anomalies() {
-		if a.Kind == "straggler" {
-			hit = &l.Anomalies()[i]
-		}
-	}
-	if hit == nil || hit.Core != 1 {
-		t.Fatalf("straggler did not name socket 1: %+v", l.Anomalies())
+	if a := anomalies(rec); len(a) != 1 || a[0].Arg != flight.AnomalyStraggler ||
+		a[0].Core != 1 || a[0].Value != 0 || a[0].Aux != 5 {
+		t.Fatalf("straggler events = %+v, want one naming socket 1 after a run of 5", a)
 	}
 }
 
@@ -585,7 +612,7 @@ func TestNilLedgerIsSafe(t *testing.T) {
 	if s := l.Summarize(); s.TotalUJ != 0 {
 		t.Error("nil Summarize not zero")
 	}
-	if l.AttributedUJ() != 0 || l.Anomalies() != nil {
+	if l.AttributedUJ() != 0 {
 		t.Error("nil accessors not zero")
 	}
 	if _, err := l.Range(Query{}); err == nil {

@@ -152,16 +152,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum reports the sum of observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot returns cumulative bucket counts aligned with uppers plus +Inf.
 func (h *Histogram) snapshot() (uppers []float64, cumulative []uint64, sum float64, count uint64) {
 	h.mu.Lock()

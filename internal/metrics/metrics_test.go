@@ -40,12 +40,12 @@ func TestHistogram(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}
-	if got := h.Sum(); got != 55.55 {
-		t.Fatalf("sum = %v, want 55.55", got)
-	}
-	uppers, cum, _, _ := h.snapshot()
+	uppers, cum, sum, _ := h.snapshot()
 	if len(uppers) != 3 || len(cum) != 4 {
 		t.Fatalf("snapshot shape: %d uppers, %d buckets", len(uppers), len(cum))
+	}
+	if sum != 55.55 {
+		t.Fatalf("sum = %v, want 55.55", sum)
 	}
 	want := []uint64{1, 2, 3, 4} // cumulative across 0.1, 1, 10, +Inf
 	for i, w := range want {

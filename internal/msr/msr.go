@@ -243,28 +243,6 @@ func DecodePerfCtl(val uint64, step units.Hertz) units.Hertz {
 	return units.Hertz((val>>8)&0xFF) * step
 }
 
-// EncodeHWPRequest encodes IA32_HWP_REQUEST hints: the minimum and maximum
-// performance ratios (frequency as a multiple of step) in bits 7:0 and
-// 15:8, and the energy-performance preference (0 = maximum performance,
-// 255 = maximum energy saving) in bits 31:24. The desired-performance field
-// (bits 23:16) is left zero: autonomous selection, as the paper's HWP
-// discussion assumes.
-func EncodeHWPRequest(min, max units.Hertz, step units.Hertz, epp uint8) uint64 {
-	if step <= 0 {
-		return 0
-	}
-	lo := uint64(min.QuantizeNearest(step)/step) & 0xFF
-	hi := uint64(max.QuantizeNearest(step)/step) & 0xFF
-	return lo | hi<<8 | uint64(epp)<<24
-}
-
-// DecodeHWPRequest recovers the hints from an IA32_HWP_REQUEST value.
-func DecodeHWPRequest(val uint64, step units.Hertz) (min, max units.Hertz, epp uint8) {
-	return units.Hertz(val&0xFF) * step,
-		units.Hertz((val>>8)&0xFF) * step,
-		uint8(val >> 24)
-}
-
 // EnergyUnit converts between joules and RAPL energy-status counts. The
 // unit is 2^-ESU joules; Skylake server parts use ESU 14 (61 µJ), most
 // client parts 16 (15.3 µJ, the value the paper cites).
@@ -444,14 +422,6 @@ func (d *SimDevice) Write(cpu int, reg uint32, val uint64) error {
 type FileDevice struct {
 	dir string
 	mu  sync.Mutex
-	rec Recorder
-}
-
-// SetRecorder installs (or, with nil, removes) the access recorder.
-func (d *FileDevice) SetRecorder(rec Recorder) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rec = rec
 }
 
 // NewFileDevice creates (if needed) and opens a file-backed MSR tree.
@@ -462,9 +432,6 @@ func NewFileDevice(dir string) (*FileDevice, error) {
 	return &FileDevice{dir: dir}, nil
 }
 
-// Dir returns the root of the device tree.
-func (d *FileDevice) Dir() string { return d.dir }
-
 func (d *FileDevice) path(cpu int, reg uint32) string {
 	return filepath.Join(d.dir, fmt.Sprintf("cpu%d", cpu), fmt.Sprintf("0x%08X", Canonical(reg)))
 }
@@ -473,25 +440,19 @@ func (d *FileDevice) path(cpu int, reg uint32) string {
 func (d *FileDevice) Read(cpu int, reg uint32) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	v, err := d.readFile(cpu, reg)
-	if err == nil && d.rec != nil {
-		d.rec.RecordMSR(false, cpu, Canonical(reg), v)
-	}
-	return v, err
+	return d.readFile(cpu, reg)
 }
 
-// ReadBatch implements BatchReader under a single lock acquisition, the
-// recorder seeing the successful reads once the sweep is done.
+// ReadBatch implements BatchReader under a single lock acquisition.
 func (d *FileDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n, err := sweep(perCPU(func(cpu int) (uint64, error) { return d.readFile(cpu, reg) }), vals, ok)
-	recordSweep(d.rec, Canonical(reg), vals[:n], ok, err)
+	_, err := sweep(perCPU(func(cpu int) (uint64, error) { return d.readFile(cpu, reg) }), vals, ok)
 	return err
 }
 
-// readFile reads one register file, unrecorded. A missing register reads as
-// zero and is still a successful observation.
+// readFile reads one register file. A missing register reads as zero and is
+// still a successful observation.
 func (d *FileDevice) readFile(cpu int, reg uint32) (uint64, error) {
 	b, err := os.ReadFile(d.path(cpu, reg))
 	if os.IsNotExist(err) {
@@ -518,9 +479,6 @@ func (d *FileDevice) Write(cpu int, reg uint32, val uint64) error {
 	binary.LittleEndian.PutUint64(b[:], val)
 	if err := os.WriteFile(p, b[:], 0o644); err != nil {
 		return fmt.Errorf("msr: write cpu%d reg 0x%X: %w", cpu, reg, err)
-	}
-	if d.rec != nil {
-		d.rec.RecordMSR(true, cpu, Canonical(reg), val)
 	}
 	return nil
 }

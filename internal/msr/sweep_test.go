@@ -2,9 +2,6 @@ package msr_test
 
 import (
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -21,20 +18,13 @@ func (p perAccess) RecordMSR(write bool, cpu int, reg uint32, val uint64) {
 	p.rec.RecordMSR(write, cpu, reg, val)
 }
 
-// recordingDevice is a device under test with a recorder installed.
-type recordingDevice interface {
-	msr.Device
-	msr.BatchReader
-	SetRecorder(msr.Recorder)
-}
-
 const sweepCPUs = 6
 
 var errDark = errors.New("dark cpu")
 
 // simDevice serves APERF on every cpu, MPERF on all but cpus 1 and 4, and
 // FIXED_CTR0 on cpus 0..2 only.
-func simDevice(*testing.T) recordingDevice {
+func simDevice() *msr.SimDevice {
 	d := msr.NewSimDevice()
 	d.OnRead(msr.IA32Aperf, func(cpu int) (uint64, error) { return uint64(100 + cpu), nil })
 	d.OnRead(msr.IA32Mperf, func(cpu int) (uint64, error) {
@@ -53,37 +43,6 @@ func simDevice(*testing.T) recordingDevice {
 	return d
 }
 
-// fileDevice holds the same registers as simDevice, a failing cpu being a
-// truncated register file.
-func fileDevice(t *testing.T) recordingDevice {
-	d, err := msr.NewFileDevice(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cpu := 0; cpu < sweepCPUs; cpu++ {
-		for _, r := range []struct {
-			reg  uint32
-			base int
-			bad  bool
-		}{
-			{msr.IA32Aperf, 100, false},
-			{msr.IA32Mperf, 200, cpu == 1 || cpu == 4},
-			{msr.IA32FixedCtr0, 300, cpu >= 3},
-		} {
-			if err := d.Write(cpu, r.reg, uint64(r.base+cpu)); err != nil {
-				t.Fatal(err)
-			}
-			if r.bad {
-				p := filepath.Join(d.Dir(), fmt.Sprintf("cpu%d", cpu), fmt.Sprintf("0x%08X", r.reg))
-				if err := os.WriteFile(p, []byte{1, 2, 3}, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	return d
-}
-
 type read struct {
 	core  int16
 	reg   uint32
@@ -95,92 +54,85 @@ type read struct {
 // exactly the successful reads: none for the holes of a resilient sweep,
 // none from the failing cpu on of a strict one, none for an unwired register.
 func TestSweepRecordsExactlySuccessfulReads(t *testing.T) {
-	for name, build := range map[string]func(*testing.T) recordingDevice{"sim": simDevice, "file": fileDevice} {
-		t.Run(name, func(t *testing.T) {
-			swept, single := flight.New(0), flight.New(0)
-			clock := func() time.Duration { return 7 * time.Millisecond }
-			swept.SetClock(clock)
-			single.SetClock(clock)
-			devSwept, devSingle := build(t), build(t)
-			devSwept.SetRecorder(swept)
-			devSingle.SetRecorder(perAccess{single})
+	t.Run("sim", func(t *testing.T) {
+		swept, single := flight.New(0), flight.New(0)
+		clock := func() time.Duration { return 7 * time.Millisecond }
+		swept.SetClock(clock)
+		single.SetClock(clock)
+		devSwept, devSingle := simDevice(), simDevice()
+		devSwept.SetRecorder(swept)
+		devSingle.SetRecorder(perAccess{single})
 
-			type outcome struct {
-				Vals []uint64
-				OK   []bool
-				Err  bool
-			}
-			drive := func(dev recordingDevice) []outcome {
-				var out []outcome
-				sweepOnce := func(reg uint32, resilient bool) {
-					vals := make([]uint64, sweepCPUs)
-					var ok []bool
-					if resilient {
-						ok = make([]bool, sweepCPUs)
-					}
-					err := msr.ReadBatch(dev, reg, vals, ok)
-					if !resilient && err != nil {
-						vals = nil // unspecified past the failing cpu
-					}
-					out = append(out, outcome{vals, ok, err != nil})
+		type outcome struct {
+			Vals []uint64
+			OK   []bool
+			Err  bool
+		}
+		drive := func(dev *msr.SimDevice) []outcome {
+			var out []outcome
+			sweepOnce := func(reg uint32, resilient bool) {
+				vals := make([]uint64, sweepCPUs)
+				var ok []bool
+				if resilient {
+					ok = make([]bool, sweepCPUs)
 				}
-				sweepOnce(msr.IA32Aperf, false)     // strict, clean
-				sweepOnce(msr.IA32Mperf, true)      // resilient, holes at 1 and 4
-				sweepOnce(msr.IA32FixedCtr0, false) // strict, aborts at cpu 3
-				sweepOnce(msr.IA32Mperf, false)     // strict, aborts at cpu 1
-				sweepOnce(msr.AMDCoreEnergy, true)  // nothing to read anywhere on sim; RAZ on file
-				if err := dev.Write(2, msr.IA32PerfCtl, 0x1800); err != nil {
-					t.Fatal(err)
+				err := msr.ReadBatch(dev, reg, vals, ok)
+				if !resilient && err != nil {
+					vals = nil // unspecified past the failing cpu
 				}
-				if _, err := dev.Read(5, msr.IA32Aperf); err != nil {
-					t.Fatal(err)
-				}
-				return out
+				out = append(out, outcome{vals, ok, err != nil})
 			}
-			if a, b := drive(devSwept), drive(devSingle); !reflect.DeepEqual(a, b) {
-				t.Fatalf("the recorder changed what the sweeps returned:\n swept  %+v\n single %+v", a, b)
+			sweepOnce(msr.IA32Aperf, false)     // strict, clean
+			sweepOnce(msr.IA32Mperf, true)      // resilient, holes at 1 and 4
+			sweepOnce(msr.IA32FixedCtr0, false) // strict, aborts at cpu 3
+			sweepOnce(msr.IA32Mperf, false)     // strict, aborts at cpu 1
+			sweepOnce(msr.AMDCoreEnergy, true)  // nothing to read anywhere
+			if err := dev.Write(2, msr.IA32PerfCtl, 0x1800); err != nil {
+				t.Fatal(err)
 			}
+			if _, err := dev.Read(5, msr.IA32Aperf); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		if a, b := drive(devSwept), drive(devSingle); !reflect.DeepEqual(a, b) {
+			t.Fatalf("the recorder changed what the sweeps returned:\n swept  %+v\n single %+v", a, b)
+		}
 
-			strip := func(evs []flight.Event) []flight.Event {
-				for i := range evs {
-					if i > 0 && evs[i].Wall < evs[i-1].Wall {
-						t.Errorf("seq %d: wall runs backwards", evs[i].Seq)
-					}
-					evs[i].Wall = 0
+		strip := func(evs []flight.Event) []flight.Event {
+			for i := range evs {
+				if i > 0 && evs[i].Wall < evs[i-1].Wall {
+					t.Errorf("seq %d: wall runs backwards", evs[i].Seq)
 				}
-				return evs
+				evs[i].Wall = 0
 			}
-			got, want := strip(swept.Snapshot()), strip(single.Snapshot())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("sweep-fed and per-access logs differ:\n swept  %+v\n single %+v", got, want)
-			}
+			return evs
+		}
+		got, want := strip(swept.Snapshot()), strip(single.Snapshot())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sweep-fed and per-access logs differ:\n swept  %+v\n single %+v", got, want)
+		}
 
-			var reads []read
-			for _, e := range got {
-				if e.Kind == flight.KindMSRRead {
-					reads = append(reads, read{e.Core, e.Arg, e.Value})
-				}
+		var reads []read
+		for _, e := range got {
+			if e.Kind == flight.KindMSRRead {
+				reads = append(reads, read{e.Core, e.Arg, e.Value})
 			}
-			var exp []read
-			for cpu := 0; cpu < sweepCPUs; cpu++ {
-				exp = append(exp, read{int16(cpu), msr.IA32Aperf, uint64(100 + cpu)})
-			}
-			for _, cpu := range []int{0, 2, 3, 5} {
-				exp = append(exp, read{int16(cpu), msr.IA32Mperf, uint64(200 + cpu)})
-			}
-			for cpu := 0; cpu < 3; cpu++ {
-				exp = append(exp, read{int16(cpu), msr.IA32FixedCtr0, uint64(300 + cpu)})
-			}
-			exp = append(exp, read{0, msr.IA32Mperf, 200})
-			if name == "file" { // absent registers read as zero and are observations
-				for cpu := 0; cpu < sweepCPUs; cpu++ {
-					exp = append(exp, read{int16(cpu), msr.PP0EnergyStatus, 0})
-				}
-			}
-			exp = append(exp, read{5, msr.IA32Aperf, 105})
-			if !reflect.DeepEqual(reads, exp) {
-				t.Fatalf("recorded reads\n got  %v\n want %v", reads, exp)
-			}
-		})
-	}
+		}
+		var exp []read
+		for cpu := 0; cpu < sweepCPUs; cpu++ {
+			exp = append(exp, read{int16(cpu), msr.IA32Aperf, uint64(100 + cpu)})
+		}
+		for _, cpu := range []int{0, 2, 3, 5} {
+			exp = append(exp, read{int16(cpu), msr.IA32Mperf, uint64(200 + cpu)})
+		}
+		for cpu := 0; cpu < 3; cpu++ {
+			exp = append(exp, read{int16(cpu), msr.IA32FixedCtr0, uint64(300 + cpu)})
+		}
+		exp = append(exp, read{0, msr.IA32Mperf, 200})
+		exp = append(exp, read{5, msr.IA32Aperf, 105})
+		if !reflect.DeepEqual(reads, exp) {
+			t.Fatalf("recorded reads\n got  %v\n want %v", reads, exp)
+		}
+	})
 }

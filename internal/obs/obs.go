@@ -185,7 +185,9 @@ func WithRounds(tr *tracing.Tracer) Option {
 // WithLedger exposes the energy ledger: GET /debug/energy answers range
 // queries (?from=, ?to=, ?res=raw|1s|1m|auto, ?step=, ?limit=) over the
 // per-app energy time series, plus the cumulative summary — attribution
-// totals, cost/carbon, and the anomaly feed.
+// totals, cost/carbon, and each anomaly detector's firing count. The
+// anomalies themselves are the padpd_anomalies_total counters and the
+// ledger's KindAnomaly flight events.
 func WithLedger(l *ledger.Ledger) Option {
 	return func(s *Server) { s.ledger = l }
 }

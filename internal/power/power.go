@@ -112,32 +112,6 @@ func (m Model) CorePower(f units.Hertz, activity float64) units.Watts {
 	return units.Watts(dyn) + m.CoreLeakage
 }
 
-// FreqForPower inverts CorePower: it returns the highest frequency within
-// [Curve.MinFreq, Curve.MaxFreq] at which a core running the given activity
-// draws at most target watts. This is the "simple linear power model"-style
-// translation the paper's power-share policy needs; we solve the exact model
-// by bisection since CorePower is monotone in f. If even the minimum
-// frequency exceeds the target, MinFreq is returned (the policy layer is
-// responsible for deciding between starvation and a frequency floor).
-func (m Model) FreqForPower(target units.Watts, activity float64) units.Hertz {
-	lo, hi := m.Curve.MinFreq, m.Curve.MaxFreq
-	if m.CorePower(lo, activity) >= target {
-		return lo
-	}
-	if m.CorePower(hi, activity) <= target {
-		return hi
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if m.CorePower(mid, activity) <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Package sums a package's power: uncore plus each core's contribution.
 // Each entry of draws is one core; idle cores (Active=false) contribute the
 // C-state residual.

@@ -156,46 +156,6 @@ func TestSuperlinearGrowth(t *testing.T) {
 	}
 }
 
-func TestFreqForPowerInverse(t *testing.T) {
-	m := testModel()
-	for _, act := range []float64{0.7, 1.0, 1.5} {
-		for f := m.Curve.MinFreq; f <= m.Curve.MaxFreq; f += 200 * units.MHz {
-			p := m.CorePower(f, act)
-			back := m.FreqForPower(p, act)
-			if math.Abs(float64(back-f)) > 1e6 { // within 1 MHz
-				t.Errorf("FreqForPower(CorePower(%v, %v)) = %v", f, act, back)
-			}
-		}
-	}
-}
-
-func TestFreqForPowerEdges(t *testing.T) {
-	m := testModel()
-	if got := m.FreqForPower(0, 1); got != m.Curve.MinFreq {
-		t.Errorf("unreachable target should return MinFreq, got %v", got)
-	}
-	if got := m.FreqForPower(1e6, 1); got != m.Curve.MaxFreq {
-		t.Errorf("huge target should return MaxFreq, got %v", got)
-	}
-}
-
-// Property: FreqForPower never exceeds the budget except at the floor.
-func TestFreqForPowerWithinBudget(t *testing.T) {
-	m := testModel()
-	prop := func(raw uint8, actRaw uint8) bool {
-		target := units.Watts(float64(raw)/255*20 + 0.1)
-		act := 0.5 + float64(actRaw)/255
-		f := m.FreqForPower(target, act)
-		if f == m.Curve.MinFreq {
-			return true // floor: may exceed budget by design
-		}
-		return m.CorePower(f, act) <= target+1e-6
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPackageAggregation(t *testing.T) {
 	m := testModel()
 	draws := []CoreDraw{

@@ -159,7 +159,7 @@ func TestObserveSanitizesGarbageReadings(t *testing.T) {
 			l.Observe(g, time.Millisecond)
 		}
 	}
-	if avg := float64(l.Average()); math.IsNaN(avg) || math.IsInf(avg, 0) || avg < 0 {
+	if avg := float64(l.avg.value()); math.IsNaN(avg) || math.IsInf(avg, 0) || avg < 0 {
 		t.Errorf("garbage poisoned the running average: %v", avg)
 	}
 	if c := l.Cap(); c < chip.Freq.Min || c > chip.Freq.Max() {

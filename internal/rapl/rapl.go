@@ -136,9 +136,6 @@ func (l *Limiter) Limit() units.Watts { return l.limit }
 // per-core requests via cpu.FreqSpec.Effective.
 func (l *Limiter) Cap() units.Hertz { return l.cap }
 
-// Average reports the current windowed average power.
-func (l *Limiter) Average() units.Watts { return l.avg.value() }
-
 // Observe feeds one simulation step's package power into the controller and
 // moves the cap at most one frequency step per configured interval. It
 // returns the cap in effect after the observation.

@@ -13,12 +13,22 @@ import (
 
 func skySpec() cpu.FreqSpec { return platform.Skylake().Freq }
 
+// effective is the frequency a core runs at: its request, held under the
+// limiter's cap (zero: none) and the turbo grant for n active cores.
+func effective(chip platform.Chip, request, cap units.Hertz, n int) units.Hertz {
+	f := min(request, chip.Freq.Ceiling(n, false))
+	if cap > 0 {
+		f = min(f, cap)
+	}
+	return chip.Freq.Quantize(f)
+}
+
 // toyPlant computes package power for n identical cores whose requests are
 // given, all capped by the limiter's cap.
 func toyPlant(chip platform.Chip, requests []units.Hertz, activity float64, cap units.Hertz) units.Watts {
 	draws := make([]power.CoreDraw, len(requests))
 	for i, r := range requests {
-		eff := chip.Freq.Effective(r, cap, len(requests), false)
+		eff := effective(chip, r, cap, len(requests))
 		draws[i] = power.CoreDraw{Active: true, Freq: eff, Activity: activity}
 	}
 	return chip.Power.Package(draws)
@@ -92,8 +102,8 @@ func TestConvergesUnderLimit(t *testing.T) {
 	if l.Cap() >= chip.Freq.Max() {
 		t.Error("cap never descended")
 	}
-	if l.Average() > 51 {
-		t.Errorf("windowed average %v above limit", l.Average())
+	if l.avg.value() > 51 {
+		t.Errorf("windowed average %v above limit", l.avg.value())
 	}
 }
 
@@ -122,7 +132,7 @@ func TestThrottlesFastestCoresFirst(t *testing.T) {
 	}
 	// The throttled cores' effective frequency must be their own request,
 	// not the cap.
-	eff := chip.Freq.Effective(chip.Freq.Min, l.Cap(), chip.NumCores, false)
+	eff := effective(chip, chip.Freq.Min, l.Cap(), chip.NumCores)
 	if eff != chip.Freq.Min {
 		t.Errorf("throttled core runs at %v, want its requested %v", eff, chip.Freq.Min)
 	}
@@ -187,7 +197,7 @@ func TestObserveIgnoresNonPositiveDt(t *testing.T) {
 	before := l.Cap()
 	l.Observe(500, 0)
 	l.Observe(500, -time.Second)
-	if l.Cap() != before || l.Average() != 0 {
+	if l.Cap() != before || l.avg.value() != 0 {
 		t.Error("non-positive dt affected state")
 	}
 }

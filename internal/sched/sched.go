@@ -81,9 +81,6 @@ func (c *Core) SetFrequency(f units.Hertz) error {
 	return nil
 }
 
-// Frequency reports the core's current operating frequency.
-func (c *Core) Frequency() units.Hertz { return c.freq }
-
 // Add registers a task with an absolute core-time fraction (quota mode,
 // docker --cpu-quota semantics; leftover time idles the core). The
 // fractions of all tasks may not exceed 1. Quota and share tasks may not
@@ -146,9 +143,6 @@ func (c *Core) Compensate(task int) error {
 	c.tasks[task].compensate = true
 	return nil
 }
-
-// Tasks returns the registered tasks.
-func (c *Core) Tasks() []*Task { return c.tasks }
 
 // Run advances the core for a duration of virtual time, multiplexing tasks
 // quantum by quantum. Within each period, each task receives
@@ -247,30 +241,7 @@ func (c *Core) refillBudgets() {
 	}
 }
 
-// Elapsed reports total virtual time simulated.
-func (c *Core) Elapsed() time.Duration { return c.clock }
-
-// IdleTime reports time the core spent idle.
-func (c *Core) IdleTime() time.Duration { return c.idleTime }
-
-// Energy reports cumulative core energy.
-func (c *Core) Energy() units.Joules { return c.energy }
-
 // AveragePower reports mean core power over the simulated time.
 func (c *Core) AveragePower() units.Watts {
 	return c.energy.Power(c.clock)
-}
-
-// TaskCPUTime reports the core time received by task i.
-func (c *Core) TaskCPUTime(i int) time.Duration {
-	if i < 0 || i >= len(c.tasks) {
-		return 0
-	}
-	return c.tasks[i].cpuTime
-}
-
-// SoloPower predicts the core power of running one profile alone (100%
-// resident) at frequency f on this chip — the reference lines of Figure 6.
-func SoloPower(chip platform.Chip, p workload.Profile, f units.Hertz) units.Watts {
-	return chip.Power.CorePower(f, p.Activity)
 }

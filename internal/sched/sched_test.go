@@ -61,20 +61,17 @@ func TestCPUTimeMatchesFractions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(10 * time.Second)
-	if got := c.Elapsed(); got != 10*time.Second {
-		t.Fatalf("Elapsed = %v", got)
+	if got := c.clock; got != 10*time.Second {
+		t.Fatalf("clock = %v", got)
 	}
-	fa := c.TaskCPUTime(0).Seconds() / 10
-	fb := c.TaskCPUTime(1).Seconds() / 10
+	fa := c.tasks[0].cpuTime.Seconds() / 10
+	fb := c.tasks[1].cpuTime.Seconds() / 10
 	if math.Abs(fa-0.5) > 0.01 || math.Abs(fb-0.3) > 0.01 {
 		t.Errorf("cpu time fractions = %.3f, %.3f; want 0.5, 0.3", fa, fb)
 	}
-	idle := c.IdleTime().Seconds() / 10
+	idle := c.idleTime.Seconds() / 10
 	if math.Abs(idle-0.2) > 0.01 {
 		t.Errorf("idle fraction = %.3f, want 0.2", idle)
-	}
-	if c.TaskCPUTime(5) != 0 {
-		t.Error("out-of-range task time should be 0")
 	}
 }
 
@@ -96,8 +93,8 @@ func TestPowerIsTimeWeightedSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(10 * time.Second)
-	want := 0.5*float64(SoloPower(chip, hd, f)) +
-		0.3*float64(SoloPower(chip, ld, f)) +
+	want := 0.5*float64(chip.Power.CorePower(f, hd.Activity)) +
+		0.3*float64(chip.Power.CorePower(f, ld.Activity)) +
 		0.2*float64(chip.Power.IdleCorePower)
 	got := float64(c.AveragePower())
 	if math.Abs(got-want)/want > 0.02 {
@@ -155,8 +152,8 @@ func TestEmptyCoreIdles(t *testing.T) {
 	chip := platform.Ryzen()
 	c := newCore(t, 3400*units.MHz)
 	c.Run(2 * time.Second)
-	if c.IdleTime() != 2*time.Second {
-		t.Errorf("idle = %v", c.IdleTime())
+	if c.idleTime != 2*time.Second {
+		t.Errorf("idle = %v", c.idleTime)
 	}
 	want := chip.Power.IdleCorePower
 	if got := c.AveragePower(); math.Abs(float64(got-want)) > 1e-9 {

@@ -27,11 +27,11 @@ func TestAddSharesProportionalAndWorkConserving(t *testing.T) {
 	}
 	c.Run(10 * time.Second)
 	// Work-conserving: no idle time.
-	if c.IdleTime() != 0 {
-		t.Errorf("share mode idled %v", c.IdleTime())
+	if c.idleTime != 0 {
+		t.Errorf("share mode idled %v", c.idleTime)
 	}
-	fa := c.TaskCPUTime(0).Seconds() / 10
-	fb := c.TaskCPUTime(1).Seconds() / 10
+	fa := c.tasks[0].cpuTime.Seconds() / 10
+	fb := c.tasks[1].cpuTime.Seconds() / 10
 	if math.Abs(fa-0.75) > 0.01 || math.Abs(fb-0.25) > 0.01 {
 		t.Errorf("cpu fractions = %.3f/%.3f, want 0.75/0.25", fa, fb)
 	}
@@ -69,7 +69,7 @@ func TestSetFrequency(t *testing.T) {
 	if err := c.SetFrequency(2550 * units.MHz); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Frequency(); got != 2550*units.MHz {
+	if got := c.freq; got != 2550*units.MHz {
 		t.Errorf("Frequency = %v", got)
 	}
 }
@@ -154,8 +154,8 @@ func TestThrottleCompensation(t *testing.T) {
 			compLD.TotalInstructions(), plainLD.TotalInstructions())
 	}
 	// The HD co-runner pays: less CPU time than the compensated task.
-	if comp.TaskCPUTime(1) >= comp.TaskCPUTime(0) {
-		t.Errorf("HD task did not pay: %v vs %v", comp.TaskCPUTime(1), comp.TaskCPUTime(0))
+	if comp.tasks[1].cpuTime >= comp.tasks[0].cpuTime {
+		t.Errorf("HD task did not pay: %v vs %v", comp.tasks[1].cpuTime, comp.tasks[0].cpuTime)
 	}
 }
 
@@ -174,8 +174,8 @@ func TestCompensationInactiveAtFullSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(5 * time.Second)
-	fa := c.TaskCPUTime(0).Seconds()
-	fb := c.TaskCPUTime(1).Seconds()
+	fa := c.tasks[0].cpuTime.Seconds()
+	fb := c.tasks[1].cpuTime.Seconds()
 	if math.Abs(fa-fb) > 0.05 {
 		t.Errorf("compensation active at full speed: %.2f vs %.2f", fa, fb)
 	}

@@ -29,11 +29,6 @@ func WithTick(dt time.Duration) Option {
 	return func(m *Machine) { m.dt = dt }
 }
 
-// WithRAPLConfig overrides the RAPL controller configuration.
-func WithRAPLConfig(cfg rapl.Config) Option {
-	return func(m *Machine) { m.raplCfg = cfg }
-}
-
 // WithEnergyUnit sets the RAPL energy-status unit exponent (default 14,
 // i.e. 61 µJ counts as on Skylake server parts).
 func WithEnergyUnit(esu uint) Option {
@@ -74,10 +69,9 @@ type Machine struct {
 	// execute nothing and stay parked until brought back online.
 	offline []bool
 
-	clock   time.Duration
-	dt      time.Duration
-	raplCfg rapl.Config
-	unit    msr.EnergyUnit
+	clock time.Duration
+	dt    time.Duration
+	unit  msr.EnergyUnit
 	// energySocket holds cumulative energy per RAPL domain: one entry per
 	// socket (a single entry on single-socket chips). PkgEnergyStatus reads
 	// on cpu i report i's socket domain, as on real multi-socket machines.
@@ -177,7 +171,7 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		m.idles[i].residency = make([]time.Duration, len(chip.CStates))
 	}
 	var err error
-	m.limiter, err = rapl.New(chip.Freq, m.raplCfg)
+	m.limiter, err = rapl.New(chip.Freq, rapl.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -221,9 +215,6 @@ func (m *Machine) FreqStep() units.Hertz { return m.chip.Freq.Step }
 // Now returns the virtual time elapsed.
 func (m *Machine) Now() time.Duration { return m.clock }
 
-// Tick returns the simulation tick.
-func (m *Machine) Tick() time.Duration { return m.dt }
-
 // Device returns the machine's MSR interface.
 func (m *Machine) Device() msr.Device { return m.dev }
 
@@ -265,17 +256,6 @@ func (m *Machine) App(core int) *workload.Instance {
 		return nil
 	}
 	return m.apps[core]
-}
-
-// Apps returns all pinned instances in core order (nil-free).
-func (m *Machine) Apps() []*workload.Instance {
-	var out []*workload.Instance
-	for _, a := range m.apps {
-		if a != nil {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // SetRequest programs a core's P-state request, quantised to the chip's
@@ -402,14 +382,6 @@ func (m *Machine) PackageEnergy() units.Joules {
 		sum += e
 	}
 	return sum
-}
-
-// SocketEnergy returns the cumulative energy of one socket's RAPL domain.
-func (m *Machine) SocketEnergy(socket int) units.Joules {
-	if socket < 0 || socket >= len(m.energySocket) {
-		return 0
-	}
-	return m.energySocket[socket]
 }
 
 // CoreEnergy returns cumulative energy of one core.
@@ -676,19 +648,6 @@ func (m *Machine) Run(d time.Duration) {
 	for m.clock < end {
 		m.Step()
 	}
-}
-
-// RunUntil advances until cond reports true or max virtual time elapses,
-// returning the virtual time spent and whether the condition was met.
-func (m *Machine) RunUntil(cond func() bool, max time.Duration) (time.Duration, bool) {
-	start := m.clock
-	for m.clock-start < max {
-		if cond() {
-			return m.clock - start, true
-		}
-		m.Step()
-	}
-	return m.clock - start, cond()
 }
 
 // checkCPU refuses a CPU the machine does not have, for every register.

@@ -74,9 +74,6 @@ func TestPinErrors(t *testing.T) {
 	if got := m.App(99); got != nil {
 		t.Error("App out of range should be nil")
 	}
-	if n := len(m.Apps()); n != 1 {
-		t.Errorf("Apps() = %d entries", n)
-	}
 }
 
 func TestUnpinIdlesCore(t *testing.T) {
@@ -118,8 +115,8 @@ func TestClockAdvances(t *testing.T) {
 	if m.Now() != 100*time.Millisecond {
 		t.Errorf("Now = %v", m.Now())
 	}
-	if m.Tick() != 2*time.Millisecond {
-		t.Errorf("Tick = %v", m.Tick())
+	if m.dt != 2*time.Millisecond {
+		t.Errorf("tick = %v", m.dt)
 	}
 }
 
@@ -249,28 +246,11 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	m := newSkylake(t)
-	in := pin(t, m, "gcc", 0)
-	in.Profile.TotalInstructions = 1e9
-	elapsed, ok := m.RunUntil(func() bool { return in.RunsCompleted() >= 1 }, 10*time.Second)
-	if !ok {
-		t.Fatal("run never completed")
-	}
-	if elapsed <= 0 || elapsed > 2*time.Second {
-		t.Errorf("elapsed = %v", elapsed)
-	}
-	_, ok = m.RunUntil(func() bool { return false }, 10*time.Millisecond)
-	if ok {
-		t.Error("impossible condition reported met")
-	}
-}
-
 func TestOnTickHookRuns(t *testing.T) {
 	m := newSkylake(t)
 	var ticks int
 	m.OnTick(func(dt time.Duration) {
-		if dt != m.Tick() {
+		if dt != m.dt {
 			t.Errorf("hook dt = %v", dt)
 		}
 		ticks++

@@ -35,7 +35,11 @@ func (m *Machine) effectiveRef(i int, active int) units.Hertz {
 		}
 		avx = a.Profile.AVX
 	}
-	f := m.chip.Freq.Effective(c.Request, m.limiter.Cap(), active, avx)
+	f := min(c.Request, m.chip.Freq.Ceiling(active, avx))
+	if clamp := m.limiter.Cap(); clamp > 0 {
+		f = min(f, clamp)
+	}
+	f = m.chip.Freq.Quantize(f)
 	if m.thermalCap > 0 && f > m.thermalCap {
 		f = m.thermalCap
 	}
@@ -308,8 +312,8 @@ func (got *refRig) diff(want *refRig, last bool) string {
 		}
 	}
 	for s := range g.energySocket {
-		if g.SocketEnergy(s) != w.SocketEnergy(s) {
-			return fmt.Sprintf("socket %d energy %v, reference %v", s, float64(g.SocketEnergy(s)), float64(w.SocketEnergy(s)))
+		if g.energySocket[s] != w.energySocket[s] {
+			return fmt.Sprintf("socket %d energy %v, reference %v", s, float64(g.energySocket[s]), float64(w.energySocket[s]))
 		}
 	}
 	if g.Limiter().Cap() != w.Limiter().Cap() {

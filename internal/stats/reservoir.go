@@ -40,16 +40,8 @@ func (r *Reservoir) Add(x float64) {
 	}
 }
 
-// Seen reports how many samples have been offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // Len reports how many samples are retained.
 func (r *Reservoir) Len() int { return len(r.xs) }
-
-// Values returns a copy of the retained samples.
-func (r *Reservoir) Values() []float64 {
-	return append([]float64(nil), r.xs...)
-}
 
 // Quantiles estimates several percentiles from the retained sample over
 // a single sort — the latency views ask for p50/p90/p99 together, and

@@ -22,34 +22,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Min returns the smallest element of xs, or zero for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or zero for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -154,31 +126,21 @@ func (b BoxPlot) String() string {
 		b.P1, b.Q1, b.Median, b.Q3, b.P99)
 }
 
-// Accumulator maintains running count, mean, and M2 (for variance) using
-// Welford's algorithm, plus min and max. It is suitable for streaming
-// telemetry samples where retaining the full series is unnecessary.
+// Accumulator maintains a running count, mean and max. It is suitable for
+// streaming telemetry samples where retaining the full series is
+// unnecessary.
 type Accumulator struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n         int
+	mean, max float64
 }
 
 // Add folds x into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
 // Count reports the number of samples added.
@@ -187,33 +149,5 @@ func (a *Accumulator) Count() int { return a.n }
 // Mean reports the running mean, or zero before any sample.
 func (a *Accumulator) Mean() float64 { return a.mean }
 
-// Variance reports the population variance, or zero with fewer than two
-// samples.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
-// StdDev reports the population standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min reports the smallest sample, or zero before any sample.
-func (a *Accumulator) Min() float64 { return a.min }
-
 // Max reports the largest sample, or zero before any sample.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Normalize divides each element of xs by base, returning a new slice. A
-// zero base yields a zero slice, avoiding NaN propagation into reports.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}

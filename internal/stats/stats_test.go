@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,16 +16,16 @@ func TestMeanMinMax(t *testing.T) {
 	if got := Mean(xs); got != 2.8 {
 		t.Errorf("Mean = %v, want 2.8", got)
 	}
-	if got := Min(xs); got != 1 {
+	if got := Percentile(xs, 0); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
-	if got := Max(xs); got != 5 {
+	if got := Percentile(xs, 100); got != 5 {
 		t.Errorf("Max = %v, want 5", got)
 	}
 }
 
 func TestEmptySlices(t *testing.T) {
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 || StdDev(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty-slice aggregates should be zero")
 	}
 	if Percentile(nil, 50) != 0 {
@@ -92,7 +93,7 @@ func TestPercentileProperties(t *testing.T) {
 		if plo > phi+1e-12 {
 			return false
 		}
-		return plo >= Min(xs)-1e-12 && phi <= Max(xs)+1e-12
+		return plo >= slices.Min(xs)-1e-12 && phi <= slices.Max(xs)+1e-12
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -113,33 +114,19 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	if !almostEqual(acc.Mean(), Mean(xs), 1e-9) {
 		t.Errorf("Mean: acc=%v batch=%v", acc.Mean(), Mean(xs))
 	}
-	if !almostEqual(acc.StdDev(), StdDev(xs), 1e-9) {
-		t.Errorf("StdDev: acc=%v batch=%v", acc.StdDev(), StdDev(xs))
-	}
-	if acc.Min() != Min(xs) || acc.Max() != Max(xs) {
-		t.Errorf("Min/Max mismatch")
+	if acc.Max() != slices.Max(xs) {
+		t.Errorf("Max: acc=%v batch=%v", acc.Max(), slices.Max(xs))
 	}
 }
 
 func TestAccumulatorEmptyAndSingle(t *testing.T) {
 	var acc Accumulator
-	if acc.Mean() != 0 || acc.Variance() != 0 {
+	if acc.Mean() != 0 || acc.Max() != 0 {
 		t.Error("empty accumulator should be zero")
 	}
 	acc.Add(5)
-	if acc.Mean() != 5 || acc.Variance() != 0 || acc.Min() != 5 || acc.Max() != 5 {
+	if acc.Mean() != 5 || acc.Max() != 5 {
 		t.Errorf("single-sample accumulator wrong: %+v", acc)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4}, 2)
-	if got[0] != 1 || got[1] != 2 {
-		t.Errorf("Normalize = %v", got)
-	}
-	z := Normalize([]float64{2, 4}, 0)
-	if z[0] != 0 || z[1] != 0 {
-		t.Errorf("Normalize by zero = %v, want zeros", z)
 	}
 }
 

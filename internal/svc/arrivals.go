@@ -102,18 +102,3 @@ func (r RateSchedule) At(t time.Duration) float64 {
 	}
 	return r.Base * mul
 }
-
-// Peak returns the highest rate across the schedule's breakpoints (the
-// base rate for a flat schedule) — the figure capacity planning wants.
-func (r RateSchedule) Peak() float64 {
-	if len(r.Points) == 0 {
-		return r.Base
-	}
-	var m float64
-	for _, p := range r.Points {
-		if p.Mul > m {
-			m = p.Mul
-		}
-	}
-	return r.Base * m
-}

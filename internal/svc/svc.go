@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -405,9 +404,6 @@ func (s *Service) recycle(q *request) {
 // Name returns the service's configured name.
 func (s *Service) Name() string { return s.cfg.Name }
 
-// Cores returns the serving cores (caller must not mutate).
-func (s *Service) Cores() []int { return s.cfg.Cores }
-
 // Completed reports requests finished so far.
 func (s *Service) Completed() uint64 { return s.completed }
 
@@ -461,16 +457,6 @@ func (s *Service) MeanLatency() float64 {
 	return s.win.mean()
 }
 
-// Throughput returns completed requests per second of virtual time
-// since the model started.
-func (s *Service) Throughput() float64 {
-	sec := s.now.Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(s.completed) / sec
-}
-
 // WindowRate returns completions per second over the sliding window:
 // the retained samples divided by the time they cover, which is shorter
 // than Window once WindowCap is what evicts.
@@ -502,34 +488,6 @@ func (s *Service) ServiceSLO() core.ServiceSLO {
 	out.P90 = s.win.percentile(s.now, 90)
 	out.P99 = s.win.percentile(s.now, 99)
 	return out
-}
-
-// OfferedLoad estimates the serving pool's utilisation at frequency f:
-// demand rate divided by service capacity. Values near or above 1 mean
-// saturation. For open-loop services the arrival rate is the schedule's
-// peak; for closed loops it is the population's upper bound.
-func (c Config) OfferedLoad(f units.Hertz) float64 {
-	cfg := c
-	cfg.fill()
-	if f <= 0 || len(cfg.Cores) == 0 {
-		return 0
-	}
-	serviceTime := cfg.ServiceCycles / float64(f)
-	var lambda float64
-	switch cfg.Arrivals {
-	case Closed:
-		lambda = float64(cfg.Users) / (cfg.ThinkTime.Seconds() + serviceTime)
-	case OpenPoisson:
-		lambda = cfg.Rate.Peak()
-	case OpenTrace:
-		if n := len(cfg.Trace); n > 1 {
-			span := (cfg.Trace[n-1] - cfg.Trace[0]).Seconds()
-			if span > 0 {
-				lambda = float64(n) / span
-			}
-		}
-	}
-	return lambda * serviceTime / float64(len(cfg.Cores))
 }
 
 // Model co-locates several services on one machine. Services' core

@@ -75,11 +75,6 @@ func ParseTrace(r io.Reader) ([]time.Duration, error) {
 	return out, nil
 }
 
-// ParseTraceString is ParseTrace over an in-memory trace.
-func ParseTraceString(s string) ([]time.Duration, error) {
-	return ParseTrace(strings.NewReader(s))
-}
-
 func parseOffset(s string) (time.Duration, error) {
 	// Plain number → seconds; anything else must be a Go duration.
 	if sec, err := strconv.ParseFloat(s, 64); err == nil {
@@ -114,33 +109,6 @@ func parseRepeat(s string) (int, error) {
 		return 0, fmt.Errorf("repeat %q exceeds %d", s, MaxTraceArrivals)
 	}
 	return n, nil
-}
-
-// WriteTrace writes arrivals in the padtrace/1 format, coalescing runs
-// of identical offsets into xN burst lines. ParseTrace(WriteTrace(t))
-// reproduces t exactly.
-func WriteTrace(w io.Writer, arrivals []time.Duration) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, TraceHeader); err != nil {
-		return err
-	}
-	for i := 0; i < len(arrivals); {
-		j := i
-		for j < len(arrivals) && arrivals[j] == arrivals[i] {
-			j++
-		}
-		var err error
-		if n := j - i; n > 1 {
-			_, err = fmt.Fprintf(bw, "%s x%d\n", arrivals[i], n)
-		} else {
-			_, err = fmt.Fprintf(bw, "%s\n", arrivals[i])
-		}
-		if err != nil {
-			return err
-		}
-		i = j
-	}
-	return bw.Flush()
 }
 
 // PoissonTrace materialises a rate schedule into a concrete arrival

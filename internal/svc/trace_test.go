@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ func TestParseTrace(t *testing.T) {
 2.5s x3
 2.5s
 `
-	got, err := ParseTraceString(in)
+	got, err := ParseTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,31 +47,8 @@ func TestParseTraceErrors(t *testing.T) {
 		"huge repeat":      "1s x99999999\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseTraceString(in); err == nil {
+		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
-		}
-	}
-}
-
-func TestWriteTraceRoundTrip(t *testing.T) {
-	arr := []time.Duration{0, 0, 5 * time.Millisecond, time.Second, time.Second, time.Second, 90 * time.Minute}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, arr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "x3") {
-		t.Errorf("burst not coalesced:\n%s", buf.String())
-	}
-	got, err := ParseTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(arr) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(arr))
-	}
-	for i := range arr {
-		if got[i] != arr[i] {
-			t.Errorf("round trip arrival %d = %v, want %v", i, got[i], arr[i])
 		}
 	}
 }
@@ -134,12 +110,6 @@ func TestRateScheduleAt(t *testing.T) {
 	}
 	if r := s.At(12500 * time.Millisecond); r != 200 {
 		t.Errorf("At(12.5s) = %g, want 200 (wrap)", r)
-	}
-	if p := s.Peak(); p != 300 {
-		t.Errorf("Peak = %g, want 300", p)
-	}
-	if p := Diurnal(1000, time.Minute).Peak(); p != 1150 {
-		t.Errorf("diurnal peak = %g, want 1150", p)
 	}
 }
 

@@ -116,15 +116,6 @@ type Sample struct {
 	SocketStatus []CoreStatus
 }
 
-// TotalIPS sums instruction throughput across cores.
-func (s Sample) TotalIPS() float64 {
-	var t float64
-	for _, c := range s.Cores {
-		t += c.IPS
-	}
-	return t
-}
-
 // Healthy reports whether every core sample and the package reading are
 // trustworthy.
 func (s Sample) Healthy() bool {
@@ -287,9 +278,6 @@ func (s *Sampler) sizeSockets(n int) {
 		s.out[b].SocketStatus = make([]CoreStatus, n)
 	}
 }
-
-// Sockets reports how many RAPL domains the sampler reads.
-func (s *Sampler) Sockets() int { return s.sockets }
 
 // Prime records a baseline without producing a sample. It must be called
 // once before the first Sample. Unreadable cores and sockets are tolerated:

@@ -46,12 +46,6 @@ func (sw *SnapshotWriter) Observe(s core.Snapshot) {
 	fmt.Fprintln(sw.bw)
 }
 
-// Flush drains the buffer to the underlying writer. Call it once after the
-// run completes (and before closing the file).
-func (sw *SnapshotWriter) Flush() error {
-	return sw.bw.Flush()
-}
-
 // Close flushes the buffer and closes the underlying writer if it is an
 // io.Closer. A flush failure takes precedence over a close failure: it
 // means rows were lost, which matters more than a leaked descriptor.

@@ -145,12 +145,3 @@ func (s Shares) Fraction(total Shares) float64 {
 	}
 	return float64(s) / float64(total)
 }
-
-// SumShares adds up a share slice.
-func SumShares(ss []Shares) Shares {
-	var t Shares
-	for _, s := range ss {
-		t += s
-	}
-	return t
-}

@@ -125,20 +125,11 @@ func TestSharesFraction(t *testing.T) {
 	}
 }
 
-func TestSumShares(t *testing.T) {
-	if got := SumShares([]Shares{1, 2, 3}); got != 6 {
-		t.Errorf("SumShares = %v, want 6", got)
-	}
-	if got := SumShares(nil); got != 0 {
-		t.Errorf("SumShares(nil) = %v, want 0", got)
-	}
-}
-
 // Property: fractions across a share vector sum to ~1 when total is the sum.
 func TestFractionSumsToOne(t *testing.T) {
 	prop := func(a, b, c uint8) bool {
 		ss := []Shares{Shares(a) + 1, Shares(b) + 1, Shares(c) + 1}
-		total := SumShares(ss)
+		total := ss[0] + ss[1] + ss[2]
 		var sum float64
 		for _, s := range ss {
 			sum += s.Fraction(total)

@@ -56,7 +56,7 @@ func executeRef(in *Instance, f units.Hertz, sec float64) float64 {
 	remaining := sec
 	var retired float64
 	for remaining > 1e-15 {
-		ips := in.IPS(f)
+		ips := ipsAt(f, in.CurrentCPI(), in.Profile.MemStall)
 		if ips <= 0 {
 			break
 		}
@@ -133,7 +133,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			g, w := got.AdvanceSec(f, dt, dt.Seconds()), advanceRef(want, f, dt)
 			if g != w || got.TotalInstructions() != want.TotalInstructions() ||
 				got.Progress() != want.Progress() || got.RunsCompleted() != want.RunsCompleted() ||
-				got.ActiveTime() != want.ActiveTime() || got.DutyOn() != want.DutyOn() ||
+				got.active != want.active || got.DutyOn() != want.DutyOn() ||
 				got.CurrentActivity() != want.CurrentActivity() {
 				t.Fatalf("%s step %d at %v for %v: retired %v (total %v, %d runs), reference %v (total %v, %d runs)",
 					p.Name, step, f, dt, g, got.TotalInstructions(), got.RunsCompleted(),
@@ -162,7 +162,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 		}
 		bound := min(short.TotalInstructions-got.done, short.Phases[0].Instructions-got.phaseDone)
 		f := 2 * units.GHz
-		ips := got.IPS(f)
+		ips := ipsAt(f, got.CurrentCPI(), got.Profile.MemStall)
 		sec := bound / ips
 		for ips*sec < bound {
 			sec = math.Nextafter(sec, 1)

@@ -71,21 +71,3 @@ var extendedProfiles = []Profile{
 		TotalInstructions: 3.0e11,
 	},
 }
-
-// ExtendedSPEC2017 returns the paper's subset plus the additional SPEC
-// CPU2017 benchmarks, as a copy.
-func ExtendedSPEC2017() []Profile {
-	out := make([]Profile, 0, len(specProfiles)+len(extendedProfiles))
-	out = append(out, specProfiles...)
-	out = append(out, extendedProfiles...)
-	return out
-}
-
-// ExtendedNames returns the names of the extended-only benchmarks.
-func ExtendedNames() []string {
-	out := make([]string, len(extendedProfiles))
-	for i, p := range extendedProfiles {
-		out[i] = p.Name
-	}
-	return out
-}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 )
 
 // The SPEC CPU2017 rate-1 subset the paper evaluates (Section 3.1), plus the
@@ -138,30 +137,4 @@ func MustByName(name string) Profile {
 		panic(err)
 	}
 	return p
-}
-
-// DemandClass partitions profiles into high demand (HD) and low demand (LD)
-// by comparing each profile's power-proxy (activity factor) to the median of
-// the group, following the paper's definition: HD applications "use more
-// power at a given frequency" than their co-runners. Ties go to LD.
-func DemandClass(profiles []Profile) map[string]bool {
-	if len(profiles) == 0 {
-		return nil
-	}
-	acts := make([]float64, len(profiles))
-	for i, p := range profiles {
-		acts[i] = p.Activity
-	}
-	sorted := make([]float64, len(acts))
-	copy(sorted, acts)
-	sort.Float64s(sorted)
-	median := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		median = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	hd := make(map[string]bool, len(profiles))
-	for i, p := range profiles {
-		hd[p.Name] = acts[i] > median
-	}
-	return hd
 }

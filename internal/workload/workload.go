@@ -137,27 +137,6 @@ func ipsAt(f units.Hertz, cpi, memStall float64) float64 {
 	return 1 / spi
 }
 
-// Runtime returns the profile's run-to-completion time at a fixed frequency,
-// ignoring phases.
-func (p Profile) Runtime(f units.Hertz) time.Duration {
-	ips := p.IPS(f)
-	if ips <= 0 {
-		return 0
-	}
-	return time.Duration(p.TotalInstructions / ips * float64(time.Second))
-}
-
-// FrequencySensitivity reports how strongly performance responds to
-// frequency: the ratio of IPS at hi to IPS at lo, divided by hi/lo. A value
-// near 1 means perfectly frequency-sensitive (core-bound); near lo/hi means
-// totally insensitive (memory-bound).
-func (p Profile) FrequencySensitivity(lo, hi units.Hertz) float64 {
-	if lo <= 0 || hi <= lo {
-		return 0
-	}
-	return (p.IPS(hi) / p.IPS(lo)) / (float64(hi) / float64(lo))
-}
-
 // Instance is one running copy of a profile.
 type Instance struct {
 	Profile Profile
@@ -200,12 +179,6 @@ func (in *Instance) CurrentActivity() float64 {
 		return in.Profile.Activity
 	}
 	return in.Profile.Activity * in.Profile.Phases[in.phaseIdx].ActivityMult
-}
-
-// IPS returns the instance's instructions per second at frequency f in its
-// current phase.
-func (in *Instance) IPS(f units.Hertz) float64 {
-	return ipsAt(f, in.CurrentCPI(), in.Profile.MemStall)
 }
 
 // memoIPS is IPS(f), recomputed only when f, the phase's CPI or the stall
@@ -353,18 +326,6 @@ func (in *Instance) Progress() float64 {
 
 // TotalInstructions reports instructions retired across all runs.
 func (in *Instance) TotalInstructions() float64 { return in.totalInst }
-
-// ActiveTime reports how long the instance has been executing.
-func (in *Instance) ActiveTime() time.Duration { return in.active }
-
-// MeanIPS reports the instance's average IPS over its active time.
-func (in *Instance) MeanIPS() float64 {
-	s := in.active.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return in.totalInst / s
-}
 
 // Reset returns the instance to its initial state.
 func (in *Instance) Reset() {
