@@ -80,7 +80,89 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
-// The lint on an in-memory tree: what it reports and what it lets pass.
+// knobAllowlist names the knobs under internal/ that no program sets but
+// that stay settings, each with the reason.
+var knobAllowlist = map[string]string{
+	"internal/svc.Config.MaxQueue": svcWireCounter,
+	"internal/svc.Config.Timeout":  svcWireCounter,
+}
+
+const svcWireCounter = "its Dropped/Timeouts counter is in the wire status and in powerd's pinned stdout"
+
+// Every knob under internal/ — an exported, untagged field of basic
+// underlying type in an exported Config or Spec struct — is set by a
+// program: a keyed literal in a non-test file, or an assignment, & or
+// ++/-- in a non-test file outside the declaring package. A setting no
+// program sets is a constant. What stays unset on purpose is on
+// knobAllowlist with its reason.
+func TestEveryKnobHasASetter(t *testing.T) {
+	problems, err := knobProblems(os.DirFS("."), "repro", knobAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// The knob lint on an in-memory tree: what it reports and what it lets pass.
+func TestKnobLintFixture(t *testing.T) {
+	fsys := fstest.MapFS{
+		"internal/a/a.go": {Data: []byte(`package a
+import "time"
+type Config struct {
+	Unset      int
+	TestOnly   time.Duration
+	Defaulted  float64
+	BenchSet   string
+	Tagged     int ` + "`json:\"tagged\"`" + `
+	Ptr        *int
+	Assigned   bool
+	Addressed  int
+	Stepped    uint
+	Listed     int
+	Gone       int
+	unexported int
+}
+type Options struct{ Unset int }
+func (c *Config) fill() {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+}`)},
+		"internal/a/a_test.go": {Data: []byte("package a\nvar c = Config{TestOnly: 1}")},
+		"cmd/x/main.go": {Data: []byte(`package main
+import "m/internal/a"
+func main() {
+	var c a.Config
+	c.Assigned = true
+	p := &c.Addressed
+	c.Stepped++
+	_ = a.Config{Gone: *p}
+}`)},
+		"benchmark/main.go": {Data: []byte("package main\nimport \"m/internal/a\"\nvar c = a.Config{BenchSet: \"x\"}")},
+	}
+	got, err := knobProblems(fsys, "m", map[string]string{
+		"internal/a.Config.Gone": "x", "internal/a.Config.Listed": "", "internal/a.Config.Removed": "x",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/a.Config.Defaulted: no program sets it",
+		"internal/a.Config.Gone: allowlisted but a program sets it",
+		"internal/a.Config.Listed: allowlisted without a reason",
+		"internal/a.Config.Removed: allowlisted but not declared",
+		"internal/a.Config.TestOnly: no program sets it",
+		"internal/a.Config.Unset: no program sets it",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// The export lint on an in-memory tree: what it reports and what it lets
+// pass.
 func TestExportLintFixture(t *testing.T) {
 	fsys := fstest.MapFS{
 		"internal/a/a.go": {Data: []byte(`package a
@@ -120,70 +202,24 @@ func main() { a.Used(); a.Listed(); fmt.Println() }`)},
 // exportProblems type-checks the non-test Go files of the tree in fsys,
 // whose root has import path module, and reports each uncalled export under
 // internal/ that allow does not name, and each entry of allow that has no
-// reason or does not name an uncalled export. A package outside the module
-// is an empty stub: nothing in it calls back into the repo.
+// reason or does not name an uncalled export.
 func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]string, error) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
-	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
-			return fs.SkipDir
-		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
-			return nil
-		}
-		src, err := fs.ReadFile(fsys, p)
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
-		files[path.Dir(p)] = append(files[path.Dir(p)], f)
-		return err
-	})
+	tr, err := loadTree(fsys, module)
 	if err != nil {
 		return nil, err
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	pkgs := map[string]*types.Package{}
-	var check func(dir string) *types.Package
-	imp := importerFunc(func(p string) (*types.Package, error) {
-		dir, ok := strings.CutPrefix(p, module+"/")
-		if p == module {
-			dir, ok = ".", true
-		}
-		if ok && files[dir] != nil {
-			return check(dir), nil
-		}
-		name := path.Base(p)
-		if strings.Trim(name, "v0123456789") == "" {
-			name = path.Base(path.Dir(p)) // math/rand/v2
-		}
-		pkg := types.NewPackage(p, name)
-		pkg.MarkComplete()
-		return pkg, nil
-	})
-	check = func(dir string) *types.Package {
-		if pkgs[dir] == nil {
-			conf := types.Config{Importer: imp, Error: func(error) {}}
-			pkgs[dir], _ = conf.Check(path.Join(module, dir), fset, files[dir], info)
-		}
-		return pkgs[dir]
-	}
 	used, ifaceMethods := map[types.Object]bool{}, map[string]bool{}
-	for dir, dirFiles := range files {
-		check(dir)
+	for _, dirFiles := range tr.files {
 		for _, f := range dirFiles {
 			for _, decl := range f.Decls {
 				var self types.Object // a function calling itself is not a caller
 				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = info.Defs[fd.Name]
+					self = tr.info.Defs[fd.Name]
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.Ident:
-						if fn, ok := info.Uses[n].(*types.Func); ok && fn != self {
+						if fn, ok := tr.info.Uses[n].(*types.Func); ok && fn != self {
 							used[fn.Origin()] = true
 						}
 					case *ast.InterfaceType:
@@ -198,9 +234,8 @@ func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]strin
 			}
 		}
 	}
-	var problems []string
 	uncalled := map[string]bool{} // every export the lint covers: is it uncalled?
-	for dir, dirFiles := range files {
+	for dir, dirFiles := range tr.files {
 		if !strings.HasPrefix(dir, "internal/") || path.Base(dir) == "flighttest" {
 			continue
 		}
@@ -217,27 +252,195 @@ func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]strin
 					}
 					key = dir + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
 				}
-				_, listed := allow[key]
-				uncalled[key] = !used[info.Defs[fd.Name]]
-				if uncalled[key] && !listed {
-					problems = append(problems, key+": no program calls it")
-				}
+				uncalled[key] = !used[tr.info.Defs[fd.Name]]
 			}
 		}
 	}
+	return lintProblems(uncalled, allow, "calls"), nil
+}
+
+// knobProblems type-checks the tree in fsys like exportProblems and reports
+// each knob no program sets that allow does not name, and each entry of
+// allow that has no reason or does not name an unset knob. A knob is an
+// exported, untagged field of basic underlying type in an exported struct
+// type under internal/ whose name ends in Config or Spec. A program sets it
+// with a keyed composite literal, or with an assignment, & or ++/-- outside
+// the declaring package: an assignment inside it fills a default.
+func knobProblems(fsys fs.FS, module string, allow map[string]string) ([]string, error) {
+	tr, err := loadTree(fsys, module)
+	if err != nil {
+		return nil, err
+	}
+	set := map[types.Object]bool{}
+	for dir, dirFiles := range tr.files {
+		// setOutside marks the field e selects when the package of dir
+		// does not declare it.
+		setOutside := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if v, ok := tr.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() && v.Pkg() != tr.pkgs[dir] {
+					set[v] = true
+				}
+			}
+		}
+		for _, f := range dirFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := tr.info.Uses[key].(*types.Var); ok && v.IsField() {
+							set[v] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setOutside(lhs)
+					}
+				case *ast.IncDecStmt:
+					setOutside(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setOutside(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	unset := map[string]bool{} // every knob the lint covers: is it unset?
+	for dir, dirFiles := range tr.files {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range dirFiles {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Spec")) {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return false
+				}
+				for _, field := range st.Fields.List {
+					if field.Tag != nil {
+						continue
+					}
+					for _, name := range field.Names {
+						v := tr.info.Defs[name]
+						if b, ok := v.Type().Underlying().(*types.Basic); name.IsExported() && ok && b.Kind() != types.Invalid {
+							unset[dir+"."+ts.Name.Name+"."+name.Name] = !set[v]
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	return lintProblems(unset, allow, "sets"), nil
+}
+
+// lintProblems reports each key flagged true that allow does not name, and
+// each entry of allow that has no reason, names no key, or names a key a
+// program verb (calls, sets) after all, sorted.
+func lintProblems(flagged map[string]bool, allow map[string]string, verb string) []string {
+	var problems []string
+	for key, bad := range flagged {
+		if _, listed := allow[key]; bad && !listed {
+			problems = append(problems, key+": no program "+verb+" it")
+		}
+	}
 	for key, reason := range allow {
-		isUncalled, declared := uncalled[key]
+		bad, declared := flagged[key]
 		switch {
 		case strings.TrimSpace(reason) == "":
 			problems = append(problems, key+": allowlisted without a reason")
 		case !declared:
 			problems = append(problems, key+": allowlisted but not declared")
-		case !isUncalled:
-			problems = append(problems, key+": allowlisted but a program calls it")
+		case !bad:
+			problems = append(problems, key+": allowlisted but a program "+verb+" it")
 		}
 	}
 	sort.Strings(problems)
-	return problems, nil
+	return problems
+}
+
+// tree is the type-checked non-test Go of a module: its files and packages
+// by directory, and what each identifier in them denotes.
+type tree struct {
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+// loadTree parses and type-checks the non-test Go files of the tree in
+// fsys, whose root has import path module. A package outside the module is
+// an empty stub, since nothing in it calls back into the repo, except that
+// time declares Duration, the one standard-library basic type a knob has.
+func loadTree(fsys fs.FS, module string) (*tree, error) {
+	fset := token.NewFileSet()
+	tr := &tree{
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, p)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		tr.files[path.Dir(p)] = append(tr.files[path.Dir(p)], f)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	var check func(dir string) *types.Package
+	stubs := map[string]*types.Package{}
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(p, module+"/")
+		if p == module {
+			dir, ok = ".", true
+		}
+		if ok && tr.files[dir] != nil {
+			return check(dir), nil
+		}
+		if stubs[p] != nil {
+			return stubs[p], nil
+		}
+		name := path.Base(p)
+		if strings.Trim(name, "v0123456789") == "" {
+			name = path.Base(path.Dir(p)) // math/rand/v2
+		}
+		pkg := types.NewPackage(p, name)
+		if p == "time" {
+			obj := types.NewTypeName(token.NoPos, pkg, "Duration", nil)
+			types.NewNamed(obj, types.Typ[types.Int64], nil)
+			pkg.Scope().Insert(obj)
+		}
+		pkg.MarkComplete()
+		stubs[p] = pkg
+		return pkg, nil
+	})
+	check = func(dir string) *types.Package {
+		if tr.pkgs[dir] == nil {
+			conf := types.Config{Importer: imp, Error: func(error) {}}
+			tr.pkgs[dir], _ = conf.Check(path.Join(module, dir), fset, tr.files[dir], tr.info)
+		}
+		return tr.pkgs[dir]
+	}
+	for dir := range tr.files {
+		check(dir)
+	}
+	return tr, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

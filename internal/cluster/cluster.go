@@ -33,6 +33,16 @@ import (
 	"repro/internal/units"
 )
 
+const (
+	// bindMargin is how close, fractionally, measured power must sit to a
+	// node's limit for the node to count as constrained and bid for more.
+	bindMargin = 0.05
+
+	// retryBackoff is the wait before a failed node call's first retry;
+	// it doubles per attempt.
+	retryBackoff = 50 * time.Millisecond
+)
+
 // Config parameterises the coordinator.
 type Config struct {
 	// Budget is the total power available to the node set.
@@ -73,11 +83,6 @@ type Config struct {
 	// the budget.
 	PriorLedger map[string]LedgerEntry
 
-	// BindMargin is how close (fractionally) measured power must sit to a
-	// node's limit for the node to count as constrained and bid for more
-	// (default 0.05).
-	BindMargin float64
-
 	// LeaseTTL is how long a budget grant stays valid without renewal;
 	// a node that stops hearing from the coordinator reverts to its floor
 	// when it elapses. Default 3×Interval. In-process transports cannot be
@@ -88,10 +93,8 @@ type Config struct {
 	NodeTimeout time.Duration
 
 	// Retries is how many extra attempts a failed node call gets within
-	// one step (default 2), waiting RetryBackoff, doubling per attempt
-	// (default 50 ms).
-	Retries      int
-	RetryBackoff time.Duration
+	// one step (default 2), waiting retryBackoff, doubling per attempt.
+	Retries int
 
 	// QuarantineAfter is how many consecutive failed steps a node may
 	// accumulate before the coordinator quarantines it: its budget
@@ -136,9 +139,6 @@ func (c *Config) fill(n int) error {
 	if c.FloorBudget > c.Budget {
 		return fmt.Errorf("cluster: floor budget %v exceeds budget %v", c.FloorBudget, c.Budget)
 	}
-	if c.BindMargin <= 0 {
-		c.BindMargin = 0.05
-	}
 	if n == 0 {
 		return fmt.Errorf("cluster: no nodes")
 	}
@@ -152,9 +152,6 @@ func (c *Config) fill(n int) error {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
@@ -471,7 +468,7 @@ func (c *Coordinator) Run(d time.Duration) error {
 // derives its own.
 func (c *Coordinator) call(ctx, wave context.Context, do func(context.Context) error) error {
 	var lastErr error
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		actx, cancel := wave, context.CancelFunc(func() {})
 		if attempt > 0 {
@@ -710,7 +707,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 		power := float64(reports[i].Power)
 		limit := float64(c.limits[i])
 		bid := power
-		if power >= limit*(1-c.cfg.BindMargin) {
+		if power >= limit*(1-bindMargin) {
 			// The node is pressed against its limit: bid for growth.
 			bid = limit * 1.25
 		}

@@ -252,7 +252,6 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		LeaseTTL:        5 * time.Second,
 		NodeTimeout:     50 * time.Millisecond,
 		Retries:         -1,
-		RetryBackoff:    time.Millisecond,
 		QuarantineAfter: 2,
 		Metrics:         reg,
 		now:             func() time.Time { return now },

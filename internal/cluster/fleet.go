@@ -93,7 +93,7 @@ func NewFleet(budget units.Watts, reg *metrics.Registry) *Fleet {
 	f := &Fleet{
 		budget:   budget,
 		nodes:    make(map[string]*fleetNode),
-		roundRes: stats.NewReservoir(0),
+		roundRes: stats.NewReservoir(),
 	}
 	if reg != nil {
 		f.mPower = reg.Gauge("fleet_power_watts", "Power summed over the latest good report of every node.")
@@ -132,7 +132,7 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 	for _, o := range obs {
 		n := f.nodes[o.Node]
 		if n == nil {
-			n = &fleetNode{name: o.Node, rpcRes: stats.NewReservoir(0)}
+			n = &fleetNode{name: o.Node, rpcRes: stats.NewReservoir()}
 			f.nodes[o.Node] = n
 			f.order = append(f.order, o.Node)
 		}

@@ -59,15 +59,14 @@ type TierConfig struct {
 	// so they stay safe under any budget the tier can be held to.
 	Fallback units.Watts
 
-	// FloorFraction, Interval, LeaseTTL, NodeTimeout, Retries,
-	// RetryBackoff, and QuarantineAfter pass through to the tier's
-	// coordinator (see cluster.Config for defaults).
+	// FloorFraction, Interval, LeaseTTL, NodeTimeout, Retries and
+	// QuarantineAfter pass through to the tier's coordinator (see
+	// cluster.Config for defaults).
 	FloorFraction   float64
 	Interval        time.Duration
 	LeaseTTL        time.Duration
 	NodeTimeout     time.Duration
 	Retries         int
-	RetryBackoff    time.Duration
 	QuarantineAfter int
 
 	// Metrics, Flight, Tracer, and Fleet instrument both halves of the
@@ -126,7 +125,6 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		LeaseTTL:        cfg.LeaseTTL,
 		NodeTimeout:     cfg.NodeTimeout,
 		Retries:         cfg.Retries,
-		RetryBackoff:    cfg.RetryBackoff,
 		QuarantineAfter: cfg.QuarantineAfter,
 		Metrics:         cfg.Metrics,
 		Tracer:          cfg.Tracer,

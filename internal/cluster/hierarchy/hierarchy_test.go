@@ -30,7 +30,6 @@ func TestTreeCascadesBudgetDown(t *testing.T) {
 		Leaves:   16,
 		Rows:     4,
 		Budget:   1600 * watt,
-		Interval: 10 * time.Millisecond,
 		LeaseTTL: time.Minute, // no expiry during the test
 	})
 	ctx := context.Background()
@@ -82,7 +81,6 @@ func TestTreeOverHTTPUplinks(t *testing.T) {
 		Leaves:      8,
 		Rows:        2,
 		Budget:      800 * watt,
-		Interval:    10 * time.Millisecond,
 		LeaseTTL:    time.Minute,
 		HTTPUplinks: true,
 		Trace:       true,
@@ -123,7 +121,6 @@ func TestTreeShrinkCascades(t *testing.T) {
 		Leaves:   8,
 		Rows:     2,
 		Budget:   800 * watt,
-		Interval: 10 * time.Millisecond,
 		LeaseTTL: time.Minute,
 	})
 	ctx := context.Background()

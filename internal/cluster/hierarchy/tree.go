@@ -14,11 +14,10 @@ import (
 	"repro/internal/units"
 )
 
-// SimTreeConfig parameterises a simulated room→row→building tree.
+// SimTreeConfig parameterises a simulated room→row→building tree. Every
+// leaf's highest useful cap is twice its equal share of the budget and its
+// initial draw 0.9 of it; the root coordinator is named "building".
 type SimTreeConfig struct {
-	// Name is the root coordinator's name (default "building").
-	Name string
-
 	// Leaves is the total leaf count, spread as evenly as possible over
 	// Rows mid-tier coordinators.
 	Leaves int
@@ -27,18 +26,11 @@ type SimTreeConfig struct {
 	// Budget is the building-level power budget.
 	Budget units.Watts
 
-	// LeafMax is each leaf's highest useful cap (default 2× the equal
-	// leaf share); LeafDemand its initial draw (default 0.9× the share).
-	LeafMax    units.Watts
-	LeafDemand units.Watts
-
-	// Interval and LeaseTTL pass to every tier (cluster.Config defaults
-	// apply when zero). NodeTimeout and Retries likewise; fault tests
-	// set Retries to -1 for fail-fast rounds.
-	Interval    time.Duration
-	LeaseTTL    time.Duration
-	NodeTimeout time.Duration
-	Retries     int
+	// LeaseTTL and Retries pass to every tier (cluster.Config defaults
+	// apply when zero); fault tests set Retries to -1 for fail-fast
+	// rounds.
+	LeaseTTL time.Duration
+	Retries  int
 
 	// HTTPUplinks serves each row's agent on a loopback listener and
 	// connects the building to it over the real wire protocol with
@@ -78,9 +70,7 @@ const floorFraction = 0.5
 // NewSimTree builds the tree, starts any loopback servers, and issues
 // the initial grant waves tier by tier.
 func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
-	if cfg.Name == "" {
-		cfg.Name = "building"
-	}
+	const rootName = "building"
 	if cfg.Rows <= 0 || cfg.Leaves < cfg.Rows {
 		return nil, fmt.Errorf("hierarchy: %d leaves over %d rows", cfg.Leaves, cfg.Rows)
 	}
@@ -88,12 +78,6 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 		return nil, fmt.Errorf("hierarchy: budget %v not positive", cfg.Budget)
 	}
 	equalLeaf := cfg.Budget / units.Watts(cfg.Leaves)
-	if cfg.LeafMax <= 0 {
-		cfg.LeafMax = 2 * equalLeaf
-	}
-	if cfg.LeafDemand <= 0 {
-		cfg.LeafDemand = equalLeaf * 0.9
-	}
 
 	tracer := func(origin string) *tracing.Tracer {
 		if !cfg.Trace {
@@ -136,9 +120,9 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 			leaf, err := NewLeaf(LeafConfig{
 				Name:     fmt.Sprintf("n%d", leafIdx),
 				NodeID:   nextID(),
-				Max:      cfg.LeafMax,
+				Max:      2 * equalLeaf,
 				Fallback: leafFallback,
-				Demand:   cfg.LeafDemand,
+				Demand:   equalLeaf * 0.9,
 				Flight:   cfg.Flight,
 			})
 			if err != nil {
@@ -160,9 +144,7 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 			NodeID:          nextID(),
 			StartAtFallback: true,
 			Fallback:        rowFallback,
-			Interval:        cfg.Interval,
 			LeaseTTL:        cfg.LeaseTTL,
-			NodeTimeout:     cfg.NodeTimeout,
 			Retries:         cfg.Retries,
 			Flight:          cfg.Flight,
 			Tracer:          tracer(fmt.Sprintf("row%d", r)),
@@ -176,7 +158,7 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 	uplinks := make([]cluster.Transport, cfg.Rows)
 	for r, row := range t.Rows {
 		if !cfg.HTTPUplinks {
-			uplinks[r] = row.Transport(cfg.Name)
+			uplinks[r] = row.Transport(rootName)
 			continue
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -186,21 +168,19 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 		srv := &http.Server{Handler: row.Agent().Handler()}
 		go srv.Serve(ln)
 		t.servers = append(t.servers, srv)
-		uplinks[r] = cluster.NewHTTPNode(row.Name(), ln.Addr().String(), cfg.Name)
+		uplinks[r] = cluster.NewHTTPNode(row.Name(), ln.Addr().String(), rootName)
 	}
 
 	root, err := NewTier(TierConfig{
-		Name:        cfg.Name,
-		Level:       "building",
-		NodeID:      nextID(),
-		Budget:      cfg.Budget,
-		Fallback:    cfg.Budget,
-		Interval:    cfg.Interval,
-		LeaseTTL:    cfg.LeaseTTL,
-		NodeTimeout: cfg.NodeTimeout,
-		Retries:     cfg.Retries,
-		Flight:      cfg.Flight,
-		Tracer:      tracer(cfg.Name),
+		Name:     rootName,
+		Level:    "building",
+		NodeID:   nextID(),
+		Budget:   cfg.Budget,
+		Fallback: cfg.Budget,
+		LeaseTTL: cfg.LeaseTTL,
+		Retries:  cfg.Retries,
+		Flight:   cfg.Flight,
+		Tracer:   tracer(rootName),
 	}, uplinks)
 	if err != nil {
 		return nil, err

@@ -115,7 +115,6 @@ func TestWaveDeadline(t *testing.T) {
 	const (
 		n       = 4
 		timeout = 50 * time.Millisecond
-		backoff = 10 * time.Millisecond
 	)
 	var mu sync.Mutex
 	deadlines := make([][]time.Time, n) // per child, per attempt
@@ -138,7 +137,7 @@ func TestWaveDeadline(t *testing.T) {
 		}}
 	}
 	c, err := NewOverTransports(ts, Config{
-		Budget: n * 50, NodeTimeout: timeout, Retries: 1, RetryBackoff: backoff,
+		Budget: n * 50, NodeTimeout: timeout, Retries: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestWaveDeadline(t *testing.T) {
 	}
 	// Generous above (a loaded box), exact below: two timeouts and the
 	// backoff between them cannot take less.
-	if min := 2*timeout + backoff; elapsed < min || elapsed > min+time.Second {
+	if min := 2*timeout + retryBackoff; elapsed < min || elapsed > min+time.Second {
 		t.Errorf("Step took %v, want about %v", elapsed, min)
 	}
 }

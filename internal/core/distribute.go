@@ -79,12 +79,3 @@ func WaterFill(dst []float64, amount float64, weights, caps []float64) []float64
 	}
 	return alloc
 }
-
-// shareWeights extracts float weights from app specs.
-func shareWeights(specs []AppSpec) []float64 {
-	w := make([]float64, len(specs))
-	for i, s := range specs {
-		w[i] = float64(s.Shares)
-	}
-	return w
-}

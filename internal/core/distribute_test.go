@@ -126,14 +126,6 @@ func TestWaterFillExactProportionality(t *testing.T) {
 	}
 }
 
-func TestShareWeights(t *testing.T) {
-	specs := []AppSpec{{Shares: 3}, {Shares: 1}}
-	w := shareWeights(specs)
-	if w[0] != 3 || w[1] != 1 {
-		t.Errorf("shareWeights = %v", w)
-	}
-}
-
 func TestNormPerf(t *testing.T) {
 	st := AppState{Spec: AppSpec{BaselineIPS: 2e9}, IPS: 1e9}
 	if got := st.NormPerf(); got != 0.5 {

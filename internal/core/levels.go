@@ -72,15 +72,8 @@ func solveLevel(bases, lo, hi []float64, want float64) float64 {
 	return (a + b) / 2
 }
 
-// applyLevel materialises the per-application targets for a level.
-func applyLevel(level float64, bases, lo, hi []float64) []float64 {
-	out := make([]float64, len(bases))
-	applyLevelInto(out, level, bases, lo, hi)
-	return out
-}
-
-// applyLevelInto is the allocation-free variant: targets are written into
-// the caller-owned dst, which must have the same length as bases.
+// applyLevelInto materialises the per-application targets for a level
+// into the caller-owned dst, which must have the same length as bases.
 func applyLevelInto(dst []float64, level float64, bases, lo, hi []float64) {
 	for i, b := range bases {
 		v := level * b

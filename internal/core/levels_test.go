@@ -8,8 +8,10 @@ import (
 )
 
 func totalAt(level float64, bases, lo, hi []float64) float64 {
+	ts := make([]float64, len(bases))
+	applyLevelInto(ts, level, bases, lo, hi)
 	var t float64
-	for _, v := range applyLevel(level, bases, lo, hi) {
+	for _, v := range ts {
 		t += v
 	}
 	return t
@@ -20,7 +22,8 @@ func TestSolveLevelExactProportional(t *testing.T) {
 	lo := []float64{0, 0}
 	hi := []float64{100, 100}
 	level := solveLevel(bases, lo, hi, 40)
-	ts := applyLevel(level, bases, lo, hi)
+	ts := make([]float64, len(bases))
+	applyLevelInto(ts, level, bases, lo, hi)
 	if math.Abs(ts[0]-30) > 1e-6 || math.Abs(ts[1]-10) > 1e-6 {
 		t.Errorf("targets = %v, want [30 10]", ts)
 	}
@@ -32,7 +35,8 @@ func TestSolveLevelRevocation(t *testing.T) {
 	lo := []float64{0, 0}
 	hi := []float64{10, 100}
 	level := solveLevel(bases, lo, hi, 40)
-	ts := applyLevel(level, bases, lo, hi)
+	ts := make([]float64, len(bases))
+	applyLevelInto(ts, level, bases, lo, hi)
 	if ts[0] != 10 {
 		t.Errorf("capped target = %v, want 10", ts[0])
 	}
@@ -50,7 +54,8 @@ func TestSolveLevelWithdrawalReclaimsSurplusFirst(t *testing.T) {
 	// At want=40, targets are [10, 30]: app 1 holds 3x its entitlement
 	// relative to app 0. Shrinking to 25 must reduce app 1 only.
 	level := solveLevel(bases, lo, hi, 25)
-	ts := applyLevel(level, bases, lo, hi)
+	ts := make([]float64, len(bases))
+	applyLevelInto(ts, level, bases, lo, hi)
 	if ts[0] != 10 {
 		t.Errorf("app0 lost resource while app1 over-entitled: %v", ts)
 	}
@@ -60,7 +65,7 @@ func TestSolveLevelWithdrawalReclaimsSurplusFirst(t *testing.T) {
 	// Shrinking further to 12 finally cuts into app 0 (level below its
 	// cap): proportionality is restored.
 	level = solveLevel(bases, lo, hi, 12)
-	ts = applyLevel(level, bases, lo, hi)
+	applyLevelInto(ts, level, bases, lo, hi)
 	if math.Abs(ts[0]-9) > 1e-6 || math.Abs(ts[1]-3) > 1e-6 {
 		t.Errorf("proportional shrink = %v, want [9 3]", ts)
 	}
@@ -72,13 +77,14 @@ func TestSolveLevelBoundsRespected(t *testing.T) {
 	hi := []float64{8, 8}
 	// Unreachably low want: floors bind.
 	level := solveLevel(bases, lo, hi, 0)
-	ts := applyLevel(level, bases, lo, hi)
+	ts := make([]float64, len(bases))
+	applyLevelInto(ts, level, bases, lo, hi)
 	if ts[0] != 5 || ts[1] != 5 {
 		t.Errorf("floor targets = %v", ts)
 	}
 	// Unreachably high want: caps bind.
 	level = solveLevel(bases, lo, hi, 1000)
-	ts = applyLevel(level, bases, lo, hi)
+	applyLevelInto(ts, level, bases, lo, hi)
 	if ts[0] != 8 || ts[1] != 8 {
 		t.Errorf("cap targets = %v", ts)
 	}
@@ -116,7 +122,7 @@ func TestSolveLevelProperties(t *testing.T) {
 	}
 }
 
-// Property: targets from applyLevel always sit inside their bounds and are
+// Property: targets from applyLevelInto always sit inside their bounds and are
 // ordered by base (share) when bounds are shared.
 func TestApplyLevelOrdering(t *testing.T) {
 	prop := func(lvlRaw uint8, a, b, c uint8) bool {
@@ -124,7 +130,8 @@ func TestApplyLevelOrdering(t *testing.T) {
 		bases := []float64{float64(a%20) + 1, float64(b%20) + 1, float64(c%20) + 1}
 		lo := []float64{1, 1, 1}
 		hi := []float64{50, 50, 50}
-		ts := applyLevel(level, bases, lo, hi)
+		ts := make([]float64, len(bases))
+		applyLevelInto(ts, level, bases, lo, hi)
 		for i := range ts {
 			if ts[i] < lo[i] || ts[i] > hi[i] {
 				return false

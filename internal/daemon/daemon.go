@@ -139,11 +139,6 @@ type Config struct {
 	// them. Triggers require Flight to be set.
 	Triggers FlightTriggers
 
-	// StormIters, when positive, arms the fault-storm watchdog: after this
-	// many consecutive unhealthy intervals the daemon dumps flight state
-	// (reason "fault-storm") and re-arms once the storm clears.
-	StormIters int
-
 	// Ledger, when set, receives every control interval's telemetry for
 	// per-app energy attribution, time-series history, anomaly detection,
 	// and cost accounting. The daemon feeds it outside the loop lock (the
@@ -158,10 +153,9 @@ type Config struct {
 	// reuse pool — OnSnapshot hooks that retain it must copy.
 	SLO SLOSource
 
-	// SLOTargets are the live p99 objectives the daemon stamps onto the
+	// SLOTargets are the p99 objectives the daemon stamps onto the
 	// service telemetry by name each interval, overriding whatever target
-	// the source itself reported. Reconfigure can swap them at runtime,
-	// so operators retune objectives without restarting the service.
+	// the source itself reported.
 	SLOTargets []core.SLOTarget
 }
 
@@ -316,10 +310,8 @@ type Daemon struct {
 	sloHoldoff int           // iterations until the latency trigger re-arms
 
 	// Degraded-mode state (guarded by mu), per core id.
-	health     []coreHealth // health state machine of the app on the core
-	lastGood   []goodState  // last trustworthy policy input from the core
-	stormRun   int          // consecutive unhealthy intervals
-	stormFired bool         // watchdog dump already taken this storm
+	health   []coreHealth // health state machine of the app on the core
+	lastGood []goodState  // last trustworthy policy input from the core
 
 	// Jitter is summarised by a streaming accumulator (mean/max) plus a
 	// fixed-size reservoir (percentiles), so real-time loops of any length
@@ -366,7 +358,7 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 		scrHandled: make([]bool, cfg.Chip.NumCores),
 		health:     make([]coreHealth, cfg.Chip.NumCores),
 		lastGood:   make([]goodState, cfg.Chip.NumCores),
-		jitterRes:  stats.NewReservoir(0),
+		jitterRes:  stats.NewReservoir(),
 		overSince:  -1,
 	}
 	d.sizeAppBuffers()
@@ -611,9 +603,6 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		}
 	}
 	dumpReason := d.checkTriggersLocked(snap, time.Since(began))
-	if d.watchdogLocked(sample.Healthy()) && dumpReason == "" {
-		dumpReason = "fault-storm"
-	}
 	d.mu.Unlock()
 
 	// The ledger appends outside d.mu (it has its own lock); the sample's
@@ -740,7 +729,8 @@ func (d *Daemon) Limit() units.Watts {
 	return d.cfg.Limit
 }
 
-// SLOTargets returns a copy of the live per-service p99 objectives.
+// SLOTargets returns a copy of the per-service p99 objectives set at
+// construction.
 func (d *Daemon) SLOTargets() []core.SLOTarget {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -843,9 +833,12 @@ func (d *Daemon) RunRealtime(ctx context.Context, iterations int) error {
 	if err := d.Start(); err != nil {
 		return err
 	}
+	// prev is read before the ticker starts: every tick carries its
+	// scheduled time, at least one interval after the ticker's start, so
+	// the first interval stays positive however late this goroutine runs.
+	prev := time.Now()
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
-	prev := time.Now()
 	for i := 0; i < iterations; i++ {
 		select {
 		case <-ctx.Done():

@@ -61,11 +61,9 @@ func TestLedgerConservationUnderChaos(t *testing.T) {
 			dev := inj.WrapDevice(m.Device())
 			d, err := New(Config{
 				Chip: chip, Policy: pol, Apps: specs, Limit: limit,
-				Interval:   20 * time.Millisecond,
-				Flight:     rec,
-				Ledger:     led,
-				Triggers:   FlightTriggers{Dir: t.TempDir()},
-				StormIters: 5,
+				Interval: 20 * time.Millisecond,
+				Flight:   rec,
+				Ledger:   led,
 			}, dev, MachineActuator{M: m, Dev: dev})
 			if err != nil {
 				t.Fatal(err)

@@ -16,31 +16,13 @@ type Reconfig struct {
 	Policy core.Policy    // new policy; nil keeps the current one
 	Apps   []core.AppSpec // new app specs; nil keeps the current ones
 	Limit  units.Watts    // new power limit; 0 keeps the current one
-
-	// SLOTargets replaces the live p99 objectives the daemon stamps onto
-	// service telemetry; nil keeps the current set, an empty non-nil
-	// slice clears every objective.
-	SLOTargets []core.SLOTarget
 }
 
 // validate applies the same checks construction does, against the daemon's
 // chip. It mutates nothing.
 func (rc Reconfig) validate(d *Daemon) error {
-	if rc.Policy == nil && rc.Apps == nil && rc.Limit == 0 && rc.SLOTargets == nil {
+	if rc.Policy == nil && rc.Apps == nil && rc.Limit == 0 {
 		return fmt.Errorf("daemon: empty reconfiguration")
-	}
-	for i, t := range rc.SLOTargets {
-		if t.Service == "" {
-			return fmt.Errorf("daemon: SLO target %d has no service name", i)
-		}
-		if t.P99 <= 0 {
-			return fmt.Errorf("daemon: SLO target for %s must have a positive p99, got %v", t.Service, t.P99)
-		}
-		for _, u := range rc.SLOTargets[:i] {
-			if u.Service == t.Service {
-				return fmt.Errorf("daemon: duplicate SLO target for %s", t.Service)
-			}
-		}
 	}
 	if rc.Apps != nil && rc.Policy == nil {
 		return fmt.Errorf("daemon: changing apps requires a policy rebuilt over the new specs")
@@ -104,10 +86,6 @@ func (d *Daemon) Reconfigure(rc Reconfig) error {
 	if rc.Limit > 0 && rc.Limit != prevLimit {
 		d.cfg.Limit = rc.Limit
 		codes = append(codes, flight.ReconfigLimit)
-	}
-	if rc.SLOTargets != nil {
-		d.cfg.SLOTargets = append([]core.SLOTarget(nil), rc.SLOTargets...)
-		codes = append(codes, flight.ReconfigSLO)
 	}
 	for _, c := range codes {
 		d.cfg.Flight.Record(flight.Event{

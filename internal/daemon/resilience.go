@@ -105,19 +105,3 @@ func (d *Daemon) overrideDegraded(actions []core.Action, sample telemetry.Sample
 	}
 	return out
 }
-
-// watchdogLocked advances the fault-storm watchdog and reports whether it
-// fired this interval. Caller holds d.mu.
-func (d *Daemon) watchdogLocked(healthy bool) bool {
-	if healthy {
-		d.stormRun = 0
-		d.stormFired = false
-		return false
-	}
-	d.stormRun++
-	if d.cfg.StormIters <= 0 || d.stormFired || d.stormRun < d.cfg.StormIters {
-		return false
-	}
-	d.stormFired = true
-	return true
-}

@@ -43,7 +43,7 @@ func sloChaosRun(t *testing.T, class fault.Class, schedText string, limit units.
 		Chip: chip, Apps: specs, Policy: pol, Limit: limit, Interval: 20 * time.Millisecond,
 		Services: []svc.Config{{
 			Name: "websearch", Cores: []int{0, 1, 2}, Seed: 7, Arrivals: svc.OpenPoisson,
-			Rate: svc.ConstantRate(120), SLO: target, Window: time.Second,
+			Rate: svc.ConstantRate(120), SLO: target,
 		}},
 		SLOTargets: targets, Faults: sched, FaultSeed: 11, Flight: rec,
 		OnSnapshot: func(s core.Snapshot) {

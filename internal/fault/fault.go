@@ -38,7 +38,6 @@ type Injector struct {
 	mu    sync.Mutex
 	sched Schedule
 	rng   *rand.Rand
-	now   time.Duration
 
 	active  []bool
 	frozen  map[int]map[regKey]uint64 // stuck/torn cached values, by entry
@@ -105,13 +104,11 @@ func (in *Injector) Drive(m *sim.Machine) {
 	m.OnTick(func(time.Duration) { in.AdvanceTo(m.Now()) })
 }
 
-// AdvanceTo moves the injector clock to run time t, opening and closing
-// windows it has crossed. Drive calls it per tick; wall-clock users call it
-// themselves.
+// AdvanceTo opens and closes the windows run time t has crossed. Drive
+// calls it per tick.
 func (in *Injector) AdvanceTo(t time.Duration) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.now = t
 	for i := range in.sched {
 		if act := in.sched[i].Active(t); act != in.active[i] {
 			in.active[i] = act

@@ -210,8 +210,9 @@ const (
 	ReconfigShares
 	ReconfigLimit
 	ReconfigDrain
-	// ReconfigSLO: the set of live p99 objectives stamped onto service
-	// telemetry was replaced.
+	// ReconfigSLO names a replaced set of p99 objectives in a dump that
+	// holds one; the daemon fixes its objectives at construction and
+	// records none.
 	ReconfigSLO
 )
 

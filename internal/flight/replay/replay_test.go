@@ -56,7 +56,7 @@ func record(t *testing.T, policy string, capacity int, d time.Duration) flight.D
 		}
 		model, merr := svc.NewModel(svc.Config{
 			Name: "leela", Cores: []int{0, 1}, Seed: 3, Profile: workload.MustByName("leela"),
-			Arrivals: svc.OpenPoisson, Rate: svc.ConstantRate(80), SLO: targets[0].P99, Window: time.Second,
+			Arrivals: svc.OpenPoisson, Rate: svc.ConstantRate(80), SLO: targets[0].P99,
 		})
 		if merr != nil {
 			t.Fatal(merr)

@@ -9,70 +9,52 @@ import (
 // Anomaly* code vocabulary.
 const numAnomalyKinds = 4
 
-// DetectorConfig tunes the streaming anomaly detectors. Every detector
-// keeps O(1) state per subject, fires once when its condition is first
-// sustained, and re-arms only after the condition fully clears — a
+// detectorConfig holds the streaming anomaly detectors' thresholds. Every
+// detector keeps O(1) state per subject, fires once when its condition is
+// first sustained, and re-arms only after the condition fully clears — a
 // sustained excursion produces one anomaly, not one per interval.
-type DetectorConfig struct {
-	// OvershootMargin is the fractional headroom above the limit that
-	// counts as overshoot (default 0.05: power > limit × 1.05).
-	OvershootMargin float64
-	// OvershootN is how many consecutive overshooting intervals arm the
-	// sustained-overshoot anomaly (default 10).
-	OvershootN int
+type detectorConfig struct {
+	// overshootMargin is the fractional headroom above the limit that
+	// counts as overshoot; overshootN how many consecutive overshooting
+	// intervals fire the sustained-overshoot anomaly.
+	overshootMargin float64
+	overshootN      int
 
-	// OscillationWindow is the trailing interval window over which
-	// limit-direction flips are counted (default 100), and
-	// OscillationFlips the flip count that fires the cap-thrash anomaly
-	// (default 8).
-	OscillationWindow int
-	OscillationFlips  int
+	// oscillationWindow is the trailing interval window over which
+	// limit-direction flips are counted, and oscillationFlips the flip
+	// count that fires the cap-thrash anomaly.
+	oscillationWindow int
+	oscillationFlips  int
 
-	// DriftAlpha is the EWMA weight for an app's energy-share fraction
-	// (default 0.05); DriftMargin the absolute deviation from the granted
-	// share fraction that counts as drift (default 0.15); DriftN the
-	// consecutive drifting intervals that fire (default 100).
-	DriftAlpha  float64
-	DriftMargin float64
-	DriftN      int
+	// driftAlpha is the EWMA weight for an app's energy-share fraction;
+	// driftMargin the absolute deviation from the granted share fraction
+	// that counts as drift; driftN the consecutive drifting intervals that
+	// fire.
+	driftAlpha  float64
+	driftMargin float64
+	driftN      int
 
-	// StragglerN is how many consecutive untrustworthy intervals flag a
-	// socket as straggling (default 50).
-	StragglerN int
+	// stragglerN is how many consecutive untrustworthy intervals flag a
+	// socket as straggling.
+	stragglerN int
 }
 
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.OvershootMargin <= 0 {
-		c.OvershootMargin = 0.05
-	}
-	if c.OvershootN <= 0 {
-		c.OvershootN = 10
-	}
-	if c.OscillationWindow <= 0 {
-		c.OscillationWindow = 100
-	}
-	if c.OscillationFlips <= 0 {
-		c.OscillationFlips = 8
-	}
-	if c.DriftAlpha <= 0 {
-		c.DriftAlpha = 0.05
-	}
-	if c.DriftMargin <= 0 {
-		c.DriftMargin = 0.15
-	}
-	if c.DriftN <= 0 {
-		c.DriftN = 100
-	}
-	if c.StragglerN <= 0 {
-		c.StragglerN = 50
-	}
-	return c
+// ledgerDetectors are the thresholds every ledger runs with.
+var ledgerDetectors = detectorConfig{
+	overshootMargin:   0.05,
+	overshootN:        10,
+	oscillationWindow: 100,
+	oscillationFlips:  8,
+	driftAlpha:        0.05,
+	driftMargin:       0.15,
+	driftN:            100,
+	stragglerN:        50,
 }
 
 // detectors is the ledger's streaming detector state: fixed-size, updated
 // once per Append without allocating.
 type detectors struct {
-	cfg DetectorConfig
+	cfg detectorConfig
 
 	overRun   int
 	overFired bool
@@ -90,11 +72,10 @@ type detectors struct {
 	total [numAnomalyKinds]uint64
 }
 
-func newDetectors(cfg DetectorConfig, sockets int) detectors {
-	cfg = cfg.withDefaults()
+func newDetectors(cfg detectorConfig, sockets int) detectors {
 	return detectors{
 		cfg:       cfg,
-		flipRing:  make([]bool, cfg.OscillationWindow),
+		flipRing:  make([]bool, cfg.oscillationWindow),
 		sockRun:   make([]int, sockets),
 		sockFired: make([]bool, sockets),
 	}
@@ -137,9 +118,9 @@ func (l *Ledger) runDetectors(in Input) {
 
 	// Sustained overshoot: package power above limit × (1+margin) for N
 	// consecutive intervals.
-	if in.Limit > 0 && in.PackagePower > in.Limit+units.Watts(float64(in.Limit)*d.cfg.OvershootMargin) {
+	if in.Limit > 0 && in.PackagePower > in.Limit+units.Watts(float64(in.Limit)*d.cfg.overshootMargin) {
 		d.overRun++
-		if d.overRun >= d.cfg.OvershootN && !d.overFired {
+		if d.overRun >= d.cfg.overshootN && !d.overFired {
 			d.overFired = true
 			l.fire(flight.AnomalyOvershoot, -1,
 				uint64(float64(in.PackagePower-in.Limit)*1e6), uint64(d.overRun))
@@ -177,7 +158,7 @@ func (l *Ledger) runDetectors(in Input) {
 	if d.flipNext == len(d.flipRing) {
 		d.flipNext = 0
 	}
-	if d.flipCount >= d.cfg.OscillationFlips {
+	if d.flipCount >= d.cfg.oscillationFlips {
 		if !d.oscFired {
 			d.oscFired = true
 			l.fire(flight.AnomalyOscillation, -1, uw, uint64(d.flipCount))
@@ -202,7 +183,7 @@ func (l *Ledger) runDetectors(in Input) {
 				a.ewmaFrac = frac
 				a.ewmaPrimed = true
 			} else {
-				a.ewmaFrac += d.cfg.DriftAlpha * (frac - a.ewmaFrac)
+				a.ewmaFrac += d.cfg.driftAlpha * (frac - a.ewmaFrac)
 			}
 			sh := float64(a.spec.Shares)
 			if sh <= 0 {
@@ -213,9 +194,9 @@ func (l *Ledger) runDetectors(in Input) {
 			if dev < 0 {
 				dev = -dev
 			}
-			if dev > d.cfg.DriftMargin {
+			if dev > d.cfg.driftMargin {
 				a.driftRun++
-				if a.driftRun >= d.cfg.DriftN && !a.driftFired {
+				if a.driftRun >= d.cfg.driftN && !a.driftFired {
 					a.driftFired = true
 					l.fire(flight.AnomalyShareDrift, a.spec.Core,
 						uint64(a.ewmaFrac*1e6), uint64(shareFrac*1e6))
@@ -233,7 +214,7 @@ func (l *Ledger) runDetectors(in Input) {
 		trusted := s < len(in.SocketStatus) && in.SocketStatus[s].Trustworthy()
 		if !trusted {
 			d.sockRun[s]++
-			if d.sockRun[s] >= d.cfg.StragglerN && !d.sockFired[s] {
+			if d.sockRun[s] >= d.cfg.stragglerN && !d.sockFired[s] {
 				d.sockFired[s] = true
 				l.fire(flight.AnomalyStraggler, s, 0, uint64(d.sockRun[s]))
 			}

@@ -67,15 +67,6 @@ type Config struct {
 	// interval (delta + cumulative µJ) and one KindAnomaly event per
 	// detector firing, so dumps reproduce the ledger's totals exactly.
 	Flight *flight.Recorder
-
-	// RawBins, SecondBins, MinuteBins size the three store tiers
-	// (defaults: 4096 raw intervals, 3600 one-second bins, 1440
-	// one-minute bins). The store's memory is fixed at construction.
-	RawBins, SecondBins, MinuteBins int
-
-	// Detect tunes the streaming anomaly detectors; zero fields take the
-	// documented defaults.
-	Detect DetectorConfig
 }
 
 // appAccount is one app's cumulative energy state.
@@ -169,9 +160,9 @@ func New(cfg Config) (*Ledger, error) {
 		rates:  rates,
 		flight: cfg.Flight,
 		reg:    cfg.Metrics,
-		det:    newDetectors(cfg.Detect, cfg.Chip.Sockets()),
+		det:    newDetectors(ledgerDetectors, cfg.Chip.Sockets()),
 	}
-	l.store.init(len(cfg.Apps), cfg.RawBins, cfg.SecondBins, cfg.MinuteBins)
+	l.store.init(len(cfg.Apps), rawBins, secondBins, minuteBins)
 	l.sizeApps(cfg.Apps)
 	l.initMetrics()
 	return l, nil

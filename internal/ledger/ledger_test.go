@@ -401,10 +401,10 @@ func TestDetectorSustainedOvershoot(t *testing.T) {
 	chip := platform.Skylake()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
 	rec := flight.New(0)
-	l := newTestLedger(t, chip, apps, Config{
-		Flight: rec,
-		Detect: DetectorConfig{OvershootN: 5},
-	})
+	l := newTestLedger(t, chip, apps, Config{Flight: rec})
+	cfg := ledgerDetectors
+	cfg.overshootN = 5
+	l.det = newDetectors(cfg, chip.Sockets())
 	over := func(i int) Input {
 		return okInput(chip, time.Duration(i)*time.Second, time.Second, 50, []units.Watts{60}, nil)
 	}
@@ -469,10 +469,10 @@ func TestDetectorCapOscillation(t *testing.T) {
 	chip := platform.Skylake()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
 	rec := flight.New(0)
-	l := newTestLedger(t, chip, apps, Config{
-		Flight: rec,
-		Detect: DetectorConfig{OscillationWindow: 20, OscillationFlips: 4},
-	})
+	l := newTestLedger(t, chip, apps, Config{Flight: rec})
+	cfg := ledgerDetectors
+	cfg.oscillationWindow, cfg.oscillationFlips = 20, 4
+	l.det = newDetectors(cfg, chip.Sockets())
 	limits := []units.Watts{50, 60, 50, 60, 50, 60, 50, 60}
 	for i, lim := range limits {
 		l.Append(okInput(chip, time.Duration(i+1)*time.Second, time.Second, lim, []units.Watts{30}, nil))
@@ -486,9 +486,8 @@ func TestDetectorCapOscillation(t *testing.T) {
 		t.Fatalf("oscillation events = %+v, want one at core -1, value 60e6 µW, aux 4", a)
 	}
 	// A steady limit never flips.
-	l2 := newTestLedger(t, chip, apps, Config{
-		Detect: DetectorConfig{OscillationWindow: 20, OscillationFlips: 4},
-	})
+	l2 := newTestLedger(t, chip, apps, Config{})
+	l2.det = newDetectors(cfg, chip.Sockets())
 	for i := 0; i < 50; i++ {
 		l2.Append(okInput(chip, time.Duration(i+1)*time.Second, time.Second, 50, []units.Watts{30}, nil))
 	}
@@ -504,10 +503,10 @@ func TestDetectorShareDrift(t *testing.T) {
 		{Name: "cam4", Core: 1, Shares: 50},
 	}
 	rec := flight.New(0)
-	l := newTestLedger(t, chip, apps, Config{
-		Flight: rec,
-		Detect: DetectorConfig{DriftAlpha: 0.5, DriftN: 5, DriftMargin: 0.15},
-	})
+	l := newTestLedger(t, chip, apps, Config{Flight: rec})
+	cfg := ledgerDetectors
+	cfg.driftAlpha, cfg.driftN, cfg.driftMargin = 0.5, 5, 0.15
+	l.det = newDetectors(cfg, chip.Sockets())
 	// Equal shares but gcc's core runs 10× the frequency: its energy
 	// fraction settles near 0.9 against a 0.5 share fraction.
 	for i := 0; i < 20; i++ {
@@ -535,10 +534,10 @@ func TestDetectorStragglerSocket(t *testing.T) {
 	chip := twoSocketChip()
 	apps := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}}
 	rec := flight.New(0)
-	l := newTestLedger(t, chip, apps, Config{
-		Flight: rec,
-		Detect: DetectorConfig{StragglerN: 5},
-	})
+	l := newTestLedger(t, chip, apps, Config{Flight: rec})
+	cfg := ledgerDetectors
+	cfg.stragglerN = 5
+	l.det = newDetectors(cfg, chip.Sockets())
 	for i := 0; i < 6; i++ {
 		in := okInput(chip, time.Duration(i+1)*time.Second, time.Second, 100, []units.Watts{40, 40}, nil)
 		in.SocketStatus[1] = telemetry.StatusDark
@@ -564,7 +563,10 @@ func TestRebuildFromDumpBitIdentical(t *testing.T) {
 		{Name: "cam4", Core: 1, Shares: 10},
 		{Name: "leela", Core: cps, Shares: 40},
 	}
-	l := newTestLedger(t, chip, apps, Config{Flight: rec, Detect: DetectorConfig{OvershootN: 3}})
+	l := newTestLedger(t, chip, apps, Config{Flight: rec})
+	cfg := ledgerDetectors
+	cfg.overshootN = 3
+	l.det = newDetectors(cfg, chip.Sockets())
 	at := time.Duration(0)
 	for i := 0; i < 500; i++ {
 		at += 997 * time.Microsecond

@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// Default tier capacities: at a 1 ms control interval the raw tier retains
-// ~4 s, the one-second tier an hour, and the one-minute tier a day; at the
+// Tier capacities: at a 1 ms control interval the raw tier retains ~4 s,
+// the one-second tier an hour, and the one-minute tier a day; at the
 // paper's 1 s interval the raw tier alone covers more than an hour. Memory
 // is fixed at construction regardless of run length.
 const (
-	DefaultRawBins    = 4096
-	DefaultSecondBins = 3600
-	DefaultMinuteBins = 1440
+	rawBins    = 4096
+	secondBins = 3600
+	minuteBins = 1440
 )
 
 // Resolution names accepted by queries.
@@ -213,19 +213,10 @@ type store struct {
 	mins tier
 }
 
-func (s *store) init(napps, rawBins, secBins, minBins int) {
-	if rawBins <= 0 {
-		rawBins = DefaultRawBins
-	}
-	if secBins <= 0 {
-		secBins = DefaultSecondBins
-	}
-	if minBins <= 0 {
-		minBins = DefaultMinuteBins
-	}
-	s.raw = makeTier(0, rawBins, napps)
-	s.secs = makeTier(time.Second, secBins, napps)
-	s.mins = makeTier(time.Minute, minBins, napps)
+func (s *store) init(napps, raw, secs, mins int) {
+	s.raw = makeTier(0, raw, napps)
+	s.secs = makeTier(time.Second, secs, napps)
+	s.mins = makeTier(time.Minute, mins, napps)
 }
 
 // reset clears all tiers and resizes the per-app columns (reconfiguration

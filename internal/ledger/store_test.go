@@ -245,7 +245,8 @@ func TestRangeStepAndLimit(t *testing.T) {
 		{Name: "gcc", Core: 0, Shares: 60},
 		{Name: "cam4", Core: chip.CoresPerSocket(), Shares: 40},
 	}
-	l := newTestLedger(t, chip, apps, Config{RawBins: 64})
+	l := newTestLedger(t, chip, apps, Config{})
+	l.store.init(len(apps), 64, secondBins, minuteBins)
 	for i := 1; i <= 50; i++ {
 		l.Append(okInput(chip, time.Duration(i)*100*time.Millisecond, 100*time.Millisecond, 100,
 			[]units.Watts{30, 20}, nil))

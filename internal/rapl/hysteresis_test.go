@@ -37,7 +37,7 @@ func repeat(w units.Watts, n int) []units.Watts {
 // settleUnder runs the closed loop until the cap stabilises under the limit.
 func settleUnder(t *testing.T, chip platform.Chip, limit units.Watts) *Limiter {
 	t.Helper()
-	l, err := New(chip.Freq, Config{})
+	l, err := New(chip.Freq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestNoReleaseWithoutHeadroom(t *testing.T) {
 // zero movements once settled — rather than chattering throttle/release.
 func TestOscillatingReadingsSettleWithoutChatter(t *testing.T) {
 	chip := platform.Skylake()
-	l, err := New(chip.Freq, Config{})
+	l, err := New(chip.Freq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestOscillatingReadingsSettleWithoutChatter(t *testing.T) {
 // A square-wave load (watts flipping far above / far below the limit every
 // 20 ms) must produce bounded cap movement per cycle — the cap tracks the
 // wave instead of winding up: it may not travel more than one step per
-// configured interval, and each half-cycle moves it in one direction only.
+// stepInterval, and each half-cycle moves it in one direction only.
 func TestSquareWaveLoadBoundsCapTravel(t *testing.T) {
 	chip := platform.Skylake()
-	l, err := New(chip.Freq, Config{Interval: 2 * time.Millisecond})
+	l, err := New(chip.Freq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSquareWaveLoadBoundsCapTravel(t *testing.T) {
 }
 
 // Garbage readings — NaN, ±Inf, negative watts — must not poison the
-// average, move the cap, or wedge the controller.
+// held sample, move the cap, or wedge the controller.
 func TestObserveSanitizesGarbageReadings(t *testing.T) {
 	chip := platform.Skylake()
 	l := settleUnder(t, chip, 50)
@@ -159,8 +159,8 @@ func TestObserveSanitizesGarbageReadings(t *testing.T) {
 			l.Observe(g, time.Millisecond)
 		}
 	}
-	if avg := float64(l.avg.value()); math.IsNaN(avg) || math.IsInf(avg, 0) || avg < 0 {
-		t.Errorf("garbage poisoned the running average: %v", avg)
+	if last := float64(l.last); math.IsNaN(last) || math.IsInf(last, 0) || last < 0 {
+		t.Errorf("garbage poisoned the held sample: %v", last)
 	}
 	if c := l.Cap(); c < chip.Freq.Min || c > chip.Freq.Max() {
 		t.Errorf("garbage drove the cap out of range: %v", c)

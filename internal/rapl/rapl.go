@@ -2,9 +2,10 @@
 // simulated chip, reproducing the hardware behaviour the paper measures in
 // Section 3:
 //
-//   - the controller keeps a running average of package power over a short
-//     window and adjusts a single internal frequency cap to hold the
-//     average at or below the programmed limit;
+//   - the controller adjusts a single internal frequency cap to hold
+//     package power at or below the programmed limit, stepping the cap by
+//     at most one P-state every stepInterval on the instantaneous package
+//     power, and raising it only with releaseMargin of headroom to spare;
 //   - the cap descends from the top, so the *fastest* cores are throttled
 //     first ("RAPL only reduces the frequency of the unconstrained core",
 //     Figure 4) — cores already running slower, whether by user P-state
@@ -30,42 +31,22 @@ import (
 	"repro/internal/units"
 )
 
-// Config parameterises a limiter.
-type Config struct {
-	// Window is the averaging window. Real RAPL uses tens of
-	// milliseconds to seconds; default 50 ms.
-	Window time.Duration
+const (
+	// stepInterval is how often the cap may move by one step. Together
+	// with the frequency step count it bounds settling time.
+	stepInterval = 2 * time.Millisecond
 
-	// Interval is how often the cap may move by one step; default 2 ms.
-	// Together with the frequency step count it bounds settling time.
-	Interval time.Duration
-
-	// ReleaseMargin is extra headroom (as a fraction of the predicted
-	// one-step power gain) required before the cap is raised, providing
-	// hysteresis; default 3%.
-	ReleaseMargin float64
-}
-
-func (c *Config) fill() {
-	if c.Window <= 0 {
-		c.Window = 50 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
-	}
-	if c.ReleaseMargin <= 0 {
-		c.ReleaseMargin = 0.03
-	}
-}
+	// releaseMargin is extra headroom, as a fraction of the predicted
+	// one-step power gain, required before the cap is raised: hysteresis.
+	releaseMargin = 0.03
+)
 
 // Limiter is the RAPL power-capping state machine for one package.
 type Limiter struct {
 	spec cpu.FreqSpec
-	cfg  Config
 
-	limit   units.Watts // 0 disables capping
-	cap     units.Hertz // current internal frequency cap
-	avg     *runningAverage
+	limit   units.Watts   // 0 disables capping
+	cap     units.Hertz   // current internal frequency cap
 	last    units.Watts   // most recent instantaneous sample
 	pending time.Duration // time since the cap last moved
 
@@ -104,17 +85,11 @@ func (l *Limiter) recordCap(kind flight.Kind) {
 
 // New returns a limiter for a chip with the given frequency spec. The cap
 // starts fully open (at the chip's maximum frequency).
-func New(spec cpu.FreqSpec, cfg Config) (*Limiter, error) {
+func New(spec cpu.FreqSpec) (*Limiter, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("rapl: %w", err)
 	}
-	cfg.fill()
-	return &Limiter{
-		spec: spec,
-		cfg:  cfg,
-		cap:  spec.Max(),
-		avg:  newRunningAverage(cfg.Window),
-	}, nil
+	return &Limiter{spec: spec, cap: spec.Max()}, nil
 }
 
 // SetLimit programs the package power limit; zero disables capping and
@@ -137,7 +112,7 @@ func (l *Limiter) Limit() units.Watts { return l.limit }
 func (l *Limiter) Cap() units.Hertz { return l.cap }
 
 // Observe feeds one simulation step's package power into the controller and
-// moves the cap at most one frequency step per configured interval. It
+// moves the cap at most one frequency step per stepInterval. It
 // returns the cap in effect after the observation.
 func (l *Limiter) Observe(pkg units.Watts, dt time.Duration) units.Hertz {
 	if dt <= 0 {
@@ -145,23 +120,21 @@ func (l *Limiter) Observe(pkg units.Watts, dt time.Duration) units.Hertz {
 	}
 	// A lying energy counter (fault injection, torn multi-register sample)
 	// can hand the controller NaN, ±Inf, or a negative wattage. None of
-	// these may poison the running average or move the cap — a zero-clamped
-	// negative would read as full headroom and wrongly release — so hold
-	// the last sane sample instead.
+	// these may move the cap — a zero-clamped negative would read as full
+	// headroom and wrongly release — so hold the last sane sample instead.
 	if f := float64(pkg); math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
 		pkg = l.last
 	}
-	l.avg.add(pkg, dt)
 	l.last = pkg
 	if l.limit <= 0 {
 		return l.cap
 	}
 	l.pending += dt
-	if l.pending < l.cfg.Interval {
+	if l.pending < stepInterval {
 		return l.cap
 	}
 	l.pending = 0
-	// The up/down decision uses the instantaneous sample: deciding on the
+	// The up/down decision uses the instantaneous sample: deciding on a
 	// lagging windowed average while stepping every interval produces
 	// large limit cycles (the cap keeps descending long after power has
 	// fallen below the limit).
@@ -185,7 +158,7 @@ func (l *Limiter) Observe(pkg units.Watts, dt time.Duration) units.Hertz {
 	const freqExponent = 2.5
 	if l.cap < l.spec.Max() {
 		gain := l.last * units.Watts(freqExponent*float64(l.spec.Step)/float64(l.cap))
-		if l.last+gain*units.Watts(1+l.cfg.ReleaseMargin) <= l.limit {
+		if l.last+gain*units.Watts(1+releaseMargin) <= l.limit {
 			l.cap += l.spec.Step
 			if l.cap > l.spec.Max() {
 				l.cap = l.spec.Max()
@@ -196,44 +169,4 @@ func (l *Limiter) Observe(pkg units.Watts, dt time.Duration) units.Hertz {
 		}
 	}
 	return l.cap
-}
-
-// runningAverage maintains a time-weighted average over a sliding window.
-type runningAverage struct {
-	window  time.Duration
-	samples []sample
-	sumWJ   float64 // watt-seconds in window
-	sumT    time.Duration
-}
-
-type sample struct {
-	w  units.Watts
-	dt time.Duration
-}
-
-func newRunningAverage(window time.Duration) *runningAverage {
-	return &runningAverage{window: window}
-}
-
-func (r *runningAverage) add(w units.Watts, dt time.Duration) {
-	r.samples = append(r.samples, sample{w, dt})
-	r.sumWJ += float64(w) * dt.Seconds()
-	r.sumT += dt
-	for r.sumT > r.window && len(r.samples) > 1 {
-		old := r.samples[0]
-		if r.sumT-old.dt < r.window {
-			break
-		}
-		r.samples = r.samples[1:]
-		r.sumWJ -= float64(old.w) * old.dt.Seconds()
-		r.sumT -= old.dt
-	}
-}
-
-func (r *runningAverage) value() units.Watts {
-	s := r.sumT.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return units.Watts(r.sumWJ / s)
 }

@@ -1,7 +1,6 @@
 package rapl
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -35,13 +34,13 @@ func toyPlant(chip platform.Chip, requests []units.Hertz, activity float64, cap 
 }
 
 func TestNewRejectsBadSpec(t *testing.T) {
-	if _, err := New(cpu.FreqSpec{}, Config{}); err == nil {
+	if _, err := New(cpu.FreqSpec{}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
 
 func TestDisabledLimiterNeverCaps(t *testing.T) {
-	l, err := New(skySpec(), Config{})
+	l, err := New(skySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,7 @@ func TestDisabledLimiterNeverCaps(t *testing.T) {
 }
 
 func TestSetLimitZeroReopens(t *testing.T) {
-	l, _ := New(skySpec(), Config{})
+	l, _ := New(skySpec())
 	l.SetLimit(30)
 	for i := 0; i < 500; i++ {
 		l.Observe(100, time.Millisecond)
@@ -72,7 +71,7 @@ func TestSetLimitZeroReopens(t *testing.T) {
 }
 
 func TestNegativeLimitTreatedAsDisabled(t *testing.T) {
-	l, _ := New(skySpec(), Config{})
+	l, _ := New(skySpec())
 	l.SetLimit(-5)
 	if l.Limit() != 0 {
 		t.Errorf("negative limit stored: %v", l.Limit())
@@ -81,19 +80,27 @@ func TestNegativeLimitTreatedAsDisabled(t *testing.T) {
 
 // Closed-loop: 10 gcc-like cores at full request under a 50 W limit must
 // settle with average power at or below the limit, and the cap must sit
-// strictly below max.
+// strictly below max. The average is time-weighted over the last 50 ms of
+// the samples fed, a window of the kind real RAPL averages over.
 func TestConvergesUnderLimit(t *testing.T) {
 	chip := platform.Skylake()
-	l, _ := New(chip.Freq, Config{})
+	l, _ := New(chip.Freq)
 	l.SetLimit(50)
 	requests := make([]units.Hertz, chip.NumCores)
 	for i := range requests {
 		requests[i] = chip.Freq.Max()
 	}
 	dt := time.Millisecond
+	const window = 50 // samples of dt
+	var recent [window]units.Watts
 	for i := 0; i < 3000; i++ {
 		p := toyPlant(chip, requests, 0.85, l.Cap())
 		l.Observe(p, dt)
+		recent[i%window] = p
+	}
+	var sum units.Watts
+	for _, p := range recent {
+		sum += p
 	}
 	finalPower := toyPlant(chip, requests, 0.85, l.Cap())
 	if finalPower > 50*1.02 {
@@ -102,8 +109,8 @@ func TestConvergesUnderLimit(t *testing.T) {
 	if l.Cap() >= chip.Freq.Max() {
 		t.Error("cap never descended")
 	}
-	if l.avg.value() > 51 {
-		t.Errorf("windowed average %v above limit", l.avg.value())
+	if avg := sum / window; avg > 51 {
+		t.Errorf("windowed average %v above limit", avg)
 	}
 }
 
@@ -112,7 +119,7 @@ func TestConvergesUnderLimit(t *testing.T) {
 // only reduces the unconstrained cores (Figure 4).
 func TestThrottlesFastestCoresFirst(t *testing.T) {
 	chip := platform.Skylake()
-	l, _ := New(chip.Freq, Config{})
+	l, _ := New(chip.Freq)
 	l.SetLimit(50)
 	requests := make([]units.Hertz, chip.NumCores)
 	for i := range requests {
@@ -144,7 +151,7 @@ func TestThrottlesFastestCoresFirst(t *testing.T) {
 func TestFreedPowerRaisesCap(t *testing.T) {
 	chip := platform.Skylake()
 	settle := func(requests []units.Hertz) units.Hertz {
-		l, _ := New(chip.Freq, Config{})
+		l, _ := New(chip.Freq)
 		l.SetLimit(50)
 		for i := 0; i < 4000; i++ {
 			p := toyPlant(chip, requests, 0.85, l.Cap())
@@ -172,7 +179,7 @@ func TestFreedPowerRaisesCap(t *testing.T) {
 // Raising the limit must release the cap upward (hysteresis permitting).
 func TestReleasesWhenLimitRaised(t *testing.T) {
 	chip := platform.Skylake()
-	l, _ := New(chip.Freq, Config{})
+	l, _ := New(chip.Freq)
 	l.SetLimit(40)
 	requests := make([]units.Hertz, chip.NumCores)
 	for i := range requests {
@@ -192,45 +199,20 @@ func TestReleasesWhenLimitRaised(t *testing.T) {
 }
 
 func TestObserveIgnoresNonPositiveDt(t *testing.T) {
-	l, _ := New(skySpec(), Config{})
+	l, _ := New(skySpec())
 	l.SetLimit(30)
 	before := l.Cap()
 	l.Observe(500, 0)
 	l.Observe(500, -time.Second)
-	if l.Cap() != before || l.avg.value() != 0 {
+	if l.Cap() != before || l.last != 0 {
 		t.Error("non-positive dt affected state")
-	}
-}
-
-func TestRunningAverageWindow(t *testing.T) {
-	r := newRunningAverage(100 * time.Millisecond)
-	// 100 ms at 10 W.
-	for i := 0; i < 10; i++ {
-		r.add(10, 10*time.Millisecond)
-	}
-	if math.Abs(float64(r.value()-10)) > 1e-9 {
-		t.Fatalf("avg = %v, want 10", r.value())
-	}
-	// 100 ms at 50 W should fully displace the old samples.
-	for i := 0; i < 10; i++ {
-		r.add(50, 10*time.Millisecond)
-	}
-	if math.Abs(float64(r.value()-50)) > 1 {
-		t.Errorf("avg after displacement = %v, want ~50", r.value())
-	}
-}
-
-func TestRunningAverageEmpty(t *testing.T) {
-	r := newRunningAverage(time.Second)
-	if r.value() != 0 {
-		t.Errorf("empty average = %v", r.value())
 	}
 }
 
 // The cap must always remain a valid frequency within [Min, Max].
 func TestCapStaysInRange(t *testing.T) {
 	chip := platform.Skylake()
-	l, _ := New(chip.Freq, Config{Interval: time.Millisecond})
+	l, _ := New(chip.Freq)
 	l.SetLimit(1) // impossible limit: cap slams to the floor
 	for i := 0; i < 5000; i++ {
 		l.Observe(100, time.Millisecond)

@@ -4,19 +4,38 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/platform"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
-// interactiveProfile returns a duty-cycled workload with the given on
-// fraction and period.
-func interactiveProfile(duty float64, period time.Duration) workload.Profile {
+// idleRig is a Skylake at the given tick with a phaseless gcc on core 0.
+func idleRig(t *testing.T, tick time.Duration) *Machine {
+	t.Helper()
+	m := newSkylake(t, WithTick(tick))
 	p := workload.MustByName("gcc")
 	p.Phases = nil
-	p.DutyCycle = duty
-	p.DutyPeriod = period
-	return p
+	if err := m.Pin(workload.NewInstance(p), 0); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// dutyCycle runs m for total with core 0 awake for on of every period and
+// parked for the rest: the idle windows come from SetIdle, the path a
+// daemon's park takes.
+func dutyCycle(t *testing.T, m *Machine, on, period, total time.Duration) {
+	t.Helper()
+	for end := m.Now() + total; m.Now() < end; {
+		for _, w := range []struct {
+			idle bool
+			d    time.Duration
+		}{{false, on}, {true, period - on}} {
+			if err := m.SetIdle(0, w.idle); err != nil {
+				t.Fatal(err)
+			}
+			m.Run(w.d)
+		}
+	}
 }
 
 func TestBootIdleCoresInDeepestState(t *testing.T) {
@@ -48,15 +67,8 @@ func TestActiveCoreReportsNoCState(t *testing.T) {
 func TestResidencyPromotion(t *testing.T) {
 	// A duty-cycled core with long idle windows must promote through the
 	// table and spend most of its idle time in C6.
-	m, err := New(platform.Skylake(), WithTick(50*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := interactiveProfile(0.3, 10*time.Millisecond) // 7 ms idle windows
-	if err := m.Pin(workload.NewInstance(p), 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Run(200 * time.Millisecond)
+	m := idleRig(t, 50*time.Microsecond)
+	dutyCycle(t, m, 3*time.Millisecond, 10*time.Millisecond, 200*time.Millisecond) // 7 ms idle windows
 	res := m.CStateResidency(0)
 	if len(res) != 3 {
 		t.Fatalf("residency entries = %d", len(res))
@@ -78,18 +90,11 @@ func TestResidencyPromotion(t *testing.T) {
 func TestShortIdleStaysShallow(t *testing.T) {
 	// Idle windows shorter than C6's 400 us target residency must not
 	// reach C6.
-	m, err := New(platform.Skylake(), WithTick(10*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := interactiveProfile(0.5, 400*time.Microsecond) // 200 us idle windows
-	if err := m.Pin(workload.NewInstance(p), 0); err != nil {
-		t.Fatal(err)
-	}
+	m := idleRig(t, 10*time.Microsecond)
 	// Let the boot-idle history wash out, then measure.
-	m.Run(10 * time.Millisecond)
+	dutyCycle(t, m, 200*time.Microsecond, 400*time.Microsecond, 10*time.Millisecond) // 200 us idle windows
 	before := m.CStateResidency(0)
-	m.Run(10 * time.Millisecond)
+	dutyCycle(t, m, 200*time.Microsecond, 400*time.Microsecond, 10*time.Millisecond)
 	after := m.CStateResidency(0)
 	if d := after[2] - before[2]; d != 0 {
 		t.Errorf("C6 gained %v residency with 200 us idle windows", d)
@@ -103,18 +108,11 @@ func TestShortIdleStaysShallow(t *testing.T) {
 // whose C6 exit costs 133 us loses a measurable instruction fraction.
 func TestWakeLatencyCostsInstructions(t *testing.T) {
 	run := func(period time.Duration) float64 {
-		m, err := New(platform.Skylake(), WithTick(100*time.Microsecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := interactiveProfile(0.5, period)
-		if err := m.Pin(workload.NewInstance(p), 0); err != nil {
-			t.Fatal(err)
-		}
+		m := idleRig(t, 100*time.Microsecond)
 		if err := m.SetRequest(0, 2*units.GHz); err != nil {
 			t.Fatal(err)
 		}
-		m.Run(time.Second)
+		dutyCycle(t, m, period/2, period, time.Second)
 		return m.Counters(0).Instr
 	}
 	// Same total on-time (50%), but 4 ms periods wake 10x more often than
@@ -137,18 +135,11 @@ func TestDeepIdleSavesEnergy(t *testing.T) {
 	// Long idle windows reach C6 (0.10 W); short ones sit in C1/C1E
 	// (0.8/0.4 W). Same 30% on-time.
 	run := func(period time.Duration) units.Joules {
-		m, err := New(platform.Skylake(), WithTick(50*time.Microsecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := interactiveProfile(0.3, period)
-		if err := m.Pin(workload.NewInstance(p), 0); err != nil {
-			t.Fatal(err)
-		}
+		m := idleRig(t, 50*time.Microsecond)
 		if err := m.SetRequest(0, 2*units.GHz); err != nil {
 			t.Fatal(err)
 		}
-		m.Run(500 * time.Millisecond)
+		dutyCycle(t, m, period*3/10, period, 500*time.Millisecond)
 		return m.CoreEnergy(0)
 	}
 	deep := run(20 * time.Millisecond)     // 14 ms idles: C6

@@ -171,7 +171,7 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		m.idles[i].residency = make([]time.Duration, len(chip.CStates))
 	}
 	var err error
-	m.limiter, err = rapl.New(chip.Freq, rapl.Config{})
+	m.limiter, err = rapl.New(chip.Freq)
 	if err != nil {
 		return nil, err
 	}
@@ -338,8 +338,7 @@ func (m *Machine) Offline(core int) bool {
 // zero and enforce limits in the daemon instead.
 func (m *Machine) SetPowerLimit(w units.Watts) { m.limiter.SetLimit(w) }
 
-// ActiveCores counts cores currently in C0: awake and, for duty-cycled
-// workloads, inside the executing window.
+// ActiveCores counts cores currently in C0: awake and online.
 func (m *Machine) ActiveCores() int {
 	n := 0
 	for _, s := range m.fillActiveSock() {
@@ -356,13 +355,9 @@ func (m *Machine) fillActiveSock() []int {
 	for s := range m.activeSock {
 		n := 0
 		for i := s * cps; i < (s+1)*cps; i++ {
-			if m.cores[i].Idle || m.offline[i] {
-				continue
+			if !m.cores[i].Idle && !m.offline[i] {
+				n++
 			}
-			if a := m.apps[i]; a != nil && !a.DutyOn() {
-				continue
-			}
-			n++
 		}
 		m.activeSock[s] = n
 	}
@@ -407,7 +402,7 @@ func (m *Machine) PackagePower() units.Watts {
 func (m *Machine) OnTick(fn func(dt time.Duration)) { m.hooks = append(m.hooks, fn) }
 
 // frequency resolves the frequency core i would run at now, and the
-// constraint binding it ("idle" for a parked, offline or off-duty core),
+// constraint binding it ("idle" for a parked or offline core),
 // given its socket's C0 core count and the limiter's cap.
 func (m *Machine) frequency(i, active int, cap units.Hertz) (units.Hertz, string) {
 	c := m.cores[i]
@@ -415,10 +410,6 @@ func (m *Machine) frequency(i, active int, cap units.Hertz) (units.Hertz, string
 		return 0, "idle"
 	}
 	a := m.apps[i]
-	if a != nil && !a.DutyOn() {
-		// Off-duty interactive workload: the core sits in a C-state.
-		return 0, "idle"
-	}
 	k := freqKey{c.Request, cap, m.thermalCap, active, a != nil && a.Profile.AVX}
 	mm := &m.memo[i]
 	if mm.key != k {
@@ -581,13 +572,13 @@ func (m *Machine) Step() {
 		for i := sock * cps; i < (sock+1)*cps; i++ {
 			c, a, mm, id := m.cores[i], m.apps[i], &m.memo[i], &m.idles[i]
 			// A steady core would derive exactly what its memo holds, with
-			// nothing for stepIdle to do: pinned, awake, online and not
-			// duty-cycled, the frequency key and the recorded constraint
+			// nothing for stepIdle to do: pinned, awake and online, the
+			// frequency key and the recorded constraint
 			// unchanged, active last tick with no wake debt, and the power
 			// memo taken at the memo's frequency and the phase's activity.
 			// This is the memo's own compare, made before the calls
 			// instead of inside them; what it skips, only the adds remain.
-			if a != nil && !c.Idle && !m.offline[i] && !a.Profile.DutyCycled() &&
+			if a != nil && !c.Idle && !m.offline[i] &&
 				mm.key.request == c.Request && mm.key.cap == cap && mm.key.thermal == m.thermalCap &&
 				mm.key.active == active && mm.key.avx == a.Profile.AVX &&
 				(m.lastConstraint == nil || m.lastConstraint[i] == mm.constr) &&

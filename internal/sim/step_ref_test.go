@@ -30,9 +30,6 @@ func (m *Machine) effectiveRef(i int, active int) units.Hertz {
 	}
 	avx := false
 	if a := m.apps[i]; a != nil {
-		if !a.DutyOn() {
-			return 0
-		}
 		avx = a.Profile.AVX
 	}
 	f := min(c.Request, m.chip.Freq.Ceiling(active, avx))
@@ -64,9 +61,6 @@ func (m *Machine) constraintForRef(i, active int) string {
 		return "idle"
 	}
 	a := m.apps[i]
-	if a != nil && !a.DutyOn() {
-		return "idle"
-	}
 	avx := a != nil && a.Profile.AVX
 	f := m.chip.Freq.Quantize(c.Request)
 	constraint := "request"
@@ -94,13 +88,9 @@ func (m *Machine) fillActiveSockRef() []int {
 	}
 	cps := m.chip.CoresPerSocket()
 	for i, c := range m.cores {
-		if c.Idle || m.offline[i] {
-			continue
+		if !c.Idle && !m.offline[i] {
+			m.activeSock[i/cps]++
 		}
-		if a := m.apps[i]; a != nil && !a.DutyOn() {
-			continue
-		}
-		m.activeSock[i/cps]++
 	}
 	return m.activeSock
 }
@@ -172,7 +162,7 @@ func (m *Machine) stepRef() {
 
 // refProfiles is the mix the reference churn pins: phased (long SPEC phases
 // and a train short enough to turn over every few ticks, with a run that
-// restarts), AVX, duty-cycled and the cpuburn power virus.
+// restarts), AVX and the cpuburn power virus.
 func refProfiles() []workload.Profile {
 	churny := workload.MustByName("gcc")
 	churny.Name = "churny"
@@ -186,8 +176,6 @@ func refProfiles() []workload.Profile {
 		workload.MustByName("gcc"), workload.MustByName("cam4"),
 		workload.MustByName("leela"), workload.MustByName("cactusBSSN"),
 		workload.MustByName("povray"), workload.CPUBurn, churny,
-		interactiveProfile(0.3, 20*time.Millisecond),
-		interactiveProfile(0.5, 7*time.Millisecond),
 	}
 }
 
@@ -361,9 +349,9 @@ func TestStepMatchesReference(t *testing.T) {
 	const ticks = 20000
 	// One action every eighth tick on average reaches every mechanism the
 	// memo stands in front of. One every 500th leaves cores on the steady
-	// path for long stretches across phase ends, run restarts, duty
-	// windows and limiter walks, at a tick shorter than the deep C-states'
-	// exit latencies, so that a wake's debt spans several ticks.
+	// path for long stretches across phase ends, run restarts and limiter
+	// walks, at a tick shorter than the deep C-states' exit latencies, so
+	// that a wake's debt spans several ticks.
 	for _, every := range []int{8, 500} {
 		tick := time.Millisecond
 		if every != 8 {

@@ -9,33 +9,28 @@ import "math/rand"
 // without bound, while a reservoir keeps memory constant and the
 // percentile estimate unbiased.
 type Reservoir struct {
-	capacity int
-	seen     int64
-	xs       []float64
-	rng      *rand.Rand
+	seen int64
+	xs   []float64
+	rng  *rand.Rand
 }
 
-// NewReservoir returns a reservoir holding at most capacity samples.
-// Non-positive capacities default to 512. The RNG is deterministically
-// seeded so runs are reproducible.
-func NewReservoir(capacity int) *Reservoir {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &Reservoir{
-		capacity: capacity,
-		rng:      rand.New(rand.NewSource(int64(capacity))),
-	}
+// reservoirSize is how many samples a Reservoir retains.
+const reservoirSize = 512
+
+// NewReservoir returns a reservoir holding at most reservoirSize samples.
+// The RNG is deterministically seeded so runs are reproducible.
+func NewReservoir() *Reservoir {
+	return &Reservoir{rng: rand.New(rand.NewSource(reservoirSize))}
 }
 
 // Add folds x into the reservoir.
 func (r *Reservoir) Add(x float64) {
 	r.seen++
-	if len(r.xs) < r.capacity {
+	if len(r.xs) < reservoirSize {
 		r.xs = append(r.xs, x)
 		return
 	}
-	if j := r.rng.Int63n(r.seen); j < int64(r.capacity) {
+	if j := r.rng.Int63n(r.seen); j < reservoirSize {
 		r.xs[j] = x
 	}
 }

@@ -108,16 +108,11 @@ type Config struct {
 	Arrivals ArrivalKind
 
 	// Closed-loop knobs.
-	Users     int           // concurrent users (Closed only)
-	ThinkTime time.Duration // mean exponential think time (default 600 ms)
+	Users int // concurrent users (Closed only), each thinking thinkTime on average
 
 	// Open-loop knobs.
 	Rate  RateSchedule    // arrival rate (OpenPoisson)
 	Trace []time.Duration // non-decreasing arrival offsets (OpenTrace)
-
-	// ServiceCycles is the mean exponential demand per request in cycles
-	// (default 25e6, the websearch figure).
-	ServiceCycles float64
 
 	// MaxQueue bounds the number of waiting requests; arrivals beyond it
 	// are dropped and counted. 0 means unbounded.
@@ -125,12 +120,6 @@ type Config struct {
 	// Timeout abandons requests that waited longer than this before
 	// reaching a core; expiries are counted. 0 means none.
 	Timeout time.Duration
-
-	// Window is the sliding latency-statistics span (default 10 s);
-	// WindowCap caps the samples kept in it (default 4096, oldest
-	// overwritten first).
-	Window    time.Duration
-	WindowCap int
 
 	// RecordAll additionally keeps every completed latency since the
 	// last ResetStats — the closed-loop experiments' percentile source.
@@ -145,19 +134,20 @@ type Config struct {
 	Profile workload.Profile
 }
 
+// Every service's fixed model parameters.
+const (
+	// thinkTime is a closed-loop user's mean exponential think time.
+	thinkTime = 600 * time.Millisecond
+	// serviceCycles is the mean exponential demand per request in
+	// cycles, the websearch figure.
+	serviceCycles = 25e6
+	// window is the sliding latency-statistics span; windowCap caps the
+	// samples kept in it, oldest overwritten first.
+	window    = 10 * time.Second
+	windowCap = 4096
+)
+
 func (c *Config) fill() {
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = 600 * time.Millisecond
-	}
-	if c.ServiceCycles <= 0 {
-		c.ServiceCycles = 25e6
-	}
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.WindowCap <= 0 {
-		c.WindowCap = 4096
-	}
 	if c.Profile.Name == "" {
 		c.Profile = InteractiveProfile
 	}
@@ -251,7 +241,7 @@ func newService(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		inService: make([]*request, len(cfg.Cores)),
-		win:       newLatWindow(cfg.Window, cfg.WindowCap),
+		win:       newLatWindow(window, windowCap),
 	}
 	switch cfg.Arrivals {
 	case Closed:
@@ -259,7 +249,7 @@ func newService(cfg Config) (*Service, error) {
 		// the warm-up is smooth. The draw order here is load-bearing:
 		// it reproduces the original websearch model bit-for-bit.
 		for i := 0; i < cfg.Users; i++ {
-			s.thinkers.push(s.expDuration(cfg.ThinkTime))
+			s.thinkers.push(s.expDuration(thinkTime))
 		}
 	case OpenPoisson:
 		s.nextArrival = s.expInterval(cfg.Rate.At(0))
@@ -285,9 +275,9 @@ func (s *Service) expInterval(r float64) time.Duration {
 // core frequencies.
 //
 // RNG consumption order per tick (fixed; replays depend on it):
-//  1. one ServiceCycles draw per admitted arrival, in arrival order
-//     (plus, Closed only, one ThinkTime draw per queue-full drop);
-//  2. one ThinkTime draw per completion or timeout (Closed only), in
+//  1. one serviceCycles draw per admitted arrival, in arrival order
+//     (plus, Closed only, one thinkTime draw per queue-full drop);
+//  2. one thinkTime draw per completion or timeout (Closed only), in
 //     completion order across the core slots in Cores order.
 func (s *Service) tick(dt time.Duration) {
 	s.now += dt
@@ -345,13 +335,13 @@ func (s *Service) submit() {
 		s.dropped++
 		if s.cfg.Arrivals == Closed {
 			// The rejected user goes back to thinking.
-			s.thinkers.push(s.now + s.expDuration(s.cfg.ThinkTime))
+			s.thinkers.push(s.now + s.expDuration(thinkTime))
 		}
 		return
 	}
 	req := s.alloc()
 	req.submitted = s.now
-	req.remaining = s.rng.ExpFloat64() * s.cfg.ServiceCycles
+	req.remaining = s.rng.ExpFloat64() * serviceCycles
 	s.queue.push(req)
 }
 
@@ -365,7 +355,7 @@ func (s *Service) dequeue() *request {
 		if s.cfg.Timeout > 0 && s.now-req.submitted > s.cfg.Timeout {
 			s.timedOut++
 			if s.cfg.Arrivals == Closed {
-				s.thinkers.push(s.now + s.expDuration(s.cfg.ThinkTime))
+				s.thinkers.push(s.now + s.expDuration(thinkTime))
 			}
 			s.recycle(req)
 			continue
@@ -382,7 +372,7 @@ func (s *Service) complete(req *request) {
 	s.completed++
 	s.win.record(s.now, lat)
 	if s.cfg.Arrivals == Closed {
-		s.thinkers.push(s.now + s.expDuration(s.cfg.ThinkTime))
+		s.thinkers.push(s.now + s.expDuration(thinkTime))
 	}
 	s.recycle(req)
 }
@@ -459,7 +449,7 @@ func (s *Service) MeanLatency() float64 {
 
 // WindowRate returns completions per second over the sliding window:
 // the retained samples divided by the time they cover, which is shorter
-// than Window once WindowCap is what evicts.
+// than window once windowCap is what evicts.
 func (s *Service) WindowRate() float64 {
 	s.win.evict(s.now)
 	span := s.win.covered(s.now)

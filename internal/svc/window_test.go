@@ -25,7 +25,7 @@ func ringOracle(s *Service) []float64 {
 
 // TestWindowPercentilesMatchRingOracle drives every arrival kind through
 // the two ways a sample leaves the window — overwritten because a tiny
-// WindowCap is full, aged out during an idle gap longer than Window
+// capacity is full, aged out during an idle gap longer than its span
 // until the window is empty and refills — and holds the telemetry to
 // the oracle bit for bit on every tick.
 func TestWindowPercentilesMatchRingOracle(t *testing.T) {
@@ -36,25 +36,31 @@ func TestWindowPercentilesMatchRingOracle(t *testing.T) {
 		}
 	}
 	md, err := NewModel(
-		// 30 users on two cores complete far more than 4 requests per 40 ms.
-		Config{Name: "closed-cap", Cores: []int{0, 1}, Seed: 1, Arrivals: Closed,
-			Users: 30, ThinkTime: 30 * time.Millisecond, Window: 40 * time.Millisecond, WindowCap: 4},
-		// One user thinking 300 ms leaves a 50 ms window empty between requests.
-		Config{Name: "closed-gap", Cores: []int{2}, Seed: 2, Arrivals: Closed,
-			Users: 1, ThinkTime: 300 * time.Millisecond, Window: 50 * time.Millisecond, WindowCap: 4},
+		// 150 users on two cores complete far more than 4 requests per 40 ms.
+		Config{Name: "closed-cap", Cores: []int{0, 1}, Seed: 1, Arrivals: Closed, Users: 150},
+		// One user thinking 600 ms leaves a 50 ms window empty between requests.
+		Config{Name: "closed-gap", Cores: []int{2}, Seed: 2, Arrivals: Closed, Users: 1},
 		// 300 ms at 400 req/s, then 700 ms of one arrival per 100 ms (the
 		// dead-schedule re-probe), every second.
 		Config{Name: "poisson", Cores: []int{3, 4, 5, 6}, Seed: 3, Arrivals: OpenPoisson,
 			Rate: RateSchedule{Base: 400, Period: time.Second, Points: []RatePoint{
 				{At: 0, Mul: 1}, {At: 300 * time.Millisecond, Mul: 1},
-				{At: 301 * time.Millisecond, Mul: 0}, {At: 999 * time.Millisecond, Mul: 0}}},
-			Window: 60 * time.Millisecond, WindowCap: 16},
+				{At: 301 * time.Millisecond, Mul: 0}, {At: 999 * time.Millisecond, Mul: 0}}}},
 		// 60 arrivals in 60 ms, every 500 ms.
-		Config{Name: "trace", Cores: []int{7, 8}, Seed: 4, Arrivals: OpenTrace, Trace: bursts,
-			Window: 100 * time.Millisecond, WindowCap: 16},
+		Config{Name: "trace", Cores: []int{7, 8}, Seed: 4, Arrivals: OpenTrace, Trace: bursts},
 	)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name     string
+		span     time.Duration
+		capacity int
+	}{
+		{"closed-cap", 40 * time.Millisecond, 4}, {"closed-gap", 50 * time.Millisecond, 4},
+		{"poisson", 60 * time.Millisecond, 16}, {"trace", 100 * time.Millisecond, 16},
+	} {
+		md.Service(w.name).win = newLatWindow(w.span, w.capacity) // before any completion
 	}
 	m := newMachine(t)
 	if err := md.Attach(m); err != nil {
@@ -107,19 +113,19 @@ func TestWindowPercentilesMatchRingOracle(t *testing.T) {
 	}
 }
 
-// TestWindowRateWhenCapEvicts pins the rate display when WindowCap, not
-// Window, is what pushes samples out: 300 req/s over a 2 s window wants
+// TestWindowRateWhenCapEvicts pins the rate display when the capacity, not
+// the span, is what pushes samples out: 300 req/s over a 2 s window wants
 // 600 slots, the ring has 128, and dividing those 128 by the full 2 s
 // reported 64 req/s.
 func TestWindowRateWhenCapEvicts(t *testing.T) {
 	md, err := NewModel(Config{
 		Name: "api", Cores: []int{0, 1, 2, 3}, Seed: 5,
 		Arrivals: OpenPoisson, Rate: ConstantRate(300),
-		Window: 2 * time.Second, WindowCap: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	md.Service("api").win = newLatWindow(2*time.Second, 128)
 	m := newMachine(t)
 	if err := md.Attach(m); err != nil {
 		t.Fatal(err)

@@ -116,20 +116,6 @@ type Sample struct {
 	SocketStatus []CoreStatus
 }
 
-// Healthy reports whether every core sample and the package reading are
-// trustworthy.
-func (s Sample) Healthy() bool {
-	if !s.PkgStatus.Trustworthy() {
-		return false
-	}
-	for _, c := range s.Cores {
-		if !c.Status.Trustworthy() {
-			return false
-		}
-	}
-	return true
-}
-
 // readAttempts is the total number of tries one MSR read gets before its
 // core (or socket) is reported dark for the interval.
 const readAttempts = 3

@@ -19,37 +19,8 @@ func advanceRef(in *Instance, f units.Hertz, dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	if !in.Profile.DutyCycled() {
-		in.active += dt
-		return executeRef(in, f, dt.Seconds())
-	}
-	period := in.Profile.dutyPeriod()
-	on := time.Duration(in.Profile.DutyCycle * float64(period))
-	var retired float64
-	remaining := dt
-	for remaining > 0 {
-		if in.dutyPos < on {
-			seg := on - in.dutyPos
-			if seg > remaining {
-				seg = remaining
-			}
-			in.active += seg
-			retired += executeRef(in, f, seg.Seconds())
-			in.dutyPos += seg
-			remaining -= seg
-		} else {
-			seg := period - in.dutyPos
-			if seg > remaining {
-				seg = remaining
-			}
-			in.dutyPos += seg
-			remaining -= seg
-		}
-		if in.dutyPos >= period {
-			in.dutyPos = 0
-		}
-	}
-	return retired
+	in.active += dt
+	return executeRef(in, f, dt.Seconds())
 }
 
 func executeRef(in *Instance, f units.Hertz, sec float64) float64 {
@@ -102,9 +73,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 		{Instructions: 7e6, CPIMult: 1.00, ActivityMult: 1.00},
 		{Instructions: 3e6, CPIMult: 1.20, ActivityMult: 1.10},
 	}
-	duty := MustByName("leela")
-	duty.DutyCycle, duty.DutyPeriod = 0.3, 7*time.Millisecond
-	profiles := append(SPEC2017(), CPUBurn, short, duty)
+	profiles := append(SPEC2017(), CPUBurn, short)
 	for pi, p := range profiles {
 		got, want := NewInstance(p), NewInstance(p)
 		rng := rand.New(rand.NewSource(int64(pi)))
@@ -133,7 +102,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			g, w := got.AdvanceSec(f, dt, dt.Seconds()), advanceRef(want, f, dt)
 			if g != w || got.TotalInstructions() != want.TotalInstructions() ||
 				got.Progress() != want.Progress() || got.RunsCompleted() != want.RunsCompleted() ||
-				got.active != want.active || got.DutyOn() != want.DutyOn() ||
+				got.active != want.active ||
 				got.CurrentActivity() != want.CurrentActivity() {
 				t.Fatalf("%s step %d at %v for %v: retired %v (total %v, %d runs), reference %v (total %v, %d runs)",
 					p.Name, step, f, dt, g, got.TotalInstructions(), got.RunsCompleted(),

@@ -65,28 +65,6 @@ type Profile struct {
 	// train cycles: after the last phase the first begins again. Empty
 	// means uniform behaviour.
 	Phases []Phase
-
-	// DutyCycle, when in (0, 1), makes the workload interactive: it
-	// executes for DutyCycle of every DutyPeriod and sleeps (core in a
-	// C-state) for the rest — the load shape OS frequency governors key
-	// on. Zero or one means always runnable (the SPEC profiles).
-	DutyCycle float64
-
-	// DutyPeriod is the duty window length; defaults to 100 ms when
-	// DutyCycle is fractional.
-	DutyPeriod time.Duration
-}
-
-// DutyCycled reports whether the profile alternates between running and
-// sleeping.
-func (p *Profile) DutyCycled() bool { return p.DutyCycle > 0 && p.DutyCycle < 1 }
-
-// dutyPeriod returns the effective duty window.
-func (p *Profile) dutyPeriod() time.Duration {
-	if p.DutyPeriod > 0 {
-		return p.DutyPeriod
-	}
-	return 100 * time.Millisecond
 }
 
 // Validate reports whether the profile is well-formed.
@@ -110,12 +88,6 @@ func (p Profile) Validate() error {
 		if ph.Instructions <= 0 || ph.CPIMult <= 0 || ph.ActivityMult <= 0 {
 			return fmt.Errorf("workload %s: phase %d has non-positive parameter", p.Name, i)
 		}
-	}
-	if p.DutyCycle < 0 || p.DutyCycle > 1 {
-		return fmt.Errorf("workload %s: DutyCycle %g outside [0,1]", p.Name, p.DutyCycle)
-	}
-	if p.DutyPeriod < 0 {
-		return fmt.Errorf("workload %s: negative DutyPeriod", p.Name)
 	}
 	return nil
 }
@@ -151,7 +123,6 @@ type Instance struct {
 	restarts  int
 	totalInst float64       // instructions across all runs
 	active    time.Duration // time spent executing
-	dutyPos   time.Duration // position within the current duty period
 
 	// ips is ipsAt(ipsF, ipsCPI, ipsStall), remembered by memoIPS.
 	ipsF             units.Hertz
@@ -194,20 +165,8 @@ func (in *Instance) memoIPS(f units.Hertz) float64 {
 	return in.ips
 }
 
-// DutyOn reports whether the instance is currently in the executing window
-// of its duty period (always true for non-duty-cycled profiles). The
-// simulator treats off-duty cores as C-state idle.
-func (in *Instance) DutyOn() bool {
-	if !in.Profile.DutyCycled() {
-		return true
-	}
-	on := time.Duration(in.Profile.DutyCycle * float64(in.Profile.dutyPeriod()))
-	return in.dutyPos < on
-}
-
 // Advance executes the instance at frequency f for dt and returns the number
-// of instructions retired. Duty-cycled profiles execute only during the on
-// window of each duty period and sleep for the rest. When the run completes
+// of instructions retired. When the run completes
 // mid-step the instance restarts immediately (the paper's fixed-duration
 // experiments keep every core loaded); RunsCompleted counts the
 // wrap-arounds.
@@ -221,48 +180,19 @@ func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) flo
 	if dt <= 0 {
 		return 0
 	}
-	if p := &in.Profile; !p.DutyCycled() {
-		in.active += dt
-		// A tick that ends no phase and no run, the common one, is one
-		// segment: execute's single pass without its loop. One that
-		// reaches either boundary goes through execute before anything is
-		// added.
-		ips := in.memoIPS(f)
-		step := ips * sec
-		if sec > 1e-15 && ips > 0 && step < p.TotalInstructions-in.done &&
-			(len(p.Phases) == 0 || step < p.Phases[in.phaseIdx].Instructions-in.phaseDone) {
-			in.retire(step)
-			return step
-		}
-		return in.execute(f, sec)
+	p := &in.Profile
+	in.active += dt
+	// A tick that ends no phase and no run, the common one, is one
+	// segment: execute's single pass without its loop. One that reaches
+	// either boundary goes through execute before anything is added.
+	ips := in.memoIPS(f)
+	step := ips * sec
+	if sec > 1e-15 && ips > 0 && step < p.TotalInstructions-in.done &&
+		(len(p.Phases) == 0 || step < p.Phases[in.phaseIdx].Instructions-in.phaseDone) {
+		in.retire(step)
+		return step
 	}
-	period := in.Profile.dutyPeriod()
-	on := time.Duration(in.Profile.DutyCycle * float64(period))
-	var retired float64
-	remaining := dt
-	for remaining > 0 {
-		if in.dutyPos < on {
-			seg := on - in.dutyPos
-			if seg > remaining {
-				seg = remaining
-			}
-			in.active += seg
-			retired += in.execute(f, seg.Seconds())
-			in.dutyPos += seg
-			remaining -= seg
-		} else {
-			seg := period - in.dutyPos
-			if seg > remaining {
-				seg = remaining
-			}
-			in.dutyPos += seg
-			remaining -= seg
-		}
-		if in.dutyPos >= period {
-			in.dutyPos = 0
-		}
-	}
-	return retired
+	return in.execute(f, sec)
 }
 
 // execute runs the instruction/phase/run accounting for sec seconds of
@@ -332,7 +262,6 @@ func (in *Instance) Reset() {
 	in.done, in.phaseDone, in.totalInst = 0, 0, 0
 	in.phaseIdx, in.restarts = 0, 0
 	in.active = 0
-	in.dutyPos = 0
 }
 
 // Synthetic returns a randomized but valid profile drawn from plausible
