@@ -111,9 +111,9 @@ func (l *Ledger) fire(code uint32, coreID int, value, aux uint64) {
 	})
 }
 
-// runDetectors advances every streaming detector by one interval. Caller
-// holds l.mu.
-func (l *Ledger) runDetectors(in Input) {
+// detectPackage advances the package-scope detectors, overshoot and cap
+// oscillation, by one interval. Caller holds l.mu.
+func (l *Ledger) detectPackage(in Input) {
 	d := &l.det
 
 	// Sustained overshoot: package power above limit × (1+margin) for N
@@ -166,50 +166,43 @@ func (l *Ledger) runDetectors(in Input) {
 	} else if d.flipCount == 0 {
 		d.oscFired = false
 	}
+}
 
-	// Per-app energy-share drift: the EWMA of each app's fraction of the
-	// attributed energy wandering away from its granted share fraction.
-	// Only intervals that attributed energy advance the EWMA — an idle or
-	// excluded interval says nothing about proportionality.
-	var attr uint64
-	for i := range l.apps {
-		attr += l.apps[i].lastUJ
+// detectDrift advances app i's share-drift detector by an interval in
+// which it took frac of the attributed energy: the EWMA of that fraction
+// wandering from its granted share fraction. An interval that attributes
+// nothing says nothing about proportionality and is not passed. Caller
+// holds l.mu.
+func (l *Ledger) detectDrift(i int, frac float64) {
+	d, a := &l.det, &l.apps[i]
+	if !a.ewmaPrimed {
+		a.ewmaFrac = frac
+		a.ewmaPrimed = true
+	} else {
+		a.ewmaFrac += d.cfg.driftAlpha * (frac - a.ewmaFrac)
 	}
-	if attr > 0 && l.totalShares > 0 {
-		for i := range l.apps {
-			a := &l.apps[i]
-			frac := float64(a.lastUJ) / float64(attr)
-			if !a.ewmaPrimed {
-				a.ewmaFrac = frac
-				a.ewmaPrimed = true
-			} else {
-				a.ewmaFrac += d.cfg.driftAlpha * (frac - a.ewmaFrac)
-			}
-			sh := float64(a.spec.Shares)
-			if sh <= 0 {
-				sh = 1
-			}
-			shareFrac := sh / float64(l.totalShares)
-			dev := a.ewmaFrac - shareFrac
-			if dev < 0 {
-				dev = -dev
-			}
-			if dev > d.cfg.driftMargin {
-				a.driftRun++
-				if a.driftRun >= d.cfg.driftN && !a.driftFired {
-					a.driftFired = true
-					l.fire(flight.AnomalyShareDrift, a.spec.Core,
-						uint64(a.ewmaFrac*1e6), uint64(shareFrac*1e6))
-				}
-			} else {
-				a.driftRun = 0
-				a.driftFired = false
-			}
+	dev := a.ewmaFrac - l.shareFrac[i]
+	if dev < 0 {
+		dev = -dev
+	}
+	if dev > d.cfg.driftMargin {
+		a.driftRun++
+		if a.driftRun >= d.cfg.driftN && !a.driftFired {
+			a.driftFired = true
+			l.fire(flight.AnomalyShareDrift, a.spec.Core,
+				uint64(a.ewmaFrac*1e6), uint64(l.shareFrac[i]*1e6))
 		}
+	} else {
+		a.driftRun = 0
+		a.driftFired = false
 	}
+}
 
-	// Straggling socket: a RAPL domain whose telemetry has been
-	// untrustworthy for a sustained run of intervals.
+// detectStragglers advances the straggling-socket detector by one
+// interval: a RAPL domain whose telemetry has been untrustworthy for a
+// sustained run of intervals. Caller holds l.mu.
+func (l *Ledger) detectStragglers(in Input) {
+	d := &l.det
 	for s := range d.sockRun {
 		trusted := s < len(in.SocketStatus) && in.SocketStatus[s].Trustworthy()
 		if !trusted {

@@ -13,9 +13,13 @@ import (
 
 // attributeSocketWalk is the reference attributeSocket is held to: the
 // largest-remainder fix-up as a walk, one scan of the socket's apps per
-// leftover microjoule. Same inputs, same ledger state, app for app.
+// leftover microjoule. Same inputs, same ledger state, app for app; like
+// attributeSocket it writes each app's lastUJ, zero when nothing is billed.
 func attributeSocketWalk(l *Ledger, s int, uj uint64, cores []telemetry.CoreSample) uint64 {
 	idx := l.sockApps[s]
+	for _, ai := range idx {
+		l.apps[ai].lastUJ = 0
+	}
 	if uj == 0 || len(idx) == 0 {
 		return 0
 	}

@@ -72,7 +72,6 @@ type Config struct {
 // appAccount is one app's cumulative energy state.
 type appAccount struct {
 	spec    core.AppSpec
-	socket  int
 	totalUJ uint64 // cumulative attributed microjoules
 	lastUJ  uint64 // microjoules attributed in the latest interval
 
@@ -111,26 +110,44 @@ type Ledger struct {
 	retired map[string]uint64
 
 	// Cumulative integer accounts (µJ) and counters.
-	totalUJ     uint64
-	unattribUJ  uint64
-	excludedUJ  uint64
-	limitUJ     uint64
-	overshootUJ uint64
-	intervals   uint64
-	overIntvls  uint64
-	costUSD     float64
-	carbonG     float64
-	elapsed     time.Duration // run clock of the latest Append
+	acct       accounts
+	intervals  uint64
+	overIntvls uint64
+	costUSD    float64
+	carbonG    float64
+	elapsed    time.Duration // run clock of the latest Append
 
 	store store
 	det   detectors
+
+	// Per-app constants of the app set, indexed by app: what attribution
+	// and the drift detector read every interval, laid out contiguously.
+	share     []float64 // max(1, shares), the attribution weight's factor
+	core      []int
+	shareFrac []float64 // share / totalShares, the drift detector's target
 
 	// Preallocated attribution scratch, indexed by app.
 	weights []float64
 	baseUJ  []uint64
 	rem     []float64
-	order   []int          // remainder selection, sized to the largest socket
+	bin     []int32        // remainder bin, int(rem × apps on the socket)
+	binN    []int          // apps per remainder bin, sized to the largest socket
+	order   []int          // remainder selection within one bin
 	events  []flight.Event // one interval's KindEnergy batch: every app, then the package accounts
+}
+
+// accounts are the package-level microjoule accounts, of one interval or
+// one tier bin or cumulative.
+type accounts struct {
+	total, unattrib, excluded, limit, overshoot uint64
+}
+
+func (a *accounts) add(b accounts) {
+	a.total += b.total
+	a.unattrib += b.unattrib
+	a.excluded += b.excluded
+	a.limit += b.limit
+	a.overshoot += b.overshoot
 }
 
 // New builds a ledger. The configuration is validated like daemon
@@ -171,25 +188,25 @@ func New(cfg Config) (*Ledger, error) {
 // sizeApps (re)builds the per-app accounts and attribution scratch for a
 // spec set. Caller holds l.mu after construction.
 func (l *Ledger) sizeApps(apps []core.AppSpec) {
-	l.apps = make([]appAccount, len(apps))
+	n := len(apps)
+	l.apps = make([]appAccount, n)
 	l.sockApps = make([][]int, l.chip.Sockets())
-	l.byName = make(map[string]int, len(apps))
+	l.byName = make(map[string]int, n)
+	l.share, l.core, l.shareFrac = make([]float64, n), make([]int, n), make([]float64, n)
 	l.totalShares = 0
 	for i, a := range apps {
 		s := l.chip.SocketOf(a.Core)
-		l.apps[i] = appAccount{spec: a, socket: s}
+		l.apps[i] = appAccount{spec: a}
 		l.byName[a.Name] = i
 		l.sockApps[s] = append(l.sockApps[s], i)
-		if a.Shares > 0 {
-			l.totalShares += int(a.Shares)
-		} else {
-			l.totalShares++
-		}
+		l.share[i], l.core[i] = float64(max(a.Shares, 1)), a.Core
+		l.totalShares += int(max(a.Shares, 1))
 	}
-	l.weights = make([]float64, len(apps))
-	l.baseUJ = make([]uint64, len(apps))
-	l.rem = make([]float64, len(apps))
-	l.order = make([]int, 0, len(apps))
+	for i := range l.shareFrac {
+		l.shareFrac[i] = l.share[i] / float64(l.totalShares)
+	}
+	l.weights, l.baseUJ, l.rem = make([]float64, n), make([]uint64, n), make([]float64, n)
+	l.bin, l.binN, l.order = make([]int32, n), make([]int, n), make([]int, 0, n)
 	// The KindEnergy batch's identities are fixed by the spec set; an
 	// interval writes only the accounts' Value and Aux.
 	l.events = make([]flight.Event, len(apps), len(apps)+len(pkgAccounts))
@@ -225,10 +242,10 @@ func (l *Ledger) initMetrics() {
 			return v()
 		})
 	}
-	gauge("padpd_energy_total_joules", "Total socket energy integrated by the ledger.", func() float64 { return float64(l.totalUJ) / 1e6 })
-	gauge("padpd_energy_unattributed_joules", "Trustworthy energy no app activity claimed (idle/static power).", func() float64 { return float64(l.unattribUJ) / 1e6 })
-	gauge("padpd_energy_excluded_joules", "Energy excluded from attribution because a counter was untrustworthy.", func() float64 { return float64(l.excludedUJ) / 1e6 })
-	gauge("padpd_energy_overshoot_joules", "Integral of package power above the enforced limit.", func() float64 { return float64(l.overshootUJ) / 1e6 })
+	gauge("padpd_energy_total_joules", "Total socket energy integrated by the ledger.", func() float64 { return float64(l.acct.total) / 1e6 })
+	gauge("padpd_energy_unattributed_joules", "Trustworthy energy no app activity claimed (idle/static power).", func() float64 { return float64(l.acct.unattrib) / 1e6 })
+	gauge("padpd_energy_excluded_joules", "Energy excluded from attribution because a counter was untrustworthy.", func() float64 { return float64(l.acct.excluded) / 1e6 })
+	gauge("padpd_energy_overshoot_joules", "Integral of package power above the enforced limit.", func() float64 { return float64(l.acct.overshoot) / 1e6 })
 	gauge("padpd_energy_cost_usd", "Cumulative energy cost under the configured rate schedule.", func() float64 { return l.costUSD })
 	gauge("padpd_energy_carbon_grams", "Cumulative carbon under the configured rate schedule.", func() float64 { return l.carbonG })
 	appVec := l.reg.GaugeVec("padpd_app_energy_joules", "Cumulative energy attributed to one application.", "app")
@@ -266,10 +283,10 @@ func microjoules(w units.Watts, dt time.Duration) uint64 {
 	return uint64(float64(w)*dt.Seconds()*1e6 + 0.5)
 }
 
-// Append folds one control interval into the ledger: attribution, tier
-// append, detectors, cost, metrics, flight events. It is allocation-free
-// and safe for concurrent use with the query methods (single writer, own
-// mutex — the daemon calls it once per interval outside its loop lock).
+// Append folds one control interval into the ledger: attribution, then one
+// pass over the apps for the tiers, share drift and flight batch. It is
+// allocation-free and safe for concurrent use with the query methods (single
+// writer, own mutex — the daemon calls it once per interval outside its loop lock).
 func (l *Ledger) Append(in Input) {
 	if l == nil {
 		return
@@ -278,17 +295,15 @@ func (l *Ledger) Append(in Input) {
 	l.intervals++
 	l.elapsed = in.At
 
-	var intervalTotal, intervalUnattrib, intervalExcluded uint64
-	for i := range l.apps {
-		l.apps[i].lastUJ = 0
-	}
+	var iv accounts // this interval's package accounts
+	var attr uint64 // Σ app µJ this interval, for the drift detector
 	for s := range l.sockApps {
 		var w units.Watts
 		if s < len(in.SocketPower) {
 			w = in.SocketPower[s]
 		}
 		uj := microjoules(w, in.Dt)
-		intervalTotal += uj
+		iv.total += uj
 
 		// Trust gate: the socket's RAPL counter and every app core on the
 		// socket must be trustworthy, or the whole socket's energy is
@@ -297,7 +312,7 @@ func (l *Ledger) Append(in Input) {
 		trusted := s < len(in.SocketStatus) && in.SocketStatus[s].Trustworthy()
 		if trusted {
 			for _, ai := range l.sockApps[s] {
-				c := l.apps[ai].spec.Core
+				c := l.core[ai]
 				if c >= len(in.Cores) || !in.Cores[c].Status.Trustworthy() {
 					trusted = false
 					break
@@ -305,64 +320,92 @@ func (l *Ledger) Append(in Input) {
 			}
 		}
 		if !trusted {
-			intervalExcluded += uj
-			continue
+			iv.excluded += uj
+			uj = 0 // the socket's apps are billed nothing
 		}
 		attributed := l.attributeSocket(s, uj, in.Cores)
-		intervalUnattrib += uj - attributed
+		iv.unattrib += uj - attributed
+		attr += attributed
 	}
 
-	limitUJ := microjoules(in.Limit, in.Dt)
-	var overUJ uint64
+	iv.limit = microjoules(in.Limit, in.Dt)
 	if in.PackagePower > in.Limit {
-		overUJ = microjoules(in.PackagePower-in.Limit, in.Dt)
+		iv.overshoot = microjoules(in.PackagePower-in.Limit, in.Dt)
 		l.overIntvls++
 	}
-	l.totalUJ += intervalTotal
-	l.unattribUJ += intervalUnattrib
-	l.excludedUJ += intervalExcluded
-	l.limitUJ += limitUJ
-	l.overshootUJ += overUJ
+	l.acct.add(iv)
 
 	rate := l.rates.At(in.At)
-	kwh := float64(intervalTotal) / microjoulesPerKWh
+	kwh := float64(iv.total) / microjoulesPerKWh
 	l.costUSD += kwh * rate.USDPerKWh
 	l.carbonG += kwh * rate.GCO2PerKWh
 
-	l.store.append(in.At, in.Dt, l.apps, intervalTotal, intervalUnattrib, intervalExcluded, limitUJ, overUJ)
-	l.runDetectors(in)
-	l.recordEnergyEvents()
+	l.detectPackage(in)
+	st := max(in.At-in.Dt, 0)
+	raw, secs, mins := l.store.raw.fold(st, in.Dt, iv), l.store.secs.fold(st, in.Dt, iv), l.store.mins.fold(st, in.Dt, iv)
+	drift := attr > 0 && l.totalShares > 0
+	for i := range l.apps {
+		a := &l.apps[i]
+		uj := a.lastUJ
+		raw.appUJ[i] = uj
+		secs.appUJ[i] += uj
+		mins.appUJ[i] += uj
+		if drift {
+			l.detectDrift(i, float64(uj)/float64(attr))
+		}
+		l.events[i].Value, l.events[i].Aux = uj, a.totalUJ
+	}
+	l.detectStragglers(in)
+
+	// One KindEnergy event per account: every app (delta + cumulative),
+	// then the package accounts. Every account every interval means the
+	// latest interval's events alone rebuild the ledger bit-exactly from a
+	// dump, regardless of ring overwrites.
+	pkg := l.events[len(l.apps):] // in pkgAccounts order
+	pkg[0].Aux, pkg[1].Aux, pkg[2].Aux, pkg[3].Aux, pkg[4].Aux =
+		l.acct.unattrib, l.acct.excluded, l.acct.total, l.acct.limit, l.acct.overshoot
+	l.flight.RecordBatch(flight.SourceLedger, l.events)
 	l.mu.Unlock()
 }
 
 // attributeSocket distributes uj microjoules over the apps of socket s by
-// largest-remainder rounding of the weights shares×activeFreq, and returns
-// how much was attributed (uj when any weight is positive, 0 otherwise).
-// Caller holds l.mu.
+// largest-remainder rounding of the weights shares×activeFreq, writes each
+// app's lastUJ (zero when the socket bills nothing), and returns how much
+// was attributed (uj when any weight is positive, 0 otherwise). Caller
+// holds l.mu.
 func (l *Ledger) attributeSocket(s int, uj uint64, cores []telemetry.CoreSample) uint64 {
 	idx := l.sockApps[s]
-	if uj == 0 || len(idx) == 0 {
+	var sumW float64
+	if uj > 0 {
+		for _, ai := range idx {
+			w := l.share[ai] * float64(cores[l.core[ai]].ActiveFreq)
+			l.weights[ai] = w
+			sumW += w
+		}
+	}
+	if sumW <= 0 { // excluded, no energy, or every core idle: static power is unattributed, not invented
+		for _, ai := range idx {
+			l.apps[ai].lastUJ = 0
+		}
 		return 0
 	}
-	var sumW float64
-	for _, ai := range idx {
-		sh := float64(l.apps[ai].spec.Shares)
-		if sh <= 0 {
-			sh = 1
-		}
-		w := sh * float64(cores[l.apps[ai].spec.Core].ActiveFreq)
-		l.weights[ai] = w
-		sumW += w
-	}
-	if sumW <= 0 {
-		return 0 // every core idle: static power is unattributed, not invented
-	}
+	// Each remainder goes to bin int(rem × n). The bin never decreases as
+	// the remainder grows, so an app in a higher bin is strictly ahead of
+	// every app in a lower one and only one bin needs ranking.
+	n := len(idx)
+	binN := l.binN[:n]
+	clear(binN)
 	var sumBase uint64
 	for _, ai := range idx {
 		f := float64(uj) * (l.weights[ai] / sumW)
 		b := uint64(f)
-		l.baseUJ[ai] = b
-		l.rem[ai] = f - float64(b)
+		r := f - float64(b)
+		bi := int(r * float64(n))
+		if uint(bi) >= uint(n) {
+			bi = n - 1 // r × n rounded up to n, or a NaN weight
+		}
+		l.baseUJ[ai], l.rem[ai], l.bin[ai] = b, r, int32(bi)
+		binN[bi]++
 		sumBase += b
 	}
 	// Largest-remainder fix-up: hand the leftover microjoules to the apps
@@ -379,22 +422,36 @@ func (l *Ledger) attributeSocket(s int, uj uint64, cores []telemetry.CoreSample)
 		l.baseUJ[maxAt]--
 		sumBase--
 	}
-	left := uj - sumBase
-	for n := uint64(len(idx)); left >= n; left -= n {
-		// More leftover than apps: a whole lap, every app taking one.
-		for _, ai := range idx {
-			l.baseUJ[ai]++
-			l.rem[ai]--
+	// More leftover than apps (float error past 2^53 µJ) is whole laps, one
+	// to every app; a lap lowers every remainder alike, so ranking ignores it.
+	laps, need := (uj-sumBase)/uint64(n), int((uj-sumBase)%uint64(n))
+	// Bin top holds the need-th largest remainder: every app above it takes
+	// one, and what is still needed goes to the largest of top's own.
+	top := n
+	for need > 0 {
+		top--
+		if need <= binN[top] {
+			break
 		}
+		need -= binN[top]
 	}
-	order := append(l.order[:0], idx...)
-	l.selectLargest(order, int(left))
-	for _, ai := range order[:left] {
-		l.baseUJ[ai]++
-	}
+	order := l.order[:0]
 	for _, ai := range idx {
-		l.apps[ai].lastUJ += l.baseUJ[ai]
-		l.apps[ai].totalUJ += l.baseUJ[ai]
+		bi := int(l.bin[ai])
+		if bi == top {
+			order = append(order, ai)
+		}
+		v := l.baseUJ[ai] + laps
+		if bi > top {
+			v++
+		}
+		l.apps[ai].lastUJ = v
+		l.apps[ai].totalUJ += v
+	}
+	l.selectLargest(order, need)
+	for _, ai := range order[:need] {
+		l.apps[ai].lastUJ++
+		l.apps[ai].totalUJ++
 	}
 	return uj
 }
@@ -446,49 +503,39 @@ func (l *Ledger) appJoules(name string) float64 {
 	return float64(l.retired[name]) / 1e6
 }
 
-// recordEnergyEvents emits one KindEnergy event per account: every app
-// (delta + cumulative), then the package accounts. Emitting every account
-// every interval guarantees the latest interval's events alone rebuild the
-// ledger bit-exactly from a dump, regardless of ring overwrites. Caller
-// holds l.mu.
-func (l *Ledger) recordEnergyEvents() {
-	if l.flight == nil {
-		return
-	}
-	ev := l.events
-	for i := range l.apps {
-		ev[i].Value, ev[i].Aux = l.apps[i].lastUJ, l.apps[i].totalUJ
-	}
-	pkg := ev[len(l.apps):] // in pkgAccounts order
-	pkg[0].Aux, pkg[1].Aux, pkg[2].Aux, pkg[3].Aux, pkg[4].Aux =
-		l.unattribUJ, l.excludedUJ, l.totalUJ, l.limitUJ, l.overshootUJ
-	l.flight.RecordBatch(flight.SourceLedger, ev)
-}
-
 // Reconfigure rebinds the ledger to a new app set after a live daemon
-// reconfiguration. Cumulative per-app totals carry over by name; apps that
-// disappear keep their joules in the package totals (conservation is over
-// energy, not app identity). The per-app columns of the time-series tiers
-// are reset — historical bins were indexed by the old spec order — while
-// the package accounts and detectors keep running.
+// reconfiguration. Each old app's cumulative total carries over to at most
+// one new app of its name: the one on the same core first, then the rest of
+// that name in spec order. Apps that disappear keep their joules in the
+// package totals (conservation is over energy, not app identity). The
+// per-app columns of the time-series tiers are reset — historical bins were
+// indexed by the old spec order — while the package accounts and detectors
+// keep running.
 func (l *Ledger) Reconfigure(apps []core.AppSpec) {
 	if l == nil || len(apps) == 0 {
 		return
 	}
 	l.mu.Lock()
-	carried := make(map[string]uint64, len(l.apps))
-	for i := range l.apps {
-		carried[l.apps[i].spec.Name] += l.apps[i].totalUJ
-	}
 	if l.retired == nil {
 		l.retired = make(map[string]uint64)
 	}
 	for name, i := range l.byName {
 		l.retired[name] = l.apps[i].totalUJ
 	}
+	old := l.apps
 	l.sizeApps(apps)
+	taken, carried := make([]bool, len(old)), make([]bool, len(l.apps))
+	for _, sameCore := range [...]bool{true, false} {
+		for i := range l.apps {
+			a := &l.apps[i]
+			for j := 0; j < len(old) && !carried[i]; j++ {
+				if !taken[j] && old[j].spec.Name == a.spec.Name && (!sameCore || old[j].spec.Core == a.spec.Core) {
+					a.totalUJ, taken[j], carried[i] = old[j].totalUJ, true, true
+				}
+			}
+		}
+	}
 	for i := range l.apps {
-		l.apps[i].totalUJ = carried[l.apps[i].spec.Name]
 		delete(l.retired, l.apps[i].spec.Name)
 	}
 	l.store.reset(len(apps))
@@ -536,49 +583,42 @@ func (l *Ledger) Summarize() Summary {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.summarizeLocked()
+}
+
+// summarizeLocked is Summarize for a caller that holds l.mu.
+func (l *Ledger) summarizeLocked() Summary {
 	s := Summary{
 		ElapsedSeconds:  l.elapsed.Seconds(),
 		Intervals:       l.intervals,
 		OverIntervals:   l.overIntvls,
-		TotalUJ:         l.totalUJ,
-		UnattributedUJ:  l.unattribUJ,
-		ExcludedUJ:      l.excludedUJ,
-		LimitUJ:         l.limitUJ,
-		OvershootUJ:     l.overshootUJ,
-		TotalJoules:     float64(l.totalUJ) / 1e6,
-		OvershootJoules: float64(l.overshootUJ) / 1e6,
+		TotalUJ:         l.acct.total,
+		UnattributedUJ:  l.acct.unattrib,
+		ExcludedUJ:      l.acct.excluded,
+		LimitUJ:         l.acct.limit,
+		OvershootUJ:     l.acct.overshoot,
+		TotalJoules:     float64(l.acct.total) / 1e6,
+		OvershootJoules: float64(l.acct.overshoot) / 1e6,
 		CostUSD:         l.costUSD,
 		CarbonGrams:     l.carbonG,
 		Apps:            make([]AppTotal, len(l.apps)),
 	}
 	var attributed uint64
-	var shares int
 	for i := range l.apps {
 		attributed += l.apps[i].totalUJ
-		sh := int(l.apps[i].spec.Shares)
-		if sh <= 0 {
-			sh = 1
-		}
-		shares += sh
 	}
 	for i := range l.apps {
 		a := &l.apps[i]
-		sh := int(a.spec.Shares)
-		if sh <= 0 {
-			sh = 1
-		}
 		row := AppTotal{
-			Name:    a.spec.Name,
-			Core:    a.spec.Core,
-			Shares:  int(a.spec.Shares),
-			TotalUJ: a.totalUJ,
-			Joules:  float64(a.totalUJ) / 1e6,
+			Name:      a.spec.Name,
+			Core:      a.spec.Core,
+			Shares:    int(a.spec.Shares),
+			TotalUJ:   a.totalUJ,
+			Joules:    float64(a.totalUJ) / 1e6,
+			ShareFrac: l.shareFrac[i],
 		}
 		if attributed > 0 {
 			row.EnergyFrac = float64(a.totalUJ) / float64(attributed)
-		}
-		if shares > 0 {
-			row.ShareFrac = float64(sh) / float64(shares)
 		}
 		s.Apps[i] = row
 	}

@@ -289,6 +289,48 @@ func TestReconfigureCarriesTotalsByName(t *testing.T) {
 	}
 }
 
+// Apps that share a name keep their own accounts across a reconfiguration:
+// each old account carries to at most one new app, the one on the same core
+// first, then the rest of the name in spec order. Across the same set the
+// conservation identity holds to the microjoule, and dropping an app lowers
+// Σ app by exactly that app's total.
+func TestReconfigureKeepsEachAppsTotal(t *testing.T) {
+	chip := platform.Skylake()
+	web0, web1, gcc := core.AppSpec{Name: "web", Core: 0, Shares: 50}, core.AppSpec{Name: "web", Core: 1, Shares: 30}, core.AppSpec{Name: "gcc", Core: 2, Shares: 20}
+	l := newTestLedger(t, chip, []core.AppSpec{web0, web1, gcc}, Config{})
+	for i := 1; i <= 10; i++ {
+		l.Append(okInput(chip, time.Duration(i)*100*time.Millisecond, 100*time.Millisecond, 100,
+			[]units.Watts{40}, []units.Hertz{2e9, 3e9, 1e9}))
+	}
+	before := checkConservation(t, l)
+	want := map[int]uint64{} // by core
+	for _, a := range before.Apps {
+		want[a.Core] = a.TotalUJ
+	}
+
+	for _, set := range [][]core.AppSpec{{web0, web1, gcc}, {web1, gcc, web0}} {
+		l.Reconfigure(set)
+		after := checkConservation(t, l)
+		for _, a := range after.Apps {
+			if a.TotalUJ != want[a.Core] {
+				t.Errorf("%s on core %d holds %d uJ after reconfigure, had %d", a.Name, a.Core, a.TotalUJ, want[a.Core])
+			}
+		}
+	}
+
+	// web on core 0 leaves; a web on core 5 takes the account of neither
+	// the web that stayed nor gcc, and there is none left for it.
+	sum := l.AttributedUJ()
+	l.Reconfigure([]core.AppSpec{web1, gcc})
+	if got := sum - l.AttributedUJ(); got != want[0] {
+		t.Errorf("dropping web@0 lowered the app sum by %d uJ, want its %d", got, want[0])
+	}
+	l.Reconfigure([]core.AppSpec{{Name: "web", Core: 5, Shares: 10}, web1, gcc})
+	if s := l.Summarize(); s.Apps[0].TotalUJ != 0 || s.Apps[1].TotalUJ != want[1] || s.Apps[2].TotalUJ != want[2] {
+		t.Errorf("after adding web@5: %+v", s.Apps)
+	}
+}
+
 // The KindEnergy batch's identities are built once per app set. After a
 // reconfiguration to fewer apps, on other cores, in another order, the next
 // interval's events carry the new cores and indices, and a dump spanning the
@@ -352,21 +394,26 @@ func TestReconfigureRebuildsEnergyBatch(t *testing.T) {
 	}
 }
 
-// The hot path must not allocate, with metrics and flight events on: the
-// control loop's zero-alloc gate rides on it. The second row is the
-// largest node the loop is gated at — one app per core of a 2×64-core
-// package, every core at its own frequency so attribution has 128
-// distinct weights to rank.
-func TestAppendAllocs(t *testing.T) {
-	small := twoSocketChip()
+// bigNode is the largest node the loop is gated at: one app per core of a
+// 2×64-core package, every core at its own frequency so attribution has
+// 128 distinct weights to rank.
+func bigNode() (platform.Chip, []core.AppSpec, []units.Hertz) {
 	big := platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 64), 2)
 	names := []string{"gcc", "cam4", "leela", "cactusBSSN"}
-	bigApps := make([]core.AppSpec, big.NumCores)
-	bigFreq := make([]units.Hertz, big.NumCores)
-	for i := range bigApps {
-		bigApps[i] = core.AppSpec{Name: names[i%len(names)], Core: i, Shares: units.Shares(10 + i%7)}
-		bigFreq[i] = units.Hertz(2e9 + float64(i)*1e7)
+	apps := make([]core.AppSpec, big.NumCores)
+	freq := make([]units.Hertz, big.NumCores)
+	for i := range apps {
+		apps[i] = core.AppSpec{Name: names[i%len(names)], Core: i, Shares: units.Shares(10 + i%7)}
+		freq[i] = units.Hertz(2e9 + float64(i)*1e7)
 	}
+	return big, apps, freq
+}
+
+// The hot path must not allocate, with metrics and flight events on: the
+// control loop's zero-alloc gate rides on it, up to the 128-app bigNode.
+func TestAppendAllocs(t *testing.T) {
+	small := twoSocketChip()
+	big, bigApps, bigFreq := bigNode()
 	for _, tc := range []struct {
 		name string
 		chip platform.Chip
@@ -395,6 +442,24 @@ func TestAppendAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkAppend bills one interval of bigNode with metrics and flight
+// events on, reporting the time per app.
+func BenchmarkAppend(b *testing.B) {
+	chip, apps, freq := bigNode()
+	l, err := New(Config{Chip: chip, Apps: apps, Metrics: metrics.NewRegistry(), Flight: flight.New(0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := okInput(chip, 0, time.Millisecond, 50, []units.Watts{30, 25}, freq)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.At += in.Dt
+		l.Append(in)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(apps)), "ns/app")
 }
 
 func TestDetectorSustainedOvershoot(t *testing.T) {

@@ -100,6 +100,7 @@ func (l *Ledger) Range(q Query) (RangeResult, error) {
 	for i := range l.apps {
 		names[i] = l.apps[i].spec.Name
 	}
+	summary := l.summarizeLocked() // under the same lock: as new as the points
 	l.mu.Unlock()
 	if q.Step > 0 {
 		points = Downsample(points, q.Step)
@@ -111,6 +112,6 @@ func (l *Ledger) Range(q Query) (RangeResult, error) {
 		Resolution: res,
 		Apps:       names,
 		Points:     points,
-		Summary:    l.Summarize(),
+		Summary:    summary,
 	}, nil
 }

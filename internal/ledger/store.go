@@ -46,19 +46,7 @@ type bin struct {
 	dur       time.Duration
 	intervals uint32
 	appUJ     []uint64
-	totalUJ   uint64
-	unattrib  uint64
-	excluded  uint64
-	limitUJ   uint64
-	overshoot uint64
-}
-
-func (b *bin) reset() {
-	b.start, b.dur, b.intervals = 0, 0, 0
-	b.totalUJ, b.unattrib, b.excluded, b.limitUJ, b.overshoot = 0, 0, 0, 0, 0
-	for i := range b.appUJ {
-		b.appUJ[i] = 0
-	}
+	pkg       accounts
 }
 
 // tier is one fixed-capacity downsampling ring. The open bin (width > 0
@@ -90,27 +78,19 @@ func (t *tier) advance() {
 	t.open = false
 }
 
-// accumulate folds one interval into the tier. at is the interval's end on
-// the run clock, dur its length; the interval is binned by its start time,
-// aligned down to the tier width. A start that jumps several widths ahead
-// seals the open bin and opens a new aligned one (gaps produce no empty
-// bins); a start behind the open bin (clock skew) accumulates into the
-// open bin rather than rewinding the ring.
-func (t *tier) accumulate(at, dur time.Duration, apps []appAccount, total, unattrib, excluded, limitUJ, overshoot uint64) {
-	st := at - dur
-	if st < 0 {
-		st = 0
-	}
+// fold adds an interval starting at st on the run clock, dur long, to the
+// tier's package accounts, and returns the bin for its per-app column: the
+// raw tier's new bin, whose column the caller writes whole, or a wider
+// tier's open bin, which it adds to. A wider tier bins by st aligned down to
+// its width: a start several widths ahead seals the open bin and opens an
+// aligned one (gaps make no empty bins); a start behind the open bin (clock
+// skew) folds into it rather than rewinding the ring.
+func (t *tier) fold(st, dur time.Duration, iv accounts) *bin {
 	if t.width == 0 {
 		b := &t.bins[t.next]
-		b.reset()
-		b.start, b.dur, b.intervals = st, dur, 1
-		b.totalUJ, b.unattrib, b.excluded, b.limitUJ, b.overshoot = total, unattrib, excluded, limitUJ, overshoot
-		for i := range apps {
-			b.appUJ[i] = apps[i].lastUJ
-		}
+		b.start, b.dur, b.intervals, b.pkg = st, dur, 1, iv
 		t.advance()
-		return
+		return b
 	}
 	aligned := st - st%t.width
 	if t.open && aligned > t.bins[t.next].start {
@@ -118,20 +98,13 @@ func (t *tier) accumulate(at, dur time.Duration, apps []appAccount, total, unatt
 	}
 	b := &t.bins[t.next]
 	if !t.open {
-		b.reset()
-		b.start = aligned
-		b.dur = t.width
+		b.start, b.dur, b.intervals, b.pkg = aligned, t.width, 0, accounts{}
+		clear(b.appUJ)
 		t.open = true
 	}
 	b.intervals++
-	b.totalUJ += total
-	b.unattrib += unattrib
-	b.excluded += excluded
-	b.limitUJ += limitUJ
-	b.overshoot += overshoot
-	for i := range apps {
-		b.appUJ[i] += apps[i].lastUJ
-	}
+	b.pkg.add(iv)
+	return b
 }
 
 // snapshotRange copies the retained bins whose start falls in [from, to]
@@ -158,11 +131,11 @@ func (t *tier) snapshotRange(from, to time.Duration) []Point {
 			StartNS:        b.start.Nanoseconds(),
 			DurNS:          b.dur.Nanoseconds(),
 			Intervals:      b.intervals,
-			TotalUJ:        b.totalUJ,
-			UnattributedUJ: b.unattrib,
-			ExcludedUJ:     b.excluded,
-			LimitUJ:        b.limitUJ,
-			OvershootUJ:    b.overshoot,
+			TotalUJ:        b.pkg.total,
+			UnattributedUJ: b.pkg.unattrib,
+			ExcludedUJ:     b.pkg.excluded,
+			LimitUJ:        b.pkg.limit,
+			OvershootUJ:    b.pkg.overshoot,
 			AppUJ:          append([]uint64(nil), b.appUJ...),
 		}
 		out = append(out, p)
@@ -225,13 +198,6 @@ func (s *store) reset(napps int) {
 	s.raw = makeTier(0, len(s.raw.bins), napps)
 	s.secs = makeTier(time.Second, len(s.secs.bins), napps)
 	s.mins = makeTier(time.Minute, len(s.mins.bins), napps)
-}
-
-// append folds one interval into every tier. Allocation-free.
-func (s *store) append(at, dur time.Duration, apps []appAccount, total, unattrib, excluded, limitUJ, overshoot uint64) {
-	s.raw.accumulate(at, dur, apps, total, unattrib, excluded, limitUJ, overshoot)
-	s.secs.accumulate(at, dur, apps, total, unattrib, excluded, limitUJ, overshoot)
-	s.mins.accumulate(at, dur, apps, total, unattrib, excluded, limitUJ, overshoot)
 }
 
 // pick selects the tier for a resolution, resolving ResAuto to the finest

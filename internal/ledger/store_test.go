@@ -8,13 +8,26 @@ import (
 	"repro/internal/units"
 )
 
+// foldInto folds one interval ending at at into a tier the way Append
+// does: the package accounts through fold, then the per-app column, written
+// whole into a raw bin and added into a wider tier's bin.
+func foldInto(t *tier, at, dur time.Duration, iv accounts, appUJ []uint64) {
+	b := t.fold(max(at-dur, 0), dur, iv)
+	for i, v := range appUJ {
+		if t.width == 0 {
+			b.appUJ[i] = v
+		} else {
+			b.appUJ[i] += v
+		}
+	}
+}
+
 // feed pushes one synthetic interval into a tier: total µJ split as
 // one-third per app column (2 apps) with the rest unattributed, so every
 // account column is nonzero and conservation is checkable end to end.
 func feed(t *tier, at, dur time.Duration, total uint64) {
-	apps := []appAccount{{lastUJ: total / 3}, {lastUJ: total / 3}}
-	unattrib := total - 2*(total/3)
-	t.accumulate(at, dur, apps, total, unattrib, 0, total+5, 7)
+	iv := accounts{total: total, unattrib: total - 2*(total/3), limit: total + 5, overshoot: 7}
+	foldInto(t, at, dur, iv, []uint64{total / 3, total / 3})
 }
 
 func sumPoints(ps []Point) (total, unattrib, excluded, limit, overshoot uint64, apps []uint64) {
@@ -176,9 +189,10 @@ func TestSnapshotRangeBounds(t *testing.T) {
 func TestPickAutoResolution(t *testing.T) {
 	var s store
 	s.init(1, 8, 16, 16) // tiny raw ring: wraps after 8 intervals
-	apps := []appAccount{{lastUJ: 10}}
 	for i := 1; i <= 100; i++ {
-		s.append(time.Duration(i)*100*time.Millisecond, 100*time.Millisecond, apps, 10, 0, 0, 0, 0)
+		for _, t := range []*tier{&s.raw, &s.secs, &s.mins} {
+			foldInto(t, time.Duration(i)*100*time.Millisecond, 100*time.Millisecond, accounts{total: 10}, []uint64{10})
+		}
 	}
 	// Raw retains starts [9.2s, 9.9s]; seconds tier covers from 0.
 	if _, res := s.pick(ResAuto, 9500*time.Millisecond); res != ResRaw {
@@ -280,5 +294,38 @@ func TestRangeStepAndLimit(t *testing.T) {
 	// Newest kept: the last raw bin starts at 4.9 s.
 	if want := (4900 * time.Millisecond).Nanoseconds(); r.Points[4].StartNS != want {
 		t.Fatalf("limit kept oldest points: %+v", r.Points)
+	}
+}
+
+// Range takes its points and its summary under one lock, so each reply is
+// one instant of the ledger while Append runs beside it: over a horizon the
+// raw tier still covers, the points sum to the summary's total.
+func TestRangeSummaryMatchesPoints(t *testing.T) {
+	chip := twoSocketChip()
+	l := newTestLedger(t, chip, []core.AppSpec{
+		{Name: "gcc", Core: 0, Shares: 60},
+		{Name: "cam4", Core: chip.CoresPerSocket(), Shares: 40},
+	}, Config{})
+	const intervals = rawBins / 2
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= intervals; i++ {
+			l.Append(okInput(chip, time.Duration(i)*time.Millisecond, time.Millisecond, 100, []units.Watts{30, 20}, nil))
+		}
+	}()
+	for replies, finished := 0, false; !finished; replies++ {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		r, err := l.Range(Query{Res: ResRaw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total, _, _, _, _, _ := sumPoints(r.Points); total != r.Summary.TotalUJ {
+			t.Fatalf("reply %d: %d raw points sum to %d uJ, summary says %d", replies, len(r.Points), total, r.Summary.TotalUJ)
+		}
 	}
 }
