@@ -5,8 +5,8 @@
 // snapshot to the configured policy, and actuates the returned per-core
 // P-state requests and park decisions.
 //
-// The daemon runs in two modes. Virtual mode attaches to a sim.Machine's
-// tick hook and fires on virtual time — deterministic, used by all
+// The daemon runs in two modes. Virtual mode is an entry on a sim.Machine's
+// calendar and fires on virtual time — deterministic, used by all
 // experiments. Real-time mode runs on a wall-clock ticker against any
 // msr.Device (including the file-backed one) and records per-iteration
 // scheduling jitter, making control-loop disturbances (GC pauses, scheduler
@@ -279,8 +279,7 @@ type Daemon struct {
 	iterations int
 	last       core.Snapshot
 	started    bool
-	acc        time.Duration
-	hookErr    error
+	iterErr    error
 
 	// Hot-path reuse buffers. appsBuf double-buffers the snapshot's Apps
 	// slice the same way the telemetry sampler double-buffers its Sample:
@@ -344,9 +343,7 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 	if err := sampler.SetSockets(cfg.Chip.Sockets()); err != nil {
 		return nil, err
 	}
-	if cfg.Metrics != nil {
-		sampler.Instrument(cfg.Metrics)
-	}
+	sampler.Instrument(cfg.Metrics)
 	d := &Daemon{
 		cfg:        cfg,
 		dev:        dev,
@@ -787,38 +784,27 @@ func (d *Daemon) Parked(core int) bool {
 	return core >= 0 && core < len(d.parked) && d.parked[core]
 }
 
-// Err returns the first error raised inside the virtual-time hook, if any.
+// Err returns the error that stopped the control iterations AttachVirtual
+// scheduled, if any.
 func (d *Daemon) Err() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.hookErr
+	return d.iterErr
 }
 
-// AttachVirtual starts the daemon and registers it on the machine's tick
-// hook so one control iteration fires per configured interval of virtual
-// time. Errors inside the hook stop further iterations and surface via
-// Err.
+// AttachVirtual starts the daemon and schedules one control iteration per
+// configured interval of virtual time on the machine's calendar, each
+// passed the virtual time since the last. An error from an iteration stops
+// the rest and surfaces via Err.
 func (d *Daemon) AttachVirtual(m *sim.Machine) error {
 	if err := d.Start(); err != nil {
 		return err
 	}
-	m.OnTick(func(dt time.Duration) {
-		d.mu.Lock()
-		if d.hookErr != nil {
-			d.mu.Unlock()
-			return
-		}
-		d.acc += dt
-		if d.acc < d.cfg.Interval {
-			d.mu.Unlock()
-			return
-		}
-		interval := d.acc
-		d.acc = 0
-		d.mu.Unlock()
-		if _, err := d.RunIteration(interval); err != nil {
+	m.Every(d.cfg.Interval, func(interval time.Duration) {
+		if d.Err() == nil {
+			_, err := d.RunIteration(interval)
 			d.mu.Lock()
-			d.hookErr = err
+			d.iterErr = err
 			d.mu.Unlock()
 		}
 	})
@@ -833,9 +819,8 @@ func (d *Daemon) RunRealtime(ctx context.Context, iterations int) error {
 	if err := d.Start(); err != nil {
 		return err
 	}
-	// prev is read before the ticker starts: every tick carries its
-	// scheduled time, at least one interval after the ticker's start, so
-	// the first interval stays positive however late this goroutine runs.
+	// An interval runs from receipt to receipt: under CPU contention a
+	// tick's own value can be earlier than the tick's before it.
 	prev := time.Now()
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
@@ -843,7 +828,8 @@ func (d *Daemon) RunRealtime(ctx context.Context, iterations int) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case now := <-ticker.C:
+		case <-ticker.C:
+			now := time.Now()
 			actual := now.Sub(prev)
 			prev = now
 			late := (actual - d.cfg.Interval).Seconds()
@@ -951,6 +937,6 @@ func (d *Daemon) StatusView() StatusView {
 		Apps:       append([]core.AppSpec(nil), d.cfg.Apps...),
 		Phases:     d.lastPhases,
 		Jitter:     d.jitterLocked(),
-		Err:        d.hookErr,
+		Err:        d.iterErr,
 	}
 }

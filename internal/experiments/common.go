@@ -93,81 +93,53 @@ type Measure struct {
 	Cores        []CoreMeasure
 }
 
-// Meter accumulates per-core activity between Begin and Measure calls. It
-// must be created before the machine runs (it hooks the tick stream).
+// Meter measures a machine over a window that opens when the meter is made
+// and closes at Measure.
 type Meter struct {
 	m       *sim.Machine
-	active  bool
-	begun   bool
-	ticks   int
-	freqSum []float64
 	at0     time.Duration
 	instr0  []float64
 	energy0 []units.Joules
 	pkg0    units.Joules
 }
 
-// NewMeter attaches a meter to the machine.
+// NewMeter opens a measurement window at the machine's current time. It
+// restarts the machine's MeanFreq, so a machine serves one meter at a time.
 func NewMeter(m *sim.Machine) *Meter {
 	n := m.Chip().NumCores
 	mt := &Meter{
 		m:       m,
-		freqSum: make([]float64, n),
+		at0:     m.Now(),
 		instr0:  make([]float64, n),
 		energy0: make([]units.Joules, n),
+		pkg0:    m.PackageEnergy(),
 	}
-	m.OnTick(func(dt time.Duration) {
-		if !mt.active {
-			return
-		}
-		mt.ticks++
-		for i := 0; i < n; i++ {
-			mt.freqSum[i] += float64(m.EffectiveFreq(i))
-		}
-	})
+	m.ResetMeanFreq()
+	for i := range n {
+		mt.instr0[i] = m.Counters(i).Instr
+		mt.energy0[i] = m.CoreEnergy(i)
+	}
 	return mt
 }
 
-// Begin starts a measurement window at the machine's current time.
-func (mt *Meter) Begin() {
-	mt.begun = true
-	mt.active = true
-	mt.ticks = 0
-	mt.at0 = mt.m.Now()
-	mt.pkg0 = mt.m.PackageEnergy()
-	for i := range mt.freqSum {
-		mt.freqSum[i] = 0
-		mt.instr0[i] = mt.m.Counters(i).Instr
-		mt.energy0[i] = mt.m.CoreEnergy(i)
-	}
-}
-
-// Measure closes the window and returns the averages. A meter that never
-// began returns a zero Measure.
+// Measure returns the averages over the window so far.
 func (mt *Meter) Measure() Measure {
-	mt.active = false
-	if !mt.begun {
-		return Measure{Cores: make([]CoreMeasure, len(mt.freqSum))}
-	}
 	d := mt.m.Now() - mt.at0
 	sec := d.Seconds()
 	out := Measure{
 		Duration: d,
-		Cores:    make([]CoreMeasure, len(mt.freqSum)),
+		Cores:    make([]CoreMeasure, len(mt.instr0)),
 	}
 	if sec <= 0 {
 		return out
 	}
 	out.PackagePower = (mt.m.PackageEnergy() - mt.pkg0).Power(d)
-	for i := range mt.freqSum {
-		cm := CoreMeasure{
-			IPS:   (mt.m.Counters(i).Instr - mt.instr0[i]) / sec,
-			Power: (mt.m.CoreEnergy(i) - mt.energy0[i]).Power(d),
+	for i := range out.Cores {
+		out.Cores[i] = CoreMeasure{
+			MeanFreq: mt.m.MeanFreq(i),
+			IPS:      (mt.m.Counters(i).Instr - mt.instr0[i]) / sec,
+			Power:    (mt.m.CoreEnergy(i) - mt.energy0[i]).Power(d),
 		}
-		if mt.ticks > 0 {
-			cm.MeanFreq = units.Hertz(mt.freqSum[i] / float64(mt.ticks))
-		}
-		out.Cores[i] = cm
 	}
 	return out
 }
@@ -272,11 +244,10 @@ func runWithPolicy(cfg RunConfig, specs []core.AppSpec, pol core.Policy) (res Ru
 	}
 	warmup, window := cmp.Or(cfg.Warmup, 40*time.Second), cmp.Or(cfg.Window, 20*time.Second)
 	err = withNode(node.Spec{Chip: cfg.Chip, Apps: specs, Profiles: cfg.Profiles, Policy: pol, Limit: cfg.Limit}, func(n *node.Node) error {
-		meter := NewMeter(n.M)
 		if err := n.Run(warmup); err != nil {
 			return err
 		}
-		meter.Begin()
+		meter := NewMeter(n.M)
 		if err := n.Run(window); err != nil {
 			return err
 		}
@@ -348,24 +319,19 @@ func StandaloneIPS(chip platform.Chip, name string) float64 {
 	}
 	baselineMu.Unlock()
 
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("experiments: standalone baseline: %v", err))
+		}
+	}
 	m, err := sim.New(chip, sim.WithTick(time.Millisecond))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: standalone baseline: %v", err))
-	}
+	must(err)
 	p, err := workload.ByName(name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: standalone baseline: %v", err))
-	}
-	in := workload.NewInstance(p)
-	if err := m.Pin(in, 0); err != nil {
-		panic(fmt.Sprintf("experiments: standalone baseline: %v", err))
-	}
-	if err := m.SetRequest(0, chip.Freq.Max()); err != nil {
-		panic(fmt.Sprintf("experiments: standalone baseline: %v", err))
-	}
-	meter := NewMeter(m)
+	must(err)
+	must(m.Pin(workload.NewInstance(p), 0))
+	must(m.SetRequest(0, chip.Freq.Max()))
 	m.Run(2 * time.Second)
-	meter.Begin()
+	meter := NewMeter(m)
 	m.Run(8 * time.Second)
 	ips := meter.Measure().Cores[0].IPS
 

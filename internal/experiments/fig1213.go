@@ -67,12 +67,11 @@ func latencyRun(limit units.Watts, scenario string, seed int64, warmup time.Dura
 	cell := LatencyCell{Limit: limit, Scenario: scenario}
 	err := withNode(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: limit, Services: []svc.Config{wcfg}}, func(n *node.Node) error {
 		ws := n.Services.Service(wcfg.Name)
-		meter := NewMeter(n.M)
 		if err := n.Run(warmup); err != nil {
 			return err
 		}
 		ws.ResetStats()
-		meter.Begin()
+		meter := NewMeter(n.M)
 		if err := n.Run(30 * time.Second); err != nil {
 			return err
 		}

@@ -98,9 +98,8 @@ func dvfsSweep(chip platform.Chip, step units.Hertz) (DVFSResult, error) {
 			if err := m.SetRequest(0, f); err != nil {
 				return DVFSResult{}, err
 			}
-			meter := NewMeter(m)
 			m.Run(time.Second)
-			meter.Begin()
+			meter := NewMeter(m)
 			m.Run(10 * time.Second)
 			ms := meter.Measure()
 			ips[bi][fi] = ms.Cores[0].IPS

@@ -52,9 +52,8 @@ func Figure4() (Figure4Result, error) {
 					return err
 				}
 			}
-			meter := NewMeter(n.M)
 			n.M.Run(5 * time.Second)
-			meter.Begin()
+			meter := NewMeter(n.M)
 			n.M.Run(10 * time.Second)
 			ms = meter.Measure()
 			return nil

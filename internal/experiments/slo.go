@@ -148,13 +148,12 @@ func sloRun(policy string, limit units.Watts) (SLOCell, error) {
 		Services: []svc.Config{scfg}, SLOTargets: targets,
 	}, func(n *node.Node) error {
 		s = n.Services.Service("websearch")
-		meter := NewMeter(n.M)
 		if err := n.Run(SLOStudyPeriod); err != nil { // one warmup period
 			return err
 		}
 		s.ResetStats()
 		done0 = s.Completed()
-		meter.Begin()
+		meter := NewMeter(n.M)
 		if err := n.Run(2 * SLOStudyPeriod); err != nil { // two measured periods
 			return err
 		}

@@ -39,11 +39,7 @@ type Injector struct {
 	sched Schedule
 	rng   *rand.Rand
 
-	active  []bool
-	frozen  map[int]map[regKey]uint64 // stuck/torn cached values, by entry
-	torn    map[int]map[regKey]bool   // torn per-key freeze decision, by entry
-	prevCap map[int]units.Hertz       // thermal restore value, by entry
-	prevLim map[int]units.Watts       // rapl restore value, by entry
+	win []windowState // by schedule entry
 
 	m   *sim.Machine
 	rec *flight.Recorder
@@ -56,24 +52,22 @@ type Injector struct {
 	totalLatency time.Duration
 }
 
+// windowState is one schedule entry's run-time state; closing it zeroes it.
+type windowState struct {
+	open    bool
+	frozen  map[regKey]uint64 // stuck/torn cached values
+	torn    map[regKey]bool   // torn per-key freeze decision
+	prevCap units.Hertz       // thermal restore value
+	prevLim units.Watts       // rapl restore value
+}
+
 // New builds an injector for the schedule, deterministic in seed.
 func New(sched Schedule, seed int64) *Injector {
-	return &Injector{
-		sched:   sched,
-		rng:     rand.New(rand.NewSource(seed)),
-		active:  make([]bool, len(sched)),
-		frozen:  make(map[int]map[regKey]uint64),
-		torn:    make(map[int]map[regKey]bool),
-		prevCap: make(map[int]units.Hertz),
-		prevLim: make(map[int]units.Watts),
-	}
+	return &Injector{sched: sched, rng: rand.New(rand.NewSource(seed)), win: make([]windowState, len(sched))}
 }
 
 // Instrument registers the injector's metrics.
 func (in *Injector) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.injections = reg.CounterVec("fault_windows_total",
@@ -93,25 +87,29 @@ func (in *Injector) Flight(rec *flight.Recorder) {
 }
 
 // Drive binds the injector to a simulated machine: platform faults
-// (thermal, rapl, offline) are applied to it, and a tick hook advances the
-// injector clock so windows open and close on their own. Call before
-// attaching the daemon so fault transitions at tick t precede the control
-// iteration at tick t.
+// (thermal, rapl, offline) are applied to it, and each window's opening and
+// closing time is an entry on the machine's calendar that advances the
+// injector to the machine's time. Call before attaching the daemon so fault
+// transitions at tick t precede the control iteration at tick t.
 func (in *Injector) Drive(m *sim.Machine) {
 	in.mu.Lock()
 	in.m = m
 	in.mu.Unlock()
-	m.OnTick(func(time.Duration) { in.AdvanceTo(m.Now()) })
+	advance := func() { in.AdvanceTo(m.Now()) }
+	for _, e := range in.sched {
+		m.At(e.At, advance)
+		m.At(e.At+e.For, advance)
+	}
 }
 
-// AdvanceTo opens and closes the windows run time t has crossed. Drive
-// calls it per tick.
+// AdvanceTo opens and closes the windows run time t has crossed. It is
+// idempotent: a second call at the same time changes nothing.
 func (in *Injector) AdvanceTo(t time.Duration) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i := range in.sched {
-		if act := in.sched[i].Active(t); act != in.active[i] {
-			in.active[i] = act
+		if act := in.sched[i].Active(t); act != in.win[i].open {
+			in.win[i].open = act
 			if act {
 				in.openLocked(i)
 			} else {
@@ -128,13 +126,13 @@ func (in *Injector) openLocked(i int) {
 	switch e.Class {
 	case ClassThermal:
 		if in.m != nil {
-			in.prevCap[i] = in.m.ThermalCap()
+			in.win[i].prevCap = in.m.ThermalCap()
 			in.m.SetThermalCap(e.Cap)
 		}
 		value = uint64(e.Cap)
 	case ClassRAPL:
 		if in.m != nil {
-			in.prevLim[i] = in.m.Limiter().Limit()
+			in.win[i].prevLim = in.m.Limiter().Limit()
 			in.m.SetPowerLimit(e.Limit)
 		}
 		value = uint64(float64(e.Limit) * 1e6) // microwatts
@@ -148,12 +146,8 @@ func (in *Injector) openLocked(i int) {
 	case ClassEIO:
 		value = uint64(e.Prob * 1e6) // parts per million
 	}
-	if in.injections != nil {
-		in.injections.With(e.Class.String()).Inc()
-	}
-	if in.activeG != nil {
-		in.activeG.Add(1)
-	}
+	in.injections.With(e.Class.String()).Inc()
+	in.activeG.Add(1)
 	in.rec.Record(flight.Event{
 		Kind: flight.KindFaultInject, Source: flight.SourceFault,
 		Core: int16(e.CPU), Arg: e.Class.FlightCode(), Value: value,
@@ -168,26 +162,21 @@ func (in *Injector) closeLocked(i int) {
 	switch e.Class {
 	case ClassThermal:
 		if in.m != nil {
-			in.m.SetThermalCap(in.prevCap[i])
-			value = uint64(in.prevCap[i])
+			in.m.SetThermalCap(in.win[i].prevCap)
+			value = uint64(in.win[i].prevCap)
 		}
-		delete(in.prevCap, i)
 	case ClassRAPL:
 		if in.m != nil {
-			in.m.SetPowerLimit(in.prevLim[i])
-			value = uint64(float64(in.prevLim[i]) * 1e6)
+			in.m.SetPowerLimit(in.win[i].prevLim)
+			value = uint64(float64(in.win[i].prevLim) * 1e6)
 		}
-		delete(in.prevLim, i)
 	case ClassOffline:
 		if in.m != nil {
 			_ = in.m.SetOffline(e.CPU, false)
 		}
 	}
-	delete(in.frozen, i)
-	delete(in.torn, i)
-	if in.activeG != nil {
-		in.activeG.Add(-1)
-	}
+	in.win[i] = windowState{}
+	in.activeG.Add(-1)
 	in.rec.Record(flight.Event{
 		Kind: flight.KindFaultClear, Source: flight.SourceFault,
 		Core: int16(e.CPU), Arg: e.Class.FlightCode(), Value: value,
@@ -214,9 +203,7 @@ func (in *Injector) TotalLatency() time.Duration {
 // noteLocked counts one per-access perturbation.
 func (in *Injector) noteLocked(c Class) {
 	in.counts[c]++
-	if in.effects != nil {
-		in.effects.With(c.String()).Inc()
-	}
+	in.effects.With(c.String()).Inc()
 }
 
 // WrapDevice interposes the injector between the control plane and dev.
@@ -247,7 +234,7 @@ func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 	freeze := -1
 	for i := range in.sched {
 		e := &in.sched[i]
-		if !in.active[i] || !e.Matches(cpu, creg) {
+		if !in.win[i].open || !e.Matches(cpu, creg) {
 			continue
 		}
 		switch e.Class {
@@ -269,16 +256,15 @@ func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 				freeze = i
 			}
 		case ClassTorn:
-			tm := in.torn[i]
-			if tm == nil {
-				tm = make(map[regKey]bool)
-				in.torn[i] = tm
+			w := &in.win[i]
+			if w.torn == nil {
+				w.torn = make(map[regKey]bool)
 			}
 			k := regKey{cpu, creg}
-			fr, ok := tm[k]
+			fr, ok := w.torn[k]
 			if !ok {
 				fr = in.rng.Intn(2) == 0
-				tm[k] = fr
+				w.torn[k] = fr
 			}
 			if fr && freeze < 0 {
 				freeze = i
@@ -290,12 +276,11 @@ func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 	}
 	if freeze >= 0 {
 		k := regKey{cpu, creg}
-		fm := in.frozen[freeze]
-		if fm == nil {
-			fm = make(map[regKey]uint64)
-			in.frozen[freeze] = fm
+		w := &in.win[freeze]
+		if w.frozen == nil {
+			w.frozen = make(map[regKey]uint64)
 		}
-		if v, ok := fm[k]; ok {
+		if v, ok := w.frozen[k]; ok {
 			in.noteLocked(in.sched[freeze].Class)
 			return v, nil
 		}
@@ -303,7 +288,7 @@ func (d *faultDevice) Read(cpu int, reg uint32) (uint64, error) {
 		if err != nil {
 			return v, err
 		}
-		fm[k] = v
+		w.frozen[k] = v
 		return v, nil
 	}
 	return d.dev.Read(cpu, reg)
@@ -326,7 +311,7 @@ func (d *faultDevice) Write(cpu int, reg uint32, val uint64) error {
 	in.mu.Lock()
 	for i := range in.sched {
 		e := &in.sched[i]
-		if in.active[i] && e.Class == ClassOffline && e.Matches(cpu, creg) {
+		if in.win[i].open && e.Class == ClassOffline && e.Matches(cpu, creg) {
 			in.noteLocked(e.Class)
 			in.mu.Unlock()
 			return fmt.Errorf("fault: cpu%d offline, write %s: %w",

@@ -271,6 +271,51 @@ at 40ms for 20ms offline cpu=0
 	}
 }
 
+// A window that opens and closes between two ticks is never seen open: its
+// two calendar edges fire at the same later tick, where AdvanceTo finds it
+// closed. A window that spans a tick opens at it, as a check that the first
+// one would have been seen.
+func TestFaultEdgeBetweenTicksOpensNothing(t *testing.T) {
+	m, err := sim.New(platform.Skylake())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := flight.New(flight.DefaultCapacity)
+	rec.SetClock(m.Now)
+	sched, err := ParseSchedule(`
+at 1200us for 500us thermal cap=1200MHz
+at 2100us for 800us eio cpu=* prob=1
+at 4500us for 1ms rapl limit=30W
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := New(sched, 1)
+	in.Flight(rec)
+	in.Drive(m)
+	capSeen := false
+	m.OnTick(func(time.Duration) { capSeen = capSeen || m.ThermalCap() != 0 })
+
+	m.Run(4 * time.Millisecond)
+	if capSeen || len(rec.Snapshot()) != 0 {
+		t.Fatalf("sub-tick windows: thermal cap seen %v, flight events %+v", capSeen, rec.Snapshot())
+	}
+	if _, err := in.WrapDevice(&countingDevice{}).Read(0, msr.IA32Aperf); err != nil {
+		t.Fatalf("eio window between ticks failed a read: %v", err)
+	}
+	m.Run(3 * time.Millisecond)
+	var got []flight.Kind
+	for _, ev := range rec.Snapshot() {
+		if ev.Arg != ClassRAPL.FlightCode() {
+			t.Fatalf("event for class %s, want only rapl", flight.FaultName(ev.Arg))
+		}
+		got = append(got, ev.Kind)
+	}
+	if want := []flight.Kind{flight.KindFaultInject, flight.KindFaultClear}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("flight kinds %v, want %v", got, want)
+	}
+}
+
 func TestFlightCodesCoverAllClasses(t *testing.T) {
 	seen := map[uint32]bool{}
 	for c := Class(0); c < numClasses; c++ {

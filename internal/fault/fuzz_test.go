@@ -20,6 +20,7 @@ func FuzzParseSchedule(f *testing.F) {
 	f.Add("at 0s for 1s eio regs=0x611 prob=1; at 2s for 1s eio prob=0\n# comment\n")
 	f.Add("at 1ms for 1ms thermal cap=3Hz")
 	f.Add("at 1ms for 1ms rapl limit=0.001W")
+	f.Add("at 2000000h for 2000000h rapl limit=30W")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSchedule(text)
 		if err != nil {

@@ -26,6 +26,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -163,6 +164,9 @@ func (e Entry) Validate() error {
 	}
 	if e.For <= 0 {
 		return fmt.Errorf("fault: %s window has non-positive duration %v", e.Class, e.For)
+	}
+	if e.For > math.MaxInt64-e.At {
+		return fmt.Errorf("fault: %s window at %v for %v closes past the end of time", e.Class, e.At, e.For)
 	}
 	if e.Prob < 0 || e.Prob > 1 {
 		return fmt.Errorf("fault: %s probability %v outside [0, 1]", e.Class, e.Prob)

@@ -82,6 +82,7 @@ func TestParseScheduleRejects(t *testing.T) {
 		"at 1s for 1s offline cpu=*",
 		"at 1s for 1s eio frobnicate=1",
 		"at 1s for 1s eio prob",
+		"at 2000000h for 2000000h rapl limit=30W", // closes past the largest time.Duration
 	}
 	for _, text := range bad {
 		if _, err := ParseSchedule(text); err == nil {

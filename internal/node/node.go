@@ -88,8 +88,9 @@ type Node struct {
 // New assembles a node in a fixed order: pin the batch profiles, attach
 // the services, wrap the registers in the fault injector and drive it,
 // build the ledger, then build the daemon and attach it to virtual time.
-// The injector's tick hook is registered before the daemon's, so fault
-// transitions at a tick precede that tick's control iteration.
+// The injector's window edges go on the machine's calendar before the
+// daemon's interval, so fault transitions at a tick precede that tick's
+// control iteration.
 func New(s Spec) (*Node, error) {
 	n := &Node{Flight: s.Flight}
 	if s.Recorders != nil {

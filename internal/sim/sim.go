@@ -9,6 +9,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cpu"
@@ -71,7 +73,13 @@ type Machine struct {
 
 	clock time.Duration
 	dt    time.Duration
+	cps   int // cores per socket
 	unit  msr.EnergyUnit
+	cal   []timed       // the calendar, in registration order
+	next  time.Duration // the earliest due time on the calendar
+	// freqSum is each core's Σ effective frequency since sumSince.
+	freqSum  []float64
+	sumSince time.Duration
 	// energySocket holds cumulative energy per RAPL domain: one entry per
 	// socket (a single entry on single-socket chips). PkgEnergyStatus reads
 	// on cpu i report i's socket domain, as on real multi-socket machines.
@@ -82,7 +90,6 @@ type Machine struct {
 	// its own socket's active count.
 	activeSock []int
 	dev        *msr.SimDevice
-	hooks      []func(dt time.Duration)
 	idles      []coreIdle
 	memo       []coreMemo
 	// misses counts memo recomputations and steady the core-ticks that took
@@ -97,6 +104,14 @@ type Machine struct {
 	mCStateTrans   *metrics.CounterVec
 	mFreqConstr    *metrics.CounterVec
 	lastConstraint []string // per core, last binding constraint observed
+}
+
+// timed is a calendar entry, due at the end of the first tick that reaches
+// due. An Every is then due period after that tick; an At (once) is dropped.
+type timed struct {
+	due, last, period time.Duration
+	once              bool
+	fn                func(elapsed time.Duration)
 }
 
 // freqKey is every input to a core's frequency resolution.
@@ -147,7 +162,10 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		apps:         make([]*workload.Instance, chip.NumCores),
 		lastEff:      make([]units.Hertz, chip.NumCores),
 		dt:           time.Millisecond,
+		cps:          chip.CoresPerSocket(),
 		unit:         msr.EnergyUnit{ESU: 14},
+		next:         math.MaxInt64,
+		freqSum:      make([]float64, chip.NumCores),
 		energySocket: make([]units.Joules, chip.Sockets()),
 		energyCore:   make([]units.Joules, chip.NumCores),
 		activeSock:   make([]int, chip.Sockets()),
@@ -186,7 +204,9 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 	if m.reg != nil || m.flight != nil {
 		m.lastConstraint = make([]string, chip.NumCores)
 	}
+	m.wireMSRs()
 	if m.flight != nil {
+		m.dev.SetRecorder(m.flight)
 		m.flight.SetClock(m.Now)
 		m.limiter.Flight(m.flight)
 		m.flight.MergeMeta(flight.Meta{
@@ -197,10 +217,6 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 			ESU:          m.unit.ESU,
 			PerCorePower: chip.PerCorePower,
 		})
-	}
-	m.wireMSRs()
-	if m.flight != nil {
-		m.dev.SetRecorder(m.flight)
 	}
 	return m, nil
 }
@@ -351,10 +367,9 @@ func (m *Machine) ActiveCores() int {
 // scratch and returns it. Turbo occupancy is socket-local: the grant for
 // core i is computed against its own socket's count only.
 func (m *Machine) fillActiveSock() []int {
-	cps := m.chip.CoresPerSocket()
 	for s := range m.activeSock {
 		n := 0
-		for i := s * cps; i < (s+1)*cps; i++ {
+		for i := s * m.cps; i < (s+1)*m.cps; i++ {
 			if !m.cores[i].Idle && !m.offline[i] {
 				n++
 			}
@@ -366,6 +381,19 @@ func (m *Machine) fillActiveSock() []int {
 
 // EffectiveFreq reports the frequency a core ran at during the last tick.
 func (m *Machine) EffectiveFreq(core int) units.Hertz { return m.lastEff[core] }
+
+// ResetMeanFreq restarts every core's MeanFreq at the current time.
+func (m *Machine) ResetMeanFreq() {
+	clear(m.freqSum)
+	m.sumSince = m.clock
+}
+
+// MeanFreq reports a core's mean effective frequency over the ticks since
+// ResetMeanFreq (or New): 0, the empty sum, before the first of them.
+func (m *Machine) MeanFreq(core int) units.Hertz {
+	ticks := float64((m.clock - m.sumSince) / m.dt)
+	return units.Hertz(m.freqSum[core] / max(ticks, 1))
+}
 
 // Counters returns a core's architectural counter snapshot.
 func (m *Machine) Counters(core int) cpu.Counters { return m.cores[core].Counters() }
@@ -386,20 +414,51 @@ func (m *Machine) CoreEnergy(core int) units.Joules { return m.energyCore[core] 
 // current state (same calculation the next Step will charge).
 func (m *Machine) PackagePower() units.Watts {
 	act := m.fillActiveSock()
-	cps := m.chip.CoresPerSocket()
 	cap := m.limiter.Cap()
 	var total units.Watts
 	for i := range m.cores {
-		eff, _ := m.frequency(i, act[i/cps], cap)
+		eff, _ := m.frequency(i, act[i/m.cps], cap)
 		total += m.corePowerAt(i, eff)
 	}
-	return total + m.chip.Power.UncorePower*units.Watts(m.chip.Sockets())
+	return total + m.chip.Power.UncorePower*units.Watts(len(act))
 }
 
-// OnTick registers a hook invoked after every simulation step. Hooks run in
-// registration order; they may mutate machine state (the websearch latency
-// model and the policy daemon both attach here).
-func (m *Machine) OnTick(fn func(dt time.Duration)) { m.hooks = append(m.hooks, fn) }
+// At schedules fn for the end of the first tick that reaches virtual time
+// t: the next tick when t has passed.
+func (m *Machine) At(t time.Duration, fn func()) {
+	m.cal = append(m.cal, timed{due: t, once: true, fn: func(time.Duration) { fn() }})
+	m.next = min(m.next, t)
+}
+
+// Every schedules fn for the end of each tick at which at least period has
+// passed since it last fired (or was scheduled), and passes it that time.
+func (m *Machine) Every(period time.Duration, fn func(elapsed time.Duration)) {
+	m.cal = append(m.cal, timed{due: m.clock + period, last: m.clock, period: period, fn: fn})
+	m.next = min(m.next, m.clock+period)
+}
+
+// OnTick schedules fn for the end of every tick and passes it the tick: it
+// is Every with the tick as period.
+func (m *Machine) OnTick(fn func(dt time.Duration)) { m.Every(m.dt, fn) }
+
+// fire runs the entries due at the end of this tick in registration order,
+// whatever time each was due at; one scheduled meanwhile waits a tick.
+func (m *Machine) fire() {
+	for i := range len(m.cal) {
+		if e := m.cal[i]; m.clock >= e.due {
+			m.cal[i].last, m.cal[i].due = m.clock, m.clock+e.period
+			if e.once {
+				m.cal[i].fn = nil
+			}
+			e.fn(m.clock - e.last)
+		}
+	}
+	m.cal = slices.DeleteFunc(m.cal, func(e timed) bool { return e.fn == nil })
+	m.next = math.MaxInt64
+	for _, e := range m.cal {
+		m.next = min(m.next, e.due)
+	}
+}
 
 // frequency resolves the frequency core i would run at now, and the
 // constraint binding it ("idle" for a parked or offline core),
@@ -564,7 +623,7 @@ func (m *Machine) Step() {
 	cap := m.limiter.Cap()
 	uncore := m.chip.Power.UncorePower
 	act := m.fillActiveSock()
-	cps := m.chip.CoresPerSocket()
+	cps := m.cps
 	m.mTicks.Inc()
 	var pkg units.Watts
 	for sock, active := range act {
@@ -586,6 +645,7 @@ func (m *Machine) Step() {
 				mm.powerF == mm.eff && mm.activity == a.CurrentActivity() {
 				m.steady++
 				m.lastEff[i] = mm.eff
+				m.freqSum[i] += float64(mm.eff)
 				sockPower += mm.power
 				e := units.Joules(float64(mm.power) * sec)
 				c.Account(mm.eff, nomCycles, dt, sec, a.AdvanceSec(mm.eff, dt, sec), e)
@@ -611,6 +671,7 @@ func (m *Machine) Step() {
 				eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
 			}
 			m.lastEff[i] = eff
+			m.freqSum[i] += float64(eff)
 			p := m.corePowerAt(i, eff)
 			sockPower += p
 			e := units.Joules(float64(p) * sec)
@@ -628,8 +689,8 @@ func (m *Machine) Step() {
 	}
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
-	for _, h := range m.hooks {
-		h(dt)
+	if m.clock >= m.next {
+		m.fire()
 	}
 }
 
@@ -680,11 +741,10 @@ func (m *Machine) readCounters(reg uint32, first int, vals []uint64) (int, error
 		}
 		// Without per-core measurement the PP0 domain reports the sum of
 		// the addressed CPU's socket cores, as on Skylake.
-		cps := m.chip.CoresPerSocket()
 		for i := range out {
-			base := m.chip.SocketOf(first+i) * cps
+			base := (first + i) / m.cps * m.cps
 			var sum units.Joules
-			for _, e := range m.energyCore[base : base+cps] {
+			for _, e := range m.energyCore[base : base+m.cps] {
 				sum += e
 			}
 			out[i] = m.unit.ToCounts(sum)
@@ -741,7 +801,7 @@ func (m *Machine) wireMSRs() {
 		// The package energy domain is per-socket: a read through cpu i
 		// reports i's socket counter, as on real multi-socket machines
 		// (single-socket chips have exactly one domain, so any cpu works).
-		return m.unit.ToCounts(m.energySocket[m.chip.SocketOf(cpu)]), nil
+		return m.unit.ToCounts(m.energySocket[cpu/m.cps]), nil
 	})
 	d.OnRead(msr.PkgPowerLimit, func(cpu int) (uint64, error) {
 		if err := m.checkCPU(cpu); err != nil {

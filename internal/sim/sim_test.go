@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -246,18 +248,84 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 }
 
+// The calendar's semantics, one case a row: what fires at the end of which
+// tick, in which order, and with what elapsed time. Every entry notes
+// "name@now+elapsed"; an At notes elapsed as 0.
 func TestOnTickHookRuns(t *testing.T) {
-	m := newSkylake(t)
-	var ticks int
-	m.OnTick(func(dt time.Duration) {
-		if dt != m.dt {
-			t.Errorf("hook dt = %v", dt)
+	every := func(n int, name string, period time.Duration) []string {
+		var out []string
+		for i := 1; i <= n; i++ {
+			out = append(out, fmt.Sprintf("%s@%v+%v", name, time.Duration(i)*period, period))
 		}
-		ticks++
-	})
-	m.Run(50 * time.Millisecond)
-	if ticks != 50 {
-		t.Errorf("hook ran %d times, want 50", ticks)
+		return out
+	}
+	cases := []struct {
+		name string
+		run  time.Duration
+		reg  func(m *Machine, note func(name string) func(time.Duration))
+		want []string
+	}{
+		{
+			name: "OnTick passes the tick every tick",
+			run:  50 * time.Millisecond,
+			reg:  func(m *Machine, note func(string) func(time.Duration)) { m.OnTick(note("tick")) },
+			want: every(50, "tick", time.Millisecond),
+		},
+		{
+			name: "entries due at one tick fire in registration order",
+			run:  2 * time.Millisecond,
+			reg: func(m *Machine, note func(string) func(time.Duration)) {
+				m.OnTick(note("a"))
+				m.At(2*time.Millisecond, func() { note("b")(0) })
+				m.Every(2*time.Millisecond, note("c"))
+				m.At(1500*time.Microsecond, func() { note("d")(0) })
+				m.OnTick(note("e"))
+			},
+			want: []string{
+				"a@1ms+1ms", "e@1ms+1ms",
+				"a@2ms+1ms", "b@2ms+0s", "c@2ms+2ms", "d@2ms+0s", "e@2ms+1ms",
+			},
+		},
+		{
+			name: "an Every longer than a tick is passed the ticks it waited",
+			run:  9 * time.Millisecond,
+			reg: func(m *Machine, note func(string) func(time.Duration)) {
+				m.Every(2500*time.Microsecond, note("e"))
+			},
+			want: every(3, "e", 3*time.Millisecond),
+		},
+		{
+			name: "an At between two ticks fires at the later, an At already passed at the next",
+			run:  3 * time.Millisecond,
+			reg: func(m *Machine, note func(string) func(time.Duration)) {
+				m.At(1500*time.Microsecond, func() { note("between")(0) })
+				m.At(0, func() { note("passed")(0) })
+			},
+			want: []string{"passed@1ms+0s", "between@2ms+0s"},
+		},
+		{
+			name: "Every(10ms) fires 100 times in 1s",
+			run:  time.Second,
+			reg: func(m *Machine, note func(string) func(time.Duration)) {
+				m.Every(10*time.Millisecond, note("e"))
+			},
+			want: every(100, "e", 10*time.Millisecond),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newSkylake(t)
+			var got []string
+			tc.reg(m, func(name string) func(time.Duration) {
+				return func(elapsed time.Duration) {
+					got = append(got, fmt.Sprintf("%s@%v+%v", name, m.Now(), elapsed))
+				}
+			})
+			m.Run(tc.run)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("fired\n  %v\nwant\n  %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/flight"
 	"repro/internal/metrics"
@@ -125,7 +126,15 @@ func TestSteadyStepCounts(t *testing.T) {
 
 func TestStepZeroAlloc(t *testing.T) {
 	m, _ := warmNode(t)
+	// The calendar fires, reschedules and drops entries without allocating:
+	// an Every fires every third tick, an At once mid-run.
+	fired := 0
+	m.Every(3*m.dt, func(time.Duration) { fired++ })
+	m.At(m.Now()+500*m.dt, func() { fired++ })
 	if n := testing.AllocsPerRun(1000, m.Step); n != 0 {
 		t.Fatalf("Step allocates %v times a tick on the warmed node, want 0", n)
+	}
+	if fired != 1001/3+1 {
+		t.Fatalf("calendar fired %d times in 1001 ticks, want %d", fired, 1001/3+1)
 	}
 }

@@ -140,6 +140,7 @@ func (m *Machine) stepRef() {
 			eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
 		}
 		m.lastEff[i] = eff
+		m.freqSum[i] += float64(eff)
 		p := m.corePowerAtRef(i, eff)
 		sockPower += p
 		e := p.Energy(dt)
@@ -155,8 +156,8 @@ func (m *Machine) stepRef() {
 	pkg += sockPower
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
-	for _, h := range m.hooks {
-		h(dt)
+	if m.clock >= m.next {
+		m.fire()
 	}
 }
 
@@ -283,6 +284,9 @@ func (got *refRig) diff(want *refRig, last bool) string {
 		}
 		if g.Counters(i) != w.Counters(i) {
 			return fmt.Sprintf("core %d Counters %+v, reference %+v", i, g.Counters(i), w.Counters(i))
+		}
+		if g.MeanFreq(i) != w.MeanFreq(i) {
+			return fmt.Sprintf("core %d MeanFreq %v, reference %v", i, float64(g.MeanFreq(i)), float64(w.MeanFreq(i)))
 		}
 		if g.CoreEnergy(i) != w.CoreEnergy(i) {
 			return fmt.Sprintf("core %d CoreEnergy %v, reference %v", i, float64(g.CoreEnergy(i)), float64(w.CoreEnergy(i)))

@@ -482,7 +482,7 @@ func (s *Service) ServiceSLO() core.ServiceSLO {
 
 // Model co-locates several services on one machine. Services' core
 // pools must be disjoint; the model pins each service's power profile
-// and advances every queue from the machine's tick hook.
+// and advances every queue at the end of each of the machine's ticks.
 type Model struct {
 	m        *sim.Machine
 	services []*Service
@@ -517,8 +517,8 @@ func NewModel(cfgs ...Config) (*Model, error) {
 	return md, nil
 }
 
-// Attach pins each service's power profile to its cores and registers
-// the queueing model on the machine's tick hook.
+// Attach pins each service's power profile to its cores and puts the
+// queueing model on the machine's calendar with OnTick.
 func (md *Model) Attach(m *sim.Machine) error {
 	if md.m != nil {
 		return fmt.Errorf("svc: already attached")
