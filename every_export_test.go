@@ -83,14 +83,20 @@ func TestEveryExportHasACaller(t *testing.T) {
 // knobAllowlist names the knobs under internal/ that no program sets but
 // that stay settings, each with the reason.
 var knobAllowlist = map[string]string{
-	"internal/svc.Config.MaxQueue": svcWireCounter,
-	"internal/svc.Config.Timeout":  svcWireCounter,
+	"internal/svc.Config.MaxQueue":                svcWireCounter,
+	"internal/svc.Config.Timeout":                 svcWireCounter,
+	"internal/cluster/hierarchy.TierConfig.Clock": virtualClock,
+	"internal/cluster/hierarchy.LeafConfig.Clock": virtualClock,
 }
 
-const svcWireCounter = "its Dropped/Timeouts counter is in the wire status and in powerd's pinned stdout"
+const (
+	svcWireCounter = "its Dropped/Timeouts counter is in the wire status and in powerd's pinned stdout"
+	virtualClock   = "nil is the wall clock every program runs on; tests substitute the virtual clock"
+)
 
 // Every knob under internal/ — an exported, untagged field of basic
-// underlying type in an exported Config or Spec struct — is set by a
+// underlying type in an exported Config or Spec struct, or of func or
+// interface type in a Config struct — is set by a
 // program: a keyed literal in a non-test file, or an assignment, & or
 // ++/-- in a non-test file outside the declaring package. A setting no
 // program sets is a constant. What stays unset on purpose is on
@@ -122,9 +128,12 @@ type Config struct {
 	Stepped    uint
 	Listed     int
 	Gone       int
+	Hook       func()
+	Sink       interface{ Put() }
 	unexported int
 }
 type Options struct{ Unset int }
+type RunSpec struct{ OnDone func() }
 func (c *Config) fill() {
 	if c.Defaulted == 0 {
 		c.Defaulted = 1
@@ -138,7 +147,7 @@ func main() {
 	c.Assigned = true
 	p := &c.Addressed
 	c.Stepped++
-	_ = a.Config{Gone: *p}
+	_ = a.Config{Gone: *p, Sink: nil}
 }`)},
 		"benchmark/main.go": {Data: []byte("package main\nimport \"m/internal/a\"\nvar c = a.Config{BenchSet: \"x\"}")},
 	}
@@ -151,6 +160,7 @@ func main() {
 	want := []string{
 		"internal/a.Config.Defaulted: no program sets it",
 		"internal/a.Config.Gone: allowlisted but a program sets it",
+		"internal/a.Config.Hook: no program sets it",
 		"internal/a.Config.Listed: allowlisted without a reason",
 		"internal/a.Config.Removed: allowlisted but not declared",
 		"internal/a.Config.TestOnly: no program sets it",
@@ -262,8 +272,9 @@ func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]strin
 // knobProblems type-checks the tree in fsys like exportProblems and reports
 // each knob no program sets that allow does not name, and each entry of
 // allow that has no reason or does not name an unset knob. A knob is an
-// exported, untagged field of basic underlying type in an exported struct
-// type under internal/ whose name ends in Config or Spec. A program sets it
+// exported, untagged field in an exported struct type under internal/ whose
+// name ends in Config or Spec, of basic underlying type, or of func or
+// interface type in a Config. A program sets it
 // with a keyed composite literal, or with an assignment, & or ++/-- outside
 // the declaring package: an assignment inside it fills a default.
 func knobProblems(fsys fs.FS, module string, allow map[string]string) ([]string, error) {
@@ -321,14 +332,22 @@ func knobProblems(fsys fs.FS, module string, allow map[string]string) ([]string,
 				if !ok {
 					return false
 				}
+				config := strings.HasSuffix(ts.Name.Name, "Config")
 				for _, field := range st.Fields.List {
 					if field.Tag != nil {
 						continue
 					}
 					for _, name := range field.Names {
 						v := tr.info.Defs[name]
-						if b, ok := v.Type().Underlying().(*types.Basic); name.IsExported() && ok && b.Kind() != types.Invalid {
-							unset[dir+"."+ts.Name.Name+"."+name.Name] = !set[v]
+						switch u := v.Type().Underlying().(type) {
+						case *types.Basic:
+							if name.IsExported() && u.Kind() != types.Invalid {
+								unset[dir+"."+ts.Name.Name+"."+name.Name] = !set[v]
+							}
+						case *types.Signature, *types.Interface:
+							if name.IsExported() && config {
+								unset[dir+"."+ts.Name.Name+"."+name.Name] = !set[v]
+							}
 						}
 					}
 				}

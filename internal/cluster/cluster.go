@@ -20,10 +20,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/metrics"
@@ -119,8 +121,9 @@ type Config struct {
 	// piggybacked node metrics — into the rollups /debug/fleet serves.
 	Fleet *Fleet
 
-	// now is the coordinator's clock; tests may override it.
-	now func() time.Time
+	// Clock sets the retry backoff, the round and grant deadlines, the
+	// pollers' retirement and every lease deadline. Nil is the wall clock.
+	Clock clock.Clock
 }
 
 func (c *Config) fill(n int) error {
@@ -156,8 +159,8 @@ func (c *Config) fill(n int) error {
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
 	}
-	if c.now == nil {
-		c.now = time.Now
+	if c.Clock == nil {
+		c.Clock = clock.Wall{}
 	}
 	return nil
 }
@@ -186,11 +189,11 @@ type Coordinator struct {
 	// The pollers: one goroutine per non-Local transport, kept across
 	// rounds so the stack a poll grows on its way down the HTTP client is
 	// grown once. Guarded by stepMu. Nobody has to stop them: they retire
-	// once no round has run for pollerIdle, and the next Step starts new ones.
-	polls      chan pollJob
-	pollWG     sync.WaitGroup
-	pollerIdle time.Duration // pollerIdleTimeouts × NodeTimeout; tests shorten it
-	seenRound  uint64        // rounds run when retirePollers last looked
+	// once no round has run for pollerIdleTimeouts × NodeTimeout, and the
+	// next Step starts new ones.
+	polls     chan pollJob
+	pollWG    sync.WaitGroup
+	seenRound uint64 // rounds run when retirePollers last looked
 
 	mu         sync.Mutex
 	limits     []units.Watts // current target limit per node
@@ -272,7 +275,13 @@ type Node struct {
 // New builds an in-process coordinator over simulated nodes and attempts
 // the initial equal split, exactly as NewOverTransports does over the
 // nodes' in-process transports; Run then drives the machines in lockstep.
+// The coordinator runs on a virtual clock of its own, which Run advances
+// with the machines. Its leases never lapse, since an in-process node holds
+// its cap until told otherwise, and it does not retry, since a backoff on
+// that clock would wait for the advance after the round: cfg.Clock,
+// cfg.LeaseTTL and cfg.Retries are not read.
 func New(nodes []*Node, cfg Config) (*Coordinator, error) {
+	cfg.Clock, cfg.LeaseTTL, cfg.Retries = clock.NewVirtual(time.Time{}), math.MaxInt64, -1
 	if err := cfg.fill(len(nodes)); err != nil {
 		return nil, err
 	}
@@ -327,7 +336,6 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		ts:         append([]Transport(nil), ts...),
 		sc:         newRoundScratch(n),
-		pollerIdle: pollerIdleTimeouts * cfg.NodeTimeout,
 		limits:     make([]units.Watts, n),
 		granted:    make([]units.Watts, n),
 		fbGranted:  make([]units.Watts, n),
@@ -353,7 +361,7 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		c.limits[i] = equal
 	}
 	if cfg.PriorLedger != nil {
-		now := cfg.now()
+		now := cfg.Clock.Now()
 		for i, t := range c.ts {
 			if e, ok := cfg.PriorLedger[t.Name()]; ok && e.Granted > 0 && now.Before(e.Until) {
 				c.granted[i] = e.Granted
@@ -432,29 +440,27 @@ func (c *Coordinator) Quarantined(i int) bool {
 	return c.quar[i]
 }
 
-// Run advances all in-process nodes in lockstep for a duration of virtual
-// time, reallocating the budget every interval: each node bids its measured
-// power, constrained nodes (power at their limit) bid extra, and the
-// budget is water-filled over the bids above per-node floors — so budget
-// flows from idle nodes to power-hungry ones while every node keeps its
-// floor (min-funding revocation again, one level up). Run requires a
-// coordinator built with New; networked coordinators call Step on a
-// wall-clock ticker instead.
+// Run advances all in-process nodes, and the coordinator's clock, in
+// lockstep for a duration of virtual time, reallocating the budget every
+// interval: each node bids its measured power, constrained nodes (power at
+// their limit) bid extra, and the budget is water-filled over the bids
+// above per-node floors — so budget flows from idle nodes to power-hungry
+// ones while every node keeps its floor (min-funding revocation again, one
+// level up). Run requires a coordinator built with New; networked
+// coordinators call Step on a wall-clock ticker instead.
 func (c *Coordinator) Run(d time.Duration) error {
 	if c.nodes == nil {
 		return fmt.Errorf("cluster: Run needs in-process nodes; use Step")
 	}
 	for elapsed := time.Duration(0); elapsed < d; elapsed += c.cfg.Interval {
-		step := c.cfg.Interval
-		if rem := d - elapsed; rem < step {
-			step = rem
-		}
+		step := min(c.cfg.Interval, d-elapsed)
 		for _, n := range c.nodes {
 			n.M.Run(step)
 			if err := n.Daemon.Err(); err != nil {
 				return fmt.Errorf("cluster: node %s: %w", n.Name, err)
 			}
 		}
+		c.cfg.Clock.(*clock.Virtual).Advance(step)
 		if err := c.Step(context.Background()); err != nil {
 			return err
 		}
@@ -465,34 +471,23 @@ func (c *Coordinator) Run(d time.Duration) error {
 // call runs one node call with retry and doubling backoff. The first
 // attempts of a concurrent wave all start together, so they share wave, the
 // one NodeTimeout deadline their caller derived from ctx; only a retry
-// derives its own.
+// derives its own. A backoff waits on the coordinator's clock.
 func (c *Coordinator) call(ctx, wave context.Context, do func(context.Context) error) error {
-	var lastErr error
+	err := do(wave)
 	backoff := retryBackoff
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		actx, cancel := wave, context.CancelFunc(func() {})
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			actx, cancel = context.WithTimeout(ctx, c.cfg.NodeTimeout)
+	for attempt := 1; err != nil && attempt <= c.cfg.Retries; attempt++ {
+		wait, stop := c.cfg.Clock.WithTimeout(ctx, backoff)
+		<-wait.Done()
+		stop()
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		err := do(actx)
+		backoff *= 2
+		actx, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
+		err = do(actx)
 		cancel()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
 	}
-	return lastErr
-}
-
-// callGrant issues one grant through call.
-func (c *Coordinator) callGrant(ctx, wave context.Context, i int, g Grant) error {
-	return c.call(ctx, wave, func(actx context.Context) error { return c.ts[i].Grant(actx, g) })
+	return err
 }
 
 // noteFailure bumps a node's consecutive-failure count and quarantines it
@@ -555,18 +550,18 @@ func (c *Coordinator) startPollers() {
 			}()
 		}
 	}
-	time.AfterFunc(c.pollerIdle, c.retirePollers)
+	c.cfg.Clock.AfterFunc(pollerIdleTimeouts*c.cfg.NodeTimeout, c.retirePollers)
 }
 
-// retirePollers runs every pollerIdle while there are pollers and lets them
-// go if no round has run since it last looked. It takes stepMu, so it never
-// meets a round half way.
+// retirePollers runs every pollerIdleTimeouts × NodeTimeout while there
+// are pollers and lets them go if no round has run since it last looked. It
+// takes stepMu, so it never meets a round half way.
 func (c *Coordinator) retirePollers() {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 	if n := c.round.Load(); n != c.seenRound {
 		c.seenRound = n
-		time.AfterFunc(c.pollerIdle, c.retirePollers)
+		c.cfg.Clock.AfterFunc(pollerIdleTimeouts*c.cfg.NodeTimeout, c.retirePollers)
 		return
 	}
 	close(c.polls)
@@ -604,7 +599,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	n := len(c.ts)
 	sc := &c.sc
 	reports, errs, healthy := sc.reports, sc.errs, sc.healthy
-	wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+	wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 	for i, t := range c.ts {
 		if !t.Local() {
 			if c.polls == nil {
@@ -692,7 +687,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Watts, moved bool, shifted float64) {
 	n := len(c.ts)
 	floor := float64(c.floor())
-	now := c.cfg.now()
+	now := c.cfg.Clock.Now()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -754,11 +749,12 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) {
 	n := len(c.ts)
 	floor := c.floor()
-	now := c.cfg.now()
+	now := c.cfg.Clock.Now()
 
 	grant := func(wave context.Context, i int, limit units.Watts) {
 		s0 := rb.Now()
-		err := c.callGrant(ctx, wave, i, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
+		g := Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor}
+		err := c.call(ctx, wave, func(actx context.Context) error { return c.ts[i].Grant(actx, g) })
 		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
 		c.mu.Lock()
 		if err != nil {
@@ -769,7 +765,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		c.granted[i] = limit
 		c.fbGranted[i] = floor
 		c.limits[i] = limit // what the node actually enforces, headroom cap included
-		c.leaseUntil[i] = c.cfg.now().Add(c.cfg.LeaseTTL)
+		c.leaseUntil[i] = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
 		c.mu.Unlock()
 		c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
 	}
@@ -807,7 +803,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 
 	// Phase 1: shrinks and renewals, concurrently.
 	if len(renews) > 0 {
-		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+		wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 		var wg sync.WaitGroup
 		for _, i := range renews {
 			wg.Add(1)
@@ -847,7 +843,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		if delta <= 0 {
 			continue
 		}
-		wave, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
+		wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 		grant(wave, i, limit)
 		cancel()
 		headroom -= delta
@@ -916,7 +912,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 		defer rb.End()
 	}
 
-	now := c.cfg.now()
+	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	old := c.cfg.Budget
 	eff := make([]units.Watts, n)
@@ -949,7 +945,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 
 	// Commit only what the ledger proves: children that refused or were
 	// unreachable still hold their old caps until TTL.
-	now = c.cfg.now()
+	now = c.cfg.Clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	held = 0

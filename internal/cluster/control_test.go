@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flight"
@@ -35,8 +36,9 @@ type wireNode struct {
 
 // newWireNode builds a Skylake node whose daemon starts at the given
 // limit, which doubles as the agent's lease-fallback cap. A non-nil
-// tracer makes the agent record a round trace per coordinator RPC.
-func newWireNode(tb testing.TB, name string, limit units.Watts, rec *flight.Recorder, id int16, tr *tracing.Tracer) *wireNode {
+// tracer makes the agent record a round trace per coordinator RPC; the
+// agent's lease timer runs on clk (nil: the wall clock).
+func newWireNode(tb testing.TB, name string, limit units.Watts, rec *flight.Recorder, id int16, tr *tracing.Tracer, clk clock.Clock) *wireNode {
 	tb.Helper()
 	chip := platform.Skylake()
 	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}, {Name: "cam4", Core: 1, Shares: 50, AVX: true}}
@@ -50,7 +52,7 @@ func newWireNode(tb testing.TB, name string, limit units.Watts, rec *flight.Reco
 	}
 	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name: name, NodeID: id, Daemon: n.Daemon, Fallback: limit,
-		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec, Tracer: tr,
+		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec, Tracer: tr, Clock: clk,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -65,20 +67,24 @@ func newWireNode(tb testing.TB, name string, limit units.Watts, rec *flight.Reco
 
 // TestPartitionFallsBackWithinTTL is the acceptance check for lease
 // safety: run a coordinator over loopback-HTTP nodes, kill it mid-run, and
-// verify every node reverts to its fallback cap within one lease TTL — and
-// that, replaying the shared flight recorder, the sum of live caps never
-// exceeded the room budget at any point.
+// verify every node reverts to its fallback cap exactly one lease TTL after
+// its last grant — and that, replaying the shared flight recorder, the sum
+// of live caps never exceeded the room budget at any point. Coordinator,
+// agents and recorder read one virtual clock.
 func TestPartitionFallsBackWithinTTL(t *testing.T) {
 	const n = 4
 	budget := units.Watts(120)
 	fallback := budget * 0.5 / n // == the coordinator's floor
+	epoch := time.Unix(0, 0)
+	vc := clock.NewVirtual(epoch)
 	rec := flight.New(0)
+	rec.SetClock(func() time.Duration { return vc.Now().Sub(epoch) })
 
 	nodes := make([]*wireNode, n)
 	ts := make([]Transport, n)
 	for i := range nodes {
 		// Node IDs are 1-based: the agent treats NodeID 0 as unset.
-		nodes[i] = newWireNode(t, fmt.Sprintf("n%d", i), fallback, rec, int16(i+1), nil)
+		nodes[i] = newWireNode(t, fmt.Sprintf("n%d", i), fallback, rec, int16(i+1), nil, vc)
 		nodes[i].m.Run(2 * time.Second) // non-zero power so nodes bid
 		ts[i] = NewHTTPNode(nodes[i].name, nodes[i].srv.URL, "coord")
 	}
@@ -89,6 +95,7 @@ func TestPartitionFallsBackWithinTTL(t *testing.T) {
 		Interval: 40 * time.Millisecond,
 		LeaseTTL: ttl,
 		Retries:  -1,
+		Clock:    vc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,42 +106,16 @@ func TestPartitionFallsBackWithinTTL(t *testing.T) {
 		}
 	}
 
-	// Coordinator runs and renews for a while...
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(40 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if err := c.Step(context.Background()); err != nil {
-					t.Error(err)
-					return
-				}
-			}
+	// Coordinator runs and renews for seven intervals...
+	for round := 0; round < 7; round++ {
+		vc.Advance(40 * time.Millisecond)
+		if err := c.Step(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	time.Sleep(7 * 40 * time.Millisecond)
-	// ...and dies. No revocation reaches the nodes; only TTLs.
-	close(stop)
-	<-done
-
-	deadline := time.Now().Add(2*ttl + time.Second)
-	allBack := func() bool {
-		for _, nd := range nodes {
-			if nd.d.Limit() != fallback {
-				return false
-			}
-		}
-		return true
 	}
-	for !allBack() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// ...and dies. No revocation reaches the nodes; only TTLs. Every lease
+	// was granted or renewed by now, so one TTL later all have lapsed.
+	vc.Advance(ttl)
 	for i, nd := range nodes {
 		if got := nd.d.Limit(); got != fallback {
 			t.Errorf("node %d limit = %v after coordinator death, want fallback %v", i, got, fallback)
@@ -144,9 +125,11 @@ func TestPartitionFallsBackWithinTTL(t *testing.T) {
 	events := rec.Dump("partition").Events
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
 
-	// Every node must have expired within one TTL (plus timer slack) of
-	// its last grant or renewal, and then reverted.
+	// Every node must have expired exactly one TTL after its last grant or
+	// renewal, and then reverted.
+	// Virtual time starts at zero, so a zero time does not mean "never".
 	var lastGrant, expired, reverted [n]time.Duration
+	var granted [n]bool
 	for _, e := range events {
 		if e.Kind != flight.KindLease || e.Core < 1 || int(e.Core) > n {
 			continue
@@ -154,20 +137,21 @@ func TestPartitionFallsBackWithinTTL(t *testing.T) {
 		idx := int(e.Core) - 1
 		switch e.Arg {
 		case flight.LeaseGrant, flight.LeaseRenew:
-			lastGrant[idx] = e.Wall
+			lastGrant[idx], granted[idx] = e.Time, true
 		case flight.LeaseExpire:
-			expired[idx] = e.Wall
+			expired[idx] = e.Time
 		case flight.LeaseFallback:
-			reverted[idx] = e.Wall
+			reverted[idx] = e.Time
 		}
 	}
 	for i := 0; i < n; i++ {
-		if lastGrant[i] == 0 || expired[i] == 0 || reverted[i] == 0 {
+		if !granted[i] || expired[i] == 0 || reverted[i] == 0 {
 			t.Fatalf("node %d missing lease lifecycle events (grant=%v expire=%v fallback=%v)",
 				i, lastGrant[i], expired[i], reverted[i])
 		}
-		if lag := expired[i] - lastGrant[i]; lag > ttl+500*time.Millisecond {
-			t.Errorf("node %d expired %v after its last grant, want within one TTL (%v)", i, lag, ttl)
+		if lag := expired[i] - lastGrant[i]; lag != ttl || reverted[i] != expired[i] {
+			t.Errorf("node %d expired %v and reverted %v after its last grant, want both one TTL (%v)",
+				i, lag, reverted[i]-lastGrant[i], ttl)
 		}
 	}
 
@@ -243,7 +227,7 @@ func (f *flakyTransport) Grant(_ context.Context, g Grant) error {
 // re-admits it.
 func TestQuarantineAndReadmission(t *testing.T) {
 	reg := metrics.NewRegistry()
-	now := time.Unix(1000, 0)
+	vc := clock.NewVirtual(time.Unix(1000, 0))
 	f0 := &flakyTransport{name: "flaky", power: 48, max: 85}
 	f1 := &flakyTransport{name: "steady", power: 48, max: 85}
 	cfg := Config{
@@ -254,7 +238,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		Retries:         -1,
 		QuarantineAfter: 2,
 		Metrics:         reg,
-		now:             func() time.Time { return now },
+		Clock:           vc,
 	}
 	c, err := NewOverTransports([]Transport{f0, f1}, cfg)
 	if err != nil {
@@ -293,7 +277,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 
 	// After the lease expires the reservation decays to the floor (25 W)
 	// and the healthy node absorbs the freed budget.
-	now = now.Add(6 * time.Second)
+	vc.Advance(6 * time.Second)
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +318,7 @@ func BenchmarkCoordinatorTick(b *testing.B) {
 	nodes := make([]*wireNode, n)
 	ts := make([]Transport, n)
 	for i := range nodes {
-		nodes[i] = newWireNode(b, fmt.Sprintf("n%d", i), budget/n, nil, int16(i), nil)
+		nodes[i] = newWireNode(b, fmt.Sprintf("n%d", i), budget/n, nil, int16(i), nil, nil)
 		nodes[i].m.Run(time.Second)
 		ts[i] = NewHTTPNode(nodes[i].name, nodes[i].srv.URL, "bench")
 	}

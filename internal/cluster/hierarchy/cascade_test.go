@@ -38,11 +38,11 @@ func (u *flakyUplink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestBuildingDeathCascade kills the building — it simply stops
 // granting — and verifies the paper's fallback cascade end to end from
-// the flight recorder: every row reverts to its fallback cap within one
-// lease TTL of its last grant, and every row's leaves fit under that
-// fallback within two. The same run exercises powerdump's merge rules
-// on the cross-tier trace: a partitioned row shows up as gap rounds, a
-// delayed row as the straggler.
+// the flight recorder: every row reverts to its fallback cap exactly one
+// lease TTL after its last grant, and every row's leaves fit under that
+// fallback within two. Every tier reads one virtual clock. The same run
+// exercises powerdump's merge rules on the cross-tier trace: a
+// partitioned row shows up as gap rounds, a delayed row as the straggler.
 func TestBuildingDeathCascade(t *testing.T) {
 	const (
 		rows    = 3
@@ -54,7 +54,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 	leafFallback := rowFallback * floorFraction / perRow // 25 W
 	ttl := 150 * time.Millisecond
 
-	rec := flight.New(1 << 14)
+	vc, rec := virtualRun(1 << 14)
 	rootTracer := tracing.New("building", 0)
 
 	var (
@@ -90,6 +90,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 				Fallback: leafFallback,
 				Demand:   110,
 				Flight:   rec,
+				Clock:    vc,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -105,7 +106,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 			Name: rowName, Level: "row", NodeID: id,
 			StartAtFallback: true, Fallback: rowFallback,
 			LeaseTTL: ttl, Retries: -1, NodeTimeout: time.Second,
-			Flight: rec, Tracer: tr,
+			Flight: rec, Tracer: tr, Clock: vc,
 		}, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +131,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 		Name: "building", Level: "building", NodeID: nextID(),
 		Budget: budget, Fallback: budget,
 		LeaseTTL: ttl, Retries: -1, NodeTimeout: time.Second,
-		Flight: rec, Tracer: rootTracer,
+		Flight: rec, Tracer: rootTracer, Clock: vc,
 	}, uplinks)
 	if err != nil {
 		t.Fatal(err)
@@ -156,19 +157,18 @@ func TestBuildingDeathCascade(t *testing.T) {
 		if err := root.Step(ctx); err != nil {
 			t.Fatalf("round %d root: %v", round, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		vc.Advance(10 * time.Millisecond)
 	}
 
 	// The building dies: no more grants. Rows keep their own loops
 	// running — the cascade is driven purely by lease expiry.
-	deadline := time.Now().Add(3 * ttl)
-	for time.Now().Before(deadline) {
+	for elapsed := time.Duration(0); elapsed < 3*ttl; elapsed += 10 * time.Millisecond {
 		for _, row := range rowTiers {
 			if err := row.Step(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
-		time.Sleep(10 * time.Millisecond)
+		vc.Advance(10 * time.Millisecond)
 	}
 
 	// End state: every row clamped to its fallback, leaves fit under it.
@@ -210,9 +210,9 @@ func TestBuildingDeathCascade(t *testing.T) {
 		if le, ok := rowLease[e.Core]; ok {
 			switch e.Arg {
 			case flight.LeaseGrant, flight.LeaseRenew:
-				le.deadline = e.Wall + time.Duration(e.Aux)
+				le.deadline = e.Time + time.Duration(e.Aux)
 			case flight.LeaseFallback:
-				le.fellBack = e.Wall
+				le.fellBack = e.Time
 			}
 			continue
 		}
@@ -222,12 +222,12 @@ func TestBuildingDeathCascade(t *testing.T) {
 				caps[e.Core] = float64(e.Value)
 			}
 		}
-		// Once a row's lease has been expired for a full leaf TTL (plus
-		// timer slack), its leaves must never again sum past the row's
-		// fallback — the "nodes within two TTLs" half of the cascade.
+		// Once a row's lease has been expired for a full leaf TTL, its
+		// leaves must never again sum past the row's fallback — the "nodes
+		// within two TTLs" half of the cascade.
 		for _, id := range rowIDs {
 			le := rowLease[id]
-			if le.deadline == 0 || e.Wall <= le.deadline+ttl+timerSlack {
+			if le.deadline == 0 || e.Time <= le.deadline+ttl {
 				continue
 			}
 			var sum float64
@@ -236,12 +236,12 @@ func TestBuildingDeathCascade(t *testing.T) {
 			}
 			if sum > leafBound {
 				t.Fatalf("seq %d: row %d leaves hold %.1f W > fallback %.1f W, %v past the row's lease deadline",
-					e.Seq, id, sum/1e6, float64(rowFallback), e.Wall-le.deadline)
+					e.Seq, id, sum/1e6, float64(rowFallback), e.Time-le.deadline)
 			}
 		}
 	}
-	// "Rows within one TTL": the fallback lands within timer slack of
-	// the lease deadline — the deadline IS last grant + one TTL.
+	// "Rows within one TTL": the fallback lands at the lease deadline —
+	// the deadline IS last grant + one TTL.
 	for r, id := range rowIDs {
 		le := rowLease[id]
 		if le.deadline == 0 {
@@ -250,9 +250,8 @@ func TestBuildingDeathCascade(t *testing.T) {
 		if le.fellBack == 0 {
 			t.Fatalf("row %d never fell back after the building died", r)
 		}
-		if le.fellBack > le.deadline+timerSlack {
-			t.Errorf("row %d fell back %v after its lease deadline, want within %v",
-				r, le.fellBack-le.deadline, timerSlack)
+		if le.fellBack != le.deadline {
+			t.Errorf("row %d fell back %v after its lease deadline, want at it", r, le.fellBack-le.deadline)
 		}
 	}
 

@@ -6,18 +6,18 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/units"
 )
 
-// roundTick is one driver round on the fault schedule's virtual clock.
-const roundTick = time.Millisecond
+// roundTick is how far the virtual clock moves between rounds.
+const roundTick = 2 * time.Millisecond
 
 // faultTransport wraps a child transport with schedule-driven fault
 // injection at the control-plane level, reusing the fault package's
@@ -186,8 +186,8 @@ func (ft *faultTree) close() {
 
 // buildFaultTree assembles the tree: 3-tier (building→rows→leaves) or
 // 2-tier (building→leaves) with every transport wrapped in the same
-// global fault schedule.
-func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, clock func() time.Duration, sched fault.Schedule, threeTier bool, ttl time.Duration) *faultTree {
+// global fault schedule, every tier and leaf on the virtual clock vc.
+func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, vc *clock.Virtual, sched fault.Schedule, threeTier bool, ttl time.Duration) *faultTree {
 	t.Helper()
 	rows := 2 + rng.Intn(3)
 	perRow := 2 + rng.Intn(4)
@@ -206,7 +206,7 @@ func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, clock fu
 	nextID := func() int16 { nodeID++; return nodeID }
 	txIdx := 0
 	wrap := func(tr cluster.Transport) cluster.Transport {
-		w := &faultTransport{inner: tr, idx: txIdx, sched: sched, clock: clock,
+		w := &faultTransport{inner: tr, idx: txIdx, sched: sched, clock: func() time.Duration { return since(vc) },
 			rng: rand.New(rand.NewSource(rng.Int63()))}
 		txIdx++
 		return w
@@ -215,7 +215,7 @@ func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, clock fu
 		id := nextID()
 		leaf, err := NewLeaf(LeafConfig{
 			Name: name, NodeID: id, Max: 200, Fallback: fallback,
-			Demand: units.Watts(40 + rng.Float64()*120), Flight: rec,
+			Demand: units.Watts(40 + rng.Float64()*120), Flight: rec, Clock: vc,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +230,7 @@ func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, clock fu
 			Name: name, Level: level, NodeID: id,
 			Budget: budget, StartAtFallback: atFB, Fallback: fb,
 			Interval: 5 * time.Millisecond, LeaseTTL: ttl,
-			Retries: -1, NodeTimeout: time.Second, Flight: rec,
+			Retries: -1, NodeTimeout: time.Second, Flight: rec, Clock: vc,
 		}
 	}
 
@@ -302,18 +302,9 @@ type capPoint struct {
 	from time.Duration
 }
 
-// timerSlack absorbs AfterFunc lateness and the time a tier's forced
-// fallback wave takes before the fallback event is recorded.
-const timerSlack = 250 * time.Millisecond
-
-// rpcSkew bounds how much later a child stamps a lease than the
-// coordinator that sent it (transport latency, including the injected
-// 2 ms windows): the coordinator's entitlement to assume expiry starts
-// up to this much before the deadline the child's own record implies.
-const rpcSkew = 5 * time.Millisecond
-
 // checkTierConservation replays the shared flight recorder's lease
-// events and asserts, at every event, two things per tier.
+// events, stamped from the tree's one virtual clock, and asserts, at every
+// event, two things per tier.
 //
 // First, the assumable caps of the tier's children sum within a cap
 // the tier itself was held to within the last child-lease TTL. A
@@ -329,10 +320,10 @@ const rpcSkew = 5 * time.Millisecond
 // ever produce is live leases summing past every budget the tier was
 // recently held to.
 //
-// Second, the lapse actually happens: once a deadline is timerSlack
-// stale, the child's ENFORCED cap must have come down to its fallback
-// — the "rows within one TTL, leaves within two" cascade, checked from
-// the replay rather than the end state.
+// Second, the lapse actually happens: once a deadline has passed, the
+// child's ENFORCED cap must have come down to its fallback — the "rows
+// within one TTL, leaves within two" cascade, checked from the replay
+// rather than the end state.
 func checkTierConservation(t *testing.T, events []flight.Event, ft *faultTree, childTTL time.Duration) {
 	t.Helper()
 	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
@@ -344,7 +335,7 @@ func checkTierConservation(t *testing.T, events []flight.Event, ft *faultTree, c
 		hist[id] = []capPoint{{val: caps[id]}}
 	}
 	// bound is the largest cap the tier was held to over [w-grace, w].
-	grace := childTTL + timerSlack
+	grace := childTTL
 	bound := func(tier int16, w time.Duration) float64 {
 		h := hist[tier]
 		max := 0.0
@@ -360,7 +351,7 @@ func checkTierConservation(t *testing.T, events []flight.Event, ft *faultTree, c
 		return max
 	}
 	assumable := func(id int16, w time.Duration) float64 {
-		if d, ok := deadline[id]; ok && w <= d-rpcSkew {
+		if d, ok := deadline[id]; ok && w <= d {
 			return caps[id]
 		}
 		if fb := float64(ft.bounds[id]) * 1e6; caps[id] > fb {
@@ -375,25 +366,25 @@ func checkTierConservation(t *testing.T, events []flight.Event, ft *faultTree, c
 		switch e.Arg {
 		case flight.LeaseGrant, flight.LeaseRenew:
 			caps[e.Core] = float64(e.Value)
-			deadline[e.Core] = e.Wall + time.Duration(e.Aux)
-			hist[e.Core] = append(hist[e.Core], capPoint{val: float64(e.Value), from: e.Wall})
+			deadline[e.Core] = e.Time + time.Duration(e.Aux)
+			hist[e.Core] = append(hist[e.Core], capPoint{val: float64(e.Value), from: e.Time})
 		case flight.LeaseFallback:
 			caps[e.Core] = float64(e.Value)
 			delete(deadline, e.Core)
-			hist[e.Core] = append(hist[e.Core], capPoint{val: float64(e.Value), from: e.Wall})
+			hist[e.Core] = append(hist[e.Core], capPoint{val: float64(e.Value), from: e.Time})
 		}
 		for id, d := range deadline {
-			if e.Wall > d+timerSlack && caps[id] > float64(ft.bounds[id])*1e6*1.000001 {
+			if e.Time > d && caps[id] > float64(ft.bounds[id])*1e6*1.000001 {
 				t.Fatalf("at seq %d: node %d still enforces %.1f W, %v past its lease deadline (fallback %.1f W)",
-					e.Seq, id, caps[id]/1e6, e.Wall-d, float64(ft.bounds[id]))
+					e.Seq, id, caps[id]/1e6, e.Time-d, float64(ft.bounds[id]))
 			}
 		}
 		for tierID, kids := range ft.childOf {
 			var sum float64
 			for _, k := range kids {
-				sum += assumable(k, e.Wall)
+				sum += assumable(k, e.Time)
 			}
-			if b := bound(tierID, e.Wall); sum > b*1.000001 {
+			if b := bound(tierID, e.Time); sum > b*1.000001 {
 				t.Fatalf("after seq %d (%s node %d): tier %d children assumably hold %.1f W > every cap (max %.1f W) the tier held in the last %v",
 					e.Seq, flight.LeaseName(e.Arg), e.Core, tierID, sum/1e6, b/1e6, grace)
 			}
@@ -413,9 +404,7 @@ func TestTierConservationUnderFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			threeTier := seed%2 == 1
-			rec := flight.New(1 << 16)
-			var vclock atomic.Int64
-			clock := func() time.Duration { return time.Duration(vclock.Load()) }
+			vc, rec := virtualRun(1 << 16)
 
 			// One window of every fault class at a random time aimed at a
 			// random transport (or everyone), so each run exercises the
@@ -437,7 +426,7 @@ func TestTierConservationUnderFaults(t *testing.T) {
 			}
 
 			ttl := 20 * time.Millisecond
-			ft := buildFaultTree(t, rng, rec, clock, sched, threeTier, ttl)
+			ft := buildFaultTree(t, rng, rec, vc, sched, threeTier, ttl)
 			defer ft.close()
 
 			// A killed mid-tier coordinator: one row stops stepping and
@@ -460,7 +449,9 @@ func TestTierConservationUnderFaults(t *testing.T) {
 
 			ctx := context.Background()
 			for round := 0; round < rounds; round++ {
-				vclock.Store(int64(round) * int64(roundTick))
+				if round > 0 {
+					vc.Advance(roundTick)
+				}
 				for r, row := range ft.rows {
 					if r == killRow && round >= killFrom && round < killTo {
 						continue
@@ -472,7 +463,6 @@ func TestTierConservationUnderFaults(t *testing.T) {
 				if err := ft.root.Step(ctx); err != nil {
 					t.Fatalf("round %d root: %v", round, err)
 				}
-				time.Sleep(2 * time.Millisecond)
 			}
 
 			// The tree still coordinated every round despite the faults.

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/metrics"
@@ -61,13 +62,14 @@ type TierConfig struct {
 
 	// FloorFraction, Interval, LeaseTTL, NodeTimeout, Retries and
 	// QuarantineAfter pass through to the tier's coordinator (see
-	// cluster.Config for defaults).
+	// cluster.Config for defaults), Clock to its coordinator and agent.
 	FloorFraction   float64
 	Interval        time.Duration
 	LeaseTTL        time.Duration
 	NodeTimeout     time.Duration
 	Retries         int
 	QuarantineAfter int
+	Clock           clock.Clock
 
 	// Metrics, Flight, Tracer, and Fleet instrument both halves of the
 	// tier: the coordinator records rounds and the agent records its
@@ -126,6 +128,7 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		NodeTimeout:     cfg.NodeTimeout,
 		Retries:         cfg.Retries,
 		QuarantineAfter: cfg.QuarantineAfter,
+		Clock:           cfg.Clock,
 		Metrics:         cfg.Metrics,
 		Tracer:          cfg.Tracer,
 		Fleet:           cfg.Fleet,
@@ -149,6 +152,7 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		Flight:   cfg.Flight,
 		Tracer:   cfg.Tracer,
 		Metrics:  cfg.Metrics,
+		Clock:    cfg.Clock,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: tier %s: %w", cfg.Name, err)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/metrics"
@@ -36,10 +37,11 @@ type LeafConfig struct {
 	Demand units.Watts
 
 	// Flight/Tracer/Metrics instrument the leaf's control-plane agent
-	// exactly like a real node's.
+	// exactly like a real node's; Clock is its clock.
 	Flight  *flight.Recorder
 	Tracer  *tracing.Tracer
 	Metrics *metrics.Registry
+	Clock   clock.Clock
 }
 
 // Leaf is a simulated leaf node: a full powerapi agent (lease state
@@ -73,6 +75,7 @@ func NewLeaf(cfg LeafConfig) (*Leaf, error) {
 		Flight:   cfg.Flight,
 		Tracer:   cfg.Tracer,
 		Metrics:  cfg.Metrics,
+		Clock:    cfg.Clock,
 	})
 	if err != nil {
 		return nil, err

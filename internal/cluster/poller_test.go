@@ -10,26 +10,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/powerapi"
 	"repro/internal/units"
 )
 
 // newPollerCoordinator builds a coordinator over n non-Local probe
-// transports that all run report, with the pollers' idle period shortened
-// to idle.
-func newPollerCoordinator(t *testing.T, n int, idle time.Duration, report func(ctx context.Context, i int) (Report, error)) *Coordinator {
+// transports that all run report, on a virtual clock it returns.
+func newPollerCoordinator(t *testing.T, n int, report func(ctx context.Context, i int) (Report, error)) (*Coordinator, *clock.Virtual) {
 	t.Helper()
 	ts := make([]Transport, n)
 	for i := range ts {
 		i := i
 		ts[i] = &probeTransport{name: fmt.Sprintf("n%d", i), report: func(ctx context.Context) (Report, error) { return report(ctx, i) }}
 	}
-	c, err := NewOverTransports(ts, Config{Budget: units.Watts(n) * 50, NodeTimeout: 2 * time.Second, Retries: -1})
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	c, err := NewOverTransports(ts, Config{Budget: units.Watts(n) * 50, NodeTimeout: 2 * time.Second, Retries: -1, Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.pollerIdle = idle
-	return c
+	return c, vc
+}
+
+// pollerIdle is how long the pollers of newPollerCoordinator outlive the
+// last round.
+const pollerIdle = pollerIdleTimeouts * 2 * time.Second
+
+// waitingToStep reports whether n goroutines are inside Coordinator.Step,
+// one of them waiting for the round lock.
+func waitingToStep(n int) bool {
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	in, locking := 0, false
+	for _, g := range stacks {
+		if strings.Contains(g, "(*Coordinator).Step(") {
+			in++
+			locking = locking || strings.Contains(g, "sync.(*Mutex).Lock")
+		}
+	}
+	return in == n && locking
 }
 
 // pollers counts the poller goroutines alive in this process.
@@ -39,6 +58,7 @@ func pollers() int {
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.
+// What it waits for is other goroutines running, never a timer.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -55,7 +75,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestPollerLifetime(t *testing.T) {
 	var polled [2]atomic.Int32
 	var inflight sync.WaitGroup
-	c := newPollerCoordinator(t, 2, 50*time.Millisecond, func(ctx context.Context, i int) (Report, error) {
+	c, vc := newPollerCoordinator(t, 2, func(ctx context.Context, i int) (Report, error) {
 		// Blocks until its sibling is in flight too: the fan-out overlaps.
 		inflight.Done()
 		inflight.Wait()
@@ -83,22 +103,32 @@ func TestPollerLifetime(t *testing.T) {
 			t.Errorf("round %d: %d pollers, want %d", round+1, got, before+started)
 		}
 		if round == 1 {
-			// Idle: the pollers go, and round 3 has to start new ones.
-			waitFor(t, "the pollers to retire", func() bool { return retired() && pollers() <= before-2 })
+			// Idle: one period after round 1's start the retirement timer
+			// sees that round 2 ran and looks again; one period later the
+			// pollers go, and round 3 has to start new ones.
+			if vc.Advance(pollerIdle); retired() {
+				t.Fatal("the pollers retired one period after round 1, with round 2 since")
+			}
+			if vc.Advance(pollerIdle); !retired() {
+				t.Fatal("the pollers outlived a whole idle period")
+			}
+			waitFor(t, "the pollers to exit", func() bool { return pollers() <= before-2 })
 		}
 	}
+	vc.Advance(2 * pollerIdle)
 	waitFor(t, "the goroutine count to return to its baseline", func() bool {
 		return retired() && runtime.NumGoroutine() <= baseline
 	})
 }
 
 // TestPollerRetirementRace steps a coordinator at about the pollers' idle
-// period, so rounds keep meeting the retirement: every round must still
-// poll every child exactly once, and return.
+// period, with the clock advancing as each round runs, so rounds keep
+// meeting the retirement: every round must still poll every child exactly
+// once, and return.
 func TestPollerRetirementRace(t *testing.T) {
-	const n, idle = 3, 200 * time.Microsecond
+	const n = 3
 	var polled atomic.Int32
-	c := newPollerCoordinator(t, n, idle, func(context.Context, int) (Report, error) {
+	c, vc := newPollerCoordinator(t, n, func(context.Context, int) (Report, error) {
 		polled.Add(1)
 		return okReport, nil
 	})
@@ -109,9 +139,18 @@ func TestPollerRetirementRace(t *testing.T) {
 			restarts++
 		}
 		c.stepMu.Unlock()
+		// Advances spread over one to two idle periods, which is when
+		// retirePollers fires for a coordinator that has gone quiet, run
+		// alongside the round.
+		advanced := make(chan struct{})
+		go func() {
+			defer close(advanced)
+			vc.Advance(pollerIdle + time.Duration(round%8)*pollerIdle/8)
+		}()
 		if err := c.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		<-advanced
 		if got := polled.Load(); got != int32(round*n) {
 			t.Fatalf("round %d: %d reports so far, want %d", round, got, round*n)
 		}
@@ -120,9 +159,6 @@ func TestPollerRetirementRace(t *testing.T) {
 				t.Fatalf("round %d: child %d lost its report", round, i)
 			}
 		}
-		// Sleeps spread over one to two idle periods, which is when
-		// retirePollers fires for a coordinator that has gone quiet.
-		time.Sleep(idle + time.Duration(round%8)*idle/8)
 	}
 	t.Logf("300 rounds, %d of them after a retirement", restarts)
 }
@@ -138,7 +174,7 @@ func TestPollerLateReportStaysInItsRound(t *testing.T) {
 		release = make(chan struct{})
 		held    units.Watts // what round 1 delivered, read as round 2 polls
 	)
-	c = newPollerCoordinator(t, 2, 100*time.Millisecond, func(ctx context.Context, i int) (Report, error) {
+	c, vc := newPollerCoordinator(t, 2, func(ctx context.Context, i int) (Report, error) {
 		if i == 1 {
 			return okReport, nil
 		}
@@ -153,13 +189,14 @@ func TestPollerLateReportStaysInItsRound(t *testing.T) {
 		}
 		return Report{Power: units.Watts(10 * call), Limit: 50, Max: 85}, nil
 	})
-	c.cfg.NodeTimeout = 5 * time.Millisecond
 
 	first, second := make(chan error, 1), make(chan error, 1)
 	go func() { first <- c.Step(context.Background()) }()
 	waitFor(t, "round 1's report", func() bool { return calls.Load() == 1 })
+	vc.Advance(c.cfg.NodeTimeout) // the wave's deadline passes
 	go func() { second <- c.Step(context.Background()) }()
-	time.Sleep(4 * c.cfg.NodeTimeout) // well past the wave's deadline
+	// Past the wave's deadline, round 2 waits for round 1's lock.
+	waitFor(t, "round 2 to wait for round 1", func() bool { return waitingToStep(2) })
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("round 2 polled (%d calls) while round 1's report was still out", got)
 	}
@@ -201,7 +238,7 @@ func TestSubMillisecondLeaseTTLOverHTTP(t *testing.T) {
 			t.Errorf("Grant{TTL: %v}.TTLMillis() = %d, want %d", ttl, got, want)
 		}
 	}
-	node := newWireNode(t, "n0", 40, nil, 1, nil)
+	node := newWireNode(t, "n0", 40, nil, 1, nil, nil)
 	c, err := NewOverTransports([]Transport{NewHTTPNode("n0", node.srv.URL, "room")},
 		Config{Budget: 40, LeaseTTL: 500 * time.Microsecond, Retries: -1})
 	if err != nil {

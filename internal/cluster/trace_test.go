@@ -51,7 +51,7 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	ts := make([]Transport, n)
 	for i := range nodes {
 		name := fmt.Sprintf("n%02d", i)
-		nodes[i] = newWireNode(t, name, perNode, nil, int16(i+1), tracing.New(name, 0))
+		nodes[i] = newWireNode(t, name, perNode, nil, int16(i+1), tracing.New(name, 0), nil)
 		nodes[i].m.Run(2 * time.Second) // non-zero power so nodes bid
 		h := NewHTTPNode(name, nodes[i].srv.URL, "coord").CollectMetrics()
 		if i == slow {

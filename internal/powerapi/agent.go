@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flight"
@@ -120,8 +121,9 @@ type AgentConfig struct {
 	// cost/carbon, and anomaly counts from the poll they already make.
 	Ledger *ledger.Ledger
 
-	// now is the agent's clock; tests may override it.
-	now func() time.Time
+	// Clock sets the lease timer and stamps the lease deadline. Nil is the
+	// wall clock.
+	Clock clock.Clock
 }
 
 // Agent serves the node side of the control plane: it holds the lease
@@ -154,7 +156,7 @@ type Agent struct {
 	leaseExpires time.Time
 	leaseActive  bool
 	epoch        uint64
-	timer        *time.Timer
+	timer        clock.Timer
 
 	// powerapi_requests_total by endpoint, resolved once at construction.
 	mStatusReq, mLeaseReq, mReconfigReq, mDrainReq *metrics.Counter
@@ -209,18 +211,18 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.NodeID == 0 {
 		cfg.NodeID = -1
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall{}
 	}
 	a := &Agent{
 		cfg:        cfg,
 		backend:    be,
 		policyName: cfg.PolicyName,
 		fallback:   cfg.Fallback,
-		// The wall clock at construction distinguishes agent
-		// incarnations, so a follower that was tracking a restarted
-		// agent names an epoch this one never served.
-		frameEpoch: uint64(cfg.now().UnixNano()),
+		// The host clock at construction distinguishes agent incarnations,
+		// so a follower that was tracking a restarted agent names an epoch
+		// this one never served. A virtual clock would repeat one.
+		frameEpoch: uint64(time.Now().UnixNano()),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		requests := reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
@@ -412,7 +414,7 @@ func (a *Agent) StatusInto(st *NodeStatus, lease *LeaseInfo) {
 	st.FallbackWatts = float64(a.fallback)
 	st.Draining = a.draining
 	if a.leaseActive {
-		rem := a.leaseExpires.Sub(a.cfg.now())
+		rem := a.leaseExpires.Sub(a.cfg.Clock.Now())
 		if rem < 0 {
 			rem = 0
 		}
@@ -556,16 +558,11 @@ func (a *Agent) frame(st *NodeStatus, epoch, rev uint64) *NodeStatus {
 	return diffStatus(base, st)
 }
 
-// Grant applies a budget lease: enforce the granted cap now, fall back to
-// the grant's fallback cap if no renewal arrives within the TTL.
-func (a *Agent) Grant(g *LeaseGrant) (*LeaseAck, error) {
-	return a.GrantCtx(context.Background(), g)
-}
-
-// GrantCtx is Grant with the caller's context threaded into the
-// backend's SetLimit. A round-stamped context lets a mid-tier backend
-// record its cascaded child grants under the parent's round ID, which
-// is what joins the cross-tier merged timeline.
+// GrantCtx applies a budget lease: enforce the granted cap now, fall back
+// to the grant's fallback cap if no renewal arrives within the TTL. ctx is
+// threaded into the backend's SetLimit: a round-stamped context lets a
+// mid-tier backend record its cascaded child grants under the parent's
+// round ID, which is what joins the cross-tier merged timeline.
 func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) {
 	limit := units.Watts(g.LimitWatts)
 	ttl := time.Duration(g.TTLMS) * time.Millisecond
@@ -573,35 +570,29 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	a.applyMu.Lock()
 	defer a.applyMu.Unlock()
 	a.mu.Lock()
-	if a.draining {
-		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
-		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
-		return &LeaseAck{ID: g.ID, Applied: false, Reason: "draining"},
-			&ErrorReply{Code: CodeDraining, Message: fmt.Sprintf("node %s is draining", a.cfg.Name)}
+	draining, renewal, held := a.draining, a.leaseActive, a.leaseID
+	a.mu.Unlock()
+	switch {
+	case draining:
+		return a.refuse(g, "draining", CodeDraining, fmt.Sprintf("node %s is draining", a.cfg.Name))
+	case limit <= 0 || ttl <= 0:
+		return a.refuse(g, "invalid grant", CodeInvalid, fmt.Sprintf("grant limit %v ttl %v", limit, ttl))
+	case renewal && g.ID < held:
+		return a.refuse(g, "stale lease id", CodeStaleLease, fmt.Sprintf("grant %d older than held lease %d", g.ID, held))
 	}
-	if limit <= 0 || ttl <= 0 {
-		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
-		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
-		return &LeaseAck{ID: g.ID, Applied: false, Reason: "invalid grant"},
-			&ErrorReply{Code: CodeInvalid, Message: fmt.Sprintf("grant limit %v ttl %v", limit, ttl)}
+	// The cap is applied outside the lease lock: a mid-tier backend's
+	// SetLimit cascades a shrink wave to its children, which may take a
+	// child round-trip.
+	if err := a.backend.SetLimit(ctx, limit); err != nil {
+		return a.refuse(g, err.Error(), CodeInvalid, err.Error())
 	}
-	if a.leaseActive && g.ID < a.leaseID {
-		held := a.leaseID
-		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
-		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
-		return &LeaseAck{ID: g.ID, Applied: false, LimitWatts: 0, Reason: "stale lease id"},
-			&ErrorReply{Code: CodeStaleLease, Message: fmt.Sprintf("grant %d older than held lease %d", g.ID, held)}
-	}
-	renewal := a.leaseActive
+	a.mu.Lock()
 	a.leaseActive = true
 	a.leaseID = g.ID
 	a.leaseCoord = g.Coordinator
 	a.leaseLimit = limit
 	a.leaseTTL = ttl
-	a.leaseExpires = a.cfg.now().Add(ttl)
+	a.leaseExpires = a.cfg.Clock.Now().Add(ttl)
 	if g.FallbackWatts > 0 {
 		a.fallback = units.Watts(g.FallbackWatts)
 	}
@@ -610,24 +601,8 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	if a.timer != nil {
 		a.timer.Stop()
 	}
-	a.timer = time.AfterFunc(ttl, func() { a.expire(epoch) })
+	a.timer = a.cfg.Clock.AfterFunc(ttl, func() { a.expire(epoch) })
 	a.mu.Unlock()
-
-	// The cap is applied outside the lease lock: a mid-tier backend's
-	// SetLimit cascades a shrink wave to its children, which may take a
-	// child round-trip.
-	if err := a.backend.SetLimit(ctx, limit); err != nil {
-		a.mu.Lock()
-		a.leaseActive = false
-		if a.timer != nil {
-			a.timer.Stop()
-		}
-		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
-		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
-		return &LeaseAck{ID: g.ID, Applied: false, Reason: err.Error()},
-			&ErrorReply{Code: CodeInvalid, Message: err.Error()}
-	}
 	event, code := "grant", flight.LeaseGrant
 	if renewal {
 		event, code = "renew", flight.LeaseRenew
@@ -636,6 +611,16 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	a.mLeaseW.Set(float64(limit))
 	a.record(flight.KindLease, code, microwatts(limit), uint64(ttl))
 	return &LeaseAck{ID: g.ID, Applied: true, LimitWatts: float64(limit)}, nil
+}
+
+// refuse answers a grant the agent does not apply. A refused grant changes
+// nothing the agent holds: the lease, its timer and its fallback stay those
+// of the last grant applied, which is what the coordinator's ledger still
+// assumes. The caller holds applyMu, which every change to them takes.
+func (a *Agent) refuse(g *LeaseGrant, reason, code, msg string) (*LeaseAck, error) {
+	a.mLease.With("refuse").Inc()
+	a.record(flight.KindLease, flight.LeaseRefuse, microwatts(units.Watts(g.LimitWatts)), 0)
+	return &LeaseAck{ID: g.ID, Reason: reason}, &ErrorReply{Code: code, Message: msg}
 }
 
 // expire fires when a lease's TTL elapses without renewal: the node

@@ -2,13 +2,16 @@ package powerapi_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/flight"
@@ -33,8 +36,9 @@ type node struct {
 }
 
 // newNode builds a Skylake loopback node running two workloads under the
-// frequency-share policy at the given limit.
-func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts, rec *flight.Recorder, id int16) *node {
+// frequency-share policy at the given limit, its lease timer on clk (nil:
+// the wall clock).
+func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts, rec *flight.Recorder, id int16, clk clock.Clock) *node {
 	t.Helper()
 	chip := platform.Skylake()
 	specs := []core.AppSpec{{Name: "gcc", Core: 0, Shares: 50}, {Name: "cam4", Core: 1, Shares: 50, AVX: true}}
@@ -50,7 +54,7 @@ func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts,
 	}
 	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name: name, NodeID: id, Daemon: n.Daemon, Fallback: fallback,
-		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec,
+		PolicyName: "frequency", Metrics: n.Metrics, Flight: rec, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +68,7 @@ func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts,
 }
 
 func TestStatusOverTheWire(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	n.m.Run(3 * time.Second)
 	c := powerapi.NewClient(n.srv.URL)
 	st, err := c.Status(context.Background())
@@ -102,7 +106,8 @@ func TestStatusOverTheWire(t *testing.T) {
 
 func TestLeaseLifecycle(t *testing.T) {
 	rec := flight.New(0)
-	n := newNode(t, "n0", 50, 30, rec, 3)
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	n := newNode(t, "n0", 50, 30, rec, 3, vc)
 	c := powerapi.NewClient(n.srv.URL)
 	ctx := context.Background()
 
@@ -134,11 +139,11 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 
 	// Let the lease lapse: the node must revert to the fallback cap on
-	// its own, within one TTL (plus scheduling slack).
-	deadline := time.Now().Add(ttl + 500*time.Millisecond)
-	for n.d.Limit() != 30 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// its own, one TTL after the renewal and not before.
+	if vc.Advance(ttl - 1); n.d.Limit() != 45 {
+		t.Fatalf("daemon limit = %v before the lease's deadline, want 45", n.d.Limit())
 	}
+	vc.Advance(1)
 	if got := n.d.Limit(); got != 30 {
 		t.Fatalf("daemon limit = %v after expiry, want fallback 30", got)
 	}
@@ -168,8 +173,82 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 }
 
+// capBackend is a leaf backend that enforces the caps it is given, or,
+// while refusing, refuses them.
+type capBackend struct {
+	mu       sync.Mutex
+	limit    units.Watts
+	refusing bool
+}
+
+func (b *capBackend) FillStatus(st *powerapi.NodeStatus) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st.LimitWatts = float64(b.limit)
+}
+
+func (b *capBackend) SetLimit(_ context.Context, w units.Watts) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.refusing {
+		return errors.New("cap refused")
+	}
+	b.limit = w
+	return nil
+}
+
+func (b *capBackend) cap() units.Watts {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.limit
+}
+
+// TestRefusedGrantKeepsTheLease: a grant the backend refuses changes
+// nothing the agent holds. The lease it could not replace still runs, with
+// its own fallback, and lapses at its own deadline — which is when the
+// coordinator, whose ledger never saw the refused grant, writes the node
+// off and may re-grant the difference.
+func TestRefusedGrantKeepsTheLease(t *testing.T) {
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	be := &capBackend{limit: 30}
+	a, err := powerapi.NewAgent(powerapi.AgentConfig{Name: "n0", Backend: be, Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ctx := context.Background()
+	ttl := 100 * time.Millisecond
+	if _, err := a.GrantCtx(ctx, &powerapi.LeaseGrant{ID: 1, LimitWatts: 80, TTLMS: ttl.Milliseconds(), FallbackWatts: 40}); err != nil {
+		t.Fatal(err)
+	}
+	vc.Advance(ttl / 2)
+	be.mu.Lock()
+	be.refusing = true
+	be.mu.Unlock()
+	if _, err := a.GrantCtx(ctx, &powerapi.LeaseGrant{ID: 2, LimitWatts: 50, TTLMS: ttl.Milliseconds(), FallbackWatts: 20}); err == nil {
+		t.Fatal("the backend refused the cap, but the grant was acknowledged")
+	}
+	be.mu.Lock()
+	be.refusing = false
+	be.mu.Unlock()
+	st := a.Status()
+	if st.Lease == nil || st.Lease.ID != 1 || st.Lease.LimitWatts != 80 || st.Lease.RemainingMS != 50 || st.FallbackWatts != 40 {
+		t.Fatalf("after the refused grant: lease %+v, fallback %v W; want lease 1 at 80 W with 50 ms left, fallback 40 W", st.Lease, st.FallbackWatts)
+	}
+	if vc.Advance(ttl/2 - 1); be.cap() != 80 {
+		t.Fatalf("cap %v before lease 1's deadline, want 80 W", be.cap())
+	}
+	vc.Advance(1)
+	if got := be.cap(); got != 40 || a.Status().Lease != nil {
+		t.Fatalf("at lease 1's deadline: cap %v, lease %+v; want lease 1's 40 W fallback and no lease", got, a.Status().Lease)
+	}
+	if vc.Advance(4 * ttl); be.cap() != 40 {
+		t.Fatalf("cap %v four TTLs on, want the 40 W fallback", be.cap())
+	}
+}
+
 func TestStaleLeaseRefused(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	c := powerapi.NewClient(n.srv.URL)
 	ctx := context.Background()
 	if _, err := c.Lease(ctx, &powerapi.LeaseGrant{ID: 5, LimitWatts: 40, TTLMS: 60_000}); err != nil {
@@ -186,7 +265,7 @@ func TestStaleLeaseRefused(t *testing.T) {
 }
 
 func TestDrainRefusesLeases(t *testing.T) {
-	n := newNode(t, "n0", 50, 35, nil, 0)
+	n := newNode(t, "n0", 50, 35, nil, 0, nil)
 	c := powerapi.NewClient(n.srv.URL)
 	ctx := context.Background()
 
@@ -218,7 +297,7 @@ func TestDrainRefusesLeases(t *testing.T) {
 // powerctl sends), and verify the decision journal shows the change on the
 // next interval with no dropped sample.
 func TestLiveReconfigure(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	c := powerapi.NewClient(n.srv.URL)
 	ctx := context.Background()
 
@@ -288,7 +367,7 @@ func TestLiveReconfigure(t *testing.T) {
 }
 
 func TestReconfigureValidation(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	c := powerapi.NewClient(n.srv.URL)
 	ctx := context.Background()
 	cases := []*powerapi.Reconfigure{
@@ -315,7 +394,7 @@ func TestReconfigureValidation(t *testing.T) {
 // TestAgentEndpointHardening covers the method and media-type contract of
 // every control-plane endpoint.
 func TestAgentEndpointHardening(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	base := n.srv.URL
 
 	// Wrong methods get 405 with an Allow header.

@@ -388,7 +388,7 @@ func TestPollersCannotHurtEachOther(t *testing.T) {
 		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: float64(50 + step), Met: step%3 != 0}}}
 		be.mu.Unlock()
 		if step%4 == 0 {
-			if _, err := a.Grant(&LeaseGrant{ID: uint64(step + 1), LimitWatts: float64(30 + step), TTLMS: 3_600_000}); err != nil {
+			if _, err := a.GrantCtx(context.Background(), &LeaseGrant{ID: uint64(step + 1), LimitWatts: float64(30 + step), TTLMS: 3_600_000}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,7 +456,7 @@ func captureFrames(f *testing.F) [][]byte {
 	poll() // full frame
 	be.set(44, 2)
 	poll() // scalars only
-	if _, err := a.Grant(&LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60_000}); err != nil {
+	if _, err := a.GrantCtx(context.Background(), &LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60_000}); err != nil {
 		f.Fatal(err)
 	}
 	poll() // lease appears, lease counters move

@@ -77,7 +77,7 @@ func TestStatusCarriesEnergy(t *testing.T) {
 
 // Without a ledger the status reply omits the energy block entirely.
 func TestStatusOmitsEnergyWithoutLedger(t *testing.T) {
-	n := newNode(t, "n0", 50, 0, nil, 0)
+	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	n.m.Run(time.Second)
 	st, err := powerapi.NewClient(n.srv.URL).Status(context.Background())
 	if err != nil {

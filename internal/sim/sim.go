@@ -9,10 +9,9 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cpu"
 	"repro/internal/flight"
 	"repro/internal/metrics"
@@ -75,8 +74,7 @@ type Machine struct {
 	dt    time.Duration
 	cps   int // cores per socket
 	unit  msr.EnergyUnit
-	cal   []timed       // the calendar, in registration order
-	next  time.Duration // the earliest due time on the calendar
+	cal   clock.Calendar // fired at the end of the tick that reaches an entry
 	// freqSum is each core's Σ effective frequency since sumSince.
 	freqSum  []float64
 	sumSince time.Duration
@@ -104,14 +102,6 @@ type Machine struct {
 	mCStateTrans   *metrics.CounterVec
 	mFreqConstr    *metrics.CounterVec
 	lastConstraint []string // per core, last binding constraint observed
-}
-
-// timed is a calendar entry, due at the end of the first tick that reaches
-// due. An Every is then due period after that tick; an At (once) is dropped.
-type timed struct {
-	due, last, period time.Duration
-	once              bool
-	fn                func(elapsed time.Duration)
 }
 
 // freqKey is every input to a core's frequency resolution.
@@ -164,7 +154,6 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		dt:           time.Millisecond,
 		cps:          chip.CoresPerSocket(),
 		unit:         msr.EnergyUnit{ESU: 14},
-		next:         math.MaxInt64,
 		freqSum:      make([]float64, chip.NumCores),
 		energySocket: make([]units.Joules, chip.Sockets()),
 		energyCore:   make([]units.Joules, chip.NumCores),
@@ -425,40 +414,17 @@ func (m *Machine) PackagePower() units.Watts {
 
 // At schedules fn for the end of the first tick that reaches virtual time
 // t: the next tick when t has passed.
-func (m *Machine) At(t time.Duration, fn func()) {
-	m.cal = append(m.cal, timed{due: t, once: true, fn: func(time.Duration) { fn() }})
-	m.next = min(m.next, t)
-}
+func (m *Machine) At(t time.Duration, fn func()) { m.cal.At(t, fn) }
 
 // Every schedules fn for the end of each tick at which at least period has
 // passed since it last fired (or was scheduled), and passes it that time.
 func (m *Machine) Every(period time.Duration, fn func(elapsed time.Duration)) {
-	m.cal = append(m.cal, timed{due: m.clock + period, last: m.clock, period: period, fn: fn})
-	m.next = min(m.next, m.clock+period)
+	m.cal.Every(m.clock, period, fn)
 }
 
 // OnTick schedules fn for the end of every tick and passes it the tick: it
 // is Every with the tick as period.
 func (m *Machine) OnTick(fn func(dt time.Duration)) { m.Every(m.dt, fn) }
-
-// fire runs the entries due at the end of this tick in registration order,
-// whatever time each was due at; one scheduled meanwhile waits a tick.
-func (m *Machine) fire() {
-	for i := range len(m.cal) {
-		if e := m.cal[i]; m.clock >= e.due {
-			m.cal[i].last, m.cal[i].due = m.clock, m.clock+e.period
-			if e.once {
-				m.cal[i].fn = nil
-			}
-			e.fn(m.clock - e.last)
-		}
-	}
-	m.cal = slices.DeleteFunc(m.cal, func(e timed) bool { return e.fn == nil })
-	m.next = math.MaxInt64
-	for _, e := range m.cal {
-		m.next = min(m.next, e.due)
-	}
-}
 
 // frequency resolves the frequency core i would run at now, and the
 // constraint binding it ("idle" for a parked or offline core),
@@ -689,8 +655,8 @@ func (m *Machine) Step() {
 	}
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
-	if m.clock >= m.next {
-		m.fire()
+	if m.clock >= m.cal.Next() {
+		m.cal.Fire(m.clock)
 	}
 }
 

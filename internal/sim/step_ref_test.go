@@ -156,8 +156,8 @@ func (m *Machine) stepRef() {
 	pkg += sockPower
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
-	if m.clock >= m.next {
-		m.fire()
+	if m.clock >= m.cal.Next() {
+		m.cal.Fire(m.clock)
 	}
 }
 
