@@ -23,6 +23,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,16 @@ type Actuator interface {
 	Park(core int, parked bool) error
 }
 
+// freqBatcher is the optional batch method apply looks for on its Actuator:
+// SetFreqs programs cores[i]'s P-state request to freqs[i] for every i in
+// one call, leaving each write's result in errs[i] and returning the first
+// failure; vals is scratch for the encoded requests, and the four slices
+// have one length. MachineActuator and MSRActuator have it; an Actuator
+// without it — a wrapper, a test double — is driven one SetFreq per core.
+type freqBatcher interface {
+	SetFreqs(cores []int, freqs []units.Hertz, vals []uint64, errs []error) error
+}
+
 // MachineActuator actuates a simulated machine: P-state requests go through
 // the PERF_CTL MSR (the same path the real daemon uses) and park decisions
 // through the machine's C-state control.
@@ -60,13 +71,23 @@ type MachineActuator struct {
 	Dev msr.Device
 }
 
+// device is where P-state writes go.
+func (a MachineActuator) device() msr.Device {
+	if a.Dev == nil {
+		return a.M.Device()
+	}
+	return a.Dev
+}
+
 // SetFreq implements Actuator via an MSR write.
 func (a MachineActuator) SetFreq(core int, f units.Hertz) error {
-	dev := a.Dev
-	if dev == nil {
-		dev = a.M.Device()
-	}
-	return dev.Write(core, msr.IA32PerfCtl, msr.EncodePerfCtl(f, a.M.FreqStep()))
+	return a.device().Write(core, msr.IA32PerfCtl, msr.EncodePerfCtl(f, a.M.FreqStep()))
+}
+
+// SetFreqs programs a batch of P-state requests as one PERF_CTL write batch
+// (see freqBatcher): one dispatch on a device that is an msr.BatchWriter.
+func (a MachineActuator) SetFreqs(cores []int, freqs []units.Hertz, vals []uint64, errs []error) error {
+	return writePerfCtl(a.device(), a.M.FreqStep(), cores, freqs, vals, errs)
 }
 
 // Park implements Actuator via C-state control.
@@ -91,6 +112,20 @@ type MSRActuator struct {
 // SetFreq implements Actuator.
 func (a MSRActuator) SetFreq(core int, f units.Hertz) error {
 	return a.Dev.Write(core, msr.IA32PerfCtl, msr.EncodePerfCtl(f, a.Step))
+}
+
+// SetFreqs programs a batch of P-state requests as one PERF_CTL write batch
+// (see freqBatcher).
+func (a MSRActuator) SetFreqs(cores []int, freqs []units.Hertz, vals []uint64, errs []error) error {
+	return writePerfCtl(a.Dev, a.Step, cores, freqs, vals, errs)
+}
+
+// writePerfCtl encodes freqs into vals and writes them to cores' PERF_CTL.
+func writePerfCtl(dev msr.Device, step units.Hertz, cores []int, freqs []units.Hertz, vals []uint64, errs []error) error {
+	for i, f := range freqs {
+		vals[i] = msr.EncodePerfCtl(f, step)
+	}
+	return msr.WriteBatch(dev, msr.IA32PerfCtl, cores, vals, errs)
 }
 
 // Park implements Actuator by failing: C-states are not reachable through
@@ -317,6 +352,11 @@ type Daemon struct {
 	// run in constant memory.
 	jitterAcc stats.Accumulator
 	jitterRes *stats.Reservoir
+
+	// apply's scratch (guarded by mu), and act's batch method, nil when it
+	// has none.
+	batch   actBatch
+	batcher freqBatcher
 }
 
 // New builds a daemon over an MSR device and actuator.
@@ -358,6 +398,8 @@ func New(cfg Config, dev msr.Device, act Actuator) (*Daemon, error) {
 		jitterRes:  stats.NewReservoir(),
 		overSince:  -1,
 	}
+	d.batcher, _ = act.(freqBatcher)
+	d.batch.size(cfg.Chip.NumCores)
 	d.sizeAppBuffers()
 	d.m.limitWatts.Set(float64(cfg.Limit))
 	d.mergeFlightMeta()
@@ -433,66 +475,165 @@ func (d *Daemon) Start() error {
 }
 
 // apply actuates a batch of policy actions, eliding every SetFreq that
-// would rewrite the request d.written still vouches for (tallied once per
-// call as kind="unchanged"). An entry is forgotten by a failed write, a park
-// or wake, an interval the core's sample is untrustworthy, and Reconfigure.
-// A failed actuation (a core gone dark mid-write) costs a metric tick and
-// its action, not the control loop: apply reports how many actions failed
-// and the first error, for Start to judge. Caller holds d.mu.
+// would rewrite the request d.written still vouches for (tallied as
+// kind="unchanged"). An entry is forgotten by a failed write, a park or
+// wake, an interval the core's sample is untrustworthy, and Reconfigure.
+// Parks and wakes take effect at once; the P-state writes are queued and
+// issued together by flushWrites, and the actions' flight events are
+// committed as one batch in action order. A failed actuation (a core gone
+// dark mid-write) costs a metric tick and its action, not the control loop:
+// apply reports how many actions failed and the first error in action
+// order, for Start to judge. Caller holds d.mu.
 func (d *Daemon) apply(actions []core.Action) (failed int, first error) {
-	unchanged := 0
-	fail := func(err error) {
-		d.m.actuationErrors.Inc()
-		if failed++; first == nil {
-			first = err
+	b := &d.batch
+	for k, a := range actions {
+		if b.queued[a.Core] {
+			// A core named twice (nothing stops a Policy from it): its
+			// queued write lands before its next action.
+			d.flushWrites()
 		}
-	}
-	for _, a := range actions {
 		if a.Park {
 			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, true); err != nil {
-				fail(err)
+				b.fail(err, k)
 				continue
 			}
 			d.parked[a.Core] = true
-			d.m.actPark.Inc()
-			d.cfg.Flight.Record(flight.Event{
-				Kind: flight.KindActuate, Source: flight.SourceDaemon,
-				Core: int16(a.Core), Arg: flight.ActPark,
-			})
+			b.parks++
+			b.event(a.Core, flight.ActPark, 0)
 			continue
 		}
 		if d.parked[a.Core] {
 			d.written[a.Core] = 0
 			if err := d.act.Park(a.Core, false); err != nil {
-				fail(err)
+				b.fail(err, k)
 				continue
 			}
 			d.parked[a.Core] = false
-			d.m.actWake.Inc()
-			d.cfg.Flight.Record(flight.Event{
-				Kind: flight.KindActuate, Source: flight.SourceDaemon,
-				Core: int16(a.Core), Arg: flight.ActWake,
-			})
+			b.wakes++
+			b.event(a.Core, flight.ActWake, 0)
 		}
 		if d.written[a.Core] == a.Freq {
-			unchanged++
+			b.unchanged++
 			continue
 		}
 		d.written[a.Core] = 0 // a failed write leaves the register unknown
-		if err := d.act.SetFreq(a.Core, a.Freq); err != nil {
-			fail(err)
+		b.queue(a.Core, a.Freq, k)
+	}
+	d.flushWrites()
+	b.events = slices.DeleteFunc(b.events, unwritten)
+	d.cfg.Flight.RecordBatch(flight.SourceDaemon, b.events)
+	addCount(d.m.actPark, b.parks)
+	addCount(d.m.actWake, b.wakes)
+	addCount(d.m.actSetFreq, b.setFreqs)
+	addCount(d.m.actUnchanged, b.unchanged)
+	addCount(d.m.actuationErrors, b.failed)
+	failed, first = b.failed, b.first
+	b.reset()
+	return failed, first
+}
+
+// flushWrites issues the queued P-state writes in one call — the actuator's
+// batch method when it has one, one SetFreq per core otherwise — and settles
+// each: d.written takes the request a write programmed, a failure is
+// tallied and its set-freq event dropped. Caller holds d.mu.
+func (d *Daemon) flushWrites() {
+	b := &d.batch
+	n := len(b.cores)
+	if n == 0 {
+		return
+	}
+	vals, errs := b.vals[:n], b.errs[:n]
+	if d.batcher != nil {
+		_ = d.batcher.SetFreqs(b.cores, b.freqs, vals, errs)
+	} else {
+		for i, c := range b.cores {
+			errs[i] = d.act.SetFreq(c, b.freqs[i])
+		}
+	}
+	for i, c := range b.cores {
+		b.queued[c] = false
+		if errs[i] != nil {
+			b.fail(errs[i], b.at[i])
+			b.events[b.ev[i]].Kind = 0 // apply drops it
 			continue
 		}
-		d.written[a.Core] = a.Freq
-		d.m.actSetFreq.Inc()
-		d.cfg.Flight.Record(flight.Event{
-			Kind: flight.KindActuate, Source: flight.SourceDaemon,
-			Core: int16(a.Core), Arg: flight.ActSetFreq, Value: uint64(a.Freq),
-		})
+		d.written[c] = b.freqs[i]
+		b.setFreqs++
 	}
-	d.m.actUnchanged.Add(float64(unchanged))
-	return failed, first
+	clear(errs) // hold no error past its batch
+	b.cores, b.freqs, b.ev, b.at = b.cores[:0], b.freqs[:0], b.ev[:0], b.at[:0]
+}
+
+// actBatch is apply's scratch and tally for one call. The queued P-state
+// writes are in action order: cores[i] is to be programmed to freqs[i],
+// ev[i] indexes its set-freq event in events and at[i] its action; vals and
+// errs are the actuator's scratch and results, queued marks the cores
+// waiting for a write. events holds the call's flight events; RunIteration
+// borrows it for the decision marks before apply runs. Every slice keeps
+// its capacity across calls, so an interval allocates nothing.
+type actBatch struct {
+	cores  []int
+	freqs  []units.Hertz
+	ev, at []int
+	vals   []uint64
+	errs   []error
+	queued []bool
+	events []flight.Event
+
+	parks, wakes, setFreqs, unchanged, failed int
+	first                                     error
+	firstAt                                   int // action index of first
+}
+
+// size lays down the scratch for a chip of n cores: every core queued once,
+// and up to two events (a wake and a set-freq) per core.
+func (b *actBatch) size(n int) {
+	b.cores, b.freqs = make([]int, 0, n), make([]units.Hertz, 0, n)
+	b.ev, b.at = make([]int, 0, n), make([]int, 0, n)
+	b.vals, b.errs = make([]uint64, n), make([]error, n)
+	b.queued = make([]bool, n)
+	b.events = make([]flight.Event, 0, 2*n)
+}
+
+// queue adds action k's write of f to core c, with its set-freq event.
+func (b *actBatch) queue(c int, f units.Hertz, k int) {
+	b.cores, b.freqs = append(b.cores, c), append(b.freqs, f)
+	b.ev, b.at = append(b.ev, len(b.events)), append(b.at, k)
+	b.queued[c] = true
+	b.event(c, flight.ActSetFreq, uint64(f))
+}
+
+// event appends one actuation event on core c.
+func (b *actBatch) event(c int, act uint32, value uint64) {
+	b.events = append(b.events, flight.Event{
+		Kind: flight.KindActuate, Source: flight.SourceDaemon,
+		Core: int16(c), Arg: act, Value: value,
+	})
+}
+
+// fail tallies action k's failure; the first error is the earliest action's.
+func (b *actBatch) fail(err error, k int) {
+	if b.failed++; b.first == nil || k < b.firstAt {
+		b.first, b.firstAt = err, k
+	}
+}
+
+// reset empties the events and zeroes the tally for the next call.
+func (b *actBatch) reset() {
+	b.events = b.events[:0]
+	b.parks, b.wakes, b.setFreqs, b.unchanged, b.failed = 0, 0, 0, 0, 0
+	b.first, b.firstAt = nil, 0
+}
+
+// unwritten reports a set-freq event whose write failed.
+func unwritten(e flight.Event) bool { return e.Kind == 0 }
+
+// addCount adds n to c, skipping the atomic when there is nothing to add.
+func addCount(c *metrics.Counter, n int) {
+	if n > 0 {
+		c.Add(float64(n))
+	}
 }
 
 // RunIteration performs one control interval of length dt: sample,
@@ -566,20 +707,22 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		reasons = ex.LastReasons()
 	}
 	if d.cfg.Flight != nil {
+		// One mark per reason, committed together; unexplained policies
+		// still leave one mark per interval.
+		mark := flight.Event{
+			Kind: flight.KindDecision, Source: flight.SourceDaemon, Core: -1,
+			Value: microwatts(snap.PackagePower), Aux: microwatts(snap.Limit),
+		}
+		marks := d.batch.events[:0]
 		if len(reasons) == 0 {
-			// Unexplained policies still leave a decision mark per interval.
-			d.cfg.Flight.Record(flight.Event{
-				Kind: flight.KindDecision, Source: flight.SourceDaemon, Core: -1,
-				Value: microwatts(snap.PackagePower), Aux: microwatts(snap.Limit),
-			})
+			marks = append(marks, mark)
 		}
 		for _, r := range reasons {
-			d.cfg.Flight.Record(flight.Event{
-				Kind: flight.KindDecision, Source: flight.SourceDaemon, Core: -1,
-				Arg:   flight.ReasonCode(r),
-				Value: microwatts(snap.PackagePower), Aux: microwatts(snap.Limit),
-			})
+			mark.Arg = flight.ReasonCode(r)
+			marks = append(marks, mark)
 		}
+		d.cfg.Flight.RecordBatch(flight.SourceDaemon, marks)
+		d.batch.events = marks[:0]
 	}
 	decideDone := time.Now()
 	_, _ = d.apply(actions) // failures are counted and retried by the next interval's actions

@@ -16,7 +16,7 @@ import (
 )
 
 // buildMachine pins the named profiles on consecutive cores at max request.
-func buildMachine(t *testing.T, chip platform.Chip, names []string, opts ...sim.Option) *sim.Machine {
+func buildMachine(t testing.TB, chip platform.Chip, names []string, opts ...sim.Option) *sim.Machine {
 	t.Helper()
 	m, err := sim.New(chip, opts...)
 	if err != nil {

@@ -303,6 +303,13 @@ func (d *faultDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	return msr.ReadBatchFunc(d.Read, reg, vals, ok)
 }
 
+// WriteBatch implements msr.BatchWriter by delegating to the faulting Write
+// per cpu, so an offline cpu fails alone and its neighbours in the batch are
+// written — the same windows per-core writes see.
+func (d *faultDevice) WriteBatch(reg uint32, cpus []int, vals []uint64, errs []error) error {
+	return msr.WriteBatchFunc(d.Write, reg, cpus, vals, errs)
+}
+
 // Write blocks actuation of offline CPUs (a dead core's MSRs are gone in
 // both directions) and passes everything else through untouched.
 func (d *faultDevice) Write(cpu int, reg uint32, val uint64) error {

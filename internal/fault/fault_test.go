@@ -204,6 +204,23 @@ func TestSweepDelegatesPerAccess(t *testing.T) {
 	}
 }
 
+// A batch of writes through the injector fails the offline cpu alone: its
+// neighbours reach the wrapped device, in the batch's order, and the batch
+// reports the offline cpu's error.
+func TestWriteBatchFailsOfflineCPUAlone(t *testing.T) {
+	inner := &countingDevice{}
+	in := New(window(ClassOffline, func(e *Entry) { e.CPU = 2 }), 1)
+	in.AdvanceTo(0)
+	cpus, vals, errs := []int{3, 2, 0}, []uint64{30, 20, 0}, make([]error, 3)
+	err := msr.WriteBatch(in.WrapDevice(inner), msr.IA32PerfCtl, cpus, vals, errs)
+	if !errors.Is(err, ErrInjected) || errs[0] != nil || !errors.Is(errs[1], ErrInjected) || errs[2] != nil {
+		t.Fatalf("err %v, errs %v: want cpu 2 alone to fail", err, errs)
+	}
+	if inner.writes != 2 || in.Effects(ClassOffline) != 1 {
+		t.Fatalf("%d inner writes (want 2), %d offline effects (want 1)", inner.writes, in.Effects(ClassOffline))
+	}
+}
+
 func TestPlatformFaultsDriveMachineAndFlight(t *testing.T) {
 	chip := platform.Skylake()
 	m, err := sim.New(chip)

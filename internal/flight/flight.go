@@ -354,6 +354,8 @@ func (r *ring) appendBatch(st *Event, events []Event) {
 	i := r.putHeader(r.tail+r.used, st, len(events), formBatch)
 	for k := range events {
 		e := &events[k]
+		// putEvent written out: the call does not inline, and the ledger
+		// commits 133 events a batch.
 		if w := r.arena[i:]; len(w) >= 3 { // not wrapping
 			w[0], w[1], w[2] = ident(e.Kind, e.Core, e.Arg), e.Value, e.Aux
 			i = r.at(i + 3)
@@ -363,6 +365,16 @@ func (r *ring) appendBatch(st *Event, events []Event) {
 	}
 	r.used += hdrWords + 3*len(events)
 	r.n += len(events)
+}
+
+// putEvent stores one formBatch event at index i and returns the index
+// after it.
+func (r *ring) putEvent(i int, id, value, aux uint64) int {
+	if w := r.arena[i:]; len(w) >= 3 { // not wrapping
+		w[0], w[1], w[2] = id, value, aux
+		return r.at(i + 3)
+	}
+	return r.put(r.put(r.put(i, id), value), aux)
 }
 
 // appendTo appends the retained events of source src to out, oldest first.
@@ -558,6 +570,48 @@ func (r *Recorder) RecordMSRSweep(reg uint32, vals []uint64, ok []bool) {
 			st.Seq += uint64(end - from)
 		}
 		cpu = end
+	}
+	rg.mu.Unlock()
+}
+
+// RecordMSRWrites implements the msr package's WriteRecorder interface: the
+// successful writes of one batch of reg — cpus[i] written vals[i] for each i
+// with errs[i] nil — as one commit, event for event what a RecordMSR per
+// write would leave, in cpus order. The commit is one record: fixed for a
+// lone write, a batch otherwise, whether or not the cpus are consecutive.
+func (r *Recorder) RecordMSRWrites(reg uint32, cpus []int, vals []uint64, errs []error) {
+	n := 0
+	for _, err := range errs {
+		if err == nil {
+			n++
+		}
+	}
+	if r == nil || n == 0 {
+		return
+	}
+	st, rg, skip := r.begin(SourceMSR, n)
+	st.Kind, st.Arg = KindMSRWrite, reg
+	if n -= skip; n == 1 {
+		last := len(errs) - 1
+		for errs[last] != nil {
+			last--
+		}
+		st.Core = int16(cpus[last])
+		rg.appendFixed(&st, vals[last], 0)
+	} else {
+		i := rg.putHeader(rg.tail+rg.used, &st, n, formBatch)
+		for k, cpu := range cpus {
+			if errs[k] != nil {
+				continue
+			}
+			if skip > 0 { // begin counted the skipped writes in st.Seq
+				skip--
+				continue
+			}
+			i = rg.putEvent(i, ident(KindMSRWrite, int16(cpu), reg), vals[k], 0)
+		}
+		rg.used += hdrWords + 3*n
+		rg.n += n
 	}
 	rg.mu.Unlock()
 }

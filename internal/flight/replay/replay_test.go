@@ -194,6 +194,63 @@ func TestReplayBatchedSweepDump(t *testing.T) {
 	}
 }
 
+// An interval's P-state writes reach the recorder as one batch — every
+// write of it under one stamp, ahead of the interval's actuation events,
+// which are one batch of their own — and a dump of them replays as a
+// per-write dump does: no mismatch, the derived series equal float for
+// float. The slo run restates four cores' requests an interval; the
+// priority run adds parks and wakes to the actuation batches.
+func TestReplayBatchedWriteDump(t *testing.T) {
+	for _, policy := range []string{"slo", "priority"} {
+		t.Run(policy, func(t *testing.T) {
+			d := record(t, policy, 1<<16, 10*time.Second)
+			batched := 0
+			lastWrite, firstAct := map[uint32]uint64{}, map[uint32]uint64{}
+			for i, ev := range d.Events {
+				switch ev.Kind {
+				case flight.KindMSRWrite:
+					lastWrite[ev.Interval] = ev.Seq
+					if i > 0 {
+						prev := d.Events[i-1]
+						if prev.Kind == flight.KindMSRWrite && prev.Interval == ev.Interval &&
+							(prev.Seq+1 != ev.Seq || prev.Wall != ev.Wall || prev.Time != ev.Time) {
+							t.Fatalf("writes of one interval stamped apart: %+v then %+v", prev, ev)
+						}
+						if prev.Kind == flight.KindMSRWrite && prev.Interval == ev.Interval {
+							batched++
+						}
+					}
+				case flight.KindActuate:
+					if _, seen := firstAct[ev.Interval]; !seen {
+						firstAct[ev.Interval] = ev.Seq
+					}
+				}
+			}
+			if policy == "slo" && batched == 0 {
+				t.Fatal("dump holds no batch of two or more writes")
+			}
+			for iv, w := range lastWrite {
+				if a, ok := firstAct[iv]; ok && iv > 0 && a < w {
+					t.Fatalf("interval %d: an actuation (seq %d) precedes a write (seq %d)", iv, a, w)
+				}
+			}
+			res, err := Replay(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Truncated || res.Writes == 0 || res.Reads == 0 || len(res.Mismatches) != 0 {
+				t.Fatalf("truncated %v, %d writes, %d reads, mismatches %v", res.Truncated, res.Writes, res.Reads, res.Mismatches)
+			}
+			if policy == "priority" && res.Parks == 0 {
+				t.Fatal("priority run replayed no park/wake actuations")
+			}
+			if !reflect.DeepEqual(res.RecordedFreq, res.ReplayedFreq) || !reflect.DeepEqual(res.RecordedPower, res.ReplayedPower) {
+				t.Fatal("replayed series differ from the recorded ones")
+			}
+		})
+	}
+}
+
 // TestReplayRoundTripThroughFile exercises the full pipeline: record, encode
 // to the binary dump format, decode, replay.
 func TestReplayRoundTripThroughFile(t *testing.T) {

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -98,6 +99,14 @@ func (r *refRecorder) RecordMSRSweep(reg uint32, vals []uint64, ok []bool) {
 	}
 }
 
+func (r *refRecorder) RecordMSRWrites(reg uint32, cpus []int, vals []uint64, errs []error) {
+	for i, cpu := range cpus {
+		if errs[i] == nil {
+			r.Record(Event{Kind: KindMSRWrite, Source: SourceMSR, Core: int16(cpu), Arg: reg, Value: vals[i]})
+		}
+	}
+}
+
 func (r *refRecorder) Len() int {
 	n := 0
 	for i := range r.rings {
@@ -175,13 +184,16 @@ func anyEvent(c choices) Event {
 	}
 }
 
+var errFailedWrite = errors.New("write failed")
+
 // applyOp performs one operation chosen by c on both recorders: a Record,
 // a RecordMSR, a RecordBatch of up to three rings' worth, a sweep of up to
-// three rings' worth (whole, strict-abort prefix, or with an ok mask), or a
+// three rings' worth (whole, strict-abort prefix, or with an ok mask), a
+// batch of writes of up to three rings' worth with failures among them, or a
 // clock or interval move. It returns the source it recorded to, numSources
 // for none.
 func applyOp(c choices, capacity int, rec *Recorder, ref *refRecorder, clock *time.Duration) Source {
-	switch c.Intn(7) {
+	switch c.Intn(8) {
 	case 0:
 		e := anyEvent(c)
 		rec.Record(e)
@@ -224,6 +236,20 @@ func applyOp(c choices, capacity int, rec *Recorder, ref *refRecorder, clock *ti
 		reg := uint32(word(c))
 		rec.RecordMSRSweep(reg, vals, ok)
 		ref.RecordMSRSweep(reg, vals, ok)
+		return SourceMSR
+	case 7:
+		n := c.Intn(3*capacity + 1)
+		cpus, vals, errs := make([]int, n), make([]uint64, n), make([]error, n)
+		bias := c.Intn(5)
+		for i := range cpus {
+			cpus[i], vals[i] = c.Intn(1<<16)-1<<15, word(c)
+			if c.Intn(4) >= bias {
+				errs[i] = errFailedWrite
+			}
+		}
+		reg := uint32(word(c))
+		rec.RecordMSRWrites(reg, cpus, vals, errs)
+		ref.RecordMSRWrites(reg, cpus, vals, errs)
 		return SourceMSR
 	case 5:
 		*clock = time.Duration(word(c))

@@ -112,6 +112,41 @@ func ReadBatchFunc(read func(cpu int, reg uint32) (uint64, error), reg uint32, v
 	return err
 }
 
+// BatchWriter is the bulk-actuation extension of Device: one call writes a
+// single register on each of cpus, cpus[i] receiving vals[i], so
+// programming n cores costs one dispatch, not n. Every write is attempted
+// whatever the others do: errs[i] is cpus[i]'s result, nil on success, and
+// the returned error is the first failure in cpus order — nil when every
+// write took. vals and errs have the length of cpus. Implementations must
+// not retain the slices.
+type BatchWriter interface {
+	WriteBatch(reg uint32, cpus []int, vals []uint64, errs []error) error
+}
+
+// WriteBatch writes reg on cpus on any Device, using the device's own
+// BatchWriter when it has one and falling back to per-cpu Write calls
+// otherwise. Semantics follow BatchWriter.
+func WriteBatch(dev Device, reg uint32, cpus []int, vals []uint64, errs []error) error {
+	if bw, isBatch := dev.(BatchWriter); isBatch {
+		return bw.WriteBatch(reg, cpus, vals, errs)
+	}
+	return WriteBatchFunc(dev.Write, reg, cpus, vals, errs)
+}
+
+// WriteBatchFunc implements BatchWriter semantics over a per-cpu write
+// function; device implementations and wrappers (e.g. the fault injector)
+// share it for their own batches.
+func WriteBatchFunc(write func(cpu int, reg uint32, val uint64) error, reg uint32, cpus []int, vals []uint64, errs []error) error {
+	var first error
+	for i, cpu := range cpus {
+		errs[i] = write(cpu, reg, vals[i])
+		if first == nil {
+			first = errs[i]
+		}
+	}
+	return first
+}
+
 // SweepFunc reads one register for cpus first, first+1, … into vals. It
 // returns how many leading values it read; when that is short of
 // len(vals), the cpu after them (first+n) failed and err is its error.
@@ -176,6 +211,29 @@ type Recorder interface {
 type SweepRecorder interface {
 	Recorder
 	RecordMSRSweep(reg uint32, vals []uint64, ok []bool)
+}
+
+// WriteRecorder is the optional bulk extension of Recorder for writes (the
+// flight recorder implements it): the successful writes of one finished
+// WriteBatch of reg — cpus[i] written vals[i] for each i with errs[i] nil —
+// in one call. Implementations must not retain the slices.
+type WriteRecorder interface {
+	Recorder
+	RecordMSRWrites(reg uint32, cpus []int, vals []uint64, errs []error)
+}
+
+// recordWrites reports a finished batch's successful writes to rec: at once
+// when it is a WriteRecorder, one RecordMSR per write otherwise.
+func recordWrites(rec Recorder, reg uint32, cpus []int, vals []uint64, errs []error) {
+	if wr, isBatch := rec.(WriteRecorder); isBatch {
+		wr.RecordMSRWrites(reg, cpus, vals, errs)
+	} else if rec != nil {
+		for i, cpu := range cpus {
+			if errs[i] == nil {
+				rec.RecordMSR(true, cpu, reg, vals[i])
+			}
+		}
+	}
 }
 
 // recordSweep reports a finished sweep's successful reads to rec: at once
@@ -412,6 +470,28 @@ func (d *SimDevice) Write(cpu int, reg uint32, val uint64) error {
 	if err == nil && rec != nil {
 		rec.RecordMSR(true, cpu, Canonical(reg), val)
 	}
+	return err
+}
+
+// WriteBatch implements BatchWriter: the handler and recorder are resolved
+// once under a single lock acquisition, the handler applies each write, and
+// the recorder sees the successful writes once the batch is done —
+// programming n cores costs one dispatch and one record commit, not n.
+func (d *SimDevice) WriteBatch(reg uint32, cpus []int, vals []uint64, errs []error) error {
+	creg := Canonical(reg)
+	d.mu.RLock()
+	fn := d.writes[creg]
+	rec := d.rec
+	d.mu.RUnlock()
+	if fn == nil {
+		unknown := fmt.Errorf("%w: write 0x%X", ErrUnknownRegister, reg)
+		if len(cpus) == 0 {
+			return unknown // even an empty batch names the register
+		}
+		return WriteBatchFunc(func(int, uint32, uint64) error { return unknown }, reg, cpus, vals, errs)
+	}
+	err := WriteBatchFunc(func(cpu int, _ uint32, val uint64) error { return fn(cpu, val) }, reg, cpus, vals, errs)
+	recordWrites(rec, creg, cpus, vals, errs)
 	return err
 }
 

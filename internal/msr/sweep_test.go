@@ -2,6 +2,7 @@ package msr_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -135,4 +136,83 @@ func TestSweepRecordsExactlySuccessfulReads(t *testing.T) {
 			t.Fatalf("recorded reads\n got  %v\n want %v", reads, exp)
 		}
 	})
+}
+
+// perCPUWrites hides a device's batch method, leaving msr.WriteBatch its
+// one-Write-per-cpu fallback.
+type perCPUWrites struct{ msr.Device }
+
+// A batch of writes does to the registers, the errors and the log what one
+// Write per cpu does — every field but Wall — whichever cpus fail, in
+// whatever order the cpus come; a batch of an unwired register fails every
+// cpu and leaves nothing. The log holds exactly the successful writes.
+func TestWriteBatchMatchesPerCPU(t *testing.T) {
+	type outcome struct {
+		Regs map[int]uint64
+		Errs []string
+		Err  string
+	}
+	drive := func(batched bool) (outcome, []flight.Event) {
+		rec := flight.New(5) // small enough that a batch laps it
+		rec.SetClock(func() time.Duration { return 7 * time.Millisecond })
+		regs := map[int]uint64{}
+		d := msr.NewSimDevice()
+		d.OnWrite(msr.IA32PerfCtl, func(cpu int, val uint64) error {
+			if cpu == 1 || cpu == 4 {
+				return errDark
+			}
+			regs[cpu] = val
+			return nil
+		})
+		d.SetRecorder(rec)
+		var dev msr.Device = d
+		if !batched {
+			dev = perCPUWrites{d}
+		}
+		var o outcome
+		for _, b := range []struct {
+			reg  uint32
+			cpus []int
+		}{
+			{msr.IA32PerfCtl, []int{5, 3, 0}},       // clean, descending
+			{msr.AMDPStateCtl, []int{2, 4, 6, 1}},   // alias, holes at 4 and 1
+			{msr.IA32PerfCtl, []int{4, 7}},          // a lone success
+			{msr.IA32PerfCtl, []int{1, 4}},          // nothing takes
+			{0xDEAD, []int{0, 2}},                   // unwired
+			{msr.IA32PerfCtl, []int{0, 2, 3, 5, 6}}, // laps the 5-event ring
+			{msr.IA32PerfCtl, []int{7, 0, 6, 2, 3, 5}},
+		} {
+			vals, errs := make([]uint64, len(b.cpus)), make([]error, len(b.cpus))
+			for i, cpu := range b.cpus {
+				vals[i] = uint64(0x100*len(o.Errs) + cpu)
+			}
+			if err := msr.WriteBatch(dev, b.reg, b.cpus, vals, errs); err != nil {
+				o.Err += err.Error() + ";"
+			}
+			for _, err := range errs {
+				o.Errs = append(o.Errs, fmt.Sprint(err))
+			}
+		}
+		o.Regs = regs
+		evs := rec.Snapshot()
+		for i := range evs {
+			evs[i].Wall = 0
+		}
+		return o, evs
+	}
+	gotOut, gotLog := drive(true)
+	wantOut, wantLog := drive(false)
+	if !reflect.DeepEqual(gotOut, wantOut) {
+		t.Fatalf("batched and per-cpu writes differ:\n batched %+v\n per-cpu %+v", gotOut, wantOut)
+	}
+	if !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("batched and per-cpu logs differ:\n batched %+v\n per-cpu %+v", gotLog, wantLog)
+	}
+	if len(gotLog) != 5 || gotLog[4].Seq != 17 || gotLog[4].Kind != flight.KindMSRWrite {
+		t.Fatalf("the ring should keep the newest 5 of 17 writes: %+v", gotLog)
+	}
+	d := msr.NewSimDevice()
+	if err := d.WriteBatch(0xDEAD, nil, nil, nil); !errors.Is(err, msr.ErrUnknownRegister) {
+		t.Errorf("empty batch of an unwired register: err = %v, want ErrUnknownRegister", err)
+	}
 }
