@@ -262,17 +262,26 @@ func (p *SLOFeedback) updateRef(s Snapshot) []Action {
 	return p.translateTargets()
 }
 
-// TestSolveLevelMatchesReference holds the short-cut bisection bit-equal to
-// the full 64 sweeps over seeded random inputs and the edges: zero bases,
-// want at and beyond Σlo / Σhi, one app, every app clamped.
+// checkSolveLevel fails t unless solveLevel returns the reference's float.
+func checkSolveLevel(t *testing.T, name string, bases, lo, hi []float64, want float64) {
+	t.Helper()
+	got, ref := solveLevel(bases, lo, hi, want), solveLevelRef(bases, lo, hi, want)
+	if math.Float64bits(got) != math.Float64bits(ref) {
+		t.Errorf("%s: level %v (%#x), reference %v (%#x)\nbases %v\nlo %v\nhi %v\nwant %v",
+			name, got, math.Float64bits(got), ref, math.Float64bits(ref), bases, lo, hi, want)
+	}
+}
+
+// TestSolveLevelMatchesReference holds the solve bit-equal to the full 64
+// sweeps over seeded random inputs and the edges: zero bases, want at and
+// beyond Σlo / Σhi, one app, every app clamped; then up to 256 apps, the
+// node-slo shape (every breakpoint equal), wants the total never reaches
+// below Σhi, and levels far below λmax, where the 64 sweeps end before the
+// flip and the solve hands over to the bisection.
 func TestSolveLevelMatchesReference(t *testing.T) {
 	check := func(name string, bases, lo, hi []float64, want float64) {
 		t.Helper()
-		got, ref := solveLevel(bases, lo, hi, want), solveLevelRef(bases, lo, hi, want)
-		if math.Float64bits(got) != math.Float64bits(ref) {
-			t.Errorf("%s: level %v (%#x), reference %v (%#x)\nbases %v\nlo %v\nhi %v\nwant %v",
-				name, got, math.Float64bits(got), ref, math.Float64bits(ref), bases, lo, hi, want)
-		}
+		checkSolveLevel(t, name, bases, lo, hi, want)
 	}
 	rng := rand.New(rand.NewSource(20))
 	for c := 0; c < 20000; c++ {
@@ -303,6 +312,167 @@ func TestSolveLevelMatchesReference(t *testing.T) {
 		check("just inside hi", bases, lo, hi, math.Nextafter(hiSum, 0))
 		check("just inside lo", bases, lo, hi, math.Nextafter(loSum, math.Inf(1)))
 	}
+
+	// Wide app sets: the generator above, with up to 256 apps.
+	for c := 0; c < 2000; c++ {
+		n := 1 + rng.Intn(256)
+		scale := math.Pow(10, float64(rng.Intn(12)-2))
+		bases, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		var loSum, hiSum float64
+		for i := range bases {
+			if rng.Intn(5) > 0 {
+				bases[i] = scale * (0.05 + rng.Float64())
+			}
+			lo[i] = scale * rng.Float64() * 0.4
+			hi[i] = lo[i] + scale*rng.Float64()
+			if rng.Intn(8) == 0 {
+				hi[i] = lo[i]
+			}
+			loSum += lo[i]
+			hiSum += hi[i]
+		}
+		check("wide inside", bases, lo, hi, loSum+rng.Float64()*(hiSum-loSum))
+		check("wide just inside hi", bases, lo, hi, math.Nextafter(hiSum, 0))
+		check("wide just inside lo", bases, lo, hi, math.Nextafter(loSum, math.Inf(1)))
+	}
+
+	// The node-slo batch pool: one share, one floor, one ceiling, so all
+	// the apps clamp at the same levels; now and then one app under a
+	// useful-frequency cap. Wants land anywhere, and on the total at the
+	// breakpoints themselves.
+	chip := platform.ScaleSocket(platform.Skylake(), 32)
+	maxF, minF := float64(chip.Freq.Max()), float64(chip.Freq.Min)
+	for c := 0; c < 4000; c++ {
+		n := 1 + rng.Intn(256)
+		bases, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		base := maxF * float64(10+rng.Intn(90)) / 100
+		for i := range bases {
+			bases[i], lo[i], hi[i] = base, minF, float64(chip.Freq.Ceiling(32, false))
+		}
+		if c%3 == 0 {
+			hi[rng.Intn(n)] = 1700e6
+		}
+		var loSum, hiSum float64
+		for i := range bases {
+			loSum += lo[i]
+			hiSum += hi[i]
+		}
+		check("equal inside", bases, lo, hi, loSum+rng.Float64()*(hiSum-loSum))
+		check("equal at floor break", bases, lo, hi, totalAt(minF/base, bases, lo, hi))
+		check("equal at ceiling break", bases, lo, hi, totalAt(hi[0]/base, bases, lo, hi))
+		check("equal just inside hi", bases, lo, hi, math.Nextafter(hiSum, 0))
+	}
+
+	// Wants between total(λmax) and Σhi. The product λmax·base of the app
+	// that sets λmax may round below its cap, and a zero-base app sits at
+	// its floor whatever the level; either way the total never reaches
+	// want and the bisection runs up against λmax.
+	short := [2]int{}
+	for c := 0; c < 4000; c++ {
+		n := 1 + rng.Intn(16)
+		bases, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range bases {
+			bases[i] = 0.05 + rng.Float64()
+			lo[i] = rng.Float64() * 0.4
+			hi[i] = lo[i] + rng.Float64()
+		}
+		if c%2 == 0 {
+			bases[rng.Intn(n)] = 0
+		} else {
+			// Find a base whose λmax product rounds below its cap, and
+			// make it the app that sets λmax.
+			k := rng.Intn(n)
+			for hi[k]/bases[k]*bases[k] >= hi[k] {
+				bases[k] = 0.05 + rng.Float64()
+			}
+			for i := range bases {
+				if i != k && hi[i]/bases[i] >= hi[k]/bases[k] {
+					bases[i] = 2 * hi[i] / (hi[k] / bases[k])
+				}
+			}
+		}
+		var lmax, hiSum float64
+		for i, b := range bases {
+			hiSum += hi[i]
+			if b > 0 && hi[i]/b > lmax {
+				lmax = hi[i] / b
+			}
+		}
+		top := totalAt(lmax, bases, lo, hi)
+		if top < hiSum {
+			short[c%2]++
+		}
+		check("short of hi at lmax", bases, lo, hi, math.Nextafter(hiSum, 0))
+		check("short of hi inside", bases, lo, hi, top+rng.Float64()*(hiSum-top))
+		check("at total(lmax)", bases, lo, hi, top)
+	}
+	if short[0] < 1000 || short[1] < 100 {
+		t.Errorf("total(λmax) fell short of Σhi in %d zero-base and %d rounding cases; want >= 1000 and >= 100", short[0], short[1])
+	}
+
+	// Levels from λmax down to λmax·2⁻⁴⁰: one app's cap sets λmax far
+	// above the others', and want sits at the total of a level drawn
+	// log-uniformly below it. Flips under λmax·2⁻⁸ take the bisection;
+	// the count keeps both paths exercised.
+	var fast, fallback int
+	for c := 0; c < 6000; c++ {
+		n := 1 + rng.Intn(32)
+		scale := math.Pow(10, float64(rng.Intn(12)-2))
+		bases, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		var baseSum float64
+		for i := range bases {
+			bases[i] = scale * (0.05 + rng.Float64())
+			if rng.Intn(4) == 0 {
+				lo[i] = scale * rng.Float64() * 1e-6
+			}
+			hi[i] = lo[i] + scale*rng.Float64()
+			baseSum += bases[i]
+		}
+		hi[0] = bases[0] * math.Ldexp(1+rng.Float64(), 8+rng.Intn(32))
+		lmax := hi[0] / bases[0]
+		level := lmax * math.Exp2(-40*rng.Float64())
+		want := totalAt(level, bases, lo, hi)
+		check("far below lmax", bases, lo, hi, want)
+		check("far below lmax, next float", bases, lo, hi, math.Nextafter(want, math.Inf(1)))
+		if flip := levelFlip(bases, lo, hi, want, baseSum, lmax); flip >= lmax*0x1p-8 {
+			fast++
+		} else {
+			fallback++
+		}
+	}
+	t.Logf("total(λmax) short of Σhi: %d zero-base, %d rounding; levels below λmax: %d from the flip, %d bisected",
+		short[0], short[1], fast, fallback)
+	if fast < 1000 || fallback < 1000 {
+		t.Errorf("levels below λmax: %d solved from the flip, %d by the bisection; want both >= 1000", fast, fallback)
+	}
+}
+
+// FuzzSolveLevelMatchesReference holds the solve bit-equal to the full 64
+// sweeps on inputs built from bytes: three a app (base, floor, span; a
+// zero byte makes a zero base or a pinned app), a scale for the bases and
+// where want falls in [Σlo, Σhi]. Small integers make equal and coinciding
+// breakpoints common.
+func FuzzSolveLevelMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1.0, 0.5)
+	f.Add([]byte{30, 8, 26, 30, 8, 26, 30, 8, 26, 30, 8, 26}, 0.37, 0.25)
+	f.Add([]byte{1, 0, 255, 200, 0, 3, 200, 0, 3, 200, 1, 3}, 3.1, 0.001)
+	f.Add([]byte{0, 4, 9, 5, 0, 0, 9, 2, 7}, 1e-3, 0.999999)
+	f.Fuzz(func(t *testing.T, data []byte, scale, frac float64) {
+		n := len(data) / 3
+		if n == 0 || n > 256 || !(scale > 0x1p-40 && scale < 0x1p40) || math.IsNaN(frac) || math.IsInf(frac, 0) {
+			t.Skip()
+		}
+		bases, lo, hi := make([]float64, n), make([]float64, n), make([]float64, n)
+		var loSum, hiSum float64
+		for i := range bases {
+			bases[i] = scale * float64(data[3*i])
+			lo[i] = float64(data[3*i+1]) / 8
+			hi[i] = lo[i] + float64(data[3*i+2])*0.37
+			loSum += lo[i]
+			hiSum += hi[i]
+		}
+		checkSolveLevel(t, "fuzz", bases, lo, hi, loSum+frac*(hiSum-loSum))
+	})
 }
 
 // TestSLOFeedbackMatchesReference runs the node-slo shape (16 + 8 serving

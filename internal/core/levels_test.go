@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/platform"
 )
 
 func totalAt(level float64, bases, lo, hi []float64) float64 {
@@ -146,5 +149,157 @@ func TestApplyLevelOrdering(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// levelInput is one water-level problem.
+type levelInput struct {
+	bases, lo, hi []float64
+	want          float64
+}
+
+// levelInputs draws m problems of n apps. "random" mixes bases, floors and
+// spans over one scale; "node-slo" is the SLO policy's batch pool, one
+// share, one floor and one ceiling for every app; "fallback" puts the level
+// far below λmax, where the solve hands over to the bisection.
+func levelInputs(shape string, n, m int) []levelInput {
+	rng := rand.New(rand.NewSource(int64(n)))
+	chip := platform.ScaleSocket(platform.Skylake(), 32)
+	out := make([]levelInput, m)
+	for k := range out {
+		in := levelInput{bases: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n)}
+		for i := range in.bases {
+			switch shape {
+			case "node-slo":
+				in.bases[i] = float64(chip.Freq.Max())
+				in.lo[i] = float64(chip.Freq.Min)
+				in.hi[i] = float64(chip.Freq.Ceiling(32, false))
+			default:
+				in.bases[i] = 1e9 * (0.05 + rng.Float64())
+				in.lo[i] = 1e9 * rng.Float64() * 0.4
+				in.hi[i] = in.lo[i] + 1e9*rng.Float64()
+			}
+		}
+		var loSum, hiSum float64
+		for i := range in.bases {
+			loSum += in.lo[i]
+			hiSum += in.hi[i]
+		}
+		in.want = loSum + rng.Float64()*(hiSum-loSum)
+		if shape == "fallback" {
+			for i := range in.lo {
+				in.lo[i] = 0
+			}
+			in.hi[0] = in.bases[0] * 0x1p30
+			in.want = totalAt(0x1p10*(1+rng.Float64()), in.bases, in.lo, in.hi)
+		}
+		out[k] = in
+	}
+	return out
+}
+
+// TestSolveLevelAllocs holds the solve to no allocation at the node-slo
+// batch pool's 8 apps and node-batch's 128, on every path.
+func TestSolveLevelAllocs(t *testing.T) {
+	for _, shape := range []string{"random", "node-slo", "fallback"} {
+		for _, n := range []int{8, 128} {
+			ins := levelInputs(shape, n, 16)
+			i := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				in := &ins[i%len(ins)]
+				i++
+				solveLevel(in.bases, in.lo, in.hi, in.want)
+			})
+			if allocs != 0 {
+				t.Errorf("%s n=%d: %v allocs a solve, want 0", shape, n, allocs)
+			}
+		}
+	}
+}
+
+// TestBisectionEndsOnTheFlip is why solveLevel falls back to the bisection
+// only below λmax·2⁻⁸: for any flip t at or above it, the 64-sweep
+// bisection of [0, λmax] ends on the adjacent floats pred(t), t (at most 61
+// sweeps), while flips further down may need more than 64. The bisection
+// here is run on the flip itself, so any λmax and t can be tried.
+func TestBisectionEndsOnTheFlip(t *testing.T) {
+	sweeps := func(lmax, flip float64) int {
+		a, b := 0.0, lmax
+		for i := 1; i <= 128; i++ {
+			if mid := (a + b) / 2; mid < flip {
+				a = mid
+			} else {
+				b = mid
+			}
+			if math.Float64bits(b)-math.Float64bits(a) <= 1 {
+				return i
+			}
+		}
+		return math.MaxInt
+	}
+	rng := rand.New(rand.NewSource(3))
+	worst := func(shift int) int {
+		w := 0
+		for c := 0; c < 50000; c++ {
+			lmax := math.Ldexp(1+rng.Float64(), rng.Intn(80)-40)
+			switch c % 3 {
+			case 0:
+				lmax = math.Ldexp(1, rng.Intn(80)-40)
+			case 1:
+				lmax = math.Nextafter(lmax, 0)
+			}
+			floor := lmax * math.Ldexp(1, -shift)
+			var flip float64
+			switch c % 4 {
+			case 0:
+				flip = floor
+			case 1:
+				flip = floor + (lmax-floor)*rng.Float64()*rng.Float64()
+			case 2:
+				flip = math.Float64frombits(math.Float64bits(floor) + uint64(rng.Intn(1000)))
+			default: // either side of the binade edge above the floor
+				flip = math.Ldexp(1, math.Ilogb(floor)+1)
+				if rng.Intn(2) == 0 {
+					flip = math.Nextafter(flip, math.Inf(1))
+				}
+			}
+			if flip >= floor && flip <= lmax {
+				w = max(w, sweeps(lmax, flip))
+			}
+		}
+		return w
+	}
+	if w := worst(8); w > 64 {
+		t.Errorf("flips at or above λmax·2⁻⁸ took up to %d sweeps to end on the flip, want <= 64", w)
+	}
+	if w := worst(12); w <= 64 {
+		t.Errorf("flips at λmax·2⁻¹² took at most %d sweeps; the fallback would never be needed", w)
+	}
+}
+
+// levelSink keeps the benchmarked solves from being optimised away.
+var levelSink float64
+
+// BenchmarkSolveLevel times the solve and the 64-sweep reference on the
+// shapes of levelInputs, at the node-slo batch pool's size, a 32-core
+// chip's and node-batch's.
+func BenchmarkSolveLevel(b *testing.B) {
+	solvers := []struct {
+		name  string
+		solve func(bases, lo, hi []float64, want float64) float64
+	}{{"solve", solveLevel}, {"ref", solveLevelRef}}
+	for _, shape := range []string{"random", "node-slo"} {
+		for _, n := range []int{8, 32, 128} {
+			ins := levelInputs(shape, n, 64)
+			for _, s := range solvers {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", shape, n, s.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := range b.N {
+						in := &ins[i%len(ins)]
+						levelSink = s.solve(in.bases, in.lo, in.hi, in.want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -217,6 +217,11 @@ func (in *Injector) WrapDevice(dev msr.Device) msr.Device {
 type faultDevice struct {
 	in  *Injector
 	dev msr.Device
+
+	// A faulted WriteBatch's survivors, under in.mu.
+	cpus []int
+	vals []uint64
+	errs []error
 }
 
 // Read applies every open matching window, in schedule order: offline and
@@ -303,11 +308,59 @@ func (d *faultDevice) ReadBatch(reg uint32, vals []uint64, ok []bool) error {
 	return msr.ReadBatchFunc(d.Read, reg, vals, ok)
 }
 
-// WriteBatch implements msr.BatchWriter by delegating to the faulting Write
-// per cpu, so an offline cpu fails alone and its neighbours in the batch are
-// written — the same windows per-core writes see.
+// WriteBatch implements msr.BatchWriter with one lock and one scan of the
+// open windows for the whole batch: a cpu an offline window covers fails
+// alone, with the error and effect its Write would have, and the survivors
+// reach the wrapped device as one msr.WriteBatch — one dispatch and one
+// flight commit, as on an unfaulted node. Like Read, it holds the injector
+// lock across the inner access.
 func (d *faultDevice) WriteBatch(reg uint32, cpus []int, vals []uint64, errs []error) error {
-	return msr.WriteBatchFunc(d.Write, reg, cpus, vals, errs)
+	in := d.in
+	creg := msr.Canonical(reg)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	clear(errs)
+	failed := false
+	for i := range in.sched {
+		e := &in.sched[i]
+		if !in.win[i].open || e.Class != ClassOffline {
+			continue
+		}
+		for k, cpu := range cpus {
+			if errs[k] == nil && e.Matches(cpu, creg) {
+				in.noteLocked(e.Class)
+				errs[k] = fmt.Errorf("fault: cpu%d offline, write %s: %w",
+					cpu, msr.RegName(creg), ErrInjected)
+				failed = true
+			}
+		}
+	}
+	if !failed {
+		return msr.WriteBatch(d.dev, reg, cpus, vals, errs)
+	}
+	d.cpus, d.vals, d.errs = d.cpus[:0], d.vals[:0], d.errs[:0]
+	for k, cpu := range cpus {
+		if errs[k] == nil {
+			d.cpus = append(d.cpus, cpu)
+			d.vals = append(d.vals, vals[k])
+			d.errs = append(d.errs, nil)
+		}
+	}
+	if len(d.cpus) > 0 {
+		msr.WriteBatch(d.dev, reg, d.cpus, d.vals, d.errs)
+	}
+	var first error
+	j := 0
+	for k := range cpus {
+		if errs[k] == nil {
+			errs[k] = d.errs[j]
+			j++
+		}
+		if first == nil {
+			first = errs[k]
+		}
+	}
+	return first
 }
 
 // Write blocks actuation of offline CPUs (a dead core's MSRs are gone in

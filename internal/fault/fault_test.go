@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,8 +18,9 @@ import (
 
 // countingDevice serves monotonically increasing values and counts access.
 type countingDevice struct {
-	reads, writes int
-	val           uint64
+	reads, writes, batches int
+	val                    uint64
+	wrote                  []int // cpus written, in order
 }
 
 func (d *countingDevice) Read(cpu int, reg uint32) (uint64, error) {
@@ -29,7 +31,14 @@ func (d *countingDevice) Read(cpu int, reg uint32) (uint64, error) {
 
 func (d *countingDevice) Write(cpu int, reg uint32, val uint64) error {
 	d.writes++
+	d.wrote = append(d.wrote, cpu)
 	return nil
+}
+
+// WriteBatch counts one dispatch and a write per cpu.
+func (d *countingDevice) WriteBatch(reg uint32, cpus []int, vals []uint64, errs []error) error {
+	d.batches++
+	return msr.WriteBatchFunc(d.Write, reg, cpus, vals, errs)
 }
 
 func window(class Class, mut func(*Entry)) Schedule {
@@ -216,8 +225,22 @@ func TestWriteBatchFailsOfflineCPUAlone(t *testing.T) {
 	if !errors.Is(err, ErrInjected) || errs[0] != nil || !errors.Is(errs[1], ErrInjected) || errs[2] != nil {
 		t.Fatalf("err %v, errs %v: want cpu 2 alone to fail", err, errs)
 	}
-	if inner.writes != 2 || in.Effects(ClassOffline) != 1 {
-		t.Fatalf("%d inner writes (want 2), %d offline effects (want 1)", inner.writes, in.Effects(ClassOffline))
+	if inner.batches != 1 || inner.writes != 2 || in.Effects(ClassOffline) != 1 {
+		t.Fatalf("%d inner batches (want 1), %d inner writes (want 2), %d offline effects (want 1)",
+			inner.batches, inner.writes, in.Effects(ClassOffline))
+	}
+	if !slices.Equal(inner.wrote, []int{3, 0}) {
+		t.Fatalf("inner device wrote cpus %v, want [3 0]", inner.wrote)
+	}
+	// With no cpu offline the batch passes through whole; with every cpu
+	// offline nothing reaches the device.
+	inner.batches, inner.wrote = 0, nil
+	if err := msr.WriteBatch(in.WrapDevice(inner), msr.IA32PerfCtl, []int{0, 1}, vals[:2], errs[:2]); err != nil || inner.batches != 1 {
+		t.Fatalf("err %v, %d inner batches: want nil and 1", err, inner.batches)
+	}
+	if err := msr.WriteBatch(in.WrapDevice(inner), msr.IA32PerfCtl, []int{2, 2}, vals[:2], errs[:2]); !errors.Is(err, ErrInjected) ||
+		!errors.Is(errs[0], ErrInjected) || !errors.Is(errs[1], ErrInjected) || inner.batches != 1 {
+		t.Fatalf("err %v, errs %v, %d inner batches: want both to fail and no dispatch", err, errs, inner.batches)
 	}
 }
 

@@ -409,12 +409,13 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	for sck := range s.anyExecSock {
 		s.anyExecSock[sck] = false
 	}
+	secs := dt.Seconds() // converted once for every core
 	for i := 0; i < s.nCores; i++ {
 		if s.curOK[i] && s.baseOK[i] && s.curMperf[i] != s.prevMperf[i] {
 			s.anyExecSock[i/s.cps] = true
 		}
 		cs := &out.Cores[i]
-		s.classify(i, cs, dt)
+		s.classify(i, cs, secs)
 		s.lastStatus[i] = cs.Status
 		s.tally[cs.Status]++
 	}
@@ -443,8 +444,9 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 // current sweep against the baseline. i is the sampler's own index, not
 // cs.CPU, which a caller holding the sample may have written to. The
 // baseline slices are committed by the caller's swap, and the caller
-// records the status in lastStatus and the tally.
-func (s *Sampler) classify(i int, cs *CoreSample, dt time.Duration) {
+// records the status in lastStatus and the tally. secs is the interval in
+// seconds, positive.
+func (s *Sampler) classify(i int, cs *CoreSample, secs float64) {
 	cs.ActiveFreq, cs.IPS, cs.Power = 0, 0, 0
 	if !s.curOK[i] {
 		// Reads failed after retries: the core is dark. The baseline is
@@ -488,9 +490,10 @@ func (s *Sampler) classify(i int, cs *CoreSample, dt time.Duration) {
 	}
 	cs.Status = StatusOK
 	cs.ActiveFreq = s.nom * units.Hertz(float64(da)/float64(dm))
-	cs.IPS = float64(di) / dt.Seconds()
+	cs.IPS = float64(di) / secs
 	if s.perCore {
-		cs.Power = s.unit.FromCounts(msr.DeltaCounts(s.prevCore[i], s.curCore[i])).Power(dt)
+		// Joules.Power(dt), with the conversion hoisted out of the loop.
+		cs.Power = units.Watts(float64(s.unit.FromCounts(msr.DeltaCounts(s.prevCore[i], s.curCore[i]))) / secs)
 	}
 }
 
