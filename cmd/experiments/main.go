@@ -108,6 +108,11 @@ func generate(gens []gen, workers int, progress io.Writer, emit func([]trace.Tab
 	return nil
 }
 
+// figure12 runs Figure 12 once a process: Figure 13 is its frequency
+// series, so -figure all derives 13 from 12's result, and -figure 13 on its
+// own runs 12 once.
+var figure12 = sync.OnceValues(experiments.Figure12)
+
 // gens are the figure generators in the order -figure all prints them.
 var gens = []gen{
 	{"1", func() (tabler, error) { r, err := experiments.Figure1(); return r, err }},
@@ -121,8 +126,8 @@ var gens = []gen{
 	{"9", func() (tabler, error) { r, err := experiments.Figure9(); return r, err }},
 	{"10", func() (tabler, error) { r, err := experiments.Figure10(); return r, err }},
 	{"11", func() (tabler, error) { r, err := experiments.Figure11(); return r, err }},
-	{"12", func() (tabler, error) { r, err := experiments.Figure12(); return r, err }},
-	{"13", func() (tabler, error) { r, err := experiments.Figure13(); return r, err }},
+	{"12", func() (tabler, error) { r, err := figure12(); return r, err }},
+	{"13", func() (tabler, error) { r, err := figure12(); return r.FreqSeries(), err }},
 	{"stability", func() (tabler, error) { r, err := experiments.StabilityStudy(); return r, err }},
 	{"useful", func() (tabler, error) { r, err := experiments.UsefulFreqStudy(); return r, err }},
 	{"gaming-perf", func() (tabler, error) { r, err := experiments.GamingStudy(experiments.PerfShares); return r, err }},

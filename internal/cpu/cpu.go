@@ -5,12 +5,11 @@
 // the architectural counters (APERF, MPERF, instructions retired, energy)
 // that supervisory software samples.
 //
-// A Core holds only *requests* and *counters*; the effective frequency each
-// instant follows FreqSpec.Effective's arbitration between the request, the
-// power limiter's clamp, the AVX licence, and the turbo grant — mirroring how
-// real hardware arbitrates between the OS's P-state request and its own
-// limits. (The simulator evaluates that arbitration folded into its per-core
-// memo; its reference test holds the two together.)
+// A core's requests live with the simulator's per-core record; this package
+// holds the frequency domain the simulator arbitrates a core's effective
+// frequency over (the request, the power limiter's clamp, the AVX licence
+// and the turbo grant, as real hardware arbitrates between the OS's P-state
+// request and its own limits) and the counters it charges.
 package cpu
 
 import (
@@ -108,63 +107,31 @@ func (s FreqSpec) Levels() []units.Hertz {
 	return out
 }
 
-// Core is one hardware thread's control state and counters. The zero value
-// is not ready to use; call NewCore.
-type Core struct {
-	ID int
-
-	// Request is the OS-requested P-state frequency (IA32_PERF_CTL).
-	Request units.Hertz
-
-	// Clamp is the power limiter's per-core frequency ceiling; zero means
-	// unclamped.
-	Clamp units.Hertz
-
-	// Idle parks the core in a deep C-state: it executes nothing and
-	// draws only residual power.
-	Idle bool
-
-	// Architectural counters, monotonically increasing.
-	aperf  float64      // cycles accumulated at effective frequency while in C0
-	mperf  float64      // cycles at nominal frequency while in C0
-	instr  float64      // instructions retired
-	energy units.Joules // core energy (per-core RAPL domain)
-	c0Time time.Duration
-}
-
-// NewCore returns a core with the given ID requesting frequency f.
-func NewCore(id int, f units.Hertz) *Core {
-	return &Core{ID: id, Request: f}
-}
-
-// Account charges one simulation step to the core's counters: the core ran
-// at eff (0 if idle) for dt, retiring instr instructions and consuming
-// energy. The caller steps every core by the same dt and multiplies it out
-// once: sec is dt.Seconds() and nomCycles the nominal frequency's
-// Cycles(dt).
-func (c *Core) Account(eff units.Hertz, nomCycles float64, dt time.Duration, sec float64, instr float64, energy units.Joules) {
-	if dt <= 0 {
-		return
-	}
-	if !c.Idle && eff > 0 {
-		c.aperf += float64(eff) * sec
-		c.mperf += nomCycles
-		c.c0Time += dt
-	}
-	c.instr += instr
-	c.energy += energy
-}
-
-// Counters is a snapshot of a core's architectural counters.
+// Counters is a core's architectural counters, monotonically increasing:
+// what a sampler reads through APERF, MPERF, the fixed instruction counter
+// and the per-core energy status.
 type Counters struct {
-	APERF  float64
-	MPERF  float64
-	Instr  float64
-	Energy units.Joules
+	APERF  float64      // cycles accumulated at effective frequency while in C0
+	MPERF  float64      // cycles at nominal frequency while in C0
+	Instr  float64      // instructions retired
+	Energy units.Joules // core energy (per-core RAPL domain)
 	C0Time time.Duration
 }
 
-// Counters returns the core's current counter snapshot.
-func (c *Core) Counters() Counters {
-	return Counters{APERF: c.aperf, MPERF: c.mperf, Instr: c.instr, Energy: c.energy, C0Time: c.c0Time}
+// Account charges one simulation step to the counters: the core ran at eff
+// (0 while parked) for dt, retiring instr instructions and consuming
+// energy. The caller steps every core by the same dt and multiplies it out
+// once: sec is dt.Seconds() and nomCycles the nominal frequency's
+// Cycles(dt).
+func (c *Counters) Account(eff units.Hertz, nomCycles float64, dt time.Duration, sec float64, instr float64, energy units.Joules) {
+	if dt <= 0 {
+		return
+	}
+	if eff > 0 {
+		c.APERF += float64(eff) * sec
+		c.MPERF += nomCycles
+		c.C0Time += dt
+	}
+	c.Instr += instr
+	c.Energy += energy
 }

@@ -113,16 +113,16 @@ func TestLevels(t *testing.T) {
 
 // account charges c one step of dt the way the simulator does, with the
 // tick multiplied out by the caller.
-func account(c *Core, eff, nom units.Hertz, dt time.Duration, instr float64, energy units.Joules) {
+func account(c *Counters, eff, nom units.Hertz, dt time.Duration, instr float64, energy units.Joules) {
 	c.Account(eff, nom.Cycles(dt), dt, dt.Seconds(), instr, energy)
 }
 
 func TestCoreAccounting(t *testing.T) {
 	s := testSpec()
-	c := NewCore(3, 2*units.GHz)
+	c := &Counters{}
 	eff := 2 * units.GHz
 	account(c, eff, s.Nom, time.Second, 1.5e9, 4.2)
-	cnt := c.Counters()
+	cnt := *c
 	if cnt.APERF != 2e9 {
 		t.Errorf("APERF = %g", cnt.APERF)
 	}
@@ -134,11 +134,11 @@ func TestCoreAccounting(t *testing.T) {
 	}
 }
 
+// A parked core runs at no frequency.
 func TestIdleCoreAccumulatesOnlyEnergy(t *testing.T) {
-	c := NewCore(0, 2*units.GHz)
-	c.Idle = true
-	account(c, 2*units.GHz, 2200*units.MHz, time.Second, 0, 0.05)
-	cnt := c.Counters()
+	c := &Counters{}
+	account(c, 0, 2200*units.MHz, time.Second, 0, 0.05)
+	cnt := *c
 	if cnt.APERF != 0 || cnt.MPERF != 0 || cnt.C0Time != 0 {
 		t.Errorf("idle core accumulated C0 counters: %+v", cnt)
 	}
@@ -148,20 +148,20 @@ func TestIdleCoreAccumulatesOnlyEnergy(t *testing.T) {
 }
 
 func TestAccountIgnoresNonPositiveDt(t *testing.T) {
-	c := NewCore(0, 2*units.GHz)
+	c := &Counters{}
 	account(c, 2*units.GHz, 2200*units.MHz, 0, 1e9, 1)
-	if cnt := c.Counters(); cnt.Instr != 0 || cnt.Energy != 0 {
+	if cnt := *c; cnt.Instr != 0 || cnt.Energy != 0 {
 		t.Errorf("zero-dt step charged: %+v", cnt)
 	}
 }
 
 func TestActiveFreqDerivation(t *testing.T) {
 	nom := 2200 * units.MHz
-	c := NewCore(0, 0)
-	prev := c.Counters()
+	c := &Counters{}
+	prev := *c
 	// Run 1s at 1.1 GHz: APERF/MPERF = 0.5 -> derived 1.1 GHz.
 	account(c, 1100*units.MHz, nom, time.Second, 5e8, 2)
-	cur := c.Counters()
+	cur := *c
 	if got := activeFreq(prev, cur, nom); math.Abs(float64(got-1100*units.MHz)) > 1 {
 		t.Errorf("ActiveFreq = %v, want 1.1 GHz", got)
 	}
@@ -186,10 +186,10 @@ func TestActiveFreqRecoversFixed(t *testing.T) {
 	prop := func(fRaw uint8, msRaw uint16) bool {
 		f := (800 + units.Hertz(fRaw%23)*100) * units.MHz
 		dt := time.Duration(int(msRaw)%5000+1) * time.Millisecond
-		c := NewCore(0, f)
-		prev := c.Counters()
+		c := &Counters{}
+		prev := *c
 		account(c, f, nom, dt, 0, 0)
-		got := activeFreq(prev, c.Counters(), nom)
+		got := activeFreq(prev, *c, nom)
 		return math.Abs(float64(got-f)) < 1e3
 	}
 	if err := quick.Check(prop, nil); err != nil {

@@ -637,7 +637,8 @@ func addCount(c *metrics.Counter, n int) {
 }
 
 // RunIteration performs one control interval of length dt: sample,
-// policy update, actuate.
+// policy update, actuate. It reads the host clock once; every phase mark
+// after that is a monotonic offset from it.
 func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 	began := time.Now()
 	d.mu.Lock()
@@ -694,7 +695,7 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		d.stampTargetsLocked(svcs)
 		snap.Services = svcs
 	}
-	sampleDone := time.Now()
+	sampleDone := time.Since(began)
 	actions := d.cfg.Policy.Update(snap)
 	polName := d.cfg.Policy.Name()
 	if nDegraded > 0 || !sample.PkgStatus.Trustworthy() {
@@ -724,16 +725,16 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 		d.cfg.Flight.RecordBatch(flight.SourceDaemon, marks)
 		d.batch.events = marks[:0]
 	}
-	decideDone := time.Now()
+	decideDone := time.Since(began)
 	_, _ = d.apply(actions) // failures are counted and retried by the next interval's actions
-	actuateDone := time.Now()
+	actuateDone := time.Since(began)
 	d.iterations++
 	d.last = snap
 	d.lastPhases = PhaseLatencies{
 		Interval: uint32(d.iterations),
-		Sample:   sampleDone.Sub(began),
-		Decide:   decideDone.Sub(sampleDone),
-		Actuate:  actuateDone.Sub(decideDone),
+		Sample:   sampleDone,
+		Decide:   decideDone - sampleDone,
+		Actuate:  actuateDone - decideDone,
 	}
 	phases := d.lastPhases
 	nParked := 0
@@ -742,7 +743,8 @@ func (d *Daemon) RunIteration(dt time.Duration) (core.Snapshot, error) {
 			nParked++
 		}
 	}
-	dumpReason := d.checkTriggersLocked(snap, time.Since(began))
+	// The iteration SLO judges sample → decide → actuate: the actuate mark.
+	dumpReason := d.checkTriggersLocked(snap, actuateDone)
 	d.mu.Unlock()
 
 	// The ledger appends outside d.mu (it has its own lock); the sample's

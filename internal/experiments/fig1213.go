@@ -115,20 +115,27 @@ func Figure12() (LatencyResult, error) {
 	return out, nil
 }
 
-// Figure13 extracts the frequency series (already measured by Figure12);
-// it exists so every figure has a regenerator entry point.
+// Figure13 runs Figure 12 and extracts its frequency series; it exists so
+// every figure has a regenerator entry point. A caller that already holds
+// Figure 12's result takes FreqSeries from it instead.
 func Figure13() (LatencyResult, error) {
 	res, err := Figure12()
 	if err != nil {
 		return LatencyResult{}, err
 	}
+	return res.FreqSeries(), nil
+}
+
+// FreqSeries is Figure 13 drawn from Figure 12's result: the
+// frequency-share cells, whose frequencies Figure 12 measured.
+func (r LatencyResult) FreqSeries() LatencyResult {
 	var out LatencyResult
-	for _, c := range res.Cells {
+	for _, c := range r.Cells {
 		if c.Scenario == "freq-shares" {
 			out.Cells = append(out.Cells, c)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Tables renders the result.

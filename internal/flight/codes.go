@@ -83,30 +83,21 @@ const (
 	ConstraintThermal
 )
 
-var constraintCodes = map[string]uint32{
-	"idle":        ConstraintIdle,
-	"request":     ConstraintRequest,
-	"rapl-cap":    ConstraintRAPLCap,
-	"avx-licence": ConstraintAVXLicence,
-	"turbo":       ConstraintTurbo,
-	"thermal":     ConstraintThermal,
+// constraintNames names each constraint code.
+var constraintNames = [...]string{
+	ConstraintIdle:       "idle",
+	ConstraintRequest:    "request",
+	ConstraintRAPLCap:    "rapl-cap",
+	ConstraintAVXLicence: "avx-licence",
+	ConstraintTurbo:      "turbo",
+	ConstraintThermal:    "thermal",
 }
 
-var constraintNames = func() map[uint32]string {
-	m := make(map[uint32]string, len(constraintCodes))
-	for s, c := range constraintCodes {
-		m[c] = s
-	}
-	return m
-}()
-
-// ConstraintCode maps the simulator's constraint name to its dump code.
-func ConstraintCode(name string) uint32 { return constraintCodes[name] }
-
-// ConstraintFromCode inverts ConstraintCode.
+// ConstraintFromCode names a constraint code: the label the simulator's
+// constraint metric counts it under, or "unknown".
 func ConstraintFromCode(c uint32) string {
-	if s, ok := constraintNames[c]; ok {
-		return s
+	if c < uint32(len(constraintNames)) {
+		return constraintNames[c]
 	}
 	return "unknown"
 }

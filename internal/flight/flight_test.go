@@ -154,10 +154,16 @@ func TestReasonCodesRoundTrip(t *testing.T) {
 }
 
 func TestConstraintCodesRoundTrip(t *testing.T) {
-	for _, name := range []string{"idle", "request", "rapl-cap", "avx-licence", "turbo"} {
-		if got := ConstraintFromCode(ConstraintCode(name)); got != name {
-			t.Errorf("constraint %q round-trips to %q", name, got)
+	for code, name := range map[uint32]string{
+		ConstraintIdle: "idle", ConstraintRequest: "request", ConstraintRAPLCap: "rapl-cap",
+		ConstraintAVXLicence: "avx-licence", ConstraintTurbo: "turbo", ConstraintThermal: "thermal",
+	} {
+		if got := ConstraintFromCode(code); got != name {
+			t.Errorf("constraint code %d decodes to %q, want %q", code, got, name)
 		}
+	}
+	if got := ConstraintFromCode(ConstraintThermal + 1); got != "unknown" {
+		t.Errorf("an unassigned code decodes to %q, want unknown", got)
 	}
 }
 

@@ -56,88 +56,104 @@ func WithFlightRecorder(rec *flight.Recorder) Option {
 
 // Machine is one simulated socket.
 type Machine struct {
-	chip    platform.Chip
-	cores   []*cpu.Core
-	apps    []*workload.Instance // indexed by core; nil when unoccupied
-	lastEff []units.Hertz        // effective frequency of the previous tick
+	chip platform.Chip
+	// cores is every core's state, one record a core, held by value.
+	cores   []core
+	idles   []coreIdle
 	limiter *rapl.Limiter
 
 	// thermalCap models a thermal excursion: a package-wide frequency
 	// clamp the firmware imposes regardless of P-state requests, RAPL
 	// state, or turbo grants. Zero means no excursion.
 	thermalCap units.Hertz
-	// offline marks cores that have died mid-run (hot-unplug, MCE): they
-	// execute nothing and stay parked until brought back online.
-	offline []bool
 
 	clock time.Duration
 	dt    time.Duration
 	cps   int // cores per socket
 	unit  msr.EnergyUnit
 	cal   clock.Calendar // fired at the end of the tick that reaches an entry
-	// freqSum is each core's Σ effective frequency since sumSince.
-	freqSum  []float64
+	// sumSince is when every core's Σ effective frequency was restarted.
 	sumSince time.Duration
 	// energySocket holds cumulative energy per RAPL domain: one entry per
 	// socket (a single entry on single-socket chips). PkgEnergyStatus reads
 	// on cpu i report i's socket domain, as on real multi-socket machines.
 	energySocket []units.Joules
-	energyCore   []units.Joules
 	// activeSock is per-Step scratch for per-socket C0 occupancy: turbo
 	// bins are a socket-local resource, so core i's grant depends only on
 	// its own socket's active count.
 	activeSock []int
 	dev        *msr.SimDevice
-	idles      []coreIdle
-	memo       []coreMemo
 	// misses counts memo recomputations and steady the core-ticks that took
 	// the steady path; both are for the count gates in the tests.
 	misses struct{ freq, power int }
 	steady int
 
 	// Optional instrumentation; nil handles no-op.
-	reg            *metrics.Registry
-	flight         *flight.Recorder
-	mTicks         *metrics.Counter
-	mCStateTrans   *metrics.CounterVec
-	mFreqConstr    *metrics.CounterVec
-	lastConstraint []string // per core, last binding constraint observed
+	reg          *metrics.Registry
+	flight       *flight.Recorder
+	mTicks       *metrics.Counter
+	mCStateTrans *metrics.CounterVec
+	mFreqConstr  *metrics.CounterVec
 }
+
+// constraint is a binding constraint's flight code (flight.ConstraintIdle …
+// flight.ConstraintThermal), in a byte.
+type constraint uint8
 
 // freqKey is every input to a core's frequency resolution.
 type freqKey struct {
 	request, cap, thermal units.Hertz
-	active                int // C0 cores on the core's socket
+	active                int32 // C0 cores on the core's socket
 	avx                   bool
 }
 
-// coreMemo remembers what a core's last tick derived from inputs that move
-// on an actuation, a limiter step or a phase change, not on a tick. It is
-// compared by key on every use and never invalidated by a setter, so no
-// path that changes an input can forget to: a new input to resolve or to
-// power.Model.CorePower joins the key and Step's steady check, and
+// core is one core's whole state, laid out for a steady tick, which reads
+// and adds in this one record: its control inputs, the C-state fields the
+// steady check reads, the memo of what it last derived, and what a tick
+// adds to. It is the state itself, not a cache of it: no other place holds
+// a copy to keep in step.
+//
+// The memo remembers what the core's last tick derived from inputs that
+// move on an actuation, a limiter step or a phase change, not on a tick.
+// It is compared by key on every use and never invalidated by a setter, so
+// no path that changes an input can forget to: a new input to resolve or
+// to power.Model.CorePower joins the key and Step's steady check, and
 // TestStepMatchesReference fails if it does not.
-type coreMemo struct {
-	key    freqKey
-	eff    units.Hertz // resolve(key)
-	constr string
+type core struct {
+	app     *workload.Instance // nil when unoccupied
+	request units.Hertz        // the OS-requested P-state (IA32_PERF_CTL)
+	// wakePending is the exit latency still owed from the last wake.
+	wakePending time.Duration
+	// idle parks the core in a deep C-state: it executes nothing and draws
+	// only residual power. offline marks a core that has died mid-run
+	// (hot-unplug, MCE): it executes nothing and stays parked until brought
+	// back online. wasActive is whether it was in C0 last tick.
+	idle, offline, wasActive bool
+	// constr is resolve's constraint for key; lastConstr the one last
+	// recorded (metrics, flight) for the core.
+	constr, lastConstr constraint
 
-	powerF   units.Hertz // power == chip.Power.CorePower(powerF, activity)
+	key freqKey
+	eff units.Hertz // resolve(key)
+	// power == chip.Power.CorePower(powerF, activity)
+	powerF   units.Hertz
 	activity float64
 	power    units.Watts
+
+	lastEff units.Hertz // effective frequency of the previous tick
+	freqSum float64     // Σ effective frequency since sumSince
+	cpu.Counters
 }
 
-// coreIdle tracks one core's C-state machinery: the menu-style state chosen
-// at idle entry (from an EWMA prediction of idle length), promotion to
-// deeper states as the actual residency grows, and the exit-latency debt
-// paid on wake.
+// coreIdle holds the rest of a core's C-state machinery, what only a sleep,
+// a wake or an idle tick reads: the menu-style state chosen at idle entry
+// (from an EWMA prediction of idle length), promotion to deeper states as
+// the actual residency grows, and the residency per state.
 type coreIdle struct {
-	wasActive   bool
-	idleSince   time.Duration
-	state       int // index into chip.CStates; -1 while active or without a table
-	predict     time.Duration
-	wakePending time.Duration
-	residency   []time.Duration
+	idleSince time.Duration
+	state     int // index into chip.CStates; -1 while active or without a table
+	predict   time.Duration
+	residency []time.Duration
 }
 
 // New builds a machine for the chip with all cores idle at the nominal
@@ -148,17 +164,11 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 	}
 	m := &Machine{
 		chip:         chip,
-		cores:        make([]*cpu.Core, chip.NumCores),
-		apps:         make([]*workload.Instance, chip.NumCores),
-		lastEff:      make([]units.Hertz, chip.NumCores),
 		dt:           time.Millisecond,
 		cps:          chip.CoresPerSocket(),
 		unit:         msr.EnergyUnit{ESU: 14},
-		freqSum:      make([]float64, chip.NumCores),
 		energySocket: make([]units.Joules, chip.Sockets()),
-		energyCore:   make([]units.Joules, chip.NumCores),
 		activeSock:   make([]int, chip.Sockets()),
-		offline:      make([]bool, chip.NumCores),
 	}
 	for _, o := range opts {
 		o(m)
@@ -166,12 +176,11 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 	if m.dt <= 0 {
 		return nil, fmt.Errorf("sim: tick must be positive, got %v", m.dt)
 	}
+	m.cores = make([]core, chip.NumCores)
 	m.idles = make([]coreIdle, chip.NumCores)
-	m.memo = make([]coreMemo, chip.NumCores)
 	for i := range m.cores {
-		m.memo[i].key.active = -1 // no occupancy: the first lookup misses
-		m.cores[i] = cpu.NewCore(i, chip.Freq.Nom)
-		m.cores[i].Idle = true
+		// No occupancy: the first lookup misses.
+		m.cores[i] = core{request: chip.Freq.Nom, idle: true, key: freqKey{active: -1}}
 		// Cores start idle-since-boot: deepest state, like real firmware
 		// parks unused cores.
 		m.idles[i].state = len(chip.CStates) - 1
@@ -189,9 +198,6 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 		m.mFreqConstr = m.reg.CounterVec("sim_freq_constraint_transitions_total",
 			"Transitions of the constraint binding a core's effective frequency.", "constraint")
 		m.limiter.Instrument(m.reg)
-	}
-	if m.reg != nil || m.flight != nil {
-		m.lastConstraint = make([]string, chip.NumCores)
 	}
 	m.wireMSRs()
 	if m.flight != nil {
@@ -233,16 +239,15 @@ func (m *Machine) Pin(in *workload.Instance, core int) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("sim: core %d out of range [0,%d)", core, len(m.cores))
 	}
-	if m.apps[core] != nil {
-		return fmt.Errorf("sim: core %d already runs %s", core, m.apps[core].Profile.Name)
+	c := &m.cores[core]
+	if c.app != nil {
+		return fmt.Errorf("sim: core %d already runs %s", core, c.app.Profile.Name)
 	}
 	if err := in.Profile.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	in.Pin = core
-	m.apps[core] = in
-	m.cores[core].Idle = false
-	m.cores[core].Request = m.chip.Freq.Nom
+	c.app, c.idle, c.request = in, false, m.chip.Freq.Nom
 	return nil
 }
 
@@ -251,16 +256,15 @@ func (m *Machine) Unpin(core int) {
 	if core < 0 || core >= len(m.cores) {
 		return
 	}
-	m.apps[core] = nil
-	m.cores[core].Idle = true
+	m.cores[core].app, m.cores[core].idle = nil, true
 }
 
 // App returns the instance pinned to core, or nil.
 func (m *Machine) App(core int) *workload.Instance {
-	if core < 0 || core >= len(m.apps) {
+	if core < 0 || core >= len(m.cores) {
 		return nil
 	}
-	return m.apps[core]
+	return m.cores[core].app
 }
 
 // SetRequest programs a core's P-state request, quantised to the chip's
@@ -270,12 +274,12 @@ func (m *Machine) SetRequest(core int, f units.Hertz) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
-	m.cores[core].Request = m.chip.Freq.Quantize(f)
+	m.cores[core].request = m.chip.Freq.Quantize(f)
 	return nil
 }
 
 // Request reports a core's current P-state request.
-func (m *Machine) Request(core int) units.Hertz { return m.cores[core].Request }
+func (m *Machine) Request(core int) units.Hertz { return m.cores[core].request }
 
 // SetIdle forces a core in or out of a deep C-state. Idling a core that
 // hosts an application suspends the application (the paper's priority
@@ -285,18 +289,19 @@ func (m *Machine) SetIdle(core int, idle bool) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
-	if !idle && m.offline[core] {
+	c := &m.cores[core]
+	if !idle && c.offline {
 		return fmt.Errorf("sim: core %d is offline", core)
 	}
-	if !idle && m.apps[core] == nil {
+	if !idle && c.app == nil {
 		return fmt.Errorf("sim: core %d has no application to wake", core)
 	}
-	m.cores[core].Idle = idle
+	c.idle = idle
 	return nil
 }
 
 // Idle reports whether a core is parked.
-func (m *Machine) Idle(core int) bool { return m.cores[core].Idle }
+func (m *Machine) Idle(core int) bool { return m.cores[core].idle }
 
 // SetThermalCap imposes (or, with zero, lifts) a package-wide thermal
 // frequency clamp: every core's effective frequency is limited to f no
@@ -320,21 +325,22 @@ func (m *Machine) SetOffline(core int, off bool) error {
 	if core < 0 || core >= len(m.cores) {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
-	m.offline[core] = off
+	c := &m.cores[core]
+	c.offline = off
 	if off {
-		m.cores[core].Idle = true
-	} else if m.apps[core] != nil {
-		m.cores[core].Idle = false
+		c.idle = true
+	} else if c.app != nil {
+		c.idle = false
 	}
 	return nil
 }
 
 // Offline reports whether a core is out of service.
 func (m *Machine) Offline(core int) bool {
-	if core < 0 || core >= len(m.offline) {
+	if core < 0 || core >= len(m.cores) {
 		return false
 	}
-	return m.offline[core]
+	return m.cores[core].offline
 }
 
 // SetPowerLimit programs the RAPL package limit (zero disables). On chips
@@ -358,8 +364,9 @@ func (m *Machine) ActiveCores() int {
 func (m *Machine) fillActiveSock() []int {
 	for s := range m.activeSock {
 		n := 0
-		for i := s * m.cps; i < (s+1)*m.cps; i++ {
-			if !m.cores[i].Idle && !m.offline[i] {
+		cores := m.cores[s*m.cps : (s+1)*m.cps]
+		for i := range cores {
+			if !cores[i].idle && !cores[i].offline {
 				n++
 			}
 		}
@@ -369,11 +376,13 @@ func (m *Machine) fillActiveSock() []int {
 }
 
 // EffectiveFreq reports the frequency a core ran at during the last tick.
-func (m *Machine) EffectiveFreq(core int) units.Hertz { return m.lastEff[core] }
+func (m *Machine) EffectiveFreq(core int) units.Hertz { return m.cores[core].lastEff }
 
 // ResetMeanFreq restarts every core's MeanFreq at the current time.
 func (m *Machine) ResetMeanFreq() {
-	clear(m.freqSum)
+	for i := range m.cores {
+		m.cores[i].freqSum = 0
+	}
 	m.sumSince = m.clock
 }
 
@@ -381,11 +390,11 @@ func (m *Machine) ResetMeanFreq() {
 // ResetMeanFreq (or New): 0, the empty sum, before the first of them.
 func (m *Machine) MeanFreq(core int) units.Hertz {
 	ticks := float64((m.clock - m.sumSince) / m.dt)
-	return units.Hertz(m.freqSum[core] / max(ticks, 1))
+	return units.Hertz(m.cores[core].freqSum / max(ticks, 1))
 }
 
 // Counters returns a core's architectural counter snapshot.
-func (m *Machine) Counters(core int) cpu.Counters { return m.cores[core].Counters() }
+func (m *Machine) Counters(core int) cpu.Counters { return m.cores[core].Counters }
 
 // PackageEnergy returns cumulative package energy, summed over sockets.
 func (m *Machine) PackageEnergy() units.Joules {
@@ -397,7 +406,7 @@ func (m *Machine) PackageEnergy() units.Joules {
 }
 
 // CoreEnergy returns cumulative energy of one core.
-func (m *Machine) CoreEnergy(core int) units.Joules { return m.energyCore[core] }
+func (m *Machine) CoreEnergy(core int) units.Joules { return m.cores[core].Energy }
 
 // PackagePower computes the instantaneous package power for the machine's
 // current state (same calculation the next Step will charge).
@@ -406,7 +415,7 @@ func (m *Machine) PackagePower() units.Watts {
 	cap := m.limiter.Cap()
 	var total units.Watts
 	for i := range m.cores {
-		eff, _ := m.frequency(i, act[i/m.cps], cap)
+		eff, _ := m.frequency(&m.cores[i], act[i/m.cps], cap)
 		total += m.corePowerAt(i, eff)
 	}
 	return total + m.chip.Power.UncorePower*units.Watts(len(act))
@@ -426,53 +435,51 @@ func (m *Machine) Every(period time.Duration, fn func(elapsed time.Duration)) {
 // is Every with the tick as period.
 func (m *Machine) OnTick(fn func(dt time.Duration)) { m.Every(m.dt, fn) }
 
-// frequency resolves the frequency core i would run at now, and the
-// constraint binding it ("idle" for a parked or offline core),
+// frequency resolves the frequency core c would run at now, and the
+// constraint binding it (idle for a parked or offline core),
 // given its socket's C0 core count and the limiter's cap.
-func (m *Machine) frequency(i, active int, cap units.Hertz) (units.Hertz, string) {
-	c := m.cores[i]
-	if c.Idle || m.offline[i] {
-		return 0, "idle"
+func (m *Machine) frequency(c *core, active int, cap units.Hertz) (units.Hertz, constraint) {
+	if c.idle || c.offline {
+		return 0, constraint(flight.ConstraintIdle)
 	}
-	a := m.apps[i]
-	k := freqKey{c.Request, cap, m.thermalCap, active, a != nil && a.Profile.AVX}
-	mm := &m.memo[i]
-	if mm.key != k {
+	k := freqKey{c.request, cap, m.thermalCap, int32(active), c.app != nil && c.app.Profile.AVX}
+	if c.key != k {
 		m.misses.freq++
-		mm.key = k
-		mm.eff, mm.constr = m.resolve(k)
+		c.key = k
+		c.eff, c.constr = m.resolve(k)
 	}
-	return mm.eff, mm.constr
+	return c.eff, c.constr
 }
 
 // resolve is the pure function behind the frequency memo: what a core with
 // these inputs runs at, and which of them bound it. One ceiling lookup and
 // one quantisation of the request serve both answers.
-func (m *Machine) resolve(k freqKey) (units.Hertz, string) {
+func (m *Machine) resolve(k freqKey) (units.Hertz, constraint) {
 	spec := m.chip.Freq
-	ceil := spec.Ceiling(k.active, k.avx)
+	active := int(k.active)
+	ceil := spec.Ceiling(active, k.avx)
 	quant := spec.Quantize(k.request)
 
 	// The constraint: the OS request, the RAPL cap, the AVX licence, the
 	// turbo grant or a thermal excursion, judged level by level against
 	// the quantised request.
-	bound, constr := quant, "request"
+	bound, constr := quant, flight.ConstraintRequest
 	if k.cap > 0 && k.cap < bound {
-		bound, constr = k.cap, "rapl-cap"
+		bound, constr = k.cap, flight.ConstraintRAPLCap
 	}
 	if ceil < bound {
-		bound, constr = ceil, "turbo"
-		if k.avx && ceil < spec.Ceiling(k.active, false) {
-			constr = "avx-licence"
+		bound, constr = ceil, flight.ConstraintTurbo
+		if k.avx && ceil < spec.Ceiling(active, false) {
+			constr = flight.ConstraintAVXLicence
 		}
 	}
 	if k.thermal > 0 && k.thermal < bound {
-		constr = "thermal"
+		constr = flight.ConstraintThermal
 	}
 
-	// The frequency: cpu.FreqSpec.Effective's arbitration — the minimum of
-	// the raw request, the cap and the ceiling, quantised, which is the
-	// quantised request when neither came in under it.
+	// The frequency: the minimum of the raw request, the cap and the
+	// ceiling, quantised, which is the quantised request when neither came
+	// in under it.
 	f := k.request
 	if k.cap > 0 && k.cap < f {
 		f = k.cap
@@ -489,26 +496,25 @@ func (m *Machine) resolve(k freqKey) (units.Hertz, string) {
 		// drops to whatever frequency the excursion dictates.
 		eff = k.thermal
 	}
-	return eff, constr
+	return eff, constraint(constr)
 }
 
 // corePowerAt returns the instantaneous draw of core i at frequency f.
 func (m *Machine) corePowerAt(i int, f units.Hertz) units.Watts {
-	c := m.cores[i]
-	if c.Idle || f <= 0 {
+	c := &m.cores[i]
+	if c.idle || f <= 0 {
 		return m.idlePower(i)
 	}
 	activity := 1.0
-	if a := m.apps[i]; a != nil {
-		activity = a.CurrentActivity()
+	if c.app != nil {
+		activity = c.app.CurrentActivity()
 	}
-	mm := &m.memo[i]
-	if mm.powerF != f || mm.activity != activity {
+	if c.powerF != f || c.activity != activity {
 		m.misses.power++
-		mm.powerF, mm.activity = f, activity
-		mm.power = m.chip.Power.CorePower(f, activity)
+		c.powerF, c.activity = f, activity
+		c.power = m.chip.Power.CorePower(f, activity)
 	}
-	return mm.power
+	return c.power
 }
 
 // idlePower returns the residual draw of an idle core: the resident
@@ -534,24 +540,24 @@ func (m *Machine) CStateResidency(core int) []time.Duration {
 // core's activity is activeNow, returning the wake-latency debt to charge
 // against this tick's execution.
 func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duration {
-	id := &m.idles[i]
+	c, id := &m.cores[i], &m.idles[i]
 	table := m.chip.CStates
 	switch {
-	case activeNow && !id.wasActive:
+	case activeNow && !c.wasActive:
 		// Wake: pay the resident state's exit latency and update the
 		// idle-length prediction (EWMA, menu-governor style).
 		if id.state >= 0 && id.state < len(table) {
-			id.wakePending = table[id.state].ExitLatency
+			c.wakePending = table[id.state].ExitLatency
 		}
 		idleLen := m.clock - id.idleSince
 		id.predict = (id.predict*7 + idleLen*3) / 10
 		m.flight.Record(flight.Event{
 			Kind: flight.KindCStateWake, Source: flight.SourceSim, Core: int16(i),
-			Arg: uint32(id.state + 1), Value: uint64(id.wakePending),
+			Arg: uint32(id.state + 1), Value: uint64(c.wakePending),
 		})
 		id.state = -1
 		m.mCStateTrans.With("wake").Inc()
-	case !activeNow && id.wasActive:
+	case !activeNow && c.wasActive:
 		// Sleep: menu selection on the predicted idle length.
 		id.state = cpu.SelectCState(table, id.predict)
 		id.idleSince = m.clock
@@ -570,12 +576,9 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 		}
 		id.residency[id.state] += dt
 	}
-	id.wasActive = activeNow
-	debt := id.wakePending
-	if debt > dt {
-		debt = dt
-	}
-	id.wakePending -= debt
+	c.wasActive = activeNow
+	debt := min(c.wakePending, dt)
+	c.wakePending -= debt
 	return debt
 }
 
@@ -585,79 +588,88 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 func (m *Machine) Step() {
 	dt := m.dt
 	sec := dt.Seconds()
-	nomCycles := float64(m.chip.Freq.Nom) * sec
-	cap := m.limiter.Cap()
+	nomCycles := m.chip.Freq.Nom.Cycles(dt)
+	cap, thermal := m.limiter.Cap(), m.thermalCap
 	uncore := m.chip.Power.UncorePower
 	act := m.fillActiveSock()
 	cps := m.cps
+	full := 0
 	m.mTicks.Inc()
 	var pkg units.Watts
 	for sock, active := range act {
 		var sockPower units.Watts
-		for i := sock * cps; i < (sock+1)*cps; i++ {
-			c, a, mm, id := m.cores[i], m.apps[i], &m.memo[i], &m.idles[i]
+		cores := m.cores[sock*cps : (sock+1)*cps]
+		for j := range cores {
+			c := &cores[j]
 			// A steady core would derive exactly what its memo holds, with
-			// nothing for stepIdle to do: pinned, awake and online, the
-			// frequency key and the recorded constraint
-			// unchanged, active last tick with no wake debt, and the power
-			// memo taken at the memo's frequency and the phase's activity.
-			// This is the memo's own compare, made before the calls
-			// instead of inside them; what it skips, only the adds remain.
-			if a != nil && !c.Idle && !m.offline[i] &&
-				mm.key.request == c.Request && mm.key.cap == cap && mm.key.thermal == m.thermalCap &&
-				mm.key.active == active && mm.key.avx == a.Profile.AVX &&
-				(m.lastConstraint == nil || m.lastConstraint[i] == mm.constr) &&
-				id.wasActive && id.wakePending == 0 &&
-				mm.powerF == mm.eff && mm.activity == a.CurrentActivity() {
-				m.steady++
-				m.lastEff[i] = mm.eff
-				m.freqSum[i] += float64(mm.eff)
-				sockPower += mm.power
-				e := units.Joules(float64(mm.power) * sec)
-				c.Account(mm.eff, nomCycles, dt, sec, a.AdvanceSec(mm.eff, dt, sec), e)
-				m.energyCore[i] += e
+			// nothing for stepIdle to do: pinned, awake and online, active
+			// last tick with no wake debt, the frequency key and the
+			// recorded constraint unchanged, and the power memo taken at
+			// the memo's frequency and the phase's activity. This is the
+			// memo's own compare, made before the calls instead of inside
+			// them; what it skips, only the adds remain.
+			if a := c.app; a != nil && !c.idle && !c.offline && c.wasActive && c.wakePending == 0 &&
+				c.key.request == c.request && c.key.cap == cap && c.key.thermal == thermal &&
+				c.key.active == int32(active) && c.key.avx == a.Profile.AVX &&
+				c.lastConstr == c.constr &&
+				c.powerF == c.eff && c.activity == a.CurrentActivity() {
+				c.lastEff = c.eff
+				c.freqSum += float64(c.eff)
+				sockPower += c.power
+				e := units.Joules(float64(c.power) * sec)
+				c.Account(c.eff, nomCycles, dt, sec, a.AdvanceSec(c.eff, dt, sec), e)
 				continue
 			}
-			eff, constr := m.frequency(i, active, cap)
-			if m.lastConstraint != nil && constr != m.lastConstraint[i] {
-				m.lastConstraint[i] = constr
-				if constr != "idle" {
-					m.mFreqConstr.With(constr).Inc()
-					m.flight.Record(flight.Event{
-						Kind: flight.KindConstraint, Source: flight.SourceSim,
-						Core: int16(i), Arg: flight.ConstraintCode(constr),
-					})
-				}
-			}
-			debt := m.stepIdle(i, eff > 0, dt)
-			if debt > 0 && eff > 0 {
-				// The wake exit latency eats into this tick's execution:
-				// model it as a proportionally slower tick (zero if the
-				// whole tick is consumed by the exit).
-				eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
-			}
-			m.lastEff[i] = eff
-			m.freqSum[i] += float64(eff)
-			p := m.corePowerAt(i, eff)
-			sockPower += p
-			e := units.Joules(float64(p) * sec)
-			var instr float64
-			if a != nil && !c.Idle {
-				instr = a.AdvanceSec(eff, dt, sec)
-			}
-			c.Account(eff, nomCycles, dt, sec, instr, e)
-			m.energyCore[i] += e
+			full++
+			sockPower += m.tickFull(c, sock*cps+j, active, cap, sec, nomCycles)
 		}
 		// Close out the socket's energy domain.
 		sockPower += uncore
 		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
 		pkg += sockPower
 	}
+	m.steady += len(m.cores) - full
 	m.limiter.Observe(pkg, dt)
 	m.clock += dt
 	if m.clock >= m.cal.Next() {
 		m.cal.Fire(m.clock)
 	}
+}
+
+// tickFull is core i's tick off the steady path, where every rate is
+// derived: it resolves the frequency through the memo, records a change of
+// binding constraint, steps the C-state machinery, charges the counters
+// and returns the core's power for the tick.
+func (m *Machine) tickFull(c *core, i, active int, cap units.Hertz, sec, nomCycles float64) units.Watts {
+	dt := m.dt
+	eff, constr := m.frequency(c, active, cap)
+	if constr != c.lastConstr {
+		c.lastConstr = constr
+		if constr != constraint(flight.ConstraintIdle) {
+			m.mFreqConstr.With(flight.ConstraintFromCode(uint32(constr))).Inc()
+			m.flight.Record(flight.Event{
+				Kind: flight.KindConstraint, Source: flight.SourceSim,
+				Core: int16(i), Arg: uint32(constr),
+			})
+		}
+	}
+	debt := m.stepIdle(i, eff > 0, dt)
+	if debt > 0 && eff > 0 {
+		// The wake exit latency eats into this tick's execution: model it
+		// as a proportionally slower tick (zero if the whole tick is
+		// consumed by the exit).
+		eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
+	}
+	c.lastEff = eff
+	c.freqSum += float64(eff)
+	p := m.corePowerAt(i, eff)
+	e := units.Joules(float64(p) * sec)
+	var instr float64
+	if c.app != nil && !c.idle {
+		instr = c.app.AdvanceSec(eff, dt, sec)
+	}
+	c.Account(eff, nomCycles, dt, sec, instr, e)
+	return p
 }
 
 // Run advances the machine for a duration of virtual time.
@@ -687,21 +699,21 @@ func (m *Machine) readCounters(reg uint32, first int, vals []uint64) (int, error
 	cores, out := m.cores[first:first+n], vals[:n]
 	switch reg {
 	case msr.IA32Aperf:
-		for i, c := range cores {
-			out[i] = uint64(c.Counters().APERF)
+		for i := range cores {
+			out[i] = uint64(cores[i].APERF)
 		}
 	case msr.IA32Mperf:
-		for i, c := range cores {
-			out[i] = uint64(c.Counters().MPERF)
+		for i := range cores {
+			out[i] = uint64(cores[i].MPERF)
 		}
 	case msr.IA32FixedCtr0:
-		for i, c := range cores {
-			out[i] = uint64(c.Counters().Instr)
+		for i := range cores {
+			out[i] = uint64(cores[i].Instr)
 		}
 	case msr.PP0EnergyStatus:
 		if m.chip.PerCorePower {
-			for i, e := range m.energyCore[first : first+n] {
-				out[i] = m.unit.ToCounts(e)
+			for i := range cores {
+				out[i] = m.unit.ToCounts(cores[i].Energy)
 			}
 			break
 		}
@@ -710,8 +722,8 @@ func (m *Machine) readCounters(reg uint32, first int, vals []uint64) (int, error
 		for i := range out {
 			base := (first + i) / m.cps * m.cps
 			var sum units.Joules
-			for _, e := range m.energyCore[base : base+m.cps] {
-				sum += e
+			for j := base; j < base+m.cps; j++ {
+				sum += m.cores[j].Energy
 			}
 			out[i] = m.unit.ToCounts(sum)
 		}
@@ -740,7 +752,7 @@ func (m *Machine) wireMSRs() {
 		if err := m.checkCPU(cpu); err != nil {
 			return 0, err
 		}
-		return msr.EncodePerfCtl(m.cores[cpu].Request, m.chip.Freq.Step), nil
+		return msr.EncodePerfCtl(m.cores[cpu].request, m.chip.Freq.Step), nil
 	})
 	d.OnWrite(msr.IA32PerfCtl, func(cpu int, val uint64) error {
 		if err := m.checkCPU(cpu); err != nil {
@@ -752,7 +764,7 @@ func (m *Machine) wireMSRs() {
 		if err := m.checkCPU(cpu); err != nil {
 			return 0, err
 		}
-		return msr.EncodePerfCtl(m.lastEff[cpu], m.chip.Freq.Step), nil
+		return msr.EncodePerfCtl(m.cores[cpu].lastEff, m.chip.Freq.Step), nil
 	})
 	d.OnRead(msr.RAPLPowerUnit, func(cpu int) (uint64, error) {
 		if err := m.checkCPU(cpu); err != nil {

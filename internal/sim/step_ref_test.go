@@ -24,15 +24,15 @@ import (
 // fails TestStepMatchesReference.
 
 func (m *Machine) effectiveRef(i int, active int) units.Hertz {
-	c := m.cores[i]
-	if c.Idle || m.offline[i] {
+	c := &m.cores[i]
+	if c.idle || c.offline {
 		return 0
 	}
 	avx := false
-	if a := m.apps[i]; a != nil {
+	if a := c.app; a != nil {
 		avx = a.Profile.AVX
 	}
-	f := min(c.Request, m.chip.Freq.Ceiling(active, avx))
+	f := min(c.request, m.chip.Freq.Ceiling(active, avx))
 	if clamp := m.limiter.Cap(); clamp > 0 {
 		f = min(f, clamp)
 	}
@@ -44,40 +44,40 @@ func (m *Machine) effectiveRef(i int, active int) units.Hertz {
 }
 
 func (m *Machine) corePowerAtRef(i int, f units.Hertz) units.Watts {
-	c := m.cores[i]
-	if c.Idle || f <= 0 {
+	c := &m.cores[i]
+	if c.idle || f <= 0 {
 		return m.idlePower(i)
 	}
 	activity := 1.0
-	if a := m.apps[i]; a != nil {
+	if a := c.app; a != nil {
 		activity = a.CurrentActivity()
 	}
 	return m.chip.Power.CorePower(f, activity)
 }
 
-func (m *Machine) constraintForRef(i, active int) string {
-	c := m.cores[i]
-	if c.Idle || m.offline[i] {
-		return "idle"
+func (m *Machine) constraintForRef(i, active int) uint32 {
+	c := &m.cores[i]
+	if c.idle || c.offline {
+		return flight.ConstraintIdle
 	}
-	a := m.apps[i]
+	a := c.app
 	avx := a != nil && a.Profile.AVX
-	f := m.chip.Freq.Quantize(c.Request)
-	constraint := "request"
+	f := m.chip.Freq.Quantize(c.request)
+	constraint := flight.ConstraintRequest
 	if cap := m.limiter.Cap(); cap > 0 && cap < f {
 		f = cap
-		constraint = "rapl-cap"
+		constraint = flight.ConstraintRAPLCap
 	}
 	if ceil := m.chip.Freq.Ceiling(active, avx); ceil < f {
 		f = ceil
 		if avx && ceil < m.chip.Freq.Ceiling(active, false) {
-			constraint = "avx-licence"
+			constraint = flight.ConstraintAVXLicence
 		} else {
-			constraint = "turbo"
+			constraint = flight.ConstraintTurbo
 		}
 	}
 	if m.thermalCap > 0 && m.thermalCap < f {
-		constraint = "thermal"
+		constraint = flight.ConstraintThermal
 	}
 	return constraint
 }
@@ -87,8 +87,8 @@ func (m *Machine) fillActiveSockRef() []int {
 		m.activeSock[s] = 0
 	}
 	cps := m.chip.CoresPerSocket()
-	for i, c := range m.cores {
-		if !c.Idle && !m.offline[i] {
+	for i := range m.cores {
+		if c := &m.cores[i]; !c.idle && !c.offline {
 			m.activeSock[i/cps]++
 		}
 	}
@@ -113,7 +113,8 @@ func (m *Machine) stepRef() {
 	var pkg units.Watts
 	var sockPower units.Watts
 	sock := 0
-	for i, c := range m.cores {
+	for i := range m.cores {
+		c := &m.cores[i]
 		if i/cps != sock {
 			sockPower += m.chip.Power.UncorePower
 			m.energySocket[sock] += sockPower.Energy(dt)
@@ -123,33 +124,30 @@ func (m *Machine) stepRef() {
 		}
 		active := act[sock]
 		eff := m.effectiveRef(i, active)
-		if m.lastConstraint != nil {
-			if constr := m.constraintForRef(i, active); constr != m.lastConstraint[i] {
-				m.lastConstraint[i] = constr
-				if constr != "idle" {
-					m.mFreqConstr.With(constr).Inc()
-					m.flight.Record(flight.Event{
-						Kind: flight.KindConstraint, Source: flight.SourceSim,
-						Core: int16(i), Arg: flight.ConstraintCode(constr),
-					})
-				}
+		if constr := m.constraintForRef(i, active); constr != uint32(c.lastConstr) {
+			c.lastConstr = constraint(constr)
+			if constr != flight.ConstraintIdle {
+				m.mFreqConstr.With(flight.ConstraintFromCode(constr)).Inc()
+				m.flight.Record(flight.Event{
+					Kind: flight.KindConstraint, Source: flight.SourceSim,
+					Core: int16(i), Arg: constr,
+				})
 			}
 		}
 		debt := m.stepIdle(i, eff > 0, dt)
 		if debt > 0 && eff > 0 {
 			eff = units.Hertz(float64(eff) * (1 - float64(debt)/float64(dt)))
 		}
-		m.lastEff[i] = eff
-		m.freqSum[i] += float64(eff)
+		c.lastEff = eff
+		c.freqSum += float64(eff)
 		p := m.corePowerAtRef(i, eff)
 		sockPower += p
 		e := p.Energy(dt)
 		var instr float64
-		if a := m.apps[i]; a != nil && !c.Idle {
+		if a := c.app; a != nil && !c.idle {
 			instr = a.Advance(eff, dt)
 		}
 		c.Account(eff, m.chip.Freq.Nom.Cycles(dt), dt, dt.Seconds(), instr, e)
-		m.energyCore[i] += e
 	}
 	sockPower += m.chip.Power.UncorePower
 	m.energySocket[sock] += sockPower.Energy(dt)
@@ -422,5 +420,107 @@ func TestStepMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// FuzzStepMatchesReference runs a script of control calls against the
+// memoised machine and the reference one and holds them to the same
+// observable state every tick. The first byte picks the chip, the second
+// whether it is observed (registry and flight recorder) and the tick (1 ms
+// or 100 µs, shorter than a deep C-state's exit latency); the rest is read
+// four bytes a call: ticks to run before it, the call, the core, and its
+// argument.
+func FuzzStepMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 0, 3, 40, 200, 4, 2, 120, 3, 5, 1, 0, 250, 1, 2, 0})
+	f.Add([]byte{1, 3, 2, 2, 1, 0, 30, 2, 1, 1, 100, 2, 1, 0, 180, 0, 5, 90})
+	f.Add([]byte{2, 1, 1, 4, 0, 200, 20, 6, 9, 0, 60, 5, 9, 3, 0, 3, 0, 0, 90, 1, 9, 1})
+	f.Add([]byte{0, 0, 9, 3, 0, 255, 40, 3, 0, 0, 40, 4, 0, 60, 30, 4, 0, 0})
+	f.Add([]byte{0, 1, 48, 4, 0, 48}) // a limit the cap walks down to
+	chips := []platform.Chip{
+		platform.Skylake(), platform.Ryzen(),
+		platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 12), 2),
+	}
+	const maxTicks = 3000
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		chip := chips[int(data[0])%len(chips)]
+		tick := time.Millisecond
+		if data[1]&2 != 0 {
+			tick = 100 * time.Microsecond
+		}
+		observed := data[1]&1 != 0
+		got, want := newRefRig(t, chip, observed, tick), newRefRig(t, chip, observed, tick)
+		profiles := refProfiles()
+		// Three quarters full, so that cores start on the steady path.
+		for c := 0; c < chip.NumCores*3/4; c++ {
+			p := profiles[c%len(profiles)]
+			if err := got.m.Pin(workload.NewInstance(p), c); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.m.Pin(workload.NewInstance(p), c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ticks := 0
+		run := func(n int) {
+			for ; n > 0 && ticks < maxTicks; n-- {
+				got.m.Step()
+				want.m.stepRef()
+				ticks++
+				if d := got.diff(want, false); d != "" {
+					t.Fatalf("tick %d: %s", ticks, d)
+				}
+			}
+		}
+		script := data[2:]
+		for ; len(script) >= 4 && ticks < maxTicks; script = script[4:] {
+			run(int(script[0]))
+			call, core, arg := script[1], int(script[2])%chip.NumCores, script[3]
+			for _, m := range []*Machine{got.m, want.m} {
+				scriptCall(m, call, core, arg, profiles)
+			}
+		}
+		// Long enough for a limiter walk and a wake's debt to play out.
+		run(200)
+		if d := got.diff(want, true); d != "" {
+			t.Fatalf("end: %s", d)
+		}
+	})
+}
+
+// scriptCall applies one scripted control call to m; arg scales a
+// frequency or a power limit over the chip's range (zero lifts a cap or a
+// limit), picks a profile, or says on or off.
+func scriptCall(m *Machine, call byte, core int, arg byte, profiles []workload.Profile) {
+	chip := m.chip
+	frac := float64(arg) / 255
+	// Off the P-state grid and outside [Min, Max], as the churn's are.
+	freq := chip.Freq.Min/2 + units.Hertz(frac)*(chip.Freq.Max()+200*units.MHz-chip.Freq.Min/2)
+	switch call % 7 {
+	case 0:
+		_ = m.SetRequest(core, freq)
+	case 1:
+		_ = m.SetIdle(core, arg&1 == 0)
+	case 2:
+		_ = m.SetOffline(core, arg&1 != 0)
+	case 3:
+		if arg == 0 {
+			freq = 0
+		}
+		m.SetThermalCap(freq)
+	case 4:
+		limit := units.Watts(0)
+		if arg != 0 {
+			limit = chip.RAPLMin + units.Watts(frac)*(chip.RAPLMax-chip.RAPLMin)
+		}
+		m.SetPowerLimit(limit)
+	case 5:
+		if m.App(core) == nil {
+			_ = m.Pin(workload.NewInstance(profiles[int(arg)%len(profiles)]), core)
+		}
+	case 6:
+		m.Unpin(core)
 	}
 }

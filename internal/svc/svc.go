@@ -283,9 +283,11 @@ func (s *Service) tick(dt time.Duration) {
 	s.now += dt
 	s.admit()
 	// Each serving core drains cycles from its request, picking up new
-	// work from the shared queue as requests complete.
+	// work from the shared queue as requests complete. The tick is
+	// converted to seconds once: Hertz.Cycles is the same product.
+	sec := dt.Seconds()
 	for slot, c := range s.cfg.Cores {
-		budget := s.m.EffectiveFreq(c).Cycles(dt)
+		budget := float64(s.m.EffectiveFreq(c)) * sec
 		for budget > 0 {
 			req := s.inService[slot]
 			if req == nil {

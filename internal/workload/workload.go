@@ -183,14 +183,20 @@ func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) flo
 	p := &in.Profile
 	in.active += dt
 	// A tick that ends no phase and no run, the common one, is one
-	// segment: execute's single pass without its loop. One that reaches
-	// either boundary goes through execute before anything is added.
-	ips := in.memoIPS(f)
-	step := ips * sec
-	if sec > 1e-15 && ips > 0 && step < p.TotalInstructions-in.done &&
-		(len(p.Phases) == 0 || step < p.Phases[in.phaseIdx].Instructions-in.phaseDone) {
-		in.retire(step)
-		return step
+	// segment: execute's single pass without its loop, at the IPS memo's
+	// value, its key checked here. A tick that reaches either boundary, or
+	// finds the key moved, goes through execute before anything is added.
+	untilRun := p.TotalInstructions - in.done
+	cpi, untilPhase := p.BaseCPI, untilRun
+	if len(p.Phases) > 0 {
+		ph := &p.Phases[in.phaseIdx]
+		cpi, untilPhase = cpi*ph.CPIMult, ph.Instructions-in.phaseDone
+	}
+	if f == in.ipsF && cpi == in.ipsCPI && p.MemStall == in.ipsStall && sec > 1e-15 && in.ips > 0 {
+		if step := in.ips * sec; step < untilRun && step < untilPhase {
+			in.retire(step)
+			return step
+		}
 	}
 	return in.execute(f, sec)
 }
