@@ -7,14 +7,32 @@
 // frequency-share daemon) shifts the stranded watts to the node whose
 // limit binds — the hierarchy the paper's related work describes, with the
 // paper's daemon as the node-level primitive.
+//
+// Each node meets the coordinator the way a powerd deployment does: its
+// daemon is fronted by a powerapi agent that holds the coordinator's lease,
+// and the agents and the coordinator read one virtual clock, which the room
+// advances in lockstep with the machines.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
-	padpd "repro"
+	"repro/internal/clock"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/node"
+	"repro/internal/platform"
+	"repro/internal/powerapi"
+	"repro/internal/units"
+	"repro/internal/workload"
+)
+
+const (
+	budget   = units.Watts(80)
+	interval = 5 * time.Second // the coordinator's default
 )
 
 func main() {
@@ -26,34 +44,23 @@ func main() {
 		staticIPS/1e9, dynIPS/1e9, (dynIPS/staticIPS-1)*100)
 }
 
-func node(name string, apps []string) *padpd.ClusterNode {
-	chip := padpd.Skylake()
-	m, err := padpd.NewMachine(chip)
-	if err != nil {
-		log.Fatal(err)
-	}
-	specs := make([]padpd.AppSpec, len(apps))
+// machine builds a Skylake node running apps, one per core, under a
+// frequency-share daemon with equal shares.
+func machine(apps ...string) *node.Node {
+	chip := platform.Skylake()
+	specs := make([]core.AppSpec, len(apps))
 	for i, a := range apps {
-		p := padpd.MustProfile(a)
-		if err := m.Pin(padpd.NewInstance(p), i); err != nil {
-			log.Fatal(err)
-		}
-		specs[i] = padpd.AppSpec{Name: a, Core: i, Shares: 50, AVX: p.AVX}
+		specs[i] = core.AppSpec{Name: a, Core: i, Shares: 50, AVX: workload.MustByName(a).AVX}
 	}
-	pol, err := padpd.NewFrequencyShares(chip, specs, padpd.ShareConfig{})
+	pol, err := core.NewFrequencyShares(chip, specs, core.ShareConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := padpd.NewDaemon(padpd.DaemonConfig{
-		Chip: chip, Policy: pol, Apps: specs, Limit: chip.RAPLMax,
-	}, m.Device(), padpd.MachineActuator{M: m})
+	n, err := node.New(node.Spec{Chip: chip, Apps: specs, Policy: pol, Limit: chip.RAPLMax})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := d.AttachVirtual(m); err != nil {
-		log.Fatal(err)
-	}
-	return &padpd.ClusterNode{Name: name, M: m, Daemon: d}
+	return n
 }
 
 func run(dynamic bool) float64 {
@@ -61,28 +68,23 @@ func run(dynamic bool) float64 {
 	for i := range batchApps {
 		batchApps[i] = "cactusBSSN"
 	}
-	nodes := []*padpd.ClusterNode{
-		node("batch", batchApps),
-		node("frontend", []string{"leela", "leela"}),
-	}
-	coord, err := padpd.NewCluster(nodes, padpd.ClusterConfig{Budget: 80})
-	if err != nil {
-		log.Fatal(err)
-	}
+	nodes := []*node.Node{machine(batchApps...), machine("leela", "leela")}
 	label := "static 40/40"
 	if dynamic {
-		if err := coord.Run(120 * time.Second); err != nil {
-			log.Fatal(err)
-		}
+		coordinate([]string{"batch", "frontend"}, nodes, 120*time.Second)
 		label = "coordinated"
 	} else {
 		for _, n := range nodes {
-			n.M.Run(120 * time.Second)
+			if err := n.Daemon.SetLimit(budget / 2); err != nil {
+				log.Fatal(err)
+			}
+			if err := n.Run(120 * time.Second); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
-	limits := coord.Limits()
 	fmt.Printf("%-12s  batch limit %-8s (pkg %-8s)  frontend limit %-8s (pkg %s)\n",
-		label, limits[0], nodes[0].M.PackagePower(), limits[1], nodes[1].M.PackagePower())
+		label, nodes[0].Daemon.Limit(), nodes[0].M.PackagePower(), nodes[1].Daemon.Limit(), nodes[1].M.PackagePower())
 
 	// Throughput of the batch node over a final window.
 	var i0 float64
@@ -97,4 +99,37 @@ func run(dynamic bool) float64 {
 		i1 += nodes[0].M.Counters(c).Instr
 	}
 	return (i1 - i0) / 10
+}
+
+// coordinate runs the nodes under one room coordinator for d: every
+// interval each machine runs, the clock advances, and the coordinator
+// reallocates the budget over its agents.
+func coordinate(names []string, nodes []*node.Node, d time.Duration) {
+	vc := clock.NewVirtual(time.Time{})
+	ts := make([]cluster.Transport, len(nodes))
+	for i, n := range nodes {
+		a, err := powerapi.NewAgent(powerapi.AgentConfig{Name: names[i], Daemon: n.Daemon, Clock: vc})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer a.Close()
+		ts[i] = cluster.NewAgentTransport(a, "room")
+	}
+	// No retries: a backoff on the virtual clock would wait for an advance
+	// that comes only after the round.
+	coord, err := cluster.NewOverTransports(ts, cluster.Config{Budget: budget, Interval: interval, Retries: -1, Clock: vc})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for elapsed := time.Duration(0); elapsed < d; elapsed += interval {
+		for _, n := range nodes {
+			if err := n.Run(interval); err != nil {
+				log.Fatal(err)
+			}
+		}
+		vc.Advance(interval)
+		if err := coord.Step(context.Background()); err != nil {
+			log.Fatal(err)
+		}
+	}
 }

@@ -6,17 +6,27 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/platform"
+	"repro/internal/powerapi"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
+// simNode is a simulated node as a deployment puts it under a coordinator:
+// node.New's machine and daemon, the daemon fronted by a powerapi agent
+// that holds the coordinator's lease.
+type simNode struct {
+	*node.Node
+	t *AgentTransport
+}
+
 // newNode builds a Skylake node running the named profiles under a
-// frequency-share daemon with equal shares.
-func newNode(t *testing.T, name string, apps []string) *Node {
+// frequency-share daemon with equal shares, its agent on clock vc.
+func newNode(t *testing.T, vc *clock.Virtual, name string, apps []string) simNode {
 	t.Helper()
 	chip := platform.Skylake()
 	specs := make([]core.AppSpec, len(apps))
@@ -31,39 +41,82 @@ func newNode(t *testing.T, name string, apps []string) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Node{Name: name, M: n.M, Daemon: n.Daemon}
+	a, err := powerapi.NewAgent(powerapi.AgentConfig{Name: name, Daemon: n.Daemon, Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	return simNode{n, NewAgentTransport(a, "room")}
 }
 
-func hungry(t *testing.T, name string) *Node {
+func hungry(t *testing.T, vc *clock.Virtual, name string) simNode {
 	apps := make([]string, 10)
 	for i := range apps {
 		apps[i] = "cactusBSSN"
 	}
-	return newNode(t, name, apps)
+	return newNode(t, vc, name, apps)
 }
 
-func light(t *testing.T, name string) *Node {
-	return newNode(t, name, []string{"leela", "leela"})
+func light(t *testing.T, vc *clock.Virtual, name string) simNode {
+	return newNode(t, vc, name, []string{"leela", "leela"})
+}
+
+// newRoom builds a coordinator over the nodes on their clock vc. It does
+// not retry: a backoff on the virtual clock would wait for an advance that
+// comes only after the round.
+func newRoom(t *testing.T, vc *clock.Virtual, cfg Config, nodes ...simNode) *Coordinator {
+	t.Helper()
+	ts := make([]Transport, len(nodes))
+	for i, n := range nodes {
+		ts[i] = n.t
+	}
+	cfg.Clock, cfg.Retries = vc, -1
+	c, err := NewOverTransports(ts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// lockstep advances the machines and the coordinator's virtual clock
+// together for d, one coordinator interval at a time, and steps the
+// coordinator after each: every node bids the power its daemon measured
+// over the interval, and the coordinator water-fills the budget over the
+// bids above the per-node floors.
+func lockstep(t *testing.T, c *Coordinator, nodes []simNode, d time.Duration) {
+	t.Helper()
+	vc := c.cfg.Clock.(*clock.Virtual)
+	for elapsed := time.Duration(0); elapsed < d; elapsed += c.cfg.Interval {
+		step := min(c.cfg.Interval, d-elapsed)
+		for _, n := range nodes {
+			if err := n.Run(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vc.Advance(step)
+		if err := c.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{Budget: 80}); err == nil {
+	if _, err := NewOverTransports(nil, Config{Budget: 80}); err == nil {
 		t.Error("no nodes accepted")
 	}
-	if _, err := New([]*Node{nil}, Config{Budget: 80}); err == nil {
-		t.Error("nil node accepted")
+	if _, err := NewOverTransports([]Transport{nil}, Config{Budget: 80}); err == nil {
+		t.Error("nil transport accepted")
 	}
-	if _, err := New([]*Node{hungry(t, "a")}, Config{}); err == nil {
+	vc := clock.NewVirtual(time.Time{})
+	if _, err := NewOverTransports([]Transport{hungry(t, vc, "a").t}, Config{Clock: vc}); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
 
 func TestInitialEqualSplit(t *testing.T) {
-	nodes := []*Node{hungry(t, "a"), light(t, "b")}
-	c, err := New(nodes, Config{Budget: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "a"), light(t, vc, "b")}
+	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
 	for i, l := range c.Limits() {
 		if l != 40 {
 			t.Errorf("node %d initial limit = %v, want 40", i, l)
@@ -78,27 +131,26 @@ func TestInitialEqualSplit(t *testing.T) {
 // coordinator shifts budget to the hungry node, and its throughput beats a
 // static equal split.
 func TestBudgetFlowsToConstrainedNode(t *testing.T) {
-	run := func(dynamic bool) (hungryIPS float64, limits []units.Watts, total units.Watts) {
-		nodes := []*Node{hungry(t, "hungry"), light(t, "light")}
-		cfg := Config{Budget: 80}
-		c, err := New(nodes, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// run returns the hungry node's instruction rate over a final window,
+	// and the coordinator when there is one.
+	run := func(dynamic bool) (hungryIPS float64, c *Coordinator) {
+		vc := clock.NewVirtual(time.Time{})
+		nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
 		if dynamic {
-			if err := c.Run(120 * time.Second); err != nil {
-				t.Fatal(err)
-			}
+			c = newRoom(t, vc, Config{Budget: 80}, nodes...)
+			lockstep(t, c, nodes, 120*time.Second)
 		} else {
-			// Static split: just run the nodes without reallocation.
+			// Static split: each daemon holds half the budget, and
+			// nothing reallocates it.
 			for _, n := range nodes {
-				n.M.Run(120 * time.Second)
-				if err := n.Daemon.Err(); err != nil {
+				if err := n.Daemon.SetLimit(40); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Run(120 * time.Second); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		// Measure the hungry node's instruction rate over a final window.
 		i0 := 0.0
 		for core := 0; core < 10; core++ {
 			i0 += nodes[0].M.Counters(core).Instr
@@ -110,11 +162,12 @@ func TestBudgetFlowsToConstrainedNode(t *testing.T) {
 		for core := 0; core < 10; core++ {
 			i1 += nodes[0].M.Counters(core).Instr
 		}
-		return (i1 - i0) / 10, c.Limits(), c.TotalPower()
+		return (i1 - i0) / 10, c
 	}
 
-	staticIPS, _, _ := run(false)
-	dynIPS, limits, total := run(true)
+	staticIPS, _ := run(false)
+	dynIPS, c := run(true)
+	limits, total := c.Limits(), c.TotalPower()
 
 	if limits[0] <= 41 {
 		t.Errorf("hungry node limit = %v, expected growth above the equal split", limits[0])
@@ -142,14 +195,10 @@ func TestBudgetFlowsToConstrainedNode(t *testing.T) {
 // Two equally hungry nodes split the budget evenly — no oscillating
 // favouritism.
 func TestSymmetricNodesStayBalanced(t *testing.T) {
-	nodes := []*Node{hungry(t, "a"), hungry(t, "b")}
-	c, err := New(nodes, Config{Budget: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b")}
+	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
+	lockstep(t, c, nodes, 60*time.Second)
 	limits := c.Limits()
 	diff := float64(limits[0] - limits[1])
 	if diff < 0 {
@@ -163,14 +212,10 @@ func TestSymmetricNodesStayBalanced(t *testing.T) {
 // The light node's own workload must not be harmed by donating budget: its
 // applications were nowhere near the old limit.
 func TestDonorUnharmed(t *testing.T) {
-	nodes := []*Node{hungry(t, "hungry"), light(t, "light")}
-	c, err := New(nodes, Config{Budget: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
+	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
+	lockstep(t, c, nodes, 60*time.Second)
 	// leela on 2 cores of an otherwise idle Skylake draws ~25 W at full
 	// speed, under the light node's floor-protected limit: its cores must
 	// still run at their ceiling.
@@ -186,18 +231,14 @@ func TestDonorUnharmed(t *testing.T) {
 
 func TestCoordinatorMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	nodes := []*Node{hungry(t, "n0"), light(t, "n1")}
-	c, err := New(nodes, Config{
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "n0"), light(t, vc, "n1")}
+	c := newRoom(t, vc, Config{
 		Budget:   100,
 		Interval: 2 * time.Second,
 		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	}, nodes...)
+	lockstep(t, c, nodes, 20*time.Second)
 	if c.Reallocations() == 0 {
 		t.Fatal("no reallocations happened; cannot exercise the counters")
 	}
@@ -227,26 +268,26 @@ func (n refusingNode) Grant(context.Context, Grant) error {
 	return fmt.Errorf("%s: SetLimit failed", n.Name())
 }
 
-// A coordinator built by New degrades like one built over the wire: when
-// the light node stops accepting caps, no round fails, the node is
-// quarantined once it has failed QuarantineAfter steps, and — its shrink
-// never acknowledged — the hungry node is not grown into budget the light
-// one may still be holding.
+// An in-process room degrades like one over the wire: when the light node
+// stops accepting caps, no round fails, the node is quarantined once it has
+// failed QuarantineAfter steps, and — its shrink never acknowledged — the
+// hungry node is not grown into budget the light one may still be holding.
+// The light node's lease is real: it holds its last accepted cap until the
+// lease's deadline, then exactly its fallback floor, and only then may the
+// hungry node grow into what it gave back.
 func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 	const budget = units.Watts(80)
-	nodes := []*Node{hungry(t, "hungry"), light(t, "light")}
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
 	reg := metrics.NewRegistry()
 	// A good report re-admits, so a node that reports but refuses grants
 	// never strings two failed steps together: quarantine it on the first.
-	c, err := New(nodes, Config{Budget: budget, QuarantineAfter: 1, Retries: -1, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newRoom(t, vc, Config{Budget: budget, QuarantineAfter: 1, Metrics: reg}, nodes...)
+	deadline := c.LeaseLedger()["light"].Until
 	c.ts[1] = refusingNode{c.ts[1]}
+	lapsed := false
 	for step := 1; step <= 6; step++ {
-		if err := c.Run(5 * time.Second); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+		lockstep(t, c, nodes, 5*time.Second)
 		if !c.Quarantined(1) || c.Quarantined(0) {
 			t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/true", step, c.Quarantined(0), c.Quarantined(1))
 		}
@@ -258,9 +299,22 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 		if planned > budget+budgetSlack || enforced > budget+budgetSlack {
 			t.Errorf("step %d: Σ limits planned %v, enforced %v, over the %v budget", step, planned, enforced, budget)
 		}
-		if got := nodes[1].Daemon.Limit(); got != budget/2 {
-			t.Errorf("step %d: refusing node enforces %v, want the %v it last accepted", step, got, budget/2)
+		if vc.Now().Before(deadline) {
+			if got := nodes[1].Daemon.Limit(); got != budget/2 {
+				t.Errorf("step %d: refusing node enforces %v before its lease's deadline, want the %v it last accepted", step, got, budget/2)
+			}
+			if got := nodes[0].Daemon.Limit(); got > budget-budget/2 {
+				t.Errorf("step %d: hungry node enforces %v while the refusing node's lease holds %v", step, got, budget/2)
+			}
+			continue
 		}
+		lapsed = true
+		if got, floor := nodes[1].Daemon.Limit(), c.floor(); got != floor {
+			t.Errorf("step %d: refusing node enforces %v after its lease's deadline, want its %v fallback", step, got, floor)
+		}
+	}
+	if !lapsed {
+		t.Errorf("the refusing node's lease, due %v, never lapsed", deadline.Sub(time.Time{}))
 	}
 	if v := reg.CounterVec("cluster_transport_failures_total", "", "node").With("light").Value(); v != 6 {
 		t.Errorf("transport failures = %v, want one per step", v)
@@ -270,14 +324,10 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 // Three nodes with mixed demand: budget concentrates on the two hungry
 // nodes while the idle one keeps only its floor-ish share.
 func TestThreeNodeMixedDemand(t *testing.T) {
-	nodes := []*Node{hungry(t, "a"), hungry(t, "b"), light(t, "c")}
-	c, err := New(nodes, Config{Budget: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(90 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	vc := clock.NewVirtual(time.Time{})
+	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b"), light(t, vc, "c")}
+	c := newRoom(t, vc, Config{Budget: 120}, nodes...)
+	lockstep(t, c, nodes, 90*time.Second)
 	limits := c.Limits()
 	if limits[0] <= 40 || limits[1] <= 40 {
 		t.Errorf("hungry nodes did not grow past the equal split: %v", limits)

@@ -181,8 +181,8 @@ func (t *Tier) Coordinator() *cluster.Coordinator {
 // Transport returns an in-process transport for the tier's agent — how
 // a parent in the same process adopts this tier as a child without a
 // loopback hop. coord names the parent in lease messages.
-func (t *Tier) Transport(coord string) *AgentTransport {
-	return NewAgentTransport(t.agent, coord)
+func (t *Tier) Transport(coord string) *cluster.AgentTransport {
+	return cluster.NewAgentTransport(t.agent, coord)
 }
 
 // Step runs one reallocation round over the tier's children.

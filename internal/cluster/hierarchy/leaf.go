@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/cluster"
@@ -102,8 +101,8 @@ func (l *Leaf) Limit() units.Watts {
 
 // Transport returns an in-process coordinator transport for the leaf,
 // naming coord as the granting coordinator in lease messages.
-func (l *Leaf) Transport(coord string) *AgentTransport {
-	return NewAgentTransport(l.agent, coord)
+func (l *Leaf) Transport(coord string) *cluster.AgentTransport {
+	return cluster.NewAgentTransport(l.agent, coord)
 }
 
 // Close stops the leaf's lease-expiry timer.
@@ -146,55 +145,3 @@ func (b *leafBackend) SetLimit(_ context.Context, limit units.Watts) error {
 	b.mu.Unlock()
 	return nil
 }
-
-// AgentTransport drives a powerapi agent in-process: the coordinator's
-// Transport without a network between. Reports come from the agent's
-// own status (so lease state, tier rollups, and energy summaries ride
-// along exactly as they would over HTTP); grants run the agent's full
-// lease state machine with monotonic IDs. It is how a SimTree wires
-// leaves to rows without paying a loopback round-trip per leaf.
-// It owns one status frame, refilled by every Report: the Status a Report
-// returns is borrowed until the next, and a quiet report allocates nothing.
-type AgentTransport struct {
-	a       *powerapi.Agent
-	coord   string
-	leaseID atomic.Uint64
-	st      powerapi.NodeStatus
-	lease   powerapi.LeaseInfo
-}
-
-// NewAgentTransport wraps an agent; coord names the granting
-// coordinator in lease messages (it may be empty).
-func NewAgentTransport(a *powerapi.Agent, coord string) *AgentTransport {
-	return &AgentTransport{a: a, coord: coord}
-}
-
-func (t *AgentTransport) Name() string { return t.a.Name() }
-
-// Local is true: Report is a snapshot of the agent's status, state held
-// in this process.
-func (t *AgentTransport) Local() bool { return true }
-
-func (t *AgentTransport) Report(ctx context.Context) (cluster.Report, error) {
-	st := &t.st
-	t.a.StatusInto(st, &t.lease)
-	return cluster.Report{
-		Power:  units.Watts(st.PowerWatts),
-		Limit:  units.Watts(st.LimitWatts),
-		Max:    units.Watts(st.MaxWatts),
-		Status: st,
-	}, nil
-}
-
-func (t *AgentTransport) Grant(ctx context.Context, g cluster.Grant) error {
-	_, err := t.a.GrantCtx(ctx, &powerapi.LeaseGrant{
-		ID:            t.leaseID.Add(1),
-		Coordinator:   t.coord,
-		LimitWatts:    float64(g.Limit),
-		TTLMS:         g.TTLMillis(),
-		FallbackWatts: float64(g.Fallback),
-	})
-	return err
-}
-
-var _ cluster.Transport = (*AgentTransport)(nil)

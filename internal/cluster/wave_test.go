@@ -176,8 +176,8 @@ func TestWaveDeadline(t *testing.T) {
 
 // TestLocalAnswers pins which transports of this package claim Local.
 func TestLocalAnswers(t *testing.T) {
-	if !(localTransport{}).Local() {
-		t.Error("localTransport must be Local: it reads the in-process machine")
+	if !(&AgentTransport{}).Local() {
+		t.Error("AgentTransport must be Local: it reads the in-process agent's status")
 	}
 	if NewHTTPNode("n", "127.0.0.1:1", "").Local() {
 		t.Error("HTTPNode must not be Local: every report is a round trip")

@@ -19,8 +19,7 @@
 //     discussion points (stability, useful frequency, game-ability,
 //     consolidation) and ablations;
 //   - the surrounding mechanism stack: single-core time sharing with
-//     throttle compensation, trace record/replay, and a Dynamo-style
-//     cluster budget coordinator.
+//     throttle compensation and trace record/replay.
 //
 // # Quickstart
 //
@@ -50,7 +49,6 @@
 package padpd
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/daemon"
@@ -341,19 +339,4 @@ var (
 	// RandomRobustness sweeps random synthetic mixes checking share-policy
 	// invariants.
 	RandomRobustness = experiments.RandomRobustness
-)
-
-// Cluster-level coordination (the Dynamo-style layer above node daemons).
-type (
-	// ClusterNode couples a machine with its power-delivery daemon.
-	ClusterNode = cluster.Node
-	// ClusterConfig parameterises the room-level coordinator.
-	ClusterConfig = cluster.Config
-	// ClusterCoordinator redistributes a power budget across nodes.
-	ClusterCoordinator = cluster.Coordinator
-)
-
-var (
-	// NewCluster builds a room-level power coordinator over node daemons.
-	NewCluster = cluster.New
 )
