@@ -115,7 +115,6 @@ type Counters struct {
 	MPERF  float64      // cycles at nominal frequency while in C0
 	Instr  float64      // instructions retired
 	Energy units.Joules // core energy (per-core RAPL domain)
-	C0Time time.Duration
 }
 
 // Account charges one simulation step to the counters: the core ran at eff
@@ -130,7 +129,6 @@ func (c *Counters) Account(eff units.Hertz, nomCycles float64, dt time.Duration,
 	if eff > 0 {
 		c.APERF += float64(eff) * sec
 		c.MPERF += nomCycles
-		c.C0Time += dt
 	}
 	c.Instr += instr
 	c.Energy += energy

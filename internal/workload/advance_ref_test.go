@@ -19,7 +19,6 @@ func advanceRef(in *Instance, f units.Hertz, dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	in.active += dt
 	return executeRef(in, f, dt.Seconds())
 }
 
@@ -102,7 +101,6 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			g, w := got.AdvanceSec(f, dt, dt.Seconds()), advanceRef(want, f, dt)
 			if g != w || got.TotalInstructions() != want.TotalInstructions() ||
 				got.Progress() != want.Progress() || got.RunsCompleted() != want.RunsCompleted() ||
-				got.active != want.active ||
 				got.CurrentActivity() != want.CurrentActivity() {
 				t.Fatalf("%s step %d at %v for %v: retired %v (total %v, %d runs), reference %v (total %v, %d runs)",
 					p.Name, step, f, dt, g, got.TotalInstructions(), got.RunsCompleted(),
@@ -146,11 +144,10 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			sec = math.Nextafter(sec, 0)
 		}
 		want := *got
-		want.active += time.Millisecond
 		g, w := got.AdvanceSec(f, time.Millisecond, sec), executeRef(&want, f, sec)
 		if g != w || got.done != want.done || got.totalInst != want.totalInst ||
 			got.phaseIdx != want.phaseIdx || got.phaseDone != want.phaseDone ||
-			got.restarts != want.restarts || got.active != want.active {
+			got.restarts != want.restarts {
 			t.Fatalf("%s: retired %v, state %+v; reference %v, state %+v", c.name, g, *got, w, want)
 		}
 		if c.run && got.restarts != 1 || !c.run && got.phaseIdx != 1 {

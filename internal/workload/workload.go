@@ -121,8 +121,7 @@ type Instance struct {
 	phaseIdx  int
 	phaseDone float64 // instructions executed within the current phase
 	restarts  int
-	totalInst float64       // instructions across all runs
-	active    time.Duration // time spent executing
+	totalInst float64 // instructions across all runs
 
 	// ips is ipsAt(ipsF, ipsCPI, ipsStall), remembered by memoIPS.
 	ipsF             units.Hertz
@@ -181,7 +180,6 @@ func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) flo
 		return 0
 	}
 	p := &in.Profile
-	in.active += dt
 	// A tick that ends no phase and no run, the common one, is one
 	// segment: execute's single pass without its loop, at the IPS memo's
 	// value, its key checked here. A tick that reaches either boundary, or
@@ -267,7 +265,6 @@ func (in *Instance) TotalInstructions() float64 { return in.totalInst }
 func (in *Instance) Reset() {
 	in.done, in.phaseDone, in.totalInst = 0, 0, 0
 	in.phaseIdx, in.restarts = 0, 0
-	in.active = 0
 }
 
 // Synthetic returns a randomized but valid profile drawn from plausible

@@ -163,9 +163,6 @@ func TestInstanceAdvanceAccounting(t *testing.T) {
 	if in.TotalInstructions() != got {
 		t.Errorf("TotalInstructions = %g, want %g", in.TotalInstructions(), got)
 	}
-	if in.active != time.Second {
-		t.Errorf("active time = %v", in.active)
-	}
 }
 
 func TestInstanceRestartsOnCompletion(t *testing.T) {
@@ -243,7 +240,7 @@ func TestInstanceReset(t *testing.T) {
 	in := NewInstance(MustByName("leela"))
 	in.Advance(2*units.GHz, 5*time.Second)
 	in.Reset()
-	if in.TotalInstructions() != 0 || in.Progress() != 0 || in.active != 0 ||
+	if in.TotalInstructions() != 0 || in.Progress() != 0 ||
 		in.RunsCompleted() != 0 || in.CurrentCPI() != in.Profile.BaseCPI*in.Profile.Phases[0].CPIMult {
 		t.Error("Reset did not clear state")
 	}
