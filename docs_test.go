@@ -9,19 +9,21 @@ import (
 	"testing"
 )
 
-// The documents whose test, fuzz, benchmark and metric names are checked
-// against the tree.
+// The documents whose test, fuzz, benchmark, example and metric names and
+// example paths are checked against the tree.
 var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 var (
-	// docTestRef is a test, fuzz or benchmark function named in prose,
-	// with an optional trailing * for a family (TestPoller*).
-	docTestRef = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+	// docTestRef is a test, fuzz, benchmark or example function named in
+	// prose, with an optional trailing * for a family (TestPoller*).
+	docTestRef = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*\*?`)
+	// docExampleDir is an example program's directory (./examples/hierarchy).
+	docExampleDir = regexp.MustCompile(`\bexamples/[\w-]+`)
 	// docMetricRef is a metric name; one ending in _ names a family
 	// (padpd_energy_).
 	docMetricRef = regexp.MustCompile(`\bpadpd_\w+`)
 
-	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
 	goMetricLit = regexp.MustCompile(`"(padpd_\w+)`)
 
 	// docCommandFlag is a repo command's name or a -flag; goFlagDef is a
@@ -30,13 +32,14 @@ var (
 	goFlagDef      = regexp.MustCompile(`\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\("([^"]+)"`)
 )
 
-// Every test, fuzz or benchmark function and every padpd_ metric that
-// README.md, DESIGN.md or EXPERIMENTS.md names exists in the tree: a
-// function is declared in some _test.go file, a metric is a string literal
-// in some Go file. A trailing * or _ makes the name a prefix, and FigureN
-// stands for any figure number (TestFigureNShape). A -flag that follows one
-// of the repo's command names on the same line is defined in that command's
-// main.go (powerd -listen, powerdump -view).
+// Every test, fuzz, benchmark or example function, every padpd_ metric and
+// every examples/ directory that README.md, DESIGN.md or EXPERIMENTS.md
+// names exists in the tree: a function is declared in some _test.go file, a
+// metric is a string literal in some Go file, a directory is a directory. A
+// trailing * or _ makes the name a prefix, and FigureN stands for any
+// figure number (TestFigureNShape). A -flag that follows one of the repo's
+// command names on the same line is defined in that command's main.go
+// (powerd -listen, powerdump -view).
 func TestDocsNameWhatExists(t *testing.T) {
 	var funcs, metrics []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -96,6 +99,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, ref := range uniqueMatches(docTestRef, text) {
 			if !anyMatch(docNamePattern(ref, strings.HasSuffix(ref, "*")), funcs) {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, ref)
+			}
+		}
+		for _, ref := range uniqueMatches(docExampleDir, text) {
+			if fi, err := os.Stat(ref); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", doc, ref)
 			}
 		}
 		for _, ref := range uniqueMatches(docMetricRef, text) {

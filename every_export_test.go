@@ -2,12 +2,14 @@ package padpd
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +22,7 @@ const (
 	testDriver = "tests drive the simulator through it"
 	modelRef   = "tests of other packages use it as the model's reference"
 	paperClaim = "§4.3 throttle compensation, reproduced by sched's tests (EXPERIMENTS.md)"
+	randomMix  = "§6.3's Random robustness row, reproduced by experiments' tests (EXPERIMENTS.md)"
 )
 
 // exportAllowlist names the exported functions and methods under internal/
@@ -33,6 +36,7 @@ var exportAllowlist = map[string]string{
 	"internal/core.SLOFeedback.Targets":            readBack,
 	"internal/cpu.FreqSpec.Levels":                 modelRef,
 	"internal/daemon.Daemon.Parked":                readBack,
+	"internal/experiments.RandomRobustness":        randomMix,
 	"internal/ledger.Ledger.AttributedUJ":          readBack,
 	"internal/metrics.Histogram.Count":             readBack,
 	"internal/metrics/decisions.Journal.Last":      readBack,
@@ -49,8 +53,10 @@ var exportAllowlist = map[string]string{
 	"internal/svc.Service.InFlight":                readBack,
 	"internal/svc.Service.MeanLatency":             readBack,
 	"internal/workload.Instance.Progress":          readBack,
+	"internal/workload.Instance.RunsCompleted":     readBack,
 	"internal/workload.Instance.Reset":             testDriver,
 	"internal/workload.Instance.TotalInstructions": readBack,
+	"internal/workload.SPEC2017":                   testDriver,
 }
 
 // stdInterfaceMethods are methods a repo type declares so that the standard
@@ -70,6 +76,12 @@ var stdInterfaceMethods = map[string]bool{
 // named in an interface the repo declares, or in stdInterfaceMethods, is
 // called through it; the test-support package flighttest is exempt. What
 // stays uncalled on purpose is on exportAllowlist with its reason.
+//
+// Every exported package-level name of the façade, the root package, is
+// named by a non-test file outside it or by the code of a testable example
+// in a root _test.go file, as go doc shows it: the Example function's body,
+// or its whole file when the file holds one example and no test. A name
+// only a Test uses has no caller, and no façade name may be allowlisted.
 func TestEveryExportHasACaller(t *testing.T) {
 	problems, err := exportProblems(os.DirFS("."), "repro", exportAllowlist)
 	if err != nil {
@@ -187,9 +199,26 @@ func Used() {}
 func Listed() {}`)},
 		"internal/a/a_test.go": {Data: []byte("package a\nfunc use() { OnlyTested(); Sq{}.Side() }")},
 		"cmd/x/main.go": {Data: []byte(`package main
-import ("fmt"; "m/internal/a")
-func main() { a.Used(); a.Listed(); fmt.Println() }`)},
+import ("fmt"; "m"; "m/internal/a")
+func main() { a.Used(); a.Listed(); fmt.Println(m.Called) }`)},
 		"benchmark/main.go": {Data: []byte("package main\nimport \"m/internal/a\"\nfunc main() { a.BenchOnly() }")},
+		"m.go": {Data: []byte(`package m
+type Exampled int
+var Called, SelfUsed, OnlyTested, InHelper, InWholeFile, InInternalExample = 1, 2, 3, 4, 5, 6
+func init() { _ = SelfUsed }`)},
+		"m_test.go": {Data: []byte(`package m
+import "testing"
+func TestX(*testing.T) { _ = OnlyTested }
+func Example_internal() { _ = InInternalExample }`)},
+		"example_test.go": {Data: []byte(`package m_test
+import "m"
+func Example() { var _ m.Exampled }
+func ExampleExampled() {}
+func helper() { _ = m.InHelper }`)},
+		"example_whole_test.go": {Data: []byte(`package m_test
+import "m"
+func Example_whole() { helper2() }
+func helper2() { _ = m.InWholeFile }`)},
 	}
 	got, err := exportProblems(fsys, "m", map[string]string{
 		"internal/a.Gone": "x", "internal/a.Listed": "x", "internal/a.Sq.Side": "",
@@ -203,23 +232,33 @@ func main() { a.Used(); a.Listed(); fmt.Println() }`)},
 		"internal/a.OnlyTested: no program calls it",
 		"internal/a.Sq.Side: allowlisted without a reason",
 		"internal/a.Uncalled: no program calls it",
+		"m.InHelper: no program or example names it",
+		"m.OnlyTested: no program or example names it",
+		"m.SelfUsed: no program or example names it",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// exportProblems type-checks the non-test Go files of the tree in fsys,
-// whose root has import path module, and reports each uncalled export under
-// internal/ that allow does not name, and each entry of allow that has no
-// reason or does not name an uncalled export.
+// exportProblems type-checks the Go files of the tree in fsys, whose root
+// has import path module, and reports each uncalled export under internal/
+// that allow does not name, each entry of allow that has no reason or does
+// not name an uncalled export, and each exported package-level name of the
+// root package that no non-test file outside it and no root example names.
 func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]string, error) {
 	tr, err := loadTree(fsys, module)
 	if err != nil {
 		return nil, err
 	}
+	named := map[string]bool{} // root package-level names named from outside it
+	nameRoot := func(info *types.Info, id *ast.Ident) {
+		if obj := info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == module && obj.Parent() == obj.Pkg().Scope() {
+			named[obj.Name()] = true
+		}
+	}
 	used, ifaceMethods := map[types.Object]bool{}, map[string]bool{}
-	for _, dirFiles := range tr.files {
+	for dir, dirFiles := range tr.files {
 		for _, f := range dirFiles {
 			for _, decl := range f.Decls {
 				var self types.Object // a function calling itself is not a caller
@@ -231,6 +270,9 @@ func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]strin
 					case *ast.Ident:
 						if fn, ok := tr.info.Uses[n].(*types.Func); ok && fn != self {
 							used[fn.Origin()] = true
+						}
+						if dir != "." {
+							nameRoot(tr.info, n)
 						}
 					case *ast.InterfaceType:
 						for _, m := range n.Methods.List {
@@ -266,7 +308,49 @@ func exportProblems(fsys fs.FS, module string, allow map[string]string) ([]strin
 			}
 		}
 	}
-	return lintProblems(uncalled, allow, "calls"), nil
+	for _, ex := range doc.Examples(tr.rootTests...) {
+		ast.Inspect(ex.Code, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				nameRoot(tr.testInfo, id)
+			}
+			return true
+		})
+	}
+	problems := lintProblems(uncalled, allow, "calls")
+	for _, f := range tr.files["."] {
+		for _, decl := range f.Decls {
+			for _, id := range declNames(decl) {
+				if id.IsExported() && !named[id.Name] {
+					problems = append(problems, f.Name.Name+"."+id.Name+": no program or example names it")
+				}
+			}
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// declNames are the package-level names a declaration declares: a
+// function's, but not a method's, and each type's, constant's and
+// variable's.
+func declNames(decl ast.Decl) []*ast.Ident {
+	var ids []*ast.Ident
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			ids = append(ids, d.Name)
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch sp := spec.(type) {
+			case *ast.TypeSpec:
+				ids = append(ids, sp.Name)
+			case *ast.ValueSpec:
+				ids = append(ids, sp.Names...)
+			}
+		}
+	}
+	return ids
 }
 
 // knobProblems type-checks the tree in fsys like exportProblems and reports
@@ -384,23 +468,30 @@ func lintProblems(flagged map[string]bool, allow map[string]string, verb string)
 }
 
 // tree is the type-checked non-test Go of a module: its files and packages
-// by directory, and what each identifier in them denotes.
+// by directory, and what each identifier in them denotes; and the root
+// directory's _test.go files, type-checked apart into testInfo.
 type tree struct {
 	files map[string][]*ast.File
 	pkgs  map[string]*types.Package
 	info  *types.Info
+
+	rootTests []*ast.File
+	testInfo  *types.Info
 }
 
 // loadTree parses and type-checks the non-test Go files of the tree in
-// fsys, whose root has import path module. A package outside the module is
-// an empty stub, since nothing in it calls back into the repo, except that
-// time declares Duration, the one standard-library basic type a knob has.
+// fsys, whose root has import path module, and the root's test files: an
+// internal test package with the root's own files, an external (_test) one
+// against the root package. A package outside the module is an empty stub,
+// since nothing in it calls back into the repo, except that time declares
+// Duration, the one standard-library basic type a knob has.
 func loadTree(fsys fs.FS, module string) (*tree, error) {
 	fset := token.NewFileSet()
 	tr := &tree{
-		files: map[string][]*ast.File{},
-		pkgs:  map[string]*types.Package{},
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		files:    map[string][]*ast.File{},
+		pkgs:     map[string]*types.Package{},
+		info:     &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		testInfo: &types.Info{Uses: map[*ast.Ident]types.Object{}},
 	}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		switch {
@@ -408,7 +499,7 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 			return err
 		case d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
 			return fs.SkipDir
-		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") && path.Dir(p) != ".":
 			return nil
 		}
 		src, err := fs.ReadFile(fsys, p)
@@ -416,7 +507,11 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 			return err
 		}
 		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
-		tr.files[path.Dir(p)] = append(tr.files[path.Dir(p)], f)
+		if strings.HasSuffix(p, "_test.go") {
+			tr.rootTests = append(tr.rootTests, f)
+		} else {
+			tr.files[path.Dir(p)] = append(tr.files[path.Dir(p)], f)
+		}
 		return err
 	})
 	if err != nil {
@@ -458,6 +553,18 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 	}
 	for dir := range tr.files {
 		check(dir)
+	}
+	tests := map[string][]*ast.File{} // by package name
+	for _, f := range tr.rootTests {
+		tests[f.Name.Name] = append(tests[f.Name.Name], f)
+	}
+	for name, files := range tests {
+		p := module + "_test"
+		if root := check("."); root != nil && name == root.Name() {
+			p, files = module, append(slices.Clone(tr.files["."]), files...)
+		}
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		conf.Check(p, fset, files, tr.testInfo)
 	}
 	return tr, nil
 }

@@ -16,7 +16,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster/hierarchy"
@@ -25,6 +27,11 @@ import (
 )
 
 func main() {
+	run(os.Stdout)
+}
+
+// run builds the tree, drives it and reports to w.
+func run(w io.Writer) {
 	const (
 		leaves = 1024
 		rows   = 32
@@ -45,7 +52,7 @@ func main() {
 	defer tree.Close()
 	ctx := context.Background()
 
-	fmt.Printf("tree: %d leaves / %d rows / 1 building, budget %.0f W\n\n", leaves, rows, float64(budget))
+	fmt.Fprintf(w, "tree: %d leaves / %d rows / 1 building, budget %.0f W\n\n", leaves, rows, float64(budget))
 
 	step := func(label string) {
 		t0 := time.Now()
@@ -57,7 +64,7 @@ func main() {
 		for _, r := range tree.Rows {
 			rowSum += r.Coordinator().Budget()
 		}
-		fmt.Printf("%-28s round %6.2f ms   Σ row budgets %8.1f W   Σ leaf caps %8.1f W\n",
+		fmt.Fprintf(w, "%-28s round %6.2f ms   Σ row budgets %8.1f W   Σ leaf caps %8.1f W\n",
 			label, float64(wall)/1e6, float64(rowSum), float64(tree.TotalLeafCaps()))
 	}
 
@@ -82,7 +89,7 @@ func main() {
 		step(fmt.Sprintf("skew round %d", i))
 	}
 	after := tree.Rows[0].Coordinator().Budget()
-	fmt.Printf("\nhot row budget: %.1f W -> %.1f W (+%.0f%%)\n\n", float64(before), float64(after), (float64(after/before)-1)*100)
+	fmt.Fprintf(w, "\nhot row budget: %.1f W -> %.1f W (+%.0f%%)\n\n", float64(before), float64(after), (float64(after/before)-1)*100)
 
 	// A building-level cut: the shrink wave cascades tier by tier, and
 	// only what every child acknowledges is committed.
@@ -97,8 +104,8 @@ func main() {
 	// /debug/rounds dumps of a live tree.
 	logs := tree.Logs()
 	tl := tracing.MergeTree(logs[0], logs[1:])
-	fmt.Printf("\nmerged timeline: root %q coordinated %d rounds over %d children; %d row sub-timelines\n",
+	fmt.Fprintf(w, "\nmerged timeline: root %q coordinated %d rounds over %d children; %d row sub-timelines\n",
 		tl.Coordinator, len(tl.Rounds), len(tl.Rounds[len(tl.Rounds)-1].Nodes), len(tl.Tiers))
 	sub := tl.Tiers[0]
-	fmt.Printf("  tier %q: %d rounds over %d leaves\n", sub.Coordinator, len(sub.Rounds), len(sub.Rounds[len(sub.Rounds)-1].Nodes))
+	fmt.Fprintf(w, "  tier %q: %d rounds over %d leaves\n", sub.Coordinator, len(sub.Rounds), len(sub.Rounds[len(sub.Rounds)-1].Nodes))
 }

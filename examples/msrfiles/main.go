@@ -8,11 +8,16 @@
 // machine. The daemon runs on a wall-clock ticker and reports its measured
 // scheduling jitter — the GC-jitter observability knob for a Go control
 // loop.
+//
+// One interval's package power aliases the shuttle's steps against the
+// daemon's ticks, so the headline is the mean after warm-up: the machine's
+// energy over the virtual time since then.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sync"
@@ -21,7 +26,17 @@ import (
 	padpd "repro"
 )
 
+// warmup is the virtual time the mean package power leaves out, while the
+// policy moves the cores from their start to the limit.
+const warmup = time.Second
+
 func main() {
+	run(os.Stdout)
+}
+
+// run drives the daemon over the file tree for 60 intervals, reports to w,
+// and returns the mean package power after warm-up.
+func run(w io.Writer) padpd.Watts {
 	dir, err := os.MkdirTemp("", "padpd-msr-*")
 	if err != nil {
 		log.Fatal(err)
@@ -47,12 +62,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("MSR register tree at %s\n", dir)
+	fmt.Fprintf(w, "MSR register tree at %s\n", dir)
 
-	// The shuttle: every few milliseconds, advance the machine by the same
-	// amount of virtual time, publish its counters into the file tree, and
-	// apply any PERF_CTL writes the daemon left there. A mutex stands in
-	// for the bus.
+	// The shuttle: every few milliseconds, advance the machine's virtual
+	// time to the wall time since the shuttle started, publish its
+	// counters into the file tree, and apply any PERF_CTL writes the daemon
+	// left there. A mutex stands in for the bus.
 	regs := []uint32{
 		padpd.MSRAperf, padpd.MSRMperf, padpd.MSRFixedCtr0,
 		padpd.MSRRAPLPowerUnit, padpd.MSRPkgEnergyStatus, padpd.MSRPP0EnergyStatus,
@@ -66,23 +81,26 @@ func main() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
+	t0, e0 := m.Now(), m.PackageEnergy() // the machine's time and energy at warmup
 	go func() {
 		defer close(done)
 		ticker := time.NewTicker(5 * time.Millisecond)
 		defer ticker.Stop()
-		prev := time.Now()
+		start := time.Now()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case now := <-ticker.C:
-				// Advance virtual time by the wall time actually elapsed so
-				// the daemon's wall-clock power derivation stays honest even
-				// when the ticker drifts.
-				elapsed := now.Sub(prev)
-				prev = now
+				// The daemon's wall-clock power derivation stays honest
+				// even when the ticker drifts. Run takes whole ticks, so
+				// advancing by each gap would round every gap up and run
+				// ahead of the wall clock.
 				mu.Lock()
-				m.Run(elapsed)
+				m.Run(now.Sub(start) - m.Now())
+				if t0 < warmup && m.Now() >= warmup {
+					t0, e0 = m.Now(), m.PackageEnergy()
+				}
 				err := padpd.MirrorMSRs(m.Device(), files, chip.NumCores, regs)
 				for _, s := range specs {
 					if err != nil {
@@ -123,11 +141,14 @@ func main() {
 	}
 
 	snap := d.LastSnapshot()
-	fmt.Printf("after %d real-time iterations: pkg=%v\n", d.Iterations(), snap.PackagePower)
+	mean := padpd.Watts(float64(m.PackageEnergy()-e0) / (m.Now() - t0).Seconds())
+	fmt.Fprintf(w, "after %d real-time iterations: pkg=%v mean over the %.2f s after warm-up, %v the last interval\n",
+		d.Iterations(), mean, (m.Now() - t0).Seconds(), snap.PackagePower)
 	for _, a := range snap.Apps {
-		fmt.Printf("  %-8s core %d: %v\n", a.Spec.Name, a.Spec.Core, a.Freq)
+		fmt.Fprintf(w, "  %-8s core %d: %v\n", a.Spec.Name, a.Spec.Core, a.Freq)
 	}
 	js := d.Jitter()
-	fmt.Printf("control-loop jitter over %d iterations: mean=%.3fms p99=%.3fms max=%.3fms\n",
+	fmt.Fprintf(w, "control-loop jitter over %d iterations: mean=%.3fms p99=%.3fms max=%.3fms\n",
 		js.Samples, js.Mean*1000, js.P99*1000, js.Max*1000)
+	return mean
 }

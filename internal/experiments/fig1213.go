@@ -115,17 +115,6 @@ func Figure12() (LatencyResult, error) {
 	return out, nil
 }
 
-// Figure13 runs Figure 12 and extracts its frequency series; it exists so
-// every figure has a regenerator entry point. A caller that already holds
-// Figure 12's result takes FreqSeries from it instead.
-func Figure13() (LatencyResult, error) {
-	res, err := Figure12()
-	if err != nil {
-		return LatencyResult{}, err
-	}
-	return res.FreqSeries(), nil
-}
-
 // FreqSeries is Figure 13 drawn from Figure 12's result: the
 // frequency-share cells, whose frequencies Figure 12 measured.
 func (r LatencyResult) FreqSeries() LatencyResult {

@@ -293,11 +293,7 @@ func TestFigure12And13Shape(t *testing.T) {
 				limit, perf.Relative, freq.Relative)
 		}
 	}
-	f13, err := Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f13.Cells) != len(Figure12Limits) {
-		t.Errorf("Figure13 cells = %d", len(f13.Cells))
+	if f13 := res.FreqSeries(); len(f13.Cells) != len(Figure12Limits) {
+		t.Errorf("Figure 13 cells = %d", len(f13.Cells))
 	}
 }

@@ -617,7 +617,7 @@ func (m *Machine) Step() {
 				c.freqSum += float64(c.eff)
 				sockPower += c.power
 				e := units.Joules(float64(c.power) * sec)
-				c.Account(c.eff, nomCycles, dt, sec, a.AdvanceSec(c.eff, dt, sec), e)
+				c.Account(c.eff, nomCycles, dt, sec, a.AdvanceSec(c.eff, sec), e)
 				continue
 			}
 			full++
@@ -666,7 +666,7 @@ func (m *Machine) tickFull(c *core, i, active int, cap units.Hertz, sec, nomCycl
 	e := units.Joules(float64(p) * sec)
 	var instr float64
 	if c.app != nil && !c.idle {
-		instr = c.app.AdvanceSec(eff, dt, sec)
+		instr = c.app.AdvanceSec(eff, sec)
 	}
 	c.Account(eff, nomCycles, dt, sec, instr, e)
 	return p

@@ -98,7 +98,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 				got.Reset()
 				want.Reset()
 			}
-			g, w := got.AdvanceSec(f, dt, dt.Seconds()), advanceRef(want, f, dt)
+			g, w := got.AdvanceSec(f, dt.Seconds()), advanceRef(want, f, dt)
 			if g != w || got.TotalInstructions() != want.TotalInstructions() ||
 				got.Progress() != want.Progress() || got.RunsCompleted() != want.RunsCompleted() ||
 				got.CurrentActivity() != want.CurrentActivity() {
@@ -144,7 +144,7 @@ func TestAdvanceMatchesReference(t *testing.T) {
 			sec = math.Nextafter(sec, 0)
 		}
 		want := *got
-		g, w := got.AdvanceSec(f, time.Millisecond, sec), executeRef(&want, f, sec)
+		g, w := got.AdvanceSec(f, sec), executeRef(&want, f, sec)
 		if g != w || got.done != want.done || got.totalInst != want.totalInst ||
 			got.phaseIdx != want.phaseIdx || got.phaseDone != want.phaseDone ||
 			got.restarts != want.restarts {

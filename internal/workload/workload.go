@@ -170,13 +170,13 @@ func (in *Instance) memoIPS(f units.Hertz) float64 {
 // experiments keep every core loaded); RunsCompleted counts the
 // wrap-arounds.
 func (in *Instance) Advance(f units.Hertz, dt time.Duration) float64 {
-	return in.AdvanceSec(f, dt, dt.Seconds())
+	return in.AdvanceSec(f, dt.Seconds())
 }
 
-// AdvanceSec is Advance for a caller that has already converted dt: sec must
-// be dt.Seconds(). The simulator converts its tick once for all cores.
-func (in *Instance) AdvanceSec(f units.Hertz, dt time.Duration, sec float64) float64 {
-	if dt <= 0 {
+// AdvanceSec is Advance for a caller that has already converted its step to
+// sec seconds. The simulator converts its tick once for all cores.
+func (in *Instance) AdvanceSec(f units.Hertz, sec float64) float64 {
+	if sec <= 0 {
 		return 0
 	}
 	p := &in.Profile

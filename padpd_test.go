@@ -10,7 +10,7 @@ import (
 // this).
 func TestFacadeEndToEnd(t *testing.T) {
 	chip := Skylake()
-	m, err := NewMachine(chip, WithTick(time.Millisecond))
+	m, err := NewMachine(chip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +50,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeWorkloadsAndPlatforms(t *testing.T) {
-	if got := len(SPEC2017()); got != 11 {
-		t.Errorf("SPEC2017 subset = %d profiles", got)
-	}
-	if _, err := ProfileByName("leela"); err != nil {
-		t.Error(err)
-	}
-	if _, err := PlatformByName("ryzen"); err != nil {
-		t.Error(err)
-	}
 	if CPUBurn.Activity <= 1 {
 		t.Error("cpuburn should be a power virus")
 	}
-	if (2 * GHz).GHzF() != 2 {
+	if (2000 * MHz).GHzF() != 2 {
 		t.Error("unit aliases broken")
 	}
 }
@@ -118,7 +109,7 @@ func TestFacadeMSRAndSampler(t *testing.T) {
 
 func TestFacadeClusterPStates(t *testing.T) {
 	chip := Ryzen()
-	out := ClusterPStates([]Hertz{3 * GHz, 1 * GHz, 2 * GHz, 2900 * MHz}, 3, chip.Freq)
+	out := ClusterPStates([]Hertz{3000 * MHz, 1000 * MHz, 2000 * MHz, 2900 * MHz}, 3, chip.Freq)
 	if len(out) != 4 {
 		t.Fatalf("len = %d", len(out))
 	}
