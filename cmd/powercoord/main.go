@@ -118,8 +118,7 @@ func main() {
 		interval  = flag.Duration("interval", 5*time.Second, "reallocation interval")
 		ttl       = flag.Duration("ttl", 0, "lease TTL (0 = 3x interval)")
 		floorFrac = flag.Float64("floor-fraction", 0.5, "per-node guaranteed fraction of an equal split")
-		timeout   = flag.Duration("node-timeout", 2*time.Second, "per-attempt node call timeout")
-		retries   = flag.Int("retries", 2, "extra attempts per failed node call")
+		timeout   = flag.Duration("node-timeout", 2*time.Second, "deadline of each wave of node calls; a failed call waits for the next round")
 		quarAfter = flag.Int("quarantine-after", 3, "consecutive failed steps before quarantine")
 		tierLevel = flag.String("tier", "room", "this coordinator's level in the hierarchy (room, row, building)")
 		parent    = flag.String("parent", "", "parent coordinator address; register there and take budget as leases")
@@ -130,7 +129,7 @@ func main() {
 	opts := options{
 		budget: *budget, nodesArg: *nodesArg, name: *name, listen: *listen,
 		interval: *interval, ttl: *ttl, floorFrac: *floorFrac, timeout: *timeout,
-		retries: *retries, quarAfter: *quarAfter, tier: *tierLevel,
+		quarAfter: *quarAfter, tier: *tierLevel,
 		parent: *parent, fallback: *fallback, advertise: *advertise,
 	}
 	if err := run(opts); err != nil {
@@ -148,7 +147,6 @@ type options struct {
 	ttl       time.Duration
 	floorFrac float64
 	timeout   time.Duration
-	retries   int
 	quarAfter int
 	tier      string
 	parent    string
@@ -202,7 +200,6 @@ func run(opts options) error {
 		Interval:        interval,
 		LeaseTTL:        opts.ttl,
 		NodeTimeout:     opts.timeout,
-		Retries:         opts.retries,
 		QuarantineAfter: opts.quarAfter,
 		Metrics:         mreg,
 		Tracer:          tracer,

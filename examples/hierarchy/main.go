@@ -42,7 +42,6 @@ func run(w io.Writer) {
 		Rows:        rows,
 		Budget:      budget,
 		LeaseTTL:    time.Hour,
-		Retries:     -1,
 		HTTPUplinks: true,
 		Trace:       true,
 	})

@@ -115,9 +115,7 @@ func coordinate(names []string, nodes []*node.Node, d time.Duration) {
 		defer a.Close()
 		ts[i] = cluster.NewAgentTransport(a, "room")
 	}
-	// No retries: a backoff on the virtual clock would wait for an advance
-	// that comes only after the round.
-	coord, err := cluster.NewOverTransports(ts, cluster.Config{Budget: budget, Interval: interval, Retries: -1, Clock: vc})
+	coord, err := cluster.NewOverTransports(ts, cluster.Config{Budget: budget, Interval: interval, Clock: vc})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestAggregateMatchesFrameDerivation(t *testing.T) {
 				lenders[i] = &lendingTransport{name: fmt.Sprint("n", i), script: s}
 				ts[i] = lenders[i]
 			}
-			c, err := NewOverTransports(ts, Config{Budget: units.Watts(100 * len(ts)), Retries: -1, QuarantineAfter: 2})
+			c, err := NewOverTransports(ts, Config{Budget: units.Watts(100 * len(ts)), QuarantineAfter: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestPlanAllocatesNothing(t *testing.T) {
 		reports[i] = Report{Power: units.Watts(20 + i%40), Limit: 50, Max: 80}
 		healthy[i] = i%7 != 0
 	}
-	c, err := NewOverTransports(ts, Config{Budget: 50 * n, Retries: -1})
+	c, err := NewOverTransports(ts, Config{Budget: 50 * n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@
 // through the Transport interface: in-process (AgentTransport) for
 // simulated nodes stepped in lockstep on a virtual clock, or over the wire
 // to remote powerd daemons, as cmd/powercoord does. Either way it fans out
-// concurrently with per-node timeouts, retries with backoff, quarantines
-// repeatedly-failing nodes, and grants leases, so a partitioned node
-// reverts to a safe cap instead of holding a stale share of the room
-// budget.
+// concurrently under one deadline per wave, leaves a failed call to the
+// next round, quarantines repeatedly-failing nodes, and grants leases, so a
+// partitioned node reverts to a safe cap instead of holding a stale share of
+// the room budget.
 package cluster
 
 import (
@@ -32,15 +32,9 @@ import (
 	"repro/internal/units"
 )
 
-const (
-	// bindMargin is how close, fractionally, measured power must sit to a
-	// node's limit for the node to count as constrained and bid for more.
-	bindMargin = 0.05
-
-	// retryBackoff is the wait before a failed node call's first retry;
-	// it doubles per attempt.
-	retryBackoff = 50 * time.Millisecond
-)
+// bindMargin is how close, fractionally, measured power must sit to a
+// node's limit for the node to count as constrained and bid for more.
+const bindMargin = 0.05
 
 // Config parameterises the coordinator.
 type Config struct {
@@ -87,17 +81,19 @@ type Config struct {
 	// when it elapses. Default 3×Interval.
 	LeaseTTL time.Duration
 
-	// NodeTimeout bounds each remote node call (default 2 s).
+	// NodeTimeout bounds each wave of node calls (default 2 s). A call
+	// is one attempt: a failed node is called again by the next round.
 	NodeTimeout time.Duration
 
-	// Retries is how many extra attempts a failed node call gets within
-	// one step (default 2), waiting retryBackoff, doubling per attempt.
+	// Deprecated: has no effect; a failed call waits for the next round.
+	// Only benchmark/ still sets it; Re-cut the ruler (e) deletes it.
 	Retries int
 
-	// QuarantineAfter is how many consecutive failed steps a node may
-	// accumulate before the coordinator quarantines it: its budget
-	// reservation decays to the floor once its lease expires, and it is
-	// re-admitted on the first successful report. Default 3.
+	// QuarantineAfter is how many consecutive steps with a failed call to
+	// a node — its report or its grant — the coordinator tolerates before
+	// it quarantines the node: its budget reservation decays to the floor
+	// once its lease expires. It is re-admitted after the first step in
+	// which every call to it succeeded. Default 3.
 	QuarantineAfter int
 
 	// Metrics optionally instruments the coordinator: reallocation
@@ -117,8 +113,8 @@ type Config struct {
 	// piggybacked node metrics — into the rollups /debug/fleet serves.
 	Fleet *Fleet
 
-	// Clock sets the retry backoff, the round and grant deadlines, the
-	// pollers' retirement and every lease deadline. Nil is the wall clock.
+	// Clock sets the round and grant deadlines, the pollers' retirement
+	// and every lease deadline. Nil is the wall clock.
 	Clock clock.Clock
 }
 
@@ -146,11 +142,6 @@ func (c *Config) fill(n int) error {
 	}
 	if c.NodeTimeout <= 0 {
 		c.NodeTimeout = 2 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
 	}
 	if c.QuarantineAfter <= 0 {
 		c.QuarantineAfter = 3
@@ -203,7 +194,7 @@ type Coordinator struct {
 	lastDepth  []int // Tier.Depth+1
 	lastEnergy []*powerapi.EnergyStatus
 	moves      int
-	fails      []int  // consecutive failed steps per node
+	fails      []int  // consecutive steps with a failed call, per node
 	quar       []bool // quarantined nodes
 
 	// Optional instrumentation; nil handles no-op.
@@ -222,19 +213,21 @@ const pollerIdleTimeouts = 2
 
 // pollJob is one report of one round, handed to a poller.
 type pollJob struct {
-	ctx, wave context.Context
-	rb        *tracing.RoundBuilder
-	i         int
+	wave context.Context
+	rb   *tracing.RoundBuilder
+	i    int
 }
 
 // roundScratch is the per-round working set, sized to the node count once
 // and reused by every Step (stepMu serialises them). Nothing in it outlives
-// the round that filled it.
+// the round that filled it, except failed: a grant wave outside a round
+// (construction, SetBudget) leaves its failures to the next Step.
 type roundScratch struct {
 	reports []Report
 	errs    []error
 	rpc     []time.Duration // filled only when a Fleet consumes it
 	healthy []bool
+	failed  []bool // a call to the node failed since the last Step settled
 	targets []units.Watts
 	bids    []float64
 	caps    []float64
@@ -250,6 +243,7 @@ func newRoundScratch(n int) roundScratch {
 		errs:    make([]error, n),
 		rpc:     make([]time.Duration, n),
 		healthy: make([]bool, n),
+		failed:  make([]bool, n),
 		targets: make([]units.Watts, 0, n),
 		bids:    make([]float64, 0, n),
 		caps:    make([]float64, 0, n),
@@ -311,7 +305,7 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		c.mMovedWatts = reg.Counter("cluster_budget_moved_watts_total", "Total absolute budget shifted between nodes, in watts.")
 		c.mNodeLimit = reg.GaugeVec("cluster_node_limit_watts", "Current per-node power limit in watts.", "node")
 		c.mTotalPower = reg.Gauge("cluster_total_power_watts", "Power summed over every node's last good report.")
-		c.mFailures = reg.CounterVec("cluster_transport_failures_total", "Node calls that failed after all retries, by node.", "node")
+		c.mFailures = reg.CounterVec("cluster_transport_failures_total", "Node calls that failed, by node.", "node")
 		c.mQuar = reg.GaugeVec("cluster_node_quarantined", "1 while the node is quarantined for repeated failures.", "node")
 	}
 	equal := cfg.Budget / units.Watts(n)
@@ -367,7 +361,9 @@ func (c *Coordinator) floor() units.Watts {
 	return base * units.Watts(c.cfg.FloorFraction) / units.Watts(len(c.ts))
 }
 
-// Limits reports the current per-node limits.
+// Limits reports the current per-node limits. An unreachable node's is
+// the cap the coordinator must assume it holds: its last acknowledged
+// grant while the lease lives, the fallback floor after.
 func (c *Coordinator) Limits() []units.Watts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -398,37 +394,34 @@ func (c *Coordinator) Quarantined(i int) bool {
 	return c.quar[i]
 }
 
-// call runs one node call with retry and doubling backoff. The first
-// attempts of a concurrent wave all start together, so they share wave, the
-// one NodeTimeout deadline their caller derived from ctx; only a retry
-// derives its own. A backoff waits on the coordinator's clock.
-func (c *Coordinator) call(ctx, wave context.Context, do func(context.Context) error) error {
-	err := do(wave)
-	backoff := retryBackoff
-	for attempt := 1; err != nil && attempt <= c.cfg.Retries; attempt++ {
-		wait, stop := c.cfg.Clock.WithTimeout(ctx, backoff)
-		<-wait.Done()
-		stop()
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		backoff *= 2
-		actx, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
-		err = do(actx)
-		cancel()
-	}
-	return err
+// noteFailure counts a failed call to node i and marks the node failed
+// for the step that settles next. Caller holds c.mu.
+func (c *Coordinator) noteFailure(i int) {
+	c.sc.failed[i] = true
+	c.mFailures.With(c.ts[i].Name()).Inc()
 }
 
-// noteFailure bumps a node's consecutive-failure count and quarantines it
-// past the threshold. Caller holds c.mu.
-func (c *Coordinator) noteFailure(i int) {
-	c.fails[i]++
-	if c.fails[i] >= c.cfg.QuarantineAfter && !c.quar[i] {
-		c.quar[i] = true
-		c.mQuar.With(c.ts[i].Name()).Set(1)
+// settleFailures ends a step's count: a node with a failed call since the
+// last settle strings one more failed step and is quarantined at
+// QuarantineAfter; any other node's count resets, and it is re-admitted.
+// Caller holds c.mu and stepMu.
+func (c *Coordinator) settleFailures() {
+	for i, failed := range c.sc.failed {
+		if !failed {
+			c.fails[i] = 0
+			if c.quar[i] {
+				c.quar[i] = false
+				c.mQuar.With(c.ts[i].Name()).Set(0)
+			}
+			continue
+		}
+		c.sc.failed[i] = false
+		c.fails[i]++
+		if c.fails[i] >= c.cfg.QuarantineAfter && !c.quar[i] {
+			c.quar[i] = true
+			c.mQuar.With(c.ts[i].Name()).Set(1)
+		}
 	}
-	c.mFailures.With(c.ts[i].Name()).Inc()
 }
 
 // effective is the worst-case cap the ledger must assume node i holds: its
@@ -445,17 +438,14 @@ func (c *Coordinator) effective(i int, now time.Time, floor units.Watts) units.W
 // the round scratch. Step calls it directly for a Local transport and
 // hands the rest to the pollers. The clock is read only for a Fleet,
 // the one consumer of per-node RPC latencies.
-func (c *Coordinator) pollReport(ctx, wave context.Context, rb *tracing.RoundBuilder, i int) {
+func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder, i int) {
 	sc := &c.sc
 	s0 := rb.Now()
 	var t0 time.Time
 	if c.cfg.Fleet != nil {
 		t0 = time.Now()
 	}
-	sc.errs[i] = c.call(ctx, wave, func(actx context.Context) (err error) {
-		sc.reports[i], err = c.ts[i].Report(actx)
-		return err
-	})
+	sc.reports[i], sc.errs[i] = c.ts[i].Report(wave)
 	if sc.errs[i] != nil {
 		sc.reports[i] = Report{}
 	}
@@ -474,7 +464,7 @@ func (c *Coordinator) startPollers() {
 		if !t.Local() {
 			go func() {
 				for j := range polls {
-					c.pollReport(j.ctx, j.wave, j.rb, j.i)
+					c.pollReport(j.wave, j.rb, j.i)
 					c.pollWG.Done()
 				}
 			}()
@@ -536,12 +526,12 @@ func (c *Coordinator) Step(ctx context.Context) error {
 				c.startPollers()
 			}
 			c.pollWG.Add(1)
-			c.polls <- pollJob{ctx, wave, rb, i}
+			c.polls <- pollJob{wave, rb, i}
 		}
 	}
 	for i, t := range c.ts {
 		if t.Local() {
-			c.pollReport(ctx, wave, rb, i)
+			c.pollReport(wave, rb, i)
 		}
 	}
 	// A report that outlives the wave's deadline still holds up its round,
@@ -557,12 +547,6 @@ func (c *Coordinator) Step(ctx context.Context) error {
 		if !healthy[i] {
 			c.noteFailure(i)
 			continue
-		}
-		c.fails[i] = 0
-		if c.quar[i] {
-			// First good report re-admits the node.
-			c.quar[i] = false
-			c.mQuar.With(c.ts[i].Name()).Set(0)
 		}
 		c.lastPower[i] = reports[i].Power
 		c.lastMax[i] = reports[i].Max
@@ -589,6 +573,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	}
 
 	c.mu.Lock()
+	c.settleFailures()
 	if moved {
 		c.moves++
 	}
@@ -604,9 +589,9 @@ func (c *Coordinator) Step(ctx context.Context) error {
 // plan computes per-node target limits from the healthy reports: floors
 // plus a water-fill of the distributable budget over the bids. Unhealthy
 // nodes keep their reservation — the last grant while its lease lives, the
-// fallback floor after — so the room total stays within budget no matter
-// when they come back or expire. The returned targets alias the round
-// scratch.
+// fallback floor after — as their limit, so the room total stays within
+// budget no matter when they come back or expire. The returned targets
+// alias the round scratch.
 func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Watts, moved bool, shifted float64) {
 	n := len(c.ts)
 	floor := float64(c.floor())
@@ -619,7 +604,8 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	bids, caps, idx := c.sc.bids[:0], c.sc.caps[:0], c.sc.idx[:0]
 	for i := 0; i < n; i++ {
 		if !healthy[i] {
-			reserved += float64(c.effective(i, now, units.Watts(floor)))
+			c.limits[i] = c.effective(i, now, units.Watts(floor))
+			reserved += float64(c.limits[i])
 			continue
 		}
 		power := float64(reports[i].Power)
@@ -677,7 +663,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	grant := func(wave context.Context, i int, limit units.Watts) {
 		s0 := rb.Now()
 		g := Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor}
-		err := c.call(ctx, wave, func(actx context.Context) error { return c.ts[i].Grant(actx, g) })
+		err := c.ts[i].Grant(wave, g)
 		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
 		c.mu.Lock()
 		if err != nil {

@@ -61,16 +61,14 @@ func light(t *testing.T, vc *clock.Virtual, name string) simNode {
 	return newNode(t, vc, name, []string{"leela", "leela"})
 }
 
-// newRoom builds a coordinator over the nodes on their clock vc. It does
-// not retry: a backoff on the virtual clock would wait for an advance that
-// comes only after the round.
+// newRoom builds a coordinator over the nodes on their clock vc.
 func newRoom(t *testing.T, vc *clock.Virtual, cfg Config, nodes ...simNode) *Coordinator {
 	t.Helper()
 	ts := make([]Transport, len(nodes))
 	for i, n := range nodes {
 		ts[i] = n.t
 	}
-	cfg.Clock, cfg.Retries = vc, -1
+	cfg.Clock = vc
 	c, err := NewOverTransports(ts, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -268,56 +266,77 @@ func (n refusingNode) Grant(context.Context, Grant) error {
 	return fmt.Errorf("%s: SetLimit failed", n.Name())
 }
 
+// deadNode is an in-process node the coordinator cannot reach: every call
+// fails.
+type deadNode struct{ Transport }
+
+func (n deadNode) Report(context.Context) (Report, error) {
+	return Report{}, fmt.Errorf("%s: unreachable", n.Name())
+}
+
+func (n deadNode) Grant(context.Context, Grant) error {
+	return fmt.Errorf("%s: unreachable", n.Name())
+}
+
 // An in-process room degrades like one over the wire: when the light node
-// stops accepting caps, no round fails, the node is quarantined once it has
-// failed QuarantineAfter steps, and — its shrink never acknowledged — the
+// stops accepting caps, or stops answering at all, no round fails or
+// waits, the node is quarantined once QuarantineAfter steps in a row have
+// each had a failed call to it, and — its shrink never acknowledged — the
 // hungry node is not grown into budget the light one may still be holding.
 // The light node's lease is real: it holds its last accepted cap until the
 // lease's deadline, then exactly its fallback floor, and only then may the
 // hungry node grow into what it gave back.
 func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
-	const budget = units.Watts(80)
-	vc := clock.NewVirtual(time.Time{})
-	nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
-	reg := metrics.NewRegistry()
-	// A good report re-admits, so a node that reports but refuses grants
-	// never strings two failed steps together: quarantine it on the first.
-	c := newRoom(t, vc, Config{Budget: budget, QuarantineAfter: 1, Metrics: reg}, nodes...)
-	deadline := c.LeaseLedger()["light"].Until
-	c.ts[1] = refusingNode{c.ts[1]}
-	lapsed := false
-	for step := 1; step <= 6; step++ {
-		lockstep(t, c, nodes, 5*time.Second)
-		if !c.Quarantined(1) || c.Quarantined(0) {
-			t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/true", step, c.Quarantined(0), c.Quarantined(1))
-		}
-		var planned, enforced units.Watts
-		for i, l := range c.Limits() {
-			planned += l
-			enforced += nodes[i].Daemon.Limit()
-		}
-		if planned > budget+budgetSlack || enforced > budget+budgetSlack {
-			t.Errorf("step %d: Σ limits planned %v, enforced %v, over the %v budget", step, planned, enforced, budget)
-		}
-		if vc.Now().Before(deadline) {
-			if got := nodes[1].Daemon.Limit(); got != budget/2 {
-				t.Errorf("step %d: refusing node enforces %v before its lease's deadline, want the %v it last accepted", step, got, budget/2)
+	for _, tc := range []struct {
+		name   string
+		broken func(Transport) Transport
+	}{
+		{"refuses grants", func(t Transport) Transport { return refusingNode{t} }},
+		{"every call fails", func(t Transport) Transport { return deadNode{t} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const budget = units.Watts(80)
+			vc := clock.NewVirtual(time.Time{})
+			nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
+			reg := metrics.NewRegistry()
+			c := newRoom(t, vc, Config{Budget: budget, Metrics: reg}, nodes...)
+			deadline := c.LeaseLedger()["light"].Until
+			c.ts[1] = tc.broken(c.ts[1])
+			lapsed := false
+			for step := 1; step <= 6; step++ {
+				lockstep(t, c, nodes, 5*time.Second)
+				if want := step >= c.cfg.QuarantineAfter; c.Quarantined(1) != want || c.Quarantined(0) {
+					t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/%v", step, c.Quarantined(0), c.Quarantined(1), want)
+				}
+				var planned, enforced units.Watts
+				for i, l := range c.Limits() {
+					planned += l
+					enforced += nodes[i].Daemon.Limit()
+				}
+				if planned > budget+budgetSlack || enforced > budget+budgetSlack {
+					t.Errorf("step %d: Σ limits planned %v, enforced %v, over the %v budget", step, planned, enforced, budget)
+				}
+				if vc.Now().Before(deadline) {
+					if got := nodes[1].Daemon.Limit(); got != budget/2 {
+						t.Errorf("step %d: light node enforces %v before its lease's deadline, want the %v it last accepted", step, got, budget/2)
+					}
+					if got := nodes[0].Daemon.Limit(); got > budget-budget/2 {
+						t.Errorf("step %d: hungry node enforces %v while the light node's lease holds %v", step, got, budget/2)
+					}
+					continue
+				}
+				lapsed = true
+				if got, floor := nodes[1].Daemon.Limit(), c.floor(); got != floor {
+					t.Errorf("step %d: light node enforces %v after its lease's deadline, want its %v fallback", step, got, floor)
+				}
 			}
-			if got := nodes[0].Daemon.Limit(); got > budget-budget/2 {
-				t.Errorf("step %d: hungry node enforces %v while the refusing node's lease holds %v", step, got, budget/2)
+			if !lapsed {
+				t.Errorf("the light node's lease, due %v, never lapsed", deadline.Sub(time.Time{}))
 			}
-			continue
-		}
-		lapsed = true
-		if got, floor := nodes[1].Daemon.Limit(), c.floor(); got != floor {
-			t.Errorf("step %d: refusing node enforces %v after its lease's deadline, want its %v fallback", step, got, floor)
-		}
-	}
-	if !lapsed {
-		t.Errorf("the refusing node's lease, due %v, never lapsed", deadline.Sub(time.Time{}))
-	}
-	if v := reg.CounterVec("cluster_transport_failures_total", "", "node").With("light").Value(); v != 6 {
-		t.Errorf("transport failures = %v, want one per step", v)
+			if v := reg.CounterVec("cluster_transport_failures_total", "", "node").With("light").Value(); v != 6 {
+				t.Errorf("transport failures = %v, want one per step", v)
+			}
+		})
 	}
 }
 

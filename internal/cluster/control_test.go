@@ -94,7 +94,6 @@ func TestPartitionFallsBackWithinTTL(t *testing.T) {
 		Budget:   budget,
 		Interval: 40 * time.Millisecond,
 		LeaseTTL: ttl,
-		Retries:  -1,
 		Clock:    vc,
 	})
 	if err != nil {
@@ -235,7 +234,6 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		Interval:        time.Second,
 		LeaseTTL:        5 * time.Second,
 		NodeTimeout:     50 * time.Millisecond,
-		Retries:         -1,
 		QuarantineAfter: 2,
 		Metrics:         reg,
 		Clock:           vc,
@@ -325,7 +323,6 @@ func BenchmarkCoordinatorTick(b *testing.B) {
 	c, err := NewOverTransports(ts, Config{
 		Budget:   budget,
 		LeaseTTL: time.Hour,
-		Retries:  -1,
 	})
 	if err != nil {
 		b.Fatal(err)

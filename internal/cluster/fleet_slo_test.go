@@ -128,7 +128,7 @@ func TestFleetSLOFollowsNodeOverHTTP(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fleet := NewFleet(100, reg)
 	c, err := NewOverTransports([]Transport{NewHTTPNode("n0", srv.URL, "coord")},
-		Config{Budget: 100, LeaseTTL: time.Hour, Retries: -1, Fleet: fleet})
+		Config{Budget: 100, LeaseTTL: time.Hour, Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestBorrowedFrameRace(t *testing.T) {
 		fleet := cluster.NewFleet(rowFallback, nil)
 		row, err := NewTier(TierConfig{
 			Name: rowName, Level: "row", StartAtFallback: true, Fallback: rowFallback,
-			LeaseTTL: time.Hour, Retries: -1, Fleet: fleet,
+			LeaseTTL: time.Hour, Fleet: fleet,
 		}, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestBorrowedFrameRace(t *testing.T) {
 	rootFleet := cluster.NewFleet(budget, nil)
 	root, err := NewTier(TierConfig{
 		Name: "building", Level: "building", Budget: budget, Fallback: budget,
-		LeaseTTL: time.Hour, Retries: -1, Fleet: rootFleet,
+		LeaseTTL: time.Hour, Fleet: rootFleet,
 	}, uplinks)
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 		row, err := NewTier(TierConfig{
 			Name: rowName, Level: "row", NodeID: id,
 			StartAtFallback: true, Fallback: rowFallback,
-			LeaseTTL: ttl, Retries: -1, NodeTimeout: time.Second,
+			LeaseTTL: ttl, NodeTimeout: time.Second,
 			Flight: rec, Tracer: tr, Clock: vc,
 		}, ts)
 		if err != nil {
@@ -130,7 +130,7 @@ func TestBuildingDeathCascade(t *testing.T) {
 	root, err := NewTier(TierConfig{
 		Name: "building", Level: "building", NodeID: nextID(),
 		Budget: budget, Fallback: budget,
-		LeaseTTL: ttl, Retries: -1, NodeTimeout: time.Second,
+		LeaseTTL: ttl, NodeTimeout: time.Second,
 		Flight: rec, Tracer: rootTracer, Clock: vc,
 	}, uplinks)
 	if err != nil {

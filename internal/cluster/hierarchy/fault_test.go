@@ -230,7 +230,7 @@ func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, vc *cloc
 			Name: name, Level: level, NodeID: id,
 			Budget: budget, StartAtFallback: atFB, Fallback: fb,
 			Interval: 5 * time.Millisecond, LeaseTTL: ttl,
-			Retries: -1, NodeTimeout: time.Second, Flight: rec, Clock: vc,
+			NodeTimeout: time.Second, Flight: rec, Clock: vc,
 		}
 	}
 

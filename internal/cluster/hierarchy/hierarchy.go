@@ -60,16 +60,19 @@ type TierConfig struct {
 	// so they stay safe under any budget the tier can be held to.
 	Fallback units.Watts
 
-	// FloorFraction, Interval, LeaseTTL, NodeTimeout, Retries and
-	// QuarantineAfter pass through to the tier's coordinator (see
-	// cluster.Config for defaults), Clock to its coordinator and agent.
+	// FloorFraction, Interval, LeaseTTL, NodeTimeout and QuarantineAfter
+	// pass through to the tier's coordinator (see cluster.Config for
+	// defaults), Clock to its coordinator and agent.
 	FloorFraction   float64
 	Interval        time.Duration
 	LeaseTTL        time.Duration
 	NodeTimeout     time.Duration
-	Retries         int
 	QuarantineAfter int
 	Clock           clock.Clock
+
+	// Deprecated: has no effect; a failed call waits for the next round.
+	// Only benchmark/ still sets it; Re-cut the ruler (e) deletes it.
+	Retries int
 
 	// Metrics, Flight, Tracer, and Fleet instrument both halves of the
 	// tier: the coordinator records rounds and the agent records its
@@ -126,7 +129,6 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		RoundBase:       tracing.RoundIDBase(cfg.Name),
 		LeaseTTL:        cfg.LeaseTTL,
 		NodeTimeout:     cfg.NodeTimeout,
-		Retries:         cfg.Retries,
 		QuarantineAfter: cfg.QuarantineAfter,
 		Clock:           cfg.Clock,
 		Metrics:         cfg.Metrics,

@@ -175,7 +175,7 @@ func convergedRoundCost(t *testing.T, leaves, rows int) roundCost {
 	t.Helper()
 	tree := newTestTree(t, SimTreeConfig{
 		Leaves: leaves, Rows: rows, Budget: units.Watts(leaves) * 100,
-		LeaseTTL: time.Hour, Retries: -1,
+		LeaseTTL: time.Hour,
 	})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
@@ -211,7 +211,7 @@ func TestConvergedUplinkAllocs(t *testing.T) {
 	const maxAllocsPerUplink = 100
 	tree := newTestTree(t, SimTreeConfig{
 		Leaves: leaves, Rows: rows, Budget: leaves * 100,
-		LeaseTTL: time.Hour, Retries: -1, HTTPUplinks: true,
+		LeaseTTL: time.Hour, HTTPUplinks: true,
 	})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {

@@ -60,7 +60,6 @@ func TestMidTierSoak(t *testing.T) {
 		Budget:   budget,
 		Fallback: rowFallback,
 		LeaseTTL: time.Minute,
-		Retries:  -1,
 	}, ts)
 	if err != nil {
 		t.Fatal(err)

@@ -26,11 +26,9 @@ type SimTreeConfig struct {
 	// Budget is the building-level power budget.
 	Budget units.Watts
 
-	// LeaseTTL and Retries pass to every tier (cluster.Config defaults
-	// apply when zero); fault tests set Retries to -1 for fail-fast
-	// rounds.
+	// LeaseTTL passes to every tier (the cluster.Config default applies
+	// when zero).
 	LeaseTTL time.Duration
-	Retries  int
 
 	// HTTPUplinks serves each row's agent on a loopback listener and
 	// connects the building to it over the real wire protocol with
@@ -145,7 +143,6 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 			StartAtFallback: true,
 			Fallback:        rowFallback,
 			LeaseTTL:        cfg.LeaseTTL,
-			Retries:         cfg.Retries,
 			Flight:          cfg.Flight,
 			Tracer:          tracer(fmt.Sprintf("row%d", r)),
 		}, rowTransports[r])
@@ -178,7 +175,6 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 		Budget:   cfg.Budget,
 		Fallback: cfg.Budget,
 		LeaseTTL: cfg.LeaseTTL,
-		Retries:  cfg.Retries,
 		Flight:   cfg.Flight,
 		Tracer:   tracer(rootName),
 	}, uplinks)

@@ -78,7 +78,7 @@ func TestRowRefusingShrinkClampsAtItsDeadline(t *testing.T) {
 		row, err := NewTier(TierConfig{
 			Name: fmt.Sprintf("row%d", r), Level: "row", NodeID: int16(10 + r),
 			StartAtFallback: true, Fallback: rowFallback,
-			LeaseTTL: ttl, Retries: -1, Flight: rec, Clock: vc,
+			LeaseTTL: ttl, Flight: rec, Clock: vc,
 		}, ts)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRowRefusingShrinkClampsAtItsDeadline(t *testing.T) {
 	}
 	root, err := NewTier(TierConfig{
 		Name: "building", Level: "building", NodeID: 20, Budget: budget, Fallback: budget,
-		LeaseTTL: ttl, Retries: -1, Flight: rec, Clock: vc,
+		LeaseTTL: ttl, Flight: rec, Clock: vc,
 	}, uplinks)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func detRun(t *testing.T, seed int64) map[int16][]flight.Event {
 		row, err := NewTier(TierConfig{
 			Name: fmt.Sprintf("row%d", r), Level: "row", NodeID: int16(10 + r),
 			StartAtFallback: true, Fallback: rowFallback, LeaseTTL: detLeafTTL,
-			Retries: -1, QuarantineAfter: 2, Flight: rec, Clock: vc,
+			QuarantineAfter: 2, Flight: rec, Clock: vc,
 		}, rowTs[r])
 		if err != nil {
 			t.Fatal(err)
@@ -214,7 +214,7 @@ func detRun(t *testing.T, seed int64) map[int16][]flight.Event {
 	}
 	root, err := NewTier(TierConfig{
 		Name: "building", Level: "building", NodeID: 20, Budget: budget, Fallback: budget,
-		LeaseTTL: detRowTTL, Retries: -1, Flight: rec, Clock: vc,
+		LeaseTTL: detRowTTL, Flight: rec, Clock: vc,
 	}, uplinks)
 	if err != nil {
 		t.Fatal(err)

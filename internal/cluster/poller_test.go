@@ -25,7 +25,7 @@ func newPollerCoordinator(t *testing.T, n int, report func(ctx context.Context, 
 		ts[i] = &probeTransport{name: fmt.Sprintf("n%d", i), report: func(ctx context.Context) (Report, error) { return report(ctx, i) }}
 	}
 	vc := clock.NewVirtual(time.Unix(0, 0))
-	c, err := NewOverTransports(ts, Config{Budget: units.Watts(n) * 50, NodeTimeout: 2 * time.Second, Retries: -1, Clock: vc})
+	c, err := NewOverTransports(ts, Config{Budget: units.Watts(n) * 50, NodeTimeout: 2 * time.Second, Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSubMillisecondLeaseTTLOverHTTP(t *testing.T) {
 	}
 	node := newWireNode(t, "n0", 40, nil, 1, nil, nil)
 	c, err := NewOverTransports([]Transport{NewHTTPNode("n0", node.srv.URL, "room")},
-		Config{Budget: 40, LeaseTTL: 500 * time.Microsecond, Retries: -1})
+		Config{Budget: 40, LeaseTTL: 500 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,6 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	c, err := NewOverTransports(ts, Config{
 		Budget:   budget,
 		LeaseTTL: time.Hour,
-		Retries:  -1,
 		Tracer:   coordTracer,
 		Fleet:    fleet,
 	})

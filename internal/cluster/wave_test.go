@@ -84,7 +84,7 @@ func TestLocalPolledInlineRemoteFannedOut(t *testing.T) {
 		}
 		ts[i] = p
 	}
-	c, err := NewOverTransports(ts, Config{Budget: n * 50, NodeTimeout: 2 * time.Second, Retries: -1})
+	c, err := NewOverTransports(ts, Config{Budget: n * 50, NodeTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +107,10 @@ func TestLocalPolledInlineRemoteFannedOut(t *testing.T) {
 	}
 }
 
-// TestWaveDeadline pins the one-deadline-per-wave contract: every first
-// attempt of a round shares one deadline, a retry derives a later one of
-// its own, a child that hangs costs the round two timeouts and a backoff,
-// and its healthy siblings report normally meanwhile.
+// TestWaveDeadline pins the one-deadline-per-wave contract: every child
+// of a round is called once under the wave's one deadline, a child that
+// hangs costs the round that one timeout and nothing more, and its healthy
+// siblings report normally meanwhile.
 func TestWaveDeadline(t *testing.T) {
 	const (
 		n       = 4
@@ -136,9 +136,7 @@ func TestWaveDeadline(t *testing.T) {
 			return okReport, nil
 		}}
 	}
-	c, err := NewOverTransports(ts, Config{
-		Budget: n * 50, NodeTimeout: timeout, Retries: 1,
-	})
+	c, err := NewOverTransports(ts, Config{Budget: n * 50, NodeTimeout: timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +146,15 @@ func TestWaveDeadline(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 
-	if got := len(deadlines[0]); got != 2 {
-		t.Fatalf("hung child saw %d attempts, want 2", got)
-	}
-	if !deadlines[0][1].After(deadlines[0][0]) {
-		t.Errorf("retry deadline %v not after the wave's %v", deadlines[0][1], deadlines[0][0])
+	for i := 0; i < n; i++ {
+		if len(deadlines[i]) != 1 {
+			t.Fatalf("child %d saw %d attempts, want 1", i, len(deadlines[i]))
+		}
+		if !deadlines[i][0].Equal(deadlines[0][0]) {
+			t.Errorf("child %d deadline %v, the wave's is %v", i, deadlines[i][0], deadlines[0][0])
+		}
 	}
 	for i := 1; i < n; i++ {
-		if len(deadlines[i]) != 1 {
-			t.Errorf("healthy child %d saw %d attempts, want 1", i, len(deadlines[i]))
-		} else if !deadlines[i][0].Equal(deadlines[0][0]) {
-			t.Errorf("child %d first attempt deadline %v, wave's is %v", i, deadlines[i][0], deadlines[0][0])
-		}
 		if c.fails[i] != 0 || c.lastPower[i] != okReport.Power {
 			t.Errorf("healthy child %d: fails %d, power %v", i, c.fails[i], c.lastPower[i])
 		}
@@ -167,10 +162,10 @@ func TestWaveDeadline(t *testing.T) {
 	if c.fails[0] != 1 {
 		t.Errorf("hung child: %d failed steps recorded, want 1", c.fails[0])
 	}
-	// Generous above (a loaded box), exact below: two timeouts and the
-	// backoff between them cannot take less.
-	if min := 2*timeout + retryBackoff; elapsed < min || elapsed > min+time.Second {
-		t.Errorf("Step took %v, want about %v", elapsed, min)
+	// Generous above (a loaded box), exact below: the wave's one timeout
+	// cannot take less.
+	if elapsed < timeout || elapsed > timeout+time.Second {
+		t.Errorf("Step took %v, want about %v", elapsed, timeout)
 	}
 }
 

@@ -72,6 +72,9 @@ type Machine struct {
 	cps   int // cores per socket
 	unit  msr.EnergyUnit
 	cal   clock.Calendar // fired at the end of the tick that reaches an entry
+	// sec and nomCycles are the tick in seconds and the nominal cycles a
+	// tick holds, fixed once the options set dt.
+	sec, nomCycles float64
 	// sumSince is when every core's Σ effective frequency was restarted.
 	sumSince time.Duration
 	// energySocket holds cumulative energy per RAPL domain: one entry per
@@ -176,6 +179,7 @@ func New(chip platform.Chip, opts ...Option) (*Machine, error) {
 	if m.dt <= 0 {
 		return nil, fmt.Errorf("sim: tick must be positive, got %v", m.dt)
 	}
+	m.sec, m.nomCycles = m.dt.Seconds(), chip.Freq.Nom.Cycles(m.dt)
 	m.cores = make([]core, chip.NumCores)
 	m.idles = make([]coreIdle, chip.NumCores)
 	for i := range m.cores {
@@ -586,9 +590,7 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 // the tick in seconds, nominal cycles a tick, the limiter's cap — is read
 // once; what a core derives from slow-moving inputs comes from its memo.
 func (m *Machine) Step() {
-	dt := m.dt
-	sec := dt.Seconds()
-	nomCycles := m.chip.Freq.Nom.Cycles(dt)
+	dt, sec, nomCycles := m.dt, m.sec, m.nomCycles
 	cap, thermal := m.limiter.Cap(), m.thermalCap
 	uncore := m.chip.Power.UncorePower
 	act := m.fillActiveSock()
@@ -672,7 +674,10 @@ func (m *Machine) tickFull(c *core, i, active int, cap units.Hertz, sec, nomCycl
 	return p
 }
 
-// Run advances the machine for a duration of virtual time.
+// Run advances the machine for a duration of virtual time, in whole ticks:
+// it steps until the clock reaches its start plus d, so a d that is not a
+// multiple of the tick overshoots by less than one tick (Run(1500µs) on a
+// 1 ms tick advances the clock 2 ms), and no remainder carries over.
 func (m *Machine) Run(d time.Duration) {
 	end := m.clock + d
 	for m.clock < end {

@@ -272,6 +272,12 @@ func TestOnTickHookRuns(t *testing.T) {
 			want: every(50, "tick", time.Millisecond),
 		},
 		{
+			name: "Run steps whole ticks: 1500µs on a 1 ms tick ends at 2 ms",
+			run:  1500 * time.Microsecond,
+			reg:  func(m *Machine, note func(string) func(time.Duration)) { m.OnTick(note("tick")) },
+			want: every(2, "tick", time.Millisecond),
+		},
+		{
 			name: "entries due at one tick fire in registration order",
 			run:  2 * time.Millisecond,
 			reg: func(m *Machine, note func(string) func(time.Duration)) {
