@@ -15,6 +15,9 @@ import (
 // timers and deadlines.
 type Clock interface {
 	Now() time.Time
+	// Until is t.Sub(Now()); on the wall clock, for a t read from Now, it
+	// reads the monotonic clock alone.
+	Until(t time.Time) time.Duration
 	AfterFunc(d time.Duration, fn func()) Timer
 	WithTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 }
@@ -26,6 +29,8 @@ type Timer interface{ Stop() bool }
 type Wall struct{}
 
 func (Wall) Now() time.Time { return time.Now() }
+
+func (Wall) Until(t time.Time) time.Duration { return time.Until(t) }
 
 func (Wall) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
@@ -101,6 +106,8 @@ func (v *Virtual) Now() time.Time {
 	defer v.mu.Unlock()
 	return v.start.Add(v.now)
 }
+
+func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 
 // AfterFunc schedules fn for when the clock has advanced d. A stopped call
 // keeps its entry until then and does nothing.

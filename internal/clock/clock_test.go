@@ -35,6 +35,24 @@ func TestCalendarOrder(t *testing.T) {
 	}
 }
 
+// TestUntil: Until is the time left to t on either clock, and a time past
+// is a negative duration.
+func TestUntil(t *testing.T) {
+	start := time.Unix(100, 0)
+	v := NewVirtual(start)
+	v.Advance(30)
+	if got := v.Until(start.Add(50)); got != 20 {
+		t.Fatalf("virtual Until = %v, want 20ns", got)
+	}
+	if got := v.Until(start); got != -30 {
+		t.Fatalf("virtual Until of a past time = %v, want -30ns", got)
+	}
+	var w Wall
+	if got := w.Until(w.Now().Add(time.Hour)); got <= 0 || got > time.Hour {
+		t.Fatalf("wall Until an hour on = %v", got)
+	}
+}
+
 // TestVirtualAdvance: Advance stops at each due time on its way, so a call
 // reads the clock at its own deadline; a stopped call does nothing; a call
 // may set the next one; WithTimeout's context ends at its deadline, or at

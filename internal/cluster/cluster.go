@@ -434,6 +434,14 @@ func (c *Coordinator) effective(i int, now time.Time, floor units.Watts) units.W
 	return floor
 }
 
+// holdLimit records node i's limit as the cap its lease leaves it, for a
+// node no grant reached: its grant while the lease lives, the floor after.
+// Caller holds c.mu.
+func (c *Coordinator) holdLimit(i int, now time.Time, floor units.Watts) {
+	c.limits[i] = c.effective(i, now, floor)
+	c.mNodeLimit.With(c.ts[i].Name()).Set(float64(c.limits[i]))
+}
+
 // pollReport is the round's one report path: it fills node i's slots of
 // the round scratch. Step calls it directly for a Local transport and
 // hands the rest to the pollers. The clock is read only for a Fleet,
@@ -604,7 +612,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	bids, caps, idx := c.sc.bids[:0], c.sc.caps[:0], c.sc.idx[:0]
 	for i := 0; i < n; i++ {
 		if !healthy[i] {
-			c.limits[i] = c.effective(i, now, units.Watts(floor))
+			c.holdLimit(i, now, units.Watts(floor))
 			reserved += float64(c.limits[i])
 			continue
 		}
@@ -668,6 +676,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		c.mu.Lock()
 		if err != nil {
 			c.noteFailure(i)
+			c.holdLimit(i, c.cfg.Clock.Now(), floor)
 			c.mu.Unlock()
 			return
 		}
@@ -742,7 +751,6 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	for _, i := range grows {
 		c.mu.Lock()
 		cur := c.effective(i, now, floor)
-		c.mu.Unlock()
 		limit := targets[i]
 		delta := limit - cur
 		if delta > headroom {
@@ -750,8 +758,12 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 			limit = cur + delta
 		}
 		if delta <= 0 {
+			// No room to grow into: the node keeps what it holds.
+			c.holdLimit(i, now, floor)
+			c.mu.Unlock()
 			continue
 		}
+		c.mu.Unlock()
 		wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 		grant(wave, i, limit)
 		cancel()

@@ -300,6 +300,7 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 			nodes := []simNode{hungry(t, vc, "hungry"), light(t, vc, "light")}
 			reg := metrics.NewRegistry()
 			c := newRoom(t, vc, Config{Budget: budget, Metrics: reg}, nodes...)
+			limitGauge := reg.GaugeVec("cluster_node_limit_watts", "", "node")
 			deadline := c.LeaseLedger()["light"].Until
 			c.ts[1] = tc.broken(c.ts[1])
 			lapsed := false
@@ -312,6 +313,11 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 				for i, l := range c.Limits() {
 					planned += l
 					enforced += nodes[i].Daemon.Limit()
+					// What the coordinator reports of a node is the cap
+					// the node's daemon enforces.
+					if got, gauge := nodes[i].Daemon.Limit(), limitGauge.With(c.ts[i].Name()).Value(); l != got || gauge != float64(got) {
+						t.Errorf("step %d: %s reported at Limits() %v and gauge %v, enforcing %v", step, c.ts[i].Name(), l, gauge, got)
+					}
 				}
 				if planned > budget+budgetSlack || enforced > budget+budgetSlack {
 					t.Errorf("step %d: Σ limits planned %v, enforced %v, over the %v budget", step, planned, enforced, budget)

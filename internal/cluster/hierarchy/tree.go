@@ -49,7 +49,8 @@ type SimTreeConfig struct {
 // SimTree is an in-process 3-tier coordination tree: simulated leaves
 // under row tiers under one building-level root. It exists for tests
 // and benchmarks; cmd/powercoord assembles the same shape from real
-// processes.
+// processes. Each row steps on a goroutine of its own that lives from
+// the first StepRows to Close, so Close a tree that has stepped.
 type SimTree struct {
 	Root   *Tier
 	Rows   []*Tier
@@ -59,6 +60,25 @@ type SimTree struct {
 	RowLeaves [][]*Leaf
 
 	servers []*http.Server
+
+	// The row workers: one goroutine per row, fed from one channel and
+	// kept across rounds, so the stack a row round grows is grown once.
+	// rowMu serialises the rounds that feed them and Close; rowWG counts
+	// a round's rows, rowsLive the workers.
+	rowMu    sync.Mutex
+	rowJobs  chan rowJob
+	rowWG    sync.WaitGroup
+	rowsLive sync.WaitGroup
+	rowErrs  []error
+	// stepRow, when set, runs a row's round in place of Tier.Step, so a
+	// test can make one fail.
+	stepRow func(*Tier, context.Context) error
+}
+
+// rowJob is one row's round, handed to a row worker.
+type rowJob struct {
+	ctx context.Context
+	i   int
 }
 
 // floorFraction is the guaranteed-share fraction every simulated tier
@@ -191,22 +211,42 @@ func NewSimTree(cfg SimTreeConfig) (*SimTree, error) {
 // so a tree round's row phase costs one row, not the sum of all of
 // them. Returns the first error.
 func (t *SimTree) StepRows(ctx context.Context) error {
-	errs := make([]error, len(t.Rows))
-	var wg sync.WaitGroup
-	for i, row := range t.Rows {
-		wg.Add(1)
-		go func(i int, row *Tier) {
-			defer wg.Done()
-			errs[i] = row.Step(ctx)
-		}(i, row)
+	t.rowMu.Lock()
+	defer t.rowMu.Unlock()
+	if t.rowJobs == nil {
+		t.startRows()
 	}
-	wg.Wait()
-	for _, err := range errs {
+	t.rowWG.Add(len(t.Rows))
+	for i := range t.Rows {
+		t.rowJobs <- rowJob{ctx, i}
+	}
+	t.rowWG.Wait()
+	for _, err := range t.rowErrs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// startRows starts one worker per row. Caller holds rowMu.
+func (t *SimTree) startRows() {
+	jobs := make(chan rowJob)
+	t.rowJobs, t.rowErrs = jobs, make([]error, len(t.Rows))
+	t.rowsLive.Add(len(t.Rows))
+	for range t.Rows {
+		go func() {
+			defer t.rowsLive.Done()
+			for j := range jobs {
+				step := (*Tier).Step
+				if t.stepRow != nil {
+					step = t.stepRow
+				}
+				t.rowErrs[j.i] = step(t.Rows[j.i], j.ctx)
+				t.rowWG.Done()
+			}
+		}()
+	}
 }
 
 // StepRoot runs one building-level round over the row uplinks.
@@ -250,8 +290,16 @@ func (t *SimTree) TotalLeafCaps() units.Watts {
 	return sum
 }
 
-// Close shuts loopback servers and stops every lease-expiry timer.
+// Close stops the row workers and waits for them to exit, shuts loopback
+// servers and stops every lease-expiry timer.
 func (t *SimTree) Close() {
+	t.rowMu.Lock()
+	if t.rowJobs != nil {
+		close(t.rowJobs)
+		t.rowJobs = nil
+	}
+	t.rowMu.Unlock()
+	t.rowsLive.Wait()
 	for _, srv := range t.servers {
 		srv.Close()
 	}

@@ -37,7 +37,9 @@ func NewHTTPNode(name, addr, coord string) *HTTPNode {
 	return &HTTPNode{name: name, coord: coord, client: powerapi.NewClient(addr)}
 }
 
-// WithHTTPClient swaps the underlying HTTP client (tests, timeouts).
+// WithHTTPClient sends every call through c's Transport, under a deadline
+// of c.Timeout when it is set; only those two are used
+// (powerapi.Client.WithHTTPClient).
 func (h *HTTPNode) WithHTTPClient(c *http.Client) *HTTPNode {
 	h.client.WithHTTPClient(c)
 	return h

@@ -6,6 +6,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,10 +415,7 @@ func (a *Agent) StatusInto(st *NodeStatus, lease *LeaseInfo) {
 	st.FallbackWatts = float64(a.fallback)
 	st.Draining = a.draining
 	if a.leaseActive {
-		rem := a.leaseExpires.Sub(a.cfg.Clock.Now())
-		if rem < 0 {
-			rem = 0
-		}
+		rem := max(a.cfg.Clock.Until(a.leaseExpires), 0)
 		*lease = LeaseInfo{
 			ID:          a.leaseID,
 			Coordinator: a.leaseCoord,
@@ -492,6 +490,40 @@ func (a *Agent) traceRound(round uint64, name string, start time.Duration) {
 	b.End()
 }
 
+// statusQuery is what a status request asks: each parameter's first value.
+type statusQuery struct {
+	metrics, follow, round string
+	hasFollow              bool
+}
+
+// parseStatusQuery reads a status request's parameters as url.ParseQuery
+// would, without building its map: a query with nothing escaped and no ';'
+// (every query a Client sends) is scanned in place, any other is handed to
+// url.ParseQuery.
+func parseStatusQuery(raw string) (q statusQuery) {
+	if strings.ContainsAny(raw, "%+;") {
+		v, _ := url.ParseQuery(raw)
+		q.metrics, q.round = v.Get("metrics"), v.Get("round")
+		q.follow, q.hasFollow = v.Get("follow"), v.Has("follow")
+		return q
+	}
+	var hasMetrics, hasRound bool
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		k, v, _ := strings.Cut(kv, "=")
+		switch {
+		case k == "metrics" && !hasMetrics:
+			q.metrics, hasMetrics = v, true
+		case k == "follow" && !q.hasFollow:
+			q.follow, q.hasFollow = v, true
+		case k == "round" && !hasRound:
+			q.round, hasRound = v, true
+		}
+	}
+	return q
+}
+
 func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 	a.mStatusReq.Inc()
 	if r.Method != http.MethodGet {
@@ -499,30 +531,30 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, CodeBadRequest, "status requires GET")
 		return
 	}
-	q := r.URL.Query()
-	if m := q.Get("metrics"); m != "" && m != "1" {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics=%q, want 1 or unset", m)
+	q := parseStatusQuery(r.URL.RawQuery)
+	if q.metrics != "" && q.metrics != "1" {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics=%q, want 1 or unset", q.metrics)
 		return
 	}
 	var epoch, rev uint64
-	if q.Has("follow") {
-		e, v, _ := strings.Cut(q.Get("follow"), ".")
+	if q.hasFollow {
+		e, v, _ := strings.Cut(q.follow, ".")
 		var errE, errV error
 		epoch, errE = strconv.ParseUint(e, 10, 64)
 		rev, errV = strconv.ParseUint(v, 10, 64)
 		if errE != nil || errV != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, "follow=%q, want <epoch>.<rev>", q.Get("follow"))
+			writeErr(w, http.StatusBadRequest, CodeBadRequest, "follow=%q, want <epoch>.<rev>", q.follow)
 			return
 		}
 	}
 	// Body-less requests carry their round ID as a query parameter.
-	round, _ := strconv.ParseUint(q.Get("round"), 10, 64)
+	round, _ := strconv.ParseUint(q.round, 10, 64)
 	start := a.cfg.Tracer.Now()
 	st := a.Status()
-	if q.Get("metrics") != "" {
+	if q.metrics != "" {
 		st.Metrics = a.cfg.Metrics.Values()
 	}
-	if q.Has("follow") {
+	if q.hasFollow {
 		st = a.frame(st, epoch, rev)
 	}
 	a.traceRound(round, "receive", start)

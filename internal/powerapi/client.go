@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Client speaks the node side of the protocol to one powerd daemon —
@@ -16,7 +17,12 @@ import (
 type Client struct {
 	base *url.URL // the address, parsed once; every request's URL is a copy
 	err  error    // why the address did not parse, reported by every call
-	http *http.Client
+
+	// All the client takes of an http.Client (WithHTTPClient): the
+	// control plane follows no redirect and keeps no cookie, so requests
+	// skip http.Client.Do and its per-request header copy.
+	rt      http.RoundTripper
+	timeout time.Duration // each request's deadline, when positive
 }
 
 // NewClient builds a client for a node's observability address
@@ -26,14 +32,27 @@ func NewClient(addr string) *Client {
 		addr = "http://" + addr
 	}
 	base, err := url.Parse(strings.TrimRight(addr, "/"))
-	return &Client{base: base, err: err, http: http.DefaultClient}
+	return &Client{base: base, err: err, rt: http.DefaultTransport}
 }
 
-// WithHTTPClient swaps the underlying HTTP client (tests, timeouts).
+// WithHTTPClient sends every request through h's Transport
+// (http.DefaultTransport when nil) and, when h.Timeout is set, gives each
+// request a deadline that far away. Nothing else of h is used: a redirect
+// is not followed but returned as an error, and no cookie is kept.
 func (c *Client) WithHTTPClient(h *http.Client) *Client {
-	c.http = h
+	c.rt, c.timeout = h.Transport, h.Timeout
+	if c.rt == nil {
+		c.rt = http.DefaultTransport
+	}
 	return c
 }
+
+// The request headers, shared by every request: a RoundTripper does not
+// modify the request it is given.
+var (
+	getHeader  = http.Header{"Accept": jsonHeader}
+	postHeader = http.Header{"Accept": jsonHeader, "Content-Type": jsonHeader}
+)
 
 // readReply reads r to its end into b, or to one byte past limit.
 func readReply(r io.Reader, b []byte, limit int) ([]byte, error) {
@@ -60,19 +79,24 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, query []byt
 	if c.err != nil {
 		return nil, fmt.Errorf("powerapi: %w", c.err)
 	}
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
 	u := *c.base
 	u.Path += path
 	if u.RawPath != "" {
 		u.RawPath += path
 	}
-	req := &http.Request{Method: method, URL: &u, Host: u.Host, Header: http.Header{"Accept": jsonHeader},
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}
+	req := (&http.Request{Method: method, URL: &u, Host: u.Host, Header: getHeader,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1}).WithContext(ctx)
 	if round := RoundFrom(ctx); msg != nil {
 		data, err := MarshalRound(msg, round)
 		if err != nil {
 			return nil, err
 		}
-		req.Header["Content-Type"] = jsonHeader
+		req.Header = postHeader
 		req.ContentLength = int64(len(data))
 		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
 		req.Body, _ = req.GetBody()
@@ -83,7 +107,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, query []byt
 		query = strconv.AppendUint(append(query, "round="...), round, 10)
 	}
 	u.RawQuery = string(query)
-	resp, err := c.http.Do(req.WithContext(ctx))
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
 		return nil, fmt.Errorf("powerapi: %s %s: %w", method, u.RequestURI(), err)
 	}

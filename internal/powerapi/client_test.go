@@ -1,12 +1,15 @@
 package powerapi
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCoordClientRoundTrips drives Register and Heartbeat against a fake
@@ -100,4 +103,76 @@ func mustMarshal(t *testing.T, msg any) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// deadlineTripper answers every request with one status frame and records
+// the deadline each request's context carried.
+type deadlineTripper struct {
+	deadlines []time.Time
+	has       []bool
+}
+
+func (d *deadlineTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	dl, ok := req.Context().Deadline()
+	d.deadlines, d.has = append(d.deadlines, dl), append(d.has, ok)
+	body, err := Marshal(&NodeStatus{Node: "n0"})
+	if err != nil {
+		return nil, err
+	}
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body)), Request: req}, nil
+}
+
+// TestClientTimeoutIsTheRequestDeadline: a client's Timeout reaches its
+// transport as each request's context deadline, that far from the call;
+// without one a request carries no deadline.
+func TestClientTimeoutIsTheRequestDeadline(t *testing.T) {
+	const d = time.Hour
+	ctx := context.Background()
+	rt := &deadlineTripper{}
+	timed := NewClient("n0:9090").WithHTTPClient(&http.Client{Transport: rt, Timeout: d})
+	before := time.Now()
+	if _, err := timed.Status(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var f StatusFollower
+	if _, err := timed.FollowStatus(ctx, &f, false); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Now()
+	for i, dl := range rt.deadlines {
+		if !rt.has[i] || dl.Before(before.Add(d)) || dl.After(after.Add(d)) {
+			t.Errorf("request %d: deadline %v (set %v), want %v after the call", i, dl, rt.has[i], d)
+		}
+	}
+	rt = &deadlineTripper{}
+	if _, err := NewClient("n0:9090").WithHTTPClient(&http.Client{Transport: rt}).Status(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rt.has[0] {
+		t.Errorf("a client without a timeout gave its request the deadline %v", rt.deadlines[0])
+	}
+}
+
+// TestClientDoesNotFollowRedirects: a redirect is the node's answer, and
+// not a status frame, so the call fails naming it and never asks the
+// address it points to.
+func TestClientDoesNotFollowRedirects(t *testing.T) {
+	followed := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathPrefix+"status", func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, "/elsewhere", http.StatusFound)
+	})
+	mux.HandleFunc("/elsewhere", func(w http.ResponseWriter, r *http.Request) {
+		followed++
+		writeMsg(w, http.StatusOK, &NodeStatus{Node: "n0"})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	_, err := NewClient(srv.URL).Status(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "HTTP 302") {
+		t.Fatalf("redirected status: %v, want an error naming HTTP 302", err)
+	}
+	if followed != 0 {
+		t.Fatalf("the redirect was followed %d times", followed)
+	}
 }

@@ -3,74 +3,109 @@ package powerapi
 import (
 	"fmt"
 	"maps"
-	"reflect"
 	"slices"
-	"strings"
 	"sync"
 )
 
-// field is one payload field of NodeStatus.
+// field is one replaced-whole payload field of NodeStatus: its wire name,
+// as Clear spells it, and how diffStatus and Apply read and move it.
 type field struct {
-	name  string // wire name, as Clear spells it
-	index int    // field index in NodeStatus
+	name string
+	// absent reports the field at its zero value (an empty slice counts),
+	// which is also when omitempty keeps it off the wire.
+	absent func(*NodeStatus) bool
+	// same reports whether two frames hold the same value.
+	same func(a, b *NodeStatus) bool
+	// move sets dst's field to src's.
+	move func(dst, src *NodeStatus)
 }
+
+// value is a field compared with ==, absent at its type's zero.
+func value[T comparable](name string, at func(*NodeStatus) *T) field {
+	var zero T
+	return field{name,
+		func(s *NodeStatus) bool { return *at(s) == zero },
+		func(a, b *NodeStatus) bool { return *at(a) == *at(b) },
+		func(dst, src *NodeStatus) { *at(dst) = *at(src) }}
+}
+
+// pointer is a field held by pointer, absent when nil and compared by
+// what it points to.
+func pointer[T any](name string, at func(*NodeStatus) **T, equal func(a, b *T) bool) field {
+	return field{name,
+		func(s *NodeStatus) bool { return *at(s) == nil },
+		func(a, b *NodeStatus) bool {
+			x, y := *at(a), *at(b)
+			return x == y || x != nil && y != nil && equal(x, y)
+		},
+		func(dst, src *NodeStatus) { *at(dst) = *at(src) }}
+}
+
+// list is a slice field, absent when empty and compared element by element.
+func list[E comparable](name string, at func(*NodeStatus) *[]E) field {
+	return field{name,
+		func(s *NodeStatus) bool { return len(*at(s)) == 0 },
+		func(a, b *NodeStatus) bool { return slices.Equal(*at(a), *at(b)) },
+		func(dst, src *NodeStatus) { *at(dst) = *at(src) }}
+}
+
+// equalValue compares what two pointers point to with ==.
+func equalValue[T comparable](a, b *T) bool { return *a == *b }
 
 // metricsField is Metrics' wire name. Metrics is the one field that
 // merges per key instead of being replaced whole, so diffStatus and
 // Apply handle it by name.
 const metricsField = "metrics"
 
-// payload lists the replaced-whole fields of NodeStatus. It is read off
-// the type, so a field added to NodeStatus is diffed, cleared and
-// carried over without anyone remembering to.
-var payload = func() []field {
-	var out []field
-	t := reflect.TypeOf(NodeStatus{})
-	for i := 0; i < t.NumField(); i++ {
-		switch f := t.Field(i); f.Name {
-		case "Node", "Epoch", "Rev", "Base", "Clear": // the frame's identity and chain
-		case "Metrics": // merged per series, by name
-		default:
-			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			out = append(out, field{name, i})
-		}
-	}
-	return out
-}()
-
-// absent reports whether a field is at its zero value (an empty slice
-// or map counts), which is also when omitempty keeps it off the wire.
-func absent(v reflect.Value) bool {
-	if k := v.Kind(); k == reflect.Slice || k == reflect.Map {
-		return v.Len() == 0
-	}
-	return v.IsZero()
+// payload lists the replaced-whole fields of NodeStatus: every field but
+// the frame's identity and chain (Node, Epoch, Rev, Base, Clear) and
+// Metrics. A field added to NodeStatus is added here, or
+// TestDiffStatusApplyRoundTrip, which walks the type, fails.
+var payload = []field{
+	value("policy", func(s *NodeStatus) *string { return &s.Policy }),
+	value("limit_watts", func(s *NodeStatus) *float64 { return &s.LimitWatts }),
+	value("power_watts", func(s *NodeStatus) *float64 { return &s.PowerWatts }),
+	value("max_watts", func(s *NodeStatus) *float64 { return &s.MaxWatts }),
+	value("fallback_watts", func(s *NodeStatus) *float64 { return &s.FallbackWatts }),
+	value("iterations", func(s *NodeStatus) *int { return &s.Iterations }),
+	value("draining", func(s *NodeStatus) *bool { return &s.Draining }),
+	pointer("lease", func(s *NodeStatus) **LeaseInfo { return &s.Lease }, equalValue[LeaseInfo]),
+	list("apps", func(s *NodeStatus) *[]AppShare { return &s.Apps }),
+	pointer("energy", func(s *NodeStatus) **EnergyStatus { return &s.Energy }, (*EnergyStatus).equal),
+	pointer("slo", func(s *NodeStatus) **SLOStatus { return &s.SLO }, func(a, b *SLOStatus) bool {
+		return slices.Equal(a.Services, b.Services)
+	}),
+	pointer("tier", func(s *NodeStatus) **TierStatus { return &s.Tier }, equalValue[TierStatus]),
 }
 
-// unchanged compares one field between two frames: a scalar itself,
-// anything else by what it holds.
-func unchanged(old, now reflect.Value) bool {
-	if now.Comparable() && now.Kind() != reflect.Pointer {
-		return old.Equal(now)
-	}
-	return reflect.DeepEqual(old.Interface(), now.Interface())
+// equal compares two energy summaries field by field.
+func (e *EnergyStatus) equal(o *EnergyStatus) bool {
+	return e.ElapsedSeconds == o.ElapsedSeconds && e.Intervals == o.Intervals &&
+		e.OverIntervals == o.OverIntervals && e.TotalUJ == o.TotalUJ &&
+		e.UnattributedUJ == o.UnattributedUJ && e.ExcludedUJ == o.ExcludedUJ &&
+		e.OvershootUJ == o.OvershootUJ && e.TotalJoules == o.TotalJoules &&
+		e.OvershootJoules == o.OvershootJoules && e.CostUSD == o.CostUSD &&
+		e.CarbonGrams == o.CarbonGrams &&
+		slices.Equal(e.Apps, o.Apps) && maps.Equal(e.Anomalies, o.Anomalies)
 }
+
+// blank is the zero frame diffStatus moves a field from to leave it off;
+// nothing writes to it.
+var blank NodeStatus
 
 // diffStatus encodes cur as a delta frame on top of base: each field
 // only if it changed, and in Clear each field that went back to zero.
 func diffStatus(base, cur *NodeStatus) *NodeStatus {
 	d := *cur
 	d.Base, d.Clear = base.Rev, nil
-	bv, dv := reflect.ValueOf(base).Elem(), reflect.ValueOf(&d).Elem()
 	for _, f := range payload {
-		old, now := bv.Field(f.index), dv.Field(f.index)
 		switch {
-		case absent(now):
-			if !absent(old) {
+		case f.absent(cur):
+			if !f.absent(base) {
 				d.Clear = append(d.Clear, f.name)
 			}
-		case unchanged(old, now):
-			now.SetZero()
+		case f.same(base, cur):
+			f.move(&d, &blank)
 		}
 	}
 	var changed map[string]float64
@@ -157,10 +192,9 @@ func (f *StatusFollower) Apply(fr *NodeStatus) (*NodeStatus, error) {
 		if reason != "" {
 			return nil, fmt.Errorf("powerapi: status frame refused: %s", reason)
 		}
-		cv, nv := reflect.ValueOf(cur).Elem(), reflect.ValueOf(&next).Elem()
 		for _, f := range payload {
-			if v := nv.Field(f.index); absent(v) && !slices.Contains(fr.Clear, f.name) {
-				v.Set(cv.Field(f.index))
+			if f.absent(&next) && !slices.Contains(fr.Clear, f.name) {
+				f.move(&next, cur)
 			}
 		}
 		if len(cur.Metrics) > 0 && !slices.Contains(fr.Clear, metricsField) {

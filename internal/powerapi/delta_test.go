@@ -137,10 +137,13 @@ func fill(v reflect.Value, seed int) {
 // TestDiffStatusApplyRoundTrip walks every exported field of NodeStatus
 // — so a field added later is covered without anyone remembering to —
 // and modifies, clears and sets it between polls while every other
-// field holds steady at a non-zero value. Each time the frame the agent
-// encodes, once through the wire codec and applied by the follower,
-// must reproduce the agent's status exactly: the walked field as it now
-// is, and nothing else dropped for having been left off the wire.
+// field holds steady at a non-zero value; a field that points to a
+// struct is then changed one of its own fields at a time. Each time the
+// frame the agent encodes, once through the wire codec and applied by
+// the follower, must reproduce the agent's status exactly: the walked
+// field as it now is, and nothing else dropped for having been left off
+// the wire. And the delta carries only what changed: a field that holds
+// its value from one poll to the next is absent from the frame.
 func TestDiffStatusApplyRoundTrip(t *testing.T) {
 	// The frame's identity and chain fields are not payload: the agent
 	// stamps them, and the refusal tests cover them.
@@ -148,17 +151,30 @@ func TestDiffStatusApplyRoundTrip(t *testing.T) {
 	a, _ := newStubAgent(t, "n0", nil)
 	var f StatusFollower
 	typ := reflect.TypeOf(NodeStatus{})
-	polls := 0
+	var prev *NodeStatus // the status of the poll before
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		if chain[name] {
 			continue
 		}
-		for step, mutate := range []func(reflect.Value){
+		steps := []func(reflect.Value){
 			func(v reflect.Value) { fill(v, 40) }, // modify
 			func(v reflect.Value) { v.SetZero() }, // clear
 			func(v reflect.Value) { fill(v, 3) },  // set
-		} {
+		}
+		if ft := typ.Field(i).Type; ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+			// One more of the pointee's fields changes at each step, so
+			// from one poll to the next exactly one of them differs.
+			for j := 0; j < ft.Elem().NumField(); j++ {
+				steps = append(steps, func(v reflect.Value) {
+					fill(v, 3)
+					for k := 0; k <= j; k++ {
+						fill(v.Elem().Field(k), 50+k)
+					}
+				})
+			}
+		}
+		for step, mutate := range steps {
 			st := &NodeStatus{}
 			fill(reflect.ValueOf(st).Elem(), 7)
 			st.Node, st.Epoch, st.Rev, st.Base, st.Clear = "n0", 0, 0, 0, nil
@@ -169,12 +185,21 @@ func TestDiffStatusApplyRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if polls++; polls > 1 && !bytes.Contains(data, []byte(`"base":`)) {
+			if prev != nil && !bytes.Contains(data, []byte(`"base":`)) {
 				t.Fatalf("%s step %d: agent sent a full frame to a follower holding its baseline: %s", name, step, data)
 			}
 			msg, err := UnmarshalAs(data, KindStatus)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if prev != nil {
+				fr, pv, cv := reflect.ValueOf(msg).Elem(), reflect.ValueOf(prev).Elem(), reflect.ValueOf(&want).Elem()
+				for k := 0; k < typ.NumField(); k++ {
+					held := reflect.DeepEqual(pv.Field(k).Interface(), cv.Field(k).Interface())
+					if held && !chain[typ.Field(k).Name] && !fr.Field(k).IsZero() {
+						t.Fatalf("%s step %d: %s held its value, but the delta carries it: %s", name, step, typ.Field(k).Name, data)
+					}
+				}
 			}
 			got, err := f.Apply(msg.(*NodeStatus))
 			if err != nil {
@@ -184,6 +209,7 @@ func TestDiffStatusApplyRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, &want) {
 				t.Fatalf("%s step %d:\n got %+v\nwant %+v\nwire %s", name, step, got, &want, data)
 			}
+			prev = &want
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,5 +152,34 @@ func TestClientPropagatesRound(t *testing.T) {
 	}
 	if gotQuery != 0 {
 		t.Fatalf("round leaked onto bare context: %d", gotQuery)
+	}
+}
+
+// TestStatusQueryMatchesParseQuery holds serveStatus's in-place reading of
+// its parameters to url.ParseQuery's: the first value of each, whether
+// follow is there at all, with duplicates, empty pairs, bare keys, escapes
+// and a ';' in the query.
+func TestStatusQueryMatchesParseQuery(t *testing.T) {
+	for _, raw := range []string{
+		"",
+		"follow=12.3&metrics=1&round=99",
+		"round=7",
+		"follow",
+		"follow=",
+		"follow=1.2&follow=3.4",
+		"metrics=2&metrics=1",
+		"&&round=5&",
+		"=3&round&metrics",
+		"x=1&followx=2&round=3=4",
+		"follow=1%2E2&metrics=%31",
+		"round=1+2&follow=a+b",
+		"follow=1.2;metrics=1&round=4",
+		"met%72ics=1&follow=%zz&round=6",
+	} {
+		v, _ := url.ParseQuery(raw)
+		want := statusQuery{metrics: v.Get("metrics"), follow: v.Get("follow"), round: v.Get("round"), hasFollow: v.Has("follow")}
+		if got := parseStatusQuery(raw); got != want {
+			t.Errorf("%q: read %+v, url.ParseQuery reads %+v", raw, got, want)
+		}
 	}
 }
