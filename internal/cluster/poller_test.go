@@ -51,10 +51,27 @@ func waitingToStep(n int) bool {
 	return in == n && locking
 }
 
-// pollers counts the poller goroutines alive in this process.
-func pollers() int {
+// pollers counts the poller goroutines alive in this process that
+// goroutine id started. Step starts pollers on its caller's goroutine, so a
+// test that steps its coordinator itself counts its own pollers, not those
+// of other tests' coordinators retiring meanwhile.
+func pollers(id string) int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Coordinator).startPollers.func1")
+	created := "(*Coordinator).startPollers in goroutine " + id + "\n"
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*Coordinator).startPollers.func1") && strings.Contains(g+"\n", created) {
+			n++
+		}
+	}
+	return n
+}
+
+// goroutineID returns the calling goroutine's id, as stack traces print it.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf, false)]), "goroutine "), " ")
+	return id
 }
 
 // waitFor polls cond until it holds, failing the test after five seconds.
@@ -88,10 +105,11 @@ func TestPollerLifetime(t *testing.T) {
 		return c.polls == nil
 	}
 	// Other tests' coordinators may still have pollers, and those can only
-	// go away: every count below is taken against one just before it.
-	baseline := runtime.NumGoroutine()
+	// go away: the goroutine count is held against its value here, and the
+	// pollers counted are the ones this goroutine's Steps started.
+	baseline, me := runtime.NumGoroutine(), goroutineID()
 	for round, started := range []int{2, 0, 2} { // the pollers each round has to start
-		before := pollers()
+		before := pollers(me)
 		inflight.Add(2)
 		if err := c.Step(context.Background()); err != nil {
 			t.Fatal(err)
@@ -99,7 +117,7 @@ func TestPollerLifetime(t *testing.T) {
 		if a, b := polled[0].Load(), polled[1].Load(); int(a) != round+1 || int(b) != round+1 {
 			t.Fatalf("round %d: children polled %d and %d times", round+1, a, b)
 		}
-		if got := pollers(); got != before+started {
+		if got := pollers(me); got != before+started {
 			t.Errorf("round %d: %d pollers, want %d", round+1, got, before+started)
 		}
 		if round == 1 {
@@ -112,7 +130,7 @@ func TestPollerLifetime(t *testing.T) {
 			if vc.Advance(pollerIdle); !retired() {
 				t.Fatal("the pollers outlived a whole idle period")
 			}
-			waitFor(t, "the pollers to exit", func() bool { return pollers() <= before-2 })
+			waitFor(t, "the pollers to exit", func() bool { return pollers(me) <= before-2 })
 		}
 	}
 	vc.Advance(2 * pollerIdle)

@@ -127,7 +127,10 @@ func (c *Counters) Account(eff units.Hertz, nomCycles float64, dt time.Duration,
 		return
 	}
 	if eff > 0 {
-		c.APERF += float64(eff) * sec
+		// The conversion rounds the product before the add, so that no
+		// target fuses the two: a simulator that adds a product it
+		// recorded earlier adds the same bits.
+		c.APERF += float64(float64(eff) * sec)
 		c.MPERF += nomCycles
 	}
 	c.Instr += instr

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/clock"
@@ -86,10 +87,19 @@ type Machine struct {
 	// its own socket's active count.
 	activeSock []int
 	dev        *msr.SimDevice
-	// misses counts memo recomputations and steady the core-ticks that took
-	// the steady path; both are for the count gates in the tests.
+	// changes counts the writes of a control input: every function that
+	// assigns a core's request, idle, offline or app, or the thermal cap,
+	// bumps it (TestControlWritesBumpChanges). run is the steady run Step
+	// armed, if any.
+	changes uint64
+	run     steadyRun
+	// misses counts memo recomputations; steady the core-ticks that took
+	// the steady path, in a run or not; runs the runs armed, the ticks
+	// they served and their core-ticks. All are for the count gates in
+	// the tests.
 	misses struct{ freq, power int }
 	steady int
+	runs   struct{ armed, ticks, cores int }
 
 	// Optional instrumentation; nil handles no-op.
 	reg          *metrics.Registry
@@ -97,6 +107,15 @@ type Machine struct {
 	mTicks       *metrics.Counter
 	mCStateTrans *metrics.CounterVec
 	mFreqConstr  *metrics.CounterVec
+}
+
+// steadyRun is what a run was armed with: the ticks it has left, and the
+// change count, limiter cap and thermal cap whose equality lets a tick take
+// it.
+type steadyRun struct {
+	left         int
+	changes      uint64
+	cap, thermal units.Hertz
 }
 
 // constraint is a binding constraint's flight code (flight.ConstraintIdle …
@@ -146,6 +165,15 @@ type core struct {
 	lastEff units.Hertz // effective frequency of the previous tick
 	freqSum float64     // Σ effective frequency since sumSince
 	cpu.Counters
+
+	// inRun marks a core the last armed run serves, and the rest is what
+	// its arming tick added: the core's power, APERF, energy and
+	// instructions, and the instance's move count after it.
+	inRun              bool
+	runPower           units.Watts
+	runAperf, runInstr float64
+	runEnergy          units.Joules
+	runMoves           uint64
 }
 
 // coreIdle holds the rest of a core's C-state machinery, what only a sleep,
@@ -252,6 +280,7 @@ func (m *Machine) Pin(in *workload.Instance, core int) error {
 	}
 	in.Pin = core
 	c.app, c.idle, c.request = in, false, m.chip.Freq.Nom
+	m.changes++
 	return nil
 }
 
@@ -261,6 +290,7 @@ func (m *Machine) Unpin(core int) {
 		return
 	}
 	m.cores[core].app, m.cores[core].idle = nil, true
+	m.changes++
 }
 
 // App returns the instance pinned to core, or nil.
@@ -279,6 +309,7 @@ func (m *Machine) SetRequest(core int, f units.Hertz) error {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
 	m.cores[core].request = m.chip.Freq.Quantize(f)
+	m.changes++
 	return nil
 }
 
@@ -301,6 +332,7 @@ func (m *Machine) SetIdle(core int, idle bool) error {
 		return fmt.Errorf("sim: core %d has no application to wake", core)
 	}
 	c.idle = idle
+	m.changes++
 	return nil
 }
 
@@ -316,6 +348,7 @@ func (m *Machine) SetThermalCap(f units.Hertz) {
 		f = 0
 	}
 	m.thermalCap = f
+	m.changes++
 }
 
 // ThermalCap reports the active thermal clamp (0 when none).
@@ -336,6 +369,7 @@ func (m *Machine) SetOffline(core int, off bool) error {
 	} else if c.app != nil {
 		c.idle = false
 	}
+	m.changes++
 	return nil
 }
 
@@ -589,16 +623,37 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 // Step advances the machine one tick. What is the same for every core —
 // the tick in seconds, nominal cycles a tick, the limiter's cap — is read
 // once; what a core derives from slow-moving inputs comes from its memo.
+// While a run armed by an earlier tick holds, a tick does only each run
+// core's adds (runTick); any other tick is a full one (fullTick).
 func (m *Machine) Step() {
-	dt, sec, nomCycles := m.dt, m.sec, m.nomCycles
 	cap, thermal := m.limiter.Cap(), m.thermalCap
+	m.mTicks.Inc()
+	var pkg units.Watts
+	if r := &m.run; r.left > 0 && r.changes == m.changes && r.cap == cap && r.thermal == thermal {
+		r.left--
+		pkg = m.runTick(cap)
+	} else {
+		r.left = 0
+		pkg = m.fullTick(cap, thermal)
+	}
+	m.limiter.Observe(pkg, m.dt)
+	m.clock += m.dt
+	if m.clock >= m.cal.Next() {
+		m.cal.Fire(m.clock)
+	}
+}
+
+// fullTick is a tick that checks every core, and arms a run when every
+// awake core took the steady path. It returns the package power.
+func (m *Machine) fullTick(cap, thermal units.Hertz) units.Watts {
+	dt, sec, nomCycles := m.dt, m.sec, m.nomCycles
 	uncore := m.chip.Power.UncorePower
 	act := m.fillActiveSock()
 	cps := m.cps
-	full := 0
-	m.mTicks.Inc()
+	full, awake := 0, 0
 	var pkg units.Watts
 	for sock, active := range act {
+		awake += active
 		var sockPower units.Watts
 		cores := m.cores[sock*cps : (sock+1)*cps]
 		for j := range cores {
@@ -630,12 +685,80 @@ func (m *Machine) Step() {
 		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
 		pkg += sockPower
 	}
-	m.steady += len(m.cores) - full
-	m.limiter.Observe(pkg, dt)
-	m.clock += dt
-	if m.clock >= m.cal.Next() {
-		m.cal.Fire(m.clock)
+	steady := len(m.cores) - full
+	m.steady += steady
+	if steady == awake && awake > 0 {
+		m.arm(cap, thermal)
 	}
+	return pkg
+}
+
+// arm starts a run after a full tick on which every awake core took the
+// steady path. Each such core records what the tick added; the run lasts
+// the fewest ticks in which every core's instance can retire the same
+// step again without reaching a phase end or a run end, and a core with
+// no such tick arms none. It is armed before the calendar fires, so that
+// a write from an entry ends it.
+func (m *Machine) arm(cap, thermal units.Hertz) {
+	sec, left := m.sec, math.MaxInt
+	for i := range m.cores {
+		c := &m.cores[i]
+		if c.inRun = !c.idle && !c.offline; !c.inRun {
+			continue
+		}
+		// A phase the tick turned over may have moved the activity.
+		step, n := c.app.SteadyTicks(c.eff, sec)
+		if n == 0 || c.activity != c.app.CurrentActivity() {
+			return
+		}
+		left = min(left, n)
+		c.runPower, c.runAperf, c.runInstr = c.power, float64(c.eff)*sec, step
+		c.runEnergy = units.Joules(float64(c.power) * sec)
+		c.runMoves = c.app.Moves()
+	}
+	m.run = steadyRun{left, m.changes, cap, thermal}
+	m.runs.armed++
+}
+
+// runTick is a tick of a run that still holds: no control input written
+// and neither cap moved since it was armed. A run core whose
+// instance has not moved since does only the adds its arming tick
+// recorded, in the same order; a core outside the run, or one whose
+// instance moved, takes tickFull. The C0 counts fullTick filled hold: only
+// a write that bumps the change count moves them.
+func (m *Machine) runTick(cap units.Hertz) units.Watts {
+	sec, nomCycles := m.sec, m.nomCycles
+	uncore := m.chip.Power.UncorePower
+	cps := m.cps
+	served := 0
+	var pkg units.Watts
+	for sock, active := range m.activeSock {
+		var sockPower units.Watts
+		cores := m.cores[sock*cps : (sock+1)*cps]
+		for j := range cores {
+			c := &cores[j]
+			if c.inRun && c.app.Moves() == c.runMoves {
+				c.freqSum += float64(c.lastEff)
+				sockPower += c.runPower
+				c.APERF += c.runAperf
+				c.MPERF += nomCycles
+				c.Instr += c.runInstr
+				c.Energy += c.runEnergy
+				c.app.RetireSteady(c.runInstr)
+				served++
+				continue
+			}
+			c.inRun = false
+			sockPower += m.tickFull(c, sock*cps+j, active, cap, sec, nomCycles)
+		}
+		sockPower += uncore
+		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
+		pkg += sockPower
+	}
+	m.steady += served
+	m.runs.ticks++
+	m.runs.cores += served
+	return pkg
 }
 
 // tickFull is core i's tick off the steady path, where every rate is

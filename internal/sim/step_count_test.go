@@ -138,3 +138,61 @@ func TestStepZeroAlloc(t *testing.T) {
 		t.Fatalf("calendar fired %d times in 1001 ticks, want %d", fired, 1001/3+1)
 	}
 }
+
+// The run's own count: on the quiet node a run, once armed, serves every
+// tick until the budget of the instance nearest a run end is spent; a
+// write of a control input costs exactly one full tick before the next
+// arming, and so does a cap move.
+func TestSteadyRunCounts(t *testing.T) {
+	m, awake := warmNode(t)
+	type counts struct{ full, armed, steady, runCores int }
+	over := func(ticks int) counts {
+		before, steady, cores := m.runs, m.steady, m.runs.cores
+		for i := 0; i < ticks; i++ {
+			m.Step()
+		}
+		return counts{
+			full:     ticks - (m.runs.ticks - before.ticks),
+			armed:    m.runs.armed - before.armed,
+			steady:   m.steady - steady,
+			runCores: m.runs.cores - cores,
+		}
+	}
+
+	if c := over(1000); c.armed > 1 || c.full > c.armed || c.runCores != awake*(1000-c.full) {
+		t.Fatalf("1000 ticks with no input change: %+v, want at most one arming, on the only full tick", c)
+	}
+
+	if err := m.SetRequest(9, m.chip.Freq.Min); err != nil {
+		t.Fatal(err)
+	}
+	if c := over(1); c != (counts{full: 1, steady: awake - 1}) {
+		t.Fatalf("the tick after one SetRequest: %+v, want one full tick with core 9 alone off the steady path", c)
+	}
+	if c := over(1); c != (counts{full: 1, armed: 1, steady: awake}) {
+		t.Fatalf("the tick after that: %+v, want the one arming tick", c)
+	}
+	if c := over(10); c != (counts{steady: awake * 10, runCores: awake * 10}) {
+		t.Fatalf("the ten after that: %+v, want all ten in the run", c)
+	}
+
+	// A cap move ends the run: the tick after it re-derives every awake
+	// core, and the one after that arms again. The cap moves at the end of
+	// a tick, at most once a limiter interval (two ticks), so the run that
+	// arming starts is cut by the next move.
+	m.SetPowerLimit(m.chip.RAPLMin)
+	for before, n := m.limiter.Cap(), 0; m.limiter.Cap() == before; n++ {
+		if n == 100 {
+			t.Fatal("the limiter's cap never moved")
+		}
+		if c := over(1); c.full != 0 {
+			t.Fatalf("until the cap moves: %+v, want every tick in the run", c)
+		}
+	}
+	if c := over(1); c != (counts{full: 1}) {
+		t.Fatalf("the tick after a cap move: %+v, want one full tick, no core steady", c)
+	}
+	if c := over(1); c != (counts{full: 1, armed: 1, steady: awake}) {
+		t.Fatalf("the tick after that: %+v, want the one arming tick", c)
+	}
+}

@@ -232,7 +232,7 @@ func churn(m *Machine, rng *rand.Rand, profiles []workload.Profile) {
 	anyFreq := func() units.Hertz {
 		return chip.Freq.Min/2 + units.Hertz(rng.Float64())*(chip.Freq.Max()+200*units.MHz-chip.Freq.Min/2)
 	}
-	switch rng.Intn(12) {
+	switch rng.Intn(15) {
 	case 0, 1:
 		_ = m.SetRequest(core, anyFreq())
 	case 2:
@@ -266,6 +266,20 @@ func churn(m *Machine, rng *rand.Rand, profiles []workload.Profile) {
 		// A burst: every core re-requested in one tick, as a policy does.
 		for c := 0; c < chip.NumCores; c++ {
 			_ = m.SetRequest(c, anyFreq())
+		}
+	case 12:
+		// PackagePower fills the memo for the request just written, so
+		// that the next Step finds it current.
+		_ = m.SetRequest(core, anyFreq())
+		m.PackagePower()
+	case 13:
+		// The instance moves outside Step.
+		if a := m.App(core); a != nil {
+			a.Reset()
+		}
+	case 14:
+		if a := m.App(core); a != nil {
+			a.Advance(anyFreq(), time.Duration(rng.Intn(3000))*time.Microsecond)
 		}
 	}
 }
@@ -403,6 +417,10 @@ func TestStepMatchesReference(t *testing.T) {
 						if n := ticks * chip.NumCores; got.m.steady < n/4 {
 							t.Errorf("%d of %d core-ticks steady, want at least a quarter", got.m.steady, n)
 						}
+						// And runs a good part of them.
+						if n := ticks * chip.NumCores; got.m.runs.cores < n/4 {
+							t.Errorf("%d of %d core-ticks in a run, want at least a quarter", got.m.runs.cores, n)
+						}
 						return
 					}
 					// The churn must have reached every mechanism the memo
@@ -436,6 +454,10 @@ func FuzzStepMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 4, 0, 200, 20, 6, 9, 0, 60, 5, 9, 3, 0, 3, 0, 0, 90, 1, 9, 1})
 	f.Add([]byte{0, 0, 9, 3, 0, 255, 40, 3, 0, 0, 40, 4, 0, 60, 30, 4, 0, 0})
 	f.Add([]byte{0, 1, 48, 4, 0, 48}) // a limit the cap walks down to
+	// Runs on Ryzen at 100 µs ended by a Reset and an Advance from outside
+	// Step of a churny instance pinned for them, and by a request read back
+	// through PackagePower.
+	f.Add([]byte{1, 3, 2, 5, 6, 6, 40, 8, 6, 0, 40, 9, 6, 255, 30, 7, 2, 200})
 	chips := []platform.Chip{
 		platform.Skylake(), platform.Ryzen(),
 		platform.MultiSocket(platform.ScaleSocket(platform.Skylake(), 12), 2),
@@ -492,13 +514,14 @@ func FuzzStepMatchesReference(f *testing.F) {
 
 // scriptCall applies one scripted control call to m; arg scales a
 // frequency or a power limit over the chip's range (zero lifts a cap or a
-// limit), picks a profile, or says on or off.
+// limit), picks a profile, says on or off, or gives an Advance its time in
+// tens of microseconds.
 func scriptCall(m *Machine, call byte, core int, arg byte, profiles []workload.Profile) {
 	chip := m.chip
 	frac := float64(arg) / 255
 	// Off the P-state grid and outside [Min, Max], as the churn's are.
 	freq := chip.Freq.Min/2 + units.Hertz(frac)*(chip.Freq.Max()+200*units.MHz-chip.Freq.Min/2)
-	switch call % 7 {
+	switch call % 10 {
 	case 0:
 		_ = m.SetRequest(core, freq)
 	case 1:
@@ -522,5 +545,16 @@ func scriptCall(m *Machine, call byte, core int, arg byte, profiles []workload.P
 		}
 	case 6:
 		m.Unpin(core)
+	case 7:
+		_ = m.SetRequest(core, freq)
+		m.PackagePower()
+	case 8:
+		if a := m.App(core); a != nil {
+			a.Reset()
+		}
+	case 9:
+		if a := m.App(core); a != nil {
+			a.Advance(freq, time.Duration(arg)*10*time.Microsecond)
+		}
 	}
 }

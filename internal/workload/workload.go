@@ -21,6 +21,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -122,6 +123,9 @@ type Instance struct {
 	phaseDone float64 // instructions executed within the current phase
 	restarts  int
 	totalInst float64 // instructions across all runs
+	// moves counts the calls that advance or reset the instance, which
+	// RetireSteady is not.
+	moves uint64
 
 	// ips is ipsAt(ipsF, ipsCPI, ipsStall), remembered by memoIPS.
 	ipsF             units.Hertz
@@ -176,6 +180,7 @@ func (in *Instance) Advance(f units.Hertz, dt time.Duration) float64 {
 // AdvanceSec is Advance for a caller that has already converted its step to
 // sec seconds. The simulator converts its tick once for all cores.
 func (in *Instance) AdvanceSec(f units.Hertz, sec float64) float64 {
+	in.moves++
 	if sec <= 0 {
 		return 0
 	}
@@ -231,12 +236,53 @@ func (in *Instance) execute(f units.Hertz, sec float64) float64 {
 	return retired
 }
 
-// retire counts step instructions into the run and the phase, and turns
-// either over once it is complete to within rounding.
-func (in *Instance) retire(step float64) {
+// SteadyTicks reports the instructions a tick of sec seconds at f retires
+// on AdvanceSec's one-segment path, and how many such ticks in a row can
+// be taken through RetireSteady before retire's phase-end or run-end test
+// could fire. The count errs short; it is 0 when the IPS memo is not for
+// f at the current phase, or the tick retires nothing.
+func (in *Instance) SteadyTicks(f units.Hertz, sec float64) (step float64, ticks int) {
+	p := &in.Profile
+	cpi, end := p.BaseCPI, p.TotalInstructions
+	room := end*(1-1e-12) - in.done
+	if len(p.Phases) > 0 {
+		ph := &p.Phases[in.phaseIdx]
+		cpi *= ph.CPIMult
+		end = max(end, ph.Instructions)
+		room = min(room, ph.Instructions*(1-1e-12)-in.phaseDone)
+	}
+	if f != in.ipsF || cpi != in.ipsCPI || p.MemStall != in.ipsStall || !(sec > 1e-15) || !(in.ips > 0) {
+		return 0, 0
+	}
+	step = in.ips * sec
+	// Each add rounds by at most half an ulp of a value below end, and room
+	// itself by half of one: n adds of step+ulp within room-ulp stay short
+	// of both thresholds, and one tick less covers the division's rounding.
+	ulp := math.Nextafter(end, math.Inf(1)) - end
+	n := (room-ulp)/(step+ulp) - 1
+	if !(n >= 1) {
+		return step, 0
+	}
+	return step, int(min(n, 1<<30))
+}
+
+// RetireSteady counts step instructions into the run and the phase, the
+// adds of AdvanceSec's one-segment path, for a tick SteadyTicks counted:
+// one that turns neither over. It is not a move.
+func (in *Instance) RetireSteady(step float64) {
 	in.done += step
 	in.totalInst += step
 	in.phaseDone += step
+}
+
+// Moves counts the calls that moved the instance other than RetireSteady:
+// every Advance, AdvanceSec and Reset.
+func (in *Instance) Moves() uint64 { return in.moves }
+
+// retire counts step instructions into the run and the phase, and turns
+// either over once it is complete to within rounding.
+func (in *Instance) retire(step float64) {
+	in.RetireSteady(step)
 	if n := len(in.Profile.Phases); n > 0 {
 		phaseLen := in.Profile.Phases[in.phaseIdx].Instructions
 		if in.phaseDone >= phaseLen*(1-1e-12) {
@@ -263,6 +309,7 @@ func (in *Instance) TotalInstructions() float64 { return in.totalInst }
 
 // Reset returns the instance to its initial state.
 func (in *Instance) Reset() {
+	in.moves++
 	in.done, in.phaseDone, in.totalInst = 0, 0, 0
 	in.phaseIdx, in.restarts = 0, 0
 }
