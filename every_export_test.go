@@ -1,16 +1,21 @@
 package padpd
 
 import (
+	"fmt"
 	"go/ast"
 	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -196,11 +201,15 @@ func Uncalled() { Uncalled() }
 func OnlyTested() {}
 func BenchOnly() {}
 func Used() {}
-func Listed() {}`)},
+func Listed() {}
+type Result struct{}
+func (Result) Series() int { return 1 }
+func Compute() (Result, error) { return Result{}, nil }`)},
 		"internal/a/a_test.go": {Data: []byte("package a\nfunc use() { OnlyTested(); Sq{}.Side() }")},
 		"cmd/x/main.go": {Data: []byte(`package main
-import ("fmt"; "m"; "m/internal/a")
-func main() { a.Used(); a.Listed(); fmt.Println(m.Called) }`)},
+import ("fmt"; "sync"; "m"; "m/internal/a")
+var compute = sync.OnceValues(a.Compute)
+func main() { a.Used(); a.Listed(); r, _ := compute(); fmt.Println(m.Called, r.Series()) }`)},
 		"benchmark/main.go": {Data: []byte("package main\nimport \"m/internal/a\"\nfunc main() { a.BenchOnly() }")},
 		"m.go": {Data: []byte(`package m
 type Exampled int
@@ -482,9 +491,10 @@ type tree struct {
 // loadTree parses and type-checks the non-test Go files of the tree in
 // fsys, whose root has import path module, and the root's test files: an
 // internal test package with the root's own files, an external (_test) one
-// against the root package. A package outside the module is an empty stub,
-// since nothing in it calls back into the repo, except that time declares
-// Duration, the one standard-library basic type a knob has.
+// against the root package. A package outside the module is the standard
+// library's, loaded from the toolchain's export data, so that a value whose
+// type flows through a generic function (sync.OnceValues) keeps its type
+// and its method calls count.
 func loadTree(fsys fs.FS, module string) (*tree, error) {
 	fset := token.NewFileSet()
 	tr := &tree{
@@ -517,8 +527,11 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	std, err := stdImporter(fset, module, tr)
+	if err != nil {
+		return nil, err
+	}
 	var check func(dir string) *types.Package
-	stubs := map[string]*types.Package{}
 	imp := importerFunc(func(p string) (*types.Package, error) {
 		dir, ok := strings.CutPrefix(p, module+"/")
 		if p == module {
@@ -527,22 +540,7 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 		if ok && tr.files[dir] != nil {
 			return check(dir), nil
 		}
-		if stubs[p] != nil {
-			return stubs[p], nil
-		}
-		name := path.Base(p)
-		if strings.Trim(name, "v0123456789") == "" {
-			name = path.Base(path.Dir(p)) // math/rand/v2
-		}
-		pkg := types.NewPackage(p, name)
-		if p == "time" {
-			obj := types.NewTypeName(token.NoPos, pkg, "Duration", nil)
-			types.NewNamed(obj, types.Typ[types.Int64], nil)
-			pkg.Scope().Insert(obj)
-		}
-		pkg.MarkComplete()
-		stubs[p] = pkg
-		return pkg, nil
+		return std.Import(p)
 	})
 	check = func(dir string) *types.Package {
 		if tr.pkgs[dir] == nil {
@@ -567,6 +565,42 @@ func loadTree(fsys fs.FS, module string) (*tree, error) {
 		conf.Check(p, fset, files, tr.testInfo)
 	}
 	return tr, nil
+}
+
+// stdImporter loads each package outside the module that the tree imports
+// from the toolchain's export data, found by one go list call for all of
+// them rather than one a package.
+func stdImporter(fset *token.FileSet, module string, tr *tree) (types.Importer, error) {
+	var paths []string
+	add := func(files []*ast.File) {
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				p, err := strconv.Unquote(spec.Path.Value)
+				if err == nil && p != module && !strings.HasPrefix(p, module+"/") && !slices.Contains(paths, p) {
+					paths = append(paths, p)
+				}
+			}
+		}
+	}
+	for _, files := range tr.files {
+		add(files)
+	}
+	add(tr.rootTests)
+	out, err := exec.Command("go", append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}={{.Export}}"}, paths...)...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		p, file, _ := strings.Cut(line, "=")
+		exports[p] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
+		if exports[p] == "" {
+			return nil, fmt.Errorf("no export data for %s", p)
+		}
+		return os.Open(exports[p])
+	}), nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

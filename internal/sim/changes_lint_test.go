@@ -10,8 +10,9 @@ import (
 	"testing"
 )
 
-// controlInputs are the fields a run is keyed on through the change count:
-// a core's request, idle, offline and app, and the machine's thermal cap.
+// controlInputs are the fields whose writes reach the runs only through the
+// change count, which makes the next Step check them: a core's request,
+// idle, offline and app, and the machine's thermal cap.
 // The lint matches them by field name, which is stricter than it needs to
 // be where another record of the package has a field of the same name.
 var controlInputs = map[string]bool{"request": true, "idle": true, "offline": true, "app": true, "thermalCap": true}
@@ -66,11 +67,11 @@ func lintChanges(t *testing.T, paths []string) (unbumped []string, writers int) 
 	return unbumped, writers
 }
 
-// A run holds while the change count holds, so every function of the
-// package that writes a control input bumps it: a new setter that forgets
-// fails here rather than serving a stale run. The fixture shows the lint
-// red on setters that forget, and green on ones that bump beside a closure
-// or by assignment.
+// Step checks the runs against their inputs only when the change count
+// moved, so every function of the package that writes a control input
+// bumps it: a new setter that forgets fails here rather than serving a
+// stale run. The fixture shows the lint red on setters that forget, and
+// green on ones that bump beside a closure or by assignment.
 func TestControlWritesBumpChanges(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/clock"
@@ -82,24 +81,24 @@ type Machine struct {
 	// socket (a single entry on single-socket chips). PkgEnergyStatus reads
 	// on cpu i report i's socket domain, as on real multi-socket machines.
 	energySocket []units.Joules
-	// activeSock is per-Step scratch for per-socket C0 occupancy: turbo
-	// bins are a socket-local resource, so core i's grant depends only on
-	// its own socket's active count.
+	// activeSock is per-socket C0 occupancy, recounted when a write may
+	// have moved it: turbo bins are a socket-local resource, so core i's
+	// grant depends only on its own socket's active count.
 	activeSock []int
 	dev        *msr.SimDevice
 	// changes counts the writes of a control input: every function that
 	// assigns a core's request, idle, offline or app, or the thermal cap,
-	// bumps it (TestControlWritesBumpChanges). run is the steady run Step
-	// armed, if any.
+	// bumps it (TestControlWritesBumpChanges). seen is the change count
+	// and the limiter's cap that Step last checked the runs against.
 	changes uint64
-	run     steadyRun
-	// misses counts memo recomputations; steady the core-ticks that took
-	// the steady path, in a run or not; runs the runs armed, the ticks
-	// they served and their core-ticks. All are for the count gates in
-	// the tests.
+	seen    struct {
+		changes uint64
+		cap     units.Hertz
+	}
+	// misses counts memo recomputations, and served the core-ticks runs
+	// served. Both are for the count gates in the tests.
 	misses struct{ freq, power int }
-	steady int
-	runs   struct{ armed, ticks, cores int }
+	served int
 
 	// Optional instrumentation; nil handles no-op.
 	reg          *metrics.Registry
@@ -109,38 +108,32 @@ type Machine struct {
 	mFreqConstr  *metrics.CounterVec
 }
 
-// steadyRun is what a run was armed with: the ticks it has left, and the
-// change count, limiter cap and thermal cap whose equality lets a tick take
-// it.
-type steadyRun struct {
-	left         int
-	changes      uint64
-	cap, thermal units.Hertz
-}
-
 // constraint is a binding constraint's flight code (flight.ConstraintIdle …
 // flight.ConstraintThermal), in a byte.
 type constraint uint8
 
-// freqKey is every input to a core's frequency resolution.
+// freqKey is every input to a core's frequency resolution. app is the
+// pinned instance, whose profile says whether the AVX licence applies; it
+// is the instance rather than the flag so that a run, which the key
+// guards, ends when another instance takes the core.
 type freqKey struct {
 	request, cap, thermal units.Hertz
 	active                int32 // C0 cores on the core's socket
-	avx                   bool
+	app                   *workload.Instance
 }
 
-// core is one core's whole state, laid out for a steady tick, which reads
-// and adds in this one record: its control inputs, the C-state fields the
-// steady check reads, the memo of what it last derived, and what a tick
-// adds to. It is the state itself, not a cache of it: no other place holds
-// a copy to keep in step.
+// core is one core's whole state, laid out for a tick of its run, which
+// reads and adds in this one record: its control inputs, the memo of what
+// it last derived, what a tick adds to, and what its run adds. It is the
+// state itself, not a cache of it: no other place holds a copy to keep in
+// step.
 //
 // The memo remembers what the core's last tick derived from inputs that
 // move on an actuation, a limiter step or a phase change, not on a tick.
-// It is compared by key on every use and never invalidated by a setter, so
-// no path that changes an input can forget to: a new input to resolve or
-// to power.Model.CorePower joins the key and Step's steady check, and
-// TestStepMatchesReference fails if it does not.
+// Only Step writes it. It is compared by key on every use and never
+// invalidated by a setter, so no path that changes an input can forget
+// to: a new input to resolve or to power.Model.CorePower joins the key,
+// and TestStepMatchesReference fails if it does not.
 type core struct {
 	app     *workload.Instance // nil when unoccupied
 	request units.Hertz        // the OS-requested P-state (IA32_PERF_CTL)
@@ -166,10 +159,10 @@ type core struct {
 	freqSum float64     // Σ effective frequency since sumSince
 	cpu.Counters
 
-	// inRun marks a core the last armed run serves, and the rest is what
-	// its arming tick added: the core's power, APERF, energy and
-	// instructions, and the instance's move count after it.
-	inRun              bool
+	// runLeft is the ticks left in the core's run, and the rest is what
+	// one of them adds, recorded when the run was armed: the core's power,
+	// APERF, energy and instructions, and the instance's move count.
+	runLeft            int
 	runPower           units.Watts
 	runAperf, runInstr float64
 	runEnergy          units.Joules
@@ -447,14 +440,28 @@ func (m *Machine) PackageEnergy() units.Joules {
 func (m *Machine) CoreEnergy(core int) units.Joules { return m.cores[core].Energy }
 
 // PackagePower computes the instantaneous package power for the machine's
-// current state (same calculation the next Step will charge).
+// current state (same calculation the next Step will charge). It reads the
+// memo but never writes it: on a miss it derives the value and keeps none
+// of it, so the memo stays Step's alone.
 func (m *Machine) PackagePower() units.Watts {
 	act := m.fillActiveSock()
 	cap := m.limiter.Cap()
 	var total units.Watts
 	for i := range m.cores {
-		eff, _ := m.frequency(&m.cores[i], act[i/m.cps], cap)
-		total += m.corePowerAt(i, eff)
+		c := &m.cores[i]
+		if c.idle || c.offline {
+			total += m.idlePower(i)
+			continue
+		}
+		f := c.eff
+		if k := m.key(c, act[i/m.cps], cap); k != c.key {
+			f, _ = m.resolve(k)
+		}
+		if a := c.app.CurrentActivity(); f != c.powerF || a != c.activity {
+			total += m.chip.Power.CorePower(f, a)
+		} else {
+			total += c.power
+		}
 	}
 	return total + m.chip.Power.UncorePower*units.Watts(len(act))
 }
@@ -480,13 +487,18 @@ func (m *Machine) frequency(c *core, active int, cap units.Hertz) (units.Hertz, 
 	if c.idle || c.offline {
 		return 0, constraint(flight.ConstraintIdle)
 	}
-	k := freqKey{c.request, cap, m.thermalCap, int32(active), c.app != nil && c.app.Profile.AVX}
-	if c.key != k {
+	if k := m.key(c, active, cap); c.key != k {
 		m.misses.freq++
 		c.key = k
 		c.eff, c.constr = m.resolve(k)
 	}
 	return c.eff, c.constr
+}
+
+// key is core c's frequency key now, given its socket's C0 core count and
+// the limiter's cap.
+func (m *Machine) key(c *core, active int, cap units.Hertz) freqKey {
+	return freqKey{c.request, cap, m.thermalCap, int32(active), c.app}
 }
 
 // resolve is the pure function behind the frequency memo: what a core with
@@ -495,7 +507,8 @@ func (m *Machine) frequency(c *core, active int, cap units.Hertz) (units.Hertz, 
 func (m *Machine) resolve(k freqKey) (units.Hertz, constraint) {
 	spec := m.chip.Freq
 	active := int(k.active)
-	ceil := spec.Ceiling(active, k.avx)
+	avx := k.app != nil && k.app.Profile.AVX
+	ceil := spec.Ceiling(active, avx)
 	quant := spec.Quantize(k.request)
 
 	// The constraint: the OS request, the RAPL cap, the AVX licence, the
@@ -507,7 +520,7 @@ func (m *Machine) resolve(k freqKey) (units.Hertz, constraint) {
 	}
 	if ceil < bound {
 		bound, constr = ceil, flight.ConstraintTurbo
-		if k.avx && ceil < spec.Ceiling(active, false) {
+		if avx && ceil < spec.Ceiling(active, false) {
 			constr = flight.ConstraintAVXLicence
 		}
 	}
@@ -623,110 +636,15 @@ func (m *Machine) stepIdle(i int, activeNow bool, dt time.Duration) time.Duratio
 // Step advances the machine one tick. What is the same for every core —
 // the tick in seconds, nominal cycles a tick, the limiter's cap — is read
 // once; what a core derives from slow-moving inputs comes from its memo.
-// While a run armed by an earlier tick holds, a tick does only each run
-// core's adds (runTick); any other tick is a full one (fullTick).
+// A core with run ticks left whose instance has not moved does only the
+// adds its run recorded; every other core takes tickFull, and may arm a
+// run there.
 func (m *Machine) Step() {
-	cap, thermal := m.limiter.Cap(), m.thermalCap
+	cap := m.limiter.Cap()
+	if m.changes != m.seen.changes || cap != m.seen.cap {
+		m.checkRuns(cap)
+	}
 	m.mTicks.Inc()
-	var pkg units.Watts
-	if r := &m.run; r.left > 0 && r.changes == m.changes && r.cap == cap && r.thermal == thermal {
-		r.left--
-		pkg = m.runTick(cap)
-	} else {
-		r.left = 0
-		pkg = m.fullTick(cap, thermal)
-	}
-	m.limiter.Observe(pkg, m.dt)
-	m.clock += m.dt
-	if m.clock >= m.cal.Next() {
-		m.cal.Fire(m.clock)
-	}
-}
-
-// fullTick is a tick that checks every core, and arms a run when every
-// awake core took the steady path. It returns the package power.
-func (m *Machine) fullTick(cap, thermal units.Hertz) units.Watts {
-	dt, sec, nomCycles := m.dt, m.sec, m.nomCycles
-	uncore := m.chip.Power.UncorePower
-	act := m.fillActiveSock()
-	cps := m.cps
-	full, awake := 0, 0
-	var pkg units.Watts
-	for sock, active := range act {
-		awake += active
-		var sockPower units.Watts
-		cores := m.cores[sock*cps : (sock+1)*cps]
-		for j := range cores {
-			c := &cores[j]
-			// A steady core would derive exactly what its memo holds, with
-			// nothing for stepIdle to do: pinned, awake and online, active
-			// last tick with no wake debt, the frequency key and the
-			// recorded constraint unchanged, and the power memo taken at
-			// the memo's frequency and the phase's activity. This is the
-			// memo's own compare, made before the calls instead of inside
-			// them; what it skips, only the adds remain.
-			if a := c.app; a != nil && !c.idle && !c.offline && c.wasActive && c.wakePending == 0 &&
-				c.key.request == c.request && c.key.cap == cap && c.key.thermal == thermal &&
-				c.key.active == int32(active) && c.key.avx == a.Profile.AVX &&
-				c.lastConstr == c.constr &&
-				c.powerF == c.eff && c.activity == a.CurrentActivity() {
-				c.lastEff = c.eff
-				c.freqSum += float64(c.eff)
-				sockPower += c.power
-				e := units.Joules(float64(c.power) * sec)
-				c.Account(c.eff, nomCycles, dt, sec, a.AdvanceSec(c.eff, sec), e)
-				continue
-			}
-			full++
-			sockPower += m.tickFull(c, sock*cps+j, active, cap, sec, nomCycles)
-		}
-		// Close out the socket's energy domain.
-		sockPower += uncore
-		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
-		pkg += sockPower
-	}
-	steady := len(m.cores) - full
-	m.steady += steady
-	if steady == awake && awake > 0 {
-		m.arm(cap, thermal)
-	}
-	return pkg
-}
-
-// arm starts a run after a full tick on which every awake core took the
-// steady path. Each such core records what the tick added; the run lasts
-// the fewest ticks in which every core's instance can retire the same
-// step again without reaching a phase end or a run end, and a core with
-// no such tick arms none. It is armed before the calendar fires, so that
-// a write from an entry ends it.
-func (m *Machine) arm(cap, thermal units.Hertz) {
-	sec, left := m.sec, math.MaxInt
-	for i := range m.cores {
-		c := &m.cores[i]
-		if c.inRun = !c.idle && !c.offline; !c.inRun {
-			continue
-		}
-		// A phase the tick turned over may have moved the activity.
-		step, n := c.app.SteadyTicks(c.eff, sec)
-		if n == 0 || c.activity != c.app.CurrentActivity() {
-			return
-		}
-		left = min(left, n)
-		c.runPower, c.runAperf, c.runInstr = c.power, float64(c.eff)*sec, step
-		c.runEnergy = units.Joules(float64(c.power) * sec)
-		c.runMoves = c.app.Moves()
-	}
-	m.run = steadyRun{left, m.changes, cap, thermal}
-	m.runs.armed++
-}
-
-// runTick is a tick of a run that still holds: no control input written
-// and neither cap moved since it was armed. A run core whose
-// instance has not moved since does only the adds its arming tick
-// recorded, in the same order; a core outside the run, or one whose
-// instance moved, takes tickFull. The C0 counts fullTick filled hold: only
-// a write that bumps the change count moves them.
-func (m *Machine) runTick(cap units.Hertz) units.Watts {
 	sec, nomCycles := m.sec, m.nomCycles
 	uncore := m.chip.Power.UncorePower
 	cps := m.cps
@@ -737,8 +655,9 @@ func (m *Machine) runTick(cap units.Hertz) units.Watts {
 		cores := m.cores[sock*cps : (sock+1)*cps]
 		for j := range cores {
 			c := &cores[j]
-			if c.inRun && c.app.Moves() == c.runMoves {
-				c.freqSum += float64(c.lastEff)
+			if c.runLeft > 0 && c.app.Moves() == c.runMoves {
+				c.runLeft--
+				c.freqSum += float64(c.eff)
 				sockPower += c.runPower
 				c.APERF += c.runAperf
 				c.MPERF += nomCycles
@@ -748,23 +667,67 @@ func (m *Machine) runTick(cap units.Hertz) units.Watts {
 				served++
 				continue
 			}
-			c.inRun = false
 			sockPower += m.tickFull(c, sock*cps+j, active, cap, sec, nomCycles)
+			if !c.idle {
+				m.arm(c)
+			}
 		}
+		// Close out the socket's energy domain.
 		sockPower += uncore
 		m.energySocket[sock] += units.Joules(float64(sockPower) * sec)
 		pkg += sockPower
 	}
-	m.steady += served
-	m.runs.ticks++
-	m.runs.cores += served
-	return pkg
+	m.served += served
+	m.limiter.Observe(pkg, m.dt)
+	m.clock += m.dt
+	if m.clock >= m.cal.Next() {
+		m.cal.Fire(m.clock)
+	}
 }
 
-// tickFull is core i's tick off the steady path, where every rate is
-// derived: it resolves the frequency through the memo, records a change of
-// binding constraint, steps the C-state machinery, charges the counters
-// and returns the core's power for the tick.
+// checkRuns is the once-per-write check, made by the first Step after a
+// control write or a move of the limiter's cap: it recounts C0 occupancy,
+// which only a write moves, and ends the run of every core that is parked
+// or offline or whose memo key no longer equals its inputs. What else could
+// move a run's adds is its own: the instance's moves, compared by the run
+// each tick, and a phase or run end, which its budget stops short of.
+func (m *Machine) checkRuns(cap units.Hertz) {
+	m.seen.changes, m.seen.cap = m.changes, cap
+	act := m.fillActiveSock()
+	for i := range m.cores {
+		c := &m.cores[i]
+		if c.runLeft > 0 && (c.idle || c.offline || c.key != m.key(c, act[i/m.cps], cap)) {
+			c.runLeft = 0
+		}
+	}
+}
+
+// arm starts the run of core c, awake, after its tickFull, when the core
+// came out of it steady: still in the phase its power was taken in, having
+// run the tick at its memo's frequency — so it owes no wake debt, and its
+// power memo was taken at that frequency. The run records what such a tick
+// adds and lasts the ticks in which the instance can retire the same step
+// again without reaching a phase end or a run end (Instance.SteadyTicks);
+// any other core is left without a run. A parked core has none: the check
+// that saw it parked ended it.
+func (m *Machine) arm(c *core) {
+	c.runLeft = 0
+	if c.offline || c.lastEff != c.eff || c.activity != c.app.CurrentActivity() {
+		return
+	}
+	step, n := c.app.SteadyTicks(c.eff, m.sec)
+	if n == 0 {
+		return
+	}
+	c.runLeft, c.runMoves = n, c.app.Moves()
+	c.runPower, c.runAperf, c.runInstr = c.power, float64(c.eff)*m.sec, step
+	c.runEnergy = units.Joules(float64(c.power) * m.sec)
+}
+
+// tickFull is core i's tick outside a run, where every rate is derived: it
+// resolves the frequency through the memo, records a change of binding
+// constraint, steps the C-state machinery, charges the counters and
+// returns the core's power for the tick.
 func (m *Machine) tickFull(c *core, i, active int, cap units.Hertz, sec, nomCycles float64) units.Watts {
 	dt := m.dt
 	eff, constr := m.frequency(c, active, cap)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -83,47 +84,6 @@ func TestQuiescentStepRecomputesNothing(t *testing.T) {
 	}
 }
 
-// The steady path's own count: on the quiet node every awake core takes it
-// every tick, and an input that moves sends exactly the cores it reaches
-// down the full path, for exactly the one tick that re-derives their memo.
-func TestSteadyStepCounts(t *testing.T) {
-	m, awake := warmNode(t)
-	steadyOver := func(ticks int) int {
-		before := m.steady
-		for i := 0; i < ticks; i++ {
-			m.Step()
-		}
-		return m.steady - before
-	}
-	expect := func(when string, got, want int) {
-		t.Helper()
-		if got != want {
-			t.Fatalf("%s: %d steady core-ticks, want %d", when, got, want)
-		}
-	}
-
-	expect("1000 ticks with no input change", steadyOver(1000), awake*1000)
-
-	if err := m.SetRequest(9, m.chip.Freq.Min); err != nil {
-		t.Fatal(err)
-	}
-	expect("the tick after one SetRequest", steadyOver(1), awake-1)
-	expect("the ten after that", steadyOver(10), awake*10)
-
-	// The cap moves at the end of a tick, at most once a limiter interval
-	// (two ticks): every awake core leaves the steady path on the tick
-	// after a move and takes it again on the next.
-	m.SetPowerLimit(m.chip.RAPLMin)
-	for before, n := m.limiter.Cap(), 0; m.limiter.Cap() == before; n++ {
-		if n == 100 {
-			t.Fatal("the limiter's cap never moved")
-		}
-		expect("until the cap moves", steadyOver(1), awake)
-	}
-	expect("the tick after a cap move", steadyOver(1), 0)
-	expect("the tick after that", steadyOver(1), awake)
-}
-
 func TestStepZeroAlloc(t *testing.T) {
 	m, _ := warmNode(t)
 	// The calendar fires, reschedules and drops entries without allocating:
@@ -139,60 +99,153 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// The run's own count: on the quiet node a run, once armed, serves every
-// tick until the budget of the instance nearest a run end is spent; a
-// write of a control input costs exactly one full tick before the next
-// arming, and so does a cap move.
-func TestSteadyRunCounts(t *testing.T) {
-	m, awake := warmNode(t)
-	type counts struct{ full, armed, steady, runCores int }
-	over := func(ticks int) counts {
-		before, steady, cores := m.runs, m.steady, m.runs.cores
-		for i := 0; i < ticks; i++ {
-			m.Step()
+// tickFullOver steps m n ticks and returns, per core, the ticks on which it
+// took tickFull while awake (an instance moves there and nowhere else in
+// Step), and how many of those left it without a run.
+func tickFullOver(m *Machine, n int) (full, unarmed []int) {
+	full, unarmed = make([]int, len(m.cores)), make([]int, len(m.cores))
+	moves := make([]uint64, len(m.cores))
+	for range n {
+		for i := range m.cores {
+			if a := m.cores[i].app; a != nil {
+				moves[i] = a.Moves()
+			}
 		}
-		return counts{
-			full:     ticks - (m.runs.ticks - before.ticks),
-			armed:    m.runs.armed - before.armed,
-			steady:   m.steady - steady,
-			runCores: m.runs.cores - cores,
+		m.Step()
+		for i := range m.cores {
+			if c := &m.cores[i]; !c.idle && c.app.Moves() != moves[i] {
+				full[i]++
+				if c.runLeft == 0 {
+					unarmed[i]++
+				}
+			}
 		}
 	}
+	return full, unarmed
+}
 
-	if c := over(1000); c.armed > 1 || c.full > c.armed || c.runCores != awake*(1000-c.full) {
-		t.Fatalf("1000 ticks with no input change: %+v, want at most one arming, on the only full tick", c)
+// expectFull fails unless each awake core of m took tickFull want(i) times,
+// arming a run every time.
+func expectFull(t *testing.T, m *Machine, when string, full, unarmed []int, want func(core int) int) {
+	t.Helper()
+	for i := range m.cores {
+		if m.cores[i].idle {
+			continue
+		}
+		if full[i] != want(i) || unarmed[i] != 0 {
+			t.Fatalf("%s: core %d took tickFull %d times, %d of them without arming; want %d, all arming",
+				when, i, full[i], unarmed[i], want(i))
+		}
 	}
+}
+
+// only wants one tickFull of each of cores and none of the others.
+func only(cores ...int) func(int) int {
+	return func(i int) int {
+		if slices.Contains(cores, i) {
+			return 1
+		}
+		return 0
+	}
+}
+
+// Which cores take tickFull, per core: on the quiet node each awake core
+// takes it at most once in 1000 ticks, to arm; a write sends exactly the
+// cores it reaches through it, for exactly one tick, on which they arm
+// again; and a cap move sends every awake core through it once.
+func TestSteadyStepCounts(t *testing.T) {
+	m, _ := warmNode(t)
+	none := only()
+
+	// Once at most: a core's budget may run out.
+	full, unarmed := tickFullOver(m, 1000)
+	expectFull(t, m, "1000 ticks with no input change", full, unarmed, func(i int) int { return min(full[i], 1) })
 
 	if err := m.SetRequest(9, m.chip.Freq.Min); err != nil {
 		t.Fatal(err)
 	}
-	if c := over(1); c != (counts{full: 1, steady: awake - 1}) {
-		t.Fatalf("the tick after one SetRequest: %+v, want one full tick with core 9 alone off the steady path", c)
-	}
-	if c := over(1); c != (counts{full: 1, armed: 1, steady: awake}) {
-		t.Fatalf("the tick after that: %+v, want the one arming tick", c)
-	}
-	if c := over(10); c != (counts{steady: awake * 10, runCores: awake * 10}) {
-		t.Fatalf("the ten after that: %+v, want all ten in the run", c)
-	}
+	full, unarmed = tickFullOver(m, 1)
+	expectFull(t, m, "the tick after one SetRequest", full, unarmed, only(9))
+	full, unarmed = tickFullOver(m, 10)
+	expectFull(t, m, "the ten after that", full, unarmed, none)
 
-	// A cap move ends the run: the tick after it re-derives every awake
-	// core, and the one after that arms again. The cap moves at the end of
-	// a tick, at most once a limiter interval (two ticks), so the run that
-	// arming starts is cut by the next move.
+	// The cap moves at the end of a tick, at most once a limiter interval
+	// (two ticks): every awake core takes tickFull on the tick after a move
+	// and arms again there.
 	m.SetPowerLimit(m.chip.RAPLMin)
 	for before, n := m.limiter.Cap(), 0; m.limiter.Cap() == before; n++ {
 		if n == 100 {
 			t.Fatal("the limiter's cap never moved")
 		}
-		if c := over(1); c.full != 0 {
-			t.Fatalf("until the cap moves: %+v, want every tick in the run", c)
+		full, unarmed = tickFullOver(m, 1)
+		expectFull(t, m, "until the cap moves", full, unarmed, none)
+	}
+	moved := m.limiter.Cap()
+	full, unarmed = tickFullOver(m, 1)
+	expectFull(t, m, "the tick after a cap move", full, unarmed, func(int) int { return 1 })
+	if m.limiter.Cap() == moved {
+		full, unarmed = tickFullOver(m, 1)
+		expectFull(t, m, "the tick after that", full, unarmed, none)
+	}
+}
+
+// What the runs serve, per core: on the quiet node every tick of every
+// awake core but the one that arms it; a core whose phases turn over every
+// few tens of ticks ends only its own run; and two instances that trade
+// cores end both runs.
+func TestSteadyRunCounts(t *testing.T) {
+	m, awake := warmNode(t)
+
+	before := m.served
+	full, _ := tickFullOver(m, 1000)
+	n := 0
+	for _, f := range full {
+		n += f
+	}
+	if served := m.served - before; served != awake*1000-n {
+		t.Fatalf("1000 quiet ticks: runs served %d core-ticks, want %d", served, awake*1000-n)
+	}
+
+	// Re-pin core 9 with phases a few tens of ticks long: its budget ends
+	// at every phase end, and no other core's run may end with it.
+	short := workload.MustByName("gcc")
+	short.Name = "short-phased"
+	perTick := short.IPS(m.chip.Freq.Nom) * m.dt.Seconds()
+	short.Phases = []workload.Phase{
+		{Instructions: 20 * perTick, CPIMult: 1.00, ActivityMult: 1.00},
+		{Instructions: 30 * perTick, CPIMult: 1.20, ActivityMult: 1.10},
+		{Instructions: 40 * perTick, CPIMult: 0.90, ActivityMult: 0.95},
+	}
+	m.Unpin(9)
+	if err := m.Pin(workload.NewInstance(short), 9); err != nil {
+		t.Fatal(err)
+	}
+	tickFullOver(m, 1)
+	full, _ = tickFullOver(m, 1000)
+	if full[9] < 20 {
+		t.Fatalf("the short-phased core took tickFull %d times in 1000 ticks, want a phase end every few tens", full[9])
+	}
+	for i := range m.cores {
+		if i != 9 && !m.cores[i].idle && full[i] > 1 {
+			t.Fatalf("core %d left its run %d times in 1000 ticks beside the short-phased core 9, want at most once", i, full[i])
 		}
 	}
-	if c := over(1); c != (counts{full: 1}) {
-		t.Fatalf("the tick after a cap move: %+v, want one full tick, no core steady", c)
+
+	// Two instances of unphased, non-AVX profiles with the same move count
+	// trade cores between two ticks, at the requests their cores had: every
+	// other input to the cores' keys holds, and the runs must end anyway.
+	a, b := m.App(4), m.App(7)
+	if a.Moves() != b.Moves() {
+		t.Fatalf("cores 4 and 7 moved %d and %d times; the swap needs them equal", a.Moves(), b.Moves())
 	}
-	if c := over(1); c != (counts{full: 1, armed: 1, steady: awake}) {
-		t.Fatalf("the tick after that: %+v, want the one arming tick", c)
+	ra, rb := m.Request(4), m.Request(7)
+	m.Unpin(4)
+	m.Unpin(7)
+	for _, err := range []error{m.Pin(b, 4), m.Pin(a, 7), m.SetRequest(4, ra), m.SetRequest(7, rb)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	full, unarmed := tickFullOver(m, 1)
+	expectFull(t, m, "the tick after two instances trade cores", full, unarmed, only(4, 7))
 }

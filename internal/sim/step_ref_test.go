@@ -412,14 +412,10 @@ func TestStepMatchesReference(t *testing.T) {
 						}
 					}
 					if every != 8 {
-						// The quiet run is there for the steady path: it must
-						// have carried a good part of the core-ticks.
-						if n := ticks * chip.NumCores; got.m.steady < n/4 {
-							t.Errorf("%d of %d core-ticks steady, want at least a quarter", got.m.steady, n)
-						}
-						// And runs a good part of them.
-						if n := ticks * chip.NumCores; got.m.runs.cores < n/4 {
-							t.Errorf("%d of %d core-ticks in a run, want at least a quarter", got.m.runs.cores, n)
+						// The quiet run is there for the runs: they must have
+						// served a good part of the core-ticks.
+						if n := ticks * chip.NumCores; got.m.served < n*2/5 {
+							t.Errorf("%d of %d core-ticks in a run, want at least two fifths", got.m.served, n)
 						}
 						return
 					}
