@@ -28,7 +28,7 @@ var (
 
 	// docCommandFlag is a repo command's name or a -flag; goFlagDef is a
 	// flag a main.go defines.
-	docCommandFlag = regexp.MustCompile(`\b(powerd|powercoord|powerctl|powerdump|experiments|psweep|turbostat)\b|(?:^|[\s\x60(\[])-([a-z][\w-]*)`)
+	docCommandFlag = regexp.MustCompile(`\b(powerd|powercoord|powerctl|powerdump|experiments|turbostat)\b|(?:^|[\s\x60(\[])-([a-z][\w-]*)`)
 	goFlagDef      = regexp.MustCompile(`\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\("([^"]+)"`)
 )
 
