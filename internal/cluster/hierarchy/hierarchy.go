@@ -84,6 +84,28 @@ type TierConfig struct {
 	Fleet   *cluster.Fleet
 }
 
+// start checks cfg, fills in its level, and returns the budget a tier
+// over it starts at.
+func (cfg *TierConfig) start() (units.Watts, error) {
+	if cfg.Name == "" {
+		return 0, fmt.Errorf("hierarchy: tier needs a name")
+	}
+	if cfg.Level == "" {
+		cfg.Level = "tier"
+	}
+	if cfg.Fallback <= 0 {
+		return 0, fmt.Errorf("hierarchy: tier %s needs a positive fallback cap", cfg.Name)
+	}
+	budget := cfg.Budget
+	if cfg.StartAtFallback || budget <= 0 {
+		budget = cfg.Fallback
+	}
+	if cfg.Fallback > budget {
+		return 0, fmt.Errorf("hierarchy: tier %s fallback %v exceeds its budget %v", cfg.Name, cfg.Fallback, budget)
+	}
+	return budget, nil
+}
+
 // Tier is one node of the coordination tree: a coordinator over its
 // children fronted by an agent toward its parent.
 type Tier struct {
@@ -108,18 +130,9 @@ type Tier struct {
 // NewTier builds a tier over its child transports and issues the
 // initial grant wave (equal split of the starting budget).
 func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("hierarchy: tier needs a name")
-	}
-	if cfg.Level == "" {
-		cfg.Level = "tier"
-	}
-	if cfg.Fallback <= 0 {
-		return nil, fmt.Errorf("hierarchy: tier %s needs a positive fallback cap", cfg.Name)
-	}
-	budget := cfg.Budget
-	if cfg.StartAtFallback || budget <= 0 {
-		budget = cfg.Fallback
+	budget, err := cfg.start()
+	if err != nil {
+		return nil, err
 	}
 	base := cluster.Config{
 		Budget:          budget,

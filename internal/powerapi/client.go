@@ -203,30 +203,3 @@ func (c *Client) Drain(ctx context.Context, on bool) (*DrainAck, error) {
 	}
 	return reply.(*DrainAck), nil
 }
-
-// CoordClient speaks the coordinator side of the protocol — how nodes
-// register themselves and operators inspect the room.
-type CoordClient struct{ c *Client }
-
-// NewCoordClient builds a client for a coordinator's address.
-func NewCoordClient(addr string) *CoordClient {
-	return &CoordClient{c: NewClient(addr)}
-}
-
-// Register announces a node to the coordinator.
-func (c *CoordClient) Register(ctx context.Context, node, addr string) (*RegisterAck, error) {
-	reply, err := c.c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"register", nil, &Register{Node: node, Addr: addr}, KindRegisterAck)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*RegisterAck), nil
-}
-
-// Heartbeat keeps a node's registration alive.
-func (c *CoordClient) Heartbeat(ctx context.Context, node string) (*HeartbeatAck, error) {
-	reply, err := c.c.roundTrip(ctx, http.MethodPost, ClusterPrefix+"heartbeat", nil, &Heartbeat{Node: node}, KindHeartbeatAck)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*HeartbeatAck), nil
-}

@@ -74,6 +74,7 @@ const (
 	KindRegisterAck    = "register_ack"
 	KindHeartbeat      = "heartbeat"
 	KindHeartbeatAck   = "heartbeat_ack"
+	KindClusterStatus  = "cluster_status"
 	KindError          = "error"
 )
 
@@ -291,6 +292,32 @@ type HeartbeatAck struct {
 	Known bool `json:"known"`
 }
 
+// ClusterStatus is a coordinator's view of its tier: the budget it holds
+// (under a parent, the one its lease grants), what its children draw, and
+// one row per child.
+type ClusterStatus struct {
+	BudgetWatts     float64       `json:"budget_watts"`
+	TotalPowerWatts float64       `json:"total_power_watts"`
+	Reallocations   int           `json:"reallocations"`
+	Nodes           []ClusterNode `json:"nodes"`
+
+	// The subtree: the tier's level, and its children, leaves and depth.
+	Tier     string `json:"tier,omitempty"`
+	Children int    `json:"children,omitempty"`
+	Leaves   int    `json:"leaves,omitempty"`
+	Depth    int    `json:"depth,omitempty"`
+}
+
+// ClusterNode is one child's row in a ClusterStatus. Addr lets a client
+// walk the tree: a child that is itself a tier serves its own cluster
+// status there.
+type ClusterNode struct {
+	Name        string  `json:"name"`
+	Addr        string  `json:"addr,omitempty"`
+	LimitWatts  float64 `json:"limit_watts"`
+	Quarantined bool    `json:"quarantined,omitempty"`
+}
+
 // ErrorReply carries a structured protocol-level failure.
 type ErrorReply struct {
 	Code    string `json:"code"`
@@ -324,6 +351,7 @@ var kinds = map[string]func() any{
 	KindRegisterAck:    func() any { return &RegisterAck{} },
 	KindHeartbeat:      func() any { return &Heartbeat{} },
 	KindHeartbeatAck:   func() any { return &HeartbeatAck{} },
+	KindClusterStatus:  func() any { return &ClusterStatus{} },
 	KindError:          func() any { return &ErrorReply{} },
 }
 
@@ -353,6 +381,8 @@ func KindOf(msg any) string {
 		return KindHeartbeat
 	case *HeartbeatAck:
 		return KindHeartbeatAck
+	case *ClusterStatus:
+		return KindClusterStatus
 	case *ErrorReply:
 		return KindError
 	}

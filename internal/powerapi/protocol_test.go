@@ -31,6 +31,8 @@ func sampleMessages() []any {
 		&RegisterAck{Accepted: true},
 		&Heartbeat{Node: "n0"},
 		&HeartbeatAck{Known: true},
+		&ClusterStatus{BudgetWatts: 200, TotalPowerWatts: 151.5, Reallocations: 4, Tier: "row", Children: 2, Leaves: 2, Depth: 1,
+			Nodes: []ClusterNode{{Name: "n0", Addr: "host0:9090", LimitWatts: 100}, {Name: "n1", LimitWatts: 50, Quarantined: true}}},
 		&ErrorReply{Code: CodeDraining, Message: "node n0 is draining"},
 	}
 }
