@@ -187,19 +187,28 @@ func (d *statusDec) digits() {
 	d.bad = d.bad || d.i == start
 }
 
+// skip consumes c if the cursor is on it.
+func (d *statusDec) skip(c byte) bool {
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
 // num reads one number token of the JSON grammar; strconv then decides
 // whether it fits the field.
 func (d *statusDec) num() []byte {
 	start := d.i
-	if d.has("-", true); !d.has("0", true) {
+	if d.skip('-'); !d.skip('0') {
 		d.digits()
 	}
-	if d.has(".", true) {
+	if d.skip('.') {
 		d.digits()
 	}
-	if d.has("e", true) || d.has("E", true) {
-		if !d.has("+", true) {
-			d.has("-", true)
+	if d.skip('e') || d.skip('E') {
+		if !d.skip('+') {
+			d.skip('-')
 		}
 		d.digits()
 	}
