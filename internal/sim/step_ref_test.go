@@ -364,8 +364,8 @@ func TestStepMatchesReference(t *testing.T) {
 	}
 	const ticks = 20000
 	// One action every eighth tick on average reaches every mechanism the
-	// memo stands in front of. One every 500th leaves cores on the steady
-	// path for long stretches across phase ends, run restarts and limiter
+	// memo stands in front of. One every 500th leaves quiet cores in their
+	// runs for long stretches across phase ends, app restarts and limiter
 	// walks, at a tick shorter than the deep C-states' exit latencies, so
 	// that a wake's debt spans several ticks.
 	for _, every := range []int{8, 500} {
@@ -471,7 +471,7 @@ func FuzzStepMatchesReference(f *testing.F) {
 		observed := data[1]&1 != 0
 		got, want := newRefRig(t, chip, observed, tick), newRefRig(t, chip, observed, tick)
 		profiles := refProfiles()
-		// Three quarters full, so that cores start on the steady path.
+		// Three quarters full, so that cores arm runs from the start.
 		for c := 0; c < chip.NumCores*3/4; c++ {
 			p := profiles[c%len(profiles)]
 			if err := got.m.Pin(workload.NewInstance(p), c); err != nil {
