@@ -13,8 +13,12 @@
 // The merged view joins distributed round traces (GET /debug/rounds on
 // the coordinator and each node, or tracing logs written by tests) into
 // one cross-node timeline keyed by round ID, flagging stragglers and
-// partition gaps. The root coordinator's log comes first; logs from
-// stacked tiers (powercoord -parent) nest as per-tier sub-timelines:
+// partition gaps. Under each round it prints the round's critical path
+// (the spans the round waited on and the coordinator's self time, which
+// sum to the round's wall time), and beside each node its slack: how
+// long before its wave's path segment ended its own report had ended.
+// The root coordinator's log comes first; logs from stacked tiers
+// (powercoord -parent) nest as per-tier sub-timelines:
 //
 //	powerdump -view merged root.json row0.json row1.json leaf0.json ...
 //
@@ -34,6 +38,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/flight"
@@ -142,6 +147,16 @@ func renderTimeline(tl tracing.Timeline) {
 			line += "  straggler=" + r.Straggler
 		}
 		fmt.Println(line)
+		if len(r.Path) > 0 {
+			segs := make([]string, len(r.Path))
+			for i, s := range r.Path {
+				segs[i] = strings.TrimSpace(s.Name+" "+s.Node) + " " + ms(s.Latency())
+				if s.Err != "" {
+					segs[i] += " ERR"
+				}
+			}
+			fmt.Println("  path  " + strings.Join(segs, " > "))
+		}
 		for _, n := range r.Nodes {
 			switch {
 			case n.Missing:
@@ -153,6 +168,7 @@ func renderTimeline(tl tracing.Timeline) {
 					if n.Report.Err != "" {
 						row += " ERR:" + n.Report.Err
 					}
+					row += "  slack " + ms(n.Slack)
 				}
 				if n.Grant != nil {
 					row += "  grant " + ms(n.Grant.Latency())

@@ -94,10 +94,23 @@ func TestMergedViewJoinsLogs(t *testing.T) {
 	if tl.GapRounds != 1 {
 		t.Errorf("GapRounds = %d, want 1", tl.GapRounds)
 	}
+	// The round waited on n1's report, then planned, then itself: the
+	// path sums to the round's 10 ms, and n0's report ended 7 ms before
+	// n1's, the report segment on it.
+	var sum time.Duration
+	for _, s := range r.Path {
+		sum += s.Latency()
+	}
+	if len(r.Path) != 3 || r.Path[0].Node != "n1" || r.Path[1].Name != "plan" || r.Path[2].Name != "self" || sum != 10*time.Millisecond {
+		t.Errorf("path = %+v, sums to %v", r.Path, sum)
+	}
+	if s0, s1 := byNode["n0"].Slack, byNode["n1"].Slack; s0 != 7*time.Millisecond || s1 != 0 {
+		t.Errorf("slack n0 %v n1 %v, want 7ms and 0", s0, s1)
+	}
 
-	// The text rendering names the gap too.
+	// The text rendering names the gap, the path and the slack too.
 	txt := capture(t, func() error { return merged(paths, false) })
-	for _, want := range []string{"round 1", "n0", "MISSING", "plan"} {
+	for _, want := range []string{"round 1", "n0", "MISSING", "plan", "path  report n1 9.00ms > plan 0.10ms > self 0.90ms", "slack 7.00ms"} {
 		if !bytes.Contains([]byte(txt), []byte(want)) {
 			t.Errorf("text output missing %q:\n%s", want, txt)
 		}

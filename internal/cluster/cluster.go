@@ -225,7 +225,8 @@ type pollJob struct {
 type roundScratch struct {
 	reports []Report
 	errs    []error
-	rpc     []time.Duration // filled only when a Fleet consumes it
+	obs     []NodeObservation // RPC and Finish filled only when a Fleet consumes them
+	began   time.Time         // the round's start, read only for a Fleet
 	healthy []bool
 	failed  []bool // a call to the node failed since the last Step settled
 	targets []units.Watts
@@ -241,7 +242,7 @@ func newRoundScratch(n int) roundScratch {
 	return roundScratch{
 		reports: make([]Report, n),
 		errs:    make([]error, n),
-		rpc:     make([]time.Duration, n),
+		obs:     make([]NodeObservation, n),
 		healthy: make([]bool, n),
 		failed:  make([]bool, n),
 		targets: make([]units.Watts, 0, n),
@@ -445,20 +446,21 @@ func (c *Coordinator) holdLimit(i int, now time.Time, floor units.Watts) {
 // pollReport is the round's one report path: it fills node i's slots of
 // the round scratch. Step calls it directly for a Local transport and
 // hands the rest to the pollers. The clock is read only for a Fleet,
-// the one consumer of per-node RPC latencies.
+// the one consumer of per-node RPC latencies and finish times.
 func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder, i int) {
 	sc := &c.sc
 	s0 := rb.Now()
-	var t0 time.Time
+	var t0 time.Duration
 	if c.cfg.Fleet != nil {
-		t0 = time.Now()
+		t0 = time.Since(sc.began)
 	}
 	sc.reports[i], sc.errs[i] = c.ts[i].Report(wave)
 	if sc.errs[i] != nil {
 		sc.reports[i] = Report{}
 	}
 	if c.cfg.Fleet != nil {
-		sc.rpc[i] = time.Since(t0)
+		sc.obs[i].Finish = time.Since(sc.began)
+		sc.obs[i].RPC = sc.obs[i].Finish - t0
 	}
 	rb.Span("report", c.ts[i].Name(), s0, rb.Now(), sc.errs[i])
 }
@@ -519,13 +521,11 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	rb := c.cfg.Tracer.Begin(rid)
 	defer rb.End()
 	ctx = powerapi.WithRound(ctx, rid)
-	var began time.Time
-	if c.cfg.Fleet != nil {
-		began = time.Now()
-	}
-
 	n := len(c.ts)
 	sc := &c.sc
+	if c.cfg.Fleet != nil {
+		sc.began = time.Now()
+	}
 	reports, errs, healthy := sc.reports, sc.errs, sc.healthy
 	wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 	for i, t := range c.ts {
@@ -573,11 +573,10 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	c.issueGrants(ctx, targets, healthy, rb)
 
 	if c.cfg.Fleet != nil {
-		obs := make([]NodeObservation, n)
-		for i := 0; i < n; i++ {
-			obs[i] = NodeObservation{Node: c.ts[i].Name(), Err: errs[i], RPC: sc.rpc[i], Report: reports[i]}
+		for i := range sc.obs {
+			sc.obs[i].Node, sc.obs[i].Err, sc.obs[i].Report = c.ts[i].Name(), errs[i], reports[i]
 		}
-		c.cfg.Fleet.ObserveRound(rid, time.Since(began), obs)
+		c.cfg.Fleet.ObserveRound(rid, time.Since(sc.began), sc.obs)
 	}
 
 	c.mu.Lock()

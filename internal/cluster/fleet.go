@@ -20,13 +20,15 @@ const StragglerTopK = 5
 const EnergyTopK = 5
 
 // NodeObservation is what one reallocation round learned about one node:
-// the transport outcome, the report RPC latency, and the report itself
+// the transport outcome, the report RPC latency and when the report
+// finished (an offset from the round's start), and the report itself
 // (with its piggybacked status and metrics snapshot when the transport
 // collects them).
 type NodeObservation struct {
 	Node   string
 	Err    error
 	RPC    time.Duration
+	Finish time.Duration
 	Report Report
 }
 
@@ -36,8 +38,8 @@ type fleetNode struct {
 	lastRound   uint64
 	missed      int // consecutive rounds without a good report
 	totalMissed int
-	straggles   int // rounds this node was the straggler
-	worstRPC    time.Duration
+	straggles   int           // rounds this node was the straggler
+	worstRPC    time.Duration // its slowest report in those rounds
 	power       units.Watts
 	limit       units.Watts
 	// status points at frame, a copy of the last borrowed frame, and lease.
@@ -127,9 +129,9 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 	f.roundRes.Add(total.Seconds())
 
 	reporting := 0
-	var lats []time.Duration
-	var latNodes []*fleetNode
-	for _, o := range obs {
+	var finishes []time.Duration
+	var finObs []int
+	for k, o := range obs {
 		n := f.nodes[o.Node]
 		if n == nil {
 			n = &fleetNode{name: o.Node, rpcRes: stats.NewReservoir()}
@@ -148,11 +150,8 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 		n.limit = o.Report.Limit
 		n.rpcAcc.Add(o.RPC.Seconds())
 		n.rpcRes.Add(o.RPC.Seconds())
-		if o.RPC > n.worstRPC {
-			n.worstRPC = o.RPC
-		}
-		lats = append(lats, o.RPC)
-		latNodes = append(latNodes, n)
+		finishes = append(finishes, o.Finish)
+		finObs = append(finObs, k)
 		if st := o.Report.Status; st != nil {
 			n.frame, n.status = *st, &n.frame
 			if st.Lease != nil {
@@ -160,8 +159,11 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 			}
 		}
 	}
-	if at := tracing.StragglerIn(lats); at >= 0 {
-		latNodes[at].straggles++
+	if at := tracing.StragglerIn(finishes); at >= 0 {
+		o := obs[finObs[at]]
+		n := f.nodes[o.Node]
+		n.straggles++
+		n.worstRPC = max(n.worstRPC, o.RPC)
 		f.mStraggler.Inc()
 	}
 
@@ -296,7 +298,7 @@ type FleetServiceSLO struct {
 type FleetStraggler struct {
 	Node    string  `json:"node"`
 	Rounds  int     `json:"rounds"`
-	WorstMS float64 `json:"worst_ms"`
+	WorstMS float64 `json:"worst_ms"` // slowest report in a flagged round, as in Merge
 }
 
 // FleetSnapshot is the room-level rollup served at /debug/fleet.

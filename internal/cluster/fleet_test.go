@@ -10,10 +10,13 @@ import (
 	"repro/internal/units"
 )
 
+// obsFor observes a report that started with its round, so it finished
+// rpc after the round's start.
 func obsFor(node string, rpc time.Duration, power, limit float64, st *powerapi.NodeStatus) NodeObservation {
 	return NodeObservation{
-		Node: node,
-		RPC:  rpc,
+		Node:   node,
+		RPC:    rpc,
+		Finish: rpc,
 		Report: Report{
 			Power: units.Watts(power), Limit: units.Watts(limit),
 			Status: st,
@@ -93,7 +96,10 @@ func TestFleetRollups(t *testing.T) {
 // does — the view of a follower applying a full frame, then a delta —
 // and checks the rollups read the merged view: a series the delta left
 // off the wire still counts, one it moved counts at its new value, and
-// a later full frame drops what it no longer carries.
+// a later full frame drops what it no longer carries. Along the way it
+// checks the straggler rule the fleet shares with tracing.Merge, and
+// that a straggler's worst is its slowest report in a round it was
+// flagged, not in any round.
 func TestFleetDeltaMergeAndStragglers(t *testing.T) {
 	f := NewFleet(100, nil)
 	const grant, renew = `powerapi_lease_events_total{event="grant"}`, `powerapi_lease_events_total{event="renew"}`
@@ -106,25 +112,31 @@ func TestFleetDeltaMergeAndStragglers(t *testing.T) {
 		}
 		return st
 	}
-	mk := func(rpcA time.Duration, st *powerapi.NodeStatus) []NodeObservation {
+	mk := func(rpcA, rpcB time.Duration, st *powerapi.NodeStatus) []NodeObservation {
 		return []NodeObservation{
 			obsFor("a", rpcA, 10, 20, st),
-			obsFor("b", 1*time.Millisecond, 10, 20, nil),
+			obsFor("b", rpcB, 10, 20, nil),
 			obsFor("c", 1*time.Millisecond, 10, 20, nil),
+			{Node: "d", Err: fmt.Errorf("timeout"), Finish: 90 * time.Millisecond},
 		}
 	}
-	// Round 1: full frame, node a slow enough to be the straggler
-	// (2× the 1 ms median and over the 5 ms absolute floor).
-	f.ObserveRound(1, 50*time.Millisecond, mk(40*time.Millisecond, view(&powerapi.NodeStatus{
+	// Round 1: full frame, node a the straggler: its report finished
+	// 39 ms after the last other healthy one, over the 5 ms floor. The
+	// failed report that finished later is no bar.
+	f.ObserveRound(1, 50*time.Millisecond, mk(40*time.Millisecond, time.Millisecond, view(&powerapi.NodeStatus{
 		Node: "a", Epoch: 9, Rev: 1, Metrics: map[string]float64{grant: 1, renew: 2}})))
-	// Round 2: the delta moves renew, keeps grant; everyone fast, no
-	// straggler.
-	f.ObserveRound(2, 5*time.Millisecond, mk(1*time.Millisecond, view(&powerapi.NodeStatus{
+	// Round 2: the delta moves renew, keeps grant; a is slower still,
+	// but b finished within the floor of it: no straggler, and a's
+	// worst stays the 40 ms of the round that flagged it.
+	f.ObserveRound(2, 70*time.Millisecond, mk(60*time.Millisecond, 57*time.Millisecond, view(&powerapi.NodeStatus{
 		Node: "a", Epoch: 9, Rev: 2, Base: 1, Metrics: map[string]float64{renew: 5}})))
 
 	snap := f.Snapshot()
 	if len(snap.Stragglers) != 1 || snap.Stragglers[0].Node != "a" || snap.Stragglers[0].Rounds != 1 {
 		t.Fatalf("stragglers = %+v", snap.Stragglers)
+	}
+	if snap.Stragglers[0].WorstMS != 40 {
+		t.Errorf("straggler worst = %vms, want 40ms, its report in the round that flagged it", snap.Stragglers[0].WorstMS)
 	}
 	if snap.Nodes[0].StatusRev != 2 {
 		t.Errorf("status rev = %d, want 2", snap.Nodes[0].StatusRev)
@@ -134,7 +146,7 @@ func TestFleetDeltaMergeAndStragglers(t *testing.T) {
 	}
 
 	// A later full frame replaces: stale series disappear.
-	f.ObserveRound(3, 5*time.Millisecond, mk(1*time.Millisecond, view(&powerapi.NodeStatus{
+	f.ObserveRound(3, 5*time.Millisecond, mk(1*time.Millisecond, time.Millisecond, view(&powerapi.NodeStatus{
 		Node: "a", Epoch: 10, Rev: 1, Metrics: map[string]float64{renew: 7}})))
 	snap = f.Snapshot()
 	if _, ok := snap.LeaseEvents["grant"]; ok || snap.LeaseEvents["renew"] != 7 {

@@ -131,9 +131,13 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	}
 
 	// The delayed node dominates the straggler ranking, in the merged
-	// timeline and the fleet rollups alike. The delay (40 ms against a
-	// loopback median well under 5 ms) clears the flagging rule in every
-	// round; allow one round of scheduler-noise slack.
+	// timeline and the fleet rollups alike. The rule relies on the 40 ms
+	// delay putting the node's report last, at least StragglerFloor
+	// (5 ms) after every other report of its round. Under -race a
+	// round's median report took 6–18.5 ms on a quiet host; the reports
+	// run concurrently, so what counts is how far their finishes spread.
+	// Allow one round of scheduler-noise slack: a host that stalls the
+	// whole wave can close the lead.
 	slowName := nodes[slow].name
 	if len(tl.Stragglers) == 0 || tl.Stragglers[0].Node != slowName {
 		t.Fatalf("timeline stragglers = %+v, want %s first", tl.Stragglers, slowName)
@@ -145,6 +149,22 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	for _, mr := range tl.Rounds {
 		if mr.Straggler == slowName {
 			flagged++
+		}
+		// The round's critical path sums to its wall time, and a
+		// flagged node is the report segment on it.
+		var sum time.Duration
+		onPath := ""
+		for _, seg := range mr.Path {
+			sum += seg.Latency()
+			if seg.Name == "report" {
+				onPath = seg.Node
+			}
+		}
+		if sum != mr.End-mr.Start {
+			t.Errorf("round %d: path sums to %v, wall time %v: %+v", mr.ID, sum, mr.End-mr.Start, mr.Path)
+		}
+		if mr.Straggler != "" && onPath != mr.Straggler {
+			t.Errorf("round %d: straggler %s, report segment on the path %q", mr.ID, mr.Straggler, onPath)
 		}
 	}
 	if flagged < rounds-1 {

@@ -406,18 +406,18 @@ func (s *Sampler) Sample(dt time.Duration) (Sample, error) {
 	out.At = s.at
 	out.Interval = dt
 
+	secs := dt.Seconds() // converted once for every core
 	for sck := range s.anyExecSock {
 		s.anyExecSock[sck] = false
-	}
-	secs := dt.Seconds() // converted once for every core
-	for i := 0; i < s.nCores; i++ {
-		if s.curOK[i] && s.baseOK[i] && s.curMperf[i] != s.prevMperf[i] {
-			s.anyExecSock[i/s.cps] = true
+		for i, end := sck*s.cps, (sck+1)*s.cps; i < end; i++ {
+			if s.curOK[i] && s.baseOK[i] && s.curMperf[i] != s.prevMperf[i] {
+				s.anyExecSock[sck] = true
+			}
+			cs := &out.Cores[i]
+			s.classify(i, cs, secs)
+			s.lastStatus[i] = cs.Status
+			s.tally[cs.Status]++
 		}
-		cs := &out.Cores[i]
-		s.classify(i, cs, secs)
-		s.lastStatus[i] = cs.Status
-		s.tally[cs.Status]++
 	}
 	s.swapBaselines()
 

@@ -1,19 +1,18 @@
 package tracing
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
-// Straggler detection: a node is flagged for a round when its report
-// RPC took at least StragglerFactor times the round's median report
-// latency AND exceeded it by at least StragglerFloor. The absolute
-// floor keeps loopback-fast rounds (median in the microseconds) from
-// flagging ordinary scheduling noise.
-const (
-	StragglerFactor = 2
-	StragglerFloor  = 5 * time.Millisecond
-)
+// StragglerFloor is how long after every other healthy report the
+// round's last healthy report must finish to be flagged the straggler:
+// the report segment of the round's critical path, by a lead that
+// ordinary scheduling noise does not reach.
+const StragglerFloor = 5 * time.Millisecond
 
 // NodeRound is one node's slice of a merged round: the coordinator's
 // view of its RPCs plus, when the node's dump covers the round, the
@@ -32,6 +31,9 @@ type NodeRound struct {
 	Missing bool `json:"missing,omitempty"`
 	// Straggler marks the node flagged as this round's straggler.
 	Straggler bool `json:"straggler,omitempty"`
+	// Slack is how long before its wave's segment of the round's path
+	// ended this node's report had ended; zero on the path itself.
+	Slack time.Duration `json:"slack_ns,omitempty"`
 }
 
 // MergedRound is one coordinator round joined with every node that
@@ -43,8 +45,11 @@ type MergedRound struct {
 	// Plan is the coordinator's local planning span, if recorded.
 	Plan  *Span       `json:"plan,omitempty"`
 	Nodes []NodeRound `json:"nodes"`
-	// Straggler names the slowest node whose report RPC latency
-	// qualifies under StragglerFactor/StragglerFloor.
+	// Path is the coordinator round's critical path (Round.CriticalPath):
+	// the spans the round waited on and its self time, summing to End-Start.
+	Path []Span `json:"path,omitempty"`
+	// Straggler names the node whose report finished last, at least
+	// StragglerFloor after every other healthy report (StragglerIn).
 	Straggler string `json:"straggler,omitempty"`
 	// Gaps lists nodes with no node-side record for this round.
 	Gaps []string `json:"gaps,omitempty"`
@@ -56,7 +61,7 @@ type StragglerStat struct {
 	Node string `json:"node"`
 	// Rounds is how many rounds flagged this node.
 	Rounds int `json:"rounds"`
-	// Worst is the node's worst report RPC latency.
+	// Worst is the node's worst report RPC latency in a flagged round.
 	Worst time.Duration `json:"worst_ns"`
 }
 
@@ -75,26 +80,66 @@ type Timeline struct {
 	Tiers []Timeline `json:"tiers,omitempty"`
 }
 
-// StragglerIn applies the straggler rule to one round's report
-// latencies and returns the index of the flagged node, or -1. Only the
-// slowest node can be the straggler; ties keep the first.
-func StragglerIn(latencies []time.Duration) int {
-	if len(latencies) < 2 {
+// StragglerIn is the straggler rule Merge and the fleet rollup share.
+// Given one round's healthy report finish times, on any one clock, it
+// returns the index of the last if it finished at least StragglerFloor
+// after every other (so a tie at the top flags none), and -1 otherwise.
+func StragglerIn(finishes []time.Duration) int {
+	if len(finishes) < 2 {
 		return -1
 	}
-	sorted := append([]time.Duration(nil), latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	median := sorted[len(sorted)/2]
-	worst, at := time.Duration(-1), -1
-	for i, l := range latencies {
-		if l > worst {
-			worst, at = l, i
+	at := 0
+	for i, f := range finishes {
+		if f > finishes[at] {
+			at = i
 		}
 	}
-	if worst >= median*StragglerFactor && worst >= median+StragglerFloor {
-		return at
+	for i, f := range finishes {
+		if i != at && finishes[at]-f < StragglerFloor {
+			return -1
+		}
 	}
-	return -1
+	return at
+}
+
+// CriticalPath decomposes the round's wall time into what it waited on,
+// walking back from End. Each step takes the span, clipped to [Start,
+// End], that finished last at or before the cursor among those starting
+// before it (ties: earliest start, then node name); the gap after it is
+// self time, and the cursor moves to its start. What is left back to
+// Start is self time too. The segments, in time order, are contiguous
+// and sum to Latency() exactly, whether the waves are concurrent or serial.
+func (r Round) CriticalPath() []Span {
+	if r.End < r.Start {
+		return nil
+	}
+	spans := make([]Span, 0, len(r.Spans))
+	for _, s := range r.Spans {
+		s.Start, s.End = max(s.Start, r.Start), min(s.End, r.End)
+		if s.Start <= s.End {
+			spans = append(spans, s)
+		}
+	}
+	slices.SortStableFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(b.End, a.End), cmp.Compare(a.Start, b.Start), strings.Compare(a.Node, b.Node))
+	})
+	var path []Span
+	cursor := r.End
+	for _, s := range spans {
+		if s.End > cursor || s.Start >= cursor {
+			continue
+		}
+		if s.End < cursor {
+			path = append(path, Span{Name: "self", Start: s.End, End: cursor})
+		}
+		path = append(path, s)
+		cursor = s.Start
+	}
+	if cursor > r.Start {
+		path = append(path, Span{Name: "self", Start: r.Start, End: cursor})
+	}
+	slices.Reverse(path)
+	return path
 }
 
 // IsCoordinator reports whether a log contains coordinator-side rounds
@@ -198,15 +243,15 @@ func Merge(coord Log, nodes []Log) Timeline {
 	tl := Timeline{Coordinator: coord.Origin}
 	stats := make(map[string]*StragglerStat)
 	for _, cr := range coord.Rounds {
-		mr := MergedRound{ID: cr.ID, Start: cr.Start, End: cr.End}
+		mr := MergedRound{ID: cr.ID, Start: cr.Start, End: cr.End, Path: cr.CriticalPath()}
 		if p := cr.Find("plan", ""); p != nil {
 			cp := *p
 			mr.Plan = &cp
 		}
 		// One NodeRound per node the coordinator talked to, in the
 		// order its report spans were recorded.
-		var lats []time.Duration
-		var latIdx []int
+		var finishes []time.Duration
+		var finIdx []int
 		for i := range cr.Spans {
 			s := cr.Spans[i]
 			if s.Name != "report" || s.Node == "" {
@@ -215,6 +260,12 @@ func Merge(coord Log, nodes []Log) Timeline {
 			nr := NodeRound{Node: s.Node}
 			sp := s
 			nr.Report = &sp
+			for _, p := range mr.Path {
+				if p.Name == "report" && p.End >= s.End {
+					nr.Slack = p.End - s.End
+					break
+				}
+			}
 			if g := cr.Find("grant", s.Node); g != nil {
 				gp := *g
 				nr.Grant = &gp
@@ -226,13 +277,13 @@ func Merge(coord Log, nodes []Log) Timeline {
 				mr.Gaps = append(mr.Gaps, s.Node)
 			}
 			if s.Err == "" {
-				lats = append(lats, sp.Latency())
-				latIdx = append(latIdx, len(mr.Nodes))
+				finishes = append(finishes, s.End)
+				finIdx = append(finIdx, len(mr.Nodes))
 			}
 			mr.Nodes = append(mr.Nodes, nr)
 		}
-		if at := StragglerIn(lats); at >= 0 {
-			n := &mr.Nodes[latIdx[at]]
+		if at := StragglerIn(finishes); at >= 0 {
+			n := &mr.Nodes[finIdx[at]]
 			n.Straggler = true
 			mr.Straggler = n.Node
 			st := stats[n.Node]

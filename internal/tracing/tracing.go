@@ -119,14 +119,6 @@ func New(origin string, capacity int) *Tracer {
 	}
 }
 
-// Origin reports the identity the tracer stamps on its rounds.
-func (t *Tracer) Origin() string {
-	if t == nil {
-		return ""
-	}
-	return t.origin
-}
-
 // Now returns the current offset on the tracer's clock; zero on nil.
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
@@ -152,39 +144,26 @@ func (t *Tracer) Add(r Round) {
 	t.mu.Unlock()
 }
 
-// Total reports how many rounds have ever been recorded (including
-// evicted ones).
-func (t *Tracer) Total() uint64 {
+// Log snapshots the tracer for serialisation: what /debug/rounds
+// serves and what powerdump's merged view consumes. Its Total counts
+// every round ever added, evicted ones too, and its Rounds are the
+// retained ones, oldest first; both are read under one lock, so a round
+// added meanwhile is in both or in neither.
+func (t *Tracer) Log() Log {
 	if t == nil {
-		return 0
+		return Log{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
-}
-
-// Rounds returns the retained rounds, oldest first.
-func (t *Tracer) Rounds() []Round {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Round, 0, t.count)
+	l := Log{Origin: t.origin, Total: t.total, Rounds: make([]Round, 0, t.count)}
 	start := t.next - t.count
 	if start < 0 {
 		start += len(t.ring)
 	}
 	for i := 0; i < t.count; i++ {
-		out = append(out, t.ring[(start+i)%len(t.ring)])
+		l.Rounds = append(l.Rounds, t.ring[(start+i)%len(t.ring)])
 	}
-	return out
-}
-
-// Log snapshots the tracer for serialisation: what /debug/rounds
-// serves and what powerdump's merged view consumes.
-func (t *Tracer) Log() Log {
-	return Log{Origin: t.Origin(), Total: t.Total(), Rounds: t.Rounds()}
+	return l
 }
 
 // Begin opens a builder for one round. Safe on a nil tracer: the
