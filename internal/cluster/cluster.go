@@ -172,12 +172,13 @@ type Coordinator struct {
 	stepMu sync.Mutex
 	sc     roundScratch
 
-	// The pollers: one goroutine per non-Local transport, kept across
-	// rounds so the stack a poll grows on its way down the HTTP client is
-	// grown once. Guarded by stepMu. Nobody has to stop them: they retire
-	// once no round has run for pollerIdleTimeouts × NodeTimeout, and the
-	// next Step starts new ones.
+	// The pollers: one goroutine for each non-Local call a wave has had in
+	// flight at once, kept across rounds so the stack a call grows on its
+	// way down the HTTP client is grown once. Guarded by stepMu. Nobody has
+	// to stop them: they retire once no round has run for
+	// pollerIdleTimeouts × NodeTimeout, and the next wave starts new ones.
 	polls     chan pollJob
+	pollers   int
 	pollWG    sync.WaitGroup
 	seenRound uint64 // rounds run when retirePollers last looked
 
@@ -211,18 +212,23 @@ type Coordinator struct {
 // enough that a coordinator nobody steps any more is soon garbage.
 const pollerIdleTimeouts = 2
 
-// pollJob is one report of one round, handed to a poller.
+// pollJob is one call of one wave to node i: a grant of limit when limit is
+// positive, its report when it is zero.
 type pollJob struct {
-	wave context.Context
-	rb   *tracing.RoundBuilder
-	i    int
+	wave  context.Context
+	rb    *tracing.RoundBuilder
+	i     int
+	limit units.Watts
 }
 
 // roundScratch is the per-round working set, sized to the node count once
-// and reused by every Step (stepMu serialises them). Nothing in it outlives
-// the round that filled it, except failed: a grant wave outside a round
-// (construction, SetBudget) leaves its failures to the next Step.
+// and reused by every Step and SetBudget (stepMu serialises them). Nothing
+// in it outlives the round that filled it, except failed: a grant wave
+// outside a round (construction, SetBudget) leaves its failures to the
+// next Step.
 type roundScratch struct {
+	all     []int     // 0..n-1: the report wave's nodes
+	local   []pollJob // a wave's calls to Local nodes
 	reports []Report
 	errs    []error
 	obs     []NodeObservation // RPC and Finish filled only when a Fleet consumes them
@@ -239,7 +245,13 @@ type roundScratch struct {
 }
 
 func newRoundScratch(n int) roundScratch {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	return roundScratch{
+		all:     all,
+		local:   make([]pollJob, 0, n),
 		reports: make([]Report, n),
 		errs:    make([]error, n),
 		obs:     make([]NodeObservation, n),
@@ -326,8 +338,9 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 	// seeded from a prior ledger shrink to the new equal split before
 	// newcomers grow into it, so rebuilding a coordinator over changed
 	// membership never transiently over-commits the budget.
-	targets := make([]units.Watts, n)
-	healthy := make([]bool, n)
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
+	targets, healthy := c.sc.targets[:n], c.sc.healthy
 	for i := range targets {
 		targets[i] = equal
 		healthy[i] = true
@@ -444,9 +457,8 @@ func (c *Coordinator) holdLimit(i int, now time.Time, floor units.Watts) {
 }
 
 // pollReport is the round's one report path: it fills node i's slots of
-// the round scratch. Step calls it directly for a Local transport and
-// hands the rest to the pollers. The clock is read only for a Fleet,
-// the one consumer of per-node RPC latencies and finish times.
+// the round scratch. The clock is read only for a Fleet, the one consumer
+// of per-node RPC latencies and finish times.
 func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder, i int) {
 	sc := &c.sc
 	s0 := rb.Now()
@@ -465,22 +477,62 @@ func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder,
 	rb.Span("report", c.ts[i].Name(), s0, rb.Now(), sc.errs[i])
 }
 
-// startPollers starts one poller per non-Local transport, fed from one
-// channel, and the timer that retires them. Caller holds stepMu.
+// startPollers starts one more poller; the first makes the channel that
+// feeds them all and arms the timer that retires them. Caller holds stepMu.
 func (c *Coordinator) startPollers() {
-	polls := make(chan pollJob)
-	c.polls, c.seenRound = polls, c.round.Load()
-	for _, t := range c.ts {
-		if !t.Local() {
-			go func() {
-				for j := range polls {
-					c.pollReport(j.wave, j.rb, j.i)
-					c.pollWG.Done()
-				}
-			}()
-		}
+	if c.polls == nil {
+		c.polls, c.seenRound = make(chan pollJob), c.round.Load()
+		c.cfg.Clock.AfterFunc(pollerIdleTimeouts*c.cfg.NodeTimeout, c.retirePollers)
 	}
-	c.cfg.Clock.AfterFunc(pollerIdleTimeouts*c.cfg.NodeTimeout, c.retirePollers)
+	c.pollers++
+	polls := c.polls
+	go func() {
+		for j := range polls {
+			c.call(j)
+			c.pollWG.Done()
+		}
+	}()
+}
+
+// wave makes one call to every node in idx under one NodeTimeout deadline:
+// a grant of limits[i] to node i, or its report when limits is nil. A Local
+// node is called on the calling goroutine, in index order; any other on a
+// poller. Caller holds stepMu.
+func (c *Coordinator) wave(ctx context.Context, rb *tracing.RoundBuilder, idx []int, limits []units.Watts) {
+	wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
+	local, remote := c.sc.local[:0], 0
+	for _, i := range idx {
+		j := pollJob{wave: wave, rb: rb, i: i}
+		if limits != nil {
+			j.limit = limits[i]
+		}
+		if c.ts[i].Local() {
+			local = append(local, j)
+			continue
+		}
+		if remote++; remote > c.pollers {
+			c.startPollers()
+		}
+		c.pollWG.Add(1)
+		c.polls <- j
+	}
+	for _, j := range local {
+		c.call(j)
+	}
+	clear(local)
+	// A call that outlives the wave's deadline still holds up its wave, and
+	// stepMu the next: this round's scratch gets this round's reports.
+	c.pollWG.Wait()
+	cancel()
+}
+
+// call is every node call's one path, inline or on a poller.
+func (c *Coordinator) call(j pollJob) {
+	if j.limit > 0 {
+		c.grant(j.wave, j.rb, j.i, j.limit)
+	} else {
+		c.pollReport(j.wave, j.rb, j.i)
+	}
 }
 
 // retirePollers runs every pollerIdleTimeouts × NodeTimeout while there
@@ -495,7 +547,7 @@ func (c *Coordinator) retirePollers() {
 		return
 	}
 	close(c.polls)
-	c.polls = nil
+	c.polls, c.pollers = nil, 0
 }
 
 // Step performs one reallocation round: collect every node's report — the
@@ -527,25 +579,7 @@ func (c *Coordinator) Step(ctx context.Context) error {
 		sc.began = time.Now()
 	}
 	reports, errs, healthy := sc.reports, sc.errs, sc.healthy
-	wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
-	for i, t := range c.ts {
-		if !t.Local() {
-			if c.polls == nil {
-				c.startPollers()
-			}
-			c.pollWG.Add(1)
-			c.polls <- pollJob{wave, rb, i}
-		}
-	}
-	for i, t := range c.ts {
-		if t.Local() {
-			c.pollReport(wave, rb, i)
-		}
-	}
-	// A report that outlives the wave's deadline still holds up its round,
-	// and stepMu the next: this round's scratch gets this round's reports.
-	c.pollWG.Wait()
-	cancel()
+	c.wave(ctx, rb, sc.all, nil)
 
 	// A report's Status is borrowed: what Aggregate reads of it is copied
 	// out here, before the transport's next Report may overwrite it.
@@ -656,36 +690,37 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	return targets, moved, shifted
 }
 
-// issueGrants applies the planned targets: shrinking (or renewing equal)
-// grants fan out concurrently first, under one shared deadline; growing
-// grants follow sequentially, each capped by the headroom the acknowledged
-// ledger still shows, so a failed shrink can never combine with a
-// successful grow to over-commit the budget. A grant that fails counts
-// against its node (noteFailure) and leaves the ledger as it was.
+// grant leases node i the cap limit. A grant that fails counts against its
+// node (noteFailure) and leaves the ledger as it was.
+func (c *Coordinator) grant(wave context.Context, rb *tracing.RoundBuilder, i int, limit units.Watts) {
+	floor := c.floor()
+	s0 := rb.Now()
+	err := c.ts[i].Grant(wave, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
+	rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
+	c.mu.Lock()
+	if err != nil {
+		c.noteFailure(i)
+		c.holdLimit(i, c.cfg.Clock.Now(), floor)
+		c.mu.Unlock()
+		return
+	}
+	c.granted[i] = limit
+	c.fbGranted[i] = floor
+	c.limits[i] = limit // what the node actually enforces, headroom cap included
+	c.leaseUntil[i] = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
+	c.mu.Unlock()
+	c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
+}
+
+// issueGrants applies the planned targets in two waves: shrinks and
+// renewals first, then grows, each capped by the headroom the acknowledged
+// ledger shows once the first wave is in, so a failed shrink can never
+// combine with a successful grow to over-commit the budget. It caps each
+// grow's target in place.
 func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) {
 	n := len(c.ts)
 	floor := c.floor()
 	now := c.cfg.Clock.Now()
-
-	grant := func(wave context.Context, i int, limit units.Watts) {
-		s0 := rb.Now()
-		g := Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor}
-		err := c.ts[i].Grant(wave, g)
-		rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
-		c.mu.Lock()
-		if err != nil {
-			c.noteFailure(i)
-			c.holdLimit(i, c.cfg.Clock.Now(), floor)
-			c.mu.Unlock()
-			return
-		}
-		c.granted[i] = limit
-		c.fbGranted[i] = floor
-		c.limits[i] = limit // what the node actually enforces, headroom cap included
-		c.leaseUntil[i] = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
-		c.mu.Unlock()
-		c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
-	}
 
 	// Classify every healthy node in one pass: it grows, it needs a shrink
 	// or renewal, or it is stable — its lease already says exactly what
@@ -718,40 +753,27 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	}
 	c.mu.Unlock()
 
-	// Phase 1: shrinks and renewals, concurrently.
 	if len(renews) > 0 {
-		wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
-		var wg sync.WaitGroup
-		for _, i := range renews {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				grant(wave, i, targets[i])
-			}(i)
-		}
-		wg.Wait()
-		cancel()
+		c.wave(ctx, rb, renews, targets)
 	}
 	if len(grows) == 0 {
 		return
 	}
 
-	// Phase 2: grows, one at a time and each under its own timeout, bounded
-	// by the headroom the acknowledged ledger leaves. A node whose shrink
-	// failed still occupies its old grant, so the grows squeeze rather than
-	// overshoot.
+	// Every grow's share of the headroom is reserved before any goes out.
+	// A node whose shrink failed still occupies its old grant, so the grows
+	// squeeze rather than overshoot; a failed grow keeps its reservation
+	// until the next round, so Σ granted stays within the budget throughout.
 	var held units.Watts
 	c.mu.Lock()
 	for i := 0; i < n; i++ {
 		held += c.effective(i, now, floor)
 	}
-	c.mu.Unlock()
 	headroom := c.cfg.Budget - held
+	reserved := grows[:0]
 	for _, i := range grows {
-		c.mu.Lock()
 		cur := c.effective(i, now, floor)
-		limit := targets[i]
-		delta := limit - cur
+		limit, delta := targets[i], targets[i]-cur
 		if delta > headroom {
 			delta = headroom
 			limit = cur + delta
@@ -759,15 +781,14 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		if delta <= 0 {
 			// No room to grow into: the node keeps what it holds.
 			c.holdLimit(i, now, floor)
-			c.mu.Unlock()
 			continue
 		}
-		c.mu.Unlock()
-		wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
-		grant(wave, i, limit)
-		cancel()
+		targets[i] = limit
 		headroom -= delta
+		reserved = append(reserved, i)
 	}
+	c.mu.Unlock()
+	c.wave(ctx, rb, reserved, targets)
 }
 
 // budgetSlack absorbs float rounding when comparing watt sums.
@@ -826,11 +847,9 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	old := c.cfg.Budget
-	eff := make([]units.Watts, n)
 	var held units.Watts
 	for i := 0; i < n; i++ {
-		eff[i] = c.effective(i, now, floor)
-		held += eff[i]
+		held += c.effective(i, now, floor)
 	}
 	if b >= held-budgetSlack {
 		// Growth or no-op: nothing currently held can violate it.
@@ -844,10 +863,9 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	if excess := held - floorSum; excess > 0 {
 		scale = float64(b-floorSum) / float64(excess)
 	}
-	targets := make([]units.Watts, n)
-	healthy := make([]bool, n)
+	targets, healthy := c.sc.targets[:n], c.sc.healthy
 	for i := 0; i < n; i++ {
-		targets[i] = floor + units.Watts(float64(eff[i]-floor)*scale)
+		targets[i] = floor + units.Watts(float64(c.effective(i, now, floor)-floor)*scale)
 		healthy[i] = true
 	}
 	c.mu.Unlock()

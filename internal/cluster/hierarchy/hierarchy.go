@@ -22,6 +22,7 @@ package hierarchy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -195,9 +196,23 @@ func (t *Tier) Coordinator() *cluster.Coordinator {
 
 // Transport returns an in-process transport for the tier's agent — how
 // a parent in the same process adopts this tier as a child without a
-// loopback hop. coord names the parent in lease messages.
-func (t *Tier) Transport(coord string) *cluster.AgentTransport {
-	return cluster.NewAgentTransport(t.agent, coord)
+// loopback hop. coord names the parent in lease messages. It is Local only
+// while every child of the tier is: a grant cascades to the children, and
+// one that waits on I/O must not hold up the tier's siblings.
+func (t *Tier) Transport(coord string) cluster.Transport {
+	return tierTransport{cluster.NewAgentTransport(t.agent, coord), t}
+}
+
+// tierTransport is a tier's in-process transport.
+type tierTransport struct {
+	*cluster.AgentTransport
+	t *Tier
+}
+
+func (x tierTransport) Local() bool {
+	x.t.mu.Lock()
+	defer x.t.mu.Unlock()
+	return !slices.ContainsFunc(x.t.children, func(c cluster.Transport) bool { return !c.Local() })
 }
 
 // Step runs one reallocation round over the tier's children.

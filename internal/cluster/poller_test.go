@@ -85,8 +85,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestPollerLifetime: the pollers of a stepped coordinator keep both
-// children's reports in flight at once, retire on their own once the
+// TestPollerLifetime: the pollers that the initial grant wave started keep
+// both children's reports in flight at once, retire on their own once the
 // coordinator has been idle for the period — nobody calls a Close — and
 // a Step after that starts new ones and polls every child again.
 func TestPollerLifetime(t *testing.T) {
@@ -108,7 +108,10 @@ func TestPollerLifetime(t *testing.T) {
 	// go away: the goroutine count is held against its value here, and the
 	// pollers counted are the ones this goroutine's Steps started.
 	baseline, me := runtime.NumGoroutine(), goroutineID()
-	for round, started := range []int{2, 0, 2} { // the pollers each round has to start
+	if got := pollers(me); got != 2 {
+		t.Fatalf("the initial grant wave left %d pollers, want 2", got)
+	}
+	for round, started := range []int{0, 0, 2} { // the pollers each round has to start
 		before := pollers(me)
 		inflight.Add(2)
 		if err := c.Step(context.Background()); err != nil {

@@ -62,16 +62,16 @@ type Transport interface {
 	Report(ctx context.Context) (Report, error)
 	// Grant leases part of the room budget to the node.
 	Grant(ctx context.Context, g Grant) error
-	// Local reports that Report reads state this process already holds
-	// and never waits on I/O, as AgentTransport's does. The coordinator polls a Local node on the
-	// stepping goroutine, one after another in index order, and spends a
-	// goroutine per node only on the rest, whose waits are worth
-	// overlapping. Every report still runs under the round's deadline
-	// context, so a transport that wrongly claims Local costs its
+	// Local reports that Report and Grant act on state this process
+	// already holds and never wait on I/O, as AgentTransport's do. The
+	// coordinator calls a Local node on the stepping goroutine, one after
+	// another in index order, and hands the rest to its pollers, whose
+	// waits are worth overlapping. Every call still runs under its wave's
+	// deadline context, so a transport that wrongly claims Local costs its
 	// siblings sequential timeouts, never a hang. A wrapper that embeds a
 	// Transport inherits the answer; one that adds blocking of its own
-	// must answer false. Grants are fanned out regardless: a tier's grant
-	// cascades to its own children and may wait on them.
+	// must answer false, and so must a tier whose grant cascades to a
+	// child that is not Local.
 	Local() bool
 }
 
@@ -114,14 +114,16 @@ func (t *AgentTransport) Report(ctx context.Context) (Report, error) {
 	}, nil
 }
 
+// Grant runs the agent's lease state machine; a renewal allocates nothing.
 func (t *AgentTransport) Grant(ctx context.Context, g Grant) error {
-	_, err := t.a.GrantCtx(ctx, &powerapi.LeaseGrant{
+	lg := powerapi.LeaseGrant{
 		ID:            t.leaseID.Add(1),
 		Coordinator:   t.coord,
 		LimitWatts:    float64(g.Limit),
 		TTLMS:         g.TTLMillis(),
 		FallbackWatts: float64(g.Fallback),
-	})
+	}
+	_, err := t.a.GrantCtx(ctx, &lg)
 	return err
 }
 

@@ -9,13 +9,17 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/units"
 )
 
-// probeTransport is a Transport whose Report is a test hook.
+// probeTransport is a Transport whose Report and Grant are test hooks; a
+// nil grant hook acknowledges every grant.
 type probeTransport struct {
 	name   string
 	local  bool
 	report func(ctx context.Context) (Report, error)
+	grant  func(ctx context.Context, g Grant) error
 }
 
 func (p *probeTransport) Name() string { return p.name }
@@ -23,7 +27,12 @@ func (p *probeTransport) Local() bool  { return p.local }
 func (p *probeTransport) Report(ctx context.Context) (Report, error) {
 	return p.report(ctx)
 }
-func (p *probeTransport) Grant(context.Context, Grant) error { return nil }
+func (p *probeTransport) Grant(ctx context.Context, g Grant) error {
+	if p.grant == nil {
+		return nil
+	}
+	return p.grant(ctx, g)
+}
 
 var okReport = Report{Power: 40, Limit: 50, Max: 85}
 
@@ -166,6 +175,144 @@ func TestWaveDeadline(t *testing.T) {
 	// cannot take less.
 	if elapsed < timeout || elapsed > timeout+time.Second {
 		t.Errorf("Step took %v, want about %v", elapsed, timeout)
+	}
+}
+
+// TestGrantPhaseDeadline pins one deadline per grant phase. Two pressed
+// children grow and four idle ones shrink; one child in each phase hangs on
+// its grant. Every grant of a phase sees the phase's one deadline, each
+// hung child costs its phase that one timeout, the healthy siblings
+// commit, and the acknowledged ledger stays within the budget.
+func TestGrantPhaseDeadline(t *testing.T) {
+	const (
+		n       = 6
+		timeout = 50 * time.Millisecond
+		budget  = n * 50
+	)
+	type call struct {
+		limit    units.Watts
+		deadline time.Time
+	}
+	var (
+		mu    sync.Mutex
+		armed bool // set once construction's equal split is in
+		calls = map[int]call{}
+	)
+	ts := make([]Transport, n)
+	for i := range ts {
+		i := i
+		power := units.Watts(10)
+		if i < 2 {
+			power = 50 // pressed against the equal split: bids to grow
+		}
+		ts[i] = &probeTransport{
+			name: fmt.Sprintf("n%d", i),
+			report: func(context.Context) (Report, error) {
+				return Report{Power: power, Limit: 50, Max: 85}, nil
+			},
+			grant: func(ctx context.Context, g Grant) error {
+				d, ok := ctx.Deadline()
+				if !ok {
+					t.Errorf("child %d granted without a deadline", i)
+				}
+				mu.Lock()
+				if !armed {
+					mu.Unlock()
+					return nil
+				}
+				if _, again := calls[i]; again {
+					t.Errorf("child %d granted twice in one round", i)
+				}
+				calls[i] = call{g.Limit, d}
+				mu.Unlock()
+				if i == 0 || i == 2 { // one grower, one shrinker
+					<-ctx.Done()
+					return ctx.Err()
+				}
+				return nil
+			},
+		}
+	}
+	c, err := NewOverTransports(ts, Config{Budget: budget, NodeTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	armed = true
+	mu.Unlock()
+	start := time.Now()
+	if err := c.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+
+	if len(calls) != n {
+		t.Fatalf("%d children granted, want %d", len(calls), n)
+	}
+	var shrink, grow time.Time
+	for i := 0; i < n; i++ {
+		phase, grows := &shrink, calls[i].limit > 50
+		if grows != (i < 2) {
+			t.Fatalf("child %d granted %v from 50 W", i, calls[i].limit)
+		}
+		if grows {
+			phase = &grow
+		}
+		if phase.IsZero() {
+			*phase = calls[i].deadline
+		}
+		if !calls[i].deadline.Equal(*phase) {
+			t.Errorf("child %d deadline %v, its phase's is %v", i, calls[i].deadline, *phase)
+		}
+	}
+	if grow.Sub(shrink) < timeout {
+		t.Errorf("the grow phase's deadline is %v after the shrink phase's, want at least its timeout %v", grow.Sub(shrink), timeout)
+	}
+	for i := 0; i < n; i++ {
+		hung := i == 0 || i == 2
+		if ok := c.fails[i] == 0 && c.granted[i] == calls[i].limit; ok == hung {
+			t.Errorf("child %d (hung %v): %d failed steps, %v acknowledged of %v", i, hung, c.fails[i], c.granted[i], calls[i].limit)
+		}
+	}
+	var held units.Watts
+	for i := 0; i < n; i++ {
+		held += c.effective(i, time.Now(), c.floor())
+	}
+	if held > budget+budgetSlack {
+		t.Errorf("the ledger holds %v of a %v budget", held, units.Watts(budget))
+	}
+	// Generous above (a loaded box), exact below: two phases, one timeout
+	// each, cannot take less.
+	if elapsed < 2*timeout || elapsed > 2*timeout+time.Second {
+		t.Errorf("Step took %v, want about %v", elapsed, 2*timeout)
+	}
+}
+
+// TestQuietGrantAllocs: a grant pass with nothing to send, every lease
+// already saying what the plan would, allocates nothing.
+func TestQuietGrantAllocs(t *testing.T) {
+	const n = 64
+	ts := make([]Transport, n)
+	for i := range ts {
+		ts[i] = &probeTransport{name: fmt.Sprint("n", i), local: i%2 == 0}
+	}
+	c, err := NewOverTransports(ts, Config{Budget: 50 * n, LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets, healthy := append([]units.Watts(nil), c.granted...), make([]bool, n)
+	for i := range healthy {
+		healthy[i] = true
+	}
+	sent := 0
+	for _, tr := range ts {
+		tr.(*probeTransport).grant = func(context.Context, Grant) error { sent++; return nil }
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.issueGrants(context.Background(), targets, healthy, nil) }); allocs != 0 {
+		t.Errorf("a quiet issueGrants: %v allocs, want 0", allocs)
+	}
+	if sent != 0 {
+		t.Errorf("a quiet issueGrants sent %d grants", sent)
 	}
 }
 

@@ -148,16 +148,18 @@ type Agent struct {
 	fallback   units.Watts
 	draining   bool
 
-	// Lease state. epoch invalidates pending expiry timers when a newer
-	// grant supersedes them.
+	// Lease state. One expiry timer is pending while a lease is held, due
+	// at timerAt, which may fall before leaseExpires: a renewal leaves it
+	// alone, and when it fires early it re-arms for the rest of the lease.
 	leaseID      uint64
 	leaseCoord   string
 	leaseLimit   units.Watts
 	leaseTTL     time.Duration
 	leaseExpires time.Time
 	leaseActive  bool
-	epoch        uint64
-	timer        clock.Timer
+	timer        clock.Timer // nil when none is pending
+	timerAt      time.Time
+	expiry       func() // a.expire, bound once
 
 	// powerapi_requests_total by endpoint, resolved once at construction.
 	mStatusReq, mLeaseReq, mReconfigReq, mDrainReq *metrics.Counter
@@ -225,6 +227,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		// this one never served. A virtual clock would repeat one.
 		frameEpoch: uint64(time.Now().UnixNano()),
 	}
+	a.expiry = a.expire
 	if reg := cfg.Metrics; reg != nil {
 		requests := reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
 		a.mStatusReq, a.mLeaseReq = requests.With("status"), requests.With("lease")
@@ -595,7 +598,7 @@ func (a *Agent) frame(st *NodeStatus, epoch, rev uint64) *NodeStatus {
 // threaded into the backend's SetLimit: a round-stamped context lets a
 // mid-tier backend record its cascaded child grants under the parent's
 // round ID, which is what joins the cross-tier merged timeline.
-func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) {
+func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (LeaseAck, error) {
 	limit := units.Watts(g.LimitWatts)
 	ttl := time.Duration(g.TTLMS) * time.Millisecond
 
@@ -628,12 +631,12 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	if g.FallbackWatts > 0 {
 		a.fallback = units.Watts(g.FallbackWatts)
 	}
-	a.epoch++
-	epoch := a.epoch
-	if a.timer != nil {
-		a.timer.Stop()
+	// A pending timer due by the new deadline stays: it re-arms when it
+	// fires. One due after it would expire the lease late, so it goes.
+	if a.timer == nil || a.leaseExpires.Before(a.timerAt) {
+		a.stopTimer()
+		a.timer, a.timerAt = a.cfg.Clock.AfterFunc(ttl, a.expiry), a.leaseExpires
 	}
-	a.timer = a.cfg.Clock.AfterFunc(ttl, func() { a.expire(epoch) })
 	a.mu.Unlock()
 	event, code := "grant", flight.LeaseGrant
 	if renewal {
@@ -642,27 +645,44 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	a.mLease.With(event).Inc()
 	a.mLeaseW.Set(float64(limit))
 	a.record(flight.KindLease, code, microwatts(limit), uint64(ttl))
-	return &LeaseAck{ID: g.ID, Applied: true, LimitWatts: float64(limit)}, nil
+	return LeaseAck{ID: g.ID, Applied: true, LimitWatts: float64(limit)}, nil
 }
 
 // refuse answers a grant the agent does not apply. A refused grant changes
 // nothing the agent holds: the lease, its timer and its fallback stay those
 // of the last grant applied, which is what the coordinator's ledger still
 // assumes. The caller holds applyMu, which every change to them takes.
-func (a *Agent) refuse(g *LeaseGrant, reason, code, msg string) (*LeaseAck, error) {
+func (a *Agent) refuse(g *LeaseGrant, reason, code, msg string) (LeaseAck, error) {
 	a.mLease.With("refuse").Inc()
 	a.record(flight.KindLease, flight.LeaseRefuse, microwatts(units.Watts(g.LimitWatts)), 0)
-	return &LeaseAck{ID: g.ID, Reason: reason}, &ErrorReply{Code: code, Message: msg}
+	return LeaseAck{ID: g.ID, Reason: reason}, &ErrorReply{Code: code, Message: msg}
 }
 
-// expire fires when a lease's TTL elapses without renewal: the node
-// reverts to its fallback cap on its own, so a partition cannot leave it
-// holding an oversized share of the room budget.
-func (a *Agent) expire(epoch uint64) {
+// stopTimer stops the pending expiry timer, if any. Caller holds mu.
+func (a *Agent) stopTimer() {
+	if a.timer != nil {
+		a.timer.Stop()
+		a.timer = nil
+	}
+}
+
+// expire runs when the expiry timer fires. Before the lease's deadline it
+// re-arms for the rest; at it, the node reverts to its fallback cap on its
+// own, so a partition cannot leave it holding an oversized share of the
+// room budget. A timer stopped too late to keep it from firing finds
+// another pending, or none, and does nothing.
+func (a *Agent) expire() {
 	a.applyMu.Lock()
 	defer a.applyMu.Unlock()
 	a.mu.Lock()
-	if epoch != a.epoch || !a.leaseActive {
+	now := a.cfg.Clock.Now()
+	if a.timer == nil || now.Before(a.timerAt) {
+		a.mu.Unlock()
+		return
+	}
+	a.timer = nil
+	if now.Before(a.leaseExpires) {
+		a.timer, a.timerAt = a.cfg.Clock.AfterFunc(a.leaseExpires.Sub(now), a.expiry), a.leaseExpires
 		a.mu.Unlock()
 		return
 	}
@@ -705,7 +725,7 @@ func (a *Agent) serveLease(w http.ResponseWriter, r *http.Request) {
 		writeMsgRound(w, status, err.(*ErrorReply), round)
 		return
 	}
-	writeMsgRound(w, http.StatusOK, ack, round)
+	writeMsgRound(w, http.StatusOK, &ack, round)
 }
 
 // ApplyReconfigure hands a wire reconfiguration to the backend when it
@@ -830,10 +850,7 @@ func (a *Agent) SetDrain(on bool) (*DrainAck, error) {
 	fallback := a.fallback
 	if on {
 		a.leaseActive = false
-		a.epoch++
-		if a.timer != nil {
-			a.timer.Stop()
-		}
+		a.stopTimer()
 	}
 	a.mu.Unlock()
 
@@ -873,8 +890,5 @@ func (a *Agent) serveDrain(w http.ResponseWriter, r *http.Request) {
 func (a *Agent) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.epoch++
-	if a.timer != nil {
-		a.timer.Stop()
-	}
+	a.stopTimer()
 }

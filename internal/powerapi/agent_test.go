@@ -247,6 +247,134 @@ func TestRefusedGrantKeepsTheLease(t *testing.T) {
 	}
 }
 
+// countingClock is a virtual clock that counts the timers armed through
+// it and how many of them are still pending.
+type countingClock struct {
+	*clock.Virtual
+	mu            sync.Mutex
+	arms, pending int
+}
+
+func (c *countingClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
+	c.mu.Lock()
+	c.arms++
+	c.pending++
+	c.mu.Unlock()
+	return countedTimer{c.Virtual.AfterFunc(d, func() {
+		c.mu.Lock()
+		c.pending--
+		c.mu.Unlock()
+		fn()
+	}), c}
+}
+
+func (c *countingClock) counts() (arms, pending int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.arms, c.pending
+}
+
+type countedTimer struct {
+	clock.Timer
+	c *countingClock
+}
+
+func (t countedTimer) Stop() bool {
+	if !t.Timer.Stop() {
+		return false
+	}
+	t.c.mu.Lock()
+	t.c.pending--
+	t.c.mu.Unlock()
+	return true
+}
+
+// TestLeaseArmsTimerOnce: a held lease keeps one expiry timer. A renewal
+// that extends the deadline arms nothing; the timer, when the deadline it
+// was armed for passes, re-arms once for the rest of the lease; a grant
+// that shortens the deadline re-arms at once. Expiry and fallback land
+// exactly one TTL after the last grant, and drain and Close leave no timer
+// pending.
+func TestLeaseArmsTimerOnce(t *testing.T) {
+	cc := &countingClock{Virtual: clock.NewVirtual(time.Unix(0, 0))}
+	be := &capBackend{limit: 30}
+	a, err := powerapi.NewAgent(powerapi.AgentConfig{Name: "n0", Backend: be, Clock: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	const ttl, step, renewals = 100 * time.Millisecond, time.Millisecond, 1000
+	id := uint64(0)
+	grant := func(ttl time.Duration) {
+		t.Helper()
+		id++
+		if _, err := a.GrantCtx(context.Background(), &powerapi.LeaseGrant{
+			ID: id, LimitWatts: 80, TTLMS: ttl.Milliseconds(), FallbackWatts: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expiresAfter := func(d time.Duration) {
+		t.Helper()
+		if cc.Advance(d - 1); be.cap() != 80 || a.Status().Lease == nil {
+			t.Fatalf("%v after the last grant: cap %v, lease %+v; want the lease's 80 W", d-1, be.cap(), a.Status().Lease)
+		}
+		if cc.Advance(1); be.cap() != 40 || a.Status().Lease != nil {
+			t.Fatalf("%v after the last grant: cap %v, lease %+v; want the 40 W fallback", d, be.cap(), a.Status().Lease)
+		}
+		if _, pending := cc.counts(); pending != 0 {
+			t.Fatalf("%d timers pending after the lease expired", pending)
+		}
+	}
+
+	grant(ttl)
+	// The deadlines the timer passes: armed for the first grant's, it
+	// re-arms, when one passes, for the deadline the last renewal set.
+	wantArms, due := 1, ttl
+	for now := step; now <= renewals*step; now += step {
+		cc.Advance(step)
+		grant(ttl)
+		if now >= due {
+			wantArms, due = wantArms+1, now-step+ttl
+		}
+	}
+	arms, pending := cc.counts()
+	t.Logf("%d renewals armed %d timers", renewals, arms)
+	if arms != wantArms || pending != 1 {
+		t.Fatalf("%d renewals: %d timers armed, %d pending; want %d armed, 1 pending", renewals, arms, pending, wantArms)
+	}
+	expiresAfter(ttl)
+
+	// A shorter TTL re-arms the timer for its earlier deadline.
+	arms, _ = cc.counts()
+	grant(ttl)
+	cc.Advance(ttl / 2)
+	grant(ttl / 10)
+	if got, _ := cc.counts(); got != arms+2 {
+		t.Fatalf("a grant and a shorter one armed %d timers, want 2", got-arms)
+	}
+	expiresAfter(ttl / 10)
+
+	// Drain and Close stop the pending timer.
+	grant(ttl)
+	if _, err := a.SetDrain(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, pending := cc.counts(); pending != 0 {
+		t.Fatalf("%d timers pending after a drain", pending)
+	}
+	if _, err := a.SetDrain(false); err != nil {
+		t.Fatal(err)
+	}
+	grant(ttl)
+	a.Close()
+	if _, pending := cc.counts(); pending != 0 {
+		t.Fatalf("%d timers pending after Close", pending)
+	}
+	if cc.Advance(2 * ttl); be.cap() != 80 {
+		t.Fatalf("a closed agent's lease fell back to %v", be.cap())
+	}
+}
+
 func TestStaleLeaseRefused(t *testing.T) {
 	n := newNode(t, "n0", 50, 0, nil, 0, nil)
 	c := powerapi.NewClient(n.srv.URL)
