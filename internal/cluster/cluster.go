@@ -20,6 +20,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,14 +69,6 @@ type Config struct {
 	// tracing.RoundIDBase(name).
 	RoundBase uint64
 
-	// PriorLedger seeds the acknowledged-grant ledger by node name when
-	// a coordinator is rebuilt over changed membership (Coordinator.
-	// LeaseLedger exports it). The initial grant wave then phases
-	// shrinks before grows against what surviving nodes actually hold,
-	// instead of assuming a fresh room and transiently over-committing
-	// the budget.
-	PriorLedger map[string]LedgerEntry
-
 	// LeaseTTL is how long a budget grant stays valid without renewal;
 	// a node that stops hearing from the coordinator reverts to its floor
 	// when it elapses. Default 3×Interval.
@@ -118,7 +111,7 @@ type Config struct {
 	Clock clock.Clock
 }
 
-func (c *Config) fill(n int) error {
+func (c *Config) fill() error {
 	if c.Budget <= 0 {
 		return fmt.Errorf("cluster: budget must be positive")
 	}
@@ -133,9 +126,6 @@ func (c *Config) fill(n int) error {
 	}
 	if c.FloorBudget > c.Budget {
 		return fmt.Errorf("cluster: floor budget %v exceeds budget %v", c.FloorBudget, c.Budget)
-	}
-	if n == 0 {
-		return fmt.Errorf("cluster: no nodes")
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 3 * c.Interval
@@ -152,13 +142,6 @@ func (c *Config) fill(n int) error {
 	return nil
 }
 
-// LedgerEntry is one node's acknowledged grant: the cap the
-// coordinator can prove the node enforces until the lease deadline.
-type LedgerEntry struct {
-	Granted units.Watts
-	Until   time.Time
-}
-
 // Coordinator redistributes a power budget across nodes reached through
 // Transports.
 type Coordinator struct {
@@ -166,22 +149,26 @@ type Coordinator struct {
 	ts    []Transport
 	round atomic.Uint64
 
-	// stepMu serializes whole rounds against budget changes, so a
-	// parent's cascaded SetBudget never interleaves with this tier's
-	// own grant wave.
+	// stepMu serializes whole rounds against budget and node-set changes,
+	// so a parent's cascaded SetBudget never interleaves with this tier's
+	// own grant wave. ts changes under stepMu and mu both.
 	stepMu sync.Mutex
 	sc     roundScratch
 
 	// The pollers: one goroutine for each non-Local call a wave has had in
 	// flight at once, kept across rounds so the stack a call grows on its
-	// way down the HTTP client is grown once. Guarded by stepMu. Nobody has
-	// to stop them: they retire once no round has run for
+	// way down the HTTP client is grown once. Guarded by pollMu, which a
+	// wave holds only while it hands out its calls. Nobody has to stop
+	// them: they retire once no round has run for
 	// pollerIdleTimeouts × NodeTimeout, and the next wave starts new ones.
+	pollMu    sync.Mutex
 	polls     chan pollJob
 	pollers   int
 	pollWG    sync.WaitGroup
 	seenRound uint64 // rounds run when retirePollers last looked
 
+	// mu guards moves and the per-node state, by index into ts, which
+	// SetChildren carries over by name.
 	mu         sync.Mutex
 	limits     []units.Watts // current target limit per node
 	granted    []units.Watts // last acknowledged grant per node
@@ -221,11 +208,11 @@ type pollJob struct {
 	limit units.Watts
 }
 
-// roundScratch is the per-round working set, sized to the node count once
-// and reused by every Step and SetBudget (stepMu serialises them). Nothing
-// in it outlives the round that filled it, except failed: a grant wave
-// outside a round (construction, SetBudget) leaves its failures to the
-// next Step.
+// roundScratch is the per-round working set, sized to the node count by
+// SetChildren and reused by every Step and SetBudget (stepMu serialises
+// them). Nothing in it outlives the round that filled it, except failed: a
+// grant wave outside a round (SetChildren, SetBudget) leaves its failures
+// to the next Step.
 type roundScratch struct {
 	all     []int     // 0..n-1: the report wave's nodes
 	local   []pollJob // a wave's calls to Local nodes
@@ -269,50 +256,15 @@ func newRoundScratch(n int) roundScratch {
 
 // NewOverTransports builds a coordinator over node transports (in-process
 // AgentTransports, or powerapi clients speaking to remote powerd daemons)
-// and attempts the initial equal split. Unreachable nodes do not abort
-// construction: they accumulate failures like any other step and receive
-// their grant when they come back.
+// and attempts the initial equal split: SetChildren on a coordinator with
+// no nodes yet. Unreachable nodes do not abort construction: they
+// accumulate failures like any other step and receive their grant when
+// they come back.
 func NewOverTransports(ts []Transport, cfg Config) (*Coordinator, error) {
-	if err := cfg.fill(len(ts)); err != nil {
+	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	for i, t := range ts {
-		if t == nil {
-			return nil, fmt.Errorf("cluster: transport %d is nil", i)
-		}
-	}
-	return newCoordinator(ts, cfg)
-}
-
-func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
-	n := len(ts)
-	floorBase := cfg.Budget
-	if cfg.FloorBudget > 0 {
-		floorBase = cfg.FloorBudget
-	}
-	var floorSum units.Watts
-	for range ts {
-		floorSum += floorBase * units.Watts(cfg.FloorFraction) / units.Watts(n)
-	}
-	if floorSum > cfg.Budget {
-		return nil, fmt.Errorf("cluster: floors %v exceed budget %v", floorSum, cfg.Budget)
-	}
-	c := &Coordinator{
-		cfg:        cfg,
-		ts:         append([]Transport(nil), ts...),
-		sc:         newRoundScratch(n),
-		limits:     make([]units.Watts, n),
-		granted:    make([]units.Watts, n),
-		fbGranted:  make([]units.Watts, n),
-		leaseUntil: make([]time.Time, n),
-		lastPower:  make([]units.Watts, n),
-		lastMax:    make([]units.Watts, n),
-		lastExtra:  make([]int, n),
-		lastDepth:  make([]int, n),
-		lastEnergy: make([]*powerapi.EnergyStatus, n),
-		fails:      make([]int, n),
-		quar:       make([]bool, n),
-	}
+	c := &Coordinator{cfg: cfg}
 	if reg := cfg.Metrics; reg != nil {
 		c.mRealloc = reg.Counter("cluster_reallocations_total", "Coordinator intervals that moved budget between nodes.")
 		c.mMovedWatts = reg.Counter("cluster_budget_moved_watts_total", "Total absolute budget shifted between nodes, in watts.")
@@ -321,44 +273,61 @@ func newCoordinator(ts []Transport, cfg Config) (*Coordinator, error) {
 		c.mFailures = reg.CounterVec("cluster_transport_failures_total", "Node calls that failed, by node.", "node")
 		c.mQuar = reg.GaugeVec("cluster_node_quarantined", "1 while the node is quarantined for repeated failures.", "node")
 	}
-	equal := cfg.Budget / units.Watts(n)
-	for i := range c.ts {
-		c.limits[i] = equal
+	if err := c.SetChildren(ts); err != nil {
+		return nil, err
 	}
-	if cfg.PriorLedger != nil {
-		now := cfg.Clock.Now()
-		for i, t := range c.ts {
-			if e, ok := cfg.PriorLedger[t.Name()]; ok && e.Granted > 0 && now.Before(e.Until) {
-				c.granted[i] = e.Granted
-				c.leaseUntil[i] = e.Until
-			}
-		}
-	}
-	// Construction phases the initial wave like any other round: survivors
-	// seeded from a prior ledger shrink to the new equal split before
-	// newcomers grow into it, so rebuilding a coordinator over changed
-	// membership never transiently over-commits the budget.
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	targets, healthy := c.sc.targets[:n], c.sc.healthy
-	for i := range targets {
-		targets[i] = equal
-		healthy[i] = true
-	}
-	c.issueGrants(context.Background(), targets, healthy, nil)
 	return c, nil
 }
 
-// LeaseLedger exports the acknowledged-grant ledger by node name, for
-// seeding a rebuilt coordinator's Config.PriorLedger across membership
-// changes.
-func (c *Coordinator) LeaseLedger() map[string]LedgerEntry {
+// SetChildren changes the node set in place, between rounds. A node that
+// stays, by name, keeps its lease (grant, fallback and deadline), its
+// limit, its last report, its failure count and its quarantine; a newcomer
+// starts with none of them. Then every node is sent the equal split of the
+// budget, shrinks before grows, so survivors give back what newcomers grow
+// into and the change never transiently over-commits the budget. The
+// round counter, the pollers and the metrics carry on.
+func (c *Coordinator) SetChildren(ts []Transport) error {
+	if len(ts) == 0 {
+		return fmt.Errorf("cluster: no nodes")
+	}
+	for i, t := range ts {
+		if t == nil {
+			return fmt.Errorf("cluster: transport %d is nil", i)
+		}
+	}
+	c.stepMu.Lock()
+	defer c.stepMu.Unlock()
+	from := make([]int, len(ts)) // each node's old index, -1 for a newcomer
+	for i, t := range ts {
+		from[i] = slices.IndexFunc(c.ts, func(old Transport) bool { return old.Name() == t.Name() })
+	}
+	sc := newRoundScratch(len(ts))
+	sc.failed = carry(c.sc.failed, from)
+	c.sc = sc
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]LedgerEntry, len(c.ts))
-	for i, t := range c.ts {
-		if c.granted[i] > 0 {
-			out[t.Name()] = LedgerEntry{Granted: c.granted[i], Until: c.leaseUntil[i]}
+	c.ts = append([]Transport(nil), ts...)
+	c.limits, c.granted, c.fbGranted = carry(c.limits, from), carry(c.granted, from), carry(c.fbGranted, from)
+	c.leaseUntil = carry(c.leaseUntil, from)
+	c.lastPower, c.lastMax = carry(c.lastPower, from), carry(c.lastMax, from)
+	c.lastExtra, c.lastDepth, c.lastEnergy = carry(c.lastExtra, from), carry(c.lastDepth, from), carry(c.lastEnergy, from)
+	c.fails, c.quar = carry(c.fails, from), carry(c.quar, from)
+	equal := c.cfg.Budget / units.Watts(len(ts))
+	c.mu.Unlock()
+	targets, healthy := sc.targets[:len(ts)], sc.healthy
+	for i := range targets {
+		targets[i], healthy[i] = equal, true
+	}
+	c.issueGrants(context.Background(), targets, healthy, nil)
+	return nil
+}
+
+// carry lays s out over a changed node set: entry i is s[from[i]], or the
+// zero value for a newcomer (from[i] < 0).
+func carry[T any](s []T, from []int) []T {
+	out := make([]T, len(from))
+	for i, j := range from {
+		if j >= 0 {
+			out[i] = s[j]
 		}
 	}
 	return out
@@ -375,13 +344,27 @@ func (c *Coordinator) floor() units.Watts {
 	return base * units.Watts(c.cfg.FloorFraction) / units.Watts(len(c.ts))
 }
 
-// Limits reports the current per-node limits. An unreachable node's is
-// the cap the coordinator must assume it holds: its last acknowledged
-// grant while the lease lives, the fallback floor after.
-func (c *Coordinator) Limits() []units.Watts {
+// Nodes reports each node's name, its limit and whether it is quarantined,
+// in index order. An unreachable node's limit is the cap the coordinator
+// must assume it holds: its last acknowledged grant while the lease lives,
+// the fallback floor after.
+func (c *Coordinator) Nodes() []powerapi.ClusterNode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]units.Watts(nil), c.limits...)
+	out := make([]powerapi.ClusterNode, len(c.ts))
+	for i, t := range c.ts {
+		out[i] = powerapi.ClusterNode{Name: t.Name(), LimitWatts: float64(c.limits[i]), Quarantined: c.quar[i]}
+	}
+	return out
+}
+
+// Local reports whether every node's transport is Local: then a grant to a
+// tier over this coordinator, which cascades to these nodes, never waits on
+// I/O either.
+func (c *Coordinator) Local() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !slices.ContainsFunc(c.ts, func(t Transport) bool { return !t.Local() })
 }
 
 // Reallocations reports how many intervals actually moved budget.
@@ -399,13 +382,6 @@ func (c *Coordinator) Budget() units.Watts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cfg.Budget
-}
-
-// Quarantined reports whether node i is currently quarantined.
-func (c *Coordinator) Quarantined(i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quar[i]
 }
 
 // noteFailure counts a failed call to node i and marks the node failed
@@ -478,7 +454,7 @@ func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder,
 }
 
 // startPollers starts one more poller; the first makes the channel that
-// feeds them all and arms the timer that retires them. Caller holds stepMu.
+// feeds them all and arms the timer that retires them. Caller holds pollMu.
 func (c *Coordinator) startPollers() {
 	if c.polls == nil {
 		c.polls, c.seenRound = make(chan pollJob), c.round.Load()
@@ -501,6 +477,7 @@ func (c *Coordinator) startPollers() {
 func (c *Coordinator) wave(ctx context.Context, rb *tracing.RoundBuilder, idx []int, limits []units.Watts) {
 	wave, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.NodeTimeout)
 	local, remote := c.sc.local[:0], 0
+	c.pollMu.Lock()
 	for _, i := range idx {
 		j := pollJob{wave: wave, rb: rb, i: i}
 		if limits != nil {
@@ -516,6 +493,7 @@ func (c *Coordinator) wave(ctx context.Context, rb *tracing.RoundBuilder, idx []
 		c.pollWG.Add(1)
 		c.polls <- j
 	}
+	c.pollMu.Unlock()
 	for _, j := range local {
 		c.call(j)
 	}
@@ -537,10 +515,11 @@ func (c *Coordinator) call(j pollJob) {
 
 // retirePollers runs every pollerIdleTimeouts × NodeTimeout while there
 // are pollers and lets them go if no round has run since it last looked. It
-// takes stepMu, so it never meets a round half way.
+// takes pollMu, never stepMu, so it never waits on a round, however long a
+// hung node holds one; a wave's calls already handed out run to the end.
 func (c *Coordinator) retirePollers() {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
+	c.pollMu.Lock()
+	defer c.pollMu.Unlock()
 	if n := c.round.Load(); n != c.seenRound {
 		c.seenRound = n
 		c.cfg.Clock.AfterFunc(pollerIdleTimeouts*c.cfg.NodeTimeout, c.retirePollers)

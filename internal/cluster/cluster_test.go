@@ -111,11 +111,90 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestSetChildrenCarriesByName: a change of node set that reorders, drops
+// and adds nodes carries each survivor's state over by name — its last
+// report, its failures and its lease — and starts a newcomer with none. The
+// equal split it sends shrinks the survivor holding more than its share
+// before the newcomer grows, and the round counter goes on.
+func TestSetChildrenCarriesByName(t *testing.T) {
+	var (
+		grants []string
+		down   bool // c's calls fail
+	)
+	probe := func(name string, power units.Watts) *probeTransport {
+		return &probeTransport{
+			name: name, local: true,
+			report: func(context.Context) (Report, error) {
+				if name == "c" && down {
+					return Report{}, fmt.Errorf("c: unreachable")
+				}
+				return Report{Power: power, Limit: 50, Max: 85}, nil
+			},
+			grant: func(context.Context, Grant) error {
+				if name == "c" && down {
+					return fmt.Errorf("c: unreachable")
+				}
+				grants = append(grants, name)
+				return nil
+			},
+		}
+	}
+	pa, pb, pc, pd := probe("a", 40), probe("b", 10), probe("c", 30), probe("d", 20)
+	vc := clock.NewVirtual(time.Time{})
+	c, err := NewOverTransports([]Transport{pa, pb, pc}, Config{Budget: 150, Clock: vc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	down = true
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	heldA, heldC, untilC := c.granted[0], c.granted[2], c.leaseUntil[2]
+	if heldA <= 50 {
+		t.Fatalf("a holds %v, want more than the 50 W equal split", heldA)
+	}
+	if err := c.SetChildren(nil); err == nil {
+		t.Fatal("an empty node set accepted")
+	}
+
+	grants = nil
+	if err := c.SetChildren([]Transport{pc, pd, pa}); err != nil {
+		t.Fatal(err)
+	}
+	if c.lastPower[0] != 30 || c.fails[0] != 1 || !c.sc.failed[0] || c.granted[0] != heldC || !c.leaseUntil[0].Equal(untilC) {
+		t.Errorf("c: last power %v, %d failed steps, failed since %v, holds %v until %v; want 30 W, 1, true, %v until %v",
+			c.lastPower[0], c.fails[0], c.sc.failed[0], c.granted[0], c.leaseUntil[0], heldC, untilC)
+	}
+	if c.lastPower[1] != 0 || c.lastMax[1] != 0 || c.fails[1] != 0 || c.granted[1] != 50 {
+		t.Errorf("newcomer: last power %v, max %v, %d failed steps, granted %v; want nothing but its 50 W share",
+			c.lastPower[1], c.lastMax[1], c.fails[1], c.granted[1])
+	}
+	if c.lastPower[2] != 40 || c.lastMax[2] != 85 || c.granted[2] != 50 {
+		t.Errorf("a: last power %v, max %v, granted %v; want 40 W, 85 W and its 50 W share", c.lastPower[2], c.lastMax[2], c.granted[2])
+	}
+	if fmt.Sprint(grants) != "[a d]" {
+		t.Errorf("grants went out in the order %v, want a's shrink before the newcomer's grow", grants)
+	}
+	if len(c.sc.reports) != 3 || c.Rounds() != 2 {
+		t.Errorf("%d report slots and %d rounds after the change, want 3 and 2", len(c.sc.reports), c.Rounds())
+	}
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if c.fails[0] != 2 || c.Rounds() != 3 {
+		t.Errorf("after the next round: c has %d failed steps and the coordinator %d rounds, want 2 and 3", c.fails[0], c.Rounds())
+	}
+}
+
 func TestInitialEqualSplit(t *testing.T) {
 	vc := clock.NewVirtual(time.Time{})
 	nodes := []simNode{hungry(t, vc, "a"), light(t, vc, "b")}
 	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
-	for i, l := range c.Limits() {
+	for i, l := range c.limits {
 		if l != 40 {
 			t.Errorf("node %d initial limit = %v, want 40", i, l)
 		}
@@ -165,7 +244,7 @@ func TestBudgetFlowsToConstrainedNode(t *testing.T) {
 
 	staticIPS, _ := run(false)
 	dynIPS, c := run(true)
-	limits, total := c.Limits(), c.TotalPower()
+	limits, total := c.limits, c.TotalPower()
 
 	if limits[0] <= 41 {
 		t.Errorf("hungry node limit = %v, expected growth above the equal split", limits[0])
@@ -197,7 +276,7 @@ func TestSymmetricNodesStayBalanced(t *testing.T) {
 	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b")}
 	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
 	lockstep(t, c, nodes, 60*time.Second)
-	limits := c.Limits()
+	limits := c.limits
 	diff := float64(limits[0] - limits[1])
 	if diff < 0 {
 		diff = -diff
@@ -246,7 +325,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	if v := reg.Counter("cluster_budget_moved_watts_total", "").Value(); v <= 0 {
 		t.Errorf("cluster_budget_moved_watts_total = %v", v)
 	}
-	limits := c.Limits()
+	limits := c.limits
 	gv := reg.GaugeVec("cluster_node_limit_watts", "", "node")
 	for i, name := range []string{"n0", "n1"} {
 		if got := gv.With(name).Value(); got != float64(limits[i]) {
@@ -301,22 +380,22 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 			reg := metrics.NewRegistry()
 			c := newRoom(t, vc, Config{Budget: budget, Metrics: reg}, nodes...)
 			limitGauge := reg.GaugeVec("cluster_node_limit_watts", "", "node")
-			deadline := c.LeaseLedger()["light"].Until
+			deadline := c.leaseUntil[1]
 			c.ts[1] = tc.broken(c.ts[1])
 			lapsed := false
 			for step := 1; step <= 6; step++ {
 				lockstep(t, c, nodes, 5*time.Second)
-				if want := step >= c.cfg.QuarantineAfter; c.Quarantined(1) != want || c.Quarantined(0) {
-					t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/%v", step, c.Quarantined(0), c.Quarantined(1), want)
+				if want := step >= c.cfg.QuarantineAfter; c.quar[1] != want || c.quar[0] {
+					t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/%v", step, c.quar[0], c.quar[1], want)
 				}
 				var planned, enforced units.Watts
-				for i, l := range c.Limits() {
+				for i, l := range c.limits {
 					planned += l
 					enforced += nodes[i].Daemon.Limit()
 					// What the coordinator reports of a node is the cap
 					// the node's daemon enforces.
 					if got, gauge := nodes[i].Daemon.Limit(), limitGauge.With(c.ts[i].Name()).Value(); l != got || gauge != float64(got) {
-						t.Errorf("step %d: %s reported at Limits() %v and gauge %v, enforcing %v", step, c.ts[i].Name(), l, gauge, got)
+						t.Errorf("step %d: %s reported at limits %v and gauge %v, enforcing %v", step, c.ts[i].Name(), l, gauge, got)
 					}
 				}
 				if planned > budget+budgetSlack || enforced > budget+budgetSlack {
@@ -353,7 +432,7 @@ func TestThreeNodeMixedDemand(t *testing.T) {
 	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b"), light(t, vc, "c")}
 	c := newRoom(t, vc, Config{Budget: 120}, nodes...)
 	lockstep(t, c, nodes, 90*time.Second)
-	limits := c.Limits()
+	limits := c.limits
 	if limits[0] <= 40 || limits[1] <= 40 {
 		t.Errorf("hungry nodes did not grow past the equal split: %v", limits)
 	}

@@ -170,6 +170,9 @@ type faultTree struct {
 	// uplinkIdx maps row position to the global transport index of its
 	// uplink, for aiming kill windows.
 	uplinkIdx []int
+
+	// wrappers are every fault wrapper in the tree, by transport index.
+	wrappers []*faultTransport
 }
 
 func (ft *faultTree) close() {
@@ -209,6 +212,7 @@ func buildFaultTree(t *testing.T, rng *rand.Rand, rec *flight.Recorder, vc *cloc
 		w := &faultTransport{inner: tr, idx: txIdx, sched: sched, clock: func() time.Duration { return since(vc) },
 			rng: rand.New(rand.NewSource(rng.Int63()))}
 		txIdx++
+		ft.wrappers = append(ft.wrappers, w)
 		return w
 	}
 	newLeaf := func(name string, fallback units.Watts) (*Leaf, int16) {
@@ -485,21 +489,7 @@ func TestTierConservationUnderFaults(t *testing.T) {
 // refreshSchedules swaps the schedule every fault wrapper consults —
 // needed when windows are appended after the tree was wired.
 func refreshSchedules(ft *faultTree, sched fault.Schedule) {
-	update := func(tr cluster.Transport) {
-		if f, ok := tr.(*faultTransport); ok {
-			f.sched = sched
-		}
+	for _, f := range ft.wrappers {
+		f.sched = sched
 	}
-	for _, row := range ft.rows {
-		row.mu.Lock()
-		for _, c := range row.children {
-			update(c)
-		}
-		row.mu.Unlock()
-	}
-	ft.root.mu.Lock()
-	for _, c := range ft.root.children {
-		update(c)
-	}
-	ft.root.mu.Unlock()
 }

@@ -22,8 +22,6 @@ package hierarchy
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -109,21 +107,15 @@ func (cfg *TierConfig) start() (units.Watts, error) {
 
 // Tier is one node of the coordination tree: a coordinator over its
 // children fronted by an agent toward its parent.
+//
+// The tier keeps one coordinator for life, and it serialises the tier's
+// steps, cascaded budget changes and child changes. Lock order is strictly
+// parent tier → child tier (a cascade holds the parent's round while the
+// child takes its own, and a parent's wave asks the child's coordinator
+// whether it is Local); nothing ever locks upward.
 type Tier struct {
-	cfg  TierConfig
-	base cluster.Config // template for rebuilds over changed membership
-
-	// opMu serialises whole-tier operations — steps, cascaded budget
-	// changes, child swaps — so a rebuild never interleaves with a grant
-	// wave on the coordinator it replaces. Lock order is strictly parent
-	// tier → child tier (a cascade holds the parent's opMu while the
-	// child takes its own); nothing ever locks upward.
-	opMu sync.Mutex
-
-	mu       sync.Mutex
-	coord    *cluster.Coordinator
-	children []cluster.Transport
-
+	cfg    TierConfig
+	coord  *cluster.Coordinator
 	agent  *powerapi.Agent
 	policy string // "tier-" + Level, the policy the agent's status names
 }
@@ -135,7 +127,7 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := cluster.Config{
+	coord, err := cluster.NewOverTransports(children, cluster.Config{
 		Budget:          budget,
 		Interval:        cfg.Interval,
 		FloorFraction:   cfg.FloorFraction,
@@ -148,18 +140,11 @@ func NewTier(cfg TierConfig, children []cluster.Transport) (*Tier, error) {
 		Metrics:         cfg.Metrics,
 		Tracer:          cfg.Tracer,
 		Fleet:           cfg.Fleet,
-	}
-	coord, err := cluster.NewOverTransports(children, base)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("hierarchy: tier %s: %w", cfg.Name, err)
 	}
-	t := &Tier{
-		cfg:      cfg,
-		base:     base,
-		coord:    coord,
-		children: append([]cluster.Transport(nil), children...),
-		policy:   "tier-" + cfg.Level,
-	}
+	t := &Tier{cfg: cfg, coord: coord, policy: "tier-" + cfg.Level}
 	a, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name:     cfg.Name,
 		NodeID:   cfg.NodeID,
@@ -188,11 +173,7 @@ func (t *Tier) Level() string { return t.cfg.Level }
 func (t *Tier) Agent() *powerapi.Agent { return t.agent }
 
 // Coordinator exposes the tier's downward-facing coordinator.
-func (t *Tier) Coordinator() *cluster.Coordinator {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.coord
-}
+func (t *Tier) Coordinator() *cluster.Coordinator { return t.coord }
 
 // Transport returns an in-process transport for the tier's agent — how
 // a parent in the same process adopts this tier as a child without a
@@ -209,47 +190,25 @@ type tierTransport struct {
 	t *Tier
 }
 
-func (x tierTransport) Local() bool {
-	x.t.mu.Lock()
-	defer x.t.mu.Unlock()
-	return !slices.ContainsFunc(x.t.children, func(c cluster.Transport) bool { return !c.Local() })
-}
+func (x tierTransport) Local() bool { return x.t.coord.Local() }
 
 // Step runs one reallocation round over the tier's children.
-func (t *Tier) Step(ctx context.Context) error {
-	t.opMu.Lock()
-	defer t.opMu.Unlock()
-	return t.Coordinator().Step(ctx)
-}
+func (t *Tier) Step(ctx context.Context) error { return t.coord.Step(ctx) }
 
 // SetBudget cascades a budget change to the tier's children; see
 // cluster.Coordinator.SetBudget for the shrink handshake.
 func (t *Tier) SetBudget(ctx context.Context, b units.Watts) error {
-	t.opMu.Lock()
-	defer t.opMu.Unlock()
-	return t.Coordinator().SetBudget(ctx, b)
+	return t.coord.SetBudget(ctx, b)
 }
 
-// SetChildren rebuilds the tier's coordinator over a changed child set
-// (registration, drain, re-admission). The acknowledged-grant ledger
-// carries over by child name, so surviving children shrink before
-// newcomers grow and the rebuild can never transiently over-commit the
-// tier's budget.
+// SetChildren changes the tier's children in place (registration, drain,
+// re-admission); see cluster.Coordinator.SetChildren for what a child that
+// stays keeps. Surviving children shrink before newcomers grow, so the
+// change never transiently over-commits the tier's budget.
 func (t *Tier) SetChildren(children []cluster.Transport) error {
-	t.opMu.Lock()
-	defer t.opMu.Unlock()
-	old := t.Coordinator()
-	cfg := t.base
-	cfg.Budget = old.Budget()
-	cfg.PriorLedger = old.LeaseLedger()
-	nc, err := cluster.NewOverTransports(children, cfg)
-	if err != nil {
+	if err := t.coord.SetChildren(children); err != nil {
 		return fmt.Errorf("hierarchy: tier %s: %w", t.cfg.Name, err)
 	}
-	t.mu.Lock()
-	t.coord = nc
-	t.children = append([]cluster.Transport(nil), children...)
-	t.mu.Unlock()
 	return nil
 }
 
@@ -261,7 +220,7 @@ func (t *Tier) Close() { t.agent.Close() }
 type tierBackend struct{ t *Tier }
 
 func (b tierBackend) FillStatus(st *powerapi.NodeStatus) {
-	c := b.t.Coordinator()
+	c := b.t.coord
 	agg := c.Aggregate()
 	budget := c.Budget()
 	st.Policy = b.t.policy
@@ -304,10 +263,8 @@ func (b tierBackend) SetLimit(ctx context.Context, limit units.Watts) error {
 // fallback. That bounded lapse is the "rows revert within one TTL,
 // leaves within two" cascade.
 func (b tierBackend) EnforceFallback(ctx context.Context, limit units.Watts) {
-	b.t.opMu.Lock()
-	defer b.t.opMu.Unlock()
 	// The only error ForceBudget can return is a budget below the floor
 	// sum, and construction pins the floors to fractions of this same
 	// fallback figure — so the clamp cannot fail.
-	_ = b.t.Coordinator().ForceBudget(ctx, limit)
+	_ = b.t.coord.ForceBudget(ctx, limit)
 }

@@ -22,10 +22,10 @@ import (
 //
 //   - a registry of child addresses: the nodes it starts with, and every
 //     node that registers through its cluster endpoints;
-//   - a round every Interval, which first rebuilds the tier over a
-//     registry that changed (Tier.SetChildren). A child that stays keeps
-//     its transport, and with it the lease IDs it was granted and the
-//     status frames it follows;
+//   - a round every Interval, which first brings the tier's children in
+//     line with a registry that changed (Tier.SetChildren). A child that
+//     stays keeps its transport, and with it the lease IDs it was granted
+//     and the status frames it follows;
 //   - under a parent (Join), a heartbeat every Interval, which registers
 //     the tier there again whenever the parent does not know it: at first
 //     contact, and after the parent restarts.
@@ -43,7 +43,7 @@ type Membership struct {
 
 	mu     sync.Mutex
 	addrs  map[string]string // the registry: node name → address
-	dirty  bool              // the registry changed since the last rebuild
+	dirty  bool              // the registry changed since the last update
 	tier   *Tier             // nil until the registry first holds a node
 	uplink http.Handler      // the tier's agent
 	closed bool
@@ -115,19 +115,15 @@ func (m *Membership) ClusterStatus() *powerapi.ClusterStatus {
 	if t == nil {
 		return st
 	}
-	t.mu.Lock()
-	c, kids := t.coord, t.children
-	t.mu.Unlock()
+	c := t.coord
 	agg := c.Aggregate()
 	st.BudgetWatts = float64(c.Budget())
 	st.TotalPowerWatts = float64(c.TotalPower())
 	st.Reallocations = c.Reallocations()
 	st.Tier, st.Children, st.Leaves, st.Depth = t.Level(), agg.Children, agg.Leaves, agg.Depth
-	limits := c.Limits()
-	for i, k := range kids {
-		st.Nodes = append(st.Nodes, powerapi.ClusterNode{
-			Name: k.Name(), Addr: addrs[k.Name()], LimitWatts: float64(limits[i]), Quarantined: c.Quarantined(i),
-		})
+	st.Nodes = c.Nodes()
+	for i := range st.Nodes {
+		st.Nodes[i].Addr = addrs[st.Nodes[i].Name]
 	}
 	return st
 }
@@ -219,9 +215,9 @@ func (m *Membership) every(i int, fn func()) {
 	arm(0)
 }
 
-// round rebuilds the tier if the registry changed, then steps it.
+// round brings the tier over the registry if it changed, then steps it.
 func (m *Membership) round() {
-	t := m.rebuild()
+	t := m.update()
 	if t == nil {
 		return
 	}
@@ -232,9 +228,9 @@ func (m *Membership) round() {
 	}
 }
 
-// rebuild brings the tier over the registry when it changed since the
+// update brings the tier over the registry when it changed since the
 // last round, and returns the tier, nil while there is none.
-func (m *Membership) rebuild() *Tier {
+func (m *Membership) update() *Tier {
 	m.mu.Lock()
 	t, dirty, addrs := m.tier, m.dirty, maps.Clone(m.addrs)
 	m.dirty = false

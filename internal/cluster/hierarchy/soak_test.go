@@ -69,6 +69,9 @@ func TestMidTierSoak(t *testing.T) {
 	ctx := context.Background()
 	var done atomic.Bool
 	var wg sync.WaitGroup
+	// still holds the tier still: each goroutine takes it around what it
+	// does to the tier, and the budget goroutine around its snapshot too.
+	var still sync.Mutex
 
 	// Parent-side budget oscillation: grow/shrink between 60% and 100%.
 	// A refused shrink is legitimate under churn — a draining child
@@ -84,19 +87,19 @@ func TestMidTierSoak(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for !done.Load() {
 			b := budget * units.Watts(0.6+0.4*rng.Float64())
+			still.Lock()
 			err := row.SetBudget(ctx, b)
 			// The committed budget and the eight caps are one snapshot only
 			// with the tier held still: shrink-before-grow keeps the sum
 			// bounded at every instant, but a reader racing a wave can see
 			// one leaf before its shrink and another after its grow, and
 			// count the moved watts twice.
-			row.opMu.Lock()
 			committed := row.Coordinator().Budget()
 			var sum units.Watts
 			for _, l := range leaves {
 				sum += l.Limit()
 			}
-			row.opMu.Unlock()
+			still.Unlock()
 			if err == nil && committed != b {
 				t.Errorf("soak: SetBudget(%v) reported success but committed %v", b, committed)
 				return
@@ -108,9 +111,10 @@ func TestMidTierSoak(t *testing.T) {
 		}
 	}()
 
-	// Child churn: drain a random leaf, rebuild the tier without it,
-	// then re-admit it. The prior-ledger carry-over in SetChildren is
-	// what keeps the rebuilds from transiently over-committing.
+	// Child churn: drain a random leaf, drop it from the tier, then
+	// re-admit it. SetChildren's shrinks before grows, against the leases
+	// the survivors keep, are what keep the changes from transiently
+	// over-committing.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -127,7 +131,10 @@ func TestMidTierSoak(t *testing.T) {
 					without = append(without, tr)
 				}
 			}
-			if err := row.SetChildren(without); err != nil {
+			still.Lock()
+			err := row.SetChildren(without)
+			still.Unlock()
+			if err != nil {
 				t.Errorf("soak SetChildren(-1): %v", err)
 				return
 			}
@@ -140,22 +147,31 @@ func TestMidTierSoak(t *testing.T) {
 				t.Errorf("soak undrain: %v", err)
 				return
 			}
-			if err := row.SetChildren(ts); err != nil {
+			still.Lock()
+			err = row.SetChildren(ts)
+			still.Unlock()
+			if err != nil {
 				t.Errorf("soak SetChildren(+1): %v", err)
 				return
 			}
 		}
 	}()
 
-	// The driver: grant waves back to back. Rebuilds reset the inner
-	// coordinator's round counter, so count driver iterations instead.
+	// The stepping loop: grant waves back to back.
 	for r := 0; r < rounds; r++ {
-		if err := row.Step(ctx); err != nil {
+		still.Lock()
+		err := row.Step(ctx)
+		still.Unlock()
+		if err != nil {
 			t.Fatalf("soak round %d: %v", r, err)
 		}
 	}
 	done.Store(true)
 	wg.Wait()
+	// Child changes leave the row's round counter running.
+	if got := row.Coordinator().Rounds(); got != rounds {
+		t.Errorf("the row counts %d rounds, the loop stepped %d", got, rounds)
+	}
 
 	if t.Failed() {
 		return

@@ -85,6 +85,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// await receives from ch, failing the test after five seconds of host time,
+// so a virtual clock that deadlocks fails its test rather than hangs it.
+func await[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+	}
+	t.Fatalf("timed out waiting for %s", what)
+	var zero T
+	return zero
+}
+
 // TestPollerLifetime: the pollers that the initial grant wave started keep
 // both children's reports in flight at once, retire on their own once the
 // coordinator has been idle for the period — nobody calls a Close — and
@@ -100,8 +114,8 @@ func TestPollerLifetime(t *testing.T) {
 		return okReport, nil
 	})
 	retired := func() bool {
-		c.stepMu.Lock()
-		defer c.stepMu.Unlock()
+		c.pollMu.Lock()
+		defer c.pollMu.Unlock()
 		return c.polls == nil
 	}
 	// Other tests' coordinators may still have pollers, and those can only
@@ -155,11 +169,11 @@ func TestPollerRetirementRace(t *testing.T) {
 	})
 	restarts := 0
 	for round := 1; round <= 300; round++ {
-		c.stepMu.Lock()
+		c.pollMu.Lock()
 		if c.polls == nil {
 			restarts++
 		}
-		c.stepMu.Unlock()
+		c.pollMu.Unlock()
 		// Advances spread over one to two idle periods, which is when
 		// retirePollers fires for a coordinator that has gone quiet, run
 		// alongside the round.
@@ -182,6 +196,37 @@ func TestPollerRetirementRace(t *testing.T) {
 		}
 	}
 	t.Logf("300 rounds, %d of them after a retirement", restarts)
+}
+
+// TestPollerRetirementNeverWaitsOnARound: a round hung on a child holds the
+// round lock while one Advance passes the pollers' idle period and then the
+// wave's deadline. The retirement due on the way must not wait for the
+// round, or Advance never reaches the deadline that ends it.
+func TestPollerRetirementNeverWaitsOnARound(t *testing.T) {
+	hung := make(chan struct{})
+	c, vc := newPollerCoordinator(t, 2, func(ctx context.Context, i int) (Report, error) {
+		if i == 0 {
+			close(hung)
+			<-ctx.Done()
+			return Report{}, ctx.Err()
+		}
+		return okReport, nil
+	})
+	// The retirement construction armed is due pollerIdle from its start; a
+	// round begun half a NodeTimeout before that has its deadline after it.
+	vc.Advance(pollerIdle - c.cfg.NodeTimeout/2)
+	stepped := make(chan error, 1)
+	go func() { stepped <- c.Step(context.Background()) }()
+	await(t, "the hung report", hung)
+	advanced := make(chan struct{})
+	go func() { vc.Advance(c.cfg.NodeTimeout); close(advanced) }()
+	await(t, "the Advance past the retirement and the wave's deadline", advanced)
+	if err := await(t, "the round", stepped); err != nil {
+		t.Fatal(err)
+	}
+	if c.fails[0] != 1 || c.fails[1] != 0 {
+		t.Fatalf("failed steps %v, want only the hung child's one", c.fails)
+	}
 }
 
 // TestPollerLateReportStaysInItsRound: a report that outlives its wave's

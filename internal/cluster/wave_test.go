@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/units"
 )
 
@@ -116,51 +117,56 @@ func TestLocalPolledInlineRemoteFannedOut(t *testing.T) {
 	}
 }
 
-// TestWaveDeadline pins the one-deadline-per-wave contract: every child
-// of a round is called once under the wave's one deadline, a child that
-// hangs costs the round that one timeout and nothing more, and its healthy
-// siblings report normally meanwhile.
+// TestWaveDeadline pins the one-deadline-per-wave contract on the virtual
+// clock: every child of a round is called once under the wave's one
+// deadline, a child that hangs costs the round exactly that one timeout,
+// and its healthy siblings report normally meanwhile. A virtual context has
+// no Deadline, so "one deadline" is one Done channel.
 func TestWaveDeadline(t *testing.T) {
 	const (
 		n       = 4
 		timeout = 50 * time.Millisecond
 	)
 	var mu sync.Mutex
-	deadlines := make([][]time.Time, n) // per child, per attempt
+	dones := make([][]<-chan struct{}, n) // per child, per attempt
+	hung := make(chan struct{})
 	ts := make([]Transport, n)
 	for i := range ts {
 		i := i
 		ts[i] = &probeTransport{name: fmt.Sprintf("n%d", i), report: func(ctx context.Context) (Report, error) {
-			d, ok := ctx.Deadline()
-			if !ok {
-				t.Errorf("child %d polled without a deadline", i)
-			}
 			mu.Lock()
-			deadlines[i] = append(deadlines[i], d)
+			dones[i] = append(dones[i], ctx.Done())
 			mu.Unlock()
 			if i == 0 {
+				close(hung)
 				<-ctx.Done()
 				return Report{}, ctx.Err()
 			}
 			return okReport, nil
 		}}
 	}
-	c, err := NewOverTransports(ts, Config{Budget: n * 50, NodeTimeout: timeout})
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	c, err := NewOverTransports(ts, Config{Budget: n * 50, NodeTimeout: timeout, Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if err := c.Step(context.Background()); err != nil {
+	stepped := make(chan error, 1)
+	go func() { stepped <- c.Step(context.Background()) }()
+	await(t, "the hung report", hung)
+	if vc.Advance(timeout - 1); isDone(dones[0][0]) {
+		t.Fatal("the wave's deadline passed before its NodeTimeout")
+	}
+	vc.Advance(1)
+	if err := await(t, "the round", stepped); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 
 	for i := 0; i < n; i++ {
-		if len(deadlines[i]) != 1 {
-			t.Fatalf("child %d saw %d attempts, want 1", i, len(deadlines[i]))
+		if len(dones[i]) != 1 {
+			t.Fatalf("child %d saw %d attempts, want 1", i, len(dones[i]))
 		}
-		if !deadlines[i][0].Equal(deadlines[0][0]) {
-			t.Errorf("child %d deadline %v, the wave's is %v", i, deadlines[i][0], deadlines[0][0])
+		if dones[i][0] != dones[0][0] {
+			t.Errorf("child %d was called under a context of its own, not the wave's", i)
 		}
 	}
 	for i := 1; i < n; i++ {
@@ -171,18 +177,16 @@ func TestWaveDeadline(t *testing.T) {
 	if c.fails[0] != 1 {
 		t.Errorf("hung child: %d failed steps recorded, want 1", c.fails[0])
 	}
-	// Generous above (a loaded box), exact below: the wave's one timeout
-	// cannot take less.
-	if elapsed < timeout || elapsed > timeout+time.Second {
-		t.Errorf("Step took %v, want about %v", elapsed, timeout)
-	}
 }
 
-// TestGrantPhaseDeadline pins one deadline per grant phase. Two pressed
-// children grow and four idle ones shrink; one child in each phase hangs on
-// its grant. Every grant of a phase sees the phase's one deadline, each
-// hung child costs its phase that one timeout, the healthy siblings
-// commit, and the acknowledged ledger stays within the budget.
+// TestGrantPhaseDeadline pins one deadline per grant phase, on the virtual
+// clock. Two pressed children grow and four idle ones shrink; one child in
+// each phase hangs on its grant. Every grant of a phase runs under the
+// phase's one context, each hung child costs its phase exactly its
+// timeout, so the round takes exactly two, the healthy siblings commit, and
+// the acknowledged ledger stays within the budget. The pollers' retirement,
+// armed at construction, falls due at the grow phase's deadline and must
+// not wait on the round.
 func TestGrantPhaseDeadline(t *testing.T) {
 	const (
 		n       = 6
@@ -190,13 +194,14 @@ func TestGrantPhaseDeadline(t *testing.T) {
 		budget  = n * 50
 	)
 	type call struct {
-		limit    units.Watts
-		deadline time.Time
+		limit units.Watts
+		done  <-chan struct{}
 	}
 	var (
 		mu    sync.Mutex
 		armed bool // set once construction's equal split is in
 		calls = map[int]call{}
+		hung  = map[int]chan struct{}{0: make(chan struct{}), 2: make(chan struct{})} // one grower, one shrinker
 	)
 	ts := make([]Transport, n)
 	for i := range ts {
@@ -211,10 +216,6 @@ func TestGrantPhaseDeadline(t *testing.T) {
 				return Report{Power: power, Limit: 50, Max: 85}, nil
 			},
 			grant: func(ctx context.Context, g Grant) error {
-				d, ok := ctx.Deadline()
-				if !ok {
-					t.Errorf("child %d granted without a deadline", i)
-				}
 				mu.Lock()
 				if !armed {
 					mu.Unlock()
@@ -223,9 +224,10 @@ func TestGrantPhaseDeadline(t *testing.T) {
 				if _, again := calls[i]; again {
 					t.Errorf("child %d granted twice in one round", i)
 				}
-				calls[i] = call{g.Limit, d}
+				calls[i] = call{g.Limit, ctx.Done()}
 				mu.Unlock()
-				if i == 0 || i == 2 { // one grower, one shrinker
+				if hung[i] != nil {
+					close(hung[i])
 					<-ctx.Done()
 					return ctx.Err()
 				}
@@ -233,23 +235,46 @@ func TestGrantPhaseDeadline(t *testing.T) {
 			},
 		}
 	}
-	c, err := NewOverTransports(ts, Config{Budget: budget, NodeTimeout: timeout})
+	vc := clock.NewVirtual(time.Unix(0, 0))
+	c, err := NewOverTransports(ts, Config{Budget: budget, NodeTimeout: timeout, Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	armed = true
 	mu.Unlock()
-	start := time.Now()
-	if err := c.Step(context.Background()); err != nil {
+	stepped := make(chan error, 1)
+	go func() { stepped <- c.Step(context.Background()) }()
+	called := func(i int) (call, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		c, ok := calls[i]
+		return c, ok
+	}
+	await(t, "the hung shrink", hung[2])
+	vc.Advance(timeout - 1)
+	_, grew0 := called(0)
+	_, grew1 := called(1)
+	if c2, _ := called(2); isDone(c2.done) || grew0 || grew1 {
+		t.Fatal("the shrink phase ended before its NodeTimeout")
+	}
+	vc.Advance(1)
+	await(t, "the hung grow", hung[0])
+	vc.Advance(timeout - 1)
+	if c0, _ := called(0); isDone(c0.done) {
+		t.Fatal("the grow phase's deadline passed before its NodeTimeout")
+	}
+	advanced := make(chan struct{})
+	go func() { vc.Advance(1); close(advanced) }()
+	await(t, "the Advance past the retirement and the grow phase's deadline", advanced)
+	if err := await(t, "the round", stepped); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 
 	if len(calls) != n {
 		t.Fatalf("%d children granted, want %d", len(calls), n)
 	}
-	var shrink, grow time.Time
+	var shrink, grow <-chan struct{}
 	for i := 0; i < n; i++ {
 		phase, grows := &shrink, calls[i].limit > 50
 		if grows != (i < 2) {
@@ -258,15 +283,15 @@ func TestGrantPhaseDeadline(t *testing.T) {
 		if grows {
 			phase = &grow
 		}
-		if phase.IsZero() {
-			*phase = calls[i].deadline
+		if *phase == nil {
+			*phase = calls[i].done
 		}
-		if !calls[i].deadline.Equal(*phase) {
-			t.Errorf("child %d deadline %v, its phase's is %v", i, calls[i].deadline, *phase)
+		if calls[i].done != *phase {
+			t.Errorf("child %d was granted under a context of its own, not its phase's", i)
 		}
 	}
-	if grow.Sub(shrink) < timeout {
-		t.Errorf("the grow phase's deadline is %v after the shrink phase's, want at least its timeout %v", grow.Sub(shrink), timeout)
+	if shrink == grow {
+		t.Error("the shrink and grow phases shared one deadline")
 	}
 	for i := 0; i < n; i++ {
 		hung := i == 0 || i == 2
@@ -276,15 +301,20 @@ func TestGrantPhaseDeadline(t *testing.T) {
 	}
 	var held units.Watts
 	for i := 0; i < n; i++ {
-		held += c.effective(i, time.Now(), c.floor())
+		held += c.effective(i, vc.Now(), c.floor())
 	}
 	if held > budget+budgetSlack {
 		t.Errorf("the ledger holds %v of a %v budget", held, units.Watts(budget))
 	}
-	// Generous above (a loaded box), exact below: two phases, one timeout
-	// each, cannot take less.
-	if elapsed < 2*timeout || elapsed > 2*timeout+time.Second {
-		t.Errorf("Step took %v, want about %v", elapsed, 2*timeout)
+}
+
+// isDone reports whether done is closed.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 
