@@ -63,14 +63,14 @@ func (l *lendingTransport) Report(context.Context) (Report, error) {
 func aggregateFromFrames(c *Coordinator, frames []*powerapi.NodeStatus) Aggregate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	agg := Aggregate{Children: len(c.ts), Depth: 1}
-	for i := range c.ts {
-		agg.Power += c.lastPower[i]
-		agg.Max += c.lastMax[i]
-		if c.quar[i] {
+	agg := Aggregate{Children: len(c.kids), Depth: 1}
+	for i, k := range c.kids {
+		agg.Power += k.power
+		agg.Max += k.maxPower
+		if k.quar {
 			agg.Quarantined++
 		}
-		if c.lastMax[i] > 0 {
+		if k.maxPower > 0 {
 			agg.Reporting++
 		}
 		leaves := 1

@@ -146,12 +146,11 @@ func (c *Config) fill() error {
 // Transports.
 type Coordinator struct {
 	cfg   Config
-	ts    []Transport
 	round atomic.Uint64
 
 	// stepMu serializes whole rounds against budget and node-set changes,
 	// so a parent's cascaded SetBudget never interleaves with this tier's
-	// own grant wave. ts changes under stepMu and mu both.
+	// own grant wave. kids changes under stepMu and mu both.
 	stepMu sync.Mutex
 	sc     roundScratch
 
@@ -167,23 +166,10 @@ type Coordinator struct {
 	pollWG    sync.WaitGroup
 	seenRound uint64 // rounds run when retirePollers last looked
 
-	// mu guards moves and the per-node state, by index into ts, which
-	// SetChildren carries over by name.
-	mu         sync.Mutex
-	limits     []units.Watts // current target limit per node
-	granted    []units.Watts // last acknowledged grant per node
-	fbGranted  []units.Watts // fallback cap carried by the last grant per node
-	leaseUntil []time.Time   // coordinator-side lease deadline per node
-	lastPower  []units.Watts // power from each node's last good report
-	lastMax    []units.Watts // max watts from each node's last good report
-	// What Aggregate reads of each node's last status frame, copied out of
-	// the borrowed Report.Status. Without a Tier both counts stay 0.
-	lastExtra  []int // leaves under the node beyond its own one: Tier.Nodes-1
-	lastDepth  []int // Tier.Depth+1
-	lastEnergy []*powerapi.EnergyStatus
-	moves      int
-	fails      []int  // consecutive steps with a failed call, per node
-	quar       []bool // quarantined nodes
+	// mu guards moves and every child's record.
+	mu    sync.Mutex
+	kids  []*child
+	moves int
 
 	// Optional instrumentation; nil handles no-op.
 	mRealloc    *metrics.Counter
@@ -192,6 +178,36 @@ type Coordinator struct {
 	mTotalPower *metrics.Gauge
 	mFailures   *metrics.CounterVec
 	mQuar       *metrics.GaugeVec
+}
+
+// child is the coordinator's whole record of one node. SetChildren keeps a
+// survivor's record and gives a newcomer a fresh one, so every field
+// carries by construction. Guarded by Coordinator.mu, except that t changes
+// under stepMu too, so a wave reads it under stepMu alone.
+type child struct {
+	t     Transport
+	limit units.Watts // current target limit
+
+	// The lease: the last acknowledged grant, the fallback cap it carried
+	// and the coordinator-side deadline.
+	granted, fallback units.Watts
+	until             time.Time
+
+	// What the last good report left, its Status part copied out of the
+	// borrowed frame; without a Tier, extra and depth stay 0.
+	power, maxPower units.Watts
+	extra           int // leaves under the node beyond its own one: Tier.Nodes-1
+	depth           int // Tier.Depth+1
+	energy          *powerapi.EnergyStatus
+
+	fails  int  // consecutive steps with a failed call
+	failed bool // a call failed since the last Step settled
+	quar   bool
+
+	// The node's series, bound when it joins and deleted when it leaves.
+	mLimit *metrics.Gauge
+	mQuar  *metrics.Gauge
+	mFails *metrics.Counter
 }
 
 // pollerIdleTimeouts is how many NodeTimeouts without a round retire the
@@ -210,9 +226,7 @@ type pollJob struct {
 
 // roundScratch is the per-round working set, sized to the node count by
 // SetChildren and reused by every Step and SetBudget (stepMu serialises
-// them). Nothing in it outlives the round that filled it, except failed: a
-// grant wave outside a round (SetChildren, SetBudget) leaves its failures
-// to the next Step.
+// them). Nothing in it outlives the round that filled it.
 type roundScratch struct {
 	all     []int     // 0..n-1: the report wave's nodes
 	local   []pollJob // a wave's calls to Local nodes
@@ -221,7 +235,6 @@ type roundScratch struct {
 	obs     []NodeObservation // RPC and Finish filled only when a Fleet consumes them
 	began   time.Time         // the round's start, read only for a Fleet
 	healthy []bool
-	failed  []bool // a call to the node failed since the last Step settled
 	targets []units.Watts
 	bids    []float64
 	caps    []float64
@@ -243,7 +256,6 @@ func newRoundScratch(n int) roundScratch {
 		errs:    make([]error, n),
 		obs:     make([]NodeObservation, n),
 		healthy: make([]bool, n),
-		failed:  make([]bool, n),
 		targets: make([]units.Watts, 0, n),
 		bids:    make([]float64, 0, n),
 		caps:    make([]float64, 0, n),
@@ -280,57 +292,60 @@ func NewOverTransports(ts []Transport, cfg Config) (*Coordinator, error) {
 }
 
 // SetChildren changes the node set in place, between rounds. A node that
-// stays, by name, keeps its lease (grant, fallback and deadline), its
-// limit, its last report, its failure count and its quarantine; a newcomer
-// starts with none of them. Then every node is sent the equal split of the
-// budget, shrinks before grows, so survivors give back what newcomers grow
-// into and the change never transiently over-commits the budget. The
-// round counter, the pollers and the metrics carry on.
+// stays, by name, keeps its record: its lease (grant, fallback and
+// deadline), its limit, its last report, its failure count and its
+// quarantine. A newcomer starts a fresh record and fresh series, and a
+// node that leaves takes its series with it. Then every node is sent the
+// equal split of the budget, shrinks before grows, so survivors give back
+// what newcomers grow into and the change never transiently over-commits
+// the budget. The round counter, the pollers and the metrics carry on.
 func (c *Coordinator) SetChildren(ts []Transport) error {
 	if len(ts) == 0 {
 		return fmt.Errorf("cluster: no nodes")
 	}
+	next := make(map[string]*child, len(ts)) // each name's record, nil for a newcomer
 	for i, t := range ts {
 		if t == nil {
 			return fmt.Errorf("cluster: transport %d is nil", i)
 		}
+		if _, dup := next[t.Name()]; dup {
+			return fmt.Errorf("cluster: node %q named twice", t.Name())
+		}
+		next[t.Name()] = nil
 	}
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
-	from := make([]int, len(ts)) // each node's old index, -1 for a newcomer
-	for i, t := range ts {
-		from[i] = slices.IndexFunc(c.ts, func(old Transport) bool { return old.Name() == t.Name() })
+	for _, k := range c.kids {
+		name := k.t.Name()
+		if _, stays := next[name]; stays {
+			next[name] = k
+			continue
+		}
+		c.mNodeLimit.Delete(name)
+		c.mQuar.Delete(name)
+		c.mFailures.Delete(name)
 	}
-	sc := newRoundScratch(len(ts))
-	sc.failed = carry(c.sc.failed, from)
-	c.sc = sc
+	kids := make([]*child, len(ts))
+	for i, t := range ts {
+		if kids[i] = next[t.Name()]; kids[i] == nil {
+			name := t.Name()
+			kids[i] = &child{mLimit: c.mNodeLimit.With(name), mQuar: c.mQuar.With(name), mFails: c.mFailures.With(name)}
+		}
+	}
+	c.sc = newRoundScratch(len(ts))
 	c.mu.Lock()
-	c.ts = append([]Transport(nil), ts...)
-	c.limits, c.granted, c.fbGranted = carry(c.limits, from), carry(c.granted, from), carry(c.fbGranted, from)
-	c.leaseUntil = carry(c.leaseUntil, from)
-	c.lastPower, c.lastMax = carry(c.lastPower, from), carry(c.lastMax, from)
-	c.lastExtra, c.lastDepth, c.lastEnergy = carry(c.lastExtra, from), carry(c.lastDepth, from), carry(c.lastEnergy, from)
-	c.fails, c.quar = carry(c.fails, from), carry(c.quar, from)
+	for i, k := range kids {
+		k.t = ts[i]
+	}
+	c.kids = kids
 	equal := c.cfg.Budget / units.Watts(len(ts))
 	c.mu.Unlock()
-	targets, healthy := sc.targets[:len(ts)], sc.healthy
+	targets, healthy := c.sc.targets[:len(ts)], c.sc.healthy
 	for i := range targets {
 		targets[i], healthy[i] = equal, true
 	}
 	c.issueGrants(context.Background(), targets, healthy, nil)
 	return nil
-}
-
-// carry lays s out over a changed node set: entry i is s[from[i]], or the
-// zero value for a newcomer (from[i] < 0).
-func carry[T any](s []T, from []int) []T {
-	out := make([]T, len(from))
-	for i, j := range from {
-		if j >= 0 {
-			out[i] = s[j]
-		}
-	}
-	return out
 }
 
 // floor is the per-node guaranteed share, which doubles as the lease
@@ -341,19 +356,19 @@ func (c *Coordinator) floor() units.Watts {
 	if c.cfg.FloorBudget > 0 {
 		base = c.cfg.FloorBudget
 	}
-	return base * units.Watts(c.cfg.FloorFraction) / units.Watts(len(c.ts))
+	return base * units.Watts(c.cfg.FloorFraction) / units.Watts(len(c.kids))
 }
 
 // Nodes reports each node's name, its limit and whether it is quarantined,
 // in index order. An unreachable node's limit is the cap the coordinator
 // must assume it holds: its last acknowledged grant while the lease lives,
-// the fallback floor after.
+// the fallback that grant carried after, or the floor if higher.
 func (c *Coordinator) Nodes() []powerapi.ClusterNode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]powerapi.ClusterNode, len(c.ts))
-	for i, t := range c.ts {
-		out[i] = powerapi.ClusterNode{Name: t.Name(), LimitWatts: float64(c.limits[i]), Quarantined: c.quar[i]}
+	out := make([]powerapi.ClusterNode, len(c.kids))
+	for i, k := range c.kids {
+		out[i] = powerapi.ClusterNode{Name: k.t.Name(), LimitWatts: float64(k.limit), Quarantined: k.quar}
 	}
 	return out
 }
@@ -364,7 +379,7 @@ func (c *Coordinator) Nodes() []powerapi.ClusterNode {
 func (c *Coordinator) Local() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return !slices.ContainsFunc(c.ts, func(t Transport) bool { return !t.Local() })
+	return !slices.ContainsFunc(c.kids, func(k *child) bool { return !k.t.Local() })
 }
 
 // Reallocations reports how many intervals actually moved budget.
@@ -384,52 +399,49 @@ func (c *Coordinator) Budget() units.Watts {
 	return c.cfg.Budget
 }
 
-// noteFailure counts a failed call to node i and marks the node failed
-// for the step that settles next. Caller holds c.mu.
-func (c *Coordinator) noteFailure(i int) {
-	c.sc.failed[i] = true
-	c.mFailures.With(c.ts[i].Name()).Inc()
+// noteFailure counts a failed call to the node and marks it failed for the
+// step that settles next. Caller holds c.mu.
+func (k *child) noteFailure() {
+	k.failed = true
+	k.mFails.Inc()
 }
 
-// settleFailures ends a step's count: a node with a failed call since the
-// last settle strings one more failed step and is quarantined at
-// QuarantineAfter; any other node's count resets, and it is re-admitted.
-// Caller holds c.mu and stepMu.
-func (c *Coordinator) settleFailures() {
-	for i, failed := range c.sc.failed {
-		if !failed {
-			c.fails[i] = 0
-			if c.quar[i] {
-				c.quar[i] = false
-				c.mQuar.With(c.ts[i].Name()).Set(0)
-			}
-			continue
+// settle ends a step's count: a node with a failed call since the last
+// settle strings one more failed step and is quarantined at after failed
+// steps; any other node's count resets, and it is re-admitted. Caller holds
+// c.mu and stepMu.
+func (k *child) settle(after int) {
+	if !k.failed {
+		k.fails = 0
+		if k.quar {
+			k.quar = false
+			k.mQuar.Set(0)
 		}
-		c.sc.failed[i] = false
-		c.fails[i]++
-		if c.fails[i] >= c.cfg.QuarantineAfter && !c.quar[i] {
-			c.quar[i] = true
-			c.mQuar.With(c.ts[i].Name()).Set(1)
-		}
+		return
+	}
+	k.failed = false
+	k.fails++
+	if k.fails >= after && !k.quar {
+		k.quar = true
+		k.mQuar.Set(1)
 	}
 }
 
-// effective is the worst-case cap the ledger must assume node i holds: its
-// acknowledged grant while the lease lives, the fallback floor after.
-// Caller holds c.mu.
-func (c *Coordinator) effective(i int, now time.Time, floor units.Watts) units.Watts {
-	if c.granted[i] > 0 && now.Before(c.leaseUntil[i]) {
-		return c.granted[i]
+// effective is the worst-case cap the ledger must assume the node holds:
+// its acknowledged grant while the lease lives; after, the fallback its
+// last grant carried, or the floor if higher. Caller holds c.mu.
+func (k *child) effective(now time.Time, floor units.Watts) units.Watts {
+	if k.granted > 0 && now.Before(k.until) {
+		return k.granted
 	}
-	return floor
+	return max(floor, k.fallback)
 }
 
-// holdLimit records node i's limit as the cap its lease leaves it, for a
-// node no grant reached: its grant while the lease lives, the floor after.
-// Caller holds c.mu.
-func (c *Coordinator) holdLimit(i int, now time.Time, floor units.Watts) {
-	c.limits[i] = c.effective(i, now, floor)
-	c.mNodeLimit.With(c.ts[i].Name()).Set(float64(c.limits[i]))
+// holdLimit records the node's limit as the cap its lease leaves it, for a
+// node no grant reached. Caller holds c.mu.
+func (k *child) holdLimit(now time.Time, floor units.Watts) {
+	k.limit = k.effective(now, floor)
+	k.mLimit.Set(float64(k.limit))
 }
 
 // pollReport is the round's one report path: it fills node i's slots of
@@ -442,7 +454,8 @@ func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder,
 	if c.cfg.Fleet != nil {
 		t0 = time.Since(sc.began)
 	}
-	sc.reports[i], sc.errs[i] = c.ts[i].Report(wave)
+	t := c.kids[i].t
+	sc.reports[i], sc.errs[i] = t.Report(wave)
 	if sc.errs[i] != nil {
 		sc.reports[i] = Report{}
 	}
@@ -450,7 +463,7 @@ func (c *Coordinator) pollReport(wave context.Context, rb *tracing.RoundBuilder,
 		sc.obs[i].Finish = time.Since(sc.began)
 		sc.obs[i].RPC = sc.obs[i].Finish - t0
 	}
-	rb.Span("report", c.ts[i].Name(), s0, rb.Now(), sc.errs[i])
+	rb.Span("report", t.Name(), s0, rb.Now(), sc.errs[i])
 }
 
 // startPollers starts one more poller; the first makes the channel that
@@ -483,7 +496,7 @@ func (c *Coordinator) wave(ctx context.Context, rb *tracing.RoundBuilder, idx []
 		if limits != nil {
 			j.limit = limits[i]
 		}
-		if c.ts[i].Local() {
+		if c.kids[i].t.Local() {
 			local = append(local, j)
 			continue
 		}
@@ -552,7 +565,6 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	rb := c.cfg.Tracer.Begin(rid)
 	defer rb.End()
 	ctx = powerapi.WithRound(ctx, rid)
-	n := len(c.ts)
 	sc := &c.sc
 	if c.cfg.Fleet != nil {
 		sc.began = time.Now()
@@ -563,18 +575,17 @@ func (c *Coordinator) Step(ctx context.Context) error {
 	// A report's Status is borrowed: what Aggregate reads of it is copied
 	// out here, before the transport's next Report may overwrite it.
 	c.mu.Lock()
-	for i := 0; i < n; i++ {
+	for i, k := range c.kids {
 		healthy[i] = errs[i] == nil
 		if !healthy[i] {
-			c.noteFailure(i)
+			k.noteFailure()
 			continue
 		}
-		c.lastPower[i] = reports[i].Power
-		c.lastMax[i] = reports[i].Max
+		k.power, k.maxPower = reports[i].Power, reports[i].Max
 		if st := reports[i].Status; st != nil {
-			c.lastExtra[i], c.lastDepth[i], c.lastEnergy[i] = 0, 0, st.Energy
+			k.extra, k.depth, k.energy = 0, 0, st.Energy
 			if st.Tier != nil {
-				c.lastExtra[i], c.lastDepth[i] = st.Tier.Nodes-1, st.Tier.Depth+1
+				k.extra, k.depth = st.Tier.Nodes-1, st.Tier.Depth+1
 			}
 		}
 	}
@@ -587,13 +598,17 @@ func (c *Coordinator) Step(ctx context.Context) error {
 
 	if c.cfg.Fleet != nil {
 		for i := range sc.obs {
-			sc.obs[i].Node, sc.obs[i].Err, sc.obs[i].Report = c.ts[i].Name(), errs[i], reports[i]
+			sc.obs[i].Node, sc.obs[i].Err, sc.obs[i].Report = c.kids[i].t.Name(), errs[i], reports[i]
 		}
 		c.cfg.Fleet.ObserveRound(rid, time.Since(sc.began), sc.obs)
 	}
 
 	c.mu.Lock()
-	c.settleFailures()
+	var total units.Watts
+	for _, k := range c.kids {
+		k.settle(c.cfg.QuarantineAfter)
+		total += k.power
+	}
 	if moved {
 		c.moves++
 	}
@@ -602,18 +617,17 @@ func (c *Coordinator) Step(ctx context.Context) error {
 		c.mRealloc.Inc()
 		c.mMovedWatts.Add(shifted)
 	}
-	c.mTotalPower.Set(float64(c.TotalPower()))
+	c.mTotalPower.Set(float64(total))
 	return nil
 }
 
 // plan computes per-node target limits from the healthy reports: floors
 // plus a water-fill of the distributable budget over the bids. Unhealthy
-// nodes keep their reservation — the last grant while its lease lives, the
-// fallback floor after — as their limit, so the room total stays within
+// nodes keep their reservation — the last grant while its lease lives, its
+// fallback or the floor after — as their limit, so the room total stays within
 // budget no matter when they come back or expire. The returned targets
 // alias the round scratch.
 func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Watts, moved bool, shifted float64) {
-	n := len(c.ts)
 	floor := float64(c.floor())
 	now := c.cfg.Clock.Now()
 
@@ -622,14 +636,16 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 
 	var reserved float64 // held by unhealthy nodes
 	bids, caps, idx := c.sc.bids[:0], c.sc.caps[:0], c.sc.idx[:0]
-	for i := 0; i < n; i++ {
+	targets = c.sc.targets[:len(c.kids)]
+	for i, k := range c.kids {
 		if !healthy[i] {
-			c.holdLimit(i, now, units.Watts(floor))
-			reserved += float64(c.limits[i])
+			k.holdLimit(now, units.Watts(floor))
+			targets[i] = k.limit
+			reserved += float64(k.limit)
 			continue
 		}
 		power := float64(reports[i].Power)
-		limit := float64(c.limits[i])
+		limit := float64(k.limit)
 		bid := power
 		if power >= limit*(1-bindMargin) {
 			// The node is pressed against its limit: bid for growth.
@@ -653,10 +669,10 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 	}
 	alloc := core.WaterFill(c.sc.alloc, distributable, bids, caps)
 
-	targets = append(c.sc.targets[:0], c.limits...)
 	for j, i := range idx {
+		k := c.kids[i]
 		newLimit := units.Watts(floor + alloc[j])
-		if diff := newLimit - c.limits[i]; diff > 0.5 || diff < -0.5 {
+		if diff := newLimit - k.limit; diff > 0.5 || diff < -0.5 {
 			moved = true
 			if diff < 0 {
 				diff = -diff
@@ -664,7 +680,7 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 			shifted += float64(diff)
 		}
 		targets[i] = newLimit
-		c.limits[i] = newLimit
+		k.limit = newLimit
 	}
 	return targets, moved, shifted
 }
@@ -672,23 +688,22 @@ func (c *Coordinator) plan(reports []Report, healthy []bool) (targets []units.Wa
 // grant leases node i the cap limit. A grant that fails counts against its
 // node (noteFailure) and leaves the ledger as it was.
 func (c *Coordinator) grant(wave context.Context, rb *tracing.RoundBuilder, i int, limit units.Watts) {
-	floor := c.floor()
+	k, floor := c.kids[i], c.floor()
 	s0 := rb.Now()
-	err := c.ts[i].Grant(wave, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
-	rb.Span("grant", c.ts[i].Name(), s0, rb.Now(), err)
+	err := k.t.Grant(wave, Grant{Limit: limit, TTL: c.cfg.LeaseTTL, Fallback: floor})
+	rb.Span("grant", k.t.Name(), s0, rb.Now(), err)
 	c.mu.Lock()
 	if err != nil {
-		c.noteFailure(i)
-		c.holdLimit(i, c.cfg.Clock.Now(), floor)
+		k.noteFailure()
+		k.holdLimit(c.cfg.Clock.Now(), floor)
 		c.mu.Unlock()
 		return
 	}
-	c.granted[i] = limit
-	c.fbGranted[i] = floor
-	c.limits[i] = limit // what the node actually enforces, headroom cap included
-	c.leaseUntil[i] = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
+	k.granted, k.fallback = limit, floor
+	k.limit = limit // what the node actually enforces, headroom cap included
+	k.until = c.cfg.Clock.Now().Add(c.cfg.LeaseTTL)
 	c.mu.Unlock()
-	c.mNodeLimit.With(c.ts[i].Name()).Set(float64(limit))
+	k.mLimit.Set(float64(limit))
 }
 
 // issueGrants applies the planned targets in two waves: shrinks and
@@ -697,7 +712,6 @@ func (c *Coordinator) grant(wave context.Context, rb *tracing.RoundBuilder, i in
 // combine with a successful grow to over-commit the budget. It caps each
 // grow's target in place.
 func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, healthy []bool, rb *tracing.RoundBuilder) {
-	n := len(c.ts)
 	floor := c.floor()
 	now := c.cfg.Clock.Now()
 
@@ -712,20 +726,20 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	grows, renews := c.sc.grows[:0], c.sc.renews[:0]
 	renewBy := now.Add(c.cfg.LeaseTTL / 2)
 	c.mu.Lock()
-	for i := 0; i < n; i++ {
+	for i, k := range c.kids {
 		if !healthy[i] {
 			continue
 		}
-		if targets[i] > c.effective(i, now, floor) {
+		if targets[i] > k.effective(now, floor) {
 			grows = append(grows, i)
 			continue
 		}
-		d := targets[i] - c.granted[i]
-		f := floor - c.fbGranted[i]
-		stable := c.granted[i] > 0 &&
+		d := targets[i] - k.granted
+		f := floor - k.fallback
+		stable := k.granted > 0 &&
 			d <= budgetSlack && d >= -budgetSlack &&
 			f <= budgetSlack && f >= -budgetSlack &&
-			renewBy.Before(c.leaseUntil[i])
+			renewBy.Before(k.until)
 		if !stable {
 			renews = append(renews, i)
 		}
@@ -743,15 +757,12 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	// A node whose shrink failed still occupies its old grant, so the grows
 	// squeeze rather than overshoot; a failed grow keeps its reservation
 	// until the next round, so Σ granted stays within the budget throughout.
-	var held units.Watts
 	c.mu.Lock()
-	for i := 0; i < n; i++ {
-		held += c.effective(i, now, floor)
-	}
-	headroom := c.cfg.Budget - held
+	headroom := c.cfg.Budget - c.held(now, floor)
 	reserved := grows[:0]
 	for _, i := range grows {
-		cur := c.effective(i, now, floor)
+		k := c.kids[i]
+		cur := k.effective(now, floor)
 		limit, delta := targets[i], targets[i]-cur
 		if delta > headroom {
 			delta = headroom
@@ -759,7 +770,7 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		}
 		if delta <= 0 {
 			// No room to grow into: the node keeps what it holds.
-			c.holdLimit(i, now, floor)
+			k.holdLimit(now, floor)
 			continue
 		}
 		targets[i] = limit
@@ -768,6 +779,16 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 	}
 	c.mu.Unlock()
 	c.wave(ctx, rb, reserved, targets)
+}
+
+// held sums the caps the ledger must assume the nodes hold. Caller holds
+// c.mu.
+func (c *Coordinator) held(now time.Time, floor units.Watts) units.Watts {
+	var sum units.Watts
+	for _, k := range c.kids {
+		sum += k.effective(now, floor)
+	}
+	return sum
 }
 
 // budgetSlack absorbs float rounding when comparing watt sums.
@@ -808,7 +829,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
-	n := len(c.ts)
+	n := len(c.kids)
 	floor := c.floor()
 	floorSum := floor * units.Watts(n)
 	if b < floorSum-budgetSlack {
@@ -826,10 +847,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	old := c.cfg.Budget
-	var held units.Watts
-	for i := 0; i < n; i++ {
-		held += c.effective(i, now, floor)
-	}
+	held := c.held(now, floor)
 	if b >= held-budgetSlack {
 		// Growth or no-op: nothing currently held can violate it.
 		c.cfg.Budget = b
@@ -843,8 +861,8 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 		scale = float64(b-floorSum) / float64(excess)
 	}
 	targets, healthy := c.sc.targets[:n], c.sc.healthy
-	for i := 0; i < n; i++ {
-		targets[i] = floor + units.Watts(float64(c.effective(i, now, floor)-floor)*scale)
+	for i, k := range c.kids {
+		targets[i] = floor + units.Watts(float64(k.effective(now, floor)-floor)*scale)
 		healthy[i] = true
 	}
 	c.mu.Unlock()
@@ -856,11 +874,7 @@ func (c *Coordinator) setBudget(ctx context.Context, b units.Watts, force bool) 
 	now = c.cfg.Clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	held = 0
-	for i := 0; i < n; i++ {
-		held += c.effective(i, now, floor)
-	}
-	if held > b+budgetSlack && !force {
+	if held = c.held(now, floor); held > b+budgetSlack && !force {
 		c.cfg.Budget = old
 		return fmt.Errorf("cluster: shrink to %v unacknowledged: children still hold %v", b, held)
 	}
@@ -888,21 +902,19 @@ type Aggregate struct {
 func (c *Coordinator) Aggregate() Aggregate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	agg := Aggregate{Children: len(c.ts), Depth: 1}
-	for i := range c.ts {
-		agg.Power += c.lastPower[i]
-		agg.Max += c.lastMax[i]
-		if c.quar[i] {
+	agg := Aggregate{Children: len(c.kids), Depth: 1}
+	for _, k := range c.kids {
+		agg.Power += k.power
+		agg.Max += k.maxPower
+		if k.quar {
 			agg.Quarantined++
 		}
-		if c.lastMax[i] > 0 {
+		if k.maxPower > 0 {
 			agg.Reporting++
 		}
-		agg.Leaves += 1 + c.lastExtra[i]
-		if c.lastDepth[i] > agg.Depth {
-			agg.Depth = c.lastDepth[i]
-		}
-		if e := c.lastEnergy[i]; e != nil {
+		agg.Leaves += 1 + k.extra
+		agg.Depth = max(agg.Depth, k.depth)
+		if e := k.energy; e != nil {
 			if agg.Energy == nil {
 				agg.Energy = &powerapi.EnergyStatus{}
 			}
@@ -910,16 +922,4 @@ func (c *Coordinator) Aggregate() Aggregate {
 		}
 	}
 	return agg
-}
-
-// TotalPower reports the power across all nodes, summed over their last
-// good reports.
-func (c *Coordinator) TotalPower() units.Watts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t units.Watts
-	for _, p := range c.lastPower {
-		t += p
-	}
-	return t
 }

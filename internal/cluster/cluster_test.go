@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,17 +107,44 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewOverTransports([]Transport{nil}, Config{Budget: 80}); err == nil {
 		t.Error("nil transport accepted")
 	}
+	twice := []Transport{&probeTransport{name: "a"}, &probeTransport{name: "b"}, &probeTransport{name: "a"}}
+	if _, err := NewOverTransports(twice, Config{Budget: 80}); err == nil {
+		t.Error("a node named twice accepted")
+	}
 	vc := clock.NewVirtual(time.Time{})
 	if _, err := NewOverTransports([]Transport{hungry(t, vc, "a").t}, Config{Clock: vc}); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
 
+// limitsOf reads every node's limit, in index order.
+func limitsOf(c *Coordinator) []units.Watts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]units.Watts, len(c.kids))
+	for i, k := range c.kids {
+		out[i] = k.limit
+	}
+	return out
+}
+
+// grantedOf reads every node's last acknowledged grant, in index order.
+func grantedOf(c *Coordinator) []units.Watts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]units.Watts, len(c.kids))
+	for i, k := range c.kids {
+		out[i] = k.granted
+	}
+	return out
+}
+
 // TestSetChildrenCarriesByName: a change of node set that reorders, drops
-// and adds nodes carries each survivor's state over by name — its last
-// report, its failures and its lease — and starts a newcomer with none. The
-// equal split it sends shrinks the survivor holding more than its share
-// before the newcomer grows, and the round counter goes on.
+// and adds nodes keeps each survivor's record — the same record, with its
+// last report, its failures and its lease — and gives a newcomer a fresh
+// one that holds only its transport, its series and the lease its first
+// grant set. The equal split it sends shrinks the survivor holding more
+// than its share before the newcomer grows, and the round counter goes on.
 func TestSetChildrenCarriesByName(t *testing.T) {
 	var (
 		grants []string
@@ -141,7 +170,7 @@ func TestSetChildrenCarriesByName(t *testing.T) {
 	}
 	pa, pb, pc, pd := probe("a", 40), probe("b", 10), probe("c", 30), probe("d", 20)
 	vc := clock.NewVirtual(time.Time{})
-	c, err := NewOverTransports([]Transport{pa, pb, pc}, Config{Budget: 150, Clock: vc})
+	c, err := NewOverTransports([]Transport{pa, pb, pc}, Config{Budget: 150, Clock: vc, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +182,10 @@ func TestSetChildrenCarriesByName(t *testing.T) {
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	heldA, heldC, untilC := c.granted[0], c.granted[2], c.leaseUntil[2]
-	if heldA <= 50 {
-		t.Fatalf("a holds %v, want more than the 50 W equal split", heldA)
+	ka, kc := c.kids[0], c.kids[2]
+	heldC, untilC := kc.granted, kc.until
+	if ka.granted <= 50 {
+		t.Fatalf("a holds %v, want more than the 50 W equal split", ka.granted)
 	}
 	if err := c.SetChildren(nil); err == nil {
 		t.Fatal("an empty node set accepted")
@@ -165,16 +195,35 @@ func TestSetChildrenCarriesByName(t *testing.T) {
 	if err := c.SetChildren([]Transport{pc, pd, pa}); err != nil {
 		t.Fatal(err)
 	}
-	if c.lastPower[0] != 30 || c.fails[0] != 1 || !c.sc.failed[0] || c.granted[0] != heldC || !c.leaseUntil[0].Equal(untilC) {
+	if c.kids[0] != kc || c.kids[2] != ka {
+		t.Fatal("a survivor's record was not carried whole")
+	}
+	if kc.power != 30 || kc.fails != 1 || !kc.failed || kc.granted != heldC || !kc.until.Equal(untilC) {
 		t.Errorf("c: last power %v, %d failed steps, failed since %v, holds %v until %v; want 30 W, 1, true, %v until %v",
-			c.lastPower[0], c.fails[0], c.sc.failed[0], c.granted[0], c.leaseUntil[0], heldC, untilC)
+			kc.power, kc.fails, kc.failed, kc.granted, kc.until, heldC, untilC)
 	}
-	if c.lastPower[1] != 0 || c.lastMax[1] != 0 || c.fails[1] != 0 || c.granted[1] != 50 {
-		t.Errorf("newcomer: last power %v, max %v, %d failed steps, granted %v; want nothing but its 50 W share",
-			c.lastPower[1], c.lastMax[1], c.fails[1], c.granted[1])
+	if ka.power != 40 || ka.maxPower != 85 || ka.granted != 50 {
+		t.Errorf("a: last power %v, max %v, granted %v; want 40 W, 85 W and its 50 W share", ka.power, ka.maxPower, ka.granted)
 	}
-	if c.lastPower[2] != 40 || c.lastMax[2] != 85 || c.granted[2] != 50 {
-		t.Errorf("a: last power %v, max %v, granted %v; want 40 W, 85 W and its 50 W share", c.lastPower[2], c.lastMax[2], c.granted[2])
+
+	// A newcomer's record is zero but for these, every one of them set. A
+	// field added to child later is held to zero until it joins this list.
+	kd := c.kids[1]
+	set := map[string]bool{"t": true, "limit": true, "granted": true, "fallback": true, "until": true, "mLimit": true, "mQuar": true, "mFails": true}
+	rec := reflect.ValueOf(kd).Elem()
+	for name := range set {
+		if f := rec.FieldByName(name); !f.IsValid() || f.IsZero() {
+			t.Errorf("newcomer's %s is unset", name)
+		}
+	}
+	for i := 0; i < rec.NumField(); i++ {
+		if name := rec.Type().Field(i).Name; !set[name] && !rec.Field(i).IsZero() {
+			t.Errorf("newcomer starts with %s = %v", name, rec.Field(i))
+		}
+	}
+	if kd.t != pd || kd.granted != 50 || kd.limit != 50 || kd.fallback != c.floor() || !kd.until.Equal(vc.Now().Add(c.cfg.LeaseTTL)) {
+		t.Errorf("newcomer: transport %s, granted %v, limit %v, fallback %v until %v; want d, its 50 W share and the %v floor until %v",
+			kd.t.Name(), kd.granted, kd.limit, kd.fallback, kd.until, c.floor(), vc.Now().Add(c.cfg.LeaseTTL))
 	}
 	if fmt.Sprint(grants) != "[a d]" {
 		t.Errorf("grants went out in the order %v, want a's shrink before the newcomer's grow", grants)
@@ -185,8 +234,161 @@ func TestSetChildrenCarriesByName(t *testing.T) {
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.fails[0] != 2 || c.Rounds() != 3 {
-		t.Errorf("after the next round: c has %d failed steps and the coordinator %d rounds, want 2 and 3", c.fails[0], c.Rounds())
+	if kc.fails != 2 || c.Rounds() != 3 {
+		t.Errorf("after the next round: c has %d failed steps and the coordinator %d rounds, want 2 and 3", kc.fails, c.Rounds())
+	}
+}
+
+// TestRemovedChildTakesItsSeries: a node that leaves takes its limit,
+// quarantine and failure series off /metrics, and one that rejoins under
+// the same name starts them afresh.
+func TestRemovedChildTakesItsSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	down := true // b's reports fail
+	pa := &probeTransport{name: "a", local: true, report: func(context.Context) (Report, error) { return okReport, nil }}
+	pb := &probeTransport{name: "b", local: true, report: func(context.Context) (Report, error) {
+		if down {
+			return Report{}, fmt.Errorf("b: unreachable")
+		}
+		return okReport, nil
+	}}
+	c, err := NewOverTransports([]Transport{pa, pb}, Config{Budget: 100, Metrics: reg, Clock: clock.NewVirtual(time.Time{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for range 3 { // the default QuarantineAfter
+		if err := c.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := []string{`cluster_node_limit_watts{node="b"}`, `cluster_node_quarantined{node="b"}`, `cluster_transport_failures_total{node="b"}`}
+	if v := reg.Values(); v[series[0]] != 50 || v[series[1]] != 1 || v[series[2]] != 3 {
+		t.Fatalf("before b leaves: limit %v, quarantined %v, failures %v; want 50, 1 and 3", v[series[0]], v[series[1]], v[series[2]])
+	}
+
+	if err := c.SetChildren([]Transport{pa}); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), `node="b"`) {
+		t.Errorf("b left, but /metrics still shows it:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), `cluster_node_limit_watts{node="a"} 100`) {
+		t.Errorf("a's limit series is not its whole 100 W budget:\n%s", out.String())
+	}
+
+	down = false
+	if err := c.SetChildren([]Transport{pa, pb}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	limit := c.Nodes()[1].LimitWatts
+	if v := reg.Values(); v[series[0]] != limit || v[series[1]] != 0 || v[series[2]] != 0 {
+		t.Errorf("b rejoined: limit %v, quarantined %v, failures %v; want its %v W limit, 0 and 0", v[series[0]], v[series[1]], v[series[2]], limit)
+	}
+}
+
+// leaseProbe is a node that enforces what an agent would: its last grant
+// while that grant's lease lives, the fallback the grant carried after, and
+// nothing before its first grant. It reports drawing all of it, so it bids
+// for more every round.
+type leaseProbe struct {
+	probeTransport
+	down            bool // its calls fail
+	limit, fallback units.Watts
+	until           time.Time
+	now             func() time.Time
+}
+
+func newLeaseProbe(name string, vc *clock.Virtual) *leaseProbe {
+	p := &leaseProbe{now: vc.Now}
+	p.probeTransport = probeTransport{
+		name: name, local: true,
+		report: func(context.Context) (Report, error) {
+			if p.down {
+				return Report{}, fmt.Errorf("%s: unreachable", name)
+			}
+			return Report{Power: p.enforced(), Limit: p.enforced(), Max: 200}, nil
+		},
+		grant: func(_ context.Context, g Grant) error {
+			if p.down {
+				return fmt.Errorf("%s: unreachable", name)
+			}
+			p.limit, p.fallback, p.until = g.Limit, g.Fallback, p.now().Add(g.TTL)
+			return nil
+		},
+	}
+	return p
+}
+
+func (p *leaseProbe) enforced() units.Watts {
+	if p.now().Before(p.until) {
+		return p.limit
+	}
+	return p.fallback
+}
+
+// TestLapsedLeaseCountsItsFallback: a node cut off past its lease enforces
+// the fallback its last grant carried. When the node set then grows, the
+// floor falls below that fallback; the coordinator goes on counting what
+// the node enforces, so the caps the nodes enforce never sum above the
+// budget.
+func TestLapsedLeaseCountsItsFallback(t *testing.T) {
+	const budget = 200
+	vc := clock.NewVirtual(time.Time{})
+	a, b, d := newLeaseProbe("a", vc), newLeaseProbe("b", vc), newLeaseProbe("d", vc)
+	c, err := NewOverTransports([]Transport{a, b}, Config{
+		Budget: budget, FloorBudget: budget, Interval: time.Second, LeaseTTL: 3 * time.Second, Clock: vc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*leaseProbe{a, b}
+	check := func(when string) {
+		t.Helper()
+		var sum units.Watts
+		for _, p := range nodes {
+			sum += p.enforced()
+		}
+		if sum > budget+budgetSlack {
+			t.Errorf("%s: the nodes enforce %v under a %v W budget", when, sum, budget)
+		}
+	}
+	steps := 0
+	step := func() {
+		t.Helper()
+		steps++
+		vc.Advance(time.Second)
+		if err := c.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d", steps))
+	}
+
+	step()
+	b.down = true
+	for range 5 {
+		step()
+	}
+	if got := b.enforced(); got != 50 {
+		t.Fatalf("b enforces %v past its lease, want the 50 W fallback its grant carried", got)
+	}
+	nodes = append(nodes, d)
+	if err := c.SetChildren([]Transport{a, b, d}); err != nil {
+		t.Fatal(err)
+	}
+	check("the change to three nodes")
+	for range 3 {
+		step()
+	}
+	if got := c.Nodes()[1].LimitWatts; got != 50 {
+		t.Errorf("the coordinator holds b at %v, want the 50 W it enforces", got)
 	}
 }
 
@@ -194,7 +396,7 @@ func TestInitialEqualSplit(t *testing.T) {
 	vc := clock.NewVirtual(time.Time{})
 	nodes := []simNode{hungry(t, vc, "a"), light(t, vc, "b")}
 	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
-	for i, l := range c.limits {
+	for i, l := range limitsOf(c) {
 		if l != 40 {
 			t.Errorf("node %d initial limit = %v, want 40", i, l)
 		}
@@ -244,7 +446,7 @@ func TestBudgetFlowsToConstrainedNode(t *testing.T) {
 
 	staticIPS, _ := run(false)
 	dynIPS, c := run(true)
-	limits, total := c.limits, c.TotalPower()
+	limits, total := limitsOf(c), c.Aggregate().Power
 
 	if limits[0] <= 41 {
 		t.Errorf("hungry node limit = %v, expected growth above the equal split", limits[0])
@@ -276,7 +478,7 @@ func TestSymmetricNodesStayBalanced(t *testing.T) {
 	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b")}
 	c := newRoom(t, vc, Config{Budget: 80}, nodes...)
 	lockstep(t, c, nodes, 60*time.Second)
-	limits := c.limits
+	limits := limitsOf(c)
 	diff := float64(limits[0] - limits[1])
 	if diff < 0 {
 		diff = -diff
@@ -325,7 +527,7 @@ func TestCoordinatorMetrics(t *testing.T) {
 	if v := reg.Counter("cluster_budget_moved_watts_total", "").Value(); v <= 0 {
 		t.Errorf("cluster_budget_moved_watts_total = %v", v)
 	}
-	limits := c.limits
+	limits := limitsOf(c)
 	gv := reg.GaugeVec("cluster_node_limit_watts", "", "node")
 	for i, name := range []string{"n0", "n1"} {
 		if got := gv.With(name).Value(); got != float64(limits[i]) {
@@ -380,22 +582,22 @@ func TestInProcessNodeRefusingGrantsIsQuarantined(t *testing.T) {
 			reg := metrics.NewRegistry()
 			c := newRoom(t, vc, Config{Budget: budget, Metrics: reg}, nodes...)
 			limitGauge := reg.GaugeVec("cluster_node_limit_watts", "", "node")
-			deadline := c.leaseUntil[1]
-			c.ts[1] = tc.broken(c.ts[1])
+			deadline := c.kids[1].until
+			c.kids[1].t = tc.broken(c.kids[1].t)
 			lapsed := false
 			for step := 1; step <= 6; step++ {
 				lockstep(t, c, nodes, 5*time.Second)
-				if want := step >= c.cfg.QuarantineAfter; c.quar[1] != want || c.quar[0] {
-					t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/%v", step, c.quar[0], c.quar[1], want)
+				if want := step >= c.cfg.QuarantineAfter; c.kids[1].quar != want || c.kids[0].quar {
+					t.Errorf("step %d: quarantined hungry/light = %v/%v, want false/%v", step, c.kids[0].quar, c.kids[1].quar, want)
 				}
 				var planned, enforced units.Watts
-				for i, l := range c.limits {
+				for i, l := range limitsOf(c) {
 					planned += l
 					enforced += nodes[i].Daemon.Limit()
 					// What the coordinator reports of a node is the cap
 					// the node's daemon enforces.
-					if got, gauge := nodes[i].Daemon.Limit(), limitGauge.With(c.ts[i].Name()).Value(); l != got || gauge != float64(got) {
-						t.Errorf("step %d: %s reported at limits %v and gauge %v, enforcing %v", step, c.ts[i].Name(), l, gauge, got)
+					if got, gauge := nodes[i].Daemon.Limit(), limitGauge.With(c.kids[i].t.Name()).Value(); l != got || gauge != float64(got) {
+						t.Errorf("step %d: %s reported at limits %v and gauge %v, enforcing %v", step, c.kids[i].t.Name(), l, gauge, got)
 					}
 				}
 				if planned > budget+budgetSlack || enforced > budget+budgetSlack {
@@ -432,7 +634,7 @@ func TestThreeNodeMixedDemand(t *testing.T) {
 	nodes := []simNode{hungry(t, vc, "a"), hungry(t, vc, "b"), light(t, vc, "c")}
 	c := newRoom(t, vc, Config{Budget: 120}, nodes...)
 	lockstep(t, c, nodes, 90*time.Second)
-	limits := c.limits
+	limits := limitsOf(c)
 	if limits[0] <= 40 || limits[1] <= 40 {
 		t.Errorf("hungry nodes did not grow past the equal split: %v", limits)
 	}
@@ -446,7 +648,7 @@ func TestThreeNodeMixedDemand(t *testing.T) {
 	if sum > 120.5 {
 		t.Errorf("limits sum %.1f over budget", sum)
 	}
-	if c.TotalPower() > 120*1.05 {
-		t.Errorf("total power %v over budget", c.TotalPower())
+	if total := c.Aggregate().Power; total > 120*1.05 {
+		t.Errorf("total power %v over budget", total)
 	}
 }

@@ -251,13 +251,13 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.quar[0] {
+	if c.kids[0].quar {
 		t.Fatal("quarantined after a single failure, want after 2")
 	}
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !c.quar[0] {
+	if !c.kids[0].quar {
 		t.Fatal("not quarantined after 2 consecutive failed steps")
 	}
 	if v := reg.GaugeVec("cluster_node_quarantined", "", "node").With("flaky").Value(); v != 1 {
@@ -292,7 +292,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err := c.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.quar[0] {
+	if c.kids[0].quar {
 		t.Error("still quarantined after a good report")
 	}
 	if v := reg.GaugeVec("cluster_node_quarantined", "", "node").With("flaky").Value(); v != 0 {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -118,7 +119,9 @@ func NewFleet(budget units.Watts, reg *metrics.Registry) *Fleet {
 }
 
 // ObserveRound folds one reallocation round into the rollups. total is
-// the round's end-to-end latency as the coordinator measured it.
+// the round's end-to-end latency as the coordinator measured it, and obs
+// covers the coordinator's whole node set: a node missing from it has left,
+// and its row goes.
 func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObservation) {
 	if f == nil {
 		return
@@ -158,6 +161,21 @@ func (f *Fleet) ObserveRound(round uint64, total time.Duration, obs []NodeObserv
 				n.lease, n.frame.Lease = *st.Lease, &n.lease
 			}
 		}
+	}
+	if len(f.nodes) > len(obs) {
+		// obs is the coordinator's whole node set: a node it dropped leaves
+		// the rollups with it.
+		in := make(map[string]bool, len(obs))
+		for _, o := range obs {
+			in[o.Node] = true
+		}
+		f.order = slices.DeleteFunc(f.order, func(name string) bool {
+			gone := !in[name]
+			if gone {
+				delete(f.nodes, name)
+			}
+			return gone
+		})
 	}
 	if at := tracing.StragglerIn(finishes); at >= 0 {
 		o := obs[finObs[at]]

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/powerapi"
 	"repro/internal/units"
@@ -159,5 +161,38 @@ func TestFleetNilSafe(t *testing.T) {
 	f.ObserveRound(1, time.Millisecond, []NodeObservation{{Node: "a"}})
 	if snap := f.Snapshot(); snap.Round != 0 || snap.Nodes != nil {
 		t.Fatalf("nil fleet snapshot = %+v", snap)
+	}
+}
+
+// TestFleetDropsRemovedNode: a node its coordinator drops leaves the fleet's
+// rows and sums with it, so the fleet's power is the coordinator's.
+func TestFleetDropsRemovedNode(t *testing.T) {
+	report := func(w units.Watts) func(context.Context) (Report, error) {
+		return func(context.Context) (Report, error) { return Report{Power: w, Limit: 50, Max: 85}, nil }
+	}
+	pa := &probeTransport{name: "a", local: true, report: report(40)}
+	pb := &probeTransport{name: "b", local: true, report: report(30)}
+	fleet := NewFleet(100, nil)
+	c, err := NewOverTransports([]Transport{pa, pb}, Config{Budget: 100, Fleet: fleet, Clock: clock.NewVirtual(time.Time{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if snap := fleet.Snapshot(); len(snap.Nodes) != 2 || snap.TotalPowerWatts != 70 {
+		t.Fatalf("before b leaves: %d nodes drawing %v W, want 2 drawing 70 W", len(snap.Nodes), snap.TotalPowerWatts)
+	}
+	if err := c.SetChildren([]Transport{pa}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap := fleet.Snapshot()
+	if len(snap.Nodes) != 1 || snap.Nodes[0].Name != "a" || snap.TotalPowerWatts != float64(c.Aggregate().Power) {
+		t.Errorf("after b left: rows %+v drawing %v W, want a's alone drawing the coordinator's %v",
+			snap.Nodes, snap.TotalPowerWatts, c.Aggregate().Power)
 	}
 }

@@ -21,7 +21,8 @@ import (
 // and right after the change it reports the subtree it reported before —
 // the newcomer adds nothing until its first report. The quarantined
 // survivor stays quarantined and holds its lease's cap until exactly the
-// lease's deadline, then its floor.
+// lease's deadline, then the fallback its last grant carried, which the
+// leaf enforces and which lies above the new floor.
 func TestTierChangesChildrenInPlace(t *testing.T) {
 	const (
 		budget = units.Watts(300)
@@ -105,8 +106,8 @@ func TestTierChangesChildrenInPlace(t *testing.T) {
 		}
 		step()
 	}
-	if n := row.Coordinator().Nodes()[2]; n.LimitWatts != floor {
-		t.Errorf("at its lease's deadline the cut-off leaf is held at %v, want its floor %v", n.LimitWatts, floor)
+	if n, held := row.Coordinator().Nodes()[2], float64(leaves[2].Limit()); n.LimitWatts != held || n.LimitWatts <= floor {
+		t.Errorf("at its lease's deadline the cut-off leaf is held at %v, want the %v it enforces, above the new floor %v", n.LimitWatts, held, floor)
 	}
 
 	rounds := row.Coordinator().Rounds()

@@ -118,7 +118,7 @@ func (m *Membership) ClusterStatus() *powerapi.ClusterStatus {
 	c := t.coord
 	agg := c.Aggregate()
 	st.BudgetWatts = float64(c.Budget())
-	st.TotalPowerWatts = float64(c.TotalPower())
+	st.TotalPowerWatts = float64(agg.Power)
 	st.Reallocations = c.Reallocations()
 	st.Tier, st.Children, st.Leaves, st.Depth = t.Level(), agg.Children, agg.Leaves, agg.Depth
 	st.Nodes = c.Nodes()

@@ -190,7 +190,7 @@ func TestPollerRetirementRace(t *testing.T) {
 			t.Fatalf("round %d: %d reports so far, want %d", round, got, round*n)
 		}
 		for i := 0; i < n; i++ {
-			if c.fails[i] != 0 {
+			if c.kids[i].fails != 0 {
 				t.Fatalf("round %d: child %d lost its report", round, i)
 			}
 		}
@@ -224,8 +224,8 @@ func TestPollerRetirementNeverWaitsOnARound(t *testing.T) {
 	if err := await(t, "the round", stepped); err != nil {
 		t.Fatal(err)
 	}
-	if c.fails[0] != 1 || c.fails[1] != 0 {
-		t.Fatalf("failed steps %v, want only the hung child's one", c.fails)
+	if c.kids[0].fails != 1 || c.kids[1].fails != 0 {
+		t.Fatalf("failed steps %d and %d, want only the hung child's one", c.kids[0].fails, c.kids[1].fails)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestPollerLateReportStaysInItsRound(t *testing.T) {
 			<-release    // ...and the report still takes its time
 		} else {
 			c.mu.Lock()
-			held = c.lastPower[0]
+			held = c.kids[0].power
 			c.mu.Unlock()
 		}
 		return Report{Power: units.Watts(10 * call), Limit: 50, Max: 85}, nil
@@ -284,8 +284,8 @@ func TestPollerLateReportStaysInItsRound(t *testing.T) {
 	if held != 10 {
 		t.Fatalf("round 2 began holding %v from the slow child, want round 1's late 10 W", held)
 	}
-	if c.fails[0] != 0 || c.lastPower[0] != 20 {
-		t.Fatalf("after round 2: %d failed steps, last power %v, want round 2's 20 W", c.fails[0], c.lastPower[0])
+	if c.kids[0].fails != 0 || c.kids[0].power != 20 {
+		t.Fatalf("after round 2: %d failed steps, last power %v, want round 2's 20 W", c.kids[0].fails, c.kids[0].power)
 	}
 	if c.Rounds() != 2 {
 		t.Fatalf("%d rounds ran", c.Rounds())
@@ -310,8 +310,8 @@ func TestSubMillisecondLeaseTTLOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.fails[0] != 0 || c.granted[0] != 40 {
-		t.Fatalf("initial grant refused: %d failures, %v W acknowledged", c.fails[0], c.granted[0])
+	if c.kids[0].fails != 0 || c.kids[0].granted != 40 {
+		t.Fatalf("initial grant refused: %d failures, %v W acknowledged", c.kids[0].fails, c.kids[0].granted)
 	}
 	if ack, err := powerapi.NewClient(node.srv.URL).Lease(context.Background(),
 		&powerapi.LeaseGrant{ID: 99, LimitWatts: 40, TTLMS: 0}); err == nil {

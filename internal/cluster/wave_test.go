@@ -103,7 +103,7 @@ func TestLocalPolledInlineRemoteFannedOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if c.fails[i] != 0 {
+		if c.kids[i].fails != 0 {
 			t.Errorf("child %d failed its report", i)
 		}
 	}
@@ -170,12 +170,12 @@ func TestWaveDeadline(t *testing.T) {
 		}
 	}
 	for i := 1; i < n; i++ {
-		if c.fails[i] != 0 || c.lastPower[i] != okReport.Power {
-			t.Errorf("healthy child %d: fails %d, power %v", i, c.fails[i], c.lastPower[i])
+		if c.kids[i].fails != 0 || c.kids[i].power != okReport.Power {
+			t.Errorf("healthy child %d: fails %d, power %v", i, c.kids[i].fails, c.kids[i].power)
 		}
 	}
-	if c.fails[0] != 1 {
-		t.Errorf("hung child: %d failed steps recorded, want 1", c.fails[0])
+	if c.kids[0].fails != 1 {
+		t.Errorf("hung child: %d failed steps recorded, want 1", c.kids[0].fails)
 	}
 }
 
@@ -295,15 +295,11 @@ func TestGrantPhaseDeadline(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		hung := i == 0 || i == 2
-		if ok := c.fails[i] == 0 && c.granted[i] == calls[i].limit; ok == hung {
-			t.Errorf("child %d (hung %v): %d failed steps, %v acknowledged of %v", i, hung, c.fails[i], c.granted[i], calls[i].limit)
+		if ok := c.kids[i].fails == 0 && c.kids[i].granted == calls[i].limit; ok == hung {
+			t.Errorf("child %d (hung %v): %d failed steps, %v acknowledged of %v", i, hung, c.kids[i].fails, c.kids[i].granted, calls[i].limit)
 		}
 	}
-	var held units.Watts
-	for i := 0; i < n; i++ {
-		held += c.effective(i, vc.Now(), c.floor())
-	}
-	if held > budget+budgetSlack {
+	if held := c.held(vc.Now(), c.floor()); held > budget+budgetSlack {
 		t.Errorf("the ledger holds %v of a %v budget", held, units.Watts(budget))
 	}
 }
@@ -330,7 +326,7 @@ func TestQuietGrantAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets, healthy := append([]units.Watts(nil), c.granted...), make([]bool, n)
+	targets, healthy := grantedOf(c), make([]bool, n)
 	for i := range healthy {
 		healthy[i] = true
 	}

@@ -19,6 +19,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -220,6 +221,21 @@ func (f *family) childFunc(values []string, fn func() float64) {
 	f.lvals[key] = append([]string(nil), values...)
 }
 
+// remove drops the child for values, if there is one; the others keep
+// their order.
+func (f *family) remove(values []string) {
+	key := labelKey(values)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.children[key]; !ok {
+		return
+	}
+	delete(f.children, key)
+	delete(f.lvals, key)
+	i := slices.Index(f.keys, key)
+	f.keys = slices.Delete(f.keys, i, i+1)
+}
+
 func newHistogram(buckets []float64) *Histogram {
 	uppers := append([]float64(nil), buckets...)
 	sort.Float64s(uppers)
@@ -248,6 +264,15 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values).(*Counter)
 }
 
+// Delete removes the counter for the given label values, so a scrape no
+// longer shows it and a later With starts it from zero. Values with no
+// counter, or a nil vec, are a no-op.
+func (v *CounterVec) Delete(values ...string) {
+	if v != nil {
+		v.f.remove(values)
+	}
+}
+
 // GaugeVec is a labelled gauge family.
 type GaugeVec struct{ f *family }
 
@@ -257,6 +282,15 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 		return nil
 	}
 	return v.f.child(values).(*Gauge)
+}
+
+// Delete removes the gauge for the given label values, so a scrape no
+// longer shows it and a later With starts it from zero. Values with no
+// gauge, or a nil vec, are a no-op.
+func (v *GaugeVec) Delete(values ...string) {
+	if v != nil {
+		v.f.remove(values)
+	}
 }
 
 // WithFunc registers, under the given label values, a child whose value

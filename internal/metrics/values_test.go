@@ -124,3 +124,43 @@ func TestGaugeVecWithFunc(t *testing.T) {
 	var nilVec *GaugeVec
 	nilVec.WithFunc(func() float64 { return 1 }, "x") // must not panic
 }
+
+// Delete takes one series off a labelled family: the others keep their
+// order, a later With starts it from zero, and an absent key or a nil vec
+// is a no-op.
+func TestVecDelete(t *testing.T) {
+	r := NewRegistry()
+	g := r.GaugeVec("node_limit_watts", "per node", "node")
+	c := r.CounterVec("node_failures_total", "per node", "node")
+	for i, n := range []string{"c", "b", "a"} {
+		g.With(n).Set(float64(i + 1))
+		c.With(n).Add(float64(i + 1))
+	}
+	g.Delete("b")
+	c.Delete("b")
+	g.Delete("absent")
+	c.Delete("absent")
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP node_failures_total per node\n# TYPE node_failures_total counter\n" +
+		"node_failures_total{node=\"c\"} 1\nnode_failures_total{node=\"a\"} 3\n" +
+		"# HELP node_limit_watts per node\n# TYPE node_limit_watts gauge\n" +
+		"node_limit_watts{node=\"c\"} 1\nnode_limit_watts{node=\"a\"} 3\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if g.With("b").Value() != 0 || c.With("b").Value() != 0 {
+		t.Errorf("b came back at %v and %v, want fresh zeros", g.With("b").Value(), c.With("b").Value())
+	}
+	if got := r.Values(); got[`node_limit_watts{node="b"}`] != 0 || len(got) != 6 {
+		t.Errorf("Values after b came back: %v", got)
+	}
+
+	var nilG *GaugeVec
+	var nilC *CounterVec
+	nilG.Delete("x") // must not panic
+	nilC.Delete("x")
+}
